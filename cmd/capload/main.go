@@ -696,7 +696,7 @@ func fetchTrace(client *http.Client, base string) ([]captrace.Snapshot, error) {
 // tierSpan scores how much of the degradation ladder a waterfall still
 // covers: 0 = nothing resident, 1 = some events, 2 = reached the
 // serving tier (an admission/shed/done event), 3 = tierFull — serving
-// tier plus runtime shard events (a granted request's probe/handoff/
+// tier plus runtime events (a granted request's probe/handoff/
 // death, or a refused division's deny/inline). Route spans alone score
 // 1: the downstream half was already overwritten.
 const tierFull = 3

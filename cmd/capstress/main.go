@@ -1,20 +1,19 @@
 // Command capstress measures the capsule runtime's probe/divide hot path
 // and emits a machine-readable BENCH_capsule.json, starting the repo's
 // tracked benchmark trajectory. It runs the internal/capsule/hotpath
-// suite (the live lock-free runtime AND the retained mutex baseline, so
-// every report carries its own before/after), a short Divide storm for
-// the grant rate, and an in-process capserve closed loop for serving
-// throughput. The suite's "trace/..." triples re-measure the captrace
-// budget every run: tracing armed must cost ≤5% on the canonical paths
-// and disabled ~0% (the trace_overhead section, gated in CI). The
-// "watch/..." pairs do the same for the capwatch telemetry sampler —
-// armed at its production tick, budgeted at ≤2% (watch_overhead) — and
-// the "incident/..." pairs hold the capscope flight recorder to the
-// same ceiling on top of an already-armed sampler (incident_overhead).
-// The serving measurement runs with a sampler armed, recording its SLO
-// verdict (the slo block) so the burn-rate evaluator's output is part
-// of the tracked trajectory, and the incident block stages an SLO burn
-// end-to-end and asserts the recorder captured a complete bundle.
+// suite, a short Divide storm for the grant rate, and an in-process
+// capserve closed loop for serving throughput. The suite's "trace/..."
+// triples re-measure the captrace budget every run: tracing armed must
+// cost ≤5% on the canonical paths and disabled ~0% (the trace_overhead
+// section, gated in CI). The "watch/..." pairs do the same for the
+// capwatch telemetry sampler — armed at its production tick, budgeted at
+// ≤2% (watch_overhead) — and the "incident/..." pairs hold the capscope
+// flight recorder to the same ceiling on top of an already-armed sampler
+// (incident_overhead). The serving measurement runs with a sampler
+// armed, recording its SLO verdict (the slo block) so the burn-rate
+// evaluator's output is part of the tracked trajectory, and the incident
+// block stages an SLO burn end-to-end and asserts the recorder captured
+// a complete bundle.
 //
 // It also runs a cluster scenario: three in-process capserve backends
 // behind a capcluster router, one killed at halftime — the tracked
@@ -71,27 +70,14 @@ type report struct {
 	GOMAXPROCS  int    `json:"gomaxprocs"`
 
 	// Machine identity, so numbers from different runners are comparable:
-	// the OS-reported CPU model, the physical/logical core count the OS
-	// exposes, and the parallelism multipliers of the probe sweep.
+	// the OS-reported CPU model and the logical core count the OS exposes.
 	CPUModel  string  `json:"cpu_model"`
 	NumCPU    int     `json:"num_cpu"`
-	Sweep     []int   `json:"gomaxprocs_sweep"`
 	DurationS float64 `json:"duration_s"`
 
-	// Results by hotpath case name ("atomic/..." is the live sharded
-	// lock-free runtime, "atomic1/..." the same runtime pinned to one
-	// pool shard — the PR-3 configuration — and "mutex/..." the
-	// pre-rewrite baseline).
+	// Results by hotpath case name ("atomic/..." is the live runtime,
+	// the other families its observability-plane twins).
 	Results map[string]caseResult `json:"results"`
-
-	// Speedups divide mutex ns/op by atomic ns/op for each shared path.
-	Speedups map[string]float64 `json:"speedups"`
-
-	// ShardSpeedups divide single-stack (atomic1) ns/op by sharded
-	// (atomic) ns/op: what per-P sharding itself buys on top of
-	// lock-freedom. ~1.0 on a single-core runner, where the sharded pool
-	// degenerates to one shard by construction.
-	ShardSpeedups map[string]float64 `json:"speedups_vs_single_stack"`
 
 	// TraceOverhead folds the "trace/..." case triples into per-path
 	// captrace budgets: armed is what every request pays with -trace on
@@ -255,17 +241,14 @@ func main() {
 
 	start := time.Now()
 	r := report{
-		GeneratedBy:   "cmd/capstress",
-		GoVersion:     runtime.Version(),
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		CPUModel:      cpuModel(),
-		NumCPU:        runtime.NumCPU(),
-		Sweep:         hotpath.SweepMultipliers,
-		Results:       map[string]caseResult{},
-		Speedups:      map[string]float64{},
-		ShardSpeedups: map[string]float64{},
+		GeneratedBy: "cmd/capstress",
+		GoVersion:   runtime.Version(),
+		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		CPUModel:    cpuModel(),
+		NumCPU:      runtime.NumCPU(),
+		Results:     map[string]caseResult{},
 	}
-	fmt.Printf("machine: %s, %d cpus, GOMAXPROCS %d, sweep %v\n", r.CPUModel, r.NumCPU, r.GOMAXPROCS, r.Sweep)
+	fmt.Printf("machine: %s, %d cpus, GOMAXPROCS %d\n", r.CPUModel, r.NumCPU, r.GOMAXPROCS)
 
 	record := func(name string, res testing.BenchmarkResult) caseResult {
 		cr := caseResult{
@@ -305,19 +288,6 @@ func main() {
 		cr := r.Results[c.Name]
 		fmt.Printf("%-36s %12.1f ns/op %6d allocs/op %6d B/op\n", c.Name, cr.NsPerOp, cr.AllocsPerOp, cr.BytesPerOp)
 	}
-	for name, atomicRes := range r.Results {
-		path, ok := strings.CutPrefix(name, "atomic/")
-		if !ok || atomicRes.NsPerOp <= 0 {
-			continue
-		}
-		if mutexRes, ok := r.Results["mutex/"+path]; ok {
-			r.Speedups[path] = mutexRes.NsPerOp / atomicRes.NsPerOp
-		}
-		if singleRes, ok := r.Results["atomic1/"+path]; ok {
-			r.ShardSpeedups[path] = singleRes.NsPerOp / atomicRes.NsPerOp
-		}
-	}
-
 	r.TraceOverhead = map[string]traceOverheadResult{}
 	for _, path := range []string{"probe_granted_serial", "probe_granted_parallel_4x", "divide_granted"} {
 		off := r.Results["trace/"+path+"_off"]
@@ -457,7 +427,7 @@ func main() {
 	if err := f.Close(); err != nil {
 		fail("%v", err)
 	}
-	fmt.Printf("wrote %s (probe_granted_parallel_4x speedup: %.2fx)\n", *out, r.Speedups["probe_granted_parallel_4x"])
+	fmt.Printf("wrote %s\n", *out)
 }
 
 // divideStorm hammers a fresh default-sized runtime with Divide offers

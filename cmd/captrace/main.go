@@ -2,15 +2,13 @@
 // trace snapshots — fetched live from /debug/trace endpoints or read
 // from files — and renders them for humans.
 //
-// With no -id it prints the fleet summary: each snapshot's per-shard
-// ring occupancy (written/dropped/skipped), the event-kind histogram,
-// the pool-shard steal/local-hit breakdown reconstructed from the
-// probe events, and the trace IDs with the most events. With -id it
-// prints one request's waterfall: every event recorded under that ID
-// across all ingested snapshots, merged into a single timeline —
-// router span, backend serving span and pool-shard events interleaved
-// (wall-clock timestamps make same-host cross-process ordering
-// meaningful).
+// With no -id it prints the fleet summary: each snapshot's per-ring
+// occupancy (written/dropped/skipped), the event-kind histogram, and
+// the trace IDs with the most events. With -id it prints one request's
+// waterfall: every event recorded under that ID across all ingested
+// snapshots, merged into a single timeline — router span, backend
+// serving span and runtime events interleaved (wall-clock timestamps
+// make same-host cross-process ordering meaningful).
 //
 // Usage:
 //
@@ -137,8 +135,7 @@ func waterfall(w io.Writer, snaps []captrace.Snapshot, tid uint64) bool {
 }
 
 // summary prints the fleet-wide view: ring occupancy per source, the
-// kind histogram, the steal/local split per pool shard, and the
-// busiest trace IDs (what to pass to -id).
+// kind histogram, and the busiest trace IDs (what to pass to -id).
 func summary(w io.Writer, snaps []captrace.Snapshot) {
 	for _, s := range snaps {
 		fmt.Fprintf(w, "source %-16s %d events resident\n", s.Source, len(s.Events))
@@ -155,36 +152,11 @@ func summary(w io.Writer, snaps []captrace.Snapshot) {
 	}
 
 	kinds := map[captrace.Kind]int{}
-	// Per pool shard (the event payload's shard, not the ring index):
-	// how grants split between local hits and steals, the live view of
-	// the capsule_shard_* series.
-	type shardStat struct{ local, steals, denies int }
-	shards := map[uint8]*shardStat{}
 	byTID := map[uint64]int{}
 	for _, ev := range all {
 		kinds[ev.Kind]++
 		if ev.TID != 0 {
 			byTID[ev.TID]++
-		}
-		switch ev.Kind {
-		case captrace.KProbeGranted:
-			st := shards[ev.Shard]
-			if st == nil {
-				st = &shardStat{}
-				shards[ev.Shard] = st
-			}
-			if ev.A == 0 {
-				st.local++
-			} else {
-				st.steals++
-			}
-		case captrace.KProbeDenied:
-			st := shards[ev.Shard]
-			if st == nil {
-				st = &shardStat{}
-				shards[ev.Shard] = st
-			}
-			st.denies++
 		}
 	}
 
@@ -197,20 +169,6 @@ func summary(w io.Writer, snaps []captrace.Snapshot) {
 	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
 	for _, k := range ks {
 		fmt.Fprintf(w, "  %-14s %d\n", k, kinds[k])
-	}
-
-	if len(shards) > 0 {
-		fmt.Fprintln(w, "\npool shards (from probe events):")
-		var ids []int
-		for sh := range shards {
-			ids = append(ids, int(sh))
-		}
-		sort.Ints(ids)
-		for _, sh := range ids {
-			st := shards[uint8(sh)]
-			fmt.Fprintf(w, "  shard %2d: local-hits=%-6d steals=%-6d denies=%d\n",
-				sh, st.local, st.steals, st.denies)
-		}
 	}
 
 	if len(byTID) > 0 {

@@ -49,7 +49,7 @@ func (r *Router) trace(traced bool, kind captrace.Kind, tid uint64, a uint16, b 
 // handleTrace serves GET /debug/trace?n= — the router's own snapshot
 // (same shape and semantics as capserve's), plus one snapshot per
 // TraceLocals provider when in-process backends exist, so the router's
-// URL alone yields the full route-span → backend-span → shard-event
+// URL alone yields the full route-span → backend-span → runtime-event
 // timeline for the -spawn topology.
 func (r *Router) handleTrace(w http.ResponseWriter, req *http.Request) {
 	if r.tracer == nil {

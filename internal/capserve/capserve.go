@@ -384,7 +384,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if s.rt.CanDivide() {
 		// A traced group tags the request's runtime events (probe
 		// outcomes, handoffs, deaths) with its ID — the serving-tier →
-		// shard-event link in the waterfall. Untraced requests get a
+		// runtime-event link in the waterfall. Untraced requests get a
 		// tid-0 group, which records nothing.
 		var gtid uint64
 		if traced {

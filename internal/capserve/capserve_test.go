@@ -310,6 +310,51 @@ func TestMetrics(t *testing.T) {
 	}
 }
 
+// TestMetricsNameSet pins the names a plain server exports on /metrics,
+// so adding, renaming or dropping a series is a deliberate diff here and
+// in whatever dashboard reads it.
+func TestMetricsNameSet(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	got := map[string]bool{}
+	for key := range scrape(t, ts.URL) {
+		name, _, _ := strings.Cut(key, "{")
+		got[name] = true
+	}
+	want := []string{
+		"capsule_contexts",
+		"capsule_probes_total",
+		"capsule_granted_total",
+		"capsule_denies_total",
+		"capsule_inline_runs_total",
+		"capsule_deaths_total",
+		"capsule_workers_total",
+		"capsule_workers_peak",
+		"capsule_lock_acquires_total",
+		"capsule_grant_rate",
+		"capsule_free_contexts",
+		"capserve_uptime_seconds",
+		"capserve_queue_depth",
+		"capserve_queue_occupancy",
+		"capserve_shed_total",
+		"capserve_not_found_total",
+		"capserve_requests_total",
+		"capserve_degraded_total",
+		"capserve_request_duration_seconds_bucket",
+		"capserve_request_duration_seconds_sum",
+		"capserve_request_duration_seconds_count",
+		"capserve_build_info",
+	}
+	for _, name := range want {
+		if !got[name] {
+			t.Errorf("series %s missing from /metrics", name)
+		}
+		delete(got, name)
+	}
+	for name := range got {
+		t.Errorf("series %s on /metrics is not in the pinned name set", name)
+	}
+}
+
 // TestHeadroomGauges asserts the instantaneous-capacity gauges a routing
 // tier depends on: queue occupancy and free contexts, idle and mid-flight.
 func TestHeadroomGauges(t *testing.T) {
@@ -320,9 +365,6 @@ func TestHeadroomGauges(t *testing.T) {
 	}
 	if m["capsule_free_contexts"] != 4 {
 		t.Fatalf("idle free contexts = %v, want 4", m["capsule_free_contexts"])
-	}
-	if m["capserve_queue_in_flight"] != m["capserve_queue_occupancy"] {
-		t.Fatalf("in_flight alias %v != occupancy %v", m["capserve_queue_in_flight"], m["capserve_queue_occupancy"])
 	}
 	// Hold two queue slots and two context tokens: both gauges must move.
 	s.queue <- struct{}{}

@@ -145,32 +145,9 @@ func (s *Server) writeMetrics(w io.Writer) {
 	// absorb right now.
 	gauge("capsule_free_contexts", "Currently unreserved context tokens (instantaneous division headroom).", float64(s.rt.FreeContexts()))
 
-	// Sharded-pool internals (PR 5), per shard. Attribution is by the
-	// prober's home shard: a shard's steals are grants its probers took
-	// from elsewhere, so a hot shard here means probers homed there are
-	// outrunning their local free list.
-	shards := s.rt.ShardCounterSnapshot()
-	counterHead("capsule_shard_local_hits_total", "Grants served by the prober's home shard.")
-	for i := range shards {
-		fmt.Fprintf(w, "capsule_shard_local_hits_total{shard=\"%d\"} %d\n", i, shards[i].LocalHits)
-	}
-	counterHead("capsule_shard_steals_total", "Grants that stole a token from another shard after a local miss.")
-	for i := range shards {
-		fmt.Fprintf(w, "capsule_shard_steals_total{shard=\"%d\"} %d\n", i, shards[i].Steals)
-	}
-	counterHead("capsule_shard_full_sweeps_total", "Refusals reached only after sweeping every shard empty.")
-	for i := range shards {
-		fmt.Fprintf(w, "capsule_shard_full_sweeps_total{shard=\"%d\"} %d\n", i, shards[i].FullSweeps)
-	}
-	fmt.Fprintf(w, "# HELP capsule_shard_free Free tokens currently in each pool shard.\n# TYPE capsule_shard_free gauge\n")
-	for i := range shards {
-		fmt.Fprintf(w, "capsule_shard_free{shard=\"%d\"} %d\n", i, shards[i].Free)
-	}
-
 	gauge("capserve_uptime_seconds", "Seconds since the server was built.", time.Since(s.start).Seconds())
 	gauge("capserve_queue_depth", "Bounded accept-queue capacity.", float64(cap(s.queue)))
 	gauge("capserve_queue_occupancy", "Requests currently holding an accept-queue slot.", float64(len(s.queue)))
-	gauge("capserve_queue_in_flight", "Requests currently holding a queue slot (alias of capserve_queue_occupancy, kept for older dashboards).", float64(len(s.queue)))
 	counter("capserve_shed_total", "Requests shed with 503 because the accept queue was full.", s.shed.Load())
 	counter("capserve_not_found_total", "Requests for unknown workloads.", s.notFound.Load())
 

@@ -4,14 +4,15 @@ package capserve
 // X-Capsule-Trace-ID survives to the response and to the tracer's rings
 // (the ISSUE's header-survival requirement), injected context identity
 // wins over headers, sampling stays off the unsampled path, the
-// /debug/trace endpoint round-trips snapshots, and the new
-// capsule_shard_* series round-trip through promtext.
+// /debug/trace endpoint round-trips snapshots, and the capsule_* series
+// round-trip through promtext.
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -166,13 +167,10 @@ func TestDebugTraceEndpoint(t *testing.T) {
 	}
 }
 
-// TestShardSeriesPromtextRoundTrip: the capsule_shard_* series parse
-// back through promtext and agree with the runtime's own accounting.
-func TestShardSeriesPromtextRoundTrip(t *testing.T) {
-	rt := capsule.New(capsule.Config{Contexts: 4, PoolShards: 2})
-	t.Cleanup(rt.Close)
-	s, ts := newTestServer(t, Config{Runtime: rt})
-
+// TestCapsuleSeriesPromtextRoundTrip: the capsule_* series parse back
+// through promtext and agree with the runtime's own accounting.
+func TestCapsuleSeriesPromtextRoundTrip(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
 	getJSON(t, ts.URL+"/run/quicksort?n=5000", nil)
 
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -183,42 +181,42 @@ func TestShardSeriesPromtextRoundTrip(t *testing.T) {
 	resp.Body.Close()
 	samples := promtext.Parse(body)
 
-	st := s.Runtime().Stats()
-	sum := func(name string) (total float64) {
-		found := false
-		for i := 0; i < 2; i++ {
-			v, ok := samples[fmt.Sprintf("%s{shard=\"%d\"}", name, i)]
-			if ok {
-				found = true
-			}
-			total += v
+	rt := s.Runtime()
+	st := rt.Stats() // the request has joined: the counters are at rest
+	if st.Probes == 0 {
+		t.Fatal("the request made no division offers")
+	}
+	for name, want := range map[string]float64{
+		"capsule_contexts":                        float64(rt.Contexts()),
+		"capsule_probes_total":                    float64(st.Probes),
+		"capsule_granted_total":                   float64(st.Granted),
+		`capsule_denies_total{reason="no_ctx"}`:   float64(st.NoCtxDenies),
+		`capsule_denies_total{reason="throttle"}`: float64(st.ThrottleDenies),
+		"capsule_inline_runs_total":               float64(st.InlineRuns),
+		"capsule_deaths_total":                    float64(st.Deaths),
+		"capsule_workers_total":                   float64(st.TotalWorkers),
+		"capsule_workers_peak":                    float64(st.PeakWorkers),
+		"capsule_lock_acquires_total":             float64(st.LockAcquires),
+		"capsule_free_contexts":                   float64(rt.FreeContexts()),
+	} {
+		if got, ok := samples[name]; !ok || got != want {
+			t.Errorf("%s: exposition %v (present %v), stats %v", name, got, ok, want)
 		}
-		if !found {
-			t.Fatalf("no %s series in exposition", name)
+	}
+	if got := samples["capsule_grant_rate"]; math.Abs(got-st.GrantRate()) > 1e-5 {
+		t.Errorf("capsule_grant_rate: exposition %v, stats %v", got, st.GrantRate())
+	}
+	// The identity the exposition inherits from Stats: probes are the
+	// sum of their outcomes, label by label.
+	var denies float64
+	for key, v := range samples {
+		if _, ok := promtext.LabelValue(key, "capsule_denies_total", "reason"); ok {
+			denies += v
 		}
-		return total
 	}
-	if got := sum("capsule_shard_local_hits_total"); uint64(got) != st.ShardLocalHits {
-		t.Errorf("local hits: exposition %v, stats %d", got, st.ShardLocalHits)
-	}
-	if got := sum("capsule_shard_steals_total"); uint64(got) != st.ShardSteals {
-		t.Errorf("steals: exposition %v, stats %d", got, st.ShardSteals)
-	}
-	if got := sum("capsule_shard_full_sweeps_total"); uint64(got) != st.ShardFullSweeps {
-		t.Errorf("full sweeps: exposition %v, stats %d", got, st.ShardFullSweeps)
-	}
-	if got := sum("capsule_shard_free"); int(got) != rt.FreeContexts() {
-		t.Errorf("shard free sum %v != FreeContexts %d", got, rt.FreeContexts())
-	}
-	if st.ShardLocalHits+st.ShardSteals != st.Granted {
-		t.Errorf("identity broken: local %d + steals %d != granted %d",
-			st.ShardLocalHits, st.ShardSteals, st.Granted)
-	}
-	// LabelValue agrees on the label set promtext produced.
-	for key := range samples {
-		if v, ok := promtext.LabelValue(key, "capsule_shard_steals_total", "shard"); ok && v != "0" && v != "1" {
-			t.Errorf("unexpected shard label %q in %q", v, key)
-		}
+	if samples["capsule_probes_total"] != samples["capsule_granted_total"]+denies {
+		t.Errorf("probes %v != granted %v + denies %v",
+			samples["capsule_probes_total"], samples["capsule_granted_total"], denies)
 	}
 }
 

@@ -2,109 +2,168 @@ package capsule
 
 // Tests for the lock-free hot path: the Treiber token stack, the atomic
 // death ring (including wraparound), Close racing in-flight divisions,
-// the Stats accounting invariant, and the allocation-free guarantees.
+// the Stats accounting identity, and the allocation-free guarantees.
 
 import (
+	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // nopFn is a static func value: the alloc tests must not be charged for a
 // per-call closure.
 func nopFn() {}
 
-// TestTokenStackStorm hammers pop/push on a single-shard pool (the
-// PR-3 global Treiber stack configuration) from many goroutines and then
-// checks conservation: every id still present exactly once. The
-// multi-shard storms live in shard_test.go.
-func TestTokenStackStorm(t *testing.T) {
-	const n, stormers, rounds = 8, 16, 2000
-	var s shardedPool
-	s.init(n, 1)
-	var outer sync.WaitGroup
-	for g := 0; g < stormers; g++ {
-		outer.Add(1)
-		go func() {
-			defer outer.Done()
-			for i := 0; i < rounds; i++ {
-				if id, ok := s.pop(0); ok {
-					if id < 0 || id >= n {
-						panic("id out of range")
-					}
-					s.push(id, 0)
-				}
-			}
-		}()
-	}
-	outer.Wait()
-	if got := s.free(); got != n {
-		t.Fatalf("free count = %d after storm, want %d", got, n)
-	}
-	seen := map[int]bool{}
-	for i := 0; i < n; i++ {
-		id, ok := s.pop(0)
-		if !ok {
-			t.Fatalf("stack lost ids: only %d of %d poppable", i, n)
-		}
-		if seen[id] {
-			t.Fatalf("duplicate id %d", id)
-		}
-		seen[id] = true
-	}
-	if _, ok := s.pop(0); ok {
-		t.Fatal("stack gained ids")
+// atGOMAXPROCS runs fn as a subtest at 1, 2 and 4 Ps: the storms below
+// must hold on any core count, not only the one CI happens to have.
+func atGOMAXPROCS(t *testing.T, fn func(t *testing.T)) {
+	for _, procs := range []int{1, 2, 4} {
+		t.Run("procs="+strconv.Itoa(procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			fn(t)
+		})
 	}
 }
 
-// TestStatsAccountingInvariant is the probe/outcome tear fix: no snapshot
-// taken during a probe storm may show more probes than outcomes
-// (Probes <= Granted + NoCtxDenies + ThrottleDenies), and the two sides
-// must be equal once the probers quiesce.
+// TestTokenStackStorm hammers pop/push on the Treiber stack from many
+// goroutines, with an owner word per id asserting that every token is
+// held by at most one goroutine at every instant, and then checks
+// conservation: every id still present exactly once. With as many
+// stormers as tokens a popper never finds the stack empty (it holds
+// nothing while it pops, so at most n-1 ids are out), so any refusal
+// there is a refusal from a non-empty stack.
+func TestTokenStackStorm(t *testing.T) {
+	const n, rounds = 8, 2000
+	for _, tc := range []struct {
+		name        string
+		stormers    int
+		mayRunEmpty bool
+	}{
+		{"never-empty", n, false},
+		{"oversubscribed", 2 * n, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			atGOMAXPROCS(t, func(t *testing.T) {
+				var s tokenStack
+				s.init(n)
+				owner := make([]atomic.Int32, n)
+				var violations, refusals atomic.Int64
+				var outer sync.WaitGroup
+				for g := 0; g < tc.stormers; g++ {
+					outer.Add(1)
+					go func(me int32) {
+						defer outer.Done()
+						for i := 0; i < rounds; i++ {
+							id, ok := s.pop()
+							if !ok {
+								refusals.Add(1)
+								continue
+							}
+							if id < 0 || id >= n || !owner[id].CompareAndSwap(0, me) {
+								violations.Add(1) // out of range, or someone else holds this id
+							}
+							if free := s.free(); free < 0 || free > n {
+								violations.Add(1)
+							}
+							owner[id].Store(0)
+							s.push(id)
+						}
+					}(int32(g + 1))
+				}
+				outer.Wait()
+				if v := violations.Load(); v != 0 {
+					t.Fatalf("%d single-ownership or free-count violations", v)
+				}
+				if r := refusals.Load(); r != 0 && !tc.mayRunEmpty {
+					t.Fatalf("%d pops refused from a stack that was never empty", r)
+				}
+				if got := s.free(); got != n {
+					t.Fatalf("free count = %d after storm, want %d", got, n)
+				}
+				seen := map[int]bool{}
+				for i := 0; i < n; i++ {
+					id, ok := s.pop()
+					if !ok {
+						t.Fatalf("stack lost ids: only %d of %d poppable", i, n)
+					}
+					if seen[id] {
+						t.Fatalf("duplicate id %d", id)
+					}
+					seen[id] = true
+				}
+				if _, ok := s.pop(); ok {
+					t.Fatal("stack gained ids")
+				}
+			})
+		})
+	}
+}
+
+// TestStatsAccountingInvariant: Probes is derived from the outcome
+// counters, so every snapshot taken during a divide storm — and every
+// delta between two consecutive ones — must satisfy Probes == Granted +
+// NoCtxDenies + ThrottleDenies exactly, with no counter running backwards.
 func TestStatsAccountingInvariant(t *testing.T) {
-	rt := New(Config{Contexts: 4, Throttle: true, DeathWindow: 20 * time.Microsecond})
-	stop := make(chan struct{})
-	var violations atomic.Int64
-	var readers sync.WaitGroup
-	for r := 0; r < 2; r++ {
-		readers.Add(1)
-		go func() {
-			defer readers.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
+	atGOMAXPROCS(t, func(t *testing.T) {
+		rt := New(Config{Contexts: 4, Throttle: true, DeathWindow: 20 * time.Microsecond})
+		defer rt.Close()
+		stop := make(chan struct{})
+		var violations atomic.Int64
+		var readers sync.WaitGroup
+		for r := 0; r < 2; r++ {
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				prev := rt.Stats()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
 					s := rt.Stats()
-					if s.Probes > s.Granted+s.NoCtxDenies+s.ThrottleDenies {
+					d := s.Delta(prev)
+					if s.Probes != s.Granted+s.NoCtxDenies+s.ThrottleDenies ||
+						d.Probes != d.Granted+d.NoCtxDenies+d.ThrottleDenies ||
+						s.Granted < prev.Granted || s.NoCtxDenies < prev.NoCtxDenies || s.ThrottleDenies < prev.ThrottleDenies {
 						violations.Add(1)
 					}
+					prev = s
 				}
-			}
-		}()
-	}
-	var stormers sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		stormers.Add(1)
-		go func() {
-			defer stormers.Done()
-			for i := 0; i < 500; i++ {
-				rt.Divide(func() {})
-			}
-		}()
-	}
-	stormers.Wait()
-	close(stop)
-	readers.Wait()
-	rt.Join()
-	if v := violations.Load(); v != 0 {
-		t.Fatalf("%d snapshots showed probes without outcomes", v)
-	}
-	s := rt.Stats()
-	if s.Probes != s.Granted+s.NoCtxDenies+s.ThrottleDenies {
-		t.Fatalf("quiescent accounting broken: %+v", s)
-	}
+			}()
+		}
+		var stormers sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			stormers.Add(1)
+			go func() {
+				defer stormers.Done()
+				for i := 0; i < 500; i++ {
+					rt.Divide(func() {})
+				}
+			}()
+		}
+		stormers.Wait()
+		close(stop)
+		readers.Wait()
+		rt.Join()
+		if v := violations.Load(); v != 0 {
+			t.Fatalf("%d snapshots or deltas broke Probes == outcomes", v)
+		}
+		s := rt.Stats()
+		if s.Probes != 8*500 {
+			t.Fatalf("Probes = %d, want %d (every Divide is one probe)", s.Probes, 8*500)
+		}
+		if s.InlineRuns != s.NoCtxDenies+s.ThrottleDenies {
+			t.Fatalf("inline runs (%d) != refusals (%d+%d)", s.InlineRuns, s.NoCtxDenies, s.ThrottleDenies)
+		}
+		if s.Deaths != s.TotalWorkers || s.TotalWorkers != s.Granted {
+			t.Fatalf("deaths %d / workers %d / granted %d disagree after Join", s.Deaths, s.TotalWorkers, s.Granted)
+		}
+	})
 }
 
 // TestThrottleRingWraparound drives the death ring far past its capacity
@@ -225,6 +284,14 @@ func TestCloseWaitsForHeldToken(t *testing.T) {
 	}
 }
 
+// TestWorkerStatePadding pins the handoff-slot layout: whole cache
+// lines, at least two, so neighbouring workers never false-share.
+func TestWorkerStatePadding(t *testing.T) {
+	if size := unsafe.Sizeof(workerState{}); size%cacheLine != 0 || size < 2*cacheLine {
+		t.Errorf("workerState size = %d, want a multiple of %d and >= %d", size, cacheLine, 2*cacheLine)
+	}
+}
+
 // TestHotPathZeroAllocs locks in the acceptance criterion: Probe, Release
 // and a refused TryDivide allocate nothing.
 func TestHotPathZeroAllocs(t *testing.T) {
@@ -249,6 +316,7 @@ func TestHotPathZeroAllocs(t *testing.T) {
 	}); got != 0 {
 		t.Fatalf("refused Probe allocs/op = %v, want 0", got)
 	}
+	before := rt.Stats()
 	if got := testing.AllocsPerRun(1000, func() {
 		if rt.TryDivide(nopFn) {
 			t.Fatal("divide granted from an empty pool")
@@ -256,13 +324,17 @@ func TestHotPathZeroAllocs(t *testing.T) {
 	}); got != 0 {
 		t.Fatalf("refused TryDivide allocs/op = %v, want 0", got)
 	}
+	// A pool-empty refusal moves exactly one counter.
+	if d := rt.Stats().Delta(before); d.NoCtxDenies == 0 || d != (Stats{Probes: d.NoCtxDenies, NoCtxDenies: d.NoCtxDenies, PeakWorkers: d.PeakWorkers}) {
+		t.Fatalf("refused TryDivides moved more than NoCtxDenies: %+v", d)
+	}
 	rt.Release(a)
 	rt.Release(b)
 }
 
 // TestProbeReleaseInterleavingStorm is the dedicated pool race test:
 // probers that only Probe/Release (no spawns, no deaths) interleaving
-// with probers that Divide, while peeks run concurrently.
+// with probers that Divide or Probe/Spawn, while peeks run concurrently.
 func TestProbeReleaseInterleavingStorm(t *testing.T) {
 	const contexts = 4
 	rt := New(Config{Contexts: contexts, Throttle: true, DeathWindow: 30 * time.Microsecond})
@@ -289,12 +361,17 @@ func TestProbeReleaseInterleavingStorm(t *testing.T) {
 		go func(g int) {
 			defer outer.Done()
 			for i := 0; i < 400; i++ {
-				if g%2 == 0 {
+				switch g % 3 {
+				case 0:
 					if c, ok := rt.Probe(); ok {
 						rt.Release(c)
 					}
-				} else {
+				case 1:
 					rt.Divide(func() {})
+				default:
+					if c, ok := rt.Probe(); ok {
+						rt.Spawn(c, func() {})
+					}
 				}
 			}
 		}(g)
@@ -304,13 +381,18 @@ func TestProbeReleaseInterleavingStorm(t *testing.T) {
 	peeks.Wait()
 	rt.Join()
 	time.Sleep(time.Millisecond) // let the 30µs death window drain
-	// Pool integrity: all tokens accounted for.
+	// Pool integrity: all tokens accounted for, each exactly once.
+	seen := map[int]bool{}
 	var held []*Context
 	for i := 0; i < contexts; i++ {
 		c, ok := rt.Probe()
 		if !ok {
 			t.Fatalf("pool lost tokens: %d of %d grantable (stats %+v)", i, contexts, rt.Stats())
 		}
+		if seen[c.ID()] {
+			t.Fatalf("duplicate context id %d", c.ID())
+		}
+		seen[c.ID()] = true
 		held = append(held, c)
 	}
 	for _, c := range held {

@@ -15,13 +15,10 @@
 //   - nthr (probe+divide)   → Probe/Spawn, or the fused Divide/TryDivide.
 //     The paper's point that the SOMT answers nthr "in a few cycles" is
 //     preserved in software: the whole probe path is a handful of atomic
-//     loads and one CAS on a per-goroutine shard of a sharded Treiber
-//     stack of context ids — no mutex, no allocation, and (like the
-//     hardware's per-context resource check) no word shared by every
-//     prober — so offering parallelism at every division point stays
-//     cheap even under heavy contention. A probe that misses its home
-//     shard steals from the others in ring order and refuses only after
-//     inspecting all of them;
+//     loads and one CAS on a Treiber stack of context ids — no mutex,
+//     no allocation — and a refusal is one load of the stack's head
+//     word, so offering parallelism at every division point stays cheap
+//     even when almost every offer is refused;
 //   - kthr (worker death)   → token release when the worker function
 //     returns, recorded in the death-rate window;
 //   - division throttling   → a rolling window of recent worker deaths;
@@ -29,8 +26,7 @@
 //     probes are denied (Section 3.1's death-rate throttle). The window
 //     is a fixed atomic ring of death timestamps, read with one load;
 //   - LIFO context stack    → freed tokens are reused most-recently-dead
-//     first within each pool shard, keeping the working set on warm
-//     stacks/caches (strict whole-pool LIFO when PoolShards is 1);
+//     first, keeping the working set on warm stacks/caches;
 //   - fast lock table       → a striped lock table keyed by arbitrary
 //     64-bit addresses (Lock/Unlock), mirroring mlock/munlock.
 //
@@ -59,16 +55,6 @@ type Config struct {
 	// Contexts is the context-token pool size — the software analogue of
 	// the SOMT's hardware context count. Default: runtime.GOMAXPROCS(0).
 	Contexts int
-
-	// PoolShards is the number of cache-line-padded sub-stacks the free
-	// token pool (and the hot Stats counters) are sharded over. Probe pops
-	// from a per-goroutine home shard and steals from the others in ring
-	// order only on a local miss, so the shard count trades single-shard
-	// LIFO warmth for contention-free parallel probing. Default (0):
-	// min(GOMAXPROCS, Contexts). 1 reproduces the single global Treiber
-	// stack (strict whole-pool LIFO, every prober on one CAS word); values
-	// above Contexts are clamped to Contexts.
-	PoolShards int
 
 	// Throttle enables death-rate division throttling. Defaulted on by
 	// NewDefault; New leaves the zero value (off) untouched so ablations
@@ -120,9 +106,6 @@ func (c Config) Validate() error {
 	if c.Contexts < 0 {
 		return fmt.Errorf("capsule: Contexts must be >= 0 (0 means GOMAXPROCS), got %d", c.Contexts)
 	}
-	if c.PoolShards < 0 {
-		return fmt.Errorf("capsule: PoolShards must be >= 0 (0 means min(GOMAXPROCS, Contexts)), got %d", c.PoolShards)
-	}
 	if c.DeathWindow < 0 {
 		return fmt.Errorf("capsule: DeathWindow must be >= 0 (0 means 100µs default), got %v", c.DeathWindow)
 	}
@@ -136,7 +119,9 @@ func (c Config) Validate() error {
 }
 
 // Stats is a snapshot of a Runtime's counters. All counts are cumulative
-// since New (or the last ResetStats).
+// since New (or the last ResetStats). Probes is not counted separately:
+// it is the sum of the three outcome counters, so Probes == Granted +
+// NoCtxDenies + ThrottleDenies in every snapshot and every Delta.
 type Stats struct {
 	Probes         uint64 `json:"probes"`          // division probes (nthr attempts)
 	Granted        uint64 `json:"granted"`         // probes that reserved a context token
@@ -147,15 +132,6 @@ type Stats struct {
 	TotalWorkers   uint64 `json:"total_workers"`   // workers ever spawned
 	PeakWorkers    int    `json:"peak_workers"`    // maximum simultaneously live workers
 	LockAcquires   uint64 `json:"lock_acquires"`   // lock-table acquisitions
-
-	// Sharded-pool internals (PR 5), aggregated over shards: grants
-	// served by the prober's home shard, grants that stole from another
-	// shard, and refusals reached only after sweeping every shard empty.
-	// ShardLocalHits + ShardSteals == Granted, and ShardFullSweeps <=
-	// NoCtxDenies (closed-runtime denies refuse without sweeping).
-	ShardLocalHits  uint64 `json:"shard_local_hits"`
-	ShardSteals     uint64 `json:"shard_steals"`
-	ShardFullSweeps uint64 `json:"shard_full_sweeps"`
 }
 
 // Delta returns the counters accumulated since prev, an earlier snapshot
@@ -166,18 +142,15 @@ type Stats struct {
 // observers): take Stats() before, Stats() after, and Delta the two.
 func (s Stats) Delta(prev Stats) Stats {
 	return Stats{
-		Probes:          s.Probes - prev.Probes,
-		Granted:         s.Granted - prev.Granted,
-		NoCtxDenies:     s.NoCtxDenies - prev.NoCtxDenies,
-		ThrottleDenies:  s.ThrottleDenies - prev.ThrottleDenies,
-		InlineRuns:      s.InlineRuns - prev.InlineRuns,
-		Deaths:          s.Deaths - prev.Deaths,
-		TotalWorkers:    s.TotalWorkers - prev.TotalWorkers,
-		PeakWorkers:     s.PeakWorkers,
-		LockAcquires:    s.LockAcquires - prev.LockAcquires,
-		ShardLocalHits:  s.ShardLocalHits - prev.ShardLocalHits,
-		ShardSteals:     s.ShardSteals - prev.ShardSteals,
-		ShardFullSweeps: s.ShardFullSweeps - prev.ShardFullSweeps,
+		Probes:         s.Probes - prev.Probes,
+		Granted:        s.Granted - prev.Granted,
+		NoCtxDenies:    s.NoCtxDenies - prev.NoCtxDenies,
+		ThrottleDenies: s.ThrottleDenies - prev.ThrottleDenies,
+		InlineRuns:     s.InlineRuns - prev.InlineRuns,
+		Deaths:         s.Deaths - prev.Deaths,
+		TotalWorkers:   s.TotalWorkers - prev.TotalWorkers,
+		PeakWorkers:    s.PeakWorkers,
+		LockAcquires:   s.LockAcquires - prev.LockAcquires,
 	}
 }
 
@@ -222,12 +195,11 @@ func (c *Context) ID() int { return c.id }
 // its worker goroutines is shut down with Close; one that lives as long
 // as the process (the common case) need not bother.
 type Runtime struct {
-	cfg     Config
-	nshards int // pool and stat shard count: min(GOMAXPROCS, Contexts) by default
+	cfg Config
 
-	pool shardedPool // lock-free per-shard LIFOs of free context ids
-	ctxs []Context   // preallocated tokens, one per id: Probe allocates nothing
-	ring deathRing   // death timestamps for the throttle
+	pool tokenStack // lock-free LIFO of free context ids
+	ctxs []Context  // preallocated tokens, one per id: Probe allocates nothing
+	ring deathRing  // death timestamps for the throttle
 
 	workers   []chan job    // per-context park mailbox (the handoff slow path)
 	wstate    []workerState // per-context spin-then-park handoff slot
@@ -236,19 +208,7 @@ type Runtime struct {
 	closeOnce sync.Once
 	closedCh  chan struct{}
 
-	// Hot counters, sharded like the pool so Probe on one core never
-	// false-shares a counter line with Release on another; Stats()
-	// aggregates the blocks on read.
-	//
-	// Counter discipline (the Stats no-tear invariant): Probe bumps its
-	// outcome counter (localHits / steals / fullSweeps / closedDenies /
-	// throttleDenies) BEFORE probes in the SAME shard block, and Stats
-	// loads every shard's probes before any shard's outcome counters —
-	// so each shard contributes no more probes than outcomes to the
-	// snapshot, and every snapshot satisfies Probes <= Granted +
-	// NoCtxDenies + ThrottleDenies (Granted and NoCtxDenies being
-	// derived sums of those outcomes), with equality at quiescence.
-	stats []statShard
+	stats statHot // every probe bumps exactly one of its outcome counters
 
 	// Tracing (nil tracer = off). ctxTrace[id] is the trace ID of the
 	// request whose division currently occupies context id, written by
@@ -295,29 +255,21 @@ func New(cfg Config) *Runtime {
 	if cfg.LockStripes <= 0 {
 		cfg.LockStripes = 256
 	}
-	if cfg.PoolShards <= 0 {
-		cfg.PoolShards = poolShards(cfg.Contexts)
-	}
-	if cfg.PoolShards > cfg.Contexts {
-		cfg.PoolShards = cfg.Contexts
-	}
 	stripes := 1
 	for stripes < cfg.LockStripes {
 		stripes <<= 1
 	}
 	rt := &Runtime{
 		cfg:      cfg,
-		nshards:  cfg.PoolShards,
 		workers:  make([]chan job, cfg.Contexts),
 		wstate:   make([]workerState, cfg.Contexts),
-		stats:    make([]statShard, cfg.PoolShards),
 		closedCh: make(chan struct{}),
 		stripes:  make([]sync.Mutex, stripes),
 		lockMask: uint64(stripes - 1),
 		now:      func() int64 { return time.Now().UnixNano() },
 	}
 	rt.tracer = cfg.Tracer
-	rt.pool.init(cfg.Contexts, cfg.PoolShards)
+	rt.pool.init(cfg.Contexts)
 	rt.ring.init(cfg.DeathThreshold)
 	rt.ctxs = make([]Context, cfg.Contexts)
 	rt.ctxTrace = make([]uint64, cfg.Contexts)
@@ -349,7 +301,7 @@ func (rt *Runtime) Contexts() int { return rt.cfg.Contexts }
 // It is a point-in-time observation, not a reservation — a caller that
 // needs the token must Probe — and it does not count as a probe, so
 // admission-style peeks (is any parallelism even available?) don't
-// distort the division grant rate. It is one atomic load per pool shard.
+// distort the division grant rate. It is one atomic load.
 func (rt *Runtime) FreeContexts() int { return rt.pool.free() }
 
 // CanDivide reports whether a probe made now would succeed: the runtime
@@ -413,77 +365,51 @@ func (rt *Runtime) traceThrottleEdge(open bool) {
 // by Spawn or Release; on failure the caller takes its sequential path.
 // Probe never takes a mutex and never allocates (the returned Context is
 // the token's preallocated struct).
-//
-// Counter order matters here: the outcome counter is bumped before the
-// probes counter (and Stats reads them in the opposite order), so a
-// concurrent snapshot can never observe a probe whose outcome is missing
-// — Probes <= Granted + NoCtxDenies + ThrottleDenies holds in every
-// snapshot (absent a concurrent ResetStats, which trades that guarantee
-// away; see its doc).
 func (rt *Runtime) Probe() (*Context, bool) { return rt.probe(0) }
 
 // ProbeTraced is Probe with a trace identity: when tid is nonzero and
-// the runtime has a Tracer, the probe's outcome (grant with shard and
-// steal distance, or refusal with its reason) is recorded against tid,
+// the runtime has a Tracer, the probe's outcome (grant with its context
+// id, or refusal with its reason) is recorded against tid,
 // and a subsequent Spawn of the returned context tags its handoff and
 // death the same way. tid 0 is exactly Probe.
 func (rt *Runtime) ProbeTraced(tid uint64) (*Context, bool) { return rt.probe(tid) }
 
 func (rt *Runtime) probe(tid uint64) (*Context, bool) {
-	h := affinityHint(rt.nshards)
-	st := &rt.stats[h]
 	if rt.closed.Load() {
 		// A closed runtime grants nothing; the pool is (being) drained, so
-		// "no context" is the refusal Stats reports (NoCtxDenies sums
-		// these with the pool-empty sweeps).
-		st.closedDenies.Add(1)
-		st.probes.Add(1)
-		if tid != 0 {
-			rt.tracer.Record(captrace.KProbeDenied, tid, uint8(h), captrace.DenyClosed, 0)
-		}
-		return nil, false
+		// "no context" is the refusal Stats reports.
+		return rt.refuse(&rt.stats.noCtxDenies, tid, captrace.DenyClosed)
 	}
 	open := rt.throttled()
 	if tid != 0 {
 		rt.traceThrottleEdge(open)
 	}
 	if open {
-		st.throttleDenies.Add(1)
-		st.probes.Add(1)
-		if tid != 0 {
-			rt.tracer.Record(captrace.KProbeDenied, tid, uint8(h), captrace.DenyThrottle, 0)
-		}
-		return nil, false
+		return rt.refuse(&rt.stats.throttleDenies, tid, captrace.DenyThrottle)
 	}
-	id, steals, ok := rt.pool.popScan(h)
+	id, ok := rt.pool.pop()
 	if !ok {
-		// fullSweeps IS this path's outcome counter (Stats folds it into
-		// NoCtxDenies), so the empty-pool refusal pays the same two
-		// counter bumps it did before the per-shard breakdown existed.
-		st.fullSweeps.Add(1)
-		st.probes.Add(1)
-		if tid != 0 {
-			rt.tracer.Record(captrace.KProbeDenied, tid, uint8(h), captrace.DenyNoCtx, 0)
-		}
-		return nil, false
+		return rt.refuse(&rt.stats.noCtxDenies, tid, captrace.DenyNoCtx)
 	}
-	// localHits/steals ARE the grant outcome counters (Granted is their
-	// sum, derived in Stats): the grant path stays at two bumps.
-	if steals == 0 {
-		st.localHits.Add(1)
-	} else {
-		st.steals.Add(1)
-	}
-	st.probes.Add(1)
+	rt.stats.granted.Add(1)
 	if tid != 0 {
-		rt.tracer.Record(captrace.KProbeGranted, tid, uint8(h), uint16(steals), uint32(id))
+		rt.tracer.Record(captrace.KProbeGranted, tid, 0, 0, uint32(id))
 	}
 	return &rt.ctxs[id], true
 }
 
+// refuse counts one refused probe under its reason.
+func (rt *Runtime) refuse(counter *atomic.Uint64, tid uint64, reason uint16) (*Context, bool) {
+	counter.Add(1)
+	if tid != 0 {
+		rt.tracer.Record(captrace.KProbeDenied, tid, 0, reason, 0)
+	}
+	return nil, false
+}
+
 // Spawn consumes a reserved token and hands fn to the token's persistent
-// worker. The worker's return is the kthr: the token goes back on its
-// shard's LIFO stack and the death is recorded for the throttle. The
+// worker. The worker's return is the kthr: the token goes back on top
+// of the LIFO stack and the death is recorded for the throttle. The
 // hand-off is non-blocking by construction — a slot store + CAS when the
 // worker is still spinning after its last job, a buffered channel send
 // once it parked; either way no goroutine spawn and no allocation beyond
@@ -508,7 +434,7 @@ func (rt *Runtime) spawnOn(c *Context, fn func(), g *sync.WaitGroup, tid uint64)
 		panic("capsule: Spawn with nil fn")
 	}
 	rt.ctxTrace[c.id] = tid
-	rt.stat().totalWorkers.Add(1)
+	rt.stats.totalWorkers.Add(1)
 	live := rt.live.Add(1)
 	for {
 		p := rt.peak.Load()
@@ -523,10 +449,6 @@ func (rt *Runtime) spawnOn(c *Context, fn func(), g *sync.WaitGroup, tid uint64)
 	rt.sendJob(c.id, job{fn: fn, g: g})
 }
 
-// stat returns the calling goroutine's home counter block — the same
-// shard pick Probe uses for the pool.
-func (rt *Runtime) stat() *statShard { return &rt.stats[affinityHint(rt.nshards)] }
-
 // Release returns an unused token to the pool without running anything
 // (a probe the caller decided not to act on). It does not count as a
 // death. Lock-free and allocation-free: one CAS.
@@ -534,19 +456,15 @@ func (rt *Runtime) Release(c *Context) {
 	if c == nil || c.rt != rt {
 		panic("capsule: Release with foreign or nil context")
 	}
-	rt.pool.push(c.id, affinityHint(rt.nshards))
+	rt.pool.push(c.id)
 }
 
 // release is the kthr path: the worker died, its context is free again.
 // The death is recorded before the token is pushed, so a probe that wins
-// the recycled token observes the throttle state its death produced. The
-// token lands on the worker goroutine's own home shard — persistent
-// workers have stable stacks, so a context that keeps dying on one core
-// keeps being re-granted from that core's shard.
+// the recycled token observes the throttle state its death produced.
 func (rt *Runtime) release(id int) {
-	h := affinityHint(rt.nshards)
 	rt.live.Add(-1)
-	rt.stats[h].deaths.Add(1)
+	rt.stats.deaths.Add(1)
 	if rt.cfg.Throttle {
 		rt.ring.record(rt.now())
 		if rt.tracer != nil {
@@ -559,9 +477,9 @@ func (rt *Runtime) release(id int) {
 	if tid := rt.ctxTrace[id]; tid != 0 {
 		// Read is safe pre-push: the worker still owns the token here, and
 		// the spawner's ctxTrace store happened-before the job arrived.
-		rt.tracer.Record(captrace.KDeath, tid, uint8(h), 0, uint32(id))
+		rt.tracer.Record(captrace.KDeath, tid, 0, 0, uint32(id))
 	}
-	rt.pool.push(id, h)
+	rt.pool.push(id)
 	rt.wg.Done()
 }
 
@@ -587,7 +505,7 @@ func (rt *Runtime) Divide(fn func()) bool {
 	if rt.TryDivide(fn) {
 		return true
 	}
-	rt.stat().inlineRuns.Add(1)
+	rt.stats.inlineRuns.Add(1)
 	fn()
 	return false
 }
@@ -603,7 +521,7 @@ func (rt *Runtime) Join() { rt.wg.Wait() }
 // entry — coarser, never incorrect, exactly like the bounded hardware
 // table.
 func (rt *Runtime) Lock(key uint64) {
-	rt.stat().lockAcquires.Add(1)
+	rt.stats.lockAcquires.Add(1)
 	rt.stripes[mix(key)&rt.lockMask].Lock()
 }
 
@@ -623,88 +541,35 @@ func mix(x uint64) uint64 {
 	return x
 }
 
-// Stats snapshots the counters, aggregating the per-shard blocks.
-// Snapshots are tear-free in the accounting direction: every shard's
-// probes counter is loaded before any shard's outcome counters (and
-// Probe bumps its outcome before its probes, both in one shard block),
-// so each shard contributes no more probes than outcomes and Probes <=
-// Granted + NoCtxDenies + ThrottleDenies in every snapshot, with
-// equality once probers quiesce (ResetStats racing live probers is the
-// one documented exception).
+// statHot is the runtime's live counter set. There is no probes counter:
+// a probe bumps exactly one of granted, noCtxDenies (pool observed empty,
+// or runtime closed) and throttleDenies, and Stats derives Probes as
+// their sum.
+type statHot struct {
+	granted        atomic.Uint64
+	noCtxDenies    atomic.Uint64
+	throttleDenies atomic.Uint64
+	inlineRuns     atomic.Uint64
+	deaths         atomic.Uint64
+	totalWorkers   atomic.Uint64
+	lockAcquires   atomic.Uint64
+}
+
+// Stats snapshots the counters.
 func (rt *Runtime) Stats() Stats {
-	var s Stats
-	for i := range rt.stats {
-		s.Probes += rt.stats[i].probes.Load() // first pass: see the invariant note above
+	st := &rt.stats
+	s := Stats{
+		Granted:        st.granted.Load(),
+		NoCtxDenies:    st.noCtxDenies.Load(),
+		ThrottleDenies: st.throttleDenies.Load(),
+		InlineRuns:     st.inlineRuns.Load(),
+		Deaths:         st.deaths.Load(),
+		TotalWorkers:   st.totalWorkers.Load(),
+		PeakWorkers:    int(rt.peak.Load()),
+		LockAcquires:   st.lockAcquires.Load(),
 	}
-	for i := range rt.stats {
-		st := &rt.stats[i]
-		// Granted and the pool-empty denies are derived, not separately
-		// counted: localHits/steals/fullSweeps are the outcome counters
-		// the hot path actually bumps.
-		localHits := st.localHits.Load()
-		steals := st.steals.Load()
-		sweeps := st.fullSweeps.Load()
-		s.Granted += localHits + steals
-		s.NoCtxDenies += st.closedDenies.Load() + sweeps
-		s.ThrottleDenies += st.throttleDenies.Load()
-		s.InlineRuns += st.inlineRuns.Load()
-		s.Deaths += st.deaths.Load()
-		s.TotalWorkers += st.totalWorkers.Load()
-		s.LockAcquires += st.lockAcquires.Load()
-		s.ShardLocalHits += localHits
-		s.ShardSteals += steals
-		s.ShardFullSweeps += sweeps
-	}
-	s.PeakWorkers = int(rt.peak.Load())
+	s.Probes = s.Granted + s.NoCtxDenies + s.ThrottleDenies
 	return s
-}
-
-// ShardCounters is one stat shard's pool-behaviour counters, the
-// per-shard breakdown behind Stats' ShardLocalHits/ShardSteals/
-// ShardFullSweeps aggregates. Free is the matching pool shard's current
-// free-token count (a peek, like FreeContexts).
-type ShardCounters struct {
-	LocalHits  uint64 `json:"local_hits"`
-	Steals     uint64 `json:"steals"`
-	FullSweeps uint64 `json:"full_sweeps"`
-	Free       int    `json:"free"`
-}
-
-// ShardCounterSnapshot returns each shard's counters in shard order —
-// the read-side aggregation point for the capsule_shard_* metrics
-// series. Note the attribution: a shard's block counts probes *homed*
-// there (the prober's affinity), so a shard's Steals are grants its
-// probers took from elsewhere, not tokens taken from it.
-func (rt *Runtime) ShardCounterSnapshot() []ShardCounters {
-	out := make([]ShardCounters, rt.nshards)
-	rt.ReadShardCounters(out)
-	return out
-}
-
-// ReadShardCounters fills dst with up to nshards shards' counters in
-// shard order and returns the runtime's shard count (which may exceed
-// len(dst)). It is the allocation-free variant of ShardCounterSnapshot
-// for periodic samplers (capwatch) that re-read the counters every tick
-// into a preallocated slot: call once with nil to size the buffer, then
-// reuse it forever.
-func (rt *Runtime) ReadShardCounters(dst []ShardCounters) int {
-	n := rt.nshards
-	if n > len(dst) {
-		n = len(dst)
-	}
-	for i := 0; i < n; i++ {
-		st := &rt.stats[i]
-		dst[i] = ShardCounters{
-			LocalHits:  st.localHits.Load(),
-			Steals:     st.steals.Load(),
-			FullSweeps: st.fullSweeps.Load(),
-			Free:       int(rt.pool.shards[i].free.Load()),
-		}
-		if dst[i].Free < 0 {
-			dst[i].Free = 0
-		}
-	}
-	return rt.nshards
 }
 
 // Tracer returns the tracer this runtime records into (nil when
@@ -713,25 +578,17 @@ func (rt *Runtime) ReadShardCounters(dst []ShardCounters) int {
 func (rt *Runtime) Tracer() *captrace.Tracer { return rt.tracer }
 
 // ResetStats zeroes the counters (the context pool and death window are
-// left alone: resource state is not statistics). The accounting
-// invariant (Probes <= outcomes) is guaranteed since New or since a
-// ResetStats made at quiescence; a reset racing a mid-flight Probe can
-// strand that one probe's counters on opposite sides of the wipe and
-// leave the totals off by one either way. Concurrent observers should
-// use Stats().Delta snapshots instead of resetting (see Stats.Delta).
+// left alone: resource state is not statistics). Concurrent observers
+// should use Stats().Delta snapshots instead of resetting (see
+// Stats.Delta).
 func (rt *Runtime) ResetStats() {
-	for i := range rt.stats {
-		st := &rt.stats[i]
-		st.probes.Store(0)
-		st.closedDenies.Store(0)
-		st.throttleDenies.Store(0)
-		st.inlineRuns.Store(0)
-		st.deaths.Store(0)
-		st.totalWorkers.Store(0)
-		st.lockAcquires.Store(0)
-		st.localHits.Store(0)
-		st.steals.Store(0)
-		st.fullSweeps.Store(0)
-	}
+	st := &rt.stats
+	st.granted.Store(0)
+	st.noCtxDenies.Store(0)
+	st.throttleDenies.Store(0)
+	st.inlineRuns.Store(0)
+	st.deaths.Store(0)
+	st.totalWorkers.Store(0)
+	st.lockAcquires.Store(0)
 	rt.peak.Store(rt.live.Load())
 }

@@ -36,8 +36,6 @@ func TestConfigValidate(t *testing.T) {
 		{"defaults", Defaults(), true},
 		{"explicit", Config{Contexts: 2, DeathThreshold: 1, LockStripes: 8, DeathWindow: time.Millisecond}, true},
 		{"negative contexts", Config{Contexts: -1}, false},
-		{"negative shards", Config{PoolShards: -2}, false},
-		{"shards above contexts (clamped)", Config{Contexts: 2, PoolShards: 8}, true},
 		{"negative window", Config{DeathWindow: -time.Microsecond}, false},
 		{"negative threshold", Config{DeathThreshold: -3}, false},
 		{"negative stripes", Config{LockStripes: -256}, false},
@@ -146,9 +144,7 @@ func TestFreeContextsPeeksWithoutProbing(t *testing.T) {
 }
 
 func TestLIFOContextReuse(t *testing.T) {
-	// Whole-pool LIFO is the single-shard configuration; the sharded
-	// default keeps LIFO per shard (covered in shard_test.go).
-	rt := New(Config{Contexts: 3, Throttle: false, PoolShards: 1})
+	rt := quiet(3)
 	// Initial allocation order is 0, 1, 2 (context 0 on top).
 	var cs []*Context
 	for want := 0; want < 3; want++ {
@@ -171,10 +167,7 @@ func TestLIFOContextReuse(t *testing.T) {
 }
 
 func TestWorkerDeathRefillsLIFO(t *testing.T) {
-	// Single shard: the dead worker's token must be the very next grant.
-	// (Sharded, it lands on the worker goroutine's home shard, which may
-	// differ from the prober's — per-shard LIFO, tested in shard_test.go.)
-	rt := New(Config{Contexts: 2, Throttle: false, PoolShards: 1})
+	rt := quiet(2)
 	c, _ := rt.Probe()
 	id := c.ID()
 	rt.Spawn(c, func() {})

@@ -107,7 +107,7 @@ func (g *Group) Divide(fn func()) bool {
 		return true
 	}
 	g.inline.Add(1)
-	g.rt.stat().inlineRuns.Add(1)
+	g.rt.stats.inlineRuns.Add(1)
 	if g.tid != 0 {
 		g.rt.tracer.Record(captrace.KDivideInline, g.tid, 0, 0, 0)
 	}

@@ -1,34 +1,25 @@
-// Package hotpath is the probe/divide contention benchmark suite, run
-// against three pool implementations side by side:
-//
-//   - atomic: the live lock-free runtime (internal/capsule) — sharded
-//     Treiber token stacks with ring-order stealing, padded per-shard
-//     stats, atomic death ring, spin-then-park persistent workers;
-//   - atomic1: the same runtime forced to PoolShards=1 — the PR-3
-//     single global Treiber stack, so the report shows what sharding
-//     itself buys on top of lock-freedom;
-//   - mutex: the retained pre-rewrite pool (internal/capsule/baseline) —
-//     global mutex LIFO, slice-pruned death window, goroutine-per-spawn.
-//
-// The cases cover the grant and refusal paths serially and across the
-// SweepMultipliers GOMAXPROCS sweep (1×, 4× and 16× GOMAXPROCS probers),
-// plus the fused divide with worker hand-off. The same bodies back both
-// `go test -bench` (hotpath_test.go wrappers, run under -race in CI) and
+// Package hotpath is the probe/divide micro-benchmark suite for the live
+// runtime (internal/capsule): the "atomic/..." cases cover the grant and
+// refusal paths serially and at 1×, 4× and 16× GOMAXPROCS probers, plus
+// the fused divide with worker hand-off; the "trace/...", "watch/..." and
+// "incident/..." families re-run the canonical paths with each
+// observability plane off and armed. The same bodies back both `go test
+// -bench` (hotpath_test.go wrappers, run under -race in CI) and
 // cmd/capstress, which runs them via testing.Benchmark and records ns/op
-// and allocs/op in BENCH_capsule.json — so the speedup the rewrite
-// bought is re-measured, not remembered.
+// and allocs/op in BENCH_capsule.json, where scripts/bench_gate.py holds
+// the allocation ceilings and the armed-vs-off overhead budgets. What a
+// probe or a division costs end to end is `go run ./benchmark`'s job
+// (native_fine, native_coarse), not this package's.
 package hotpath
 
 import (
 	"os"
 	"runtime"
-	"strconv"
 	"testing"
 	"time"
 
 	"repro/internal/capscope"
 	"repro/internal/capsule"
-	"repro/internal/capsule/baseline"
 	"repro/internal/captrace"
 	"repro/internal/capwatch"
 )
@@ -40,42 +31,20 @@ type Case struct {
 	Bench func(b *testing.B)
 }
 
-// SweepMultipliers is the GOMAXPROCS sweep: the parallel probe-granted
-// cases run at each multiplier × GOMAXPROCS concurrent probers, for all
-// three implementations. capstress records it in BENCH_capsule.json so
-// numbers from different machines are comparable.
-var SweepMultipliers = []int{1, 4, 16}
-
-// Cases returns the full suite. Names are impl/path[_probers]: the
-// "atomic/", "atomic1/" and "mutex/" families are exact mirrors on the
-// shared paths, so any pair divides into a speedup. The "atomic/..."
-// keys are the live runtime's tracked trajectory (stable across PRs for
-// the CI regression gate); "atomic1/..." is the same runtime pinned to
-// the PR-3 single-stack configuration.
+// Cases returns the full suite. Names are family/path[_probers][_state].
+// The "atomic/..." keys are the overhead families' twins (the gates pin
+// each family's off case to them), so they stay stable across PRs.
 func Cases() []Case {
 	cases := []Case{
-		{"atomic/probe_granted_serial", atomicProbeGranted(0, 0)},
-		{"atomic1/probe_granted_serial", atomicProbeGranted(0, 1)},
-		{"mutex/probe_granted_serial", mutexProbeGranted(0)},
+		{"atomic/probe_granted_serial", atomicProbeGranted(0)},
+		{"atomic/probe_granted_parallel_1x", atomicProbeGranted(1)},
+		{"atomic/probe_granted_parallel_4x", atomicProbeGranted(4)},
+		{"atomic/probe_granted_parallel_16x", atomicProbeGranted(16)},
+		{"atomic/probe_refused_serial", atomicProbeRefused(0)},
+		{"atomic/probe_refused_parallel_4x", atomicProbeRefused(4)},
+		{"atomic/try_divide_refused", atomicTryDivideRefused},
+		{"atomic/divide_granted", atomicDivideGranted},
 	}
-	for _, m := range SweepMultipliers {
-		suffix := "_parallel_" + strconv.Itoa(m) + "x"
-		cases = append(cases,
-			Case{"atomic/probe_granted" + suffix, atomicProbeGranted(m, 0)},
-			Case{"atomic1/probe_granted" + suffix, atomicProbeGranted(m, 1)},
-			Case{"mutex/probe_granted" + suffix, mutexProbeGranted(m)},
-		)
-	}
-	cases = append(cases,
-		Case{"atomic/probe_refused_serial", atomicProbeRefused(0)},
-		Case{"atomic/probe_refused_parallel_4x", atomicProbeRefused(4)},
-		Case{"atomic/try_divide_refused", atomicTryDivideRefused},
-		Case{"atomic/divide_granted", atomicDivideGranted},
-		Case{"mutex/probe_refused_serial", mutexProbeRefused(0)},
-		Case{"mutex/probe_refused_parallel_4x", mutexProbeRefused(4)},
-		Case{"mutex/try_divide_refused", mutexTryDivideRefused},
-		Case{"mutex/divide_granted", mutexDivideGranted},
-	)
 	for _, tm := range []struct {
 		suffix string
 		mode   traceMode
@@ -125,9 +94,9 @@ func Find(name string) (Case, bool) {
 // measure the runtime's own cost, not a per-iteration closure allocation.
 func nop() {}
 
-// benchWindow keeps both implementations' throttle configured alike. The
-// probe benchmarks never record deaths (Probe/Release is not a kthr), so
-// the throttle check is measured on its always-quiescent fast path.
+// benchWindow is the throttle window of every probe case. The probe
+// benchmarks never record deaths (Probe/Release is not a kthr), so the
+// throttle check is measured on its always-quiescent fast path.
 const benchWindow = 100 * time.Microsecond
 
 // probers turns a parallelism multiplier into the number of concurrent
@@ -140,8 +109,7 @@ func probers(par int) int {
 }
 
 // divideContexts sizes the divide_granted pool: deep enough that the
-// offering loop keeps granting while parked workers (or spawned
-// goroutines, for the baseline) drain and refill it.
+// offering loop keeps granting while parked workers drain and refill it.
 func divideContexts() int {
 	n := 16 * runtime.GOMAXPROCS(0)
 	if n < 64 {
@@ -153,32 +121,39 @@ func divideContexts() int {
 // ---- atomic: the live lock-free runtime ----
 
 // atomicProbeGranted builds the granted-probe case at par×GOMAXPROCS
-// probers (0 = serial) on a pool of one context per prober. shards pins
-// Config.PoolShards: 0 is the live sharded default, 1 reproduces the
-// PR-3 single global stack.
-func atomicProbeGranted(par, shards int) func(b *testing.B) {
+// probers (0 = serial) on a pool of one context per prober.
+func atomicProbeGranted(par int) func(b *testing.B) {
 	return func(b *testing.B) {
-		rt := capsule.New(capsule.Config{Contexts: probers(par), PoolShards: shards, Throttle: true, DeathWindow: benchWindow})
+		rt := capsule.New(capsule.Config{Contexts: probers(par), Throttle: true, DeathWindow: benchWindow})
 		defer rt.Close()
-		b.ReportAllocs()
-		b.ResetTimer()
-		if par == 0 {
-			for i := 0; i < b.N; i++ {
-				if c, ok := rt.Probe(); ok {
-					rt.Release(c)
-				}
-			}
-			return
-		}
-		b.SetParallelism(par)
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				if c, ok := rt.Probe(); ok {
-					rt.Release(c)
-				}
-			}
-		})
+		probeRelease(b, rt, par, 0)
 	}
+}
+
+// probeRelease is the timed body every granted-probe case shares: a
+// Probe+Release loop on rt, serial (par 0) or from par×GOMAXPROCS
+// probers, under trace ID tid (0 is exactly Probe). One body, so a
+// family's off case and its atomic twin differ only in what is armed
+// beside the runtime.
+func probeRelease(b *testing.B, rt *capsule.Runtime, par int, tid uint64) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	if par == 0 {
+		for i := 0; i < b.N; i++ {
+			if c, ok := rt.ProbeTraced(tid); ok {
+				rt.Release(c)
+			}
+		}
+		return
+	}
+	b.SetParallelism(par)
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if c, ok := rt.ProbeTraced(tid); ok {
+				rt.Release(c)
+			}
+		}
+	})
 }
 
 func atomicProbeRefused(par int) func(b *testing.B) {
@@ -240,86 +215,6 @@ func atomicDivideGranted(b *testing.B) {
 	rt.Join()
 }
 
-// ---- mutex: the retained pre-rewrite baseline ----
-
-func mutexProbeGranted(par int) func(b *testing.B) {
-	return func(b *testing.B) {
-		p := baseline.New(probers(par), true, benchWindow, 0)
-		b.ReportAllocs()
-		b.ResetTimer()
-		if par == 0 {
-			for i := 0; i < b.N; i++ {
-				if id, ok := p.Probe(); ok {
-					p.Release(id)
-				}
-			}
-			return
-		}
-		b.SetParallelism(par)
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				if id, ok := p.Probe(); ok {
-					p.Release(id)
-				}
-			}
-		})
-	}
-}
-
-func mutexProbeRefused(par int) func(b *testing.B) {
-	return func(b *testing.B) {
-		p := baseline.New(1, true, benchWindow, 0)
-		hold, _ := p.Probe()
-		b.ReportAllocs()
-		b.ResetTimer()
-		if par == 0 {
-			for i := 0; i < b.N; i++ {
-				if _, ok := p.Probe(); ok {
-					b.Fatal("probe granted from an empty pool")
-				}
-			}
-		} else {
-			b.SetParallelism(par)
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					if _, ok := p.Probe(); ok {
-						b.Fatal("probe granted from an empty pool")
-					}
-				}
-			})
-		}
-		b.StopTimer()
-		p.Release(hold)
-	}
-}
-
-func mutexTryDivideRefused(b *testing.B) {
-	p := baseline.New(1, false, benchWindow, 0)
-	hold, _ := p.Probe()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if p.TryDivide(nop) {
-			b.Fatal("divide granted from an empty pool")
-		}
-	}
-	b.StopTimer()
-	p.Release(hold)
-}
-
-func mutexDivideGranted(b *testing.B) {
-	p := baseline.New(divideContexts(), false, benchWindow, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for !p.TryDivide(nop) {
-			runtime.Gosched()
-		}
-	}
-	b.StopTimer()
-	p.Join()
-}
-
 // ---- trace: captrace overhead on the canonical hot paths ----
 //
 // Each path is measured in the three states the serving tiers put the
@@ -365,32 +260,14 @@ func (m traceMode) tid() uint64 {
 	return 0
 }
 
-// traceProbeGranted mirrors atomicProbeGranted (sharded pool, same
-// sizing) through ProbeTraced — which is exactly Probe when the mode's
-// trace ID is 0, so off and armed measure the identical call.
+// traceProbeGranted mirrors atomicProbeGranted (same sizing) with the
+// mode's tracer and trace ID, so off and armed measure the identical
+// call.
 func traceProbeGranted(par int, m traceMode) func(b *testing.B) {
 	return func(b *testing.B) {
 		rt := capsule.New(capsule.Config{Contexts: probers(par), Throttle: true, DeathWindow: benchWindow, Tracer: m.tracer()})
 		defer rt.Close()
-		tid := m.tid()
-		b.ReportAllocs()
-		b.ResetTimer()
-		if par == 0 {
-			for i := 0; i < b.N; i++ {
-				if c, ok := rt.ProbeTraced(tid); ok {
-					rt.Release(c)
-				}
-			}
-			return
-		}
-		b.SetParallelism(par)
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				if c, ok := rt.ProbeTraced(tid); ok {
-					rt.Release(c)
-				}
-			}
-		})
+		probeRelease(b, rt, par, m.tid())
 	}
 }
 
@@ -418,7 +295,7 @@ func traceDivideGranted(m traceMode) func(b *testing.B) {
 //
 // The capwatch sampler is a pure reader: the probe/divide hot paths
 // never touch it, so an armed sampler's only cost to them is the cache
-// traffic of its once-per-tick sweep over the per-shard counters. Each
+// traffic of its once-per-tick read of the counters. Each
 // path is measured with an inert 1s ticker (off) and with a sampler
 // armed at the production DefaultInterval tick. The off case carries
 // the ticker as an experimental control: on a single-P runtime, any
@@ -462,32 +339,15 @@ func watchSampler(rt *capsule.Runtime, armed bool) (stop func()) {
 	return s.Stop
 }
 
-// watchProbeGranted mirrors atomicProbeGranted (sharded pool, same
-// sizing) with a capwatch sampler ticking beside it.
+// watchProbeGranted mirrors atomicProbeGranted (same sizing) with a
+// capwatch sampler ticking beside it.
 func watchProbeGranted(par int, armed bool) func(b *testing.B) {
 	return func(b *testing.B) {
 		rt := capsule.New(capsule.Config{Contexts: probers(par), Throttle: true, DeathWindow: benchWindow})
 		defer rt.Close()
 		stop := watchSampler(rt, armed)
 		defer stop()
-		b.ReportAllocs()
-		b.ResetTimer()
-		if par == 0 {
-			for i := 0; i < b.N; i++ {
-				if c, ok := rt.Probe(); ok {
-					rt.Release(c)
-				}
-			}
-			return
-		}
-		b.SetParallelism(par)
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				if c, ok := rt.Probe(); ok {
-					rt.Release(c)
-				}
-			}
-		})
+		probeRelease(b, rt, par, 0)
 	}
 }
 
@@ -570,24 +430,7 @@ func incidentProbeGranted(par int, armed bool) func(b *testing.B) {
 		defer rt.Close()
 		stop := incidentRecorder(b, rt, armed)
 		defer stop()
-		b.ReportAllocs()
-		b.ResetTimer()
-		if par == 0 {
-			for i := 0; i < b.N; i++ {
-				if c, ok := rt.Probe(); ok {
-					rt.Release(c)
-				}
-			}
-			return
-		}
-		b.SetParallelism(par)
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				if c, ok := rt.Probe(); ok {
-					rt.Release(c)
-				}
-			}
-		})
+		probeRelease(b, rt, par, 0)
 	}
 }
 

@@ -2,9 +2,8 @@ package capsule
 
 // Tests for the captrace instrumentation points: a traced group's
 // division lifecycle lands in the tracer with the right kinds and
-// payloads, untraced work records nothing, stale trace IDs never leak
-// to the next occupant of a context, and the new shard counters satisfy
-// their accounting identities.
+// payloads, untraced work records nothing, and stale trace IDs never
+// leak to the next occupant of a context.
 
 import (
 	"sync"
@@ -16,7 +15,7 @@ import (
 
 func traceTestRuntime(t *testing.T, tr *captrace.Tracer, contexts int) *Runtime {
 	t.Helper()
-	rt := New(Config{Contexts: contexts, PoolShards: 1, Tracer: tr})
+	rt := New(Config{Contexts: contexts, Tracer: tr})
 	t.Cleanup(rt.Close)
 	return rt
 }
@@ -132,7 +131,7 @@ func TestStaleTraceIDDoesNotLeak(t *testing.T) {
 func TestThrottleTransitionEvents(t *testing.T) {
 	tr := captrace.New(1, 64)
 	clock := int64(0)
-	rt := New(Config{Contexts: 4, PoolShards: 1, Throttle: true,
+	rt := New(Config{Contexts: 4, Throttle: true,
 		DeathWindow: time.Millisecond, DeathThreshold: 2, Tracer: tr})
 	t.Cleanup(rt.Close)
 	rt.now = func() int64 { return clock }
@@ -161,67 +160,5 @@ func TestThrottleTransitionEvents(t *testing.T) {
 	}
 	if counts[captrace.KThrottleOpen] != 1 || counts[captrace.KThrottleClose] != 1 {
 		t.Fatalf("throttle edges = %v, want one open and one close", counts)
-	}
-}
-
-// TestShardCounterAccounting: the per-shard counters aggregate to the
-// Stats fields and satisfy local_hits + steals == granted, on a
-// deterministic single-prober workload that must steal.
-func TestShardCounterAccounting(t *testing.T) {
-	rt := New(Config{Contexts: 4, PoolShards: 2})
-	t.Cleanup(rt.Close)
-
-	// Drain the whole pool from one goroutine: its home shard empties
-	// first (local hits), then every further grant is a steal, then one
-	// refusal after a full sweep.
-	var holds []*Context
-	for {
-		c, ok := rt.Probe()
-		if !ok {
-			break
-		}
-		holds = append(holds, c)
-	}
-	if len(holds) != 4 {
-		t.Fatalf("drained %d contexts, want 4", len(holds))
-	}
-
-	s := rt.Stats()
-	if s.ShardLocalHits+s.ShardSteals != s.Granted {
-		t.Errorf("local %d + steals %d != granted %d", s.ShardLocalHits, s.ShardSteals, s.Granted)
-	}
-	if s.ShardLocalHits != 2 || s.ShardSteals != 2 {
-		t.Errorf("local=%d steals=%d, want 2 and 2 (one shard drained locally, one stolen)",
-			s.ShardLocalHits, s.ShardSteals)
-	}
-	if s.ShardFullSweeps != 1 {
-		t.Errorf("full sweeps = %d, want 1", s.ShardFullSweeps)
-	}
-	if s.ShardFullSweeps > s.NoCtxDenies {
-		t.Errorf("full sweeps %d > no-ctx denies %d", s.ShardFullSweeps, s.NoCtxDenies)
-	}
-
-	var agg ShardCounters
-	for _, sc := range rt.ShardCounterSnapshot() {
-		agg.LocalHits += sc.LocalHits
-		agg.Steals += sc.Steals
-		agg.FullSweeps += sc.FullSweeps
-		agg.Free += sc.Free
-	}
-	if agg.LocalHits != s.ShardLocalHits || agg.Steals != s.ShardSteals || agg.FullSweeps != s.ShardFullSweeps {
-		t.Errorf("per-shard aggregate %+v disagrees with Stats %+v", agg, s)
-	}
-	if agg.Free != 0 {
-		t.Errorf("free sum = %d with the pool drained, want 0", agg.Free)
-	}
-	for _, c := range holds {
-		rt.Release(c)
-	}
-
-	// ResetStats clears the shard counters too.
-	rt.ResetStats()
-	s = rt.Stats()
-	if s.ShardLocalHits != 0 || s.ShardSteals != 0 || s.ShardFullSweeps != 0 {
-		t.Errorf("shard counters survived ResetStats: %+v", s)
 	}
 }

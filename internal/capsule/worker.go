@@ -58,10 +58,13 @@ type workerHot struct {
 	slot  job
 }
 
+// cacheLine is the assumed coherence-line size. Padding targets two
+// lines so the adjacent-line prefetcher can't re-couple neighbours.
+const cacheLine = 64
+
 // workerState pads workerHot to whole cache lines (derived from its real
 // size, so the layout contract holds on any word size), keeping
-// neighbouring workers' handoffs off each other's cache lines like the
-// pool and stat shards.
+// neighbouring workers' handoffs off each other's cache lines.
 type workerState struct {
 	workerHot
 	_ [(2*cacheLine - unsafe.Sizeof(workerHot{})%(2*cacheLine)) % (2 * cacheLine)]byte
@@ -197,12 +200,12 @@ func (rt *Runtime) Close() {
 // doClose runs once. Collecting every token out of the free pool is both
 // the drain barrier and the permanent off switch: a token Close holds can
 // never be granted again, and a token still out with a worker or holder
-// lands back in a shard on release, where the collection loop (which
-// walks every shard, like any pop) picks it up.
+// lands back on the stack on release, where the collection loop picks it
+// up.
 func (rt *Runtime) doClose() {
 	rt.closed.Store(true)
 	for held, spins := 0, 0; held < rt.cfg.Contexts; {
-		if _, ok := rt.pool.pop(0); ok {
+		if _, ok := rt.pool.pop(); ok {
 			held++
 			continue
 		}

@@ -31,7 +31,7 @@
 // X-Capsule-Trace-ID header. Events recorded with ID zero are
 // tier-scoped (throttle transitions); everything else hangs off the
 // request that caused it, so one ID reconstructs a request's journey
-// router → backend → pool shard.
+// router → backend → runtime.
 package captrace
 
 import (
@@ -55,12 +55,10 @@ const (
 	// KNone is the zero Kind; it is never recorded.
 	KNone Kind = iota
 
-	// Runtime tier (internal/capsule). Shard is the prober's pool/stat
-	// shard for probe events.
+	// Runtime tier (internal/capsule).
 
-	// KProbeGranted: a probe reserved a context token. A = shards walked
-	// beyond the home shard (0 = local hit, >0 = steal distance),
-	// B = context id granted.
+	// KProbeGranted: a probe reserved a context token. B = context id
+	// granted.
 	KProbeGranted
 	// KProbeDenied: a probe was refused. A = deny reason (DenyNoCtx,
 	// DenyThrottle, DenyClosed).
@@ -178,7 +176,7 @@ func KindFromString(s string) (Kind, bool) {
 	return KNone, false
 }
 
-// cacheLine mirrors internal/capsule's assumption; shard headers are
+// cacheLine is the assumed coherence-line size; shard headers are
 // padded to two lines so neighbouring writers never false-share.
 const cacheLine = 64
 
@@ -268,9 +266,8 @@ func (t *Tracer) PerShard() int {
 }
 
 // Record writes one event. The write shard is picked by the caller's
-// stack-address affinity (the same trick the capsule pool uses), NOT by
-// the shard argument — shard is payload, the pool/stat shard the event
-// describes, or 0 where that has no meaning. Safe on a nil Tracer.
+// stack-address affinity, NOT by the shard argument — shard is a spare
+// payload byte, 0 from every caller today. Safe on a nil Tracer.
 //
 // Cost when t is non-nil: one clock read, one atomic increment, five
 // atomic stores. Zero allocations, no waiting of any kind — under ring
@@ -299,7 +296,7 @@ func pack(kind Kind, shard uint8, a uint16, b uint32) uint64 {
 	return uint64(kind)<<56 | uint64(shard)<<48 | uint64(a)<<32 | uint64(b)
 }
 
-// defaultShards mirrors the capsule pool's shard default: one per P.
+// defaultShards is one ring per P.
 func defaultShards() int {
 	k := runtime.GOMAXPROCS(0)
 	if k < 1 {
@@ -310,8 +307,10 @@ func defaultShards() int {
 
 // writeHint is the per-goroutine shard affinity: a mixed hash of a
 // current stack address, a few ALU ops with no allocation and no
-// atomics. Same rationale as capsule.affinityHint — a hint, not an
-// identity; a moved stack just re-homes the goroutine.
+// atomics. Distinct goroutines live on distinct stacks, so concurrent
+// writers spread across rings, while one goroutine in a loop stays
+// home. It is a hint, not an identity; a moved stack just re-homes the
+// goroutine.
 func writeHint(k int) int {
 	if k == 1 {
 		return 0

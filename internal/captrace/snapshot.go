@@ -21,9 +21,10 @@ import (
 // tier, and the 1-in-N sampler for server-generated IDs.
 
 // Event is one decoded ring entry. A and B are per-Kind payloads (see
-// the Kind constants); Shard is the pool/stat shard the event describes
-// for runtime-tier kinds and 0 elsewhere. Source names the snapshot the
-// event came from once snapshots are merged ("" inside one process).
+// the Kind constants); Shard is a spare payload byte no tier writes
+// today, kept so the 32-byte slot and the wire shape stay as they were.
+// Source names the snapshot the event came from once snapshots are
+// merged ("" inside one process).
 type Event struct {
 	TS     int64
 	TID    uint64
@@ -75,16 +76,13 @@ func (e *Event) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// Detail renders the per-kind payload for humans ("steal=2 ctx=7",
+// Detail renders the per-kind payload for humans ("ctx=7",
 // "deny=throttle", "backend=1 credits=16"). The waterfall printers in
 // capload and cmd/captrace share it so the two renderings agree.
 func (e Event) Detail() string {
 	switch e.Kind {
 	case KProbeGranted:
-		if e.A == 0 {
-			return fmt.Sprintf("shard=%d local-hit ctx=%d", e.Shard, e.B)
-		}
-		return fmt.Sprintf("shard=%d steal-dist=%d ctx=%d", e.Shard, e.A, e.B)
+		return fmt.Sprintf("ctx=%d", e.B)
 	case KProbeDenied:
 		reason := "no_ctx"
 		switch e.A {
@@ -93,7 +91,7 @@ func (e Event) Detail() string {
 		case DenyClosed:
 			reason = "closed"
 		}
-		return fmt.Sprintf("shard=%d deny=%s", e.Shard, reason)
+		return "deny=" + reason
 	case KDivideInline:
 		return "ran inline on caller"
 	case KHandoff:

@@ -8,10 +8,9 @@
 // needs p99-over-the-last-5-minutes and budget burn, and those require
 // exactly this ring.
 //
-// The design is McKenney's statistical-counter discipline, third
-// application in this repo (pool shards in PR 5, trace rings in PR 6):
-// the write side — every probe, divide, request, dispatch — only ever
-// touches its own per-shard or per-endpoint atomic counters and never
+// The design is McKenney's statistical-counter discipline (as in the
+// captrace rings): the write side — every probe, divide, request,
+// dispatch — only ever touches its own tier's atomic counters and never
 // knows the sampler exists; the sampler is a *reader* of those
 // counters that pays the full aggregation cost itself, once a second,
 // on its own goroutine. Arming a sampler therefore costs the
@@ -105,9 +104,8 @@ type Sample struct {
 	TS int64 `json:"ts"`
 
 	// Capsule tier.
-	Capsule      capsule.Stats           `json:"capsule"`
-	FreeContexts int                     `json:"free_contexts"`
-	Shards       []capsule.ShardCounters `json:"shards,omitempty"`
+	Capsule      capsule.Stats `json:"capsule"`
+	FreeContexts int           `json:"free_contexts"`
 
 	// Serving tier (zero unless Config.Server was set).
 	QueueDepth     int                         `json:"queue_depth"`
@@ -180,7 +178,6 @@ func New(cfg Config) (*Sampler, error) {
 	if s.interval == 0 {
 		s.interval = DefaultInterval
 	}
-	nshards := cfg.Runtime.ReadShardCounters(nil)
 	if cfg.Server != nil {
 		s.workloads = cfg.Server.Workloads()
 	}
@@ -198,7 +195,6 @@ func New(cfg Config) (*Sampler, error) {
 	s.ring = make([]Sample, size)
 	s.mask = uint64(size - 1)
 	for i := range s.ring {
-		s.ring[i].Shards = make([]capsule.ShardCounters, nshards)
 		if len(s.workloads) > 0 {
 			s.ring[i].Endpoints = make([]capserve.EndpointCounters, len(s.workloads))
 		}
@@ -317,7 +313,6 @@ func (s *Sampler) collect(slot *Sample) {
 	slot.TS = time.Now().UnixNano()
 	slot.Capsule = s.cfg.Runtime.Stats()
 	slot.FreeContexts = s.cfg.Runtime.FreeContexts()
-	s.cfg.Runtime.ReadShardCounters(slot.Shards)
 	if srv := s.cfg.Server; srv != nil {
 		slot.QueueDepth = srv.QueueDepth()
 		slot.QueueOccupancy = srv.QueueOccupancy()
@@ -380,13 +375,8 @@ func (s *Sampler) window(d time.Duration) (from, to Sample, n int, ok bool) {
 // cloneSample copies src into dst with fresh slice backing, sized to
 // src (dst is reused across reads where possible).
 func cloneSample(dst *Sample, src *Sample) {
-	shards, eps, bks := dst.Shards, dst.Endpoints, dst.Backends
+	eps, bks := dst.Endpoints, dst.Backends
 	*dst = *src
-	if cap(shards) < len(src.Shards) {
-		shards = make([]capsule.ShardCounters, len(src.Shards))
-	}
-	dst.Shards = shards[:len(src.Shards)]
-	copy(dst.Shards, src.Shards)
 	if cap(eps) < len(src.Endpoints) {
 		eps = make([]capserve.EndpointCounters, len(src.Endpoints))
 	}

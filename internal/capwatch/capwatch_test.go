@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -107,10 +108,11 @@ func TestRingWraparound(t *testing.T) {
 	}
 }
 
-// TestDeltaMonotonicity checks the paper's accounting invariant
-// survives sampling: across any pair of consecutive snapshots taken
-// during a live probe storm, counter deltas are non-negative and
-// Probes ≤ Granted + NoCtxDenies + ThrottleDenies.
+// TestDeltaMonotonicity checks the paper's accounting identity
+// survives sampling: every snapshot taken during a live probe storm
+// satisfies Probes == Granted + NoCtxDenies + ThrottleDenies, no counter
+// runs backwards between consecutive snapshots, and so every sampled
+// delta satisfies the same identity exactly.
 func TestDeltaMonotonicity(t *testing.T) {
 	rt := newRuntime(t, 4)
 	s, err := New(Config{Runtime: rt, Ring: minRing})
@@ -124,15 +126,19 @@ func TestDeltaMonotonicity(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for !done.Load() {
+			for i := 0; !done.Load(); i++ {
 				if c, ok := rt.Probe(); ok {
 					rt.Release(c)
+				}
+				if i%64 == 0 {
+					runtime.Gosched()
 				}
 			}
 		}()
 	}
 	for i := 0; i < 200; i++ {
 		s.SampleNow()
+		runtime.Gosched() // on one P the storm and the sampler take turns
 	}
 	done.Store(true)
 	wg.Wait()
@@ -141,17 +147,24 @@ func TestDeltaMonotonicity(t *testing.T) {
 	if len(samples) < 2 {
 		t.Fatalf("want >= 2 samples, got %d", len(samples))
 	}
-	for i := 1; i < len(samples); i++ {
-		d := samples[i].Capsule.Delta(samples[i-1].Capsule)
-		outcomes := d.Granted + d.NoCtxDenies + d.ThrottleDenies
-		if d.Probes > outcomes {
-			t.Fatalf("sample %d: Probes %d > outcomes %d (invariant broken across sampled delta)", i, d.Probes, outcomes)
+	for i, smp := range samples {
+		c := smp.Capsule
+		if c.Probes != c.Granted+c.NoCtxDenies+c.ThrottleDenies {
+			t.Fatalf("sample %d: Probes %d != outcomes %d+%d+%d", i, c.Probes, c.Granted, c.NoCtxDenies, c.ThrottleDenies)
 		}
-		// uint64 wraparound would make any of these astronomically large.
-		const sane = uint64(1) << 60
-		if d.Probes > sane || d.Granted > sane || d.NoCtxDenies > sane || d.ThrottleDenies > sane {
-			t.Fatalf("sample %d: negative delta wrapped: %+v", i, d)
+		if i == 0 {
+			continue
 		}
+		p := samples[i-1].Capsule
+		if c.Granted < p.Granted || c.NoCtxDenies < p.NoCtxDenies || c.ThrottleDenies < p.ThrottleDenies {
+			t.Fatalf("sample %d: a counter ran backwards: %+v after %+v", i, c, p)
+		}
+		if d := c.Delta(p); d.Probes != d.Granted+d.NoCtxDenies+d.ThrottleDenies {
+			t.Fatalf("sample %d: delta Probes %d != delta outcomes (%+v)", i, d.Probes, d)
+		}
+	}
+	if last := samples[len(samples)-1].Capsule; last.Probes == 0 {
+		t.Fatal("the storm made no probes")
 	}
 }
 

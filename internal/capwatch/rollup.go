@@ -6,7 +6,6 @@ import (
 	"repro/internal/buildinfo"
 	"repro/internal/capcluster"
 	"repro/internal/capserve"
-	"repro/internal/capsule"
 	"repro/internal/promtext"
 )
 
@@ -56,7 +55,6 @@ type Report struct {
 	Latency Quantiles  `json:"latency"`
 
 	Endpoints []EndpointReport `json:"endpoints,omitempty"`
-	Shards    []ShardReport    `json:"shards,omitempty"`
 	Backends  []BackendReport  `json:"backends,omitempty"`
 	Router    *RouterReport    `json:"router,omitempty"`
 
@@ -75,9 +73,6 @@ type RateReport struct {
 	ErrorsPerSec   float64 `json:"errors_per_s"`   // server faults
 	DegradedPerSec float64 `json:"degraded_per_s"`
 	Availability   float64 `json:"availability"` // windowed; 1 with no traffic
-
-	LocalHitRate float64 `json:"local_hit_rate"` // grants served by the prober's home shard
-	StealsPerSec float64 `json:"steals_per_s"`
 }
 
 // Quantiles is a histogram-delta latency summary in milliseconds.
@@ -95,15 +90,6 @@ type EndpointReport struct {
 	ErrorsPerSec   float64 `json:"errors_per_s"`
 	DegradedPerSec float64 `json:"degraded_per_s"`
 	P99MS          float64 `json:"p99_ms"`
-}
-
-// ShardReport is one pool shard's windowed behaviour.
-type ShardReport struct {
-	Shard            int     `json:"shard"`
-	LocalHitsPerSec  float64 `json:"local_hits_per_s"`
-	StealsPerSec     float64 `json:"steals_per_s"`
-	FullSweepsPerSec float64 `json:"full_sweeps_per_s"`
-	Free             int     `json:"free"`
 }
 
 // BackendReport is one backend's gauges and windowed dispatch rates as
@@ -193,9 +179,8 @@ func (s *Sampler) Report(window time.Duration) Report {
 		return float64(delta) / sec
 	}
 
-	// Capsule tier: Stats.Delta keeps the Probes ≤ outcomes invariant
-	// across the subtraction (both snapshots were taken with the
-	// outcome-first ordering Stats documents).
+	// Capsule tier. Probes is derived from the outcome counters, so the
+	// delta's Probes is exactly the sum of the delta's outcomes.
 	d := to.Capsule.Delta(from.Capsule)
 	rep.Rates.ProbesPerSec = rate(d.Probes)
 	rep.Rates.GrantsPerSec = rate(d.Granted)
@@ -211,32 +196,6 @@ func (s *Sampler) Report(window time.Duration) Report {
 	rep.Rates.Availability = 1
 	if requests > 0 {
 		rep.Rates.Availability = 1 - errors/requests
-	}
-
-	// Shards.
-	var localHits, steals uint64
-	rep.Shards = make([]ShardReport, len(to.Shards))
-	for i := range to.Shards {
-		ts := to.Shards[i]
-		var fs capsule.ShardCounters
-		if i < len(from.Shards) {
-			fs = from.Shards[i]
-		}
-		lh := ts.LocalHits - fs.LocalHits
-		st := ts.Steals - fs.Steals
-		localHits += lh
-		steals += st
-		rep.Shards[i] = ShardReport{
-			Shard:            i,
-			LocalHitsPerSec:  rate(lh),
-			StealsPerSec:     rate(st),
-			FullSweepsPerSec: rate(ts.FullSweeps - fs.FullSweeps),
-			Free:             ts.Free,
-		}
-	}
-	rep.Rates.StealsPerSec = rate(steals)
-	if localHits+steals > 0 {
-		rep.Rates.LocalHitRate = float64(localHits) / float64(localHits+steals)
 	}
 
 	// Serving tier.
