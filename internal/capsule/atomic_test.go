@@ -107,6 +107,10 @@ func TestTokenStackStorm(t *testing.T) {
 // counters, so every snapshot taken during a divide storm — and every
 // delta between two consecutive ones — must satisfy Probes == Granted +
 // NoCtxDenies + ThrottleDenies exactly, with no counter running backwards.
+// Half the stormers offer through Groups, which count on their own lines
+// and fold into the runtime at Join: once every group has joined, the
+// runtime's counters are the groups' plus the direct callers', exactly,
+// and the lock count is every Lock made through any domain.
 func TestStatsAccountingInvariant(t *testing.T) {
 	atGOMAXPROCS(t, func(t *testing.T) {
 		rt := New(Config{Contexts: 4, Throttle: true, DeathWindow: 20 * time.Microsecond})
@@ -129,39 +133,95 @@ func TestStatsAccountingInvariant(t *testing.T) {
 					d := s.Delta(prev)
 					if s.Probes != s.Granted+s.NoCtxDenies+s.ThrottleDenies ||
 						d.Probes != d.Granted+d.NoCtxDenies+d.ThrottleDenies ||
-						s.Granted < prev.Granted || s.NoCtxDenies < prev.NoCtxDenies || s.ThrottleDenies < prev.ThrottleDenies {
+						s.Granted < prev.Granted || s.NoCtxDenies < prev.NoCtxDenies || s.ThrottleDenies < prev.ThrottleDenies ||
+						s.InlineRuns < prev.InlineRuns || s.LockAcquires < prev.LockAcquires {
 						violations.Add(1)
 					}
 					prev = s
 				}
 			}()
 		}
-		var stormers sync.WaitGroup
-		for g := 0; g < 8; g++ {
-			stormers.Add(1)
-			go func() {
-				defer stormers.Done()
-				for i := 0; i < 500; i++ {
-					rt.Divide(func() {})
+		const stormers, offers, perGroup = 8, 500, 10
+		var direct, grouped struct{ granted, noCtx, throttle, inline atomic.Uint64 }
+		var stormWG sync.WaitGroup
+		for g := 0; g < stormers; g++ {
+			stormWG.Add(1)
+			go func(g int) {
+				defer stormWG.Done()
+				if g%2 == 0 {
+					seq := rt.Sequential()
+					for i := 0; i < offers; i++ {
+						if rt.Divide(func() {}) {
+							direct.granted.Add(1)
+						} else {
+							direct.inline.Add(1)
+						}
+						rt.Lock(uint64(i))
+						rt.Unlock(uint64(i))
+						seq.Lock(uint64(i))
+						seq.Unlock(uint64(i))
+					}
+					return
 				}
-			}()
+				for i := 0; i < offers; i += perGroup {
+					grp := rt.NewGroup()
+					for j := 0; j < perGroup; j++ {
+						if j%2 == 0 {
+							grp.Divide(func() {})
+						} else {
+							// A worker that offers too: its counts must
+							// reach the runtime through the same fold.
+							grp.TryDivide(func() { grp.Divide(func() {}) })
+						}
+						grp.Lock(uint64(j))
+						grp.Unlock(uint64(j))
+						if j == perGroup/2 {
+							grp.Join() // mid-life join: deltas, not totals, fold
+						}
+					}
+					grp.Join()
+					gs := grp.Stats()
+					if gs.Probes != gs.Granted+gs.NoCtxDenies+gs.ThrottleDenies || gs.Probes < perGroup {
+						violations.Add(1)
+					}
+					grouped.granted.Add(gs.Granted)
+					grouped.noCtx.Add(gs.NoCtxDenies)
+					grouped.throttle.Add(gs.ThrottleDenies)
+					grouped.inline.Add(gs.InlineRuns)
+				}
+			}(g)
 		}
-		stormers.Wait()
+		stormWG.Wait()
 		close(stop)
 		readers.Wait()
 		rt.Join()
 		if v := violations.Load(); v != 0 {
-			t.Fatalf("%d snapshots or deltas broke Probes == outcomes", v)
+			t.Fatalf("%d snapshots, deltas or group stats broke Probes == outcomes", v)
 		}
 		s := rt.Stats()
-		if s.Probes != 8*500 {
-			t.Fatalf("Probes = %d, want %d (every Divide is one probe)", s.Probes, 8*500)
+		if want := grouped.granted.Load() + direct.granted.Load(); s.Granted != want {
+			t.Fatalf("Granted = %d, want %d (groups %d + direct %d)", s.Granted, want, grouped.granted.Load(), direct.granted.Load())
 		}
-		if s.InlineRuns != s.NoCtxDenies+s.ThrottleDenies {
-			t.Fatalf("inline runs (%d) != refusals (%d+%d)", s.InlineRuns, s.NoCtxDenies, s.ThrottleDenies)
+		if want := grouped.inline.Load() + direct.inline.Load(); s.InlineRuns != want {
+			t.Fatalf("InlineRuns = %d, want %d (groups %d + direct %d)", s.InlineRuns, want, grouped.inline.Load(), direct.inline.Load())
+		}
+		// A direct caller cannot see why it was refused, so the per-reason
+		// check is on what is left once the groups' shares are taken out:
+		// neither reason negative, together the direct callers' refusals.
+		noCtx, throttle := s.NoCtxDenies-grouped.noCtx.Load(), s.ThrottleDenies-grouped.throttle.Load()
+		if int64(noCtx) < 0 || int64(throttle) < 0 || noCtx+throttle != direct.inline.Load() {
+			t.Fatalf("denies %d no-ctx / %d throttle, groups' share %d / %d, leaves %d / %d for %d direct refusals",
+				s.NoCtxDenies, s.ThrottleDenies, grouped.noCtx.Load(), grouped.throttle.Load(), int64(noCtx), int64(throttle), direct.inline.Load())
 		}
 		if s.Deaths != s.TotalWorkers || s.TotalWorkers != s.Granted {
 			t.Fatalf("deaths %d / workers %d / granted %d disagree after Join", s.Deaths, s.TotalWorkers, s.Granted)
+		}
+		if want := uint64(stormers/2*offers*2 + stormers/2*offers); s.LockAcquires != want {
+			t.Fatalf("LockAcquires = %d, want %d (every Lock through Runtime, Sequential and Group)", s.LockAcquires, want)
+		}
+		rt.ResetStats()
+		if s := rt.Stats(); s.LockAcquires != 0 || s.Probes != 0 || s.InlineRuns != 0 {
+			t.Fatalf("stats after ResetStats = %+v, want zero counts", s)
 		}
 	})
 }
@@ -213,6 +273,89 @@ func TestThrottleRingWraparound(t *testing.T) {
 	clock.Add(2 * time.Microsecond.Nanoseconds())
 	if _, ok := rt.Probe(); !ok {
 		t.Fatal("probe refused after the window expired")
+	}
+}
+
+// TestProbeClockReads pins where the clock is read: never by a probe
+// the pool refuses, never while no throttle window is open, once per
+// probe while one is — and the window a burst of k deaths opens runs
+// from the k-th most recent of them.
+func TestProbeClockReads(t *testing.T) {
+	const window = 100
+	var clock, reads atomic.Int64
+	rt := New(Config{Contexts: 4, Throttle: true, DeathWindow: window, DeathThreshold: 3})
+	defer rt.Close()
+	rt.now = func() int64 { reads.Add(1); return clock.Load() }
+	probes := func(n int, wantGranted bool) (clockReads int64) {
+		t.Helper()
+		before := reads.Load()
+		for i := 0; i < n; i++ {
+			c, ok := rt.Probe()
+			if ok != wantGranted {
+				t.Fatalf("probe %d at t=%d: granted = %t, want %t (stats %+v)", i, clock.Load(), ok, wantGranted, rt.Stats())
+			}
+			if ok {
+				rt.Release(c)
+			}
+		}
+		return reads.Load() - before
+	}
+	die := func(at int64) {
+		t.Helper()
+		clock.Store(at)
+		c, ok := rt.Probe()
+		if !ok {
+			t.Fatalf("probe refused at t=%d before the burst was complete", at)
+		}
+		rt.Spawn(c, func() {})
+		rt.Join()
+	}
+
+	if got := probes(100, true); got != 0 {
+		t.Fatalf("%d clock reads by probes on a runtime with no deaths, want 0", got)
+	}
+	// Deaths at 10, 20, 30: the third completes the burst, and the window
+	// is the first one's.
+	die(10)
+	die(20)
+	if got := probes(100, true); got != 0 {
+		t.Fatalf("%d clock reads by probes below the death threshold, want 0", got)
+	}
+	die(30)
+	if got := rt.throttleUntil.Load(); got != 10+window {
+		t.Fatalf("deadline = %d, want %d (third most recent death + window)", got, 10+window)
+	}
+	clock.Store(10 + window) // the deadline itself is still inside
+	if got := probes(100, false); got != 100 {
+		t.Fatalf("%d clock reads by 100 throttled probes, want 100", got)
+	}
+	// No-ctx wins: with the pool empty the open throttle is never
+	// consulted, so neither is the clock.
+	rt.throttleUntil.Store(0)
+	var held []*Context
+	for i := 0; i < rt.Contexts(); i++ {
+		c, _ := rt.Probe()
+		held = append(held, c)
+	}
+	rt.throttleUntil.Store(10 + window)
+	before := rt.Stats()
+	if got := probes(100, false); got != 0 {
+		t.Fatalf("%d clock reads by refusals on an empty pool, want 0", got)
+	}
+	if d := rt.Stats().Delta(before); d.NoCtxDenies != 100 || d.ThrottleDenies != 0 {
+		t.Fatalf("empty pool under an open throttle refused as %+v, want 100 no-ctx", d)
+	}
+	for _, c := range held {
+		rt.Release(c)
+	}
+	// The first probe past the deadline reads the clock and closes the
+	// window; after that nobody reads it again.
+	clock.Store(10 + window + 1)
+	if got := probes(1, true); got != 1 {
+		t.Fatalf("%d clock reads by the probe that finds the window expired, want 1", got)
+	}
+	if got := probes(100, true); got != 0 {
+		t.Fatalf("%d clock reads by probes after the window was seen closed, want 0", got)
 	}
 }
 
@@ -289,6 +432,23 @@ func TestCloseWaitsForHeldToken(t *testing.T) {
 func TestWorkerStatePadding(t *testing.T) {
 	if size := unsafe.Sizeof(workerState{}); size%cacheLine != 0 || size < 2*cacheLine {
 		t.Errorf("workerState size = %d, want a multiple of %d and >= %d", size, cacheLine, 2*cacheLine)
+	}
+}
+
+// TestStripePadding pins the lock-table layout: an entry is whole cache
+// lines with its mutex and its count on the same one, so two callers
+// share a line only when they share a lock. A Group is whole lines for
+// the same reason: its counters are written on every offer.
+func TestStripePadding(t *testing.T) {
+	var s stripe
+	if size := unsafe.Sizeof(s); size == 0 || size%cacheLine != 0 {
+		t.Errorf("stripe size = %d, want a multiple of %d", size, cacheLine)
+	}
+	if mu, n := unsafe.Offsetof(s.mu), unsafe.Offsetof(s.acquires); mu/cacheLine != (n+unsafe.Sizeof(s.acquires)-1)/cacheLine {
+		t.Errorf("stripe mutex at %d and count at %d are on different cache lines", mu, n)
+	}
+	if size := unsafe.Sizeof(Group{}); size%cacheLine != 0 {
+		t.Errorf("Group size = %d, want a multiple of %d", size, cacheLine)
 	}
 }
 

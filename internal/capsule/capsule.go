@@ -16,15 +16,19 @@
 //     The paper's point that the SOMT answers nthr "in a few cycles" is
 //     preserved in software: the whole probe path is a handful of atomic
 //     loads and one CAS on a Treiber stack of context ids — no mutex,
-//     no allocation — and a refusal is one load of the stack's head
-//     word, so offering parallelism at every division point stays cheap
-//     even when almost every offer is refused;
+//     no allocation, no clock read — and the pool is asked first, so a
+//     refusal from an empty pool is one load of the stack's head word
+//     and one count on a line the offering request owns: offering
+//     parallelism at every division point stays cheap even when almost
+//     every offer is refused;
 //   - kthr (worker death)   → token release when the worker function
 //     returns, recorded in the death-rate window;
 //   - division throttling   → a rolling window of recent worker deaths;
 //     when deaths in the window reach half the context count, further
-//     probes are denied (Section 3.1's death-rate throttle). The window
-//     is a fixed atomic ring of death timestamps, read with one load;
+//     probes are denied (Section 3.1's death-rate throttle). The death
+//     that completes such a burst publishes a "throttled until" deadline
+//     word; a probe with a token in reach loads that word and reads the
+//     clock only while it is set;
 //   - LIFO context stack    → freed tokens are reused most-recently-dead
 //     first, keeping the working set on warm stacks/caches;
 //   - fast lock table       → a striped lock table keyed by arbitrary
@@ -43,6 +47,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/captrace"
 )
@@ -79,9 +84,11 @@ type Config struct {
 	// and the Runtime-level Divide/TryDivide stay untraced either way;
 	// per-request events flow only through ProbeTraced/NewGroupTraced
 	// with a nonzero trace ID, and throttle edges are detected on the
-	// death path, admission peeks and traced probes — so an
-	// armed-but-unsampled probe runs the same instructions as tracing
-	// off (the capstress trace_overhead budget). nil (the default)
+	// death path, admission peeks and those traced probes that get past
+	// the pool test — so an armed-but-unsampled probe runs the same
+	// instructions as tracing off (the capstress trace_overhead budget),
+	// and a probe refused by an empty pool looks at no throttle state at
+	// all, traced or not. nil (the default)
 	// disables tracing entirely — every instrumentation point is one
 	// predictable branch.
 	Tracer *captrace.Tracer
@@ -199,7 +206,14 @@ type Runtime struct {
 
 	pool tokenStack // lock-free LIFO of free context ids
 	ctxs []Context  // preallocated tokens, one per id: Probe allocates nothing
-	ring deathRing  // death timestamps for the throttle
+	ring deathRing  // death timestamps, touched by the death path only
+
+	// throttleUntil is the throttle as probes see it: 0 while closed,
+	// else the clock value up to which probes are refused — the k-th
+	// most recent death plus DeathWindow, published by the death that
+	// made it so. A probe that finds it expired swaps it back to 0, so
+	// the clock is read only while a window is (or may still be) open.
+	throttleUntil atomic.Int64
 
 	workers   []chan job    // per-context park mailbox (the handoff slow path)
 	wstate    []workerState // per-context spin-then-park handoff slot
@@ -208,7 +222,9 @@ type Runtime struct {
 	closeOnce sync.Once
 	closedCh  chan struct{}
 
-	stats statHot // every probe bumps exactly one of its outcome counters
+	// stats is what the runtime's own entry points and every joined
+	// Group have counted; a live Group's offers are still on its own line.
+	stats statHot
 
 	// Tracing (nil tracer = off). ctxTrace[id] is the trace ID of the
 	// request whose division currently occupies context id, written by
@@ -225,11 +241,11 @@ type Runtime struct {
 
 	wg sync.WaitGroup
 
-	stripes  []sync.Mutex
+	stripes  []stripe
 	lockMask uint64
 
-	// now is the monotonic clock, injectable by tests to drive the death
-	// window deterministically.
+	// now is the monotonic clock (nanoseconds since New), injectable by
+	// tests to drive the death window deterministically.
 	now func() int64
 }
 
@@ -264,10 +280,13 @@ func New(cfg Config) *Runtime {
 		workers:  make([]chan job, cfg.Contexts),
 		wstate:   make([]workerState, cfg.Contexts),
 		closedCh: make(chan struct{}),
-		stripes:  make([]sync.Mutex, stripes),
+		stripes:  make([]stripe, stripes),
 		lockMask: uint64(stripes - 1),
-		now:      func() int64 { return time.Now().UnixNano() },
 	}
+	// Since on a Time that carries a monotonic reading is one monotonic
+	// clock read; Now would read the wall clock as well.
+	epoch := time.Now()
+	rt.now = func() int64 { return int64(time.Since(epoch)) }
 	rt.tracer = cfg.Tracer
 	rt.pool.init(cfg.Contexts)
 	rt.ring.init(cfg.DeathThreshold)
@@ -324,15 +343,22 @@ func (rt *Runtime) CanDivide() bool {
 }
 
 // throttled is Probe's death-rate condition: at least DeathThreshold
-// deaths inside the trailing DeathWindow. One or two atomic loads against
-// the death ring, and a clock read only when enough deaths exist to
-// possibly trip — the software analogue of the SOMT's window monitor
-// answering in a few cycles.
+// deaths inside the trailing DeathWindow. The death path keeps that
+// answer in throttleUntil, so a quiescent runtime answers with one atomic
+// load and no clock read — reading the clock costs more than the pool CAS
+// itself. The first caller to find the deadline passed closes it again;
+// losing that swap to a death that just raised it lets this one probe
+// through as the death lands, the same benign race deathRing documents.
 func (rt *Runtime) throttled() bool {
-	if !rt.cfg.Throttle {
+	until := rt.throttleUntil.Load()
+	if until == 0 {
 		return false
 	}
-	return rt.ring.atLeast(rt.cfg.DeathThreshold, rt.now, rt.cfg.DeathWindow.Nanoseconds())
+	if rt.now() <= until {
+		return true
+	}
+	rt.throttleUntil.CompareAndSwap(until, 0)
+	return false
 }
 
 // traceThrottleEdge records an open/close transition of the death-rate
@@ -341,8 +367,9 @@ func (rt *Runtime) throttled() bool {
 // extra atomic loads for it (the capstress trace_overhead budget) — and
 // is instead driven from the sites that can actually witness an edge
 // promptly: death recording (deaths are what open the throttle),
-// CanDivide admission peeks, and traced probes (which sample the level
-// anyway). open is the caller's freshly computed throttled() level.
+// CanDivide admission peeks, and traced probes that reach the throttle
+// test (which sample the level anyway). open is the caller's freshly
+// computed level.
 func (rt *Runtime) traceThrottleEdge(open bool) {
 	if rt.tracer == nil || open == rt.throttleOpen.Load() {
 		return
@@ -374,37 +401,53 @@ func (rt *Runtime) Probe() (*Context, bool) { return rt.probe(0) }
 // death the same way. tid 0 is exactly Probe.
 func (rt *Runtime) ProbeTraced(tid uint64) (*Context, bool) { return rt.probe(tid) }
 
+// probe is offer counted on the runtime's own line: the path of the
+// one-program tools and the price list. Groups count on theirs.
 func (rt *Runtime) probe(tid uint64) (*Context, bool) {
+	c, deny := rt.offer(tid)
+	rt.stats.count(c, deny)
+	return c, c != nil
+}
+
+// offer is the probe proper, shared by the Runtime's entry points and
+// Group's: it decides, reserves and (for a traced request) records, but
+// counts nothing — each caller bumps the outcome counters it owns. The
+// pool is asked first: an empty pool refuses on that one load, whatever
+// the throttle says, so an offer that is out of tokens and throttled is
+// a no-ctx refusal. deny is the reason when c is nil.
+func (rt *Runtime) offer(tid uint64) (c *Context, deny uint16) {
 	if rt.closed.Load() {
 		// A closed runtime grants nothing; the pool is (being) drained, so
 		// "no context" is the refusal Stats reports.
-		return rt.refuse(&rt.stats.noCtxDenies, tid, captrace.DenyClosed)
+		return rt.refuse(tid, captrace.DenyClosed)
+	}
+	if rt.pool.empty() {
+		return rt.refuse(tid, captrace.DenyNoCtx)
 	}
 	open := rt.throttled()
 	if tid != 0 {
 		rt.traceThrottleEdge(open)
 	}
 	if open {
-		return rt.refuse(&rt.stats.throttleDenies, tid, captrace.DenyThrottle)
+		return rt.refuse(tid, captrace.DenyThrottle)
 	}
 	id, ok := rt.pool.pop()
 	if !ok {
-		return rt.refuse(&rt.stats.noCtxDenies, tid, captrace.DenyNoCtx)
+		return rt.refuse(tid, captrace.DenyNoCtx) // the last token went between the two looks
 	}
-	rt.stats.granted.Add(1)
 	if tid != 0 {
 		rt.tracer.Record(captrace.KProbeGranted, tid, 0, 0, uint32(id))
 	}
-	return &rt.ctxs[id], true
+	return &rt.ctxs[id], 0
 }
 
-// refuse counts one refused probe under its reason.
-func (rt *Runtime) refuse(counter *atomic.Uint64, tid uint64, reason uint16) (*Context, bool) {
-	counter.Add(1)
+// refuse is offer's refusal return: the reason, traced for a sampled
+// request.
+func (rt *Runtime) refuse(tid uint64, reason uint16) (*Context, uint16) {
 	if tid != 0 {
 		rt.tracer.Record(captrace.KProbeDenied, tid, 0, reason, 0)
 	}
-	return nil, false
+	return nil, reason
 }
 
 // Spawn consumes a reserved token and hands fn to the token's persistent
@@ -466,12 +509,20 @@ func (rt *Runtime) release(id int) {
 	rt.live.Add(-1)
 	rt.stats.deaths.Add(1)
 	if rt.cfg.Throttle {
-		rt.ring.record(rt.now())
+		// The one clock read of a division's life: the death that makes
+		// the k-th most recent one fall inside the window turns it into
+		// the deadline probes test against.
+		now := rt.now()
+		if kth, ok := rt.ring.record(now); ok {
+			if until := kth + rt.cfg.DeathWindow.Nanoseconds(); until >= now {
+				rt.raiseThrottle(until)
+			}
+		}
 		if rt.tracer != nil {
-			// The death this worker just recorded may have tripped the
-			// throttle: the death path, not the probe path, is where open
-			// edges are born, so check here while the ring line is hot.
-			rt.traceThrottleEdge(rt.throttled())
+			// The death path, not the probe path, is where open edges are
+			// born, so check here while the deadline line is hot.
+			until := rt.throttleUntil.Load()
+			rt.traceThrottleEdge(until != 0 && until >= now)
 		}
 	}
 	if tid := rt.ctxTrace[id]; tid != 0 {
@@ -481,6 +532,19 @@ func (rt *Runtime) release(id int) {
 	}
 	rt.pool.push(id)
 	rt.wg.Done()
+}
+
+// raiseThrottle moves the deadline forward to until. Deaths race here
+// and their clocks may disagree by a few nanoseconds, so it is a max, not
+// a store: a deadline never moves back except to 0 by a probe that saw
+// it pass.
+func (rt *Runtime) raiseThrottle(until int64) {
+	for {
+		cur := rt.throttleUntil.Load()
+		if cur >= until || rt.throttleUntil.CompareAndSwap(cur, until) {
+			return
+		}
+	}
 }
 
 // TryDivide probes and, on success, spawns fn as a worker and returns
@@ -519,15 +583,33 @@ func (rt *Runtime) Join() { rt.wg.Wait() }
 // Lock acquires the table entry for key (mlock). Keys are arbitrary
 // 64-bit addresses; the table is striped, so distinct keys may share an
 // entry — coarser, never incorrect, exactly like the bounded hardware
-// table.
+// table. The acquisition is counted on the entry itself, under its own
+// mutex: Lock costs that mutex and nothing else, and callers on
+// different entries share no cache line.
 func (rt *Runtime) Lock(key uint64) {
-	rt.stats.lockAcquires.Add(1)
-	rt.stripes[mix(key)&rt.lockMask].Lock()
+	s := &rt.stripes[mix(key)&rt.lockMask]
+	s.mu.Lock()
+	s.acquires++
 }
 
 // Unlock releases the table entry for key (munlock).
 func (rt *Runtime) Unlock(key uint64) {
-	rt.stripes[mix(key)&rt.lockMask].Unlock()
+	rt.stripes[mix(key)&rt.lockMask].mu.Unlock()
+}
+
+// stripeHot is one lock-table entry: the mutex and the count of
+// acquisitions it has guarded, which only the holder writes.
+type stripeHot struct {
+	mu       sync.Mutex
+	acquires uint64
+}
+
+// stripe pads stripeHot to whole cache lines, so two requests locking
+// neighbouring entries never contend for a line, only for a mutex they
+// actually share.
+type stripe struct {
+	stripeHot
+	_ [(cacheLine - unsafe.Sizeof(stripeHot{})%cacheLine) % cacheLine]byte
 }
 
 // mix is a 64-bit finaliser (splitmix64) so dense keys spread over
@@ -541,21 +623,67 @@ func mix(x uint64) uint64 {
 	return x
 }
 
-// statHot is the runtime's live counter set. There is no probes counter:
-// a probe bumps exactly one of granted, noCtxDenies (pool observed empty,
-// or runtime closed) and throttleDenies, and Stats derives Probes as
-// their sum.
-type statHot struct {
+// outcomes is one set of division-outcome counters. There is no probes
+// counter: a probe bumps exactly one of granted, noCtxDenies (pool
+// observed empty, or runtime closed) and throttleDenies, and Probes is
+// derived as their sum. The Runtime has one set and so has every Group.
+type outcomes struct {
 	granted        atomic.Uint64
 	noCtxDenies    atomic.Uint64
 	throttleDenies atomic.Uint64
 	inlineRuns     atomic.Uint64
-	deaths         atomic.Uint64
-	totalWorkers   atomic.Uint64
-	lockAcquires   atomic.Uint64
 }
 
-// Stats snapshots the counters.
+// count records the outcome of one offer (see Runtime.offer).
+func (o *outcomes) count(c *Context, deny uint16) {
+	switch {
+	case c != nil:
+		o.granted.Add(1)
+	case deny == captrace.DenyThrottle:
+		o.throttleDenies.Add(1)
+	default:
+		o.noCtxDenies.Add(1)
+	}
+}
+
+// foldInto adds to dst whatever o has counted beyond done, and advances
+// done to match: each count reaches dst exactly once however many folds
+// run, even concurrently.
+func (o *outcomes) foldInto(dst, done *outcomes) {
+	fold(&dst.granted, &o.granted, &done.granted)
+	fold(&dst.noCtxDenies, &o.noCtxDenies, &done.noCtxDenies)
+	fold(&dst.throttleDenies, &o.throttleDenies, &done.throttleDenies)
+	fold(&dst.inlineRuns, &o.inlineRuns, &done.inlineRuns)
+}
+
+func fold(dst, src, done *atomic.Uint64) {
+	for {
+		d := done.Load()
+		n := src.Load() // loaded second: src only grows, so n >= d
+		if n == d {
+			return
+		}
+		if done.CompareAndSwap(d, n) {
+			dst.Add(n - d)
+			return
+		}
+	}
+}
+
+// statHot is the runtime's live counter set.
+type statHot struct {
+	outcomes
+	deaths       atomic.Uint64
+	totalWorkers atomic.Uint64
+}
+
+// Stats snapshots the counters. A Group's offers arrive at its Join, so
+// a snapshot lags every group still running by what it has counted since
+// its last Join; the identity Probes == Granted + NoCtxDenies +
+// ThrottleDenies holds regardless. LockAcquires is read entry by entry
+// under each entry's mutex: Stats waits out a critical section in
+// progress, and must not be called by a goroutine that holds a table
+// lock.
 func (rt *Runtime) Stats() Stats {
 	st := &rt.stats
 	s := Stats{
@@ -566,9 +694,14 @@ func (rt *Runtime) Stats() Stats {
 		Deaths:         st.deaths.Load(),
 		TotalWorkers:   st.totalWorkers.Load(),
 		PeakWorkers:    int(rt.peak.Load()),
-		LockAcquires:   st.lockAcquires.Load(),
 	}
 	s.Probes = s.Granted + s.NoCtxDenies + s.ThrottleDenies
+	for i := range rt.stripes {
+		e := &rt.stripes[i]
+		e.mu.Lock()
+		s.LockAcquires += e.acquires
+		e.mu.Unlock()
+	}
 	return s
 }
 
@@ -589,6 +722,11 @@ func (rt *Runtime) ResetStats() {
 	st.inlineRuns.Store(0)
 	st.deaths.Store(0)
 	st.totalWorkers.Store(0)
-	st.lockAcquires.Store(0)
+	for i := range rt.stripes {
+		e := &rt.stripes[i]
+		e.mu.Lock()
+		e.acquires = 0
+		e.mu.Unlock()
+	}
 	rt.peak.Store(rt.live.Load())
 }

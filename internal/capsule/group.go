@@ -2,7 +2,7 @@ package capsule
 
 import (
 	"sync"
-	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/captrace"
 )
@@ -40,11 +40,14 @@ var (
 )
 
 // GroupStats are a Group's own division counters — the per-task slice of
-// the runtime-wide Stats, cheap enough to keep on every request.
+// the runtime-wide Stats, cheap enough to keep on every request. Like
+// Stats.Probes, Probes is derived: Granted + NoCtxDenies + ThrottleDenies.
 type GroupStats struct {
-	Probes     uint64 `json:"probes"`      // division offers made through the group
-	Granted    uint64 `json:"granted"`     // offers that spawned a worker
-	InlineRuns uint64 `json:"inline_runs"` // Divide offers run inline after refusal
+	Probes         uint64 `json:"probes"`      // division offers made through the group
+	Granted        uint64 `json:"granted"`     // offers that spawned a worker
+	InlineRuns     uint64 `json:"inline_runs"` // Divide offers run inline after refusal
+	NoCtxDenies    uint64 `json:"-"`           // offers refused because the pool was empty
+	ThrottleDenies uint64 `json:"-"`           // offers refused by the death-rate throttle
 }
 
 // GrantRate is the fraction of the group's division offers that moved work
@@ -64,24 +67,36 @@ func (s GroupStats) GrantRate() float64 {
 // over from Runtime.Join applies per group: only the task that owns the
 // group may Join it, and not concurrently with its own new top-level
 // divisions.
+//
+// A group counts its offers on its own cache lines — a refused offer
+// writes nothing any other request reads — and Join folds what it has
+// counted since the last Join into the runtime's Stats.
 type Group struct {
+	groupHot
+	_ [(cacheLine - unsafe.Sizeof(groupHot{})%cacheLine) % cacheLine]byte
+}
+
+// groupHot is the live part of a Group, padded by Group to whole cache
+// lines: the allocator then places no other request's group on them.
+type groupHot struct {
 	rt  *Runtime
 	tid uint64 // trace ID tagging this group's runtime events (0 = untraced)
 	wg  sync.WaitGroup
 
-	probes  atomic.Uint64
-	granted atomic.Uint64
-	inline  atomic.Uint64
+	own    outcomes // every offer made through the group
+	folded outcomes // how much of own Join has added to rt.stats
 }
 
 // NewGroup returns a fresh join scope on rt.
-func (rt *Runtime) NewGroup() *Group { return &Group{rt: rt} }
+func (rt *Runtime) NewGroup() *Group { return rt.NewGroupTraced(0) }
 
 // NewGroupTraced returns a join scope whose division offers, handoffs,
 // worker deaths and inline fallbacks are recorded against tid — the
 // serving tier's bridge from a request's X-Capsule-Trace-ID to the
 // runtime events its Domain causes. tid 0 is exactly NewGroup.
-func (rt *Runtime) NewGroupTraced(tid uint64) *Group { return &Group{rt: rt, tid: tid} }
+func (rt *Runtime) NewGroupTraced(tid uint64) *Group {
+	return &Group{groupHot: groupHot{rt: rt, tid: tid}}
+}
 
 // Runtime returns the runtime this group divides on.
 func (g *Group) Runtime() *Runtime { return g.rt }
@@ -90,12 +105,11 @@ func (g *Group) Runtime() *Runtime { return g.rt }
 // worker counted in this group. On refusal it does nothing and returns
 // false.
 func (g *Group) TryDivide(fn func()) bool {
-	g.probes.Add(1)
-	c, ok := g.rt.probe(g.tid)
-	if !ok {
+	c, deny := g.rt.offer(g.tid)
+	g.own.count(c, deny)
+	if c == nil {
 		return false
 	}
-	g.granted.Add(1)
 	g.rt.spawnOn(c, fn, &g.wg, g.tid)
 	return true
 }
@@ -106,8 +120,7 @@ func (g *Group) Divide(fn func()) bool {
 	if g.TryDivide(fn) {
 		return true
 	}
-	g.inline.Add(1)
-	g.rt.stats.inlineRuns.Add(1)
+	g.own.inlineRuns.Add(1)
 	if g.tid != 0 {
 		g.rt.tracer.Record(captrace.KDivideInline, g.tid, 0, 0, 0)
 	}
@@ -115,9 +128,13 @@ func (g *Group) Divide(fn func()) bool {
 	return false
 }
 
-// Join blocks until every worker spawned through this group has died.
-// Workers of other groups (or of the runtime directly) are not waited on.
-func (g *Group) Join() { g.wg.Wait() }
+// Join blocks until every worker spawned through this group has died,
+// then publishes the group's offers to the runtime's Stats. Workers of
+// other groups (or of the runtime directly) are not waited on.
+func (g *Group) Join() {
+	g.wg.Wait()
+	g.own.foldInto(&g.rt.stats.outcomes, &g.folded)
+}
 
 // Lock acquires the shared lock-table entry for key.
 func (g *Group) Lock(key uint64) { g.rt.Lock(key) }
@@ -127,11 +144,14 @@ func (g *Group) Unlock(key uint64) { g.rt.Unlock(key) }
 
 // Stats snapshots the group's own division counters.
 func (g *Group) Stats() GroupStats {
-	return GroupStats{
-		Probes:     g.probes.Load(),
-		Granted:    g.granted.Load(),
-		InlineRuns: g.inline.Load(),
+	s := GroupStats{
+		Granted:        g.own.granted.Load(),
+		InlineRuns:     g.own.inlineRuns.Load(),
+		NoCtxDenies:    g.own.noCtxDenies.Load(),
+		ThrottleDenies: g.own.throttleDenies.Load(),
 	}
+	s.Probes = s.Granted + s.NoCtxDenies + s.ThrottleDenies
+	return s
 }
 
 // Sequential returns the fully-degraded Domain on rt: every Divide runs

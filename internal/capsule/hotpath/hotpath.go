@@ -1,20 +1,24 @@
 // Package hotpath is the probe/divide micro-benchmark suite for the live
 // runtime (internal/capsule): the "atomic/..." cases cover the grant and
-// refusal paths serially and at 1×, 4× and 16× GOMAXPROCS probers, plus
-// the fused divide with worker hand-off; the "trace/...", "watch/..." and
-// "incident/..." families re-run the canonical paths with each
-// observability plane off and armed. The same bodies back both `go test
-// -bench` (hotpath_test.go wrappers, run under -race in CI) and
-// cmd/capstress, which runs them via testing.Benchmark and records ns/op
-// and allocs/op in BENCH_capsule.json, where scripts/bench_gate.py holds
-// the allocation ceilings and the armed-vs-off overhead budgets. What a
-// probe or a division costs end to end is `go run ./benchmark`'s job
-// (native_fine, native_coarse), not this package's.
+// refusal paths serially and at 1×, 4× and 16× GOMAXPROCS probers, the
+// fused divide with worker hand-off, and the states a workload runs in
+// but a quiet runtime never visits (a refusal after a death, two
+// requests refused at once, two requests in the lock table at once); the
+// "trace/...", "watch/..." and "incident/..." families re-run the
+// canonical paths with each observability plane off and armed. The same
+// bodies back both `go test -bench` (hotpath_test.go wrappers, run under
+// -race in CI) and cmd/capstress, which runs them via testing.Benchmark
+// and records ns/op and allocs/op in BENCH_capsule.json, where
+// scripts/bench_gate.py holds the allocation ceilings and the
+// armed-vs-off overhead budgets. What a probe or a division costs end to
+// end is `go run ./benchmark`'s job (native_fine, native_coarse), not
+// this package's.
 package hotpath
 
 import (
 	"os"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -44,6 +48,9 @@ func Cases() []Case {
 		{"atomic/probe_refused_parallel_4x", atomicProbeRefused(4)},
 		{"atomic/try_divide_refused", atomicTryDivideRefused},
 		{"atomic/divide_granted", atomicDivideGranted},
+		{"atomic/probe_refused_after_death", atomicProbeRefusedAfterDeath},
+		{"atomic/group_divide_refused_2groups", atomicGroupDivideRefused2Groups},
+		{"atomic/lock_unlock_2callers", atomicLockUnlock2Callers},
 	}
 	for _, tm := range []struct {
 		suffix string
@@ -213,6 +220,92 @@ func atomicDivideGranted(b *testing.B) {
 	}
 	b.StopTimer()
 	rt.Join()
+}
+
+// The three cases below are the refused offer and the lock as a running
+// workload meets them, not as the quiet cases above do: something has
+// died, and another request is on the runtime at the same time. They
+// are gated on allocations only; their timings at two Ps are noise-bound.
+
+// atomicProbeRefusedAfterDeath is probe_refused_serial on a runtime that
+// has lived: throttle on, one death in the ring, its window long
+// expired, and the token that death freed taken again.
+func atomicProbeRefusedAfterDeath(b *testing.B) {
+	rt := capsule.New(capsule.Config{Contexts: 1, Throttle: true, DeathWindow: benchWindow})
+	rt.Divide(nop)
+	rt.Join()
+	time.Sleep(10 * benchWindow)
+	hold, ok := rt.Probe()
+	if !ok {
+		b.Fatal("probe refused after the death window expired")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := rt.Probe(); ok {
+			b.Fatal("probe granted from an empty pool")
+		}
+	}
+	b.StopTimer()
+	rt.Release(hold)
+	rt.Close()
+}
+
+// twoCallers runs b.N calls of each op on its own goroutine, both at
+// once: ns/op is one caller's mean while the other is running.
+func twoCallers(b *testing.B, ops [2]func(i int)) {
+	var wg sync.WaitGroup
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, op := range ops {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < b.N; i++ {
+				op(i)
+			}
+		}()
+	}
+	wg.Wait()
+	b.StopTimer()
+}
+
+// atomicGroupDivideRefused2Groups is the refused offer of a served
+// request: two requests, a Group each, one exhausted runtime, every
+// Divide refused and run inline.
+func atomicGroupDivideRefused2Groups(b *testing.B) {
+	rt := capsule.New(capsule.Config{Contexts: 1, Throttle: true, DeathWindow: benchWindow})
+	hold, _ := rt.Probe()
+	var groups [2]*capsule.Group
+	var ops [2]func(int)
+	for c := range ops {
+		g := rt.NewGroup()
+		groups[c] = g
+		ops[c] = func(int) {
+			if g.Divide(nop) {
+				b.Error("divide granted from an empty pool")
+			}
+		}
+	}
+	twoCallers(b, ops)
+	for _, g := range groups {
+		g.Join()
+	}
+	rt.Release(hold)
+	rt.Close()
+}
+
+// atomicLockUnlock2Callers is the lock table as two concurrent dijkstra
+// requests use it: both walk the same 64 node ids.
+func atomicLockUnlock2Callers(b *testing.B) {
+	rt := capsule.New(capsule.Config{Contexts: 1})
+	defer rt.Close()
+	op := func(i int) {
+		key := uint64(i & 63)
+		rt.Lock(key)
+		rt.Unlock(key)
+	}
+	twoCallers(b, [2]func(int){op, op})
 }
 
 // ---- trace: captrace overhead on the canonical hot paths ----

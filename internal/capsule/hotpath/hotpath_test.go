@@ -24,6 +24,13 @@ func BenchmarkProbeRefusedParallel4x(b *testing.B) { bench(b, "atomic/probe_refu
 func BenchmarkTryDivideRefused(b *testing.B)       { bench(b, "atomic/try_divide_refused") }
 func BenchmarkDivideGranted(b *testing.B)          { bench(b, "atomic/divide_granted") }
 
+// The in-workload states: after a death, and two requests at once.
+func BenchmarkProbeRefusedAfterDeath(b *testing.B) { bench(b, "atomic/probe_refused_after_death") }
+func BenchmarkGroupDivideRefused2Groups(b *testing.B) {
+	bench(b, "atomic/group_divide_refused_2groups")
+}
+func BenchmarkLockUnlock2Callers(b *testing.B) { bench(b, "atomic/lock_unlock_2callers") }
+
 // The captrace overhead side (off = tracing disabled, armed = tracer on
 // but the request unsampled, traced = full per-event ring writes). The
 // traced cases double as -race coverage for concurrent ring writers on

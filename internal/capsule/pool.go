@@ -12,9 +12,10 @@ import "sync/atomic"
 //     context is granted first), and an ABA tag in the head word makes the
 //     CAS safe against the classic pop/push/pop reuse race.
 //   - deathRing: a fixed-size ring of death timestamps. "deaths in window
-//     >= threshold" collapses to one load: the threshold-th most recent
-//     death is still inside the window iff at least threshold deaths
-//     happened inside it.
+//     >= threshold" collapses to one timestamp: the threshold-th most
+//     recent death is still inside the window iff at least threshold
+//     deaths happened inside it. The death path reads it; probes read
+//     only the deadline the death path derives from it.
 
 // tokenStack is a lock-free LIFO over the ids [0, n). The head word packs
 // {tag:32 | id+1:32}; a zero low half means empty, so a refusal is one
@@ -75,6 +76,10 @@ func (s *tokenStack) push(id int) {
 	}
 }
 
+// empty reports whether the stack held no id at the instant of the load:
+// the whole of a refused probe's work against the pool.
+func (s *tokenStack) empty() bool { return s.head.Load()&stackIDMask == 0 }
+
 // free returns the current free count: a peek, not a reservation —
 // exactly the contract FreeContexts documents. push counts its id before
 // the CAS publishes it and pop uncounts after the CAS took one, so the
@@ -84,25 +89,28 @@ func (s *tokenStack) free() int { return int(s.n.Load()) }
 
 // deathRing records worker-death timestamps for the division throttle.
 // Slot i&mask holds the timestamp of death number i (0-based); seq is the
-// count of deaths recorded so far. The ring holds at least threshold
-// entries, so the timestamp of the threshold-th most recent death is
-// always still present: it is overwritten only by death seq-threshold+size
-// >= seq, which has not happened yet.
+// count of deaths recorded so far. The ring holds at least k entries (k
+// is the throttle's death threshold), so the timestamp of the k-th most
+// recent death is always still present: it is overwritten only by death
+// seq-k+size >= seq, which has not happened yet.
 //
-// Two benign races exist, in opposite directions, both bounded to the
-// instruction window of one record call. An overwrite racing a read can
-// only replace the slot with a newer timestamp, which errs toward
-// throttling — the conservative direction, same as the paper's hardware
-// monitor. And because record reserves its slot (seq.Add) before storing
-// the timestamp, a reader that catches seq published but the store not
-// yet landed sees the slot's previous (older, possibly zero) timestamp
-// and may let one probe through as a death lands — a transient
-// under-throttle of a single offer. The throttle is a rate heuristic,
-// not a mutual-exclusion device, so neither direction affects
-// correctness; precise counting is exactly the serialization the
-// lock-free rewrite removed.
+// Only the death path touches the ring. A probe never does: the death
+// that completes a burst of k turns "the k-th most recent death, plus
+// the window" into a deadline and publishes it in Runtime.throttleUntil,
+// and that one word is all the probe path reads.
+//
+// One benign race exists, bounded to the instruction window of one
+// record call. record reserves its slot (seq.Add) before storing the
+// timestamp, so when k-1 later deaths overtake it inside that window the
+// last of them reads the slot's previous (older, possibly zero)
+// timestamp, computes an earlier deadline and may let a few probes
+// through as the burst lands — a transient under-throttle. The throttle
+// is a rate heuristic, not a mutual-exclusion device, so this does not
+// affect correctness; precise counting is exactly the serialization the
+// lock-free design avoids.
 type deathRing struct {
 	seq  atomic.Uint64
+	k    uint64
 	mask uint64
 	ts   []atomic.Int64
 }
@@ -115,27 +123,18 @@ func (r *deathRing) init(threshold int) {
 		size <<= 1
 	}
 	r.ts = make([]atomic.Int64, size)
+	r.k = uint64(threshold)
 	r.mask = uint64(size - 1)
 }
 
-// record logs one death at timestamp now.
-func (r *deathRing) record(now int64) {
-	i := r.seq.Add(1) - 1
-	r.ts[i&r.mask].Store(now)
-}
-
-// atLeast reports whether at least k recorded deaths have timestamps at
-// or after now()-windowNS: true iff the k-th most recent death is still
-// inside the window. now is consulted only once k deaths exist at all,
-// so a quiescent runtime (no deaths yet — every Probe/Release benchmark,
-// and any pool that divides rarely) answers with one atomic load and no
-// clock read. That laziness is most of the probe fast path: reading the
-// OS clock costs more than the pool CAS itself.
-func (r *deathRing) atLeast(k int, now func() int64, windowNS int64) bool {
-	seq := r.seq.Load()
-	if seq < uint64(k) {
-		return false
+// record logs one death at timestamp now and returns the timestamp of
+// the k-th most recent death, this one included; ok is false while fewer
+// than k deaths exist at all.
+func (r *deathRing) record(now int64) (kth int64, ok bool) {
+	seq := r.seq.Add(1)
+	r.ts[(seq-1)&r.mask].Store(now)
+	if seq < r.k {
+		return 0, false
 	}
-	ts := r.ts[(seq-uint64(k))&r.mask].Load()
-	return ts >= now()-windowNS
+	return r.ts[(seq-r.k)&r.mask].Load(), true
 }

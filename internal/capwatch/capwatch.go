@@ -156,6 +156,7 @@ type Sampler struct {
 	startOnce sync.Once
 	stopOnce  sync.Once
 	stop      chan struct{}
+	loopWG    sync.WaitGroup
 }
 
 // New builds a Sampler from cfg. The ring and every slot's slices are
@@ -237,15 +238,21 @@ func (s *Sampler) RingSize() int { return len(s.ring) }
 // Start arms the sampler: a goroutine takes one snapshot immediately
 // and then one per interval until Stop. Idempotent.
 func (s *Sampler) Start() {
-	s.startOnce.Do(func() { go s.loop() })
+	s.startOnce.Do(func() {
+		s.loopWG.Add(1)
+		go s.loop()
+	})
 }
 
-// Stop halts the tick goroutine. The ring stays readable. Idempotent.
+// Stop halts the tick goroutine and returns once it has exited, so no
+// sample lands after Stop. The ring stays readable. Idempotent.
 func (s *Sampler) Stop() {
 	s.stopOnce.Do(func() { close(s.stop) })
+	s.loopWG.Wait()
 }
 
 func (s *Sampler) loop() {
+	defer s.loopWG.Done()
 	s.SampleNow() // an armed sampler is never empty
 	t := time.NewTicker(s.interval)
 	defer t.Stop()
