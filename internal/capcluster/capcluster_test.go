@@ -44,12 +44,19 @@ func startBackend(t *testing.T, contexts, queue int) *capserve.Backend {
 		t.Fatalf("StartBackend: %v", err)
 	}
 	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		b.Close(ctx)
+		drain(t, b)
 		b.Runtime().Close()
 	})
 	return b
+}
+
+// drain closes b gracefully, as a deploy does.
+func drain(t *testing.T, b *capserve.Backend) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := b.Close(ctx); err != nil {
+		t.Errorf("draining %s: %v", b.URL, err)
+	}
 }
 
 func newRouter(t *testing.T, cfg Config) (*Router, *httptest.Server) {
@@ -62,7 +69,12 @@ func newRouter(t *testing.T, cfg Config) (*Router, *httptest.Server) {
 		t.Fatalf("New: %v", err)
 	}
 	ts := httptest.NewServer(r)
-	t.Cleanup(ts.Close)
+	t.Cleanup(func() {
+		ts.Close()
+		// A dispatch connection the router dialed but never used would
+		// hold each backend's drain for net/http's 5 s new-connection grace.
+		r.client.CloseIdleConnections()
+	})
 	return r, ts
 }
 
@@ -540,34 +552,7 @@ func TestKilledBackendRedistributes(t *testing.T) {
 		Timeout:       5 * time.Second,
 	})
 
-	run := func(requests, conc int) (ok, bad int) {
-		var wg sync.WaitGroup
-		var okN, badN atomic.Int64
-		sem := make(chan struct{}, conc)
-		for i := 0; i < requests; i++ {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer func() { <-sem; wg.Done() }()
-				resp, err := http.Get(fmt.Sprintf("%s/run/quicksort?n=300&seed=%d", ts.URL, i%8))
-				if err != nil {
-					badN.Add(1)
-					return
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode == http.StatusOK {
-					okN.Add(1)
-				} else {
-					badN.Add(1)
-				}
-			}(i)
-		}
-		wg.Wait()
-		return int(okN.Load()), int(badN.Load())
-	}
-
-	if ok, bad := run(30, 8); bad != 0 || ok != 30 {
+	if ok, bad, _ := stormClients([]string{ts.URL}, 8, 300, 200*time.Millisecond); bad != 0 || ok == 0 {
 		t.Fatalf("healthy fleet: %d ok, %d failed", ok, bad)
 	}
 
@@ -578,7 +563,7 @@ func TestKilledBackendRedistributes(t *testing.T) {
 		servedBefore[i] = b.Stats().Served
 	}
 
-	if ok, bad := run(80, 8); bad != 0 || ok != 80 {
+	if ok, bad, _ := stormClients([]string{ts.URL}, 8, 300, 400*time.Millisecond); bad != 0 || ok == 0 {
 		t.Fatalf("after kill: %d ok, %d failed — clients must never see a dead backend", ok, bad)
 	}
 

@@ -256,11 +256,7 @@ func TestFeedEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("StartBackend: %v", err)
 	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		backend.Close(ctx)
-	})
+	t.Cleanup(func() { drain(t, backend) })
 
 	park := &parkingTransport{next: http.DefaultTransport}
 	r, _ := newRouter(t, Config{

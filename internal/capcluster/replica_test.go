@@ -5,8 +5,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -38,7 +36,10 @@ func startReplicaServer(t *testing.T, backends []string) (*Router, *http.Server,
 	}
 	srv := &http.Server{Handler: r}
 	go srv.Serve(ln)
-	t.Cleanup(func() { srv.Close() })
+	t.Cleanup(func() {
+		srv.Close()
+		r.client.CloseIdleConnections() // see newRouter
+	})
 	return r, srv, "http://" + ln.Addr().String()
 }
 
@@ -93,56 +94,19 @@ func TestReplicaFailoverZeroFailedRequests(t *testing.T) {
 	// The storm: every client prefers a replica and fails over on
 	// transport error. Replica 0 dies hard at halftime.
 	const d = time.Second
-	clients := 8
-	var failed, succeeded, failovers atomic.Int64
 	kill := time.AfterFunc(d/2, func() { srv0.Close() })
 	defer kill.Stop()
+	succeeded, failed, failovers := stormClients(targets, 8, 64, d)
 
-	deadline := time.Now().Add(d)
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := 0; time.Now().Before(deadline); i++ {
-				path := fmt.Sprintf("/run/quicksort?n=64&seed=%d", c*1000+i%64)
-				var resp *http.Response
-				for a := 0; a < len(targets); a++ {
-					r, err := client.Get(targets[(c+a)%len(targets)] + path)
-					if err != nil {
-						continue
-					}
-					if a > 0 {
-						failovers.Add(1)
-					}
-					resp = r
-					break
-				}
-				if resp == nil {
-					failed.Add(1)
-					continue
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode == http.StatusOK {
-					succeeded.Add(1)
-				} else {
-					failed.Add(1)
-				}
-			}
-		}(c)
+	if failed != 0 {
+		t.Fatalf("%d client requests failed across the replica kill (%d succeeded), want 0", failed, succeeded)
 	}
-	wg.Wait()
-
-	if failed.Load() != 0 {
-		t.Fatalf("%d client requests failed across the replica kill (%d succeeded), want 0", failed.Load(), succeeded.Load())
-	}
-	if succeeded.Load() == 0 {
+	if succeeded == 0 {
 		t.Fatal("storm made no requests")
 	}
 	// The kill must have been observable: half the clients preferred the
 	// dead replica, so failovers must have happened.
-	if failovers.Load() == 0 {
+	if failovers == 0 {
 		t.Fatal("no failovers recorded across a replica kill — the kill was not exercised")
 	}
 }

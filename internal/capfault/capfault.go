@@ -35,9 +35,9 @@
 // rules installed a wrapped transport or handler costs one atomic
 // pointer load over its unwrapped twin — cheap enough to leave the wrap
 // in place permanently, which is what makes scripted storms against live
-// fleets possible. cmd/capstress measures the wrapped-but-inert path
-// against the unwrapped one every run (the fault_overhead block in
-// BENCH_capsule.json), and CI gates it within noise.
+// fleets possible. TestDisarmedTransportAllocFree and
+// TestDisarmedHandlerAllocFree hold the wrapped-but-inert path to the
+// unwrapped one's allocations at both wrap points.
 package capfault
 
 import (

@@ -113,6 +113,24 @@ func TestDisarmedTransportAllocFree(t *testing.T) {
 	}
 }
 
+// TestDisarmedHandlerAllocFree is the twin on the backend side of the
+// wire: with no rules installed the wrapped handler allocates exactly
+// what the handler it wraps does.
+func TestDisarmedHandlerAllocFree(t *testing.T) {
+	inj := New(1)
+	// Both sides are called through the http.Handler interface, as in
+	// the transport twin.
+	var next http.Handler = okHandler
+	h := inj.Handler("b0:1", next)
+	req := httptest.NewRequest("GET", "/x", nil)
+	serve := func(h http.Handler) float64 {
+		return testing.AllocsPerRun(1000, func() { h.ServeHTTP(httptest.NewRecorder(), req) })
+	}
+	if base, wrapped := serve(next), serve(h); wrapped != base {
+		t.Fatalf("disarmed handler allocates %.1f/op vs %.1f unwrapped; want the same", wrapped, base)
+	}
+}
+
 type rtFunc func(*http.Request) (*http.Response, error)
 
 func (f rtFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }

@@ -18,8 +18,9 @@
 // capwatch hook it rides on is copy-on-write, and every signal it
 // evaluates is a read of counters the hot paths already maintain
 // (McKenney's split, fourth application in this repo: writers never
-// know the reader exists). The incident_overhead twins in capstress
-// hold the probe paths to the same ≤2% ceiling as trace/watch/fault.
+// know the reader exists). TestArmedTickWithoutTriggerIsFree holds the
+// armed tick to no counter moved, no capture and no file written, and
+// TestArmedPlanesBesideDivideStorm runs it beside live probes under -race.
 //
 // Debounce: triggers are level- or edge-evaluated once per tick, and
 // each trigger carries a cooldown — a sustained burn yields one bundle

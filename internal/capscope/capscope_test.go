@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -155,8 +157,8 @@ func TestDebounce(t *testing.T) {
 
 // TestBundleContents checks a captured bundle is self-contained:
 // manifest + rollup + trace + heap profile + goroutine dump (CPU
-// profile disabled here; the capstress staged-burn scenario and the CI
-// smoke cover the real burst).
+// profile disabled here; CI's incident-smoke covers the real burst, on
+// real processes, from a staged SLO burn).
 func TestBundleContents(t *testing.T) {
 	tr := captrace.New(4, 1024)
 	rt, err := capsule.NewValidated(capsule.Config{
@@ -359,5 +361,146 @@ func TestHandler(t *testing.T) {
 	}
 	if rec.Incidents() != 1 {
 		t.Fatalf("incident counter reset by DELETE")
+	}
+}
+
+// TestArmedTickWithoutTriggerIsFree is the recorder's steady-state cost
+// contract: armed, with no trigger condition holding, it rides the
+// sampler's tick — on top of the tick and the one SLO evaluation it
+// polls it allocates at most once (the report a capture would take),
+// moves no runtime counter, starts no capture and writes no file.
+func TestArmedTickWithoutTriggerIsFree(t *testing.T) {
+	rt := newThrottledRuntime(t)
+	tripThrottle(t, rt) // history from before arming, which must stay history
+	rec, s, clock := testRecorder(t, rt, Config{})
+	s.SampleNow() // primes the recorder, warms the sampler's buffers
+	tick := func() {
+		*clock = clock.Add(time.Second)
+		s.SampleNow()
+	}
+	before := rt.Stats()
+	armed := testing.AllocsPerRun(100, tick)
+	if after := rt.Stats(); after != before {
+		t.Fatalf("armed ticks moved the runtime's counters: %+v -> %+v", before, after)
+	}
+	rec.Close() // detach: the same ticks, bare, plus the evaluation the recorder polled
+	if bare := testing.AllocsPerRun(100, func() { tick(); s.SLO() }); armed > bare+1 {
+		t.Fatalf("armed tick with no trigger firing allocates %v; the bare tick and its SLO evaluation allocate %v", armed, bare)
+	}
+	if rec.Incidents() != 0 || rec.errors.Load() != 0 || rec.inflight.Load() {
+		t.Fatalf("quiet ticks started a capture: incidents=%d errors=%d inflight=%v", rec.Incidents(), rec.errors.Load(), rec.inflight.Load())
+	}
+	if entries, err := os.ReadDir(rec.Dir()); err != nil || len(entries) != 0 {
+		t.Fatalf("quiet ticks wrote to the bundle directory: %v (err %v)", entries, err)
+	}
+}
+
+// TestArmedPlanesBesideDivideStorm runs every plane armed at once beside
+// a Group divide storm — tracer sampling every request, sampler ticking
+// every millisecond, recorder riding the tick with triggers that cannot
+// fire (no throttle, no server, no router) — while readers walk the
+// sampler's ring and the trace rings. Its value is under -race: the
+// planes' readers and ring writers share words with live probes.
+func TestArmedPlanesBesideDivideStorm(t *testing.T) {
+	const contexts, stormers, tidTag = 4, 6, 0x5707
+	tr := captrace.New(0, 256) // small rings: the storm wraps them many times over
+	rt, err := capsule.NewValidated(capsule.Config{Contexts: contexts, Tracer: tr})
+	if err != nil {
+		t.Fatalf("runtime: %v", err)
+	}
+	t.Cleanup(rt.Close)
+	s, err := capwatch.New(capwatch.Config{Runtime: rt, Interval: time.Millisecond})
+	if err != nil {
+		t.Fatalf("sampler: %v", err)
+	}
+	rec, err := New(Config{Dir: t.TempDir(), Runtime: rt, ProfileDuration: -1, Cooldown: time.Hour})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	rec.Arm(s)
+	s.Start()
+
+	// until repeats body on its own goroutine until the storm is stopped
+	// or body reports a failure.
+	var stopped atomic.Bool
+	var wg sync.WaitGroup
+	until := func(body func() bool) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stopped.Load() && body() {
+			}
+		}()
+	}
+	for g := uint64(0); g < stormers; g++ {
+		var i uint64
+		until(func() bool { // one traced request: eight offers, then join
+			i++
+			grp := rt.NewGroupTraced(tidTag<<48 | g<<32 | i)
+			for j := uint64(0); j < 8; j++ {
+				grp.Divide(func() {
+					grp.Lock(j)
+					grp.Unlock(j)
+				})
+			}
+			grp.Join()
+			return true
+		})
+	}
+	until(func() bool { // the sampler's ring, as /debug/watch reads it
+		var prev capsule.Stats
+		for _, sm := range s.Snapshot(0) {
+			c := sm.Capsule
+			if c.Probes != c.Granted+c.NoCtxDenies+c.ThrottleDenies {
+				t.Errorf("sampled snapshot broke Probes == outcomes: %+v", c)
+				return false
+			}
+			if c.Granted < prev.Granted || c.NoCtxDenies < prev.NoCtxDenies || c.InlineRuns < prev.InlineRuns || c.Deaths < prev.Deaths {
+				t.Errorf("sampled counters ran backwards: %+v after %+v", c, prev)
+				return false
+			}
+			prev = c
+		}
+		return true
+	})
+	until(func() bool { // the trace rings, as /debug/trace reads them
+		for _, ev := range tr.Snapshot("storm", 0).Events {
+			ok := ev.TID>>48 == tidTag && (ev.TID>>32)&0xffff < stormers
+			switch ev.Kind {
+			case captrace.KProbeGranted, captrace.KHandoff, captrace.KDeath:
+				ok = ok && ev.B < contexts
+			case captrace.KProbeDenied:
+				ok = ok && ev.A == captrace.DenyNoCtx
+			case captrace.KDivideInline:
+			default:
+				ok = false
+			}
+			if !ok {
+				t.Errorf("trace ring returned an event no writer wrote: %+v", ev)
+				return false
+			}
+		}
+		return true
+	})
+
+	// Long enough for the sampler to have ticked beside the storm many
+	// times: on one P the tick goroutine queues behind every stormer.
+	const ticks = 20
+	for deadline := time.Now().Add(10 * time.Second); s.Samples() < ticks && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+	}
+	stopped.Store(true)
+	wg.Wait()
+	s.Stop()
+	rec.Close()
+
+	if st := rt.Stats(); st.Granted == 0 || st.NoCtxDenies == 0 {
+		t.Fatalf("the storm never both divided and was refused: %+v", st)
+	}
+	if s.Samples() < ticks {
+		t.Fatalf("sampler took %d samples in 10s beside the storm, want >= %d", s.Samples(), ticks)
+	}
+	if n := len(LoadManifests(rec.Dir())); rec.Incidents() != 0 || n != 0 {
+		t.Fatalf("a trigger fired with nothing to fire on: %d incidents, %d bundles", rec.Incidents(), n)
 	}
 }

@@ -12,7 +12,7 @@ import (
 // Backend is an in-process capserve instance on a real loopback
 // listener: a separate capserve process in everything but pid. It is
 // what `caprouter -spawn` boots, what the cluster tests front, and what
-// capstress kills mid-run — real TCP, real HTTP, so a router talking to
+// the storm tests kill mid-run — real TCP, real HTTP, so a router talking to
 // it exercises exactly the code path it uses against remote processes.
 type Backend struct {
 	// Server is the serving layer itself, for direct access to

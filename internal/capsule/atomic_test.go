@@ -12,6 +12,8 @@ import (
 	"testing"
 	"time"
 	"unsafe"
+
+	"repro/internal/captrace"
 )
 
 // nopFn is a static func value: the alloc tests must not be charged for a
@@ -452,8 +454,11 @@ func TestStripePadding(t *testing.T) {
 	}
 }
 
-// TestHotPathZeroAllocs locks in the acceptance criterion: Probe, Release
-// and a refused TryDivide allocate nothing.
+// TestHotPathZeroAllocs holds the allocation ceilings of the price list
+// (the capsule.*_allocs rows of `go run ./benchmark --trace 1`), and of
+// the states that list never visits, on any core count: Probe, Release,
+// every refusal, the lock and a sampled request's ring writes allocate
+// nothing; a granted divide at most once.
 func TestHotPathZeroAllocs(t *testing.T) {
 	rt := New(Config{Contexts: 2, Throttle: true, DeathWindow: 100 * time.Microsecond})
 	defer rt.Close()
@@ -488,8 +493,82 @@ func TestHotPathZeroAllocs(t *testing.T) {
 	if d := rt.Stats().Delta(before); d.NoCtxDenies == 0 || d != (Stats{Probes: d.NoCtxDenies, NoCtxDenies: d.NoCtxDenies, PeakWorkers: d.PeakWorkers}) {
 		t.Fatalf("refused TryDivides moved more than NoCtxDenies: %+v", d)
 	}
+	// Errorf, not Fatalf: tokens are held here, and the deferred Close
+	// of a runtime with a token out never returns.
+	ceiling := func(what string, max float64, fn func()) {
+		t.Helper()
+		if got := testing.AllocsPerRun(1000, fn); got > max {
+			t.Errorf("%s allocs/op = %v, want <= %v", what, got, max)
+		}
+	}
+	// The refused offer and the lock as a served request meets them: two
+	// requests, a Group each, every Divide refused and run inline — also
+	// when the Group folds its counts into the runtime's at Join.
+	g1, g2 := rt.NewGroup(), rt.NewGroup()
+	ceiling("refused Group.Divide + Join", 0, func() {
+		if g1.Divide(nopFn) || g2.Divide(nopFn) {
+			t.Fatal("group divide granted from an empty pool")
+		}
+		g1.Join()
+	})
+	key := uint64(0)
+	ceiling("Lock+Unlock", 0, func() {
+		key++
+		rt.Lock(key & 63)
+		rt.Unlock(key & 63)
+	})
 	rt.Release(a)
 	rt.Release(b)
+
+	// A refusal on a runtime that has lived: one death in the ring, its
+	// window long expired, and the token that death freed taken again.
+	var clock atomic.Int64
+	aged := New(Config{Contexts: 1, Throttle: true, DeathWindow: 100 * time.Microsecond})
+	defer aged.Close()
+	aged.now = clock.Load
+	aged.Divide(nopFn)
+	aged.Join()
+	clock.Store(time.Millisecond.Nanoseconds())
+	hold, ok := aged.Probe()
+	if !ok {
+		t.Fatal("probe refused after the death window expired")
+	}
+	ceiling("refused Probe after a death", 0, func() {
+		if _, ok := aged.Probe(); ok {
+			t.Fatal("probe granted from an empty pool")
+		}
+	})
+	aged.Release(hold)
+
+	// The granted divide allocates nothing in the runtime: the one
+	// tolerated alloc is noise, never a per-spawn goroutine or closure.
+	// Same ceilings with a tracer armed and the request sampled, where
+	// every probe outcome, handoff and death is a ring write.
+	tr := captrace.New(0, 0)
+	for name, cfg := range map[string]Config{"untraced": {Contexts: 4}, "traced": {Contexts: 4, Tracer: tr}} {
+		fresh, tid := New(cfg), uint64(0)
+		defer fresh.Close()
+		if cfg.Tracer != nil {
+			tid = 0x00c0ffee00c0ffee
+		}
+		ceiling(name+" Probe+Release", 0, func() {
+			c, ok := fresh.ProbeTraced(tid)
+			if !ok {
+				t.Fatal("probe refused with a free pool")
+			}
+			fresh.Release(c)
+		})
+		g := fresh.NewGroupTraced(tid)
+		ceiling(name+" granted Divide + Join", 1, func() {
+			if !g.Divide(nopFn) {
+				t.Fatal("divide refused with a free pool")
+			}
+			g.Join()
+		})
+	}
+	if n := len(tr.Snapshot("test", 0).Events); n == 0 {
+		t.Fatal("the traced cases recorded no events: the ring-write path was not exercised")
+	}
 }
 
 // TestProbeReleaseInterleavingStorm is the dedicated pool race test:

@@ -86,9 +86,10 @@ type Config struct {
 	// with a nonzero trace ID, and throttle edges are detected on the
 	// death path, admission peeks and those traced probes that get past
 	// the pool test — so an armed-but-unsampled probe runs the same
-	// instructions as tracing off (the capstress trace_overhead budget),
-	// and a probe refused by an empty pool looks at no throttle state at
-	// all, traced or not. nil (the default)
+	// instructions as tracing off (TestUntracedStaysSilent: it records
+	// nothing; what tracing costs a request end to end is the benchmark's
+	// trace.overhead_ratio row), and a probe refused by an empty pool
+	// looks at no throttle state at all, traced or not. nil (the default)
 	// disables tracing entirely — every instrumentation point is one
 	// predictable branch.
 	Tracer *captrace.Tracer
@@ -364,8 +365,9 @@ func (rt *Runtime) throttled() bool {
 // traceThrottleEdge records an open/close transition of the death-rate
 // throttle against the last observed state. It is deliberately kept off
 // the untraced probe fast path — an armed-but-unsampled probe pays no
-// extra atomic loads for it (the capstress trace_overhead budget) — and
-// is instead driven from the sites that can actually witness an edge
+// extra atomic loads for it (the benchmark's trace.overhead_ratio row is
+// where one would show) — and is instead driven from the sites that can
+// actually witness an edge
 // promptly: death recording (deaths are what open the throttle),
 // CanDivide admission peeks, and traced probes that reach the throttle
 // test (which sample the level anyway). open is the caller's freshly

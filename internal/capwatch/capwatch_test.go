@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/capserve"
 	"repro/internal/capsule"
 )
 
@@ -180,6 +182,43 @@ func TestSampleNowAllocs(t *testing.T) {
 	s.SampleNow() // warmup
 	if n := testing.AllocsPerRun(100, s.SampleNow); n != 0 {
 		t.Fatalf("SampleNow allocates %v per tick, want 0", n)
+	}
+}
+
+// TestSamplerIsPureReader is the other half of the sampler's cost
+// contract: ticking writes nothing the hot paths own. Once traffic has
+// made the counters nonzero, any number of ticks (the ring wraps) leaves
+// the runtime's and the server's counters bit-identical.
+func TestSamplerIsPureReader(t *testing.T) {
+	rt := newRuntime(t, 4)
+	srv, err := capserve.New(capserve.Config{Runtime: rt})
+	if err != nil {
+		t.Fatalf("capserve.New: %v", err)
+	}
+	for _, url := range []string{"/run/quicksort?n=2000&seed=1", "/run/dijkstra?n=100&seed=2", "/run/quicksort?n=-1"} {
+		srv.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", url, nil))
+	}
+	rt.Join()
+	s, err := New(Config{Runtime: rt, Server: srv, Ring: minRing})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	// Everything collect reads, read the way collect reads it.
+	read := func() (c Sample) {
+		c.Endpoints = make([]capserve.EndpointCounters, len(srv.Workloads()))
+		c.Capsule, c.FreeContexts, c.QueueOccupancy = rt.Stats(), rt.FreeContexts(), srv.QueueOccupancy()
+		srv.ReadEndpointCounters(c.Endpoints)
+		return c
+	}
+	before, sheds := read(), srv.ShedCount()
+	if before.Capsule.Probes == 0 || before.Capsule.LockAcquires == 0 {
+		t.Fatalf("the warm-up traffic left the runtime's counters at zero: %+v", before.Capsule)
+	}
+	for i := 0; i < 3*minRing; i++ {
+		s.SampleNow()
+	}
+	if after := read(); !reflect.DeepEqual(before, after) || srv.ShedCount() != sheds {
+		t.Fatalf("%d sampler ticks moved the counters they read:\nbefore %+v\nafter  %+v", 3*minRing, before, after)
 	}
 }
 

@@ -3,7 +3,7 @@
 // keeps only 2 idle connections per host — any load generator or router
 // driving one backend with more than 2 concurrent requests re-dials
 // constantly and measures TCP churn instead of the server. Every
-// in-repo HTTP client (capload, capstress's serve/cluster loops, the
+// in-repo HTTP client (capload, the capcluster storm tests' loop, the
 // capcluster dispatch client) builds its transport here, so transport
 // fixes land once.
 package httptune

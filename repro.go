@@ -23,8 +23,8 @@
 //     context-token pool with LIFO reuse, persistent parked per-context
 //     workers, an atomic death-ring throttle and a striped lock table),
 //     so the same component algorithms also run at hardware speed
-//     outside the simulator (see cmd/caprun; cmd/capstress tracks the
-//     hot-path cost in BENCH_capsule.json).
+//     outside the simulator (see cmd/caprun; `go run ./benchmark
+//     --trace 1` prices the hot path, the capsule.* rows).
 //
 // This package re-exports the surface a downstream user needs: compile a
 // CapC program, pick one of the paper's machines, run it, and inspect
