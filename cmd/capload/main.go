@@ -61,6 +61,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/capdebug"
 	"repro/internal/captrace"
 	"repro/internal/httptune"
 	"repro/internal/profiling"
@@ -527,7 +528,9 @@ func main() {
 		byLat := append([]tracedReq(nil), ok2...)
 		sort.Slice(byLat, func(i, j int) bool { return byLat[i].latency < byLat[j].latency })
 		pick := byLat[int(0.99*float64(len(byLat)-1))]
-		snaps, terr := fetchTrace(client, o.url)
+		// One URL yields every tier: a router's /debug/trace carries its
+		// spawned backends' snapshots after its own.
+		snaps, terr := capdebug.Get[[]captrace.Snapshot](client, o.url+"/debug/trace")
 		if terr != nil {
 			flushProfiles()
 			fail("-trace: fetching /debug/trace: %v (tracing not armed on the target?)", terr)
@@ -676,21 +679,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "capload: empty waterfall for every traced request\n")
 		os.Exit(2)
 	}
-}
-
-// fetchTrace pulls the target's /debug/trace body: one snapshot from a
-// capserve, or the full array a router with spawned backends serves —
-// so the exemplar waterfall spans all three tiers through one URL.
-func fetchTrace(client *http.Client, base string) ([]captrace.Snapshot, error) {
-	resp, err := client.Get(base + "/debug/trace")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("/debug/trace returned %d", resp.StatusCode)
-	}
-	return captrace.DecodeSnapshots(resp.Body)
 }
 
 // tierSpan scores how much of the degradation ladder a waterfall still

@@ -33,8 +33,6 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
-	_ "net/http/pprof" // registers on DefaultServeMux, served only on -debug-addr
-	"net/url"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -43,12 +41,9 @@ import (
 	"time"
 
 	"repro/internal/capcluster"
-	"repro/internal/capfault"
-	"repro/internal/capscope"
+	"repro/internal/capdebug"
 	"repro/internal/capserve"
 	"repro/internal/capsule"
-	"repro/internal/captrace"
-	"repro/internal/capwatch"
 )
 
 func main() {
@@ -77,45 +72,12 @@ func main() {
 	staleTTL := flag.Duration("stale-ttl", 0, "credit-gauge trust window: fresh feeds skip the scrape, fully quiet backends decay toward -credits (0 = default)")
 	feedBackoff := flag.Duration("feed-backoff", 0, "base backoff between feed reconnect attempts, jittered and doubled per failure (0 = default)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown timeout")
-	trace := flag.Bool("trace", false, "record route spans (and spawned backends' lifecycles), served on /debug/trace")
-	traceBuf := flag.Int("trace-buf", 0, "trace ring slots per shard (0 = default)")
-	traceSample := flag.Int("trace-sample", 0, "trace 1 in N router-minted request IDs (0 = default)")
-	debugAddr := flag.String("debug-addr", "", "serve pprof, /debug/trace and /debug/watch on this separate address (empty = off)")
-	watch := flag.Bool("watch", true, "continuous telemetry samplers (router + spawned backends), served on /debug/watch")
-	watchInterval := flag.Duration("watch-interval", capwatch.DefaultInterval, "telemetry sampling tick")
-	watchRing := flag.Int("watch-ring", 0, "flight-recorder ring slots per sampler (0 = sized from the slow SLO window)")
-	sloP99 := flag.Duration("slo-p99", capwatch.DefaultTargetP99, "SLO latency target: windowed p99 must stay under this")
-	sloAvail := flag.Float64("slo-avail", capwatch.DefaultAvailability, "SLO availability objective (fraction of valid requests served)")
-	sloFast := flag.Duration("slo-fast", capwatch.DefaultFastWindow, "fast burn-rate window")
-	sloSlow := flag.Duration("slo-slow", capwatch.DefaultSlowWindow, "slow burn-rate window")
-	fault := flag.Bool("fault", false, "arm the capfault injection layer (dispatch transport + spawned backends), controlled via /debug/fault on -debug-addr")
-	faultSeed := flag.Uint64("fault-seed", 1, "capfault decision-stream seed (same seed + same rules = same faults)")
-	incidentDir := flag.String("incident-dir", "", "capture burn-triggered incident bundles (router + spawned backends, one subdir each) into this directory, served on /debug/incident (empty = off; requires -watch)")
-	incidentMax := flag.Int("incident-max", 0, "bound on resident incident bundles per process (0 = default)")
-	incidentCooldown := flag.Duration("incident-cooldown", 0, "per-trigger debounce between captures (0 = default)")
+	dbg := capdebug.Register(flag.CommandLine)
 	flag.Parse()
 
-	if *incidentDir != "" && !*watch {
-		fail("-incident-dir requires -watch (the recorders ride the telemetry tick)")
-	}
-
-	slo := capwatch.SLOConfig{
-		TargetP99:    *sloP99,
-		Availability: *sloAvail,
-		FastWindow:   *sloFast,
-		SlowWindow:   *sloSlow,
-	}
-
-	// One tracer serves the router span AND the local fallback tier, so
-	// a degraded request's route events and its local runtime events
-	// land in one ring set. Each spawned backend gets its own tracer,
-	// distinguished by source name ("backend-N") — its rings are served
-	// both at its own URL and, merged via TraceLocals, from the
-	// router's /debug/trace, since only the router knows where an
-	// ephemeral spawned backend lives.
-	var tracer *captrace.Tracer
-	if *trace {
-		tracer = captrace.New(0, *traceBuf)
+	plane, err := dbg.NewPlane()
+	if err != nil {
+		fail("%v", err)
 	}
 
 	// One injector covers both sides of the wire: the router's dispatch
@@ -125,11 +87,9 @@ func main() {
 	// rules installed — it is one atomic pointer load per request, so the
 	// wrap stays on whenever -fault is set, and storms are scripted
 	// entirely through /debug/fault at runtime.
-	var inj *capfault.Injector
 	var wrapBackend func(string, http.Handler) http.Handler
-	if *fault {
-		inj = capfault.New(*faultSeed)
-		wrapBackend = inj.Handler
+	if plane.Fault != nil {
+		wrapBackend = plane.Fault.Handler
 	}
 
 	var urls []string
@@ -138,15 +98,17 @@ func main() {
 			urls = append(urls, strings.TrimSpace(u))
 		}
 	}
+	// Each spawned backend is a member of the debug plane named by its
+	// host:port — the label the router's per-backend gauges and the fault
+	// scope use — with its own tracer, sampler and recorder (bundles in
+	// its own -incident-dir subdir), served on its own mux and, merged
+	// after the router's, on the router's: only the router knows where an
+	// ephemeral spawned backend lives. Wired before the URL reaches the
+	// router, so the backend's mux and /metrics never mutate under live
+	// scrapes.
 	var spawned []*capserve.Backend
-	var traceLocals []capcluster.TraceSnapshotter
-	var backendSamplers []*capwatch.Sampler
-	var backendRecorders []*capscope.Recorder
 	for i := 0; i < *spawn; i++ {
-		var btr *captrace.Tracer
-		if *trace {
-			btr = captrace.New(0, *traceBuf)
-		}
+		btr := dbg.NewTracer()
 		brt, err := capsule.NewValidated(capsule.Config{
 			Contexts: *spawnContexts,
 			Throttle: true,
@@ -158,65 +120,18 @@ func main() {
 		b, err := capserve.StartBackendOn(capserve.Config{
 			Runtime:     brt,
 			QueueDepth:  *spawnQueue,
-			TraceSample: *traceSample,
-			TraceSource: fmt.Sprintf("backend-%d", i),
+			TraceSample: dbg.TraceSample,
 		}, "127.0.0.1:0", wrapBackend)
 		if err != nil {
 			fail("spawn backend %d: %v", i, err)
 		}
+		name := strings.TrimPrefix(b.URL, "http://")
+		m, err := plane.Add(name, btr, capdebug.Tiers{Runtime: brt, Server: b.Server}, filepath.Join(dbg.IncidentDir, name))
+		if err != nil {
+			fail("spawn backend %d: %v", i, err)
+		}
+		capdebug.Mount(b.Server.Mount, m)
 		spawned = append(spawned, b)
-		if *trace {
-			traceLocals = append(traceLocals, b.Server)
-		}
-		if *watch {
-			// One sampler per spawned backend, named by the backend's
-			// host:port — the same label the router's per-backend gauges
-			// use, so captop can join the two views. Wired now, before
-			// the URL reaches the router, so the backend's mux and
-			// /metrics never mutate under live scrapes.
-			u, err := url.Parse(b.URL)
-			if err != nil {
-				fail("spawn backend %d URL: %v", i, err)
-			}
-			bs, err := capwatch.New(capwatch.Config{
-				Source:   u.Host,
-				Interval: *watchInterval,
-				Ring:     *watchRing,
-				Runtime:  brt,
-				Server:   b.Server,
-				SLO:      slo,
-			})
-			if err != nil {
-				fail("spawn backend %d sampler: %v", i, err)
-			}
-			b.Server.Mount("GET /debug/watch", capwatch.Handler(bs))
-			b.Server.AddMetrics(bs.WriteMetrics)
-			if *incidentDir != "" {
-				// Each spawned backend records into its own subdir, named
-				// by the same host:port label its sampler and the router's
-				// gauges use — bundles stay attributable after the process
-				// exits and the ports are gone.
-				br, err := capscope.New(capscope.Config{
-					Source:     u.Host,
-					Dir:        filepath.Join(*incidentDir, u.Host),
-					MaxBundles: *incidentMax,
-					Cooldown:   *incidentCooldown,
-					Runtime:    brt,
-					Server:     b.Server,
-					Tracer:     btr,
-					Fault:      inj,
-				})
-				if err != nil {
-					fail("spawn backend %d recorder: %v", i, err)
-				}
-				br.Arm(bs)
-				b.Server.Mount("/debug/incident", capscope.Handler(br))
-				b.Server.AddMetrics(br.WriteMetrics)
-				backendRecorders = append(backendRecorders, br)
-			}
-			bs.Start()
-			backendSamplers = append(backendSamplers, bs)
-		}
 		urls = append(urls, b.URL)
 		fmt.Printf("caprouter: spawned backend %d at %s (contexts=%d)\n", i, b.URL, *spawnContexts)
 	}
@@ -225,6 +140,10 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
+	// One tracer serves the router span AND the local fallback tier, so a
+	// degraded request's route events and its local runtime events land
+	// in one ring set.
+	tracer := dbg.NewTracer()
 	localRT, err := capsule.NewValidated(capsule.Config{Contexts: *contexts, Throttle: true, Tracer: tracer})
 	if err != nil {
 		fail("%v", err)
@@ -232,8 +151,7 @@ func main() {
 	local, err := capserve.New(capserve.Config{
 		Runtime:     localRT,
 		QueueDepth:  *queue,
-		TraceSample: *traceSample,
-		TraceSource: "caprouter-local",
+		TraceSample: dbg.TraceSample,
 	})
 	if err != nil {
 		fail("%v", err)
@@ -242,9 +160,9 @@ func main() {
 	// rule can cut the push plane while dispatches stay healthy — the
 	// fallback paths are only testable when the failure is selective.
 	var dispatchRT, feedRT http.RoundTripper
-	if inj != nil {
-		dispatchRT = inj.Transport(capcluster.DefaultTransport(*maxCredits))
-		feedRT = inj.FeedTransport(capcluster.DefaultTransport(*maxCredits))
+	if plane.Fault != nil {
+		dispatchRT = plane.Fault.Transport(capcluster.DefaultTransport(*maxCredits))
+		feedRT = plane.Fault.FeedTransport(capcluster.DefaultTransport(*maxCredits))
 	}
 	router, err := capcluster.New(capcluster.Config{
 		Backends:       urls,
@@ -266,93 +184,27 @@ func main() {
 		Transport:      dispatchRT,
 		FeedTransport:  feedRT,
 		Tracer:         tracer,
-		TraceSample:    *traceSample,
-		TraceLocals:    traceLocals,
+		TraceSample:    dbg.TraceSample,
 	})
 	if err != nil {
 		fail("%v", err)
 	}
 	router.Refresh() // learn real capacities before the first request
 
-	// The router's /debug/watch merges its own report with every spawned
-	// backend's, mirroring /debug/trace: only the router knows where an
-	// ephemeral spawned backend lives. Fronted backends (-backends) serve
-	// their own /debug/watch at their own URL.
-	var watchHandler http.Handler
-	var incidentHandler http.Handler
-	var recorders []*capscope.Recorder
-	if *watch {
-		routerSampler, err := capwatch.New(capwatch.Config{
-			Source:   "caprouter",
-			Interval: *watchInterval,
-			Ring:     *watchRing,
-			Runtime:  localRT,
-			Server:   local,
-			Router:   router,
-			SLO:      slo,
-		})
-		if err != nil {
-			fail("router sampler: %v", err)
-		}
-		watchHandler = capwatch.Handler(append([]*capwatch.Sampler{routerSampler}, backendSamplers...)...)
-		router.Mount("GET /debug/watch", watchHandler)
-		router.AddMetrics(routerSampler.WriteMetrics)
-		if *incidentDir != "" {
-			// The router's recorder sees the fleet-level triggers — SLO
-			// burn over merged dispatch latency, breaker trips, slow
-			// ejections — and its /debug/incident merges every spawned
-			// backend's bundle list, mirroring /debug/watch: only the
-			// router knows where an ephemeral spawned backend lives.
-			routerRec, err := capscope.New(capscope.Config{
-				Source:     "caprouter",
-				Dir:        filepath.Join(*incidentDir, "caprouter"),
-				MaxBundles: *incidentMax,
-				Cooldown:   *incidentCooldown,
-				Runtime:    localRT,
-				Server:     local,
-				Router:     router,
-				Tracer:     tracer,
-				Fault:      inj,
-			})
-			if err != nil {
-				fail("router recorder: %v", err)
-			}
-			routerRec.Arm(routerSampler)
-			recorders = append([]*capscope.Recorder{routerRec}, backendRecorders...)
-			incidentHandler = capscope.Handler(recorders...)
-			router.Mount("/debug/incident", incidentHandler)
-			router.AddMetrics(routerRec.WriteMetrics)
-			fmt.Printf("caprouter: incident recorders armed (router + %d backends), bundles under %s\n",
-				len(backendRecorders), *incidentDir)
-		}
-		routerSampler.Start()
-		defer routerSampler.Stop()
-		defer func() {
-			for _, bs := range backendSamplers {
-				bs.Stop()
-			}
-		}()
+	// The router leads the plane: its member sees the fleet-level
+	// triggers (SLO burn over merged dispatch latency, breaker trips, slow
+	// ejections), and its mux serves every member's trace, watch report
+	// and incident list — its own first.
+	lead, err := plane.Add("caprouter", tracer, capdebug.Tiers{Runtime: localRT, Server: local, Router: router},
+		filepath.Join(dbg.IncidentDir, "caprouter"))
+	if err != nil {
+		fail("%v", err)
 	}
-
-	if *debugAddr != "" {
-		dmux := http.NewServeMux()
-		dmux.Handle("/debug/pprof/", http.DefaultServeMux)
-		dmux.Handle("GET /debug/trace", router.TraceHandler())
-		if watchHandler != nil {
-			dmux.Handle("GET /debug/watch", watchHandler)
-		}
-		if inj != nil {
-			dmux.Handle("/debug/fault", inj.DebugHandler())
-		}
-		if incidentHandler != nil {
-			dmux.Handle("/debug/incident", incidentHandler)
-		}
-		go func() {
-			fmt.Printf("caprouter: pprof/trace/watch on http://%s/debug/\n", *debugAddr)
-			if err := http.ListenAndServe(*debugAddr, dmux); err != nil {
-				fmt.Fprintf(os.Stderr, "caprouter: debug listener: %v\n", err)
-			}
-		}()
+	capdebug.Mount(router.Mount, plane.Members...)
+	plane.ServeDebug("caprouter")
+	if lead.Recorder != nil {
+		fmt.Printf("caprouter: incident recorders armed (router + %d backends), bundles under %s\n",
+			len(spawned), dbg.IncidentDir)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -426,12 +278,7 @@ func main() {
 		// cannot block on live divisions.
 		localRT.Close()
 	}
-	for _, r := range recorders {
-		// Let in-flight incident captures land their bundles before the
-		// process exits — a flight recorder that loses the crash-adjacent
-		// bundle is not one.
-		r.Close()
-	}
+	plane.Close()
 	fmt.Printf("caprouter: final stats: %s\n", router.Stats())
 	for _, b := range router.Backends() {
 		bs := b.Stats()

@@ -22,18 +22,16 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"time"
 
+	"repro/internal/capdebug"
 	"repro/internal/capscope"
 	"repro/internal/captrace"
 	"repro/internal/capwatch"
@@ -100,32 +98,12 @@ func endpoint(base string) string {
 	return base + "/debug/incident"
 }
 
-func httpGet(url string) ([]byte, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != 200 {
-		return nil, fmt.Errorf("GET %s: %d: %s", url, resp.StatusCode, strings.TrimSpace(string(body)))
-	}
-	return body, nil
-}
-
 // resolveLists turns one target into incident indexes. Directory
 // targets are probed from most to least specific: a bundle dir, a
 // recorder dir, a fleet root of recorder dirs.
 func resolveLists(target string) ([]capscope.List, error) {
 	if isURL(target) {
-		body, err := httpGet(endpoint(target))
-		if err != nil {
-			return nil, err
-		}
-		return capscope.DecodeLists(body)
+		return capdebug.Get[[]capscope.List](nil, endpoint(target))
 	}
 	if m, err := capscope.LoadManifest(target); err == nil {
 		return []capscope.List{{Source: m.Source, Dir: filepath.Dir(target), Bundles: []capscope.Manifest{m}}}, nil
@@ -195,15 +173,8 @@ func resolveBundle(target, id string) (*capscope.Bundle, error) {
 		}
 	}
 	if isURL(target) {
-		body, err := httpGet(endpoint(target) + "?id=" + id)
-		if err != nil {
-			return nil, err
-		}
-		var b capscope.Bundle
-		if err := json.Unmarshal(body, &b); err != nil {
-			return nil, fmt.Errorf("decoding bundle %s: %v", id, err)
-		}
-		return &b, nil
+		b, err := capdebug.Get[capscope.Bundle](nil, endpoint(target)+"?id="+id)
+		return &b, err
 	}
 	return capscope.LoadBundle(filepath.Join(dir, id))
 }
@@ -328,8 +299,8 @@ func traceSpans(raw json.RawMessage, top int) []span {
 	if len(raw) == 0 {
 		return nil
 	}
-	snaps, err := captrace.DecodeSnapshots(bytes.NewReader(raw))
-	if err != nil {
+	var snaps []captrace.Snapshot
+	if err := json.Unmarshal(raw, &snaps); err != nil {
 		return nil
 	}
 	events := captrace.MergeEvents(snaps...)

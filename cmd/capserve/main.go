@@ -12,7 +12,11 @@
 //	capserve -watch-interval 1s -slo-p99 150ms -slo-avail 0.99   # /debug/watch telemetry
 //	capserve -fault -debug-addr localhost:6060    # fault injection scripted via /debug/fault
 //	capserve -incident-dir /var/tmp/capscope      # burn-triggered incident bundles on /debug/incident
-//	capserve -debug-addr localhost:6060    # pprof + /debug/{trace,watch,fault,incident} side listener
+//	capserve -debug-addr localhost:6060    # pprof + /debug/{trace,watch,incident,fault} side listener
+//
+// The debug flags and endpoints are internal/capdebug's: every
+// /debug/{trace,watch,incident} answer is a JSON array of one member,
+// named -trace-source.
 //
 // Shutdown is graceful: SIGINT/SIGTERM flips /healthz to 503, stops the
 // listener, lets in-flight requests finish (up to -drain), joins the
@@ -25,7 +29,6 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
-	_ "net/http/pprof" // registers on DefaultServeMux, served only on -debug-addr
 	"os"
 	"os/signal"
 	"strconv"
@@ -33,12 +36,9 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/capfault"
-	"repro/internal/capscope"
+	"repro/internal/capdebug"
 	"repro/internal/capserve"
 	"repro/internal/capsule"
-	"repro/internal/captrace"
-	"repro/internal/capwatch"
 	"repro/internal/workloads"
 )
 
@@ -52,29 +52,15 @@ func main() {
 	maxN := flag.Int("maxn", 0, "input cap for every workload (0 = per-workload defaults)")
 	caps := flag.String("caps", "", "per-workload caps, e.g. quicksort=65536,lzw=32768")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown timeout")
-	trace := flag.Bool("trace", false, "record probe/divide lifecycle events, served on /debug/trace")
-	traceBuf := flag.Int("trace-buf", 0, "trace ring slots per shard (0 = default)")
-	traceSample := flag.Int("trace-sample", 0, "trace 1 in N server-minted request IDs (0 = default)")
-	traceSource := flag.String("trace-source", "", "source name stamped on trace snapshots (default capserve)")
-	debugAddr := flag.String("debug-addr", "", "serve pprof, /debug/trace and /debug/watch on this separate address (empty = off)")
-	watch := flag.Bool("watch", true, "continuous telemetry sampler, served on /debug/watch")
-	watchInterval := flag.Duration("watch-interval", capwatch.DefaultInterval, "telemetry sampling tick")
-	watchRing := flag.Int("watch-ring", 0, "flight-recorder ring slots (0 = sized from the slow SLO window)")
-	sloP99 := flag.Duration("slo-p99", capwatch.DefaultTargetP99, "SLO latency target: windowed p99 must stay under this")
-	sloAvail := flag.Float64("slo-avail", capwatch.DefaultAvailability, "SLO availability objective (fraction of valid requests served)")
-	sloFast := flag.Duration("slo-fast", capwatch.DefaultFastWindow, "fast burn-rate window")
-	sloSlow := flag.Duration("slo-slow", capwatch.DefaultSlowWindow, "slow burn-rate window")
-	fault := flag.Bool("fault", false, "arm the capfault injection layer around the serving handler, controlled via /debug/fault (backend-scoped rules match the trace source name)")
-	faultSeed := flag.Uint64("fault-seed", 1, "capfault decision-stream seed (same seed + same rules = same faults)")
-	incidentDir := flag.String("incident-dir", "", "capture burn-triggered incident bundles into this directory, served on /debug/incident (empty = off; requires -watch)")
-	incidentMax := flag.Int("incident-max", 0, "bound on resident incident bundles (0 = default)")
-	incidentCooldown := flag.Duration("incident-cooldown", 0, "per-trigger debounce between captures (0 = default)")
+	name := flag.String("trace-source", "capserve", "this server's name on every debug plane: trace snapshots, watch reports, incident bundles, fault scope")
+	dbg := capdebug.Register(flag.CommandLine)
 	flag.Parse()
 
-	var tracer *captrace.Tracer
-	if *trace {
-		tracer = captrace.New(0, *traceBuf)
+	plane, err := dbg.NewPlane()
+	if err != nil {
+		fail("%v", err)
 	}
+	tracer := dbg.NewTracer()
 	rt, err := capsule.NewValidated(capsule.Config{
 		Contexts:       *contexts,
 		Throttle:       *throttle,
@@ -94,114 +80,36 @@ func main() {
 		Runtime:     rt,
 		QueueDepth:  *queue,
 		MaxN:        capMap,
-		TraceSample: *traceSample,
-		TraceSource: *traceSource,
+		TraceSample: dbg.TraceSample,
 	})
 	if err != nil {
 		fail("%v", err)
+	}
+
+	// One member on the debug plane: the sampler, the incident recorder
+	// (bundles straight into -incident-dir) and the three endpoints on
+	// the serving mux, plus the side listener when -debug-addr is set.
+	m, err := plane.Add(*name, tracer, capdebug.Tiers{Runtime: rt, Server: srv}, dbg.IncidentDir)
+	if err != nil {
+		fail("%v", err)
+	}
+	capdebug.Mount(srv.Mount, m)
+	plane.ServeDebug("capserve")
+	if m.Recorder != nil {
+		fmt.Printf("capserve: incident recorder armed, bundles in %s (max %d)\n", m.Recorder.Dir(), dbg.IncidentMax)
 	}
 
 	// The injector wraps the whole serving handler; disarmed (no rules
 	// installed) it is one atomic pointer load per request, so the wrap
 	// stays on whenever -fault is set and storms are scripted entirely
 	// through /debug/fault at runtime.
-	var inj *capfault.Injector
-	if *fault {
-		inj = capfault.New(*faultSeed)
-	}
-
-	source := *traceSource
-	if source == "" {
-		source = "capserve"
-	}
-	var sampler *capwatch.Sampler
-	if *watch {
-		sampler, err = capwatch.New(capwatch.Config{
-			Source:   source,
-			Interval: *watchInterval,
-			Ring:     *watchRing,
-			Runtime:  rt,
-			Server:   srv,
-			SLO: capwatch.SLOConfig{
-				TargetP99:    *sloP99,
-				Availability: *sloAvail,
-				FastWindow:   *sloFast,
-				SlowWindow:   *sloSlow,
-			},
-		})
-		if err != nil {
-			fail("%v", err)
-		}
-		srv.Mount("GET /debug/watch", capwatch.Handler(sampler))
-		srv.AddMetrics(sampler.WriteMetrics)
-		sampler.Start()
-		defer sampler.Stop()
-	}
-
-	// The incident recorder arms triggers on the sampler's tick — SLO
-	// budget exhaustion, throttle edges, shed storms — and captures a
-	// bundle (rollup + trace + profiles + fault rules) when one fires.
-	var recorder *capscope.Recorder
-	var incidentHandler http.Handler
-	if *incidentDir != "" {
-		if sampler == nil {
-			fail("-incident-dir requires -watch (the recorder rides the telemetry tick)")
-		}
-		recorder, err = capscope.New(capscope.Config{
-			Source:     source,
-			Dir:        *incidentDir,
-			MaxBundles: *incidentMax,
-			Cooldown:   *incidentCooldown,
-			Runtime:    rt,
-			Server:     srv,
-			Tracer:     tracer,
-			Fault:      inj,
-		})
-		if err != nil {
-			fail("%v", err)
-		}
-		recorder.Arm(sampler)
-		incidentHandler = capscope.Handler(recorder)
-		srv.Mount("/debug/incident", incidentHandler)
-		srv.AddMetrics(recorder.WriteMetrics)
-		fmt.Printf("capserve: incident recorder armed, bundles in %s (max %d)\n", recorder.Dir(), *incidentMax)
-	}
-
-	if *debugAddr != "" {
-		// The debug side listener carries everything operational that is
-		// not serving traffic, so profiling and telemetry scrapes never
-		// compete with requests for the accept queue: pprof (riding the
-		// DefaultServeMux via the blank net/http/pprof import), the
-		// lifecycle trace snapshot, and the telemetry flight recorder.
-		dmux := http.NewServeMux()
-		dmux.Handle("/debug/pprof/", http.DefaultServeMux)
-		dmux.Handle("GET /debug/trace", srv.TraceHandler())
-		if sampler != nil {
-			dmux.Handle("GET /debug/watch", capwatch.Handler(sampler))
-		}
-		// Every debug surface lives on this one port: fault scripting
-		// and incident bundles alongside pprof/trace/watch.
-		if inj != nil {
-			dmux.Handle("/debug/fault", inj.DebugHandler())
-		}
-		if incidentHandler != nil {
-			dmux.Handle("/debug/incident", incidentHandler)
-		}
-		go func() {
-			fmt.Printf("capserve: pprof/trace/watch on http://%s/debug/\n", *debugAddr)
-			if err := http.ListenAndServe(*debugAddr, dmux); err != nil {
-				fmt.Fprintf(os.Stderr, "capserve: debug listener: %v\n", err)
-			}
-		}()
-	}
-
 	var handler http.Handler = srv
-	if inj != nil {
-		handler = inj.Handler(source, srv)
+	if plane.Fault != nil {
+		handler = plane.Fault.Handler(*name, srv)
 	}
 	hs := &http.Server{Addr: *addr, Handler: handler}
 	fmt.Printf("capserve: listening on %s (contexts=%d queue=%d throttle=%v trace=%v)\n",
-		*addr, rt.Contexts(), srv.QueueDepth(), *throttle, *trace)
+		*addr, rt.Contexts(), srv.QueueDepth(), *throttle, dbg.Trace)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -228,11 +136,7 @@ func main() {
 		// which the old Join was just the first half.
 		rt.Close()
 	}
-	if recorder != nil {
-		// Let any in-flight incident capture land its bundle: the whole
-		// point of a flight recorder is surviving the crash-adjacent exit.
-		recorder.Close()
-	}
+	plane.Close()
 	fmt.Printf("capserve: final stats: %s\n", rt.Stats())
 }
 

@@ -21,9 +21,9 @@
 //	captop -url http://localhost:6060 -once        # one frame, then exit
 //	captop -url http://localhost:8090 -once -json  # machine-readable report array
 //
-// In -json mode the output is the decoded report array exactly as the
-// fleet produced it (always an array, even for a lone capserve), which
-// is what the CI watch-smoke step asserts against.
+// In -json mode the output is the merged report array — the same
+// schema every /debug/watch serves (always an array, even for a lone
+// capserve) — which is what the CI watch-smoke step asserts against.
 //
 // With -once the exit status is meaningful: 0 when every row's error
 // budget has headroom, 3 when any row reports SLO budget exhaustion
@@ -33,14 +33,15 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"strings"
 	"time"
 
+	"repro/internal/capdebug"
 	"repro/internal/capwatch"
 )
 
@@ -70,7 +71,10 @@ func main() {
 		var fleets [][]capwatch.Report
 		var errs []error
 		for _, ep := range endpoints {
-			reps, err := fetch(ep)
+			reps, err := capdebug.Get[[]capwatch.Report](nil, ep)
+			if err == nil && len(reps) == 0 {
+				err = fmt.Errorf("GET %s: empty report set", ep)
+			}
 			if err != nil {
 				errs = append(errs, err)
 				continue
@@ -91,8 +95,8 @@ func main() {
 		merged := mergeFleets(fleets)
 		if *asJSON {
 			// Re-encode rather than echoing the bodies: the output is the
-			// normalized, merged array shape regardless of fleet size.
-			out, err := capwatch.EncodeReports(merged)
+			// merged, deduped array across every polled fleet.
+			out, err := json.MarshalIndent(merged, "", "  ")
 			if err != nil {
 				fail("%v", err)
 			}
@@ -140,29 +144,6 @@ func mergeFleets(fleets [][]capwatch.Report) []capwatch.Report {
 		}
 	}
 	return append(leads, backends...)
-}
-
-func fetch(url string) ([]capwatch.Report, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != 200 {
-		return nil, fmt.Errorf("GET %s: %d: %s", url, resp.StatusCode, strings.TrimSpace(string(body)))
-	}
-	reps, err := capwatch.DecodeReports(body)
-	if err != nil {
-		return nil, fmt.Errorf("GET %s: %v", url, err)
-	}
-	if len(reps) == 0 {
-		return nil, fmt.Errorf("GET %s: empty report set", url)
-	}
-	return reps, nil
 }
 
 func render(w io.Writer, endpoint string, reps []capwatch.Report, fleets [][]capwatch.Report) {

@@ -1,6 +1,7 @@
 // Command captrace is the read side of the flight recorder: it ingests
-// trace snapshots — fetched live from /debug/trace endpoints or read
-// from files — and renders them for humans.
+// trace snapshot arrays — fetched live from /debug/trace endpoints or
+// read from files in the same schema (an incident bundle's trace.json
+// included) — and renders them for humans.
 //
 // With no -id it prints the fleet summary: each snapshot's per-ring
 // occupancy (written/dropped/skipped), the event-kind histogram, and
@@ -20,6 +21,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -29,6 +31,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/capdebug"
 	"repro/internal/captrace"
 )
 
@@ -43,10 +46,9 @@ func main() {
 	client := &http.Client{Timeout: *timeout}
 	if *urls != "" {
 		for _, base := range strings.Split(*urls, ",") {
-			base = strings.TrimSpace(base)
-			got, err := fetch(client, base, *n)
+			got, err := capdebug.Get[[]captrace.Snapshot](client, fmt.Sprintf("%s/debug/trace?n=%d", strings.TrimSpace(base), *n))
 			if err != nil {
-				fail("%s: %v", base, err)
+				fail("%v (tracing not armed?)", err)
 			}
 			snaps = append(snaps, got...)
 		}
@@ -76,29 +78,9 @@ func main() {
 	summary(os.Stdout, snaps)
 }
 
-// fetch pulls one /debug/trace body — a single snapshot (capserve) or
-// an array (a router merging its spawned backends' rings).
-func fetch(client *http.Client, base string, n int) ([]captrace.Snapshot, error) {
-	url := base + "/debug/trace"
-	if n > 0 {
-		url += fmt.Sprintf("?n=%d", n)
-	}
-	resp, err := client.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("/debug/trace returned %d (tracing not armed?)", resp.StatusCode)
-	}
-	return captrace.DecodeSnapshots(resp.Body)
-}
-
 func load(path string) ([]captrace.Snapshot, error) {
-	var r io.Reader
-	if path == "-" {
-		r = os.Stdin
-	} else {
+	var r io.Reader = os.Stdin
+	if path != "-" {
 		f, err := os.Open(path)
 		if err != nil {
 			return nil, err
@@ -106,7 +88,9 @@ func load(path string) ([]captrace.Snapshot, error) {
 		defer f.Close()
 		r = f
 	}
-	return captrace.DecodeSnapshots(r)
+	var snaps []captrace.Snapshot
+	err := json.NewDecoder(r).Decode(&snaps)
+	return snaps, err
 }
 
 // waterfall prints one trace ID's merged timeline; false when no
@@ -140,8 +124,8 @@ func summary(w io.Writer, snaps []captrace.Snapshot) {
 	for _, s := range snaps {
 		fmt.Fprintf(w, "source %-16s %d events resident\n", s.Source, len(s.Events))
 		for i, sh := range s.Shards {
-			fmt.Fprintf(w, "  ring %2d: written=%-8d capacity=%-6d dropped=%-8d skipped=%d\n",
-				i, sh.Written, sh.Capacity, sh.Dropped, sh.Skipped)
+			fmt.Fprintf(w, "  ring %2d: written=%-8d capacity=%-6d dropped=%-8d contended=%-6d skipped=%d\n",
+				i, sh.Written, sh.Capacity, sh.Dropped, sh.Contended, sh.Skipped)
 		}
 	}
 

@@ -214,10 +214,9 @@ type Config struct {
 	// default idle cap of 2.
 	Transport http.RoundTripper
 
-	// Tracer receives the route-span events (KRoute*) and backs the
-	// router's /debug/trace endpoint. cmd/caprouter passes the same
-	// tracer here and to the local tier's capserve.Config, so the
-	// router's spans and the fallback tier's land in one ring set.
+	// Tracer receives the route-span events (KRoute*). cmd/caprouter
+	// passes the same tracer here and to the local tier's runtime, so
+	// the router's spans and the fallback tier's land in one ring set.
 	// Default (nil): cluster-tier tracing disabled.
 	Tracer *captrace.Tracer
 
@@ -225,28 +224,6 @@ type Config struct {
 	// IDs (adopted client IDs are always traced). Default (0):
 	// capserve.DefaultTraceSample.
 	TraceSample int
-
-	// TraceSource names this router in trace snapshots, so cmd/captrace
-	// can tell router spans from backend spans after merging. Default:
-	// "caprouter".
-	TraceSource string
-
-	// TraceLocals are co-process snapshot providers — the spawned
-	// in-process backends of `caprouter -spawn`, each with its own
-	// tracer — whose rings the router's /debug/trace merges alongside
-	// its own (the response becomes a JSON array of snapshots;
-	// captrace.DecodeSnapshots reads either shape). Remote backends
-	// are not listed here: their /debug/trace is reachable at their
-	// own URL, and only the router knows where an ephemeral spawned
-	// backend lives. Default (nil): the router serves only its own
-	// snapshot.
-	TraceLocals []TraceSnapshotter
-}
-
-// TraceSnapshotter is anything that can contribute a trace snapshot to
-// the router's /debug/trace — satisfied by *capserve.Server.
-type TraceSnapshotter interface {
-	TraceSnapshot(n int) captrace.Snapshot
 }
 
 // Validate reports whether cfg can build a Router.
@@ -310,9 +287,8 @@ type Router struct {
 	start    time.Time
 	draining atomic.Bool
 
-	tracer      *captrace.Tracer
-	sampler     *captrace.Sampler
-	traceSource string
+	tracer  *captrace.Tracer
+	sampler *captrace.Sampler
 
 	requests       atomic.Uint64
 	remoteProbes   atomic.Uint64
@@ -396,22 +372,17 @@ func New(cfg Config) (*Router, error) {
 	if sample == 0 {
 		sample = capserve.DefaultTraceSample
 	}
-	source := cfg.TraceSource
-	if source == "" {
-		source = "caprouter"
-	}
 	r := &Router{
-		cfg:         cfg,
-		local:       cfg.Local,
-		place:       cfg.Placement,
-		client:      &http.Client{Transport: transport, Timeout: cfg.Timeout},
-		scrape:      &http.Client{Transport: transport, Timeout: cfg.RefreshTimeout},
-		feed:        &http.Client{Transport: feedTransport},
-		mux:         http.NewServeMux(),
-		start:       time.Now(),
-		tracer:      cfg.Tracer,
-		sampler:     captrace.NewSampler(sample),
-		traceSource: source,
+		cfg:     cfg,
+		local:   cfg.Local,
+		place:   cfg.Placement,
+		client:  &http.Client{Transport: transport, Timeout: cfg.Timeout},
+		scrape:  &http.Client{Transport: transport, Timeout: cfg.RefreshTimeout},
+		feed:    &http.Client{Transport: feedTransport},
+		mux:     http.NewServeMux(),
+		start:   time.Now(),
+		tracer:  cfg.Tracer,
+		sampler: captrace.NewSampler(sample),
 	}
 	for i, base := range cfg.Backends {
 		u, _ := url.Parse(base) // validated above
@@ -420,7 +391,6 @@ func New(cfg Config) (*Router, error) {
 	}
 	r.mux.HandleFunc("GET /healthz", r.handleHealthz)
 	r.mux.HandleFunc("GET /metrics", r.handleMetrics)
-	r.mux.HandleFunc("GET /debug/trace", r.handleTrace)
 	r.mux.HandleFunc("GET /run/{workload}", r.handleRun)
 	r.mux.HandleFunc("POST /run/{workload}", r.handleRun)
 	r.mux.HandleFunc("GET /{$}", r.handleIndex)

@@ -36,12 +36,12 @@ func newLocal(t *testing.T, contexts, queue int) *capserve.Server {
 // down (drained) at cleanup.
 func startBackend(t *testing.T, contexts, queue int) *capserve.Backend {
 	t.Helper()
-	b, err := capserve.StartBackend(capserve.Config{
+	b, err := capserve.StartBackendOn(capserve.Config{
 		Runtime:    capsule.New(capsule.Config{Contexts: contexts, Throttle: true}),
 		QueueDepth: queue,
-	})
+	}, "127.0.0.1:0", nil)
 	if err != nil {
-		t.Fatalf("StartBackend: %v", err)
+		t.Fatalf("StartBackendOn: %v", err)
 	}
 	t.Cleanup(func() {
 		drain(t, b)
@@ -69,12 +69,7 @@ func newRouter(t *testing.T, cfg Config) (*Router, *httptest.Server) {
 		t.Fatalf("New: %v", err)
 	}
 	ts := httptest.NewServer(r)
-	t.Cleanup(func() {
-		ts.Close()
-		// A dispatch connection the router dialed but never used would
-		// hold each backend's drain for net/http's 5 s new-connection grace.
-		r.client.CloseIdleConnections()
-	})
+	t.Cleanup(ts.Close)
 	return r, ts
 }
 

@@ -248,13 +248,13 @@ func capserveMetricsStub(t *testing.T, scrapes *atomic.Int64) *httptest.Server {
 func TestFeedEndToEnd(t *testing.T) {
 	rt := capsule.New(capsule.Config{Contexts: 2, Throttle: true})
 	t.Cleanup(rt.Close)
-	backend, err := capserve.StartBackend(capserve.Config{
+	backend, err := capserve.StartBackendOn(capserve.Config{
 		Runtime:       rt,
 		QueueDepth:    8,
 		FeedHeartbeat: 20 * time.Millisecond,
-	})
+	}, "127.0.0.1:0", nil)
 	if err != nil {
-		t.Fatalf("StartBackend: %v", err)
+		t.Fatalf("StartBackendOn: %v", err)
 	}
 	t.Cleanup(func() { drain(t, backend) })
 

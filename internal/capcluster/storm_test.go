@@ -79,9 +79,9 @@ func TestChurnLeaveRejoinZeroFailedRequests(t *testing.T) {
 	backends := make([]*capserve.Backend, nBackends)
 	var urls []string
 	for i := range backends {
-		b, err := capserve.StartBackend(cfg)
+		b, err := capserve.StartBackendOn(cfg, "127.0.0.1:0", nil)
 		if err != nil {
-			t.Fatalf("StartBackend: %v", err)
+			t.Fatalf("StartBackendOn: %v", err)
 		}
 		backends[i] = b
 		urls = append(urls, b.URL)
@@ -135,7 +135,6 @@ func TestChurnLeaveRejoinZeroFailedRequests(t *testing.T) {
 	ok, failed, _ := stormClients([]string{ts.URL}, clients, 200, time.Second)
 	stopped.Store(true)
 	<-churned
-	r.client.CloseIdleConnections() // see newRouter
 	drains.Wait()
 	for _, b := range backends {
 		if b != nil {
@@ -164,9 +163,9 @@ func TestFeedBlackholeUnderLoadZeroFailedRequests(t *testing.T) {
 	const clients, d = 8, 1200 * time.Millisecond
 	var urls []string
 	for i := 0; i < 3; i++ {
-		b, err := capserve.StartBackend(capserve.Config{QueueDepth: 8, FeedHeartbeat: 50 * time.Millisecond})
+		b, err := capserve.StartBackendOn(capserve.Config{QueueDepth: 8, FeedHeartbeat: 50 * time.Millisecond}, "127.0.0.1:0", nil)
 		if err != nil {
-			t.Fatalf("StartBackend: %v", err)
+			t.Fatalf("StartBackendOn: %v", err)
 		}
 		t.Cleanup(func() { drain(t, b) })
 		urls = append(urls, b.URL)

@@ -1,9 +1,7 @@
 package capcluster
 
 import (
-	"encoding/json"
 	"net/http"
-	"strconv"
 	"time"
 
 	"repro/internal/captrace"
@@ -44,41 +42,6 @@ func (r *Router) trace(traced bool, kind captrace.Kind, tid uint64, a uint16, b 
 	if traced {
 		r.tracer.Record(kind, tid, 0, a, b)
 	}
-}
-
-// handleTrace serves GET /debug/trace?n= — the router's own snapshot
-// (same shape and semantics as capserve's), plus one snapshot per
-// TraceLocals provider when in-process backends exist, so the router's
-// URL alone yields the full route-span → backend-span → runtime-event
-// timeline for the -spawn topology.
-func (r *Router) handleTrace(w http.ResponseWriter, req *http.Request) {
-	if r.tracer == nil {
-		http.Error(w, "tracing disabled (start with -trace)", http.StatusNotFound)
-		return
-	}
-	n := 0
-	if v := req.URL.Query().Get("n"); v != "" {
-		p, err := strconv.Atoi(v)
-		if err != nil || p < 0 {
-			http.Error(w, "bad n: want a non-negative integer", http.StatusBadRequest)
-			return
-		}
-		n = p
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if len(r.cfg.TraceLocals) == 0 {
-		json.NewEncoder(w).Encode(r.tracer.Snapshot(r.traceSource, n))
-		return
-	}
-	// With in-process backends the router is the only party that knows
-	// every ring, so one fetch returns them all: an array of snapshots,
-	// the router's own first.
-	snaps := make([]captrace.Snapshot, 0, 1+len(r.cfg.TraceLocals))
-	snaps = append(snaps, r.tracer.Snapshot(r.traceSource, n))
-	for _, ts := range r.cfg.TraceLocals {
-		snaps = append(snaps, ts.TraceSnapshot(n))
-	}
-	json.NewEncoder(w).Encode(snaps)
 }
 
 // statusWriter captures the status code the local tier wrote, so the

@@ -1,11 +1,11 @@
 package capcluster
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -39,12 +39,12 @@ func routeKinds(tr *captrace.Tracer, tid uint64) map[captrace.Kind]int {
 // the same ID (proving the header crossed the process boundary).
 func TestRouteSpanWaterfall(t *testing.T) {
 	backendTracer := captrace.New(2, 4096)
-	b, err := capserve.StartBackend(capserve.Config{
+	b, err := capserve.StartBackendOn(capserve.Config{
 		Runtime:    capsule.New(capsule.Config{Contexts: 2, Throttle: true, Tracer: backendTracer}),
 		QueueDepth: 16,
-	})
+	}, "127.0.0.1:0", nil)
 	if err != nil {
-		t.Fatalf("StartBackend: %v", err)
+		t.Fatalf("StartBackendOn: %v", err)
 	}
 	t.Cleanup(func() { b.Kill(); b.Runtime().Close() })
 
@@ -240,24 +240,27 @@ func TestSampledOutNotPropagated(t *testing.T) {
 	}
 }
 
-// TestRouterDebugTrace: the router serves its own snapshot with its
-// configured source, and 404s with tracing disabled.
+// TestRouterDebugTrace: the router's tracer, mounted on its mux, serves
+// an array of one snapshot under the router's name; an untraced router
+// mounts nothing and 404s.
 func TestRouterDebugTrace(t *testing.T) {
-	_, ts := newRouter(t, Config{Tracer: captrace.New(1, 64), TraceSample: 1, TraceSource: "edge-1"})
+	tr := captrace.New(1, 64)
+	r, ts := newRouter(t, Config{Tracer: tr, TraceSample: 1})
+	r.Mount("GET /debug/trace", captrace.Handler(captrace.Source{Name: "edge-1", Tracer: tr}))
 	get(t, ts.URL+"/run/quicksort?n=200&seed=1")
 
-	var snap captrace.Snapshot
+	var snaps []captrace.Snapshot
 	resp, body := get(t, ts.URL+"/debug/trace")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	if err := json.Unmarshal(body, &snap); err != nil {
+	if err := json.Unmarshal(body, &snaps); err != nil {
 		t.Fatalf("snapshot body: %v", err)
 	}
-	if snap.Source != "edge-1" {
-		t.Fatalf("snapshot source = %q, want edge-1", snap.Source)
+	if len(snaps) != 1 || snaps[0].Source != "edge-1" {
+		t.Fatalf("want one snapshot named edge-1, got %d: %.200s", len(snaps), body)
 	}
-	if len(snap.Events) == 0 {
+	if len(snaps[0].Events) == 0 {
 		t.Fatal("empty snapshot after a traced request")
 	}
 
@@ -268,30 +271,27 @@ func TestRouterDebugTrace(t *testing.T) {
 }
 
 // TestRouterDebugTraceMergesLocals pins the -spawn topology's one-stop
-// endpoint: a router given its in-process backend as a TraceLocals
-// provider serves an ARRAY of snapshots from /debug/trace — its own
-// route span plus the backend's serving/runtime events — so one fetch
-// of the router URL reconstructs the full three-tier waterfall even
-// though the spawned backend lives on an ephemeral port nobody else
-// knows. captrace.DecodeSnapshots must read the array shape, and both
-// halves of the traced request must be present under one ID.
+// endpoint: the router's /debug/trace over itself and its in-process
+// backend is an array, router first, and one fetch of the router URL
+// holds both halves of a traced request under one ID.
 func TestRouterDebugTraceMergesLocals(t *testing.T) {
 	backendTracer := captrace.New(2, 4096)
-	b, err := capserve.StartBackend(capserve.Config{
-		Runtime:     capsule.New(capsule.Config{Contexts: 2, Tracer: backendTracer}),
-		QueueDepth:  16,
-		TraceSource: "backend-0",
-	})
+	b, err := capserve.StartBackendOn(capserve.Config{
+		Runtime:    capsule.New(capsule.Config{Contexts: 2, Tracer: backendTracer}),
+		QueueDepth: 16,
+	}, "127.0.0.1:0", nil)
 	if err != nil {
-		t.Fatalf("StartBackend: %v", err)
+		t.Fatalf("StartBackendOn: %v", err)
 	}
 	t.Cleanup(func() { b.Kill(); b.Runtime().Close() })
+	backend := strings.TrimPrefix(b.URL, "http://")
 
-	_, ts := newRouter(t, Config{
-		Backends:    []string{b.URL},
-		Tracer:      captrace.New(1, 256),
-		TraceLocals: []TraceSnapshotter{b.Server},
-	})
+	routerTracer := captrace.New(1, 256)
+	r, ts := newRouter(t, Config{Backends: []string{b.URL}, Tracer: routerTracer})
+	r.Mount("GET /debug/trace", captrace.Handler(
+		captrace.Source{Name: "caprouter", Tracer: routerTracer},
+		captrace.Source{Name: backend, Tracer: backendTracer},
+	))
 
 	const id = "00000000cafe0004"
 	req, _ := http.NewRequest("GET", ts.URL+"/run/quicksort?n=500&seed=5", nil)
@@ -307,32 +307,28 @@ func TestRouterDebugTraceMergesLocals(t *testing.T) {
 	if httpResp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", httpResp.StatusCode)
 	}
-	snaps, err := captrace.DecodeSnapshots(bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("DecodeSnapshots: %v", err)
+	var snaps []captrace.Snapshot
+	if err := json.Unmarshal(body, &snaps); err != nil {
+		t.Fatalf("snapshot array: %v", err)
 	}
-	if len(snaps) != 2 {
-		t.Fatalf("got %d snapshots, want 2 (router + spawned backend)", len(snaps))
-	}
-	if snaps[0].Source != "caprouter" || snaps[1].Source != "backend-0" {
-		t.Fatalf("sources = %q, %q; want caprouter, backend-0", snaps[0].Source, snaps[1].Source)
+	if len(snaps) != 2 || snaps[0].Source != "caprouter" || snaps[1].Source != backend {
+		t.Fatalf("got %d snapshots %.200s; want caprouter, %s", len(snaps), body, backend)
 	}
 
+	type span struct {
+		source string
+		kind   captrace.Kind
+	}
 	tid, _ := captrace.ParseID(id)
-	bySource := map[string]map[captrace.Kind]bool{}
+	seen := map[span]bool{}
 	for _, ev := range captrace.MergeEvents(snaps...) {
-		if ev.TID != tid {
-			continue
+		if ev.TID == tid {
+			seen[span{ev.Source, ev.Kind}] = true
 		}
-		if bySource[ev.Source] == nil {
-			bySource[ev.Source] = map[captrace.Kind]bool{}
+	}
+	for _, want := range []span{{"caprouter", captrace.KRouteRecv}, {"caprouter", captrace.KRouteServed}, {backend, captrace.KReqAdmit}, {backend, captrace.KReqDone}} {
+		if !seen[want] {
+			t.Errorf("merged trace lacks %v under the request's ID", want)
 		}
-		bySource[ev.Source][ev.Kind] = true
-	}
-	if !bySource["caprouter"][captrace.KRouteRecv] || !bySource["caprouter"][captrace.KRouteServed] {
-		t.Fatalf("router span incomplete: %v", bySource["caprouter"])
-	}
-	if !bySource["backend-0"][captrace.KReqAdmit] || !bySource["backend-0"][captrace.KReqDone] {
-		t.Fatalf("backend span incomplete: %v", bySource["backend-0"])
 	}
 }

@@ -102,8 +102,8 @@ func (r *Router) ReadCounters() RouterCounters {
 	}
 }
 
-// Mount registers an additional handler on the router's mux (capwatch's
-// /debug/watch). Call before serving starts; the mux is not
+// Mount registers an additional handler on the router's mux (the debug
+// plane's /debug/trace, /debug/watch and /debug/incident). Call before serving starts; the mux is not
 // synchronized against in-flight requests.
 func (r *Router) Mount(pattern string, h http.Handler) { r.mux.Handle(pattern, h) }
 
@@ -111,7 +111,3 @@ func (r *Router) Mount(pattern string, h http.Handler) { r.mux.Handle(pattern, h
 // /metrics, emitted after the caprouter_* series and the local tier's
 // exposition. Wire before serving starts.
 func (r *Router) AddMetrics(f func(io.Writer)) { r.extraMetrics = append(r.extraMetrics, f) }
-
-// TraceHandler returns the /debug/trace handler as a mountable value
-// for a side debug listener (cmd/caprouter -debug-addr).
-func (r *Router) TraceHandler() http.Handler { return http.HandlerFunc(r.handleTrace) }

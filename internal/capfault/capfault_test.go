@@ -395,3 +395,54 @@ func TestConcurrentSetClearStorm(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// FuzzDebugPost: any POST body to /debug/fault gets a 400, or installs a
+// rule Set accepted whose every posted field reads back unchanged
+// through GET (fields left zero take Set's defaults).
+func FuzzDebugPost(f *testing.F) {
+	f.Add(`{"kind":"latency","backend":"127.0.0.1:9001","delay_ms":200,"jitter_ms":20,"for_ms":5000}`)
+	f.Add(`{"kind":"trickle","chunk":4,"chunk_delay_ms":5,"p":0.25}`)
+	f.Add(`{"kind":"error","status":503}`)
+	f.Fuzz(func(t *testing.T, body string) {
+		inj := New(1)
+		inj.now = func() int64 { return 0 } // frozen: nothing expires between POST and GET
+		h := inj.DebugHandler()
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("POST", "/debug/fault", strings.NewReader(body)))
+		if w.Code == http.StatusBadRequest {
+			return
+		}
+		if w.Code != http.StatusOK {
+			t.Fatalf("POST %q: status %d, want 200 or 400", body, w.Code)
+		}
+		var posted wireRule
+		if err := json.NewDecoder(strings.NewReader(body)).Decode(&posted); err != nil {
+			t.Fatalf("POST %q accepted a body that does not decode: %v", body, err)
+		}
+		w = httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("GET", "/debug/fault", nil))
+		var got struct{ Rules []wireInfo }
+		if err := json.Unmarshal(w.Body.Bytes(), &got); err != nil || len(got.Rules) != 1 {
+			t.Fatalf("GET after POST %q: %v, %s", body, err, w.Body.Bytes())
+		}
+		r, want := got.Rules[0].wireRule, posted
+		if want.Backend == "" {
+			want.Backend = r.Backend
+		}
+		if want.P == 0 {
+			want.P = r.P
+		}
+		if want.Status == 0 {
+			want.Status = r.Status
+		}
+		if want.Chunk == 0 {
+			want.Chunk = r.Chunk
+		}
+		if want.ChunkDelayMS == 0 {
+			want.ChunkDelayMS = r.ChunkDelayMS
+		}
+		if r != want {
+			t.Fatalf("POST %q read back as %+v, want %+v", body, r, want)
+		}
+	})
+}

@@ -2,6 +2,7 @@ package capfault
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strconv"
 	"time"
@@ -48,7 +49,17 @@ func toWire(r Rule) wireRule {
 	}
 }
 
-func fromWire(w wireRule) Rule {
+// maxWireMS bounds every wire duration (~34 years): far past any storm,
+// and far enough inside int64 nanoseconds that neither the conversion
+// nor an expiry deadline (now + For) can wrap around.
+const maxWireMS = 1 << 40
+
+func fromWire(w wireRule) (Rule, error) {
+	for _, ms := range []int64{w.DelayMS, w.JitterMS, w.ChunkDelayMS, w.ForMS} {
+		if ms < 0 || ms > maxWireMS {
+			return Rule{}, fmt.Errorf("capfault: durations must be in [0, %d] ms, got %d", int64(maxWireMS), ms)
+		}
+	}
 	return Rule{
 		Kind:       Kind(w.Kind),
 		Backend:    w.Backend,
@@ -59,12 +70,13 @@ func fromWire(w wireRule) Rule {
 		Chunk:      w.Chunk,
 		ChunkDelay: time.Duration(w.ChunkDelayMS) * time.Millisecond,
 		For:        time.Duration(w.ForMS) * time.Millisecond,
-	}
+	}, nil
 }
 
-// DebugHandler exposes the injector over HTTP for scripted storms.
-// caprouter mounts it at /debug/fault on -debug-addr when -fault is
-// set; it must never be mounted on a serving address.
+// DebugHandler exposes the injector over HTTP for scripted storms. The
+// debug plane (internal/capdebug) mounts it at /debug/fault on the
+// -debug-addr side listener when -fault is set, and nowhere else: it
+// must never be mounted on a serving address.
 func (inj *Injector) DebugHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.Method {
@@ -91,7 +103,11 @@ func (inj *Injector) DebugHandler() http.Handler {
 				http.Error(w, "capfault: bad rule JSON: "+err.Error(), http.StatusBadRequest)
 				return
 			}
-			id, err := inj.Set(fromWire(spec))
+			var id uint64
+			rule, err := fromWire(spec)
+			if err == nil {
+				id, err = inj.Set(rule)
+			}
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return

@@ -13,6 +13,7 @@ import (
 	"repro/internal/buildinfo"
 	"repro/internal/capcluster"
 	"repro/internal/capfault"
+	"repro/internal/captrace"
 	"repro/internal/capwatch"
 )
 
@@ -21,7 +22,8 @@ import (
 //
 //	manifest.json   — identity, trigger, reason, SLO verdict, file list
 //	watch.json      — capwatch Report at capture time
-//	trace.json      — captrace Snapshot (merged ring, newest TraceEvents)
+//	trace.json      — one-element array of captrace Snapshots (newest
+//	                  TraceEvents), the /debug/trace schema
 //	cpu.pprof       — bounded CPU profile burst (ProfileDuration)
 //	heap.pprof      — heap profile
 //	goroutines.txt  — full goroutine dump (pprof debug=2)
@@ -118,7 +120,7 @@ func (r *Recorder) capture(trigger, reason string, slo capwatch.SLOReport, now t
 	if r.sampler != nil {
 		writeJSON(FileWatch, r.sampler.Report(0))
 	}
-	writeJSON(FileTrace, r.tracer.Snapshot(r.source, r.traceN))
+	writeJSON(FileTrace, []captrace.Snapshot{r.tracer.Snapshot(r.source, r.traceN)})
 	if r.cfg.Fault != nil {
 		rules := r.cfg.Fault.Rules()
 		if rules == nil {
@@ -289,14 +291,14 @@ func LoadManifest(bundleDir string) (Manifest, error) {
 // GET /debug/incident?id= serves. Profiles ride as base64 ([]byte's
 // encoding/json default); JSON artifacts ride raw.
 type Bundle struct {
-	Manifest   Manifest        `json:"manifest"`
-	Watch      json.RawMessage `json:"watch,omitempty"`
-	Trace      json.RawMessage `json:"trace,omitempty"`
-	Fault      json.RawMessage `json:"fault,omitempty"`
-	Backends   json.RawMessage `json:"backends,omitempty"`
-	CPUProfile []byte          `json:"cpu_pprof,omitempty"`
-	HeapProfile []byte         `json:"heap_pprof,omitempty"`
-	Goroutines string          `json:"goroutines,omitempty"`
+	Manifest    Manifest        `json:"manifest"`
+	Watch       json.RawMessage `json:"watch,omitempty"`
+	Trace       json.RawMessage `json:"trace,omitempty"`
+	Fault       json.RawMessage `json:"fault,omitempty"`
+	Backends    json.RawMessage `json:"backends,omitempty"`
+	CPUProfile  []byte          `json:"cpu_pprof,omitempty"`
+	HeapProfile []byte          `json:"heap_pprof,omitempty"`
+	Goroutines  string          `json:"goroutines,omitempty"`
 }
 
 // LoadBundle reads one bundle dir in full.

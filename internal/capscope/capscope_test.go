@@ -3,6 +3,7 @@ package capscope
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -207,8 +208,8 @@ func TestBundleContents(t *testing.T) {
 	if rep.Source != "test" {
 		t.Errorf("rollup source = %q", rep.Source)
 	}
-	snaps, err := captrace.DecodeSnapshots(strings.NewReader(string(b.Trace)))
-	if err != nil {
+	var snaps []captrace.Snapshot
+	if err := json.Unmarshal(b.Trace, &snaps); err != nil {
 		t.Fatalf("trace.json: %v", err)
 	}
 	if len(snaps) != 1 || len(snaps[0].Events) == 0 {
@@ -273,9 +274,9 @@ func TestPruneAndRestart(t *testing.T) {
 	}
 }
 
-// TestHandler pins the /debug/incident contract: object for one
-// recorder, array for a fleet, ?id= fetch, DELETE semantics, and
-// DecodeLists reading both shapes.
+// TestHandler pins the /debug/incident contract: an array in recorder
+// order, ?id= fetch across recorders, unknown and escaping ids 404,
+// DELETE semantics.
 func TestHandler(t *testing.T) {
 	rt := newThrottledRuntime(t)
 	rec, s, clock := testRecorder(t, rt, Config{Source: "alpha", Cooldown: time.Second})
@@ -294,35 +295,16 @@ func TestHandler(t *testing.T) {
 		t.Fatalf("second recorder: %v", err)
 	}
 
-	// Single recorder: object shape.
 	w := httptest.NewRecorder()
-	Handler(rec).ServeHTTP(w, httptest.NewRequest("GET", "/debug/incident", nil))
-	body := w.Body.Bytes()
-	if body[0] == '[' {
-		t.Fatalf("single recorder served an array")
+	Handler(rec, other).ServeHTTP(w, httptest.NewRequest("GET", "/debug/incident", nil))
+	var lists []List
+	if err := json.Unmarshal(w.Body.Bytes(), &lists); err != nil {
+		t.Fatalf("incident body: %v", err)
 	}
-	lists, err := DecodeLists(body)
-	if err != nil {
-		t.Fatalf("DecodeLists(object): %v", err)
-	}
-	if len(lists) != 1 || lists[0].Source != "alpha" || len(lists[0].Bundles) != 1 {
-		t.Fatalf("bad list: %+v", lists)
+	if len(lists) != 2 || lists[0].Source != "alpha" || lists[1].Source != "beta" || len(lists[0].Bundles) != 1 {
+		t.Fatalf("bad lists: %+v", lists)
 	}
 	id := lists[0].Bundles[0].ID
-
-	// Fleet: array shape, own list first.
-	w = httptest.NewRecorder()
-	Handler(rec, other).ServeHTTP(w, httptest.NewRequest("GET", "/debug/incident", nil))
-	if w.Body.Bytes()[0] != '[' {
-		t.Fatalf("fleet handler did not serve an array")
-	}
-	lists, err = DecodeLists(w.Body.Bytes())
-	if err != nil {
-		t.Fatalf("DecodeLists(array): %v", err)
-	}
-	if len(lists) != 2 || lists[0].Source != "alpha" || lists[1].Source != "beta" {
-		t.Fatalf("bad fleet lists: %+v", lists)
-	}
 
 	// Fetch one bundle by id through the merged handler.
 	w = httptest.NewRecorder()
@@ -503,4 +485,38 @@ func TestArmedPlanesBesideDivideStorm(t *testing.T) {
 	if n := len(LoadManifests(rec.Dir())); rec.Incidents() != 0 || n != 0 {
 		t.Fatalf("a trigger fired with nothing to fire on: %d incidents, %d bundles", rec.Incidents(), n)
 	}
+}
+
+// FuzzBundleID: no ?id= the handler accepts ever resolves outside the
+// recorder's directory — an id validBundleID passes names a direct child
+// of it — and only the one resident bundle's id is ever served.
+func FuzzBundleID(f *testing.F) {
+	const resident = "inc-000001-slo_budget_exhausted-1"
+	for _, id := range []string{resident, "../../etc", "inc-..", "inc-../x", `inc-..\x`, "inc-", "..", "/"} {
+		f.Add(id)
+	}
+	dir := filepath.Join(f.TempDir(), "rec")
+	if err := os.MkdirAll(filepath.Join(dir, resident), 0o755); err != nil {
+		f.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, resident, FileManifest), []byte(`{"id":"`+resident+`","seq":1}`), 0o644); err != nil {
+		f.Fatal(err)
+	}
+	rt := capsule.New(capsule.Config{Contexts: 2})
+	f.Cleanup(rt.Close)
+	rec, err := New(Config{Dir: dir, Runtime: rt})
+	if err != nil {
+		f.Fatal(err)
+	}
+	h := Handler(rec)
+	f.Fuzz(func(t *testing.T, id string) {
+		if validBundleID(id) && filepath.Dir(filepath.Join(dir, id)) != dir {
+			t.Fatalf("accepted id %q resolves to %s, outside %s", id, filepath.Join(dir, id), dir)
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("GET", "/debug/incident?"+url.Values{"id": {id}}.Encode(), nil))
+		if want := id == resident || id == ""; (w.Code == 200) != want {
+			t.Fatalf("?id=%q: status %d", id, w.Code)
+		}
+	})
 }

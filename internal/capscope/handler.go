@@ -1,16 +1,16 @@
 package capscope
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"path/filepath"
 )
 
-// /debug/incident follows /debug/trace's merge convention exactly: a
-// lone capserve serves a single List object; a router that also owns
-// its spawned backends' recorders serves a JSON array, its own list
-// first, so one URL yields the whole fleet's incidents. ?id= fetches
+// /debug/incident follows the debug plane's one merge convention
+// (internal/capdebug): GET answers a JSON array of Lists in recorder
+// order, the lead member first — one element for a lone capserve, the
+// router's list then one per spawned backend for a fleet. ?id= fetches
 // one bundle in full (searched across every recorder); DELETE clears
 // (?id= for one bundle, bare for everything).
 
@@ -37,16 +37,16 @@ func (r *Recorder) listOf() List {
 func Handler(recs ...*Recorder) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		id := req.URL.Query().Get("id")
+		if id != "" && !validBundleID(id) {
+			http.Error(w, fmt.Sprintf("no bundle %q", id), http.StatusNotFound)
+			return
+		}
 		switch req.Method {
 		case http.MethodGet:
 			if id != "" {
 				for _, r := range recs {
-					m, err := LoadManifest(bundlePath(r, id))
-					if err != nil || m.ID != id {
-						continue
-					}
-					b, err := LoadBundle(bundlePath(r, id))
-					if err != nil {
+					b, err := LoadBundle(filepath.Join(r.dir, id))
+					if err != nil || b.Manifest.ID != id {
 						continue
 					}
 					w.Header().Set("Content-Type", "application/json")
@@ -56,17 +56,12 @@ func Handler(recs ...*Recorder) http.Handler {
 				http.Error(w, fmt.Sprintf("no bundle %q", id), http.StatusNotFound)
 				return
 			}
+			lists := make([]List, len(recs))
+			for i, r := range recs {
+				lists[i] = r.listOf()
+			}
 			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			if len(recs) == 1 {
-				enc.Encode(recs[0].listOf())
-				return
-			}
-			lists := make([]List, 0, len(recs))
-			for _, r := range recs {
-				lists = append(lists, r.listOf())
-			}
-			enc.Encode(lists)
+			json.NewEncoder(w).Encode(lists)
 		case http.MethodDelete:
 			n := 0
 			for _, r := range recs {
@@ -87,33 +82,4 @@ func Handler(recs ...*Recorder) http.Handler {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		}
 	})
-}
-
-func bundlePath(r *Recorder, id string) string {
-	if !validBundleID(id) {
-		return ""
-	}
-	return r.dir + "/" + id
-}
-
-// DecodeLists parses a GET /debug/incident body in either shape — a
-// single List object or an array — always returning a slice, so the
-// capscope CLI and smoke scripts don't care which topology they hit.
-func DecodeLists(data []byte) ([]List, error) {
-	trimmed := bytes.TrimSpace(data)
-	if len(trimmed) == 0 {
-		return nil, fmt.Errorf("capscope: empty incident response")
-	}
-	if trimmed[0] == '[' {
-		var lists []List
-		if err := json.Unmarshal(trimmed, &lists); err != nil {
-			return nil, fmt.Errorf("capscope: decoding incident array: %w", err)
-		}
-		return lists, nil
-	}
-	var l List
-	if err := json.Unmarshal(trimmed, &l); err != nil {
-		return nil, fmt.Errorf("capscope: decoding incident list: %w", err)
-	}
-	return []List{l}, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"sync"
 
 	"repro/internal/capsule"
 )
@@ -25,24 +26,24 @@ type Backend struct {
 	srv   *http.Server
 	rt    *capsule.Runtime
 	ownRT bool
+
+	// fresh holds the connections accepted but not yet sent a byte;
+	// closing is set once Shutdown begins (see Close).
+	mu      sync.Mutex
+	fresh   map[net.Conn]struct{}
+	closing bool
 }
 
-// StartBackend builds a Server from cfg and serves it on an ephemeral
+// StartBackendOn builds a Server from cfg and serves it on addr — an
+// explicit listen address, so a "rejoining" backend can come back on the
+// address its router already knows; "127.0.0.1:0" for an ephemeral
 // loopback port. A nil cfg.Runtime gets a fresh default runtime that the
 // Backend owns (Close shuts it down); a caller-supplied runtime is left
-// to its owner.
-func StartBackend(cfg Config) (*Backend, error) {
-	return StartBackendOn(cfg, "127.0.0.1:0", nil)
-}
-
-// StartBackendOn is StartBackend with two knobs churn and chaos
-// harnesses need: an explicit listen address (so a "rejoining" backend
-// can come back on the address its router already knows — pass
-// "127.0.0.1:0" for the ephemeral default), and an optional handler
-// wrap applied around the Server (capfault-style fault injection on the
-// backend side of the wire). wrap receives the backend's host:port —
-// assigned by the listener, so rules scoped by backend name match from
-// either side — and the Server as an http.Handler.
+// to its owner. wrap, when non-nil, is applied around the Server
+// (capfault-style fault injection on the backend side of the wire): it
+// receives the backend's host:port — assigned by the listener, so rules
+// scoped by backend name match from either side — and the Server as an
+// http.Handler.
 func StartBackendOn(cfg Config, addr string, wrap func(name string, h http.Handler) http.Handler) (*Backend, error) {
 	ownRT := false
 	if cfg.Runtime == nil {
@@ -71,10 +72,12 @@ func StartBackendOn(cfg Config, addr string, wrap func(name string, h http.Handl
 		Server: s,
 		URL:    "http://" + ln.Addr().String(),
 		hs:     ln.(*net.TCPListener),
-		srv:    &http.Server{Handler: h},
 		rt:     cfg.Runtime,
 		ownRT:  ownRT,
+		fresh:  map[net.Conn]struct{}{},
 	}
+	b.srv = &http.Server{Handler: h, ConnState: b.trackFresh}
+	b.srv.RegisterOnShutdown(b.closeFresh)
 	go b.srv.Serve(ln)
 	return b, nil
 }
@@ -90,7 +93,10 @@ func (b *Backend) Runtime() *capsule.Runtime { return b.rt }
 //     still open, so a balancer polling it stops routing here first;
 //  2. http.Server.Shutdown: the listener closes and in-flight requests
 //     run to completion (bounded by ctx) — an already-admitted request
-//     is never 503ed by the drain;
+//     is never 503ed by the drain. A connection that was dialed but
+//     never sent a byte (a router's spare dispatch connection) carries
+//     no request, so it is closed as Shutdown begins instead of holding
+//     the drain for net/http's 5 s new-connection grace;
 //  3. the runtime closes (only if this Backend created it), retiring the
 //     parked per-context workers.
 //
@@ -104,6 +110,32 @@ func (b *Backend) Close(ctx context.Context) error {
 		b.rt.Close()
 	}
 	return err
+}
+
+// trackFresh is the http.Server's ConnState hook: a connection is fresh
+// from accept until its first byte arrives (or it closes).
+func (b *Backend) trackFresh(c net.Conn, st http.ConnState) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	switch {
+	case st == http.StateNew && b.closing:
+		c.Close() // accepted just before the listener closed
+	case st == http.StateNew:
+		b.fresh[c] = struct{}{}
+	default:
+		delete(b.fresh, c)
+	}
+}
+
+// closeFresh runs once Shutdown has closed the listener: every
+// connection that has not sent a byte carries no request to drain.
+func (b *Backend) closeFresh() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.closing = true
+	for c := range b.fresh {
+		c.Close()
+	}
 }
 
 // Kill tears the backend down with no drain: the listener and every

@@ -94,8 +94,7 @@ type Config struct {
 	// cancellable mid-flight — so raise them deliberately.
 	MaxN map[string]int
 
-	// Tracer receives the serving-tier lifecycle events and backs the
-	// /debug/trace endpoint. Default (nil): inherit the Runtime's tracer,
+	// Tracer receives the serving-tier lifecycle events. Default (nil): inherit the Runtime's tracer,
 	// so wiring a tracer into the runtime Config is the only step needed
 	// to get both tiers recorded into one ring set. Explicitly leaving
 	// both nil disables request tracing entirely.
@@ -106,11 +105,6 @@ type Config struct {
 	// DefaultTraceSample. 1 traces every request — CI smoke territory,
 	// not production.
 	TraceSample int
-
-	// TraceSource names this server in trace snapshots, so cmd/captrace
-	// can tell router and backend events apart after merging. Default:
-	// "capserve".
-	TraceSource string
 
 	// FeedHeartbeat is the idle republish interval of the /debug/credits
 	// push feed: subscribed routers see a delta at least this often even
@@ -162,9 +156,8 @@ type Server struct {
 	start     time.Time
 	draining  atomic.Bool
 
-	tracer      *captrace.Tracer
-	sampler     *captrace.Sampler
-	traceSource string
+	tracer  *captrace.Tracer
+	sampler *captrace.Sampler
 
 	// feed is the /debug/credits push plane (feed.go); feedHeartbeat is
 	// its idle republish interval.
@@ -197,25 +190,20 @@ func New(cfg Config) (*Server, error) {
 	if tracer == nil {
 		tracer = cfg.Runtime.Tracer()
 	}
-	source := cfg.TraceSource
-	if source == "" {
-		source = "capserve"
-	}
 	heartbeat := cfg.FeedHeartbeat
 	if heartbeat == 0 {
 		heartbeat = DefaultFeedHeartbeat
 	}
 	s := &Server{
-		rt:          cfg.Runtime,
-		queue:       make(chan struct{}, depth),
-		maxN:        map[string]int{},
-		workloads:   workloads.NativeNames(),
-		eps:         map[string]*endpoint{},
-		mux:         http.NewServeMux(),
-		start:       time.Now(),
+		rt:            cfg.Runtime,
+		queue:         make(chan struct{}, depth),
+		maxN:          map[string]int{},
+		workloads:     workloads.NativeNames(),
+		eps:           map[string]*endpoint{},
+		mux:           http.NewServeMux(),
+		start:         time.Now(),
 		tracer:        tracer,
 		sampler:       captrace.NewSampler(sample),
-		traceSource:   source,
 		feedHeartbeat: heartbeat,
 	}
 	for _, wl := range s.workloads {
@@ -231,7 +219,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /debug/trace", s.handleTrace)
 	s.mux.HandleFunc("GET /debug/credits", s.handleCredits)
 	s.mux.HandleFunc("GET /run/{workload}", s.handleRun)
 	s.mux.HandleFunc("POST /run/{workload}", s.handleRun)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -459,9 +460,9 @@ func TestDrainingNeverShedsAdmitted(t *testing.T) {
 // an in-flight request admitted before Close completes with 200, Close
 // returns clean, and the listener only refuses connections afterwards.
 func TestBackendCloseDrains(t *testing.T) {
-	b, err := StartBackend(Config{Runtime: capsule.New(capsule.Config{Contexts: 2, Throttle: true}), QueueDepth: 8})
+	b, err := StartBackendOn(Config{Runtime: capsule.New(capsule.Config{Contexts: 2, Throttle: true}), QueueDepth: 8}, "127.0.0.1:0", nil)
 	if err != nil {
-		t.Fatalf("StartBackend: %v", err)
+		t.Fatalf("StartBackendOn: %v", err)
 	}
 	// /healthz flips to 503 the moment draining is set, while the
 	// listener is still accepting: the balancer sees the drain first.
@@ -497,6 +498,34 @@ func TestBackendCloseDrains(t *testing.T) {
 	}
 	if err := b.Close(ctx); err != nil {
 		t.Fatalf("second Close: %v", err)
+	}
+}
+
+// TestBackendCloseWithSilentConn: a connection that was dialed but never
+// sent a byte (a router's spare dispatch connection) carries no request,
+// so it must not hold Close for net/http's 5 s new-connection grace.
+func TestBackendCloseWithSilentConn(t *testing.T) {
+	b, err := StartBackendOn(Config{}, "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatalf("StartBackendOn: %v", err)
+	}
+	silent, err := net.Dial("tcp", strings.TrimPrefix(b.URL, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	// The listener accepts in order, so once a later connection has been
+	// served the silent one has been accepted too.
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	if resp, err := client.Get(b.URL + "/healthz"); err != nil {
+		t.Fatal(err)
+	} else {
+		resp.Body.Close()
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	if err := b.Close(ctx); err != nil {
+		t.Fatalf("Close with a silent connection open: %v", err)
 	}
 }
 

@@ -1,9 +1,7 @@
 package capserve
 
 import (
-	"encoding/json"
 	"net/http"
-	"strconv"
 
 	"repro/internal/captrace"
 )
@@ -58,34 +56,4 @@ func (s *Server) trace(traced bool, kind captrace.Kind, tid uint64, a uint16, b 
 	if traced {
 		s.tracer.Record(kind, tid, 0, a, b)
 	}
-}
-
-// TraceSnapshot reads the server's tracer under its configured source
-// name — what handleTrace serves, exposed so an embedder holding the
-// server in-process (a router with spawned backends) can merge this
-// server's rings into its own /debug/trace endpoint. Empty-armed or
-// untraced servers return an empty snapshot.
-func (s *Server) TraceSnapshot(n int) captrace.Snapshot {
-	return s.tracer.Snapshot(s.traceSource, n)
-}
-
-// handleTrace serves GET /debug/trace?n= — a point-in-time snapshot of
-// the tracer's rings as JSON, the ingestion format of cmd/captrace.
-// Read-side aggregation only: safe to hit while the hot path writes.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if s.tracer == nil {
-		http.Error(w, "tracing disabled (start with -trace)", http.StatusNotFound)
-		return
-	}
-	n := 0
-	if v := r.URL.Query().Get("n"); v != "" {
-		p, err := strconv.Atoi(v)
-		if err != nil || p < 0 {
-			http.Error(w, "bad n: want a non-negative integer", http.StatusBadRequest)
-			return
-		}
-		n = p
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(s.tracer.Snapshot(s.traceSource, n))
 }

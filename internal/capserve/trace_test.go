@@ -4,11 +4,10 @@ package capserve
 // X-Capsule-Trace-ID survives to the response and to the tracer's rings
 // (the ISSUE's header-survival requirement), injected context identity
 // wins over headers, sampling stays off the unsampled path, the
-// /debug/trace endpoint round-trips snapshots, and the capsule_* series
-// round-trip through promtext.
+// serving tier's events reach /debug/trace under the member's name, and
+// the capsule_* series round-trip through promtext.
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -116,51 +115,50 @@ func TestTraceContextInjectionWins(t *testing.T) {
 	}
 }
 
-// TestTraceDisabled: with no tracer anywhere, no ID is minted, no header
-// echoed, and /debug/trace 404s.
+// TestTraceDisabled: with no tracer anywhere, no ID is minted and no
+// header echoed.
 func TestTraceDisabled(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp := getJSON(t, ts.URL+"/run/quicksort?n=500", nil)
 	if got := resp.Header.Get(captrace.HeaderTraceID); got != "" {
 		t.Fatalf("untraced server echoed an ID: %q", got)
 	}
-	resp = getJSON(t, ts.URL+"/debug/trace", nil)
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/debug/trace on an untraced server = %d, want 404", resp.StatusCode)
-	}
 }
 
-// TestDebugTraceEndpoint: the endpoint serves a decodable snapshot whose
-// n cap works, with the configured source stamped on it.
+// TestDebugTraceEndpoint: the serving tier's events reach /debug/trace
+// as the debug plane mounts it — a JSON array of one snapshot under the
+// member's name, ?n= capping it, a bad n rejected.
 func TestDebugTraceEndpoint(t *testing.T) {
 	tr := captrace.New(1, 64)
 	rt := capsule.New(capsule.Config{Contexts: 2, Tracer: tr})
 	t.Cleanup(rt.Close)
-	_, ts := newTestServer(t, Config{Runtime: rt, TraceSample: 1, TraceSource: "backend-7"})
+	s, ts := newTestServer(t, Config{Runtime: rt, TraceSample: 1})
+	s.Mount("GET /debug/trace", captrace.Handler(captrace.Source{Name: "backend-7", Tracer: tr}))
 
 	for i := 0; i < 3; i++ {
 		getJSON(t, fmt.Sprintf("%s/run/quicksort?n=500&seed=%d", ts.URL, i), nil)
 	}
-	var snap captrace.Snapshot
-	if resp := getJSON(t, ts.URL+"/debug/trace", &snap); resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
+	var snaps []captrace.Snapshot
+	resp := getJSON(t, ts.URL+"/debug/trace", &snaps)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
+		t.Fatalf("status %d, content type %q", resp.StatusCode, resp.Header.Get("Content-Type"))
 	}
-	if snap.Source != "backend-7" {
-		t.Fatalf("snapshot source = %q, want backend-7", snap.Source)
+	if len(snaps) != 1 || snaps[0].Source != "backend-7" {
+		t.Fatalf("want one snapshot named backend-7, got %d: %+v", len(snaps), snaps)
 	}
-	if len(snap.Events) == 0 || len(snap.Shards) != 1 {
+	if snap := snaps[0]; len(snap.Events) == 0 || len(snap.Shards) != 1 {
 		t.Fatalf("empty snapshot after traced requests: %d events, %d shards", len(snap.Events), len(snap.Shards))
 	}
-	for _, ev := range snap.Events {
+	for _, ev := range snaps[0].Events {
 		if ev.Source != "backend-7" {
 			t.Fatalf("event source = %q", ev.Source)
 		}
 	}
 
-	var capped captrace.Snapshot
+	var capped []captrace.Snapshot
 	getJSON(t, ts.URL+"/debug/trace?n=2", &capped)
-	if len(capped.Events) != 2 {
-		t.Fatalf("n=2 returned %d events", len(capped.Events))
+	if len(capped) != 1 || len(capped[0].Events) != 2 {
+		t.Fatalf("n=2 returned %+v", capped)
 	}
 	if resp := getJSON(t, ts.URL+"/debug/trace?n=bogus", nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad n accepted: %d", resp.StatusCode)
@@ -256,9 +254,11 @@ func TestShedTraced(t *testing.T) {
 }
 
 // TestTraceSnapshotBodyIsJSON pins the endpoint's content type and the
-// decodability of its raw body (what cmd/captrace ingests).
+// decodability of its raw body as a snapshot array (what cmd/captrace
+// ingests).
 func TestTraceSnapshotBodyIsJSON(t *testing.T) {
-	_, ts, _ := newTracedServer(t, 1)
+	s, ts, tr := newTracedServer(t, 1)
+	s.Mount("GET /debug/trace", captrace.Handler(captrace.Source{Name: "capserve", Tracer: tr}))
 	getJSON(t, ts.URL+"/run/lzw?n=800", nil)
 	resp, err := http.Get(ts.URL + "/debug/trace?n=50")
 	if err != nil {
@@ -269,8 +269,8 @@ func TestTraceSnapshotBodyIsJSON(t *testing.T) {
 		t.Fatalf("content type %q", ct)
 	}
 	body, _ := io.ReadAll(resp.Body)
-	var snap captrace.Snapshot
-	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&snap); err != nil {
-		t.Fatalf("snapshot body undecodable: %v\n%s", err, body)
+	var snaps []captrace.Snapshot
+	if err := json.Unmarshal(body, &snaps); err != nil || len(snaps) != 1 {
+		t.Fatalf("snapshot body not a one-element array (%v):\n%s", err, body)
 	}
 }

@@ -84,8 +84,8 @@ func (s *Server) QueueOccupancy() int { return len(s.queue) }
 func (s *Server) ShedCount() uint64 { return s.shed.Load() }
 
 // Mount registers an additional handler on the server's mux — the hook
-// a post-construction subsystem (capwatch's /debug/watch) uses to
-// appear on the same listener. Call before the server starts serving;
+// the debug plane (internal/capdebug) uses to put /debug/trace, /debug/watch
+// and /debug/incident on the same listener. Call before the server starts serving;
 // the mux is not synchronized against in-flight requests.
 func (s *Server) Mount(pattern string, h http.Handler) { s.mux.Handle(pattern, h) }
 
@@ -93,8 +93,3 @@ func (s *Server) Mount(pattern string, h http.Handler) { s.mux.Handle(pattern, h
 // after the server's own series. Same timing contract as Mount: wire it
 // up before serving starts.
 func (s *Server) AddMetrics(f func(io.Writer)) { s.extraMetrics = append(s.extraMetrics, f) }
-
-// TraceHandler returns the /debug/trace handler as a mountable value,
-// so a side debug listener (cmd/capserve -debug-addr) can serve traces
-// next to pprof without reaching into the server's mux.
-func (s *Server) TraceHandler() http.Handler { return http.HandlerFunc(s.handleTrace) }

@@ -1,8 +1,8 @@
 // Package captrace is the runtime's flight recorder: a sharded,
 // lock-free, fixed-size ring buffer of fixed-width lifecycle events fed
 // by the probe/divide hot path and read — aggregated, never locked —
-// by the /debug/trace endpoints, capload's -trace exemplars and the
-// captrace CLI.
+// by the /debug/trace endpoint (Handler), capload's -trace exemplars
+// and the captrace CLI.
 //
 // The paper's evaluation leans on cycle-level event traces from the
 // SOMT simulator (every granted division is a DivisionEvent with its
@@ -13,17 +13,22 @@
 // re-serializes the path it observes.
 //
 // Write-side contract (the reason this can sit inside an ~18–55 ns
-// probe): recording one event is one atomic increment to claim a slot
-// plus a handful of atomic stores into it — no mutex, no allocation,
-// no channel, and no word shared with another shard's writers. When a
-// ring wraps, old events are overwritten: the tracer drops, it never
-// blocks. A nil *Tracer disables everything at the cost of one
-// predictable branch.
+// probe): recording one event is one atomic increment to claim a slot,
+// one CAS to take it, a handful of atomic stores into it and one CAS
+// to publish — no mutex, no allocation, no channel, and no word shared
+// with another shard's writers. When a ring wraps, old events are
+// overwritten: the tracer drops, it never blocks. Claims do not give a
+// slot one writer at a time (a writer preempted for a whole lap meets
+// the writer of the next lap on the same slot), so the slot header is
+// a try-lock: a writer that finds the slot held, or already holding a
+// newer claim than its own, drops its own event and counts it in
+// Contended rather than wait or write over the newer one. A nil
+// *Tracer disables everything at the cost of one predictable branch.
 //
 // Read-side contract: Snapshot walks each shard's ring backwards,
 // validating every slot's sequence header before AND after copying the
 // payload (all fields are single atomic words, so the copy itself can
-// never tear a word). A slot being overwritten mid-read fails the
+// never tear a word). A slot held or replaced mid-read fails the
 // validation and is counted as skipped, not returned — a snapshot
 // under full write load is smaller, never wrong.
 //
@@ -181,29 +186,34 @@ func KindFromString(s string) (Kind, bool) {
 const cacheLine = 64
 
 // slot is one ring entry: a sequence header plus a fixed-width payload,
-// every field its own atomic word. The header holds claim+1 of the event
-// occupying the slot, or 0 while a writer is mid-publish; a reader
-// accepts the payload only when the header reads the exact expected
-// sequence before and after the copy. All loads and stores are atomic
-// (sequentially consistent), so the slot protocol is race-detector-clean
-// and a stale overwrite can never be observed as a torn event: any
-// overwriter invalidates the header before touching the payload, and a
-// reader that saw one of its payload words must then see its header
-// write too.
+// every field its own atomic word. The header is 0 while the slot is
+// empty, claim+1 once the event for that claim is published, and
+// writing|claim while that claim's writer holds it; a reader accepts the
+// payload only when the header reads the exact expected sequence before
+// and after the copy. All loads and stores are atomic (sequentially
+// consistent), so the slot protocol is race-detector-clean and an
+// overwrite can never be observed as a torn event: payload stores happen
+// only while the header says writing, and a reader that saw one of them
+// must then see that header too.
 type slot struct {
-	hdr    atomic.Uint64 // claim+1, or 0 while being written
+	hdr    atomic.Uint64 // 0, claim+1, or writing|claim
 	ts     atomic.Int64  // unix nanoseconds (wall clock: cross-process comparable)
 	tid    atomic.Uint64 // trace ID, 0 = tier-scoped event
 	packed atomic.Uint64 // kind<<56 | shard<<48 | a<<32 | b
 }
 
+// writing marks a slot header held by a writer; the low bits are its claim.
+const writing = 1 << 63
+
 // traceShard is one padded write head plus its ring. seq counts every
 // event ever claimed on this shard; seq - len(ring) of them (when
-// positive) have been overwritten.
+// positive) have been overwritten, and contended counts the claims whose
+// writers dropped their own event because the slot was held or newer.
 type traceShard struct {
-	seq  atomic.Uint64
-	_    [2*cacheLine - 8]byte
-	ring []slot
+	seq       atomic.Uint64
+	contended atomic.Uint64
+	_         [2*cacheLine - 16]byte
+	ring      []slot
 }
 
 // Tracer is the sharded recorder. A nil *Tracer is the disabled tracer:
@@ -269,9 +279,11 @@ func (t *Tracer) PerShard() int {
 // stack-address affinity, NOT by the shard argument — shard is a spare
 // payload byte, 0 from every caller today. Safe on a nil Tracer.
 //
-// Cost when t is non-nil: one clock read, one atomic increment, five
-// atomic stores. Zero allocations, no waiting of any kind — under ring
-// overflow the oldest events are silently overwritten.
+// Cost when t is non-nil: one clock read, one atomic increment, one
+// load, two CASes and three atomic stores. Zero allocations, no waiting
+// of any kind — under ring overflow the oldest events are silently
+// overwritten, and a writer that collides with another on its slot
+// drops its own event (counted in ShardInfo.Contended).
 func (t *Tracer) Record(kind Kind, tid uint64, shard uint8, a uint16, b uint32) {
 	if t == nil {
 		return
@@ -285,11 +297,18 @@ func (t *Tracer) record(ts int64, kind Kind, tid uint64, shard uint8, a uint16, 
 	s := &t.shards[writeHint(len(t.shards))]
 	i := s.seq.Add(1) - 1
 	sl := &s.ring[i&t.mask]
-	sl.hdr.Store(0) // invalidate: readers of the old occupant now fail validation
+	// Take the slot from an empty or published header older than this
+	// claim. Held (writing) or newer (h > i: this writer was lapped) means
+	// drop: never wait, never write over a newer event.
+	h := sl.hdr.Load()
+	if h&writing != 0 || h > i || !sl.hdr.CompareAndSwap(h, writing|i) {
+		s.contended.Add(1)
+		return
+	}
 	sl.ts.Store(ts)
 	sl.tid.Store(tid)
 	sl.packed.Store(pack(kind, shard, a, b))
-	sl.hdr.Store(i + 1) // publish
+	sl.hdr.CompareAndSwap(writing|i, i+1) // publish
 }
 
 func pack(kind Kind, shard uint8, a uint16, b uint32) uint64 {

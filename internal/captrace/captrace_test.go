@@ -1,9 +1,12 @@
 package captrace
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"strconv"
 	"sync"
 	"testing"
 )
@@ -35,10 +38,11 @@ func checkStormEvent(t *testing.T, ev Event) {
 // writers while concurrent readers snapshot it: every ring wraps many
 // times over, so the test exercises exactly the overflow path the ISSUE
 // names. The invariants: every event a snapshot returns is internally
-// consistent (no torn slots), per-shard accounting adds up (claims ==
-// events written, drops == claims beyond capacity), and nothing blocks
-// — the writers finish a fixed amount of work regardless of reader
-// pressure. Run under -race in CI.
+// consistent (no torn slots, even when a writer is lapped mid-write),
+// per-shard accounting adds up (claims == events written, events +
+// overwrites + contended drops cover every claim), and nothing blocks —
+// the writers finish a fixed amount of work regardless of reader
+// pressure. Run under -race at GOMAXPROCS 1/2/4 in CI.
 func TestStormDropsNeverTears(t *testing.T) {
 	const (
 		writers   = 8
@@ -87,14 +91,15 @@ func TestStormDropsNeverTears(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	// Quiescent accounting: every claim happened, the overflow was
-	// dropped (not blocked on), and a final snapshot validates clean
-	// with zero skips.
+	// Quiescent accounting: every claim happened, the overflow and the
+	// collisions were dropped (not blocked on), and a final snapshot
+	// validates clean with zero skips — a lapped writer never
+	// re-published a stale claim over the newer one.
 	snap := tr.Snapshot("storm", 0)
 	var written, dropped uint64
 	for _, sh := range snap.Shards {
 		written += sh.Written
-		dropped += sh.Dropped
+		dropped += sh.Dropped + sh.Contended
 		if sh.Skipped != 0 {
 			t.Errorf("quiescent snapshot skipped %d slots", sh.Skipped)
 		}
@@ -316,27 +321,32 @@ func BenchmarkRecordDisabled(b *testing.B) {
 	})
 }
 
-// TestDecodeSnapshots covers both /debug/trace wire shapes: the single
-// object a capserve serves and the array a router with in-process
-// backends serves. Readers must not care which topology they hit.
-func TestDecodeSnapshots(t *testing.T) {
-	tr := New(1, 8)
-	tr.record(1, KReqAdmit, 7, 0, 0, 1)
-	one := tr.Snapshot("solo", 0)
-
-	blob, _ := json.Marshal(one)
-	snaps, err := DecodeSnapshots(bytes.NewReader(blob))
-	if err != nil || len(snaps) != 1 || snaps[0].Source != "solo" || len(snaps[0].Events) != 1 {
-		t.Fatalf("object shape: snaps=%+v err=%v", snaps, err)
+// FuzzHandlerN: any ?n= gets a 400 or a JSON array with one snapshot per
+// source, each capped at n events — never a panic.
+func FuzzHandlerN(f *testing.F) {
+	for _, n := range []string{"", "0", "2", "-1", "bogus", "99999999999999999999"} {
+		f.Add(n)
 	}
-
-	blob, _ = json.Marshal([]Snapshot{one, tr.Snapshot("twin", 0)})
-	snaps, err = DecodeSnapshots(bytes.NewReader(blob))
-	if err != nil || len(snaps) != 2 || snaps[1].Source != "twin" {
-		t.Fatalf("array shape: snaps=%+v err=%v", snaps, err)
+	tr := New(1, 16)
+	for i := 1; i <= 5; i++ {
+		tr.record(int64(i), KReqAdmit, uint64(i), 0, 0, 0)
 	}
-
-	if _, err := DecodeSnapshots(bytes.NewReader([]byte("not json"))); err == nil {
-		t.Fatal("garbage decoded without error")
-	}
+	h := Handler(Source{Name: "lead", Tracer: tr}, Source{Name: "off"})
+	f.Fuzz(func(t *testing.T, n string) {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("GET", "/debug/trace?"+url.Values{"n": {n}}.Encode(), nil))
+		if w.Code == http.StatusBadRequest {
+			return
+		}
+		var snaps []Snapshot
+		if err := json.Unmarshal(w.Body.Bytes(), &snaps); w.Code != http.StatusOK || err != nil {
+			t.Fatalf("?n=%q: status %d, body %q (%v)", n, w.Code, w.Body.Bytes(), err)
+		}
+		if len(snaps) != 2 || snaps[0].Source != "lead" || snaps[1].Source != "off" {
+			t.Fatalf("?n=%q: want [lead off], got %+v", n, snaps)
+		}
+		if p, _ := strconv.Atoi(n); p > 0 && len(snaps[0].Events) > p {
+			t.Fatalf("?n=%q returned %d events", n, len(snaps[0].Events))
+		}
+	})
 }

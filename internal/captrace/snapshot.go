@@ -6,7 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"io"
+	"net/http"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -15,10 +15,10 @@ import (
 
 // This file is the tracer's read side plus the identity plumbing: the
 // Snapshot walk (validated slot copies, merged and time-ordered), the
-// Event JSON codec shared by the /debug/trace endpoints and the
-// captrace CLI, trace-ID generation/formatting, the per-request context
-// carrier the router uses to hand identity to its in-process local
-// tier, and the 1-in-N sampler for server-generated IDs.
+// Event JSON codec, the /debug/trace handler every server mounts,
+// trace-ID generation/formatting, the per-request context carrier the
+// router uses to hand identity to its in-process local tier, and the
+// 1-in-N sampler for server-generated IDs.
 
 // Event is one decoded ring entry. A and B are per-Kind payloads (see
 // the Kind constants); Shard is a spare payload byte no tier writes
@@ -134,10 +134,11 @@ func (e Event) Detail() string {
 
 // ShardInfo is one shard's occupancy accounting inside a Snapshot.
 type ShardInfo struct {
-	Written  uint64 `json:"written"`  // events ever claimed on this shard
-	Capacity int    `json:"capacity"` // ring size
-	Dropped  uint64 `json:"dropped"`  // overwritten before this snapshot: max(written-capacity, 0)
-	Skipped  uint64 `json:"skipped"`  // slots that failed validation during this walk
+	Written   uint64 `json:"written"`   // events ever claimed on this shard
+	Capacity  int    `json:"capacity"`  // ring size
+	Dropped   uint64 `json:"dropped"`   // overwritten before this snapshot: max(written-capacity, 0)
+	Contended uint64 `json:"contended"` // dropped by their own writer: the slot was held or newer
+	Skipped   uint64 `json:"skipped"`   // slots held or replaced by a writer during this walk
 }
 
 // Snapshot is one point-in-time read of a tracer, the JSON body served
@@ -153,8 +154,10 @@ type Snapshot struct {
 // Snapshot copies out the most recent events without stopping writers:
 // each shard's ring is walked backwards from its write head, and every
 // slot is accepted only if its sequence header matches the expected
-// claim both before and after the payload copy — a slot overwritten
-// mid-walk is counted in Skipped, not returned. n > 0 caps the merged
+// claim both before and after the payload copy — a slot held or
+// overwritten mid-walk is counted in Skipped, not returned; a slot still
+// holding an older claim (the expected claim's writer dropped its event,
+// or has not published it yet) is neither. n > 0 caps the merged
 // result to the n most recent events; n <= 0 returns everything
 // resident. Safe on a nil Tracer (returns an empty snapshot).
 func (t *Tracer) Snapshot(source string, n int) Snapshot {
@@ -170,6 +173,7 @@ func (t *Tracer) Snapshot(source string, n int) Snapshot {
 		info := &snap.Shards[si]
 		info.Written = head
 		info.Capacity = int(size)
+		info.Contended = s.contended.Load()
 		if head > size {
 			info.Dropped = head - size
 		}
@@ -180,8 +184,10 @@ func (t *Tracer) Snapshot(source string, n int) Snapshot {
 		for k := uint64(0); k < resident; k++ {
 			i := head - 1 - k // claim index, newest first
 			sl := &s.ring[i&t.mask]
-			if sl.hdr.Load() != i+1 {
-				info.Skipped++
+			if h := sl.hdr.Load(); h != i+1 {
+				if h&writing != 0 || h > i+1 {
+					info.Skipped++
+				}
 				continue
 			}
 			ev := Event{
@@ -208,27 +214,34 @@ func (t *Tracer) Snapshot(source string, n int) Snapshot {
 	return snap
 }
 
-// DecodeSnapshots reads one /debug/trace body: either a single Snapshot
-// object (capserve, a router with no co-process backends) or an array
-// of them (a router merging its spawned backends' rings into one
-// endpoint). Readers shouldn't care which topology produced the bytes,
-// so both shapes decode to the same []Snapshot.
-func DecodeSnapshots(r io.Reader) ([]Snapshot, error) {
-	dec := json.NewDecoder(r)
-	var raw json.RawMessage
-	if err := dec.Decode(&raw); err != nil {
-		return nil, err
-	}
-	if len(raw) > 0 && raw[0] == '[' {
-		var snaps []Snapshot
-		err := json.Unmarshal(raw, &snaps)
-		return snaps, err
-	}
-	var snap Snapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		return nil, err
-	}
-	return []Snapshot{snap}, nil
+// Source is one member's tracer under the name its snapshots carry.
+type Source struct {
+	Name   string
+	Tracer *Tracer
+}
+
+// Handler serves GET /debug/trace?n= over srcs: always a JSON array of
+// snapshots in the given order, the lead member first (one element for
+// a lone server). n > 0 caps each snapshot to its n most recent events.
+// Read-side aggregation only: safe to hit while the hot path writes.
+func Handler(srcs ...Source) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		n := 0
+		if v := r.URL.Query().Get("n"); v != "" {
+			p, err := strconv.Atoi(v)
+			if err != nil || p < 0 {
+				http.Error(w, "bad n: want a non-negative integer", http.StatusBadRequest)
+				return
+			}
+			n = p
+		}
+		snaps := make([]Snapshot, len(srcs))
+		for i, s := range srcs {
+			snaps[i] = s.Tracer.Snapshot(s.Name, n)
+		}
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(snaps)
+	})
 }
 
 // MergeEvents flattens several snapshots (e.g. router + each backend)

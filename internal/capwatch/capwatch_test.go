@@ -3,7 +3,9 @@ package capwatch
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"runtime"
 	"strings"
@@ -265,6 +267,9 @@ func TestReportEmptyRing(t *testing.T) {
 	}
 }
 
+// TestHandlerShapes pins /debug/watch's query parsing and order: the
+// window reaches every report, reports keep sampler order, and a bad
+// window is a 400. (The array-per-topology shape is capdebug's TestPlane.)
 func TestHandlerShapes(t *testing.T) {
 	rt := newRuntime(t, 2)
 	a, _ := New(Config{Runtime: rt, Ring: minRing, Source: "a"})
@@ -272,32 +277,14 @@ func TestHandlerShapes(t *testing.T) {
 	a.SampleNow()
 	b.SampleNow()
 
-	// Single sampler: an object.
 	rec := httptest.NewRecorder()
-	Handler(a).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/watch?window=10s", nil))
-	var obj Report
-	if err := json.Unmarshal(rec.Body.Bytes(), &obj); err != nil {
-		t.Fatalf("single-sampler body is not one Report: %v", err)
+	Handler(a, b).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/watch?window=10s", nil))
+	var reps []Report
+	if err := json.Unmarshal(rec.Body.Bytes(), &reps); err != nil {
+		t.Fatalf("body is not a Report array: %v", err)
 	}
-	if obj.Source != "a" || obj.WindowS != 10 {
-		t.Fatalf("report = source %q window %g, want a/10", obj.Source, obj.WindowS)
-	}
-
-	// Two samplers: an array, order preserved.
-	rec = httptest.NewRecorder()
-	Handler(a, b).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/watch", nil))
-	reps, err := DecodeReports(rec.Body.Bytes())
-	if err != nil {
-		t.Fatalf("DecodeReports: %v", err)
-	}
-	if len(reps) != 2 || reps[0].Source != "a" || reps[1].Source != "b" {
-		t.Fatalf("merged reports = %+v, want [a b]", reps)
-	}
-
-	// DecodeReports accepts the single-object shape too.
-	single, err := DecodeReports([]byte(`{"source":"x"}`))
-	if err != nil || len(single) != 1 || single[0].Source != "x" {
-		t.Fatalf("DecodeReports(object) = %v, %v", single, err)
+	if len(reps) != 2 || reps[0].Source != "a" || reps[1].Source != "b" || reps[1].WindowS != 10 {
+		t.Fatalf("reports = %+v, want [a b] over a 10s window", reps)
 	}
 
 	// Bad window: 400.
@@ -430,8 +417,8 @@ func TestIncidentsPlumbing(t *testing.T) {
 	}
 	rec := httptest.NewRecorder()
 	Handler(s).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/watch", nil))
-	reps, err := DecodeReports(rec.Body.Bytes())
-	if err != nil || len(reps) != 1 {
+	var reps []Report
+	if err := json.Unmarshal(rec.Body.Bytes(), &reps); err != nil || len(reps) != 1 {
 		t.Fatalf("decode: %v", err)
 	}
 	if reps[0].Incidents != 7 {
@@ -441,4 +428,31 @@ func TestIncidentsPlumbing(t *testing.T) {
 	if got := s.Report(0).Incidents; got != 0 {
 		t.Fatalf("unregistered again, incidents = %d", got)
 	}
+}
+
+// FuzzHandlerWindow: any ?window= gets a 400 or a JSON array with one
+// report per sampler — never a panic.
+func FuzzHandlerWindow(f *testing.F) {
+	for _, w := range []string{"", "30s", "1m", "0", "-5s", "yes", "9999999999h"} {
+		f.Add(w)
+	}
+	rt, err := capsule.NewValidated(capsule.Config{Contexts: 2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(rt.Close)
+	s, _ := New(Config{Runtime: rt, Ring: minRing, Source: "lead"})
+	s.SampleNow()
+	h := Handler(s)
+	f.Fuzz(func(t *testing.T, window string) {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("GET", "/debug/watch?"+url.Values{"window": {window}}.Encode(), nil))
+		if w.Code == http.StatusBadRequest {
+			return
+		}
+		var reps []Report
+		if err := json.Unmarshal(w.Body.Bytes(), &reps); w.Code != http.StatusOK || err != nil || len(reps) != 1 || reps[0].Source != "lead" {
+			t.Fatalf("?window=%q: status %d, body %q (%v)", window, w.Code, w.Body.Bytes(), err)
+		}
+	})
 }

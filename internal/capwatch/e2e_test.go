@@ -2,6 +2,7 @@ package capwatch
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -31,7 +32,7 @@ func TestRouterWatchCoversFleet(t *testing.T) {
 		if err != nil {
 			t.Fatalf("backend %d runtime: %v", i, err)
 		}
-		b, err := capserve.StartBackend(capserve.Config{Runtime: rt})
+		b, err := capserve.StartBackendOn(capserve.Config{Runtime: rt}, "127.0.0.1:0", nil)
 		if err != nil {
 			t.Fatalf("backend %d: %v", i, err)
 		}
@@ -116,9 +117,9 @@ func TestRouterWatchCoversFleet(t *testing.T) {
 	// The merged endpoint, as cmd/caprouter mounts it.
 	rec := httptest.NewRecorder()
 	Handler(all...).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/watch?window=1m", nil))
-	reps, err := DecodeReports(rec.Body.Bytes())
-	if err != nil {
-		t.Fatalf("DecodeReports: %v", err)
+	var reps []Report
+	if err := json.Unmarshal(rec.Body.Bytes(), &reps); err != nil {
+		t.Fatalf("watch body: %v", err)
 	}
 	if len(reps) != nBackends+1 {
 		t.Fatalf("router watch returned %d reports, want %d (router + every spawned backend)", len(reps), nBackends+1)
@@ -212,9 +213,8 @@ func TestWatchOnServerMux(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	body := get(t, ts.URL+"/debug/watch?window=30s")
-	reps, err := DecodeReports(body)
-	if err != nil || len(reps) != 1 {
+	var reps []Report
+	if err := json.Unmarshal(get(t, ts.URL+"/debug/watch?window=30s"), &reps); err != nil || len(reps) != 1 {
 		t.Fatalf("watch on server mux: %v, %v", reps, err)
 	}
 	metrics := string(get(t, ts.URL+"/metrics"))

@@ -1,7 +1,6 @@
 package capwatch
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,12 +8,11 @@ import (
 	"time"
 )
 
-// /debug/watch and the capwatch_* exposition. The handler follows
-// /debug/trace's merge convention exactly: one sampler serves a single
-// Report object; a router that also owns its spawned backends' samplers
-// serves a JSON array, its own report first, so one URL yields the
-// whole fleet's telemetry. DecodeReports reads either shape, so captop
-// and the smoke scripts don't care which they hit.
+// /debug/watch and the capwatch_* exposition. The handler follows the
+// debug plane's one merge convention (internal/capdebug): always a JSON
+// array of Reports in sampler order, the lead member first — one element
+// for a lone capserve, the router's own report then one per spawned
+// backend for a fleet — so one URL yields the whole fleet's telemetry.
 
 // Handler serves GET /debug/watch?window= over the given samplers.
 // The window parameter is a Go duration ("30s", "5m"); absent means
@@ -30,47 +28,13 @@ func Handler(samplers ...*Sampler) http.Handler {
 			}
 			window = d
 		}
+		reps := make([]Report, len(samplers))
+		for i, s := range samplers {
+			reps[i] = s.Report(window)
+		}
 		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		if len(samplers) == 1 {
-			enc.Encode(samplers[0].Report(window))
-			return
-		}
-		reps := make([]Report, 0, len(samplers))
-		for _, s := range samplers {
-			reps = append(reps, s.Report(window))
-		}
-		enc.Encode(reps)
+		json.NewEncoder(w).Encode(reps)
 	})
-}
-
-// DecodeReports parses a /debug/watch response body in either shape —
-// a single Report object or an array — always returning a slice.
-func DecodeReports(data []byte) ([]Report, error) {
-	trimmed := bytes.TrimSpace(data)
-	if len(trimmed) == 0 {
-		return nil, fmt.Errorf("capwatch: empty watch response")
-	}
-	if trimmed[0] == '[' {
-		var reps []Report
-		if err := json.Unmarshal(trimmed, &reps); err != nil {
-			return nil, fmt.Errorf("capwatch: decoding watch array: %w", err)
-		}
-		return reps, nil
-	}
-	var rep Report
-	if err := json.Unmarshal(trimmed, &rep); err != nil {
-		return nil, fmt.Errorf("capwatch: decoding watch report: %w", err)
-	}
-	return []Report{rep}, nil
-}
-
-// EncodeReports is DecodeReports' inverse for tooling output: it always
-// writes the array shape, so captop -json consumers see one schema
-// regardless of whether the polled endpoint was a lone capserve or a
-// fleet-merging router.
-func EncodeReports(reps []Report) ([]byte, error) {
-	return json.MarshalIndent(reps, "", "  ")
 }
 
 // WriteMetrics emits the sampler's capwatch_* series — the burn rates
