@@ -61,15 +61,12 @@ func main() {
 	failWindow := flag.Duration("fail-window", 0, "breaker window (0 = default)")
 	timeout := flag.Duration("timeout", 0, "total per-request routing budget (0 = default)")
 	attemptTimeout := flag.Duration("attempt-timeout", 0, "per-dispatch-attempt deadline carved from the budget (0 = default)")
-	refreshTimeout := flag.Duration("refresh-timeout", 0, "credit-scrape timeout, independent of the dispatch budget (0 = default)")
 	trialBackoff := flag.Duration("trial-backoff", 0, "base backoff between failed half-open trials, jittered and doubled per failure (0 = default)")
 	slowCheck := flag.Duration("slow-check", capcluster.SlowCheckInterval, "slow-backend ejection cadence (0 disables)")
 	slowFactor := flag.Float64("slow-factor", 0, "eject a backend whose dispatch p99 exceeds this multiple of its peers' median (0 = default)")
 	slowMinP99 := flag.Duration("slow-min-p99", 0, "absolute p99 floor below which no backend is ejected (0 = default)")
 	slowMinSamples := flag.Int("slow-min-samples", 0, "dispatches per interval a backend needs before slow ejection considers it (0 = default)")
-	refresh := flag.Duration("refresh", time.Second, "credit refresh interval (scrapes backend /metrics; 0 disables)")
-	feedOn := flag.Bool("feed", true, "subscribe to backend /debug/credits push feeds (headers and scrapes remain as fallbacks)")
-	staleTTL := flag.Duration("stale-ttl", 0, "credit-gauge trust window: fresh feeds skip the scrape, fully quiet backends decay toward -credits (0 = default)")
+	staleTTL := flag.Duration("stale-ttl", 0, "credit-gauge trust window: a backend with no feed delta and no response header inside it decays toward -credits (0 = default)")
 	feedBackoff := flag.Duration("feed-backoff", 0, "base backoff between feed reconnect attempts, jittered and doubled per failure (0 = default)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown timeout")
 	dbg := capdebug.Register(flag.CommandLine)
@@ -105,7 +102,7 @@ func main() {
 	// after the router's, on the router's: only the router knows where an
 	// ephemeral spawned backend lives. Wired before the URL reaches the
 	// router, so the backend's mux and /metrics never mutate under live
-	// scrapes.
+	// traffic.
 	var spawned []*capserve.Backend
 	for i := 0; i < *spawn; i++ {
 		btr := dbg.NewTracer()
@@ -174,7 +171,6 @@ func main() {
 		FailWindow:     *failWindow,
 		Timeout:        *timeout,
 		AttemptTimeout: *attemptTimeout,
-		RefreshTimeout: *refreshTimeout,
 		TrialBackoff:   *trialBackoff,
 		SlowFactor:     *slowFactor,
 		SlowMinP99:     *slowMinP99,
@@ -189,7 +185,6 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
-	router.Refresh() // learn real capacities before the first request
 
 	// The router leads the plane: its member sees the fleet-level
 	// triggers (SLO burn over merged dispatch latency, breaker trips, slow
@@ -209,41 +204,19 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if *feedOn && len(urls) > 0 {
+	if len(urls) > 0 {
 		// The push plane: one subscription per backend, reconnecting with
-		// jittered backoff for the process lifetime. The Refresh ticker
-		// below then only pays for backends the push plane has lost.
+		// jittered backoff for the process lifetime. Each subscription's
+		// first delta teaches the backend's real capacity; response
+		// headers are the fallback, and the decay pass below recovers a
+		// gauge neither has refreshed within -stale-ttl.
 		router.StartFeeds(ctx)
 		fmt.Printf("caprouter: subscribed to %d backend credit feeds\n", len(urls))
 	}
-	if *refresh > 0 {
-		go func() {
-			t := time.NewTicker(*refresh)
-			defer t.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-t.C:
-					router.Refresh()
-				}
-			}
-		}()
-	}
+	every(ctx, time.Second, router.Refresh)
 	if *slowCheck > 0 {
-		// CheckSlow is single-caller by contract; this goroutine is it.
-		go func() {
-			t := time.NewTicker(*slowCheck)
-			defer t.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-t.C:
-					router.CheckSlow()
-				}
-			}
-		}()
+		// CheckSlow is single-caller by contract; this ticker is it.
+		every(ctx, *slowCheck, func() { router.CheckSlow() })
 	}
 
 	hs := &http.Server{Addr: *addr, Handler: router}
@@ -288,6 +261,22 @@ func main() {
 	if !clean {
 		os.Exit(1)
 	}
+}
+
+// every runs fn on its own goroutine every d until ctx is cancelled.
+func every(ctx context.Context, d time.Duration, fn func()) {
+	go func() {
+		t := time.NewTicker(d)
+		defer t.Stop()
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-t.C:
+				fn()
+			}
+		}
+	}()
 }
 
 func fail(format string, args ...any) {

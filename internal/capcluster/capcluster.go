@@ -18,9 +18,10 @@
 // The mapping from the runtime's mechanisms to the cluster's:
 //
 //   - context tokens   → backend credits: in-flight dispatches vs. the
-//     capacity the backend advertises (response headers on every reply,
-//     /metrics on Refresh). ProbeRemote is a breaker check plus one CAS —
-//     the deny path touches no network and allocates nothing;
+//     capacity the backend advertises (the /debug/credits push feed, with
+//     the headroom header on every reply as its fallback). ProbeRemote is
+//     a breaker check plus one CAS — the deny path touches no network and
+//     allocates nothing;
 //   - kthr / deaths    → backend errors, timeouts and 5xx responses,
 //     recorded in a per-backend failure ring;
 //   - death throttling → the breaker: enough failures inside the window
@@ -43,13 +44,11 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/capserve"
 	"repro/internal/captrace"
-	"repro/internal/promtext"
 )
 
 // Response headers the router stamps so clients and load generators can
@@ -69,7 +68,7 @@ const statusClientClosed = 499
 // Defaults applied by New for zero Config fields.
 const (
 	// DefaultCredits is the initial per-backend credit ceiling, spent
-	// before the first header or scrape teaches the real capacity.
+	// before the first feed delta or header teaches the real capacity.
 	DefaultCredits = 4
 	// DefaultMaxCredits caps learned credits so a corrupt header cannot
 	// open the floodgates.
@@ -86,20 +85,15 @@ const (
 	// moves on. A black-holing backend costs one attempt, not the
 	// request.
 	DefaultAttemptTimeout = 2 * time.Second
-	// DefaultRefreshTimeout bounds one credit-refresh scrape. Deliberately
-	// much shorter than DefaultTimeout: the recovery feed exists to work
-	// around sick backends, so it must never wait on one.
-	DefaultRefreshTimeout = 1 * time.Second
 	// DefaultTrialBackoff is the base delay of the jittered exponential
 	// backoff between failed half-open trials.
 	DefaultTrialBackoff = 100 * time.Millisecond
 	// DefaultStaleTTL is how long a backend's credit gauge stays trusted
-	// after its last live signal (push delta, response header, or scrape).
-	// Within the TTL a push-fed backend skips the Refresh scrape; past it
-	// with *every* source quiet, the gauge decays toward Config.Credits
-	// instead of serving stale capacity forever. Several push heartbeats
-	// (DefaultFeedHeartbeat) fit inside, so one dropped event never marks
-	// a healthy feed stale.
+	// after its last live signal (push delta or response header). Past it
+	// with both sources quiet, each Refresh decays the gauge toward
+	// Config.Credits instead of serving stale capacity forever. Several
+	// push heartbeats (DefaultFeedHeartbeat) fit inside, so one dropped
+	// event never marks a healthy feed stale.
 	DefaultStaleTTL = 3 * time.Second
 	// DefaultFeedBackoff is the base delay of the jittered exponential
 	// backoff between credit-feed reconnect attempts (StartFeeds).
@@ -138,8 +132,8 @@ type Config struct {
 	// DefaultCredits.
 	Credits int
 
-	// MaxCredits caps credits learned from headers and scrapes. Default:
-	// DefaultMaxCredits.
+	// MaxCredits caps credits learned from feed deltas and headers.
+	// Default: DefaultMaxCredits.
 	MaxCredits int
 
 	// FailThreshold failures within FailWindow trip a backend's breaker.
@@ -158,17 +152,9 @@ type Config struct {
 	// effectively disable the per-attempt slice.
 	AttemptTimeout time.Duration
 
-	// RefreshTimeout bounds one Refresh scrape of a backend's /metrics.
-	// The scrape client is separate from the dispatch client precisely
-	// so a black-holed backend cannot hold the recovery feed hostage for
-	// a full dispatch Timeout. Default: DefaultRefreshTimeout.
-	RefreshTimeout time.Duration
-
-	// StaleTTL bounds credit-gauge trust: a backend whose push feed is
-	// fresh within the TTL skips the Refresh scrape, and a backend whose
-	// every live source (feed, headers, scrape) has been quiet past it
-	// decays toward Credits on each Refresh tick. Default:
-	// DefaultStaleTTL.
+	// StaleTTL bounds credit-gauge trust: a backend that has sent no
+	// feed delta and no headroom header for longer decays toward Credits
+	// on each Refresh tick. Default: DefaultStaleTTL.
 	StaleTTL time.Duration
 
 	// FeedBackoff is the base of the jittered exponential backoff between
@@ -256,8 +242,8 @@ func (cfg Config) Validate() error {
 	if cfg.FailWindow < 0 || cfg.Timeout < 0 || cfg.MaxBody < 0 {
 		return fmt.Errorf("capcluster: FailWindow, Timeout and MaxBody must be >= 0 (0 means default)")
 	}
-	if cfg.AttemptTimeout < 0 || cfg.RefreshTimeout < 0 || cfg.TrialBackoff < 0 {
-		return fmt.Errorf("capcluster: AttemptTimeout, RefreshTimeout and TrialBackoff must be >= 0 (0 means default)")
+	if cfg.AttemptTimeout < 0 || cfg.TrialBackoff < 0 {
+		return fmt.Errorf("capcluster: AttemptTimeout and TrialBackoff must be >= 0 (0 means default)")
 	}
 	if cfg.StaleTTL < 0 || cfg.FeedBackoff < 0 {
 		return fmt.Errorf("capcluster: StaleTTL and FeedBackoff must be >= 0 (0 means default)")
@@ -281,7 +267,6 @@ type Router struct {
 	local    *capserve.Server
 	place    Placement
 	client   *http.Client
-	scrape   *http.Client // Refresh's own client: short timeout, never waits a dispatch Timeout on a sick backend
 	feed     *http.Client // credit-feed subscriptions: no client timeout (streams live forever), watchdogged per event
 	mux      *http.ServeMux
 	start    time.Time
@@ -295,8 +280,6 @@ type Router struct {
 	remoteGrants   atomic.Uint64
 	localFallbacks atomic.Uint64
 	clientGone     atomic.Uint64
-	refreshErrs    atomic.Uint64
-	refreshSkipped atomic.Uint64 // scrapes skipped because the push feed was fresh
 
 	// Serving-tier outcome counters: which rung of the degradation
 	// ladder finally produced each 2xx response (the
@@ -336,9 +319,6 @@ func New(cfg Config) (*Router, error) {
 	if cfg.AttemptTimeout == 0 {
 		cfg.AttemptTimeout = DefaultAttemptTimeout
 	}
-	if cfg.RefreshTimeout == 0 {
-		cfg.RefreshTimeout = DefaultRefreshTimeout
-	}
 	if cfg.TrialBackoff == 0 {
 		cfg.TrialBackoff = DefaultTrialBackoff
 	}
@@ -377,7 +357,6 @@ func New(cfg Config) (*Router, error) {
 		local:   cfg.Local,
 		place:   cfg.Placement,
 		client:  &http.Client{Transport: transport, Timeout: cfg.Timeout},
-		scrape:  &http.Client{Transport: transport, Timeout: cfg.RefreshTimeout},
 		feed:    &http.Client{Transport: feedTransport},
 		mux:     http.NewServeMux(),
 		start:   time.Now(),
@@ -547,63 +526,25 @@ func (r *Router) handleRun(w http.ResponseWriter, req *http.Request) {
 	r.trace(traced, captrace.KRouteFallback, tid, tier, durUS(time.Since(lstart)))
 }
 
-// Refresh re-learns every backend's credit headroom from its /metrics
-// (capserve_queue_depth minus capserve_queue_occupancy). It is the slow
-// capacity feed — response headers are the fast one — and the recovery
-// path for a backend parked at zero credits with no traffic to advertise
-// through. Backends are scraped concurrently and with the dedicated
-// short-timeout scrape client (Config.RefreshTimeout, not the dispatch
-// Timeout), so one black-holed backend costs the fleet at most one
-// RefreshTimeout, not a 10 s dispatch budget — the recovery feed must
-// not be starved by exactly the sick backend it exists to work around.
-// cmd/caprouter runs it on a ticker; tests call it directly.
-//
-// With the push plane live (StartFeeds), Refresh only pays for backends
-// the push plane has lost: a backend whose feed is fresh within
-// Config.StaleTTL skips its scrape (counted in refreshSkipped, the
-// caprouter_refresh_skipped_total series — steady-state proof the feed
-// is carrying the fleet). A backend whose every live source is quiet
-// past the TTL *and* whose scrape just failed decays toward
-// Config.Credits instead of serving a stale gauge forever.
+// Refresh is the credit gauges' decay pass: every backend that has sent
+// no feed delta and no headroom header within Config.StaleTTL moves its
+// gauge halfway toward Config.Credits (decayStale). It is what recovers
+// a backend parked at zero credits while its feed is down — no dispatch
+// means no header to teach it — and what stops a stale-high gauge from
+// over-committing a backend nobody has heard from. It touches no
+// network itself, but it wakes a stale backend's feed subscriber out of
+// its reconnect backoff, so a backend that comes back is resubscribed —
+// and its capacity relearned from the stream's snapshot — within one
+// tick. cmd/caprouter runs it on a 1 s ticker; tests call it directly.
 func (r *Router) Refresh() {
 	ttl := r.cfg.StaleTTL.Nanoseconds()
-	var wg sync.WaitGroup
 	for _, b := range r.backends {
-		if b.feedFresh(ttl) {
-			r.refreshSkipped.Add(1)
-			continue
-		}
-		wg.Add(1)
-		go func(b *Backend) {
-			defer wg.Done()
-			if err := r.refreshBackend(b); err != nil {
-				r.refreshErrs.Add(1)
-				if b.stale(ttl) {
-					b.decayStale(r.cfg.Credits)
-				}
+		if b.stale(ttl) {
+			b.decayStale(r.cfg.Credits)
+			select {
+			case b.feedWake <- struct{}{}:
+			default: // a wake-up is already pending
 			}
-		}(b)
+		}
 	}
-	wg.Wait()
-}
-
-func (r *Router) refreshBackend(b *Backend) error {
-	resp, err := r.scrape.Get(b.url + "/metrics")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return err
-	}
-	samples := promtext.Parse(raw)
-	depth, dok := promtext.Value(samples, "capserve_queue_depth")
-	occ, ook := promtext.Value(samples, "capserve_queue_occupancy")
-	if !dok || !ook {
-		return fmt.Errorf("capcluster: %s/metrics missing queue gauges", b.name)
-	}
-	b.learn(int(depth - occ))
-	b.markFresh()
-	return nil
 }

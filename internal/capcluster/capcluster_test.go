@@ -582,29 +582,6 @@ func TestKilledBackendRedistributes(t *testing.T) {
 	backends[0].Runtime().Close()
 }
 
-// TestRefreshLearnsCredits: the /metrics scrape raises the default
-// ceiling to the backend's real queue depth.
-func TestRefreshLearnsCredits(t *testing.T) {
-	b := startBackend(t, 2, 24)
-	r, _ := newRouter(t, Config{Backends: []string{b.URL}})
-	if c := r.Backends()[0].Credits(); c != DefaultCredits {
-		t.Fatalf("pre-refresh credits %d, want %d", c, DefaultCredits)
-	}
-	r.Refresh()
-	if c := r.Backends()[0].Credits(); c != 24 {
-		t.Fatalf("post-refresh credits %d, want 24 (the backend's queue depth)", c)
-	}
-	// A dead backend's refresh fails without disturbing the gauge.
-	dead, _ := newRouter(t, Config{Backends: []string{"http://127.0.0.1:1"}, Timeout: 200 * time.Millisecond})
-	dead.Refresh()
-	if c := dead.Backends()[0].Credits(); c != DefaultCredits {
-		t.Fatalf("failed refresh changed credits to %d", c)
-	}
-	if dead.refreshErrs.Load() != 1 {
-		t.Fatalf("refreshErrs = %d, want 1", dead.refreshErrs.Load())
-	}
-}
-
 var metricLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? (NaN|[-+]?[0-9]*\.?[0-9]+([eE][-+]?[0-9]+)?)$`)
 
 // TestMetricsExposition: well-formed text format carrying the router's

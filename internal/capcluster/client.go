@@ -68,8 +68,8 @@ const (
 
 // dispatch forwards one admitted (probe-granted) request to b and relays
 // the response. It owns the granted credit: every path releases exactly
-// once, after the response — and its headroom header, the fast credit
-// feed — has been consumed. A traced request's ID is re-stamped on the
+// once, after the response — and its headroom header, the credit feed's
+// fallback — has been consumed. A traced request's ID is re-stamped on the
 // outbound header, so the backend adopts the same identity and its
 // serving/runtime events join the router's route span in one waterfall.
 //
@@ -138,19 +138,11 @@ func (r *Router) dispatch(w http.ResponseWriter, req *http.Request, b *Backend, 
 	// before classifying the status.
 	b.recover()
 
-	// The fast credit feed: every capserve response advertises its queue
-	// headroom at the instant it answered. The header crosses a process
-	// boundary, so it is clamped like any other untrusted input — a
-	// corrupted or injected value must not inflate the gauge (learn caps
-	// at MaxCredits, but pinning a backend *at* the cap is still
-	// inflation, so garbage is dropped at the parse).
+	// The feed's fallback: every capserve response advertises its queue
+	// headroom at the instant it answered, so a backend carrying traffic
+	// keeps its gauge fresh even with its push feed cut.
 	if hdr := resp.Header.Get(capserve.HeaderQueueFree); hdr != "" {
-		if free, ok := parseHeadroom(hdr); ok {
-			b.learn(free)
-			b.markFresh()
-		} else {
-			b.badHeaders.Add(1)
-		}
+		b.learnHeader(hdr)
 	}
 
 	switch {
@@ -216,9 +208,10 @@ func (r *Router) dispatch(w http.ResponseWriter, req *http.Request, b *Backend, 
 	return dispatched
 }
 
-// headroomCeiling bounds a believable X-Capserve-Queue-Free value. The
-// largest honest headroom is the backend's queue depth; anything beyond
-// this is a corrupted or hostile header, not a big queue.
+// headroomCeiling bounds a believable X-Capserve-Queue-Free value and a
+// feed delta's queue_free. The largest honest headroom is the backend's
+// queue depth; anything beyond this is a corrupted or hostile
+// advertisement, not a big queue.
 const headroomCeiling = 1 << 20
 
 // parseHeadroom validates the fast credit feed's header value: a
@@ -232,6 +225,21 @@ func parseHeadroom(s string) (int, bool) {
 		return 0, false
 	}
 	return v, true
+}
+
+// learnHeader folds one X-Capserve-Queue-Free value into the gauge. The
+// header crosses a process boundary, so it is clamped like any other
+// untrusted input: learn caps at MaxCredits, but pinning a backend *at*
+// the cap is still inflation, so a value parseHeadroom rejects is only
+// counted in badHeaders and changes nothing else.
+func (b *Backend) learnHeader(v string) {
+	free, ok := parseHeadroom(v)
+	if !ok {
+		b.badHeaders.Add(1)
+		return
+	}
+	b.learn(free)
+	b.markFresh()
 }
 
 // prefixedBody replays an already-buffered head before the unread tail

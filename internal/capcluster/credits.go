@@ -67,13 +67,13 @@ type Backend struct {
 	// the probe path never touches it.
 	feedMu        sync.Mutex
 	feedSeq       atomic.Uint64 // highest applied delta sequence number
-	feedNS        atomic.Int64  // last instant a feed delta was applied (0 = never)
-	freshNS       atomic.Int64  // last instant ANY live source updated the gauge
+	freshNS       atomic.Int64  // last instant a feed delta or a header updated the gauge
 	feedConnected atomic.Bool   // a subscription stream is currently open
 	feedDeltas    atomic.Uint64 // deltas applied to the gauge
 	feedDrops     atomic.Uint64 // deltas discarded by the seq regression guard
 	feedConnects  atomic.Uint64 // subscription streams opened (reconnects after the first)
 	staleDecays   atomic.Uint64 // TTL decays toward the default credit ceiling
+	feedWake      chan struct{} // Refresh's nudge: redial now, not after the backoff (capacity 1)
 
 	dispatches    atomic.Uint64 // granted probes that went to the wire
 	served        atomic.Uint64 // responses proxied back to a client
@@ -118,6 +118,7 @@ func newBackend(url, name string, id, credits, maxCredits, failThreshold int, fa
 		maxCredits:     uint32(maxCredits),
 		trialBackoffNS: trialBackoff.Nanoseconds(),
 		now:            func() int64 { return time.Now().UnixNano() },
+		feedWake:       make(chan struct{}, 1),
 	}
 	b.ring.init(failThreshold)
 	b.setCredits(credits)
@@ -211,23 +212,29 @@ func (b *Backend) fail() {
 }
 
 // scheduleTrial sets the earliest instant of the next half-open trial
-// after the fails-th consecutive trial failure: trialBackoff·2^(fails-1)
-// (capped at 2^6) jittered deterministically into [0.5×, 1.5×). The
-// jitter is a pure function of (backend identity, fails), so it is
-// reproducible in tests yet decorrelated across backends and across
-// routers probing the same backend fleet.
+// after the fails-th consecutive trial failure.
 func (b *Backend) scheduleTrial(fails uint32) {
-	if b.trialBackoffNS <= 0 {
-		return
+	b.nextTrialNS.Store(b.now() + int64(jitteredBackoff(b.nameHash, fails, b.trialBackoffNS)))
+}
+
+// jitteredBackoff is the delay after the n-th consecutive failure
+// (n >= 1) of a backend's half-open trials or of its feed subscription:
+// baseNS·2^(n-1), the doubling capped at 2^6, jittered deterministically
+// into [0.5×, 1.5×). The jitter is a pure function of (backend identity,
+// n), so it is reproducible in tests yet decorrelated across backends
+// and across routers probing the same fleet — no herd of trials or
+// resubscriptions in lockstep.
+func jitteredBackoff(nameHash uint64, n uint32, baseNS int64) time.Duration {
+	if baseNS <= 0 {
+		return 0
 	}
-	shift := fails - 1
+	shift := n - 1
 	if shift > 6 {
 		shift = 6
 	}
-	base := b.trialBackoffNS << shift
-	h := mix64(b.nameHash ^ uint64(fails)*0x9e3779b97f4a7c15)
-	d := base/2 + int64(h%uint64(base))
-	b.nextTrialNS.Store(b.now() + d)
+	base := baseNS << shift
+	h := mix64(nameHash ^ uint64(n)*0x9e3779b97f4a7c15)
+	return time.Duration(base/2 + int64(h%uint64(base)))
 }
 
 // recover marks the backend alive: any received response (2xx, 4xx,
@@ -266,9 +273,9 @@ func (b *Backend) setCredits(c int) {
 
 // applyDelta folds one push-feed delta into the gauge, guarded by the
 // delta's sequence number: a delta whose seq is not strictly newer than
-// the last applied one is dropped (counted in feedDrops), so reordered
-// or replayed deltas — a stale subscriber goroutine racing its
-// replacement after a reconnect — can never roll the gauge backwards.
+// the last applied one of the current stream is dropped (counted in
+// feedDrops), so reordered or replayed deltas can never roll the gauge
+// backwards. feedOnce restarts the guard with each stream.
 // A draining backend zeroes its credits instead of learning: in-flight
 // dispatches finish, but no new ones start. Returns whether the delta
 // was applied.
@@ -285,28 +292,17 @@ func (b *Backend) applyDelta(seq uint64, free int, draining bool) bool {
 	} else {
 		b.learn(free)
 	}
-	now := b.now()
-	b.feedNS.Store(now)
-	b.freshNS.Store(now)
+	b.markFresh()
 	b.feedDeltas.Add(1)
 	return true
 }
 
-// markFresh records that a live source (a response header or a
-// successful scrape) just taught the gauge — the staleness TTL's other
-// input besides the feed.
+// markFresh records that a live source (a feed delta or a response
+// header) just taught the gauge.
 func (b *Backend) markFresh() { b.freshNS.Store(b.now()) }
 
-// feedFresh reports whether the push feed updated this gauge within
-// ttlNS — the Refresh skip condition: a backend the push plane holds
-// does not need its /metrics scraped.
-func (b *Backend) feedFresh(ttlNS int64) bool {
-	last := b.feedNS.Load()
-	return last != 0 && b.now()-last <= ttlNS
-}
-
-// stale reports whether EVERY live source (feed, headers, scrape) has
-// been quiet past ttlNS — the explicit staleness the gauge used to hide.
+// stale reports whether both live sources (feed and headers) have been
+// quiet past ttlNS — the explicit staleness the gauge used to hide.
 func (b *Backend) stale(ttlNS int64) bool {
 	return b.now()-b.freshNS.Load() > ttlNS
 }
@@ -330,13 +326,14 @@ func (b *Backend) decayStale(def int) {
 	b.staleDecays.Add(1)
 }
 
-// learn folds one advertised headroom reading (a response header or a
-// /metrics scrape) into the gauge: the backend can absorb everything
+// learn folds one advertised headroom reading (a feed delta or a
+// response header) into the gauge: the backend can absorb everything
 // this router already has in flight plus the free slots it just
 // advertised, capped at maxCredits. Stale advertisements self-correct —
 // a backend whose queue other tenants filled advertises less, and the
 // gauge shrinks with it. learn(0) with zero in flight parks the backend
-// at zero credits; the periodic Refresh scrape is the recovery path.
+// at zero credits; the next feed delta re-teaches it, and with the feed
+// down the Refresh decay pass is the recovery path.
 func (b *Backend) learn(free int) {
 	if free < 0 {
 		return

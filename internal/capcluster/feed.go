@@ -2,8 +2,9 @@ package capcluster
 
 // The subscriber half of the push plane: one goroutine per backend
 // holds a long-lived GET /debug/credits stream (capserve/feed.go) and
-// folds each delta into that backend's credit gauge, demoting the
-// response-header and /metrics-scrape paths to degraded fallbacks.
+// folds each delta into that backend's credit gauge. The headroom header
+// on every dispatched response is the only fallback; Refresh decays a
+// gauge that has heard from neither.
 //
 // Liveness is watchdogged, not assumed: a timer armed *before* the
 // subscription dial fires after Config.StaleTTL of silence and cancels
@@ -11,7 +12,10 @@ package capcluster
 // costs one TTL, never a hung goroutine. Reconnects back off
 // exponentially with the same deterministic per-backend jitter the
 // half-open trial gate uses, so a fleet of routers losing the same
-// backend does not resubscribe in lockstep.
+// backend does not resubscribe in lockstep. Refresh cuts the wait short
+// for a backend whose gauge has gone stale: a backend restarted after a
+// long outage is redialled on the next tick, not after a backoff that
+// doubled through the whole outage.
 
 import (
 	"bufio"
@@ -27,18 +31,15 @@ import (
 
 // StartFeeds subscribes to every backend's credit feed, one goroutine
 // per backend, each reconnecting with jittered backoff until ctx is
-// cancelled. Optional: a router without it behaves exactly as before
-// (headers + Refresh scrapes). cmd/caprouter calls it under the signal
-// context; tests pass their own.
+// cancelled. The first delta of every subscription is a snapshot, so
+// this is also how a router learns its backends' real capacity at
+// start-up. A router without it learns from response headers alone.
+// cmd/caprouter calls it under the signal context; tests pass their own.
 func (r *Router) StartFeeds(ctx context.Context) {
 	for _, b := range r.backends {
 		go r.feedLoop(ctx, b)
 	}
 }
-
-// RefreshSkipped returns the scrapes Refresh has skipped because the
-// push feed was fresh — the steady-state proof the push plane is live.
-func (r *Router) RefreshSkipped() uint64 { return r.refreshSkipped.Load() }
 
 func (r *Router) feedLoop(ctx context.Context, b *Backend) {
 	var fails uint32
@@ -58,7 +59,8 @@ func (r *Router) feedLoop(ctx context.Context, b *Backend) {
 		select {
 		case <-ctx.Done():
 			return
-		case <-time.After(feedBackoff(b.nameHash, fails, r.cfg.FeedBackoff.Nanoseconds())):
+		case <-time.After(jitteredBackoff(b.nameHash, fails+1, r.cfg.FeedBackoff.Nanoseconds())):
+		case <-b.feedWake:
 		}
 	}
 }
@@ -92,40 +94,25 @@ func (r *Router) feedOnce(ctx context.Context, b *Backend) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("capcluster: %s/debug/credits: %s", b.name, resp.Status)
 	}
+	// Every stream opens with a snapshot numbered by the process serving
+	// it, and a backend restarted on the same URL counts from 1 again:
+	// the seq guard restarts with the stream, or it would drop the new
+	// process's deltas until they passed the old one's count. Streams of
+	// one backend never overlap — feedLoop runs them one after another.
+	b.feedSeq.Store(0)
 	b.feedConnects.Add(1)
 	b.feedConnected.Store(true)
 	defer b.feedConnected.Store(false)
 
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 512), 1<<16)
-	clean := false
 	for sc.Scan() {
 		wd.Reset(ttl)
-		raw, ok := strings.CutPrefix(sc.Text(), "data: ")
-		if !ok {
-			continue // event separators and comments
-		}
-		var d capserve.CreditDelta
-		if err := json.Unmarshal([]byte(raw), &d); err != nil {
-			b.badHeaders.Add(1)
-			continue
-		}
-		// Same sanity window the header path applies (parseHeadroom): a
-		// corrupt or hostile advertisement must not open the floodgates.
-		if d.QueueFree < 0 || d.QueueFree > headroomCeiling {
-			b.badHeaders.Add(1)
-			continue
-		}
-		b.applyDelta(d.Seq, d.QueueFree, d.Draining)
-		if d.Draining {
+		if b.feedLine(sc.Text()) {
 			// The stream's announced final event: the backend is going
 			// away gracefully, and its gauge is already parked at zero.
-			clean = true
-			break
+			return nil
 		}
-	}
-	if clean {
-		return nil
 	}
 	if err := sc.Err(); err != nil {
 		return err
@@ -133,20 +120,23 @@ func (r *Router) feedOnce(ctx context.Context, b *Backend) error {
 	return fmt.Errorf("capcluster: %s credit feed closed", b.name)
 }
 
-// feedBackoff is the reconnect delay after the fails-th consecutive
-// subscription failure: FeedBackoff·2^min(fails,6), jittered
-// deterministically into [0.5×, 1.5×) per (backend, fails) — the
-// scheduleTrial recipe, reused so the two backoff ladders stay
-// reproducible in tests and decorrelated across a router fleet.
-func feedBackoff(nameHash uint64, fails uint32, baseNS int64) time.Duration {
-	if baseNS <= 0 {
-		return 0
+// feedLine is the credit feed's line decoder: it folds one line of the
+// event stream into the gauge and reports whether it was the stream's
+// final (draining) delta. Lines without the "data: " prefix — event
+// separators, comments — are skipped. A data line that is not a JSON
+// CreditDelta, or whose headroom fails the header path's sanity window
+// (parseHeadroom), is counted in badHeaders and changes nothing else: a
+// corrupt or hostile advertisement must not open the floodgates.
+func (b *Backend) feedLine(line string) (final bool) {
+	raw, ok := strings.CutPrefix(line, "data: ")
+	if !ok {
+		return false
 	}
-	shift := fails
-	if shift > 6 {
-		shift = 6
+	var d capserve.CreditDelta
+	if json.Unmarshal([]byte(raw), &d) != nil || d.QueueFree < 0 || d.QueueFree > headroomCeiling {
+		b.badHeaders.Add(1)
+		return false
 	}
-	base := baseNS << shift
-	h := mix64(nameHash ^ (uint64(fails)+1)*0x9e3779b97f4a7c15)
-	return time.Duration(base/2 + int64(h%uint64(base)))
+	b.applyDelta(d.Seq, d.QueueFree, d.Draining)
+	return d.Draining
 }

@@ -4,7 +4,8 @@ import (
 	"context"
 	"io"
 	"net/http"
-	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -57,12 +58,21 @@ func TestApplyDeltaSeqRegression(t *testing.T) {
 }
 
 // TestCreditGaugeConcurrentSources races every writer the gauge has —
-// header learns, push deltas, scrape-style setCredits, and the
+// header learns, push deltas, the Refresh decay pass, and the
 // probe/release pairs in between — under -race. The invariants: no
 // torn state (credits within [0, max], inflight drains to zero) and
 // the seq guard holds (the highest seq wins, drops+deltas add up).
 func TestCreditGaugeConcurrentSources(t *testing.T) {
-	b := newBackend("http://127.0.0.1:1", "b0", 0, 4, 64, 1000, time.Second, 0)
+	// A 1 ns StaleTTL makes nearly every Refresh find the gauge stale, so
+	// the decay writer really writes between the other two.
+	r, _ := newRouter(t, Config{
+		Backends:      []string{"http://127.0.0.1:1"},
+		Credits:       4,
+		MaxCredits:    64,
+		FailThreshold: 1000,
+		StaleTTL:      time.Nanosecond,
+	})
+	b := r.Backends()[0]
 
 	const writers = 4
 	const rounds = 500
@@ -88,18 +98,17 @@ func TestCreditGaugeConcurrentSources(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := 0; i < rounds; i++ {
-				b.learn((w + i) % 16)
-				b.markFresh()
+				b.learnHeader(strconv.Itoa((w + i) % 16))
 			}
 		}(w)
 	}
-	// Scrape writers (Refresh's setCredits-shaped learn) and probers.
+	// The decay writer (the ticker a live caprouter runs) and probers.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		<-start
 		for i := 0; i < rounds; i++ {
-			b.setCredits(i % 16)
+			r.Refresh()
 		}
 	}()
 	wg.Add(1)
@@ -130,127 +139,79 @@ func TestCreditGaugeConcurrentSources(t *testing.T) {
 	}
 }
 
-// TestStaleDecayToDefault drives the TTL machinery with an injected
-// clock: a backend whose every source goes quiet decays toward
-// DefaultCredits — halving the distance per step, snapping when
-// adjacent — and a single live delta makes it fresh again.
+// TestStaleDecayToDefault drives the decay pass through Router.Refresh
+// on an injected clock: while a source is fresh Refresh leaves the
+// gauge alone; once feed and headers have both been quiet past StaleTTL
+// each Refresh moves it toward Config.Credits — halving the distance
+// per step, snapping when adjacent — and a single live delta makes it
+// fresh again.
 func TestStaleDecayToDefault(t *testing.T) {
-	b := newBackend("http://127.0.0.1:1", "b0", 0, DefaultCredits, 1024, 2, time.Second, 0)
+	const ttl = 3 * time.Second
+	r, _ := newRouter(t, Config{Backends: []string{"http://127.0.0.1:1"}, StaleTTL: ttl})
+	b := r.Backends()[0]
 	var clock atomic.Int64
-	clock.Store(1) // feedNS treats 0 as "never connected"
 	b.now = func() int64 { return clock.Load() }
-	ttl := (3 * time.Second).Nanoseconds()
 
-	// Feed teaches the gauge high, then goes silent.
+	// Feed teaches the gauge high; within the TTL nothing decays.
 	b.applyDelta(1, 100, false)
-	if b.stale(ttl) {
-		t.Fatal("stale immediately after a delta")
-	}
-	if !b.feedFresh(ttl) {
-		t.Fatal("feed not fresh immediately after a delta")
-	}
-
-	clock.Store(ttl + 2) // the delta landed at t=1: now past 1+ttl
-	if !b.stale(ttl) {
-		t.Fatal("not stale after TTL of silence")
-	}
-	if b.feedFresh(ttl) {
-		t.Fatal("feed still fresh after TTL of silence")
+	clock.Store(ttl.Nanoseconds())
+	r.Refresh()
+	if got, decays := b.Credits(), b.staleDecays.Load(); got != 100 || decays != 0 {
+		t.Fatalf("fresh gauge: credits %d, %d decays after Refresh; want 100, 0", got, decays)
 	}
 
-	// Decay converges: 100 → 52 → 28 → 16 → 10 → 7 → 5 → 4 (snap),
-	// monotonically, and stops at the default.
-	prev := b.Credits()
-	for i := 0; i < 20 && b.Credits() != DefaultCredits; i++ {
-		b.decayStale(DefaultCredits)
+	// Past the TTL with both sources quiet, Refresh converges:
+	// 100 → 52 → 28 → 16 → 10 → 7 → 6 → 5 → 4 (snap), one counted decay
+	// per step, monotonically, and stops at the default.
+	clock.Store(ttl.Nanoseconds() + 1)
+	prev, steps := b.Credits(), uint64(0)
+	for ; steps < 20 && b.Credits() != DefaultCredits; steps++ {
+		r.Refresh()
 		cur := b.Credits()
 		if cur >= prev {
-			t.Fatalf("decay step %d: credits %d -> %d, want strictly decreasing", i, prev, cur)
+			t.Fatalf("decay step %d: credits %d -> %d, want strictly decreasing", steps, prev, cur)
 		}
 		prev = cur
 	}
 	if got := b.Credits(); got != DefaultCredits {
 		t.Fatalf("credits = %d after decay, want DefaultCredits (%d)", got, DefaultCredits)
 	}
-	decays := b.staleDecays.Load()
-	b.decayStale(DefaultCredits) // at the floor: a no-op, not a counted decay
-	if b.staleDecays.Load() != decays {
-		t.Fatal("decayStale counted a step at the default floor")
+	r.Refresh() // at the floor: a no-op, not a counted decay
+	if got := b.staleDecays.Load(); got != steps {
+		t.Fatalf("staleDecays = %d after %d decay steps and one Refresh at the floor, want %d", got, steps, steps)
 	}
 
-	// Decay also converges upward from a stale-zero gauge.
+	// Decay also recovers a gauge parked at zero with its feed down.
 	b.setCredits(0)
 	for i := 0; i < 20 && b.Credits() != DefaultCredits; i++ {
-		b.decayStale(DefaultCredits)
+		r.Refresh()
 	}
 	if got := b.Credits(); got != DefaultCredits {
 		t.Fatalf("credits = %d after upward decay, want %d", got, DefaultCredits)
 	}
 
-	// One live delta ends staleness.
+	// One live delta ends staleness: the next Refresh leaves it be.
 	b.applyDelta(2, 8, false)
-	if b.stale(ttl) {
-		t.Fatal("stale right after a live delta")
-	}
-}
-
-// TestRefreshSkipsFreshFeed pins satellite (a): a backend whose push
-// feed updated within StaleTTL is not scraped by Refresh — the skip is
-// counted — while a feed-silent backend still gets the fallback scrape.
-func TestRefreshSkipsFreshFeed(t *testing.T) {
-	var scrapes atomic.Int64
-	backend := capserveMetricsStub(t, &scrapes)
-
-	r, _ := newRouter(t, Config{Backends: []string{backend.URL}, StaleTTL: time.Hour})
-	b := r.Backends()[0]
-
-	// Feed-silent: Refresh scrapes.
 	r.Refresh()
-	if scrapes.Load() != 1 {
-		t.Fatalf("scrapes = %d with no feed, want 1", scrapes.Load())
+	if got := b.Credits(); got != 8 {
+		t.Fatalf("credits = %d after a live delta and a Refresh, want 8", got)
 	}
-	if got := r.RefreshSkipped(); got != 0 {
-		t.Fatalf("RefreshSkipped = %d with no feed, want 0", got)
-	}
-
-	// Fresh feed: Refresh skips the wire entirely.
-	b.applyDelta(1, 8, false)
-	r.Refresh()
-	r.Refresh()
-	if scrapes.Load() != 1 {
-		t.Fatalf("scrapes = %d with a fresh feed, want still 1", scrapes.Load())
-	}
-	if got := r.RefreshSkipped(); got != 2 {
-		t.Fatalf("RefreshSkipped = %d, want 2", got)
-	}
-}
-
-// capserveMetricsStub serves just enough /metrics for refreshBackend,
-// counting scrapes.
-func capserveMetricsStub(t *testing.T, scrapes *atomic.Int64) *httptest.Server {
-	t.Helper()
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.URL.Path == "/metrics" {
-			scrapes.Add(1)
-		}
-		w.Write([]byte("capserve_queue_depth 8\ncapserve_queue_occupancy 0\n"))
-	}))
-	t.Cleanup(ts.Close)
-	return ts
 }
 
 // TestFeedEndToEnd subscribes a real router to a real capserve backend:
-// deltas must flow (the initial snapshot at least), Refresh must start
-// skipping, and when the feed is severed mid-stream the watchdog must
-// cancel the subscription and hand the backend back to the scrape path
-// without the gauge going stale — the capfault-blackhole contract, here
-// driven by a transport that silently parks instead.
+// the subscription's first delta must teach the backend's real capacity
+// (with no traffic yet), a Refresh with the feed live must leave the
+// gauge alone, and once the feed is severed mid-stream the watchdog must
+// cancel the subscription and, past StaleTTL with no traffic to carry
+// headers, Refresh must decay the gauge — the capfault-blackhole
+// contract, here driven by a transport that silently parks instead.
 func TestFeedEndToEnd(t *testing.T) {
+	const depth = 8
 	rt := capsule.New(capsule.Config{Contexts: 2, Throttle: true})
 	t.Cleanup(rt.Close)
 	backend, err := capserve.StartBackendOn(capserve.Config{
 		Runtime:       rt,
-		QueueDepth:    8,
+		QueueDepth:    depth,
 		FeedHeartbeat: 20 * time.Millisecond,
 	}, "127.0.0.1:0", nil)
 	if err != nil {
@@ -266,13 +227,24 @@ func TestFeedEndToEnd(t *testing.T) {
 		FeedTransport: park,
 	})
 	b := r.Backends()[0]
+	if got := b.Credits(); got != DefaultCredits {
+		t.Fatalf("credits = %d before any feed, want DefaultCredits (%d)", got, DefaultCredits)
+	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	r.StartFeeds(ctx)
 
-	// The subscription's initial delta plus heartbeats must land.
+	// The subscription's first delta is a snapshot of an idle backend:
+	// it teaches the whole queue depth.
 	deadline := time.Now().Add(5 * time.Second)
+	for b.feedDeltas.Load() < 1 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := b.Credits(); got != depth {
+		t.Fatalf("credits = %d after the first delta (%d applied), want the queue depth %d", got, b.feedDeltas.Load(), depth)
+	}
+	// Heartbeats follow.
 	for b.feedDeltas.Load() < 2 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -283,15 +255,15 @@ func TestFeedEndToEnd(t *testing.T) {
 		t.Fatal("feedConnected = false with a live stream")
 	}
 
-	// Steady state: the push plane makes scrapes unnecessary.
+	// Steady state: a live feed keeps the gauge fresh, Refresh leaves it.
 	r.Refresh()
-	if got := r.RefreshSkipped(); got != 1 {
-		t.Fatalf("RefreshSkipped = %d with a live feed, want 1", got)
+	if got := b.staleDecays.Load(); got != 0 {
+		t.Fatalf("Refresh decayed a feed-fresh gauge (%d decays)", got)
 	}
 
 	// Sever the push plane: new reads (and new dials) park forever.
 	// The per-event watchdog must cancel the stream within StaleTTL, and
-	// once feedFresh expires Refresh must scrape again — the fallback.
+	// once the gauge is stale Refresh must decay it.
 	park.blackhole.Store(true)
 	deadline = time.Now().Add(5 * time.Second)
 	for b.feedConnected.Load() && time.Now().Before(deadline) {
@@ -300,17 +272,80 @@ func TestFeedEndToEnd(t *testing.T) {
 	if b.feedConnected.Load() {
 		t.Fatal("subscription still connected 5s after the feed was blackholed")
 	}
+	ttl := r.cfg.StaleTTL.Nanoseconds()
 	deadline = time.Now().Add(5 * time.Second)
-	for b.feedFresh(r.cfg.StaleTTL.Nanoseconds()) && time.Now().Before(deadline) {
+	for !b.stale(ttl) && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	skipped := r.RefreshSkipped()
-	r.Refresh() // must scrape (feed stale), not skip
-	if got := r.RefreshSkipped(); got != skipped {
-		t.Fatalf("Refresh skipped a feed-dead backend (skips %d -> %d)", skipped, got)
+	r.Refresh()
+	want := depth + (DefaultCredits-depth)/2
+	if got, decays := b.Credits(), b.staleDecays.Load(); got != want || decays != 1 {
+		t.Fatalf("after the cut and a stale Refresh: credits %d, %d decays; want %d, 1", got, decays, want)
 	}
-	if b.stale(r.cfg.StaleTTL.Nanoseconds()) {
-		t.Fatal("backend stale right after a fallback scrape")
+}
+
+// TestFeedResubscribesRestartedBackend kills a subscribed backend and
+// restarts it on the same address, as a supervisor brings a crashed
+// process back. The new process numbers its deltas from 1 again, and the
+// router's reconnect backoff (here far longer than the test) has not run
+// out: one Refresh of the stale gauge must redial the feed at once, and
+// the new stream's snapshot must teach the gauge instead of being
+// dropped as a replay of the old process's sequence.
+func TestFeedResubscribesRestartedBackend(t *testing.T) {
+	const depth = 8
+	start := func(addr string) (*capserve.Backend, error) {
+		rt := capsule.New(capsule.Config{Contexts: 2, Throttle: true})
+		t.Cleanup(rt.Close)
+		return capserve.StartBackendOn(capserve.Config{
+			Runtime:       rt,
+			QueueDepth:    depth,
+			FeedHeartbeat: 20 * time.Millisecond,
+		}, addr, nil)
+	}
+	old, err := start("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("StartBackendOn: %v", err)
+	}
+	r, _ := newRouter(t, Config{
+		Backends:    []string{old.URL},
+		StaleTTL:    100 * time.Millisecond,
+		FeedBackoff: time.Minute,
+	})
+	b := r.Backends()[0]
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	r.StartFeeds(ctx)
+	wait := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("no %s after 5s (credits %d, stats %+v)", what, b.Credits(), b.Stats())
+			}
+		}
+	}
+	wait("run of the old process's heartbeats", func() bool { return b.feedSeq.Load() >= 5 })
+
+	old.Kill()
+	wait("end of the old stream", func() bool { return !b.feedConnected.Load() })
+	var restarted *capserve.Backend
+	for try := 0; try < 20; try++ { // the port was just released
+		if restarted, err = start(strings.TrimPrefix(old.URL, "http://")); err == nil {
+			break
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	if err != nil {
+		t.Fatalf("restarting on the same address: %v", err)
+	}
+	t.Cleanup(func() { drain(t, restarted) })
+
+	wait("stale gauge", func() bool { return b.stale(r.cfg.StaleTTL.Nanoseconds()) })
+	r.Refresh()
+	wait("resubscription teaching the queue depth", func() bool {
+		return b.feedConnects.Load() == 2 && b.Credits() == depth
+	})
+	if got := b.feedDrops.Load(); got != 0 {
+		t.Fatalf("%d deltas dropped by the seq guard, want 0", got)
 	}
 }
 

@@ -29,7 +29,6 @@ func startReplicaServer(t *testing.T, backends []string) (*Router, *http.Server,
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	r.Refresh()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("Listen: %v", err)

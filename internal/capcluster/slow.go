@@ -8,7 +8,7 @@ import (
 )
 
 // mix64 is the splitmix64 finalizer — the repo-standard cheap mixer,
-// here deriving the deterministic per-backend trial jitter.
+// here deriving the deterministic per-backend backoff jitter.
 func mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
@@ -38,7 +38,7 @@ func mix64(x uint64) uint64 {
 // next interval; one that recovered serves its trial fast and is back.
 //
 // Single-threaded by contract: call it from one goroutine (cmd/caprouter
-// uses the refresh ticker; tests call it directly). The per-backend
+// runs it on its -slow-check ticker; tests call it directly). The per-backend
 // interval snapshot is plain state.
 func (r *Router) CheckSlow() int {
 	bounds := capserve.LatencyBucketBounds()
@@ -123,5 +123,6 @@ func median(xs []float64) float64 {
 }
 
 // SlowCheckInterval is the suggested cadence for CheckSlow callers —
-// cmd/caprouter aligns it with the credit-refresh ticker.
+// cmd/caprouter's -slow-check default, the same 1 s as its Refresh
+// decay ticker.
 const SlowCheckInterval = time.Second

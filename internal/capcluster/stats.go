@@ -151,8 +151,6 @@ func (r *Router) writeMetrics(w io.Writer) {
 	counter("caprouter_deaths_total", "Backend failures (cluster kthr).", s.Deaths)
 	counter("caprouter_local_fallbacks_total", "Requests degraded to the local runtime.", s.LocalFallbacks)
 	counter("caprouter_client_gone_total", "Clients that hung up mid-route.", s.ClientGone)
-	counter("caprouter_refresh_errors_total", "Failed /metrics credit refreshes.", r.refreshErrs.Load())
-	counter("caprouter_refresh_skipped_total", "Credit scrapes skipped because the push feed was fresh.", r.refreshSkipped.Load())
 	gauge("caprouter_remote_grant_rate", "Fraction of remote probes granted (cluster \"% divisions allowed\").", s.RemoteGrantRate())
 	gauge("caprouter_fallback_rate", "Fraction of requests the fleet could not take.", s.FallbackRate())
 

@@ -93,7 +93,6 @@ func TestChurnLeaveRejoinZeroFailedRequests(t *testing.T) {
 		FailWindow:    400 * time.Millisecond,
 		Timeout:       5 * time.Second,
 	})
-	r.Refresh()
 
 	// Backend 0 never churns: someone has to hold the fort. The rest
 	// rotate: leave, dwell, rejoin on the same address, dwell. A leave is
@@ -127,7 +126,7 @@ func TestChurnLeaveRejoinZeroFailedRequests(t *testing.T) {
 				return
 			}
 			joins++
-			r.Refresh() // the scrape ticker a live caprouter runs
+			r.Refresh() // the decay ticker a live caprouter runs
 			time.Sleep(dwell)
 		}
 	}()
@@ -154,13 +153,15 @@ func TestChurnLeaveRejoinZeroFailedRequests(t *testing.T) {
 }
 
 // TestFeedBlackholeUnderLoadZeroFailedRequests: a router subscribed to
-// three backends' credit feeds, a scrape ticker standing by, and
+// three backends' credit feeds, the Refresh decay ticker running, and
 // capfault blackholing every feed a third of the way in. Before the cut
-// the push plane must carry (the ticker skips feed-fresh backends);
-// after it the watchdogs cancel the streams and the scrapes take over:
-// no gauge goes stale enough to decay, and no client request fails.
+// the push plane must carry (deltas keep landing on every backend);
+// after it the watchdogs cancel the streams and the response headers
+// keep every gauge fresh — no decay under load, and no client request
+// fails. Once the storm has been quiet for StaleTTL, nothing keeps the
+// gauges fresh any more, and Refresh must decay every one of them.
 func TestFeedBlackholeUnderLoadZeroFailedRequests(t *testing.T) {
-	const clients, d = 8, 1200 * time.Millisecond
+	const clients, d, ttl = 8, 1200 * time.Millisecond, 300 * time.Millisecond
 	var urls []string
 	for i := 0; i < 3; i++ {
 		b, err := capserve.StartBackendOn(capserve.Config{QueueDepth: 8, FeedHeartbeat: 50 * time.Millisecond}, "127.0.0.1:0", nil)
@@ -172,29 +173,35 @@ func TestFeedBlackholeUnderLoadZeroFailedRequests(t *testing.T) {
 	}
 	inj := capfault.New(0xFEEDC)
 	r, ts := newRouter(t, Config{
-		Backends:      urls,
-		Local:         newLocal(t, 2, 256),
+		Backends: urls,
+		Local:    newLocal(t, 2, 256),
+		// A decay target no header can teach: a learned ceiling is this
+		// router's in-flight dispatches plus the advertised free slots,
+		// which sum to about the queue depth of 8, so the post-storm decay
+		// is observable on every backend.
+		Credits:       1,
 		FailThreshold: 2,
 		FailWindow:    400 * time.Millisecond,
 		Timeout:       5 * time.Second,
-		StaleTTL:      300 * time.Millisecond,
+		StaleTTL:      ttl,
 		FeedBackoff:   50 * time.Millisecond,
 		FeedTransport: inj.FeedTransport(httptune.Transport(8)),
 	})
-	r.Refresh()
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	r.StartFeeds(ctx)
-	for _, b := range r.Backends() {
+	start := make([]uint64, len(urls))
+	for i, b := range r.Backends() {
 		for deadline := time.Now().Add(5 * time.Second); b.feedDeltas.Load() == 0; {
 			if time.Now().After(deadline) {
 				t.Fatalf("backend %s: no feed delta after 5s", b.name)
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
+		start[i] = b.feedDeltas.Load()
 	}
 
-	// The scrape ticker a live caprouter runs.
+	// The decay ticker a live caprouter runs.
 	var stopped atomic.Bool
 	ticked := make(chan struct{})
 	go func() {
@@ -205,9 +212,13 @@ func TestFeedBlackholeUnderLoadZeroFailedRequests(t *testing.T) {
 		}
 	}()
 	// Dispatch traffic never matches a ScopeFeed rule.
-	var skippedPreCut atomic.Uint64
+	preCut := make([]uint64, len(urls))
+	cutDone := make(chan struct{})
 	cut := time.AfterFunc(d/3, func() {
-		skippedPreCut.Store(r.RefreshSkipped())
+		defer close(cutDone)
+		for i, b := range r.Backends() {
+			preCut[i] = b.feedDeltas.Load()
+		}
 		if _, err := inj.Set(capfault.Rule{Kind: capfault.KindBlackhole, Scope: capfault.ScopeFeed}); err != nil {
 			t.Errorf("arming the feed blackhole: %v", err)
 		}
@@ -217,6 +228,7 @@ func TestFeedBlackholeUnderLoadZeroFailedRequests(t *testing.T) {
 	ok, failed, _ := stormClients([]string{ts.URL}, clients, 200, d)
 	stopped.Store(true)
 	<-ticked
+	<-cutDone
 
 	if failed != 0 {
 		t.Fatalf("%d client requests failed across the feed blackhole (%d succeeded), want 0", failed, ok)
@@ -224,21 +236,26 @@ func TestFeedBlackholeUnderLoadZeroFailedRequests(t *testing.T) {
 	if ok == 0 {
 		t.Fatal("storm made no requests")
 	}
-	if skippedPreCut.Load() == 0 {
-		t.Fatal("Refresh skipped no scrape before the cut: the push plane never carried")
-	}
-	// The cut must have bitten, and the scrape fallback must have carried:
-	// a tick now scrapes every backend, none is skipped as feed-fresh.
-	skipped := r.RefreshSkipped()
-	if r.Refresh(); r.RefreshSkipped() != skipped {
-		t.Errorf("Refresh still skips scrapes (%d -> %d) with every feed cut", skipped, r.RefreshSkipped())
-	}
-	for _, b := range r.Backends() {
+	for i, b := range r.Backends() {
+		if preCut[i] <= start[i] {
+			t.Errorf("backend %s: feed deltas %d -> %d before the cut; the push plane never carried", b.name, start[i], preCut[i])
+		}
 		if b.feedConnected.Load() {
 			t.Errorf("backend %s: feed still connected after the blackhole", b.name)
 		}
-		if st := b.Stats(); st.FeedDeltas == 0 || st.StaleDecays != 0 {
-			t.Errorf("backend %s: %d feed deltas, %d stale decays; want > 0 and 0", b.name, st.FeedDeltas, st.StaleDecays)
+		// The feeds are cut, so only the headers kept these gauges fresh.
+		if st := b.Stats(); st.StaleDecays != 0 {
+			t.Errorf("backend %s: %d stale decays under load with headers flowing, want 0", b.name, st.StaleDecays)
+		}
+	}
+
+	// Quiet: no deltas, no traffic, no headers. Past the TTL the decay
+	// pass is the only thing left that moves a gauge.
+	time.Sleep(ttl + 50*time.Millisecond)
+	r.Refresh()
+	for _, b := range r.Backends() {
+		if st := b.Stats(); st.StaleDecays == 0 {
+			t.Errorf("backend %s: no stale decay %v after the storm with every feed cut (credits %d)", b.name, ttl, st.Credits)
 		}
 	}
 }

@@ -53,9 +53,6 @@ const (
 	// response time (the responding request still holds its own slot, so
 	// the value is conservative by exactly the in-flight requests).
 	HeaderQueueFree = "X-Capserve-Queue-Free"
-	// HeaderFreeContexts is the runtime's unreserved context-token count
-	// — division headroom, not admission headroom.
-	HeaderFreeContexts = "X-Capsule-Free-Contexts"
 	// HeaderDegraded marks a 200 response whose run was admitted without
 	// division headroom and executed on the Sequential domain. The
 	// routing tier reads it off its local-fallback responses to tell the
@@ -288,12 +285,11 @@ type runResponse struct {
 	Divisions capsule.GroupStats `json:"divisions"`
 }
 
-// setHeadroom stamps the credit-feed headers with the server's current
-// free capacity. Called at admission (so sheds and errors carry it too)
-// and again right before a 200 body, when the values are freshest.
+// setHeadroom stamps the headroom header with the server's current free
+// queue capacity. Called at admission (so sheds and errors carry it too)
+// and again right before a 200 body, when the value is freshest.
 func (s *Server) setHeadroom(h http.Header) {
 	h.Set(HeaderQueueFree, strconv.Itoa(cap(s.queue)-len(s.queue)))
-	h.Set(HeaderFreeContexts, strconv.Itoa(s.rt.FreeContexts()))
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {

@@ -1,13 +1,12 @@
 package capserve
 
 // The push plane: /debug/credits streams credit/health deltas to
-// subscribed routers, inverting the pull paths (response headers, the
-// /metrics scrape) that fed the cluster tier's credit gauges before.
-// Headers and scrapes remain as degraded fallbacks — a router that
-// cannot hold a subscription learns exactly what it learned before —
-// but a live feed makes credit freshness an event, not a polling
-// interval: every admission-queue transition publishes, and an idle
-// server heartbeats, so a router's gauge is never staler than one
+// subscribed routers, the cluster tier's primary credit source. The
+// headroom header on every response remains the fallback — a router
+// that cannot hold a subscription still learns from the traffic it
+// sends — but a live feed makes credit freshness an event, not a side
+// effect of traffic: every admission-queue transition publishes, and an
+// idle server heartbeats, so a router's gauge is never staler than one
 // heartbeat while the stream lives.
 //
 // The wire format is server-sent events: one `data: {json}` line per
@@ -24,8 +23,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/buildinfo"
 )
 
 // DefaultFeedHeartbeat is the idle republish interval of the
@@ -35,25 +32,19 @@ import (
 const DefaultFeedHeartbeat = 500 * time.Millisecond
 
 // CreditDelta is one event on the /debug/credits push feed: the same
-// headroom the response headers advertise, plus the health facts a
-// router acts on (draining, build identity), stamped with a per-server
-// monotonic sequence number.
+// headroom the response header advertises, plus the one health fact a
+// router acts on (draining), stamped with a per-server monotonic
+// sequence number.
 type CreditDelta struct {
 	// Seq is monotonically increasing per server process. A subscriber
 	// must ignore any delta whose Seq is <= the last one it applied.
 	Seq uint64 `json:"seq"`
 	// QueueFree is the accept-queue headroom (HeaderQueueFree's value).
 	QueueFree int `json:"queue_free"`
-	// FreeContexts is the runtime's unreserved context-token count
-	// (HeaderFreeContexts's value).
-	FreeContexts int `json:"free_contexts"`
 	// Draining is true once shutdown has begun: in-flight requests
 	// finish, but a router should stop sending new ones now, not after
-	// its next scrape.
+	// its gauge next goes stale.
 	Draining bool `json:"draining"`
-	// Version is the serving build, so a fleet dashboard can spot a
-	// half-rolled deploy from the feed alone.
-	Version string `json:"version,omitempty"`
 }
 
 // creditFeed is the Server's subscriber registry. The publish fast path
@@ -111,11 +102,9 @@ func (f *creditFeed) publish() {
 // each get distinct, ordered seqs.
 func (s *Server) creditDelta() CreditDelta {
 	return CreditDelta{
-		Seq:          s.feed.seq.Add(1),
-		QueueFree:    cap(s.queue) - len(s.queue),
-		FreeContexts: s.rt.FreeContexts(),
-		Draining:     s.draining.Load(),
-		Version:      buildinfo.Get().Version,
+		Seq:       s.feed.seq.Add(1),
+		QueueFree: cap(s.queue) - len(s.queue),
+		Draining:  s.draining.Load(),
 	}
 }
 

@@ -59,7 +59,6 @@ func TestRouterWatchCoversFleet(t *testing.T) {
 	if err != nil {
 		t.Fatalf("router: %v", err)
 	}
-	router.Refresh()
 
 	// One sampler per backend, named by the backend's host:port — the
 	// same label the router's per-backend gauges use, so captop can

@@ -2,8 +2,8 @@
 // exposition format (version 0.0.4). The repo hand-rolls its exposition
 // writers (capserve, capcluster) because the container forbids new
 // dependencies; this is the matching reader, shared by everything that
-// scrapes — capload's before/after diffs and the router's credit
-// refresh — so the format's quirks live in exactly one place.
+// scrapes — capload's before/after diffs and the tests that read an
+// exposition back — so the format's quirks live in exactly one place.
 //
 // Scope matches what our writers emit: sample lines without timestamps.
 // A line carrying the optional timestamp field would be keyed wrongly
