@@ -202,9 +202,19 @@ func (r *RAS) Pop() (addr uint64, ok bool) {
 // Clone duplicates the RAS (used when a worker divides: the child inherits
 // the parent's call stack expectations).
 func (r *RAS) Clone() *RAS {
-	c := &RAS{stack: make([]uint64, len(r.stack)), top: r.top}
-	copy(c.stack, r.stack)
+	c := &RAS{}
+	c.CopyFrom(r)
 	return c
+}
+
+// CopyFrom makes r a copy of src without allocating when both have the
+// same depth (a division's child context inheriting its parent's stack).
+func (r *RAS) CopyFrom(src *RAS) {
+	if len(r.stack) != len(src.stack) {
+		r.stack = make([]uint64, len(src.stack))
+	}
+	copy(r.stack, src.stack)
+	r.top = src.top
 }
 
 // Reset empties the stack.

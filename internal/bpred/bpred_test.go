@@ -142,3 +142,20 @@ func TestRASClone(t *testing.T) {
 		t.Fatal("clone must be independent")
 	}
 }
+
+func TestRASCopyFromReusesStorage(t *testing.T) {
+	src, dst := NewRAS(4), NewRAS(4)
+	src.Push(7)
+	dst.Push(1)
+	dst.Push(2)
+	if n := testing.AllocsPerRun(10, func() { dst.CopyFrom(src) }); n != 0 {
+		t.Fatalf("CopyFrom between equal depths allocated %v times", n)
+	}
+	src.Pop()
+	if a, ok := dst.Pop(); !ok || a != 7 {
+		t.Fatal("copy must be independent of its source")
+	}
+	if _, ok := dst.Pop(); ok {
+		t.Fatal("copy must take the source's depth, not keep its own")
+	}
+}

@@ -53,7 +53,7 @@ func (m *Machine) RequestDivision(parent *emu.Thread) (*emu.Thread, bool) {
 	free.state = ctxStall
 	free.divPending = true
 	free.thread = child
-	free.ras = m.ctxOfThread(parent).ras.Clone()
+	free.ras.CopyFrom(m.ctxOfThread(parent).ras)
 	free.icount = 0
 
 	if m.cfg.DivisionPolicy == PolicyStatic && occupied+1 >= m.cfg.Contexts {
@@ -84,7 +84,11 @@ func (m *Machine) ThreadExit(t *emu.Thread) {
 func (m *Machine) TryLock(t *emu.Thread, addr uint64) bool {
 	ls := m.locks[addr]
 	if ls == nil {
-		m.locks[addr] = &lockEntry{owner: t}
+		ls = &lockEntry{}
+		m.locks[addr] = ls
+	}
+	if ls.owner == nil {
+		ls.owner = t
 		m.stats.LockAcquires++
 		return true
 	}
@@ -108,11 +112,11 @@ func (m *Machine) Unlock(t *emu.Thread, addr uint64) {
 		return // releasing an unheld lock: hardware finds no entry
 	}
 	if len(ls.waiters) == 0 {
-		delete(m.locks, addr)
+		ls.owner = nil
 		return
 	}
 	next := ls.waiters[0]
-	ls.waiters = ls.waiters[1:]
+	ls.waiters = ls.waiters[:copy(ls.waiters, ls.waiters[1:])]
 	ls.owner = next
 	m.stats.LockAcquires++
 	delete(m.lockBlocked, next.ID)

@@ -2,7 +2,6 @@ package cpu
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/bpred"
 	"repro/internal/emu"
@@ -45,7 +44,20 @@ type context struct {
 	loadCounter int
 
 	// In-order list of this context's in-flight entries (commit order).
-	entries []*ruuEntry
+	entries entryRing
+
+	// lastWriter is the rename table: the youngest in-flight entry writing
+	// each register, indexed by (FP file, register number).
+	lastWriter [2][max(isa.NumIntRegs, isa.NumFPRegs)]*ruuEntry
+}
+
+// writer returns r's rename-table slot.
+func (c *context) writer(r isa.RegRef) **ruuEntry {
+	file := 0
+	if r.FP {
+		file = 1
+	}
+	return &c.lastWriter[file][r.Reg]
 }
 
 // ruuEntry is one in-flight instruction in the register update unit.
@@ -54,8 +66,12 @@ type ruuEntry struct {
 	ctx  *context
 	info emu.StepInfo
 
-	deps       int // outstanding register producers
-	dependents []*ruuEntry
+	// Register dependences. Each entry heads the list of entries waiting
+	// on it, threaded through the waiters' own source links, so wiring a
+	// dependence never allocates.
+	deps     int // outstanding register producers
+	firstDep depLink
+	nextDep  [maxSources]depLink // this entry's link, per source, in its producer's list
 
 	inRUU     bool // dispatched (occupies an RUU slot; LSQ too if memory op)
 	issued    bool
@@ -70,6 +86,49 @@ type ruuEntry struct {
 	childCtx *context
 }
 
+// maxSources bounds isa.Inst.Sources: two registers at most.
+const maxSources = 2
+
+// depLink is one source slot of entry e in a waiter list; a nil e ends
+// the list.
+type depLink struct {
+	e    *ruuEntry
+	slot uint8
+}
+
+// entryRing is a fixed-capacity FIFO of entries.
+type entryRing struct {
+	buf  []*ruuEntry // power-of-two length
+	head int
+	n    int
+}
+
+func newEntryRing(capacity int) entryRing {
+	n := 1
+	for n < capacity {
+		n <<= 1
+	}
+	return entryRing{buf: make([]*ruuEntry, n)}
+}
+
+func (r *entryRing) len() int { return r.n }
+
+// at returns the i-th oldest entry.
+func (r *entryRing) at(i int) *ruuEntry { return r.buf[(r.head+i)&(len(r.buf)-1)] }
+
+func (r *entryRing) push(e *ruuEntry) {
+	if r.n == len(r.buf) {
+		panic("cpu: more entries in flight than the fetch queue and RUU hold")
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = e
+	r.n++
+}
+
+func (r *entryRing) pop() {
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+}
+
 // stackEntry is a swapped-out thread on the LIFO context stack.
 type stackEntry struct {
 	thread  *emu.Thread
@@ -77,6 +136,8 @@ type stackEntry struct {
 	readyAt uint64 // approximate resolution of the miss that evicted it
 }
 
+// lockEntry is one address's row in the locking table. A released row is
+// kept with a nil owner, so locking the address again reuses it.
 type lockEntry struct {
 	owner   *emu.Thread
 	waiters []*emu.Thread // FIFO; head is the paper's "oldest stalled"
@@ -96,7 +157,14 @@ type Machine struct {
 	contexts []*context
 	stack    []stackEntry // LIFO
 
-	fetchQ []*ruuEntry // fetched, awaiting dispatch (in fetch order)
+	fetchQ entryRing // fetched, awaiting dispatch (in fetch order)
+
+	// ready holds the dispatched entries with no outstanding producer that
+	// have not issued, in seq order; pending the issued entries that have
+	// not completed. Each stage works from these instead of scanning the
+	// RUU.
+	ready   []*ruuEntry
+	pending []*ruuEntry
 
 	ruuCount int
 	lsqCount int
@@ -132,7 +200,10 @@ type Machine struct {
 	TraceDivisions bool
 	Divisions      []DivisionEvent
 
-	issueBuf []*ruuEntry // scratch for the issue stage
+	// Scratch reused every cycle, and retired entries kept for reuse.
+	due      []*ruuEntry
+	eligible []*context
+	free     []*ruuEntry
 }
 
 // New builds a machine for program p with the ancestor thread on context 0.
@@ -151,9 +222,28 @@ func New(p *prog.Program, cfg Config) (*Machine, error) {
 		groups:      make(map[int]int64),
 	}
 	m.mem.StoreBytes(prog.DataBase, p.Data)
+	// Every in-flight instruction sits in the fetch queue or the RUU, so
+	// this many entries serve the whole run (retire recycles them), and the
+	// RUU bounds the ready, pending and due lists.
+	inFlight := cfg.FetchQueue + cfg.RUUSize
+	entries := make([]ruuEntry, inFlight)
+	m.free = make([]*ruuEntry, inFlight)
+	for i := range entries {
+		m.free[i] = &entries[i]
+	}
+	m.fetchQ = newEntryRing(cfg.FetchQueue)
+	m.ready = make([]*ruuEntry, 0, cfg.RUUSize)
+	m.pending = make([]*ruuEntry, 0, cfg.RUUSize)
+	m.due = make([]*ruuEntry, 0, cfg.RUUSize)
+	m.eligible = make([]*context, 0, cfg.Contexts)
 	m.contexts = make([]*context, cfg.Contexts)
 	for i := range m.contexts {
-		m.contexts[i] = &context{id: i, state: ctxFree, ras: bpred.NewRAS(cfg.Predictor.RASDepth)}
+		m.contexts[i] = &context{
+			id:      i,
+			state:   ctxFree,
+			ras:     bpred.NewRAS(cfg.Predictor.RASDepth),
+			entries: newEntryRing(inFlight),
+		}
 	}
 	t := &emu.Thread{ID: 0, Group: 0, PC: p.Entry}
 	t.Regs[isa.RegSP] = int64(prog.MainStackTop)
@@ -223,7 +313,7 @@ func (m *Machine) drain() {
 	for m.cycle < bound {
 		busy := false
 		for _, c := range m.contexts {
-			if len(c.entries) > 0 {
+			if c.entries.len() > 0 {
 				busy = true
 				break
 			}
@@ -274,9 +364,9 @@ func (m *Machine) describeBlockage() string {
 			pc = c.thread.PC
 			tid = c.thread.ID
 		}
-		s += fmt.Sprintf("[ctx%d t%d pc=%d inflight=%d %s] ", c.id, tid, pc, len(c.entries), why)
+		s += fmt.Sprintf("[ctx%d t%d pc=%d inflight=%d %s] ", c.id, tid, pc, c.entries.len(), why)
 	}
-	s += fmt.Sprintf("stack=%d fetchQ=%d", len(m.stack), len(m.fetchQ))
+	s += fmt.Sprintf("stack=%d fetchQ=%d", len(m.stack), m.fetchQ.len())
 	return s
 }
 
@@ -311,10 +401,10 @@ func (m *Machine) commit() {
 	for width > 0 {
 		var oldest *ruuEntry
 		for _, c := range m.contexts {
-			if len(c.entries) == 0 {
+			if c.entries.len() == 0 {
 				continue
 			}
-			e := c.entries[0]
+			e := c.entries.at(0)
 			if !e.completed {
 				continue
 			}
@@ -345,7 +435,14 @@ func (m *Machine) commit() {
 // retire removes e from the machine and applies commit-time side effects.
 func (m *Machine) retire(e *ruuEntry) {
 	c := e.ctx
-	c.entries = c.entries[1:]
+	c.entries.pop()
+	// Commit is in order, so if e is still its register's youngest writer
+	// no other writer of that register is left in flight.
+	if d, ok := e.info.Inst.Dest(); ok {
+		if w := c.writer(d); *w == e {
+			*w = nil
+		}
+	}
 	c.icount--
 	m.ruuCount--
 	if e.isLoad || e.isStore {
@@ -373,6 +470,24 @@ func (m *Machine) retire(e *ruuEntry) {
 	case isa.OpHalt:
 		m.halted = true
 	}
+	m.recycle(e)
+}
+
+// recycle keeps a retired entry for reuse by fetch. Nothing can still
+// point at it: its producers' waiter lists were dropped when they
+// completed (before it could issue), its own list and any blockedOnBranch
+// reference when it completed; it left the fetch queue at dispatch, the
+// ready list at issue, the pending list at completion, and its context's
+// entries and rename table in retire.
+func (m *Machine) recycle(e *ruuEntry) {
+	*e = ruuEntry{}
+	m.free = append(m.free, e)
+}
+
+func (m *Machine) newEntry() *ruuEntry {
+	e := m.free[len(m.free)-1]
+	m.free = m.free[:len(m.free)-1]
+	return e
 }
 
 // freeContext releases c after kthr or eviction and considers a swap-in.
@@ -417,7 +532,7 @@ func (m *Machine) recordDeath() {
 		m.deathHead++
 	}
 	if m.deathHead > 1024 {
-		m.deathTimes = append([]uint64(nil), m.deathTimes[m.deathHead:]...)
+		m.deathTimes = m.deathTimes[:copy(m.deathTimes, m.deathTimes[m.deathHead:])]
 		m.deathHead = 0
 	}
 }
@@ -438,48 +553,68 @@ func (m *Machine) deathsInWindow() int {
 // -------------------------------------------------------------- complete --
 
 // complete moves issued entries whose latency elapsed to the completed
-// state, wakes dependents, and resolves mispredicted control flow.
+// state, wakes dependents, and resolves mispredicted control flow. The
+// entries due in one cycle are handled in (context id, seq) order: the
+// swap policy's rolling load average, and so eviction, depend on it.
 func (m *Machine) complete() {
-	for _, c := range m.contexts {
-		for _, e := range c.entries {
-			if !e.issued || e.completed || e.readyAt > m.cycle {
-				continue
-			}
-			e.completed = true
-			for _, d := range e.dependents {
-				d.deps--
-			}
-			e.dependents = nil
-			if e.mispredicted && c.blockedOnBranch == e {
-				c.blockedOnBranch = nil
-				if c.fetchBlockedUntil < m.cycle+1 {
-					c.fetchBlockedUntil = m.cycle + 1
-				}
-			}
-			if e.isLoad {
-				m.noteLoadLatency(c, e.latCycles)
-			}
+	due, waiting := m.due[:0], m.pending[:0]
+	for _, e := range m.pending {
+		if e.readyAt <= m.cycle {
+			due = append(due, e)
+		} else {
+			waiting = append(waiting, e)
 		}
 	}
+	m.pending = waiting
+	for i := 1; i < len(due); i++ {
+		for j := i; j > 0 && completesBefore(due[j], due[j-1]); j-- {
+			due[j], due[j-1] = due[j-1], due[j]
+		}
+	}
+	for _, e := range due {
+		c := e.ctx
+		e.completed = true
+		for l := e.firstDep; l.e != nil; l = l.e.nextDep[l.slot] {
+			d := l.e
+			d.deps--
+			if d.deps == 0 && d.inRUU {
+				m.makeReady(d)
+			}
+		}
+		e.firstDep = depLink{}
+		if e.mispredicted && c.blockedOnBranch == e {
+			c.blockedOnBranch = nil
+			if c.fetchBlockedUntil < m.cycle+1 {
+				c.fetchBlockedUntil = m.cycle + 1
+			}
+		}
+		if e.isLoad {
+			m.noteLoadLatency(c, e.latCycles)
+		}
+	}
+	m.due = due
+}
+
+func completesBefore(a, b *ruuEntry) bool {
+	return a.ctx.id < b.ctx.id || a.ctx.id == b.ctx.id && a.seq < b.seq
+}
+
+// makeReady inserts a dispatched entry whose last producer just completed
+// into the ready list at its seq position.
+func (m *Machine) makeReady(e *ruuEntry) {
+	i := len(m.ready)
+	m.ready = append(m.ready, e)
+	for ; i > 0 && m.ready[i-1].seq > e.seq; i-- {
+		m.ready[i] = m.ready[i-1]
+	}
+	m.ready[i] = e
 }
 
 // ----------------------------------------------------------------- issue --
 
+// issue walks the ready list oldest first, issuing what the functional
+// units and data ports allow.
 func (m *Machine) issue() {
-	cand := m.issueBuf[:0]
-	for _, c := range m.contexts {
-		for _, e := range c.entries {
-			if e.inRUU && !e.issued && e.deps == 0 {
-				cand = append(cand, e)
-			}
-		}
-	}
-	m.issueBuf = cand[:0]
-	if len(cand) == 0 {
-		return
-	}
-	sort.Slice(cand, func(i, j int) bool { return cand[i].seq < cand[j].seq })
-
 	width := m.cfg.IssueWidth
 	ialu := m.cfg.IALUs
 	imult := m.cfg.IMults
@@ -487,7 +622,7 @@ func (m *Machine) issue() {
 	fpmult := m.cfg.FPMults
 	ports := m.hier.DataPorts()
 
-	for _, e := range cand {
+	for _, e := range m.ready {
 		if width == 0 {
 			break
 		}
@@ -531,14 +666,26 @@ func (m *Machine) issue() {
 		e.issued = true
 		e.latCycles = lat
 		e.readyAt = m.cycle + uint64(lat)
+		m.pending = append(m.pending, e)
 		width--
+	}
+	if width < m.cfg.IssueWidth {
+		waiting := m.ready[:0]
+		for _, e := range m.ready {
+			if !e.issued {
+				waiting = append(waiting, e)
+			}
+		}
+		m.ready = waiting
 	}
 }
 
 // olderStoreSameAddr reports whether an older in-flight store of the same
 // context targets the same word (the value forwards from the store buffer).
 func (m *Machine) olderStoreSameAddr(load *ruuEntry) bool {
-	for _, e := range load.ctx.entries {
+	entries := &load.ctx.entries
+	for i := range entries.len() {
+		e := entries.at(i)
 		if e.seq >= load.seq {
 			return false
 		}
@@ -595,20 +742,25 @@ func (m *Machine) maybeEvict(c *context) {
 
 func (m *Machine) dispatch() {
 	width := m.cfg.DecodeWidth
-	for width > 0 && len(m.fetchQ) > 0 {
-		e := m.fetchQ[0]
+	for width > 0 && m.fetchQ.len() > 0 {
+		e := m.fetchQ.at(0)
 		if m.ruuCount >= m.cfg.RUUSize {
 			return
 		}
 		if (e.isLoad || e.isStore) && m.lsqCount >= m.cfg.LSQSize {
 			return
 		}
-		m.fetchQ = m.fetchQ[1:]
+		m.fetchQ.pop()
 		m.ruuCount++
 		if e.isLoad || e.isStore {
 			m.lsqCount++
 		}
 		e.inRUU = true
+		if e.deps == 0 {
+			// Dispatch runs in seq order, after every entry already in the
+			// ready list.
+			m.ready = append(m.ready, e)
+		}
 		width--
 	}
 }
@@ -640,19 +792,20 @@ func (m *Machine) fetch() error {
 	if m.haltSeen {
 		return nil
 	}
-	var eligible []*context
+	eligible := m.eligible[:0]
 	for _, c := range m.contexts {
 		if m.canFetch(c) {
 			eligible = append(eligible, c)
 		}
 	}
+	m.eligible = eligible
 	if len(eligible) == 0 {
 		return nil
 	}
+	rot := 0
 	if m.cfg.RoundRobinFetch {
 		// Rotate the starting context by cycle (the ablation baseline).
-		rot := int(m.cycle) % len(eligible)
-		eligible = append(eligible[rot:], eligible[:rot]...)
+		rot = int(m.cycle) % len(eligible)
 	} else {
 		// ICOUNT: prefer contexts with the fewest in-flight instructions.
 		for i := 1; i < len(eligible); i++ {
@@ -672,10 +825,8 @@ func (m *Machine) fetch() error {
 	budget := m.cfg.FetchWidth
 	preds := m.cfg.BranchPredsPerCycle
 
-	for _, c := range eligible[:nsel] {
-		if budget <= 0 {
-			break
-		}
+	for i := 0; i < nsel && budget > 0; i++ {
+		c := eligible[(rot+i)%len(eligible)]
 		n, err := m.fetchThread(c, min(perThread, budget), &preds)
 		if err != nil {
 			return err
@@ -698,7 +849,7 @@ func (m *Machine) fetchThread(c *context, maxN int, preds *int) (int, error) {
 	lineEnd := (int(t.PC)/8 + 1) * 8
 	fetched := 0
 	for fetched < maxN && int(t.PC) < lineEnd {
-		if len(m.fetchQ) >= m.cfg.FetchQueue {
+		if m.fetchQ.len() >= m.cfg.FetchQueue {
 			break
 		}
 		if int(t.PC) >= len(m.p.Insts) {
@@ -726,13 +877,14 @@ func (m *Machine) fetchThread(c *context, maxN int, preds *int) (int, error) {
 			break
 		}
 
-		e := &ruuEntry{seq: m.seq, ctx: c, info: info}
+		e := m.newEntry()
+		e.seq, e.ctx, e.info = m.seq, c, info
 		m.seq++
 		e.isLoad = info.Inst.Op.IsLoad()
 		e.isStore = info.Inst.Op.IsStore()
 		m.resolveDeps(c, e)
-		c.entries = append(c.entries, e)
-		m.fetchQ = append(m.fetchQ, e)
+		c.entries.push(e)
+		m.fetchQ.push(e)
 		c.icount++
 		m.stats.FetchedInsts++
 		fetched++
@@ -788,26 +940,20 @@ func (m *Machine) fetchThread(c *context, maxN int, preds *int) (int, error) {
 }
 
 // resolveDeps wires register dependences: the youngest in-flight producer
-// of each source feeds e.
+// of each source, read from the rename table before e's own destination
+// is entered there, feeds e.
 func (m *Machine) resolveDeps(c *context, e *ruuEntry) {
-	var buf [4]isa.RegRef
-	for _, s := range e.info.Inst.Sources(buf[:0]) {
-		if p := m.lastProducer(c, s); p != nil && !p.completed {
-			p.dependents = append(p.dependents, e)
+	var buf [maxSources]isa.RegRef
+	for i, s := range e.info.Inst.Sources(buf[:0]) {
+		if p := *c.writer(s); p != nil && !p.completed {
+			e.nextDep[i] = p.firstDep
+			p.firstDep = depLink{e, uint8(i)}
 			e.deps++
 		}
 	}
-}
-
-// lastProducer scans c's in-flight entries youngest-first for a writer of r.
-func (m *Machine) lastProducer(c *context, r isa.RegRef) *ruuEntry {
-	for i := len(c.entries) - 1; i >= 0; i-- {
-		e := c.entries[i]
-		if d, ok := e.info.Inst.Dest(); ok && d == r {
-			return e
-		}
+	if d, ok := e.info.Inst.Dest(); ok {
+		*c.writer(d) = e
 	}
-	return nil
 }
 
 func (m *Machine) ctxOfThread(t *emu.Thread) *context {
@@ -824,7 +970,7 @@ func (m *Machine) ctxOfThread(t *emu.Thread) *context {
 func (m *Machine) houseKeeping() {
 	// Complete evictions whose pipelines drained.
 	for _, c := range m.contexts {
-		if c.evicting && len(c.entries) == 0 {
+		if c.evicting && c.entries.len() == 0 {
 			if c.evictAt == 0 {
 				c.evictAt = m.cycle + uint64(m.cfg.SwapCycles)
 				continue
@@ -858,7 +1004,7 @@ func (m *Machine) houseKeeping() {
 			for _, c := range m.contexts {
 				if c.state == ctxActive && c.thread != nil &&
 					(m.lockBlocked[c.thread.ID] || c.joinWaiting) &&
-					len(c.entries) == 0 && !c.evicting && !c.dying &&
+					c.entries.len() == 0 && !c.evicting && !c.dying &&
 					c.blockedSince > 0 && m.cycle-c.blockedSince > uint64(m.cfg.RescueBlockedCycles) {
 					c.evicting = true
 					c.state = ctxStall
@@ -878,11 +1024,4 @@ func (m *Machine) houseKeeping() {
 	if live > m.stats.PeakLiveThreads {
 		m.stats.PeakLiveThreads = live
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
