@@ -685,7 +685,7 @@ func main() {
 // covers: 0 = nothing resident, 1 = some events, 2 = reached the
 // serving tier (an admission/shed/done event), 3 = tierFull — serving
 // tier plus runtime events (a granted request's probe/handoff/
-// death, or a refused division's deny/inline). Route spans alone score
+// death, or a refused division's deny). Route spans alone score
 // 1: the downstream half was already overwritten.
 const tierFull = 3
 
@@ -699,8 +699,7 @@ func tierSpan(evs []captrace.Event) int {
 		switch ev.Kind {
 		case captrace.KReqAdmit, captrace.KReqShed, captrace.KReqDegraded, captrace.KReqDone:
 			serving = true
-		case captrace.KProbeGranted, captrace.KProbeDenied, captrace.KDivideInline,
-			captrace.KHandoff, captrace.KDeath:
+		case captrace.KProbeGranted, captrace.KProbeDenied, captrace.KHandoff, captrace.KDeath:
 			runtime = true
 		}
 	}

@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -29,29 +30,41 @@ import (
 )
 
 func main() {
-	workload := flag.String("workload", "dijkstra", strings.Join(workloads.NativeNames(), "|"))
-	n := flag.Int("n", 2000, "input size (nodes/elements/chars/neurons)")
-	seed := flag.Int64("seed", 1, "input seed")
-	workers := flag.Int("workers", 0, "context pool size (0 = GOMAXPROCS)")
-	throttle := flag.Bool("throttle", true, "death-rate division throttling")
-	window := flag.Duration("window", 100*time.Microsecond, "death-rate window")
-	stats := flag.Bool("stats", false, "print full statistics")
-	jsonOut := flag.Bool("json", false, "emit one machine-readable JSON object instead of text")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file (covers the native run)")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "caprun: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command: it parses args, runs the workload and writes
+// the report to stdout.
+func run(args []string, stdout io.Writer) (err error) {
+	fs := flag.NewFlagSet("caprun", flag.ContinueOnError)
+	workload := fs.String("workload", "dijkstra", strings.Join(workloads.NativeNames(), "|"))
+	n := fs.Int("n", 2000, "input size (nodes/elements/chars/neurons)")
+	seed := fs.Int64("seed", 1, "input seed")
+	workers := fs.Int("workers", 0, "context pool size (0 = GOMAXPROCS)")
+	throttle := fs.Bool("throttle", true, "death-rate division throttling")
+	window := fs.Duration("window", 100*time.Microsecond, "death-rate window")
+	stats := fs.Bool("stats", false, "print full statistics")
+	jsonOut := fs.Bool("json", false, "emit one machine-readable JSON object instead of text")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file (covers the native run)")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this file at exit")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *n <= 0 {
-		fail("-n must be > 0 (got %d)", *n)
+		return fmt.Errorf("-n must be > 0 (got %d)", *n)
 	}
 	stopCPU, err := profiling.StartCPU(*cpuprofile)
 	if err != nil {
-		fail("%v", err)
+		return err
 	}
 	defer stopCPU()
 	defer func() {
-		if err := profiling.WriteHeap(*memprofile); err != nil {
-			fail("%v", err)
+		if herr := profiling.WriteHeap(*memprofile); err == nil {
+			err = herr
 		}
 	}()
 
@@ -61,19 +74,18 @@ func main() {
 		DeathWindow: *window,
 	})
 	if err != nil {
-		fail("%v", err)
+		return err
 	}
 	defer rt.Close()
 
 	res, err := workloads.RunNative(rt, *workload, *n, *seed)
 	if err != nil {
-		fail("%v", err)
+		return err
 	}
 
 	s := res.Stats
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		if err := enc.Encode(struct {
+		return json.NewEncoder(stdout).Encode(struct {
 			Workload   string        `json:"workload"`
 			N          int           `json:"n"`
 			Seed       int64         `json:"seed"`
@@ -83,25 +95,18 @@ func main() {
 			ElapsedNS  int64         `json:"elapsed_ns"`
 			Stats      capsule.Stats `json:"stats"`
 		}{*workload, *n, *seed, rt.Contexts(), runtime.GOMAXPROCS(0),
-			res.Output, res.Elapsed.Nanoseconds(), s}); err != nil {
-			fail("%v", err)
-		}
-		return
+			res.Output, res.Elapsed.Nanoseconds(), s})
 	}
-	fmt.Printf("workload=%s n=%d seed=%d workers=%d gomaxprocs=%d\n",
+	fmt.Fprintf(stdout, "workload=%s n=%d seed=%d workers=%d gomaxprocs=%d\n",
 		*workload, *n, *seed, rt.Contexts(), runtime.GOMAXPROCS(0))
-	fmt.Printf("result: %s (validated against Go reference)\n", res.Output)
-	fmt.Printf("elapsed=%s\n", res.Elapsed)
-	fmt.Printf("divisions: probes=%d granted=%d (%.0f%%) inline=%d\n",
-		s.Probes, s.Granted, 100*s.GrantRate(), s.InlineRuns)
+	fmt.Fprintf(stdout, "result: %s (validated against Go reference)\n", res.Output)
+	fmt.Fprintf(stdout, "elapsed=%s\n", res.Elapsed)
+	fmt.Fprintf(stdout, "divisions: probes=%d granted=%d (%.0f%%)\n",
+		s.Probes, s.Granted, 100*s.GrantRate())
 	if *stats {
-		fmt.Printf("denies: no-ctx=%d throttle=%d\n", s.NoCtxDenies, s.ThrottleDenies)
-		fmt.Printf("workers: total=%d peak=%d deaths=%d\n", s.TotalWorkers, s.PeakWorkers, s.Deaths)
-		fmt.Printf("locks: acquires=%d\n", s.LockAcquires)
+		fmt.Fprintf(stdout, "denies: no-ctx=%d throttle=%d\n", s.NoCtxDenies, s.ThrottleDenies)
+		fmt.Fprintf(stdout, "workers: total=%d peak=%d deaths=%d\n", s.TotalWorkers, s.PeakWorkers, s.Deaths)
+		fmt.Fprintf(stdout, "locks: acquires=%d\n", s.LockAcquires)
 	}
-}
-
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "caprun: "+format+"\n", args...)
-	os.Exit(1)
+	return nil
 }

@@ -420,10 +420,15 @@ func TestArmedPlanesBesideDivideStorm(t *testing.T) {
 			i++
 			grp := rt.NewGroupTraced(tidTag<<48 | g<<32 | i)
 			for j := uint64(0); j < 8; j++ {
-				grp.Divide(func() {
+				work := func() {
 					grp.Lock(j)
 					grp.Unlock(j)
-				})
+				}
+				if c, ok := grp.Probe(); ok {
+					grp.Spawn(c, work)
+				} else {
+					work()
+				}
 			}
 			grp.Join()
 			return true
@@ -437,7 +442,7 @@ func TestArmedPlanesBesideDivideStorm(t *testing.T) {
 				t.Errorf("sampled snapshot broke Probes == outcomes: %+v", c)
 				return false
 			}
-			if c.Granted < prev.Granted || c.NoCtxDenies < prev.NoCtxDenies || c.InlineRuns < prev.InlineRuns || c.Deaths < prev.Deaths {
+			if c.Granted < prev.Granted || c.NoCtxDenies < prev.NoCtxDenies || c.Deaths < prev.Deaths {
 				t.Errorf("sampled counters ran backwards: %+v after %+v", c, prev)
 				return false
 			}
@@ -453,7 +458,6 @@ func TestArmedPlanesBesideDivideStorm(t *testing.T) {
 				ok = ok && ev.B < contexts
 			case captrace.KProbeDenied:
 				ok = ok && ev.A == captrace.DenyNoCtx
-			case captrace.KDivideInline:
 			default:
 				ok = false
 			}

@@ -326,7 +326,6 @@ func TestMetricsNameSet(t *testing.T) {
 		"capsule_probes_total",
 		"capsule_granted_total",
 		"capsule_denies_total",
-		"capsule_inline_runs_total",
 		"capsule_deaths_total",
 		"capsule_workers_total",
 		"capsule_workers_peak",

@@ -132,7 +132,6 @@ func (s *Server) writeMetrics(w io.Writer) {
 	counterHead("capsule_denies_total", "Refused probes by reason.")
 	fmt.Fprintf(w, "capsule_denies_total{reason=\"no_ctx\"} %d\n", st.NoCtxDenies)
 	fmt.Fprintf(w, "capsule_denies_total{reason=\"throttle\"} %d\n", st.ThrottleDenies)
-	counter("capsule_inline_runs_total", "Divide offers run inline after refusal.", st.InlineRuns)
 	counter("capsule_deaths_total", "Worker terminations (kthr).", st.Deaths)
 	counter("capsule_workers_total", "Workers ever spawned.", st.TotalWorkers)
 	gauge("capsule_workers_peak", "Maximum simultaneously live workers.", float64(st.PeakWorkers))

@@ -70,7 +70,7 @@ func TestTraceIDSurvivesToResponse(t *testing.T) {
 	}
 	// The workload divides (or at least offers): the group must have
 	// tagged runtime events with the same ID.
-	runtime := kinds[captrace.KProbeGranted] + kinds[captrace.KProbeDenied] + kinds[captrace.KDivideInline]
+	runtime := kinds[captrace.KProbeGranted] + kinds[captrace.KProbeDenied]
 	if runtime == 0 {
 		t.Fatalf("no runtime events under the request's trace ID: %v", kinds)
 	}
@@ -190,7 +190,6 @@ func TestCapsuleSeriesPromtextRoundTrip(t *testing.T) {
 		"capsule_granted_total":                   float64(st.Granted),
 		`capsule_denies_total{reason="no_ctx"}`:   float64(st.NoCtxDenies),
 		`capsule_denies_total{reason="throttle"}`: float64(st.ThrottleDenies),
-		"capsule_inline_runs_total":               float64(st.InlineRuns),
 		"capsule_deaths_total":                    float64(st.Deaths),
 		"capsule_workers_total":                   float64(st.TotalWorkers),
 		"capsule_workers_peak":                    float64(st.PeakWorkers),

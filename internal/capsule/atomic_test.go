@@ -16,6 +16,18 @@ import (
 	"repro/internal/captrace"
 )
 
+// offerRange is a division site shaped like the workloads': on a grant a
+// worker adds hi-lo to *sum, on a refusal the caller does. It reports
+// whether the probe was refused.
+func offerRange(dom Domain, sum *int, lo, hi int) bool {
+	if c, ok := dom.Probe(); ok {
+		dom.Spawn(c, func() { *sum += hi - lo })
+		return false
+	}
+	*sum += hi - lo
+	return true
+}
+
 // nopFn is a static func value: the alloc tests must not be charged for a
 // per-call closure.
 func nopFn() {}
@@ -144,7 +156,8 @@ func TestStatsAccountingInvariant(t *testing.T) {
 			}()
 		}
 		const stormers, offers, perGroup = 8, 500, 10
-		var direct, grouped struct{ granted, noCtx, throttle, inline atomic.Uint64 }
+		var direct struct{ granted, inline atomic.Uint64 }
+		var grouped struct{ granted, noCtx, throttle atomic.Uint64 }
 		var stormWG sync.WaitGroup
 		for g := 0; g < stormers; g++ {
 			stormWG.Add(1)
@@ -169,11 +182,11 @@ func TestStatsAccountingInvariant(t *testing.T) {
 					grp := rt.NewGroup()
 					for j := 0; j < perGroup; j++ {
 						if j%2 == 0 {
-							grp.Divide(func() {})
+							spawnOnce(grp, nopFn)
 						} else {
 							// A worker that offers too: its counts must
 							// reach the runtime through the same fold.
-							grp.TryDivide(func() { grp.Divide(func() {}) })
+							spawnOnce(grp, func() { spawnOnce(grp, nopFn) })
 						}
 						grp.Lock(uint64(j))
 						grp.Unlock(uint64(j))
@@ -189,7 +202,6 @@ func TestStatsAccountingInvariant(t *testing.T) {
 					grouped.granted.Add(gs.Granted)
 					grouped.noCtx.Add(gs.NoCtxDenies)
 					grouped.throttle.Add(gs.ThrottleDenies)
-					grouped.inline.Add(gs.InlineRuns)
 				}
 			}(g)
 		}
@@ -204,8 +216,8 @@ func TestStatsAccountingInvariant(t *testing.T) {
 		if want := grouped.granted.Load() + direct.granted.Load(); s.Granted != want {
 			t.Fatalf("Granted = %d, want %d (groups %d + direct %d)", s.Granted, want, grouped.granted.Load(), direct.granted.Load())
 		}
-		if want := grouped.inline.Load() + direct.inline.Load(); s.InlineRuns != want {
-			t.Fatalf("InlineRuns = %d, want %d (groups %d + direct %d)", s.InlineRuns, want, grouped.inline.Load(), direct.inline.Load())
+		if want := direct.inline.Load(); s.InlineRuns != want {
+			t.Fatalf("InlineRuns = %d, want %d (Runtime.Divide only)", s.InlineRuns, want)
 		}
 		// A direct caller cannot see why it was refused, so the per-reason
 		// check is on what is left once the groups' shares are taken out:
@@ -501,15 +513,34 @@ func TestHotPathZeroAllocs(t *testing.T) {
 		t.Errorf("refused TryDivides moved more than NoCtxDenies: %+v", d)
 	}
 	// The refused offer and the lock as a served request meets them: two
-	// requests, a Group each, every Divide refused and run inline — also
-	// when the Group folds its counts into the runtime's at Join.
+	// requests, a Group each, every probe refused — also when the Group
+	// folds its counts into the runtime's at Join.
 	g1, g2 := rt.NewGroup(), rt.NewGroup()
-	ceiling("refused Group.Divide + Join", 0, func() {
-		if g1.Divide(nopFn) || g2.Divide(nopFn) {
-			t.Error("group divide granted from an empty pool")
+	ceiling("refused Group.Probe + Join", 0, func() {
+		if _, ok := g1.Probe(); ok {
+			t.Error("group probe granted from an empty pool")
+		}
+		if _, ok := g2.Probe(); ok {
+			t.Error("group probe granted from an empty pool")
 		}
 		g1.Join()
 	})
+	// The division site as the workloads write it, called through a
+	// Domain interface value on every implementation: the closure that
+	// captures the caller's range is built only on the granted branch, so
+	// a refusal allocates nothing (a pre-built nopFn could not show this).
+	sum := 0
+	for name, dom := range map[string]Domain{"Runtime": rt, "Group": g1, "Sequential": rt.Sequential()} {
+		ceiling("refused "+name+" Probe at a workload-shaped site", 0, func() {
+			sum = 0
+			if !offerRange(dom, &sum, 3, 5) {
+				t.Errorf("%s probe granted from an empty pool", name)
+			}
+			if sum != 2 {
+				t.Errorf("%s refused site did not run the range on the caller", name)
+			}
+		})
+	}
 	key := uint64(0)
 	ceiling("Lock+Unlock", 0, func() {
 		key++
@@ -551,18 +582,20 @@ func TestHotPathZeroAllocs(t *testing.T) {
 		if cfg.Tracer != nil {
 			tid = 0x00c0ffee00c0ffee
 		}
-		ceiling(name+" Probe+Release", 0, func() {
-			c, ok := fresh.ProbeTraced(tid)
+		g := fresh.NewGroupTraced(tid)
+		ceiling(name+" Group Probe+Release", 0, func() {
+			c, ok := g.Probe()
 			if !ok {
 				t.Fatal("probe refused with a free pool")
 			}
 			fresh.Release(c)
 		})
-		g := fresh.NewGroupTraced(tid)
-		ceiling(name+" granted Divide + Join", 1, func() {
-			if !g.Divide(nopFn) {
-				t.Fatal("divide refused with a free pool")
+		ceiling(name+" granted Group Probe+Spawn + Join", 1, func() {
+			c, ok := g.Probe()
+			if !ok {
+				t.Fatal("probe refused with a free pool")
 			}
+			g.Spawn(c, nopFn)
 			g.Join()
 		})
 	}

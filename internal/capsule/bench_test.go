@@ -30,18 +30,18 @@ func twoCallers(b *testing.B, op func(caller, i int)) {
 	b.StopTimer()
 }
 
-// BenchmarkGroupDivideRefused2Groups is the refused offer of a served
+// BenchmarkGroupProbeRefused2Groups is the refused offer of a served
 // request: two requests, a Group each, one exhausted runtime, every
-// Divide refused and run inline.
-func BenchmarkGroupDivideRefused2Groups(b *testing.B) {
+// probe refused.
+func BenchmarkGroupProbeRefused2Groups(b *testing.B) {
 	rt := New(Config{Contexts: 1, Throttle: true})
 	defer rt.Close()
 	hold, _ := rt.Probe()
 	defer rt.Release(hold)
 	groups := [2]*Group{rt.NewGroup(), rt.NewGroup()}
 	twoCallers(b, func(caller, _ int) {
-		if groups[caller].Divide(nopFn) {
-			b.Error("divide granted from an empty pool")
+		if _, ok := groups[caller].Probe(); ok {
+			b.Error("probe granted from an empty pool")
 		}
 	})
 	for _, g := range groups {

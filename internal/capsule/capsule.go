@@ -82,8 +82,8 @@ type Config struct {
 	// Tracer, when non-nil, receives lifecycle events (probe outcomes,
 	// handoffs, deaths, throttle transitions) from the hot path. Probe
 	// and the Runtime-level Divide/TryDivide stay untraced either way;
-	// per-request events flow only through ProbeTraced/NewGroupTraced
-	// with a nonzero trace ID, and throttle edges are detected on the
+	// per-request events flow only through NewGroupTraced groups with a
+	// nonzero trace ID, and throttle edges are detected on the
 	// death path, admission peeks and those traced probes that get past
 	// the pool test — so an armed-but-unsampled probe runs the same
 	// instructions as tracing off (TestUntracedStaysSilent: it records
@@ -135,7 +135,7 @@ type Stats struct {
 	Granted        uint64 `json:"granted"`         // probes that reserved a context token
 	NoCtxDenies    uint64 `json:"no_ctx_denies"`   // probes refused because the pool was empty
 	ThrottleDenies uint64 `json:"throttle_denies"` // probes refused by the death-rate throttle
-	InlineRuns     uint64 `json:"inline_runs"`     // Divide calls that ran the work inline
+	InlineRuns     uint64 `json:"inline_runs"`     // Runtime.Divide only: refused Divides that ran the work inline
 	Deaths         uint64 `json:"deaths"`          // worker terminations (kthr)
 	TotalWorkers   uint64 `json:"total_workers"`   // workers ever spawned
 	PeakWorkers    int    `json:"peak_workers"`    // maximum simultaneously live workers
@@ -166,9 +166,9 @@ func (s Stats) Delta(prev Stats) Stats {
 // "% divisions allowed"). It doubles as the steal-free work balance:
 // CAPSULE distributes work purely by conditional division — there is no
 // work stealing, and a refused probe always leaves the offered work with
-// the offering worker (inline in Divide, or the caller's else-branch
-// after TryDivide) — so the grant rate is exactly the fraction of
-// division offers whose work moved to a fresh worker.
+// the offering worker (the caller's own path after a refused Probe) — so
+// the grant rate is exactly the fraction of division offers whose work
+// moved to a fresh worker.
 func (s Stats) GrantRate() float64 {
 	if s.Probes == 0 {
 		return 0
@@ -394,19 +394,10 @@ func (rt *Runtime) traceThrottleEdge(open bool) {
 // by Spawn or Release; on failure the caller takes its sequential path.
 // Probe never takes a mutex and never allocates (the returned Context is
 // the token's preallocated struct).
-func (rt *Runtime) Probe() (*Context, bool) { return rt.probe(0) }
-
-// ProbeTraced is Probe with a trace identity: when tid is nonzero and
-// the runtime has a Tracer, the probe's outcome (grant with its context
-// id, or refusal with its reason) is recorded against tid,
-// and a subsequent Spawn of the returned context tags its handoff and
-// death the same way. tid 0 is exactly Probe.
-func (rt *Runtime) ProbeTraced(tid uint64) (*Context, bool) { return rt.probe(tid) }
-
-// probe is offer counted on the runtime's own line: the path of the
-// one-program tools and the price list. Groups count on theirs.
-func (rt *Runtime) probe(tid uint64) (*Context, bool) {
-	c, deny := rt.offer(tid)
+// It counts on the runtime's own line: the path of the one-program tools
+// and the price list. Groups count on theirs.
+func (rt *Runtime) Probe() (*Context, bool) {
+	c, deny := rt.offer(0)
 	rt.stats.count(c, deny)
 	return c, c != nil
 }
@@ -633,7 +624,6 @@ type outcomes struct {
 	granted        atomic.Uint64
 	noCtxDenies    atomic.Uint64
 	throttleDenies atomic.Uint64
-	inlineRuns     atomic.Uint64
 }
 
 // count records the outcome of one offer (see Runtime.offer).
@@ -655,7 +645,6 @@ func (o *outcomes) foldInto(dst, done *outcomes) {
 	fold(&dst.granted, &o.granted, &done.granted)
 	fold(&dst.noCtxDenies, &o.noCtxDenies, &done.noCtxDenies)
 	fold(&dst.throttleDenies, &o.throttleDenies, &done.throttleDenies)
-	fold(&dst.inlineRuns, &o.inlineRuns, &done.inlineRuns)
 }
 
 func fold(dst, src, done *atomic.Uint64) {
@@ -675,6 +664,7 @@ func fold(dst, src, done *atomic.Uint64) {
 // statHot is the runtime's live counter set.
 type statHot struct {
 	outcomes
+	inlineRuns   atomic.Uint64
 	deaths       atomic.Uint64
 	totalWorkers atomic.Uint64
 }

@@ -3,29 +3,38 @@ package capsule
 import (
 	"sync"
 	"unsafe"
-
-	"repro/internal/captrace"
 )
 
 // A Domain is a division-capable execution scope: the method set component
-// programs are written against. Three implementations exist, all backed by
-// the same Runtime (one context pool, one throttle, one lock table):
+// programs are written against. It has the paper's two-instruction shape:
+// Probe is nthr's test — it reserves a context or refuses — and only a
+// granted probe goes on to Spawn, so a division site builds its work only
+// on the granted branch:
+//
+//	if c, ok := dom.Probe(); ok {
+//		dom.Spawn(c, func() { work(lo, mid) })
+//	} else {
+//		work(lo, mid) // the caller's own path; nothing was allocated
+//	}
+//
+// Three implementations exist, all backed by the same Runtime (one context
+// pool, one throttle, one lock table):
 //
 //   - *Runtime itself — the whole-process scope whose Join waits for every
 //     worker, the right domain for one-program-at-a-time tools (caprun);
 //   - *Group — a per-task join scope for servers running many component
 //     programs concurrently on one runtime: divisions compete for the
 //     shared pool, but Join waits only for the group's own workers;
-//   - Sequential — the fully-degraded scope whose divisions always run
-//     inline, for callers that decided (e.g. at request admission) not to
+//   - Sequential — the fully-degraded scope whose probes are always
+//     refused, for callers that decided (e.g. at request admission) not to
 //     offer parallelism at all.
 type Domain interface {
-	// Divide offers fn at a division point: spawn on a fresh worker
-	// (true) or run inline to completion (false).
-	Divide(fn func()) bool
-	// TryDivide offers fn and does nothing on refusal (the caller's
-	// else-branch interleaves its own unit of work).
-	TryDivide(fn func()) bool
+	// Probe reserves a context token (true) or refuses (false). A granted
+	// context MUST be consumed by Spawn on the same domain.
+	Probe() (*Context, bool)
+	// Spawn hands fn to the worker of a context this domain's Probe
+	// granted.
+	Spawn(c *Context, fn func())
 	// Join blocks until every worker spawned through this domain has died.
 	Join()
 	// Lock/Unlock are the shared striped lock table (mlock/munlock).
@@ -43,11 +52,10 @@ var (
 // the runtime-wide Stats, cheap enough to keep on every request. Like
 // Stats.Probes, Probes is derived: Granted + NoCtxDenies + ThrottleDenies.
 type GroupStats struct {
-	Probes         uint64 `json:"probes"`      // division offers made through the group
-	Granted        uint64 `json:"granted"`     // offers that spawned a worker
-	InlineRuns     uint64 `json:"inline_runs"` // Divide offers run inline after refusal
-	NoCtxDenies    uint64 `json:"-"`           // offers refused because the pool was empty
-	ThrottleDenies uint64 `json:"-"`           // offers refused by the death-rate throttle
+	Probes         uint64 `json:"probes"`  // division offers made through the group
+	Granted        uint64 `json:"granted"` // offers that spawned a worker
+	NoCtxDenies    uint64 `json:"-"`       // offers refused because the pool was empty
+	ThrottleDenies uint64 `json:"-"`       // offers refused by the death-rate throttle
 }
 
 // GrantRate is the fraction of the group's division offers that moved work
@@ -90,8 +98,8 @@ type groupHot struct {
 // NewGroup returns a fresh join scope on rt.
 func (rt *Runtime) NewGroup() *Group { return rt.NewGroupTraced(0) }
 
-// NewGroupTraced returns a join scope whose division offers, handoffs,
-// worker deaths and inline fallbacks are recorded against tid — the
+// NewGroupTraced returns a join scope whose division offers, handoffs
+// and worker deaths are recorded against tid — the
 // serving tier's bridge from a request's X-Capsule-Trace-ID to the
 // runtime events its Domain causes. tid 0 is exactly NewGroup.
 func (rt *Runtime) NewGroupTraced(tid uint64) *Group {
@@ -101,32 +109,18 @@ func (rt *Runtime) NewGroupTraced(tid uint64) *Group {
 // Runtime returns the runtime this group divides on.
 func (g *Group) Runtime() *Runtime { return g.rt }
 
-// TryDivide probes the shared runtime and, on success, spawns fn as a
-// worker counted in this group. On refusal it does nothing and returns
-// false.
-func (g *Group) TryDivide(fn func()) bool {
+// Probe offers a division to the shared runtime and counts the outcome on
+// the group's own line. A refusal allocates nothing and writes nothing any
+// other request reads.
+func (g *Group) Probe() (*Context, bool) {
 	c, deny := g.rt.offer(g.tid)
 	g.own.count(c, deny)
-	if c == nil {
-		return false
-	}
-	g.rt.spawnOn(c, fn, &g.wg, g.tid)
-	return true
+	return c, c != nil
 }
 
-// Divide probes and either spawns fn on a group worker (true) or runs it
-// inline on the caller (false).
-func (g *Group) Divide(fn func()) bool {
-	if g.TryDivide(fn) {
-		return true
-	}
-	g.own.inlineRuns.Add(1)
-	if g.tid != 0 {
-		g.rt.tracer.Record(captrace.KDivideInline, g.tid, 0, 0, 0)
-	}
-	fn()
-	return false
-}
+// Spawn hands fn to the worker of a context g.Probe granted; the worker
+// is counted in this group, so Join waits for it.
+func (g *Group) Spawn(c *Context, fn func()) { g.rt.spawnOn(c, fn, &g.wg, g.tid) }
 
 // Join blocks until every worker spawned through this group has died,
 // then publishes the group's offers to the runtime's Stats. Workers of
@@ -146,7 +140,6 @@ func (g *Group) Unlock(key uint64) { g.rt.Unlock(key) }
 func (g *Group) Stats() GroupStats {
 	s := GroupStats{
 		Granted:        g.own.granted.Load(),
-		InlineRuns:     g.own.inlineRuns.Load(),
 		NoCtxDenies:    g.own.noCtxDenies.Load(),
 		ThrottleDenies: g.own.throttleDenies.Load(),
 	}
@@ -154,19 +147,20 @@ func (g *Group) Stats() GroupStats {
 	return s
 }
 
-// Sequential returns the fully-degraded Domain on rt: every Divide runs
-// its work inline, every TryDivide is refused, and Join is a no-op (there
-// are never any workers). It touches no division counters — a sequential
-// task makes no offers, so it must not dilute the grant rate — but still
-// uses the shared lock table, so sequential and parallel tasks stay
-// mutually correct. This is the request-admission analogue of the CapC
-// compiler's sequential fallback path.
+// Sequential returns the fully-degraded Domain on rt: every Probe is
+// refused, so the caller always takes its own path, and Join is a no-op
+// (there are never any workers). It touches no division counters — a
+// sequential task makes no offers, so it must not dilute the grant rate —
+// but still uses the shared lock table, so sequential and parallel tasks
+// stay mutually correct. This is the request-admission analogue of the
+// CapC compiler's sequential fallback path, and what
+// speedup_vs_sequential divides by: the algorithm and nothing else.
 func (rt *Runtime) Sequential() Domain { return seqDomain{rt} }
 
 type seqDomain struct{ rt *Runtime }
 
-func (d seqDomain) Divide(fn func()) bool    { fn(); return false }
-func (d seqDomain) TryDivide(fn func()) bool { return false }
-func (d seqDomain) Join()                    {}
-func (d seqDomain) Lock(key uint64)          { d.rt.Lock(key) }
-func (d seqDomain) Unlock(key uint64)        { d.rt.Unlock(key) }
+func (d seqDomain) Probe() (*Context, bool) { return nil, false }
+func (d seqDomain) Spawn(*Context, func())  { panic("capsule: Spawn on the Sequential domain") }
+func (d seqDomain) Join()                   {}
+func (d seqDomain) Lock(key uint64)         { d.rt.Lock(key) }
+func (d seqDomain) Unlock(key uint64)       { d.rt.Unlock(key) }

@@ -12,14 +12,20 @@ func TestGroupJoinWaitsOnlyOwnWorkers(t *testing.T) {
 
 	block := make(chan struct{})
 	started := make(chan struct{})
-	if !g1.TryDivide(func() { close(started); <-block }) {
+	c, ok := g1.Probe()
+	if !ok {
 		t.Fatal("g1 division refused with a free pool")
 	}
+	g1.Spawn(c, func() { close(started); <-block })
 	<-started
 
 	var n atomic.Int64
 	for i := 0; i < 8; i++ {
-		g2.Divide(func() { n.Add(1) })
+		if c, ok := g2.Probe(); ok {
+			g2.Spawn(c, func() { n.Add(1) })
+		} else {
+			n.Add(1)
+		}
 	}
 	// g2.Join must return while g1's worker is still blocked.
 	g2.Join()
@@ -40,29 +46,29 @@ func TestGroupStatsCountOwnDivisions(t *testing.T) {
 	rt := quiet(1)
 	g := rt.NewGroup()
 	hold, _ := rt.Probe() // empty the pool: every offer is refused
-	ran := 0
-	if g.Divide(func() { ran++ }) {
-		t.Fatal("Divide spawned with an empty pool")
-	}
-	if g.TryDivide(func() { ran++ }) {
-		t.Fatal("TryDivide spawned with an empty pool")
+	for i := 0; i < 2; i++ {
+		if _, ok := g.Probe(); ok {
+			t.Fatal("Probe granted with an empty pool")
+		}
 	}
 	rt.Release(hold)
-	g.Divide(func() {})
+	c, ok := g.Probe()
+	if !ok {
+		t.Fatal("Probe refused with a free pool")
+	}
+	g.Spawn(c, func() {})
 	g.Join()
 
 	gs := g.Stats()
-	if gs.Probes != 3 || gs.Granted != 1 || gs.InlineRuns != 1 {
-		t.Fatalf("group stats = %+v, want 3 probes / 1 granted / 1 inline", gs)
+	if gs.Probes != 3 || gs.Granted != 1 || gs.NoCtxDenies != 2 {
+		t.Fatalf("group stats = %+v, want 3 probes / 1 granted / 2 no-ctx", gs)
 	}
 	if got := gs.GrantRate(); got <= 0 || got >= 1 {
 		t.Fatalf("grant rate = %v, want in (0,1)", got)
 	}
-	if ran != 1 {
-		t.Fatalf("inline work ran %d times, want 1", ran)
-	}
-	// The group's offers are also visible runtime-wide.
-	if s := rt.Stats(); s.Probes != 4 || s.InlineRuns != 1 { // +1 probe: the held token
+	// The group's offers are also visible runtime-wide; refusals through
+	// a Domain are the caller's own path, not Runtime.Divide's inline run.
+	if s := rt.Stats(); s.Probes != 4 || s.NoCtxDenies != 2 || s.InlineRuns != 0 { // +1 probe: the held token
 		t.Fatalf("runtime stats = %+v, want the group's probes included", s)
 	}
 }
@@ -70,17 +76,18 @@ func TestGroupStatsCountOwnDivisions(t *testing.T) {
 func TestSequentialDomainNeverDivides(t *testing.T) {
 	rt := quiet(4)
 	seq := rt.Sequential()
-	ran := 0
-	if seq.Divide(func() { ran++ }) {
-		t.Fatal("sequential Divide claimed a spawn")
-	}
-	if seq.TryDivide(func() { ran++ }) {
-		t.Fatal("sequential TryDivide claimed a spawn")
+	if c, ok := seq.Probe(); ok || c != nil {
+		t.Fatalf("sequential Probe granted %v", c)
 	}
 	seq.Join() // no-op, must not block
-	if ran != 1 {
-		t.Fatalf("ran = %d, want 1 (Divide inline only)", ran)
-	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("sequential Spawn did not panic")
+			}
+		}()
+		seq.Spawn(&rt.ctxs[0], func() {})
+	}()
 	// A sequential task makes no offers: division counters untouched.
 	if s := rt.Stats(); s.Probes != 0 || s.InlineRuns != 0 || s.TotalWorkers != 0 {
 		t.Fatalf("stats = %+v, want untouched", s)
@@ -105,18 +112,23 @@ func TestConcurrentGroupsShareThePool(t *testing.T) {
 		go func() {
 			defer outer.Done()
 			g := rt.NewGroup()
-			for j := 0; j < divisions; j++ {
-				g.Divide(func() {
-					cur := live.Add(1)
-					for {
-						p := peak.Load()
-						if cur <= p || peak.CompareAndSwap(p, cur) {
-							break
-						}
+			work := func() {
+				cur := live.Add(1)
+				for {
+					p := peak.Load()
+					if cur <= p || peak.CompareAndSwap(p, cur) {
+						break
 					}
-					total.Add(1)
-					live.Add(-1)
-				})
+				}
+				total.Add(1)
+				live.Add(-1)
+			}
+			for j := 0; j < divisions; j++ {
+				if c, ok := g.Probe(); ok {
+					g.Spawn(c, work)
+				} else {
+					work()
+				}
 			}
 			g.Join()
 		}()

@@ -20,6 +20,15 @@ func traceTestRuntime(t *testing.T, tr *captrace.Tracer, contexts int) *Runtime 
 	return rt
 }
 
+// spawnOnce probes dom and spawns fn on a grant; it reports the grant.
+func spawnOnce(dom Domain, fn func()) bool {
+	c, ok := dom.Probe()
+	if ok {
+		dom.Spawn(c, fn)
+	}
+	return ok
+}
+
 func kindsByTID(tr *captrace.Tracer, tid uint64) map[captrace.Kind]int {
 	got := map[captrace.Kind]int{}
 	for _, ev := range tr.Snapshot("test", 0).Events {
@@ -32,7 +41,7 @@ func kindsByTID(tr *captrace.Tracer, tid uint64) map[captrace.Kind]int {
 
 // TestTracedGroupLifecycle drives one traced division to completion and
 // asserts the full event chain: probe granted → handoff → death, plus
-// an inline event for a refused Divide.
+// one probe_denied for a refused probe, which is all a refusal records.
 func TestTracedGroupLifecycle(t *testing.T) {
 	tr := captrace.New(2, 64)
 	rt := traceTestRuntime(t, tr, 2)
@@ -40,7 +49,7 @@ func TestTracedGroupLifecycle(t *testing.T) {
 
 	g := rt.NewGroupTraced(tid)
 	ran := false
-	if !g.Divide(func() { ran = true }) {
+	if !spawnOnce(g, func() { ran = true }) {
 		t.Fatal("division refused with a free pool")
 	}
 	g.Join()
@@ -55,7 +64,7 @@ func TestTracedGroupLifecycle(t *testing.T) {
 		}
 	}
 
-	// Exhaust the pool: the traced refusal and inline run must be recorded.
+	// Exhaust the pool: the traced refusal must be recorded.
 	holds := make([]*Context, 0, rt.Contexts())
 	for {
 		c, ok := rt.Probe()
@@ -64,12 +73,12 @@ func TestTracedGroupLifecycle(t *testing.T) {
 		}
 		holds = append(holds, c)
 	}
-	if g.Divide(func() {}) {
+	if spawnOnce(g, nopFn) {
 		t.Fatal("division granted from an empty pool")
 	}
 	got = kindsByTID(tr, tid)
-	if got[captrace.KProbeDenied] != 1 || got[captrace.KDivideInline] != 1 {
-		t.Errorf("refusal events = %v, want one probe_denied and one divide_inline", got)
+	if got[captrace.KProbeDenied] != 1 || len(got) != 4 {
+		t.Errorf("refusal events = %v, want one probe_denied and nothing else new", got)
 	}
 	for _, c := range holds {
 		rt.Release(c)
@@ -82,7 +91,7 @@ func TestUntracedStaysSilent(t *testing.T) {
 	tr := captrace.New(1, 64)
 	rt := traceTestRuntime(t, tr, 2)
 	g := rt.NewGroup()
-	g.Divide(func() {})
+	spawnOnce(g, nopFn)
 	g.Join()
 	c, ok := rt.Probe()
 	if !ok {
@@ -107,7 +116,7 @@ func TestStaleTraceIDDoesNotLeak(t *testing.T) {
 	const tid = 0xabad
 
 	g := rt.NewGroupTraced(tid)
-	if !g.Divide(func() {}) {
+	if !spawnOnce(g, nopFn) {
 		t.Fatal("traced division refused")
 	}
 	g.Join()
@@ -117,7 +126,7 @@ func TestStaleTraceIDDoesNotLeak(t *testing.T) {
 	}
 
 	u := rt.NewGroup()
-	if !u.Divide(func() {}) {
+	if !spawnOnce(u, nopFn) {
 		t.Fatal("untraced division refused")
 	}
 	u.Join()
@@ -138,7 +147,7 @@ func TestThrottleTransitionEvents(t *testing.T) {
 
 	g := rt.NewGroup()
 	for i := 0; i < 2; i++ {
-		if !g.Divide(func() {}) {
+		if !spawnOnce(g, nopFn) {
 			t.Fatal("division refused")
 		}
 		g.Join()

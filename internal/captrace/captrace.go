@@ -66,11 +66,9 @@ const (
 	// granted.
 	KProbeGranted
 	// KProbeDenied: a probe was refused. A = deny reason (DenyNoCtx,
-	// DenyThrottle, DenyClosed).
+	// DenyThrottle, DenyClosed). The caller then runs its own path — the
+	// simulator's nthr treated as a nop — which records nothing.
 	KProbeDenied
-	// KDivideInline: a Divide offer was refused and ran inline on the
-	// caller (the sequential fallback at a division point).
-	KDivideInline
 	// KHandoff: a granted division reached its worker. A = outcome
 	// (HandoffSpin: the worker was still spinning, slot CAS won;
 	// HandoffPark: the worker had parked, mailbox send), B = context id.
@@ -144,7 +142,6 @@ var kindNames = [kindCount]string{
 	KNone:          "none",
 	KProbeGranted:  "probe_granted",
 	KProbeDenied:   "probe_denied",
-	KDivideInline:  "divide_inline",
 	KHandoff:       "handoff",
 	KDeath:         "death",
 	KThrottleOpen:  "throttle_open",

@@ -92,8 +92,6 @@ func (e Event) Detail() string {
 			reason = "closed"
 		}
 		return "deny=" + reason
-	case KDivideInline:
-		return "ran inline on caller"
 	case KHandoff:
 		how := "spin-hit"
 		if e.A == HandoffPark {

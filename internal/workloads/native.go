@@ -58,9 +58,13 @@ func nativeQSort(dom capsule.Domain, arr []int64, lo, hi int) {
 		}
 		// Divide: a co-worker takes the left part [lo, j+1); we keep
 		// [i, hi). The ranges are disjoint (j < i), so parent and child
-		// never touch the same element.
-		left, right := lo, j+1
-		dom.Divide(func() { nativeQSort(dom, arr, left, right) })
+		// never touch the same element. Refused, we sort it ourselves.
+		if c, ok := dom.Probe(); ok {
+			left, right := lo, j+1
+			dom.Spawn(c, func() { nativeQSort(dom, arr, left, right) })
+		} else {
+			nativeQSort(dom, arr, lo, j+1)
+		}
 		lo = i
 	}
 	// Insertion sort for small runs.
@@ -98,7 +102,11 @@ func NativeDijkstra(dom capsule.Domain, in *DijkstraInput) []int64 {
 		for e := in.EOff[node]; e < in.EOff[node+1]; e++ {
 			// Probe the architecture at every child path (Fig. 2).
 			v, nd := in.EDst[e], d+int64(in.EWgt[e])
-			dom.Divide(func() { explore(v, nd) })
+			if c, ok := dom.Probe(); ok {
+				dom.Spawn(c, func() { explore(v, nd) })
+			} else {
+				explore(v, nd)
+			}
 		}
 	}
 	explore(int32(in.Source), 0)
@@ -121,8 +129,9 @@ func NativeLZW(dom capsule.Domain, in *LZWInput) int64 {
 			if mid >= hi {
 				break
 			}
-			m, h := mid, hi
-			if dom.TryDivide(func() { worker(m, h) }) {
+			if c, ok := dom.Probe(); ok {
+				m, h := mid, hi
+				dom.Spawn(c, func() { worker(m, h) })
 				hi = mid
 			} else {
 				// Probe failed: match one chunk ourselves, probe again.
@@ -175,8 +184,9 @@ func NativePerceptron(dom capsule.Domain, in *PerceptronInput) (w []int64, mista
 	forward = func(lo, hi int, x []int64) {
 		for hi-lo > PerceptronChunk {
 			mid := (lo + hi) / 2
-			m, h := mid, hi
-			if dom.TryDivide(func() { forward(m, h, x) }) {
+			if c, ok := dom.Probe(); ok {
+				m, h := mid, hi
+				dom.Spawn(c, func() { forward(m, h, x) })
 				hi = mid
 			} else {
 				acc.Add(dotQ8(w, x, lo, lo+PerceptronChunk))
@@ -191,8 +201,9 @@ func NativePerceptron(dom capsule.Domain, in *PerceptronInput) (w []int64, mista
 	update = func(lo, hi int, x []int64, t int64) {
 		for hi-lo > PerceptronChunk {
 			mid := (lo + hi) / 2
-			m, h := mid, hi
-			if dom.TryDivide(func() { update(m, h, x, t) }) {
+			if c, ok := dom.Probe(); ok {
+				m, h := mid, hi
+				dom.Spawn(c, func() { update(m, h, x, t) })
 				hi = mid
 			} else {
 				updQ8(w, x, t, lo, lo+PerceptronChunk)

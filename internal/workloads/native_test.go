@@ -75,16 +75,42 @@ func TestNativePerceptronCrossVal(t *testing.T) {
 	}
 }
 
+// exhausted returns a runtime with every context token held until the
+// test ends: each probe on it is refused.
+func exhausted(t testing.TB) *capsule.Runtime {
+	rt := nativeRT(2)
+	var held []*capsule.Context
+	for c, ok := rt.Probe(); ok; c, ok = rt.Probe() {
+		held = append(held, c)
+	}
+	t.Cleanup(func() {
+		for _, c := range held {
+			rt.Release(c)
+		}
+		rt.Close()
+	})
+	return rt
+}
+
 // TestNativeDeterminism checks the contract the native implementations
 // promise: the result is a pure function of the input — identical across
-// repeated runs, context-pool sizes, and throttle settings, no matter how
-// the workers interleave.
+// repeated runs, context-pool sizes, throttle settings and every kind of
+// Domain (the runtime itself, a Group, a Group whose every probe is
+// refused, Sequential), no matter how the workers interleave.
 func TestNativeDeterminism(t *testing.T) {
 	configs := []capsule.Config{
 		{Contexts: 1},
 		{Contexts: 2, Throttle: true},
 		{Contexts: 8},
 		{Contexts: 8, Throttle: true},
+	}
+	rt := nativeRT(4)
+	defer rt.Close()
+	domains := map[string]capsule.Domain{
+		"Runtime":         rt,
+		"Group":           rt.NewGroup(),
+		"exhausted Group": exhausted(t).NewGroup(),
+		"Sequential":      rt.Sequential(),
 	}
 	for _, name := range NativeNames() {
 		t.Run(name, func(t *testing.T) {
@@ -104,7 +130,75 @@ func TestNativeDeterminism(t *testing.T) {
 					}
 				}
 			}
+			var sum uint64
+			for dname, dom := range domains {
+				res, err := RunRequest(dom, name, 300, 42)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sum == 0 {
+					sum = res.Checksum
+				} else if res.Checksum != sum {
+					t.Fatalf("%s: checksum %d, another domain gave %d", dname, res.Checksum, sum)
+				}
+			}
 		})
+	}
+}
+
+// TestNativeRefusedOffersAllocateNothing holds every division site to the
+// paper's price: a refused probe costs no allocation. Each workload runs
+// on a Group whose runtime has every token held, so all of its offers are
+// refused. It may allocate no more per run than on Sequential(), which
+// asks nothing of the pool, and — since a site that builds its closure
+// before it learns the answer allocates on Sequential() too — no more on
+// an input twice the size, which makes twice the offers: what a run
+// allocates for itself does not grow with its offers. Each count is the
+// least of three measurements: an allocation by another goroutine during
+// the window can only add to one.
+func TestNativeRefusedOffersAllocateNothing(t *testing.T) {
+	rt := exhausted(t)
+	allocs := func(f func()) float64 {
+		least := testing.AllocsPerRun(5, f)
+		for i := 0; i < 2; i++ {
+			least = min(least, testing.AllocsPerRun(5, f))
+		}
+		return least
+	}
+	runs := map[string]func(n int) func(capsule.Domain){
+		"quicksort": func(n int) func(capsule.Domain) {
+			list := GenList(rngFor(5, n), ListUniform, n)
+			return func(d capsule.Domain) { NativeQuickSort(d, list) }
+		},
+		"dijkstra": func(n int) func(capsule.Domain) {
+			in := GenGraph(rngFor(5, n), n/8, GenDijkstraMaxDeg, GenDijkstraMaxW)
+			return func(d capsule.Domain) { NativeDijkstra(d, in) }
+		},
+		"lzw": func(n int) func(capsule.Domain) {
+			in := GenLZW(rngFor(5, n), n)
+			return func(d capsule.Domain) { NativeLZW(d, in) }
+		},
+		"perceptron": func(n int) func(capsule.Domain) {
+			in := GenPerceptron(rngFor(5, n), n/8, GenPerceptronPats, GenPerceptronEpochs)
+			return func(d capsule.Domain) { NativePerceptron(d, in) }
+		},
+	}
+	for _, name := range NativeNames() {
+		small, large := runs[name](2048), runs[name](4096)
+		g := rt.NewGroup()
+		seq := allocs(func() { large(rt.Sequential()) })
+		grp := allocs(func() { large(g) })
+		before := g.Stats().Probes
+		half := allocs(func() { small(g) })
+		if gs := g.Stats(); gs.Granted != 0 || gs.Probes-before < 18*8 {
+			t.Fatalf("%s: group stats %+v, want many offers, all refused", name, gs)
+		}
+		if grp > seq {
+			t.Errorf("%s: %v allocs per run with every offer refused, %v on Sequential", name, grp, seq)
+		}
+		if grp > half {
+			t.Errorf("%s: %v allocs per run, %v at half the size: refused offers allocate", name, grp, half)
+		}
 	}
 }
 

@@ -116,10 +116,10 @@ func Experiments() []string { return exp.IDs() }
 // paper's protocol (divide only when a context token is free and the
 // death-rate throttle is quiescent, run inline otherwise), on a
 // lock-free, allocation-free hot path. A Domain is the division-capable
-// scope component code is written against: the Runtime itself, a
-// per-task Group (shared pool, private join), or the Sequential
-// fallback. A Runtime that should release its parked worker goroutines
-// before process exit is shut down with Close.
+// scope component code is written against (Probe, then Spawn only on a
+// grant): the Runtime itself, a per-task Group (shared pool, private
+// join), or the Sequential fallback. A Runtime that should release its
+// parked worker goroutines before process exit is shut down with Close.
 type (
 	Runtime       = capsule.Runtime
 	RuntimeConfig = capsule.Config
