@@ -303,13 +303,7 @@ func traceSpans(raw json.RawMessage, top int) []span {
 	if err := json.Unmarshal(raw, &snaps); err != nil {
 		return nil
 	}
-	events := captrace.MergeEvents(snaps...)
-	byTID := map[uint64][]captrace.Event{}
-	for _, e := range events {
-		if e.TID != 0 {
-			byTID[e.TID] = append(byTID[e.TID], e)
-		}
-	}
+	byTID := captrace.ByTrace(snaps...)
 	spans := make([]span, 0, len(byTID))
 	for tid, evs := range byTID {
 		s := span{tid: tid, n: len(evs), first: evs[0].Kind.String(), last: evs[len(evs)-1].Kind.String(),

@@ -96,25 +96,13 @@ func load(path string) ([]captrace.Snapshot, error) {
 // waterfall prints one trace ID's merged timeline; false when no
 // ingested snapshot holds an event for it.
 func waterfall(w io.Writer, snaps []captrace.Snapshot, tid uint64) bool {
-	var evs []captrace.Event
-	for _, ev := range captrace.MergeEvents(snaps...) {
-		if ev.TID == tid {
-			evs = append(evs, ev)
-		}
-	}
+	evs := captrace.ByTrace(snaps...)[tid]
 	if len(evs) == 0 {
 		return false
 	}
-	t0 := evs[0].TS
-	span := time.Duration(evs[len(evs)-1].TS - t0)
+	span := time.Duration(evs[len(evs)-1].TS - evs[0].TS)
 	fmt.Fprintf(w, "trace %s: %d events over %s\n", captrace.FormatID(tid), len(evs), span)
-	for _, ev := range evs {
-		src := ev.Source
-		if src == "" {
-			src = "-"
-		}
-		fmt.Fprintf(w, "  +%9.1fµs %-16s %-14s %s\n", float64(ev.TS-t0)/1e3, src, ev.Kind, ev.Detail())
-	}
+	captrace.WriteWaterfall(w, evs)
 	return true
 }
 
@@ -136,13 +124,10 @@ func summary(w io.Writer, snaps []captrace.Snapshot) {
 	}
 
 	kinds := map[captrace.Kind]int{}
-	byTID := map[uint64]int{}
 	for _, ev := range all {
 		kinds[ev.Kind]++
-		if ev.TID != 0 {
-			byTID[ev.TID]++
-		}
 	}
+	byTID := captrace.ByTrace(snaps...)
 
 	fmt.Fprintf(w, "\n%d events, %d traced requests, spanning %s\n",
 		len(all), len(byTID), time.Duration(all[len(all)-1].TS-all[0].TS))
@@ -161,8 +146,8 @@ func summary(w io.Writer, snaps []captrace.Snapshot) {
 			n   int
 		}
 		var tids []tidCount
-		for tid, n := range byTID {
-			tids = append(tids, tidCount{tid, n})
+		for tid, evs := range byTID {
+			tids = append(tids, tidCount{tid, len(evs)})
 		}
 		sort.Slice(tids, func(i, j int) bool {
 			if tids[i].n != tids[j].n {

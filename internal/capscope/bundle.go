@@ -120,7 +120,7 @@ func (r *Recorder) capture(trigger, reason string, slo capwatch.SLOReport, now t
 	if r.sampler != nil {
 		writeJSON(FileWatch, r.sampler.Report(0))
 	}
-	writeJSON(FileTrace, []captrace.Snapshot{r.tracer.Snapshot(r.source, r.traceN)})
+	writeJSON(FileTrace, []captrace.Snapshot{r.tracer.Snapshot(r.source, TraceEvents)})
 	if r.cfg.Fault != nil {
 		rules := r.cfg.Fault.Rules()
 		if rules == nil {

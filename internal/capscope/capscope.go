@@ -52,9 +52,14 @@ const (
 	DefaultMaxBundles      = 8
 	DefaultCooldown        = time.Minute
 	DefaultProfileDuration = 250 * time.Millisecond
-	DefaultTraceEvents     = 4096
-	DefaultShedStormPerSec = 5.0
 )
+
+// TraceEvents caps the captrace events snapshotted into a bundle.
+const TraceEvents = 4096
+
+// ShedStormPerSec is the queue-full 503 rate (per second, measured
+// tick-over-tick) at or above which the shed_storm trigger fires.
+const ShedStormPerSec = 5.0
 
 // Trigger names, recorded in every bundle manifest. One per anomaly
 // class across the three tiers.
@@ -89,15 +94,6 @@ type Config struct {
 	// 0 means DefaultProfileDuration; negative disables the CPU
 	// profile (tests, and any process that cannot spare the burst).
 	ProfileDuration time.Duration
-
-	// TraceEvents caps the captrace events snapshotted into a bundle.
-	// Default: DefaultTraceEvents.
-	TraceEvents int
-
-	// ShedStormPerSec is the queue-full 503 rate (per second, measured
-	// tick-over-tick) at or above which the shed_storm trigger fires.
-	// Default: DefaultShedStormPerSec. Negative disables the trigger.
-	ShedStormPerSec float64
 
 	// Runtime is the capsule runtime: throttle-edge trigger plus the
 	// default Tracer. Required.
@@ -145,8 +141,6 @@ type Recorder struct {
 	max      int
 	cooldown time.Duration
 	profDur  time.Duration
-	traceN   int
-	shedRate float64
 	tracer   *captrace.Tracer
 
 	sampler *capwatch.Sampler
@@ -195,8 +189,6 @@ func New(cfg Config) (*Recorder, error) {
 		max:      cfg.MaxBundles,
 		cooldown: cfg.Cooldown,
 		profDur:  cfg.ProfileDuration,
-		traceN:   cfg.TraceEvents,
-		shedRate: cfg.ShedStormPerSec,
 		tracer:   cfg.Tracer,
 		now:      time.Now,
 		lastFire: make(map[string]time.Time),
@@ -212,12 +204,6 @@ func New(cfg Config) (*Recorder, error) {
 	}
 	if r.profDur == 0 {
 		r.profDur = DefaultProfileDuration
-	}
-	if r.traceN == 0 {
-		r.traceN = DefaultTraceEvents
-	}
-	if r.shedRate == 0 {
-		r.shedRate = DefaultShedStormPerSec
 	}
 	if r.tracer == nil {
 		r.tracer = cfg.Runtime.Tracer()
@@ -313,9 +299,9 @@ func (r *Recorder) observe() {
 		trigger = TriggerSlowEjection
 		d := r.curBackends[i].Ejections - r.prevBackends[i].Ejections
 		reason = fmt.Sprintf("backend %s ejected as slow (%d ejection(s) this tick)", r.backendName(i), d)
-	case r.shedRate >= 0 && elapsed > 0 && float64(sheds-r.prevSheds)/elapsed >= r.shedRate:
+	case elapsed > 0 && float64(sheds-r.prevSheds)/elapsed >= ShedStormPerSec:
 		trigger = TriggerShedStorm
-		reason = fmt.Sprintf("queue-full 503s at %.1f/s >= %.1f/s threshold", float64(sheds-r.prevSheds)/elapsed, r.shedRate)
+		reason = fmt.Sprintf("queue-full 503s at %.1f/s >= %.1f/s threshold", float64(sheds-r.prevSheds)/elapsed, ShedStormPerSec)
 	case stats.ThrottleDenies > r.prevThrottle:
 		trigger = TriggerThrottleEdge
 		reason = fmt.Sprintf("death-rate throttle denied %d division(s) this tick (%d deaths total)",

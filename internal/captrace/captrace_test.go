@@ -1,12 +1,14 @@
 package captrace
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -298,6 +300,41 @@ func TestMergeEvents(t *testing.T) {
 		if merged[i].Kind != k {
 			t.Fatalf("merged[%d] = %v, want %v", i, merged[i].Kind, k)
 		}
+	}
+}
+
+// TestByTraceWaterfall: grouping keeps each trace's cross-snapshot
+// events in merged order and drops untraced ones; the waterfall offsets
+// every line from the trace's first event.
+func TestByTraceWaterfall(t *testing.T) {
+	a := Snapshot{Source: "router", Events: []Event{
+		{TS: 1000, TID: 7, Kind: KRouteRecv, Source: "router"},
+		{TS: 1500, Kind: KThrottleOpen, Source: "router"},
+		{TS: 4000, TID: 7, Kind: KRouteServed, Source: "router"},
+	}}
+	b := Snapshot{Source: "backend", Events: []Event{
+		{TS: 2000, TID: 7, Kind: KReqAdmit, Source: "backend"},
+		{TS: 2500, TID: 9, Kind: KReqAdmit},
+	}}
+	by := ByTrace(a, b)
+	if len(by) != 2 || len(by[7]) != 3 || len(by[9]) != 1 {
+		t.Fatalf("ByTrace = %v, want trace 7 with 3 events and trace 9 with 1", by)
+	}
+	for i, k := range []Kind{KRouteRecv, KReqAdmit, KRouteServed} {
+		if by[7][i].Kind != k {
+			t.Fatalf("trace 7 event %d = %v, want %v", i, by[7][i].Kind, k)
+		}
+	}
+	var out bytes.Buffer
+	WriteWaterfall(&out, by[7])
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != 3 || !strings.Contains(lines[0], "+      0.0µs router") || !strings.Contains(lines[2], "+      3.0µs router") {
+		t.Fatalf("waterfall:\n%s", out.String())
+	}
+	out.Reset()
+	WriteWaterfall(&out, by[9])
+	if !strings.Contains(out.String(), " - ") {
+		t.Fatalf("sourceless event should print as \"-\":\n%s", out.String())
 	}
 }
 

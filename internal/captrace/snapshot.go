@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -77,8 +78,8 @@ func (e *Event) UnmarshalJSON(data []byte) error {
 }
 
 // Detail renders the per-kind payload for humans ("ctx=7",
-// "deny=throttle", "backend=1 credits=16"). The waterfall printers in
-// capload and cmd/captrace share it so the two renderings agree.
+// "deny=throttle", "backend=1 credits=16"), the last column of
+// WriteWaterfall.
 func (e Event) Detail() string {
 	switch e.Kind {
 	case KProbeGranted:
@@ -253,6 +254,30 @@ func MergeEvents(snaps ...Snapshot) []Event {
 	}
 	sortEvents(all)
 	return all
+}
+
+// ByTrace groups the snapshots' traced events by trace ID, each group
+// in MergeEvents order: one request's cross-tier timeline per key.
+func ByTrace(snaps ...Snapshot) map[uint64][]Event {
+	byTID := map[uint64][]Event{}
+	for _, ev := range MergeEvents(snaps...) {
+		if ev.TID != 0 {
+			byTID[ev.TID] = append(byTID[ev.TID], ev)
+		}
+	}
+	return byTID
+}
+
+// WriteWaterfall prints one trace's events, one line each: offset from
+// the first event, source, kind and Detail.
+func WriteWaterfall(w io.Writer, evs []Event) {
+	for _, ev := range evs {
+		src := ev.Source
+		if src == "" {
+			src = "-"
+		}
+		fmt.Fprintf(w, "  +%9.1fµs %-16s %-14s %s\n", float64(ev.TS-evs[0].TS)/1e3, src, ev.Kind, ev.Detail())
+	}
 }
 
 // sortEvents orders by timestamp, then stably by (source, kind) so

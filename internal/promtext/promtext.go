@@ -1,9 +1,11 @@
 // Package promtext is a minimal reader for the Prometheus text
-// exposition format (version 0.0.4). The repo hand-rolls its exposition
-// writers (capserve, capcluster) because the container forbids new
-// dependencies; this is the matching reader, shared by everything that
-// scrapes — capload's before/after diffs and the tests that read an
-// exposition back — so the format's quirks live in exactly one place.
+// exposition format (version 0.0.4), plus the histogram-pair quantile
+// math the telemetry readers share (quantile.go). The repo hand-rolls
+// its exposition writers (capserve, capcluster) to stay free of
+// dependencies; this is the matching reader, and it serves as the test
+// oracle for those writers (capserve's and capcluster's trace_test.go
+// read their /metrics bodies back through Parse), so the format's
+// quirks live in exactly one place.
 //
 // Scope matches what our writers emit: sample lines without timestamps.
 // A line carrying the optional timestamp field would be keyed wrongly
@@ -36,12 +38,6 @@ func Parse(exposition []byte) map[string]float64 {
 		samples[line[:i]] = v
 	}
 	return samples
-}
-
-// Value returns the unlabelled series' sample.
-func Value(samples map[string]float64, name string) (float64, bool) {
-	v, ok := samples[name]
-	return v, ok
 }
 
 // LabelValue extracts one label's (unquoted) value from a series key as

@@ -15,19 +15,19 @@ caprouter_fallback_rate NaN
 
 func TestParse(t *testing.T) {
 	m := Parse([]byte(exposition))
-	if v, ok := Value(m, "capsule_contexts"); !ok || v != 4 {
+	if v, ok := m["capsule_contexts"]; !ok || v != 4 {
 		t.Fatalf("capsule_contexts = %v,%v", v, ok)
 	}
-	if v, ok := Value(m, "capsule_grant_rate"); !ok || v != 0.375 {
+	if v, ok := m["capsule_grant_rate"]; !ok || v != 0.375 {
 		t.Fatalf("capsule_grant_rate = %v,%v", v, ok)
 	}
 	if v := m[`caprouter_remote_denies_total{reason="credit"}`]; v != 12 {
 		t.Fatalf("labelled series = %v, want 12", v)
 	}
-	if _, ok := Value(m, "nosuch"); ok {
+	if _, ok := m["nosuch"]; ok {
 		t.Fatal("missing series reported present")
 	}
-	if v, ok := Value(m, "caprouter_fallback_rate"); !ok || v == v { // NaN != NaN
+	if v, ok := m["caprouter_fallback_rate"]; !ok || v == v { // NaN != NaN
 		t.Fatalf("NaN sample = %v,%v, want parsed NaN", v, ok)
 	}
 	// Comment lines and the malformed line must not produce keys.

@@ -1,19 +1,14 @@
 package promtext
 
-import (
-	"math"
-	"sort"
-	"strconv"
-	"strings"
-)
+import "math"
 
 // Histogram-pair math: quantiles and threshold fractions estimated from
 // the *difference* of two cumulative bucket snapshots of the same
 // fixed-bound histogram. This is the read-side half of the repo's
 // hand-rolled histograms — capwatch's windowed p50/p95/p99 rollups and
-// capload's server-side latency report both delta a pair of scrapes and
-// interpolate inside the straddling bucket, so the arithmetic lives
-// here once.
+// SLO burn, and capcluster's slow-backend detector, all delta a pair of
+// snapshots and interpolate inside the straddling bucket, so the
+// arithmetic lives here once.
 //
 // Conventions, matching what our writers emit: `bounds` holds the
 // finite upper bounds (seconds, ascending); a cumulative snapshot has
@@ -127,57 +122,4 @@ func DeltaFractionAbove(bounds, before, after []float64, threshold float64) (flo
 	// Threshold at or past the last finite bound: only the +Inf bucket
 	// is provably above it.
 	return (total - delta(n-2)) / total, true
-}
-
-// HistogramBuckets extracts one histogram family's cumulative bucket
-// counts from a Parse result, summing across label sets (a sum of
-// cumulative snapshots over the same bounds is itself cumulative, so
-// per-workload series fold into one distribution). It returns the
-// finite upper bounds ascending and the parallel cumulative counts
-// with the +Inf bucket last — exactly the (bounds, snapshot) shapes
-// DeltaQuantile and DeltaFractionAbove take. Missing family: both nil.
-func HistogramBuckets(samples map[string]float64, name string) (bounds, cum []float64) {
-	series := name + "_bucket"
-	byLE := map[float64]float64{}
-	for key, v := range samples {
-		if !strings.HasPrefix(key, series+"{") {
-			continue
-		}
-		le, ok := LabelValue(key, series, "le")
-		if !ok {
-			continue
-		}
-		var bound float64
-		if le == "+Inf" {
-			bound = math.Inf(1)
-		} else {
-			f, err := strconv.ParseFloat(le, 64)
-			if err != nil {
-				continue
-			}
-			bound = f
-		}
-		byLE[bound] += v
-	}
-	if len(byLE) == 0 {
-		return nil, nil
-	}
-	all := make([]float64, 0, len(byLE))
-	for b := range byLE {
-		all = append(all, b)
-	}
-	sort.Float64s(all)
-	cum = make([]float64, len(all))
-	for i, b := range all {
-		cum[i] = byLE[b]
-	}
-	if math.IsInf(all[len(all)-1], 1) {
-		bounds = all[:len(all)-1]
-	} else {
-		// A writer that omitted +Inf: synthesize it from the last bound's
-		// count, which is the best available _count proxy.
-		bounds = all
-		cum = append(cum, cum[len(cum)-1])
-	}
-	return bounds, cum
 }

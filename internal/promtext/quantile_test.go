@@ -90,33 +90,3 @@ func TestDeltaFractionAbove(t *testing.T) {
 		t.Fatal("accepted an empty delta")
 	}
 }
-
-func TestHistogramBuckets(t *testing.T) {
-	exposition := []byte(`
-# TYPE x histogram
-x_bucket{workload="a",le="0.01"} 5
-x_bucket{workload="a",le="0.1"} 8
-x_bucket{workload="a",le="+Inf"} 9
-x_bucket{workload="b",le="0.01"} 1
-x_bucket{workload="b",le="0.1"} 2
-x_bucket{workload="b",le="+Inf"} 2
-x_sum{workload="a"} 1.5
-x_count{workload="a"} 9
-other_bucket{le="0.5"} 3
-`)
-	samples := Parse(exposition)
-	bounds, cum := HistogramBuckets(samples, "x")
-	if len(bounds) != 2 || !feq(bounds[0], 0.01) || !feq(bounds[1], 0.1) {
-		t.Fatalf("bounds = %v", bounds)
-	}
-	if len(cum) != 3 || !feq(cum[0], 6) || !feq(cum[1], 10) || !feq(cum[2], 11) {
-		t.Fatalf("cum = %v, want label sets summed [6 10 11]", cum)
-	}
-	// The shapes feed straight into the delta helpers.
-	if q, ok := DeltaQuantile(bounds, nil, cum, 0.5); !ok || q <= 0 {
-		t.Fatalf("DeltaQuantile on HistogramBuckets output = %g, %v", q, ok)
-	}
-	if b, c := HistogramBuckets(samples, "missing"); b != nil || c != nil {
-		t.Fatalf("missing family = %v, %v; want nil, nil", b, c)
-	}
-}
