@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"strings"
@@ -28,15 +29,29 @@ var (
 )
 
 func main() {
-	workload := flag.String("workload", "dijkstra", strings.Join(knownWorkloads, "|"))
-	arch := flag.String("arch", "somt", strings.Join(knownArchs, "|"))
-	n := flag.Int("n", 200, "input size (nodes/elements/chars/neurons), must be > 0")
-	seed := flag.Int64("seed", 1, "input seed")
-	stats := flag.Bool("stats", false, "print full statistics")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, simulates the workload, writes
+// the report to stdout and any error to stderr, and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("capsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	workload := fs.String("workload", "dijkstra", strings.Join(knownWorkloads, "|"))
+	arch := fs.String("arch", "somt", strings.Join(knownArchs, "|"))
+	n := fs.Int("n", 200, "input size (nodes/elements/chars/neurons), must be > 0")
+	seed := fs.Int64("seed", 1, "input seed")
+	stats := fs.Bool("stats", false, "print full statistics")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "capsim: "+format+"\n", args...)
+		return 1
+	}
 
 	if *n <= 0 {
-		fail("-n must be > 0 (got %d)", *n)
+		return fail("-n must be > 0 (got %d)", *n)
 	}
 
 	var cfg cpu.Config
@@ -52,7 +67,7 @@ func main() {
 		cfg = cpu.SuperscalarConfig()
 		variant = workloads.VariantImperative
 	default:
-		fail("unknown arch %q (known: %s)", *arch, strings.Join(knownArchs, ", "))
+		return fail("unknown arch %q (known: %s)", *arch, strings.Join(knownArchs, ", "))
 	}
 
 	rng := rand.New(rand.NewSource(*seed))
@@ -79,33 +94,29 @@ func main() {
 		vres, err = workloads.RunVPR(workloads.GenVPR(rng, side, side, 4, 10), variant, cfg)
 		if err == nil {
 			res = vres.Run
-			fmt.Printf("iterations: %d (converged=%v)\n", vres.Iterations, vres.Converged)
+			fmt.Fprintf(stdout, "iterations: %d (converged=%v)\n", vres.Iterations, vres.Converged)
 		}
 	default:
-		fail("unknown workload %q (known: %s)", *workload, strings.Join(knownWorkloads, ", "))
+		return fail("unknown workload %q (known: %s)", *workload, strings.Join(knownWorkloads, ", "))
 	}
 	if err != nil {
-		fail("%v", err)
+		return fail("%v", err)
 	}
 
 	s := res.Stats
-	fmt.Printf("workload=%s arch=%s n=%d seed=%d\n", *workload, *arch, *n, *seed)
-	fmt.Printf("cycles=%d insts=%d ipc=%.2f\n", s.Cycles, s.Insts, s.IPC())
-	fmt.Printf("divisions: requested=%d allowed=%d (%.0f%%) deaths=%d\n",
+	fmt.Fprintf(stdout, "workload=%s arch=%s n=%d seed=%d\n", *workload, *arch, *n, *seed)
+	fmt.Fprintf(stdout, "cycles=%d insts=%d ipc=%.2f\n", s.Cycles, s.Insts, s.IPC())
+	fmt.Fprintf(stdout, "divisions: requested=%d allowed=%d (%.0f%%) deaths=%d\n",
 		s.DivRequested, s.DivGranted, 100*s.DivGrantRate(), s.Deaths)
 	if *stats {
-		fmt.Printf("throttle denies=%d no-ctx denies=%d\n", s.ThrottleDenies, s.NoCtxDenies)
-		fmt.Printf("swaps out=%d in=%d rescues=%d max stack=%d\n", s.SwapsOut, s.SwapsIn, s.Rescues, s.MaxStackDepth)
-		fmt.Printf("locks: acquires=%d stall-cycles=%d\n", s.LockAcquires, s.LockStallCycles)
-		fmt.Printf("branches: %.1f%% accuracy, %d mispredicts\n", 100*s.BranchStats.Accuracy(), s.MispredictedBranches)
-		fmt.Printf("caches: L1I %.1f%% miss, L1D %.1f%% miss, L2 %.1f%% miss\n",
+		fmt.Fprintf(stdout, "throttle denies=%d no-ctx denies=%d\n", s.ThrottleDenies, s.NoCtxDenies)
+		fmt.Fprintf(stdout, "swaps out=%d in=%d rescues=%d max stack=%d\n", s.SwapsOut, s.SwapsIn, s.Rescues, s.MaxStackDepth)
+		fmt.Fprintf(stdout, "locks: acquires=%d stall-cycles=%d\n", s.LockAcquires, s.LockStallCycles)
+		fmt.Fprintf(stdout, "branches: %.1f%% accuracy, %d mispredicts\n", 100*s.BranchStats.Accuracy(), s.MispredictedBranches)
+		fmt.Fprintf(stdout, "caches: L1I %.1f%% miss, L1D %.1f%% miss, L2 %.1f%% miss\n",
 			100*s.L1I.MissRate(), 100*s.L1D.MissRate(), 100*s.L2.MissRate())
-		fmt.Printf("occupancy: avg active contexts %.2f, peak live workers %d, total workers %d\n",
+		fmt.Fprintf(stdout, "occupancy: avg active contexts %.2f, peak live workers %d, total workers %d\n",
 			s.AvgActiveContexts(), s.PeakLiveThreads, s.TotalThreads)
 	}
-}
-
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "capsim: "+format+"\n", args...)
-	os.Exit(1)
+	return 0
 }

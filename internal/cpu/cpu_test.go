@@ -518,6 +518,89 @@ give_up:
 	}
 }
 
+// TestStoreToLoadForwarding pins when a load takes its value from the
+// store buffer instead of the D-cache: only from an older in-flight store
+// of its own context to the same 8-byte word. Every committed store and
+// every load that does not forward accesses the L1D once, so the access
+// count drops by exactly the forwarded loads. The superscalar programs fit
+// one 8-instruction fetch line, so no I-cache miss lets a store retire
+// before the loads after it issue.
+func TestStoreToLoadForwarding(t *testing.T) {
+	const data = `
+.data
+buf:
+	.word 0
+	.word 0
+.text
+main:
+	la s0, buf
+	li t0, 7
+`
+	for _, tc := range []struct {
+		name     string
+		cfg      Config
+		code     string
+		accesses uint64 // stores + loads that did not forward
+	}{
+		{"same word", SuperscalarConfig(), `
+	sd t0, 0(s0)
+	ld t1, 0(s0)
+	sb t0, 0(s0)
+	lb t2, 3(s0)
+	halt
+`, 2},
+		{"other word", SuperscalarConfig(), `
+	sd t0, 8(s0)
+	ld t1, 0(s0)
+	sb t0, 8(s0)
+	lb t2, 3(s0)
+	halt
+`, 4},
+		{"younger store", SuperscalarConfig(), `
+	ld t1, 0(s0)
+	lb t2, 3(s0)
+	sd t0, 0(s0)
+	sb t0, 0(s0)
+	halt
+`, 4},
+		// The parent's store waits behind three chained loads that miss to
+		// memory, so it is still in flight while the child loads its word.
+		{"sibling store", SOMTConfig(), `
+	li s1, 0x400000
+	nthr t0
+	li t1, -1
+	beq t0, t1, done
+	bnez t0, child
+	ld t2, 0(s1)
+	add t3, s1, t2
+	ld t2, 512(t3)
+	add t3, t3, t2
+	ld t2, 1024(t3)
+	sd t2, 0(s0)
+	join
+done:
+	halt
+child:
+	ld t3, 0(s0)
+	ld t3, 0(s0)
+	ld t3, 0(s0)
+	ld t3, 0(s0)
+	kthr
+`, 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := runOn(t, assemble(t, data+tc.code), tc.cfg)
+			s := m.Stats()
+			if tc.cfg.Contexts > 1 && s.DivGranted != 1 {
+				t.Fatalf("division not granted: %+v", s)
+			}
+			if s.L1D.Accesses != tc.accesses {
+				t.Errorf("L1D accesses = %d, want %d", s.L1D.Accesses, tc.accesses)
+			}
+		})
+	}
+}
+
 func TestStatsDerivedMetrics(t *testing.T) {
 	s := Stats{Cycles: 100, Insts: 250, DivRequested: 10, DivGranted: 5}
 	if s.IPC() != 2.5 {

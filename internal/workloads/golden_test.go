@@ -106,9 +106,11 @@ func outputSum(r *core.RunResult) uint64 {
 	return h.Sum64()
 }
 
-// TestTimingStatsGolden compares the whole cpu.Stats of each case with ==
-// against values recorded before the pipeline's bookkeeping was rewritten.
-// The order-sensitive paths (the swap policy's rolling load average, lock
+// TestTimingStatsGolden compares the whole cpu.Stats and the printed output
+// of each case with ==: it pins every simulated number, so a rewrite of how
+// the simulator does its work must leave them all as they are, and a change
+// to what it models must re-record the rows it moves. The order-sensitive
+// paths (the swap policy's rolling load average and its rescue, lock
 // stalls, both kinds of refused division) must each be exercised somewhere
 // in the table, or the comparison could pass without covering them.
 func TestTimingStatsGolden(t *testing.T) {
@@ -126,6 +128,7 @@ func TestTimingStatsGolden(t *testing.T) {
 		}
 		covered.SwapsOut += res.Stats.SwapsOut
 		covered.SwapsIn += res.Stats.SwapsIn
+		covered.Rescues += res.Stats.Rescues
 		covered.LockStallCycles += res.Stats.LockStallCycles
 		covered.ThrottleDenies += res.Stats.ThrottleDenies
 		covered.NoCtxDenies += res.Stats.NoCtxDenies
@@ -133,6 +136,7 @@ func TestTimingStatsGolden(t *testing.T) {
 	for name, v := range map[string]uint64{
 		"SwapsOut":        covered.SwapsOut,
 		"SwapsIn":         covered.SwapsIn,
+		"Rescues":         covered.Rescues,
 		"LockStallCycles": covered.LockStallCycles,
 		"ThrottleDenies":  covered.ThrottleDenies,
 		"NoCtxDenies":     covered.NoCtxDenies,
