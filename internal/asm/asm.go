@@ -78,6 +78,12 @@ type assembler struct {
 	dataPos int // byte offset within the data image
 }
 
+// maxDataBytes is the room between DataBase and the heap: a data image
+// that outgrew it would overlap the runtime's allocator. .align and .space
+// check their count against it before padding, so a huge count fails at
+// once instead of looping until memory runs out.
+const maxDataBytes = int64(prog.HeapBase - prog.DataBase)
+
 func (a *assembler) reset() {
 	a.textPos, a.dataPos = 0, 0
 	a.insts = nil
@@ -225,8 +231,8 @@ func (a *assembler) directive(lc lineCtx, section, line string, pass int) (strin
 		return section, nil // all symbols are global in this assembler
 	case ".align":
 		n, err := parseInt(rest)
-		if err != nil || n <= 0 {
-			return section, lc.errf(".align wants a positive integer")
+		if err != nil || n <= 0 || n > maxDataBytes {
+			return section, lc.errf(".align wants a positive integer up to %d", maxDataBytes)
 		}
 		if section != "data" {
 			return section, lc.errf(".align only valid in .data")
@@ -234,7 +240,6 @@ func (a *assembler) directive(lc lineCtx, section, line string, pass int) (strin
 		for a.dataPos%int(n) != 0 {
 			a.emitByte(0)
 		}
-		return section, nil
 	case ".word", ".byte", ".float", ".space", ".ascii", ".asciiz":
 		if section != "data" {
 			return section, lc.errf("%s only valid in .data", name)
@@ -276,8 +281,8 @@ func (a *assembler) directive(lc lineCtx, section, line string, pass int) (strin
 		}
 	case ".space":
 		n, err := parseInt(rest)
-		if err != nil || n < 0 {
-			return section, lc.errf(".space wants a non-negative integer")
+		if err != nil || n < 0 || n > maxDataBytes {
+			return section, lc.errf(".space wants a non-negative integer up to %d", maxDataBytes)
 		}
 		for j := int64(0); j < n; j++ {
 			a.emitByte(0)
@@ -293,6 +298,9 @@ func (a *assembler) directive(lc lineCtx, section, line string, pass int) (strin
 		if name == ".asciiz" {
 			a.emitByte(0)
 		}
+	}
+	if int64(a.dataPos) > maxDataBytes {
+		return section, lc.errf("data image outgrows its %d bytes", maxDataBytes)
 	}
 	return section, nil
 }

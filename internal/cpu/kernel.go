@@ -44,6 +44,7 @@ func (m *Machine) RequestDivision(parent *emu.Thread) (*emu.Thread, bool) {
 
 	child := parent.Fork(m.nextTID)
 	m.nextTID++
+	m.lockBlocked = append(m.lockBlocked, false)
 	m.stats.TotalThreads++
 	m.groups[child.Group]++
 	m.stats.DivGranted++
@@ -119,7 +120,7 @@ func (m *Machine) Unlock(t *emu.Thread, addr uint64) {
 	ls.waiters = ls.waiters[:copy(ls.waiters, ls.waiters[1:])]
 	ls.owner = next
 	m.stats.LockAcquires++
-	delete(m.lockBlocked, next.ID)
+	m.lockBlocked[next.ID] = false
 	// The woken thread's context resumes fetching and will re-execute its
 	// mlock, which now finds itself the owner.
 	if c := m.ctxOfThread(next); c != nil {

@@ -43,8 +43,10 @@ type context struct {
 	// Swap policy state.
 	loadCounter int
 
-	// In-order list of this context's in-flight entries (commit order).
+	// In-order lists of this context's in-flight entries and, of those,
+	// its stores (commit order).
 	entries entryRing
+	stores  entryRing
 
 	// lastWriter is the rename table: the youngest in-flight entry writing
 	// each register, indexed by (FP file, register number).
@@ -62,9 +64,10 @@ func (c *context) writer(r isa.RegRef) **ruuEntry {
 
 // ruuEntry is one in-flight instruction in the register update unit.
 type ruuEntry struct {
-	seq  uint64
-	ctx  *context
-	info emu.StepInfo
+	seq     uint64
+	ctx     *context
+	inst    *isa.Inst // into the program's text, which a run never changes
+	memAddr uint64    // loads and stores
 
 	// Register dependences. Each entry heads the list of entries waiting
 	// on it, threaded through the waiters' own source links, so wiring a
@@ -170,7 +173,7 @@ type Machine struct {
 	lsqCount int
 
 	locks       map[uint64]*lockEntry
-	lockBlocked map[int]bool // thread id -> blocked in the locking table
+	lockBlocked []bool // by thread id: blocked in the locking table
 
 	groups map[int]int64
 
@@ -201,7 +204,8 @@ type Machine struct {
 	Divisions      []DivisionEvent
 
 	// Scratch reused every cycle, and retired entries kept for reuse.
-	due      []*ruuEntry
+	heads    []*ruuEntry
+	loads    []*ruuEntry
 	eligible []*context
 	free     []*ruuEntry
 }
@@ -218,13 +222,13 @@ func New(p *prog.Program, cfg Config) (*Machine, error) {
 		hier:        mem.NewHierarchy(cfg.Hierarchy),
 		pred:        bpred.New(cfg.Predictor),
 		locks:       make(map[uint64]*lockEntry),
-		lockBlocked: make(map[int]bool),
+		lockBlocked: make([]bool, 1),
 		groups:      make(map[int]int64),
 	}
 	m.mem.StoreBytes(prog.DataBase, p.Data)
 	// Every in-flight instruction sits in the fetch queue or the RUU, so
 	// this many entries serve the whole run (retire recycles them), and the
-	// RUU bounds the ready, pending and due lists.
+	// RUU bounds the ready, pending and loads lists.
 	inFlight := cfg.FetchQueue + cfg.RUUSize
 	entries := make([]ruuEntry, inFlight)
 	m.free = make([]*ruuEntry, inFlight)
@@ -234,7 +238,8 @@ func New(p *prog.Program, cfg Config) (*Machine, error) {
 	m.fetchQ = newEntryRing(cfg.FetchQueue)
 	m.ready = make([]*ruuEntry, 0, cfg.RUUSize)
 	m.pending = make([]*ruuEntry, 0, cfg.RUUSize)
-	m.due = make([]*ruuEntry, 0, cfg.RUUSize)
+	m.loads = make([]*ruuEntry, 0, cfg.RUUSize)
+	m.heads = make([]*ruuEntry, 0, cfg.Contexts)
 	m.eligible = make([]*context, 0, cfg.Contexts)
 	m.contexts = make([]*context, cfg.Contexts)
 	for i := range m.contexts {
@@ -243,6 +248,7 @@ func New(p *prog.Program, cfg Config) (*Machine, error) {
 			state:   ctxFree,
 			ras:     bpred.NewRAS(cfg.Predictor.RASDepth),
 			entries: newEntryRing(inFlight),
+			stores:  newEntryRing(inFlight),
 		}
 	}
 	t := &emu.Thread{ID: 0, Group: 0, PC: p.Entry}
@@ -395,26 +401,28 @@ func (m *Machine) Step() error {
 
 // ---------------------------------------------------------------- commit --
 
+// commit retires up to CommitWidth completed entries, oldest first. Only a
+// context's head can retire, and retiring changes no other context's head
+// (a context nthr seizes or kthr frees has no entries), so the completed
+// heads are collected once per cycle.
 func (m *Machine) commit() {
+	heads := m.heads[:0]
+	for _, c := range m.contexts {
+		if c.entries.len() > 0 && c.entries.at(0).completed {
+			heads = append(heads, c.entries.at(0))
+		}
+	}
+	m.heads = heads
 	width := m.cfg.CommitWidth
 	storePorts := m.hier.DataPorts()
-	for width > 0 {
-		var oldest *ruuEntry
-		for _, c := range m.contexts {
-			if c.entries.len() == 0 {
-				continue
-			}
-			e := c.entries.at(0)
-			if !e.completed {
-				continue
-			}
-			if oldest == nil || e.seq < oldest.seq {
-				oldest = e
+	for width > 0 && len(heads) > 0 {
+		i := 0
+		for j := 1; j < len(heads); j++ {
+			if heads[j].seq < heads[i].seq {
+				i = j
 			}
 		}
-		if oldest == nil {
-			return
-		}
+		oldest, c := heads[i], heads[i].ctx
 		if oldest.isStore {
 			if storePorts == 0 {
 				return
@@ -423,12 +431,18 @@ func (m *Machine) commit() {
 			// Write-allocate: a store miss occupies the remaining store
 			// bandwidth this cycle (the line fill competes for ports), a
 			// coarse model of miss-status-register pressure.
-			if lat := m.hier.DataLatency(oldest.info.MemAddr); lat > m.cfg.Hierarchy.L1D.HitCycles {
+			if lat := m.hier.DataLatency(oldest.memAddr); lat > m.cfg.Hierarchy.L1D.HitCycles {
 				storePorts = 0
 			}
 		}
 		m.retire(oldest)
 		width--
+		if c.entries.len() > 0 && c.entries.at(0).completed {
+			heads[i] = c.entries.at(0)
+		} else {
+			heads[i] = heads[len(heads)-1]
+			heads = heads[:len(heads)-1]
+		}
 	}
 }
 
@@ -436,9 +450,12 @@ func (m *Machine) commit() {
 func (m *Machine) retire(e *ruuEntry) {
 	c := e.ctx
 	c.entries.pop()
+	if e.isStore {
+		c.stores.pop()
+	}
 	// Commit is in order, so if e is still its register's youngest writer
 	// no other writer of that register is left in flight.
-	if d, ok := e.info.Inst.Dest(); ok {
+	if d, ok := e.inst.Dest(); ok {
 		if w := c.writer(d); *w == e {
 			*w = nil
 		}
@@ -450,7 +467,7 @@ func (m *Machine) retire(e *ruuEntry) {
 	}
 	m.stats.Insts++
 
-	switch e.info.Inst.Op {
+	switch e.inst.Op {
 	case isa.OpNthr:
 		if e.childCtx != nil {
 			// Register copy at commit (Section 3.1): the parent stalls one
@@ -478,7 +495,7 @@ func (m *Machine) retire(e *ruuEntry) {
 // completed (before it could issue), its own list and any blockedOnBranch
 // reference when it completed; it left the fetch queue at dispatch, the
 // ready list at issue, the pending list at completion, and its context's
-// entries and rename table in retire.
+// entries, stores and rename table in retire.
 func (m *Machine) recycle(e *ruuEntry) {
 	*e = ruuEntry{}
 	m.free = append(m.free, e)
@@ -553,25 +570,17 @@ func (m *Machine) deathsInWindow() int {
 // -------------------------------------------------------------- complete --
 
 // complete moves issued entries whose latency elapsed to the completed
-// state, wakes dependents, and resolves mispredicted control flow. The
-// entries due in one cycle are handled in (context id, seq) order: the
-// swap policy's rolling load average, and so eviction, depend on it.
+// state, wakes dependents, and resolves mispredicted control flow. Only
+// the swap policy's rolling load average, and so eviction, depends on the
+// order entries complete in: the loads due in one cycle are fed to it in
+// (context id, seq) order.
 func (m *Machine) complete() {
-	due, waiting := m.due[:0], m.pending[:0]
+	loads, waiting := m.loads[:0], m.pending[:0]
 	for _, e := range m.pending {
-		if e.readyAt <= m.cycle {
-			due = append(due, e)
-		} else {
+		if e.readyAt > m.cycle {
 			waiting = append(waiting, e)
+			continue
 		}
-	}
-	m.pending = waiting
-	for i := 1; i < len(due); i++ {
-		for j := i; j > 0 && completesBefore(due[j], due[j-1]); j-- {
-			due[j], due[j-1] = due[j-1], due[j]
-		}
-	}
-	for _, e := range due {
 		c := e.ctx
 		e.completed = true
 		for l := e.firstDep; l.e != nil; l = l.e.nextDep[l.slot] {
@@ -589,10 +598,19 @@ func (m *Machine) complete() {
 			}
 		}
 		if e.isLoad {
-			m.noteLoadLatency(c, e.latCycles)
+			loads = append(loads, e)
 		}
 	}
-	m.due = due
+	m.pending = waiting
+	for i := 1; i < len(loads); i++ {
+		for j := i; j > 0 && completesBefore(loads[j], loads[j-1]); j-- {
+			loads[j], loads[j-1] = loads[j-1], loads[j]
+		}
+	}
+	for _, e := range loads {
+		m.noteLoadLatency(e.ctx, e.latCycles)
+	}
+	m.loads = loads
 }
 
 func completesBefore(a, b *ruuEntry) bool {
@@ -626,8 +644,8 @@ func (m *Machine) issue() {
 		if width == 0 {
 			break
 		}
-		lat := e.info.Inst.Op.Latency()
-		switch e.info.Inst.Op.Class() {
+		lat := e.inst.Op.Latency()
+		switch e.inst.Op.Class() {
 		case isa.ClassIALU, isa.ClassCtrl, isa.ClassSys:
 			if ialu == 0 {
 				continue
@@ -657,7 +675,7 @@ func (m *Machine) issue() {
 				if m.olderStoreSameAddr(e) {
 					lat = 1 // store-to-load forwarding from the LSQ
 				} else {
-					lat = m.hier.DataLatency(e.info.MemAddr)
+					lat = m.hier.DataLatency(e.memAddr)
 				}
 			} else {
 				lat = 1 // stores complete into the store buffer
@@ -683,13 +701,13 @@ func (m *Machine) issue() {
 // olderStoreSameAddr reports whether an older in-flight store of the same
 // context targets the same word (the value forwards from the store buffer).
 func (m *Machine) olderStoreSameAddr(load *ruuEntry) bool {
-	entries := &load.ctx.entries
-	for i := range entries.len() {
-		e := entries.at(i)
-		if e.seq >= load.seq {
+	stores := &load.ctx.stores
+	for i := range stores.len() {
+		st := stores.at(i)
+		if st.seq >= load.seq {
 			return false
 		}
-		if e.isStore && e.info.MemAddr>>3 == load.info.MemAddr>>3 {
+		if st.memAddr>>3 == load.memAddr>>3 {
 			return true
 		}
 	}
@@ -878,12 +896,15 @@ func (m *Machine) fetchThread(c *context, maxN int, preds *int) (int, error) {
 		}
 
 		e := m.newEntry()
-		e.seq, e.ctx, e.info = m.seq, c, info
+		e.seq, e.ctx, e.inst, e.memAddr = m.seq, c, &m.p.Insts[info.PC], info.MemAddr
 		m.seq++
 		e.isLoad = info.Inst.Op.IsLoad()
 		e.isStore = info.Inst.Op.IsStore()
 		m.resolveDeps(c, e)
 		c.entries.push(e)
+		if e.isStore {
+			c.stores.push(e)
+		}
 		m.fetchQ.push(e)
 		c.icount++
 		m.stats.FetchedInsts++
@@ -944,14 +965,14 @@ func (m *Machine) fetchThread(c *context, maxN int, preds *int) (int, error) {
 // is entered there, feeds e.
 func (m *Machine) resolveDeps(c *context, e *ruuEntry) {
 	var buf [maxSources]isa.RegRef
-	for i, s := range e.info.Inst.Sources(buf[:0]) {
+	for i, s := range e.inst.Sources(buf[:0]) {
 		if p := *c.writer(s); p != nil && !p.completed {
 			e.nextDep[i] = p.firstDep
 			p.firstDep = depLink{e, uint8(i)}
 			e.deps++
 		}
 	}
-	if d, ok := e.info.Inst.Dest(); ok {
+	if d, ok := e.inst.Dest(); ok {
 		*c.writer(d) = e
 	}
 }
