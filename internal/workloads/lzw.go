@@ -117,7 +117,9 @@ func RefLZWMatch(in *LZWInput, chunk int) int64 {
 
 // lzwSrc emits the CapC source. The component worker constantly offers the
 // upper half of its remaining range to a co-worker (one probe per chunk of
-// work when saturated); on probe failure it matches one chunk itself.
+// work when saturated); on probe failure it matches one chunk itself. The
+// native twin (NativeLZW) offers at a grain instead: after a refusal it
+// matches up to divGrain symbols, chunk by chunk, before it offers again.
 func lzwSrc(variant Variant, maxN, maxTrie int) string {
 	common := fmt.Sprintf(`
 const MAXN = %d;

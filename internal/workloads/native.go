@@ -14,12 +14,23 @@ import (
 // algorithms — QuickSort, Dijkstra, LZW and Perceptron — running on real
 // goroutines via the internal/capsule probe/divide runtime instead of the
 // cycle-level simulator. Each function mirrors the CapC component source
-// in the sibling file statement for statement (the division points are the
-// same `coworker` sites), and each is written so the result is a pure
+// in the sibling file site for site (the division points are the same
+// `coworker` sites), and each is written so the result is a pure
 // function of the input regardless of worker interleaving: QuickSort
 // divides disjoint sub-ranges, Dijkstra's relaxation is monotone under
 // per-node locks, LZW sums per-chunk code counts, and Perceptron's
 // reductions are exact integer sums.
+//
+// The three range-shaped sites offer at a grain where the CapC sources
+// offer at every chunk. The SOMT answers a probe in a few cycles and
+// hands a division over in a few more; software pays a refused probe and
+// a goroutine hand-off, so an offer has to carry more work than that.
+// QuickSort offers only sub-ranges of at least divGrain elements, and a
+// refused LZW or Perceptron worker does up to divGrain symbols or
+// neurons of its own work before it offers again. LZW and the forward
+// dot product also sum per worker and add to the shared total once, when
+// the worker returns. Dijkstra has no range to size, so it still offers
+// at every edge.
 //
 // All four return results validated against the Go references
 // (sort order, RefDijkstra, RefLZWMatch, RefPerceptron) by native_test.go
@@ -28,9 +39,17 @@ import (
 // qsNativeCutoff matches the CapC program's insertion-sort cutoff.
 const qsNativeCutoff = 8
 
+// divGrain is the work, in elements, symbols or neurons, that an offer
+// has to be worth: QuickSort offers no smaller sub-range, and a refused
+// LZW or Perceptron worker does this much before it offers again. A sweep
+// of 64, 512 and 4096 (CHANGES.md) picked 512. It is a multiple of
+// LZWChunk, so LZW keeps its chunk boundaries.
+const divGrain = 512
+
 // NativeQuickSort sorts a copy of list on dom and returns it. Division
 // points mirror quickSortSrc: after each Hoare partition the left
-// sub-range is offered to a co-worker while the caller keeps the right.
+// sub-range is offered to a co-worker while the caller keeps the right,
+// if it holds at least divGrain elements.
 func NativeQuickSort(dom capsule.Domain, list []int64) []int64 {
 	out := append([]int64(nil), list...)
 	nativeQSort(dom, out, 0, len(out))
@@ -58,8 +77,11 @@ func nativeQSort(dom capsule.Domain, arr []int64, lo, hi int) {
 		}
 		// Divide: a co-worker takes the left part [lo, j+1); we keep
 		// [i, hi). The ranges are disjoint (j < i), so parent and child
-		// never touch the same element. Refused, we sort it ourselves.
-		if c, ok := dom.Probe(); ok {
+		// never touch the same element. Below the grain, or refused, we
+		// sort it ourselves.
+		if j+1-lo < divGrain {
+			nativeQSort(dom, arr, lo, j+1)
+		} else if c, ok := dom.Probe(); ok {
 			left, right := lo, j+1
 			dom.Spawn(c, func() { nativeQSort(dom, arr, left, right) })
 		} else {
@@ -117,12 +139,16 @@ func NativeDijkstra(dom capsule.Domain, in *DijkstraInput) []int64 {
 // NativeLZW matches in.Text against the frozen trie in chunk-aligned
 // pieces and returns the emitted code count, equal to
 // RefLZWMatch(in, LZWChunk). The worker constantly offers the upper half
-// of its remaining range; on probe failure it matches one chunk itself
-// and probes again — the paper's throttle-motivating pattern.
+// of its remaining range — the paper's throttle-motivating pattern. The
+// CapC worker matches one chunk after a refusal and probes again; this
+// one matches up to divGrain symbols, still chunk by chunk, so the code
+// count is the same. Each worker counts its own codes and adds them to
+// the total once, when it returns.
 func NativeLZW(dom capsule.Domain, in *LZWInput) int64 {
 	var total atomic.Int64
 	var worker func(lo, hi int)
 	worker = func(lo, hi int) {
+		var codes int64
 		for hi-lo > LZWChunk {
 			// Offer the upper half (chunk-aligned) to a co-worker.
 			mid := lo + ((hi-lo)/2+LZWChunk-1)/LZWChunk*LZWChunk
@@ -134,18 +160,27 @@ func NativeLZW(dom capsule.Domain, in *LZWInput) int64 {
 				dom.Spawn(c, func() { worker(m, h) })
 				hi = mid
 			} else {
-				// Probe failed: match one chunk ourselves, probe again.
-				total.Add(lzwMatchRange(in, lo, lo+LZWChunk))
-				lo += LZWChunk
+				// Probe failed: match a grain ourselves, probe again.
+				end := min(lo+divGrain, hi)
+				codes += lzwMatchChunks(in, lo, end)
+				lo = end
 			}
 		}
-		if lo < hi {
-			total.Add(lzwMatchRange(in, lo, hi))
-		}
+		total.Add(codes + lzwMatchChunks(in, lo, hi))
 	}
 	worker(0, len(in.Text))
 	dom.Join()
 	return total.Load()
+}
+
+// lzwMatchChunks matches [lo, hi) in LZWChunk pieces, lo chunk-aligned,
+// and returns the number of codes emitted.
+func lzwMatchChunks(in *LZWInput, lo, hi int) int64 {
+	var codes int64
+	for ; lo < hi; lo += LZWChunk {
+		codes += lzwMatchRange(in, lo, min(lo+LZWChunk, hi))
+	}
+	return codes
 }
 
 // lzwMatchRange greedily matches [lo, hi) against the trie and returns
@@ -176,12 +211,16 @@ func lzwMatchRange(in *LZWInput, lo, hi int) int64 {
 // product and the weight update halve their neuron range at every probe,
 // the paper's Fig. 7 pattern; partial sums are exact integer adds and
 // update ranges are disjoint, so the result is interleaving-independent.
+// A refused worker does up to divGrain neurons before it offers again
+// (the CapC worker does one chunk), and each forward worker adds its
+// partial sum to the shared accumulator once, when it returns.
 func NativePerceptron(dom capsule.Domain, in *PerceptronInput) (w []int64, mistakes int64) {
 	w = append([]int64(nil), in.W0...)
 	var acc atomic.Int64
 
 	var forward func(lo, hi int, x []int64)
 	forward = func(lo, hi int, x []int64) {
+		var sum int64
 		for hi-lo > PerceptronChunk {
 			mid := (lo + hi) / 2
 			if c, ok := dom.Probe(); ok {
@@ -189,13 +228,12 @@ func NativePerceptron(dom capsule.Domain, in *PerceptronInput) (w []int64, mista
 				dom.Spawn(c, func() { forward(m, h, x) })
 				hi = mid
 			} else {
-				acc.Add(dotQ8(w, x, lo, lo+PerceptronChunk))
-				lo += PerceptronChunk
+				end := min(lo+divGrain, hi)
+				sum += dotQ8(w, x, lo, end)
+				lo = end
 			}
 		}
-		if lo < hi {
-			acc.Add(dotQ8(w, x, lo, hi))
-		}
+		acc.Add(sum + dotQ8(w, x, lo, hi))
 	}
 	var update func(lo, hi int, x []int64, t int64)
 	update = func(lo, hi int, x []int64, t int64) {
@@ -206,13 +244,12 @@ func NativePerceptron(dom capsule.Domain, in *PerceptronInput) (w []int64, mista
 				dom.Spawn(c, func() { update(m, h, x, t) })
 				hi = mid
 			} else {
-				updQ8(w, x, t, lo, lo+PerceptronChunk)
-				lo += PerceptronChunk
+				end := min(lo+divGrain, hi)
+				updQ8(w, x, t, lo, end)
+				lo = end
 			}
 		}
-		if lo < hi {
-			updQ8(w, x, t, lo, hi)
-		}
+		updQ8(w, x, t, lo, hi)
 	}
 
 	for e := 0; e < in.Epochs; e++ {

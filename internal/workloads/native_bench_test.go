@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -131,6 +132,47 @@ func BenchmarkNativePerceptron(b *testing.B) {
 			b.StopTimer()
 			reportDivisionStats(b, rt)
 		})
+	}
+}
+
+// BenchmarkNativeCoarse runs the benchmark's native_coarse inputs (a
+// 2¹⁷-element quicksort, 2¹⁹ LZW symbols, 2¹⁷ perceptron neurons) on a
+// Group and on Sequential(), with the inputs generated outside the loop:
+// whether a division pays for itself, without input generation in the
+// measurement. Every run's result is checked against Sequential()'s.
+func BenchmarkNativeCoarse(b *testing.B) {
+	rt := capsule.New(capsule.Config{Contexts: runtime.GOMAXPROCS(0), Throttle: true})
+	defer rt.Close()
+	list := GenList(rngFor(205, 1<<17), ListUniform, 1<<17)
+	text := GenLZW(rngFor(206, 1<<19), 1<<19)
+	pin := GenPerceptron(rngFor(207, 1<<17), 1<<17, GenPerceptronPats, GenPerceptronEpochs)
+	for _, w := range []struct {
+		name string
+		run  func(capsule.Domain) uint64
+	}{
+		{"quicksort", func(d capsule.Domain) uint64 { return checksum(NativeQuickSort(d, list)) }},
+		{"lzw", func(d capsule.Domain) uint64 { return uint64(NativeLZW(d, text)) }},
+		{"perceptron", func(d capsule.Domain) uint64 {
+			w, m := NativePerceptron(d, pin)
+			return checksum(w) ^ uint64(m)
+		}},
+	} {
+		want := w.run(rt.Sequential())
+		for _, dom := range []struct {
+			name string
+			get  func() capsule.Domain
+		}{
+			{"group", func() capsule.Domain { return rt.NewGroup() }},
+			{"sequential", rt.Sequential},
+		} {
+			b.Run(w.name+"/"+dom.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if got := w.run(dom.get()); got != want {
+						b.Fatalf("result %d, want %d", got, want)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -155,7 +155,8 @@ func TestNativeDeterminism(t *testing.T) {
 // an input twice the size, which makes twice the offers: what a run
 // allocates for itself does not grow with its offers. Each count is the
 // least of three measurements: an allocation by another goroutine during
-// the window can only add to one.
+// the window can only add to one. Sizes are whole grains, so the range
+// sites offer about once per divGrain of input.
 func TestNativeRefusedOffersAllocateNothing(t *testing.T) {
 	rt := exhausted(t)
 	allocs := func(f func()) float64 {
@@ -165,6 +166,7 @@ func TestNativeRefusedOffersAllocateNothing(t *testing.T) {
 		}
 		return least
 	}
+	small := 16 * divGrain
 	runs := map[string]func(n int) func(capsule.Domain){
 		"quicksort": func(n int) func(capsule.Domain) {
 			list := GenList(rngFor(5, n), ListUniform, n)
@@ -179,25 +181,98 @@ func TestNativeRefusedOffersAllocateNothing(t *testing.T) {
 			return func(d capsule.Domain) { NativeLZW(d, in) }
 		},
 		"perceptron": func(n int) func(capsule.Domain) {
-			in := GenPerceptron(rngFor(5, n), n/8, GenPerceptronPats, GenPerceptronEpochs)
+			in := GenPerceptron(rngFor(5, n), n, GenPerceptronPats, GenPerceptronEpochs)
 			return func(d capsule.Domain) { NativePerceptron(d, in) }
 		},
 	}
 	for _, name := range NativeNames() {
-		small, large := runs[name](2048), runs[name](4096)
+		half, full := runs[name](small), runs[name](2*small)
 		g := rt.NewGroup()
-		seq := allocs(func() { large(rt.Sequential()) })
-		grp := allocs(func() { large(g) })
+		seq := allocs(func() { full(rt.Sequential()) })
+		grp := allocs(func() { full(g) })
 		before := g.Stats().Probes
-		half := allocs(func() { small(g) })
-		if gs := g.Stats(); gs.Granted != 0 || gs.Probes-before < 18*8 {
+		halfAllocs := allocs(func() { half(g) })
+		// 18 runs of the small input (three measurements of a warm-up
+		// and five runs), each offering at least once per two grains.
+		if gs := g.Stats(); gs.Granted != 0 || gs.Probes-before < uint64(18*small/(2*divGrain)) {
 			t.Fatalf("%s: group stats %+v, want many offers, all refused", name, gs)
 		}
 		if grp > seq {
 			t.Errorf("%s: %v allocs per run with every offer refused, %v on Sequential", name, grp, seq)
 		}
-		if grp > half {
-			t.Errorf("%s: %v allocs per run, %v at half the size: refused offers allocate", name, grp, half)
+		if grp > halfAllocs {
+			t.Errorf("%s: %v allocs per run, %v at half the size: refused offers allocate", name, grp, halfAllocs)
+		}
+	}
+}
+
+// TestNativeOffersScaleWithGrain pins the grain at the three range-shaped
+// division sites. With every offer refused, a run offers about once per
+// divGrain of work — not once per chunk, as the CapC sources do — and at
+// sizes on either side of the grain every kind of Domain still gives the
+// Go reference's answer.
+func TestNativeOffersScaleWithGrain(t *testing.T) {
+	live := nativeRT(4)
+	defer live.Close()
+	domains := map[string]capsule.Domain{
+		"Runtime":    live,
+		"Group":      live.NewGroup(),
+		"Sequential": live.Sequential(),
+	}
+	refused := exhausted(t)
+	// offers runs f on a fresh Group whose every probe is refused and
+	// returns how many offers it made.
+	offers := func(f func(capsule.Domain)) int {
+		g := refused.NewGroup()
+		f(g)
+		gs := g.Stats()
+		if gs.Granted != 0 {
+			t.Fatalf("exhausted group granted: %+v", gs)
+		}
+		return int(gs.Probes)
+	}
+	// Each call of a range site on n units offers between n/(4·divGrain)
+	// and 2·(n/divGrain + 1) times.
+	within := func(site string, n, got, calls int) {
+		t.Helper()
+		if lo, hi := calls*n/(4*divGrain), calls*2*(n/divGrain+1); got < lo || got > hi {
+			t.Errorf("%s n=%d: %d offers over %d calls, want %d..%d", site, n, got, calls, lo, hi)
+		}
+	}
+	for _, n := range []int{divGrain - 1, divGrain, 3*divGrain + LZWChunk + 1, 64 * divGrain} {
+		list := GenList(rngFor(9, n), ListUniform, n)
+		want := append([]int64(nil), list...)
+		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		within("quicksort", n, offers(func(d capsule.Domain) { NativeQuickSort(d, list) }), 1)
+
+		text := GenLZW(rngFor(9, n), n)
+		wantCodes := RefLZWMatch(text, LZWChunk)
+		within("lzw", n, offers(func(d capsule.Domain) { NativeLZW(d, text) }), 1)
+
+		pin := GenPerceptron(rngFor(9, n), n, 3, 2)
+		wantW, wantM := RefPerceptron(pin)
+		calls := pin.Patterns*pin.Epochs + int(wantM) // forwards + updates
+		within("perceptron", n, offers(func(d capsule.Domain) { NativePerceptron(d, pin) }), calls)
+
+		for dname, dom := range domains {
+			got := NativeQuickSort(dom, list)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("quicksort %s n=%d: arr[%d] = %d, want %d", dname, n, i, got[i], want[i])
+				}
+			}
+			if got := NativeLZW(dom, text); got != wantCodes {
+				t.Fatalf("lzw %s n=%d: codes = %d, want %d", dname, n, got, wantCodes)
+			}
+			gotW, gotM := NativePerceptron(dom, pin)
+			if gotM != wantM {
+				t.Fatalf("perceptron %s n=%d: mistakes = %d, want %d", dname, n, gotM, wantM)
+			}
+			for i := range wantW {
+				if gotW[i] != wantW[i] {
+					t.Fatalf("perceptron %s n=%d: w[%d] = %d, want %d", dname, n, i, gotW[i], wantW[i])
+				}
+			}
 		}
 	}
 }

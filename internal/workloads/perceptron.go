@@ -91,7 +91,9 @@ const PerceptronChunk = 4
 // perceptronSrc emits CapC. The forward dot product and the weight update
 // are componentised the paper's way: the worker constantly offers the
 // upper half of its remaining neuron range to a co-worker; on probe
-// failure it computes one chunk itself and probes again.
+// failure it computes one chunk itself and probes again. The native twin
+// (NativePerceptron) offers at a grain instead: after a refusal it does
+// up to divGrain neurons before it offers again.
 func perceptronSrc(variant Variant, maxNeurons, maxPatterns int) string {
 	common := fmt.Sprintf(`
 const MAXNEU = %d;
