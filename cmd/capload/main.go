@@ -4,7 +4,7 @@
 // replicated -targets, the failovers it took. What the fleet itself
 // counted — grant rate, server-side quantiles, SLO burn, fallback tiers,
 // per-backend dispatches — is the fleet's own to report, on /metrics and
-// /debug/watch (captop); capload does not re-derive it.
+// /debug/watch (capscope top); capload does not re-derive it.
 //
 // Two load models:
 //

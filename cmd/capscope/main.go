@@ -1,32 +1,56 @@
-// Command capscope reads incident bundles — the black-box flight
-// recordings internal/capscope captures when an SLO burn, throttle
-// edge, shed storm or breaker trip fires — and renders them for a
-// human. It speaks both transports: live fleets over HTTP
-// (/debug/incident on a capserve, caprouter or -debug-addr listener)
-// and bundle directories on disk, which is how post-mortems work after
-// the process is gone.
+// Command capscope is the one reader of the debug plane. Each
+// subcommand reads one of the fleet endpoints every capserve and
+// caprouter serves, and renders it for a human:
 //
-// Usage:
+//	top       /debug/watch: one row per member — windowed rates, p99, SLO burn
+//	trace     /debug/trace: ring occupancy and event kinds, or one request's waterfall
+//	incident  /debug/incident: the flight recorder's bundles, or one bundle rendered
 //
-//	capscope list http://localhost:8090 /var/tmp/capscope   # every target's incident index
-//	capscope report http://localhost:8090                   # latest bundle, rendered
-//	capscope report /var/tmp/capscope inc-000003-shed_storm-1754650000000
-//	capscope diff /var/tmp/capscope/caprouter/inc-000001-* /var/tmp/capscope/caprouter/inc-000002-*
+// Every subcommand takes the same targets, any number of them, each one
 //
-// A directory target may be a single bundle (contains manifest.json),
-// one recorder's dir (contains inc-* bundles), or a fleet root whose
-// subdirectories are recorder dirs — the shape caprouter -incident-dir
-// writes (one subdir per process). diff accepts any two targets that
-// resolve to a bundle; a recorder dir or URL without an id means its
-// latest.
+//   - a base URL, whose /debug/<plane> array is fetched;
+//   - a JSON file in that endpoint's schema, or - for stdin;
+//   - a directory. For top and trace it is an incident bundle, read from
+//     its watch.json or trace.json. For incident it is a bundle, one
+//     recorder's directory, or a fleet root of recorder directories (the
+//     shape caprouter -incident-dir writes, one per member).
+//
+// A bundle is a directory of the same JSON the endpoints serve, so a
+// post-mortem reads what the live fleet would have answered. A target
+// that fails or hangs past fetchTimeout is reported on stderr and
+// skipped; one dead replica must not blind the reader to the rest.
+//
+// Usage (flags go before the targets):
+//
+//	capscope top http://localhost:8090                        # live, redraws every -interval
+//	capscope top -once -json http://r1:8090 http://r2:8090    # replicated routers, one array
+//	capscope trace http://localhost:8090                      # fleet summary
+//	capscope trace -id 00c0ffee00c0ffee router.json backend0.json
+//	curl -s localhost:8080/debug/trace | capscope trace -
+//	capscope incident http://localhost:8090 /var/tmp/incidents
+//	capscope incident -id inc-000003-shed_storm-1754650000000 /var/tmp/incidents
+//
+// top merges its targets into one dashboard: each target's lead member
+// (a router replica, or a lone capserve) first, then every backend once,
+// deduped by its host:port name. Its -json output is that merged array
+// in the /debug/watch schema.
+//
+// Exit status: 0 on success, 1 when no target answers or -id names
+// nothing they hold, 2 on a usage error; top -once exits 3 when any
+// member's SLO error budget is exhausted (fast and slow windows both
+// burning at >= 1).
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"net/http"
+	"net/url"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -35,100 +59,399 @@ import (
 	"repro/internal/capscope"
 	"repro/internal/captrace"
 	"repro/internal/capwatch"
-	"repro/internal/profparse"
 )
 
+// fetchTimeout bounds every HTTP read, so a hung target is reported and
+// skipped like a dead one.
+const fetchTimeout = 5 * time.Second
+
+// topSpans is how many trace spans an incident report lists.
+const topSpans = 8
+
+const usage = `usage: capscope <command> [flags] <target>...
+
+  top [-window d] [-interval d] [-once] [-json]   fleet dashboard (/debug/watch)
+  trace [-id trace-id] [-n events]                ring summary or one waterfall (/debug/trace)
+  incident [-id bundle-id]                        bundle index or one bundle (/debug/incident)
+
+A target is a base URL, a JSON file in the endpoint's schema (- is
+stdin), or a directory: an incident bundle, or for incident also a
+recorder's directory or a fleet root.
+`
+
 func main() {
-	top := flag.Int("top", 8, "rows per top-N section (trace spans, profile functions)")
-	flag.Usage = usage
-	flag.Parse()
-	args := flag.Args()
-	if len(args) < 1 {
-		usage()
-		os.Exit(2)
-	}
-	switch cmd, rest := args[0], args[1:]; cmd {
-	case "list":
-		if len(rest) == 0 {
-			fail("list needs at least one URL or directory")
-		}
-		cmdList(rest)
-	case "report":
-		if len(rest) < 1 || len(rest) > 2 {
-			fail("report needs a target and an optional bundle id")
-		}
-		id := ""
-		if len(rest) == 2 {
-			id = rest[1]
-		}
-		cmdReport(rest[0], id, *top)
-	case "diff":
-		if len(rest) != 2 {
-			fail("diff needs exactly two targets")
-		}
-		cmdDiff(rest[0], rest[1], *top)
-	default:
-		usage()
-		fail("unknown command %q", cmd)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, &http.Client{Timeout: fetchTimeout}))
 }
 
-func usage() {
-	fmt.Fprintf(os.Stderr, `usage: capscope [-top n] <command> ...
+// cli is one invocation's outputs and HTTP client.
+type cli struct {
+	stdout, stderr io.Writer
+	client         *http.Client
+}
 
-  list <url-or-dir>...        incident index per target
-  report <target> [id]        render one bundle (latest when id omitted)
-  diff <target-a> <target-b>  compare two bundles (latest per target)
-`)
+// run is the whole command: it parses args, reads every target through
+// client, renders to stdout, reports failures on stderr and returns the
+// exit code.
+func run(args []string, stdout, stderr io.Writer, client *http.Client) int {
+	cmds := map[string]func(*cli, []string) int{
+		"top":      (*cli).top,
+		"trace":    (*cli).trace,
+		"incident": (*cli).incident,
+	}
+	if len(args) == 0 || cmds[args[0]] == nil {
+		fmt.Fprint(stderr, usage)
+		return 2
+	}
+	return cmds[args[0]](&cli{stdout, stderr, client}, args[1:])
+}
+
+// parse parses a subcommand's flags and returns its targets; false means
+// a usage error, already reported.
+func (c *cli) parse(fs *flag.FlagSet, args []string) ([]string, bool) {
+	fs.SetOutput(c.stderr)
+	if fs.Parse(args) != nil {
+		return nil, false
+	}
+	if fs.NArg() == 0 {
+		fmt.Fprintf(c.stderr, "capscope %s: no targets\n\n%s", fs.Name(), usage)
+		return nil, false
+	}
+	return fs.Args(), true
+}
+
+func (c *cli) fail(format string, args ...any) int {
+	fmt.Fprintf(c.stderr, "capscope: "+format+"\n", args...)
+	return 1
 }
 
 // ---------------------------------------------------------------------
-// Target resolution: URLs and directories both yield []capscope.List.
+// Targets: one loader for every plane.
 
 func isURL(s string) bool {
 	return strings.HasPrefix(s, "http://") || strings.HasPrefix(s, "https://")
 }
 
-// endpoint normalizes a base URL to its /debug/incident endpoint.
-func endpoint(base string) string {
-	base = strings.TrimRight(base, "/")
-	if strings.HasSuffix(base, "/debug/incident") {
-		return base
+// load reads one target's endpoint array: a URL is fetched at
+// base+endpoint, a directory goes to fromDir, anything else is a file in
+// the endpoint's schema.
+func load[T any](client *http.Client, target, endpoint string, fromDir func(string) ([]T, error)) ([]T, error) {
+	if isURL(target) {
+		return capdebug.Get[[]T](client, strings.TrimRight(target, "/")+endpoint)
 	}
-	return base + "/debug/incident"
+	if fi, err := os.Stat(target); err == nil && fi.IsDir() {
+		return fromDir(target)
+	}
+	return readFile[T](target)
 }
 
-// resolveLists turns one target into incident indexes. Directory
-// targets are probed from most to least specific: a bundle dir, a
-// recorder dir, a fleet root of recorder dirs.
-func resolveLists(target string) ([]capscope.List, error) {
-	if isURL(target) {
-		return capdebug.Get[[]capscope.List](nil, endpoint(target))
+// readFile decodes a file in an endpoint's schema; "-" is stdin.
+func readFile[T any](path string) ([]T, error) {
+	var r io.Reader = os.Stdin
+	if path != "-" {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		r = f
 	}
-	if m, err := capscope.LoadManifest(target); err == nil {
-		return []capscope.List{{Source: m.Source, Dir: filepath.Dir(target), Bundles: []capscope.Manifest{m}}}, nil
+	var v []T
+	if err := json.NewDecoder(r).Decode(&v); err != nil {
+		return nil, fmt.Errorf("%s: %v", path, err)
 	}
-	if ms := capscope.LoadManifests(target); len(ms) > 0 {
-		return []capscope.List{{Source: ms[len(ms)-1].Source, Dir: target, Bundles: ms}}, nil
+	return v, nil
+}
+
+// inBundle reads a bundle directory's copy of an endpoint.
+func inBundle[T any](file string) func(string) ([]T, error) {
+	return func(dir string) ([]T, error) { return readFile[T](filepath.Join(dir, file)) }
+}
+
+// gather loads every target, reporting and skipping one that fails or
+// answers nothing. It returns the arrays that answered and their
+// targets, in target order.
+func gather[T any](c *cli, targets []string, endpoint string, fromDir func(string) ([]T, error)) (got [][]T, from []string) {
+	for _, t := range targets {
+		v, err := load(c.client, t, endpoint, fromDir)
+		if err == nil && len(v) == 0 {
+			err = fmt.Errorf("%s: empty array", t)
+		}
+		if err != nil {
+			fmt.Fprintf(c.stderr, "capscope: %v\n", err)
+			continue
+		}
+		got, from = append(got, v), append(from, t)
 	}
-	ents, err := os.ReadDir(target)
+	return got, from
+}
+
+// ---------------------------------------------------------------------
+// top
+
+func (c *cli) top(args []string) int {
+	fs := flag.NewFlagSet("top", flag.ContinueOnError)
+	window := fs.Duration("window", time.Minute, "rollup window asked of live targets")
+	interval := fs.Duration("interval", 2*time.Second, "poll and redraw interval")
+	once := fs.Bool("once", false, "render one frame and exit (3 when a member's SLO budget is exhausted)")
+	asJSON := fs.Bool("json", false, "print the merged report array, the /debug/watch schema")
+	targets, ok := c.parse(fs, args)
+	if !ok {
+		return 2
+	}
+	endpoint := "/debug/watch?window=" + window.String()
+	for ; ; time.Sleep(*interval) {
+		fleets, _ := gather(c, targets, endpoint, inBundle[capwatch.Report](capscope.FileWatch))
+		if len(fleets) == 0 {
+			if *once {
+				return c.fail("no target answered")
+			}
+			continue
+		}
+		merged := mergeFleets(fleets)
+		if *asJSON {
+			enc := json.NewEncoder(c.stdout)
+			enc.SetIndent("", "  ")
+			if err := enc.Encode(merged); err != nil {
+				return c.fail("%v", err)
+			}
+		} else {
+			if !*once {
+				fmt.Fprint(c.stdout, "\x1b[H\x1b[2J") // home + clear: redraw in place
+			}
+			render(c.stdout, strings.Join(targets, " "), merged, fleets)
+		}
+		if *once {
+			for _, r := range merged {
+				if r.SLO.Exhausted {
+					return 3
+				}
+			}
+			return 0
+		}
+	}
+}
+
+// mergeFleets folds several targets' report arrays into one
+// dashboard's row order: each fleet's lead (the router replica, or a
+// lone capserve) first, then the union of backend rows deduped by their
+// host:port source label — replicated routers front the same backends,
+// so each backend renders once however many replicas report it (the
+// first fleet listed wins).
+func mergeFleets(fleets [][]capwatch.Report) []capwatch.Report {
+	var leads, backends []capwatch.Report
+	seen := map[string]bool{}
+	for _, reps := range fleets {
+		leads = append(leads, reps[0])
+		for _, r := range reps[1:] {
+			if seen[r.Source] {
+				continue
+			}
+			seen[r.Source] = true
+			backends = append(backends, r)
+		}
+	}
+	return append(leads, backends...)
+}
+
+func render(w io.Writer, label string, reps []capwatch.Report, fleets [][]capwatch.Report) {
+	lead := reps[0]
+	fmt.Fprintf(w, "capscope top  %s  %s\n", label, time.UnixMilli(lead.NowUnixMS).Format("15:04:05"))
+	fmt.Fprintf(w, "%s %s  go %s  gomaxprocs %d  |  slo: p99<%gms avail>=%.4g  fast %gs / slow %gs\n",
+		lead.Source, lead.Build.Version, lead.Build.Go, lead.Build.MaxProcs,
+		lead.SLO.TargetP99MS, lead.SLO.Availability, lead.SLO.Fast.WindowS, lead.SLO.Slow.WindowS)
+	fmt.Fprintf(w, "window %gs (actual %.0fs, %d samples)  interval %gs  goroutines %d  heap %.1fMB\n\n",
+		lead.WindowS, lead.WindowActualS, lead.WindowSamples, lead.IntervalS,
+		lead.Go.Goroutines, float64(lead.Go.HeapLiveBytes)/(1<<20))
+
+	// Every lead's backend table, for joining credits/breaker state onto
+	// the backend rows (keyed by the shared host:port label). With
+	// replicated routers each replica holds its own independent gauge for
+	// the same backend; the first fleet listed wins the cell.
+	gauges := map[string]capwatch.BackendReport{}
+	for _, fl := range fleets {
+		for _, br := range fl[0].Backends {
+			if _, ok := gauges[br.Name]; !ok {
+				gauges[br.Name] = br
+			}
+		}
+	}
+
+	const hdr = "%-22s %-7s %8s %7s %6s %8s %4s %9s %7s %7s %4s\n"
+	const row = "%-22s %-7s %8.1f %6.1f%% %6s %8s %4s %9.2f %6.2f%% %7.2f %4d\n"
+	fmt.Fprintf(w, hdr, "SOURCE", "TIER", "REQ/S", "GRANT", "QUEUE", "CREDITS", "BRK", "P99(MS)", "AVAIL", "BURN", "INC")
+	for _, r := range reps {
+		queue := fmt.Sprintf("%d/%d", r.QueueOccupancy, r.QueueDepth)
+		credits, brk := "-", "-"
+		if g, ok := gauges[r.Source]; ok {
+			credits, brk = fmt.Sprintf("%d(%d)", g.Credits, g.Inflight), "ok"
+			if g.Broken {
+				brk = "OPEN"
+			}
+		}
+		marker := ""
+		if r.SLO.Exhausted {
+			marker = " !!"
+		}
+		fmt.Fprintf(w, row,
+			r.Source+marker, r.Tier, r.Rates.RequestsPerSec, 100*r.Rates.GrantRate,
+			queue, credits, brk, r.Latency.P99MS, 100*r.Rates.Availability, r.SLO.BurnRate, r.Incidents)
+	}
+
+	if rt := lead.Router; rt != nil {
+		fmt.Fprintf(w, "\nrouter tiers: remote %.1f/s  local %.1f/s  sequential %.1f/s  client-gone %.1f/s  remote-grant %.1f%%\n",
+			rt.TierRemotePerSec, rt.TierLocalPerSec, rt.TierSequentialPerSec,
+			rt.ClientGonePerSec, 100*rt.RemoteGrantRate)
+	}
+}
+
+// ---------------------------------------------------------------------
+// trace
+
+func (c *cli) trace(args []string) int {
+	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
+	id := fs.String("id", "", "print this trace ID's waterfall instead of the summary")
+	n := fs.Int("n", 0, "ask live targets for each ring's n most recent events (0 = all)")
+	targets, ok := c.parse(fs, args)
+	if !ok {
+		return 2
+	}
+	var tid uint64
+	if *id != "" {
+		var err error
+		if tid, err = captrace.ParseID(*id); err != nil {
+			return c.fail("%v", err)
+		}
+	}
+	got, _ := gather(c, targets, fmt.Sprintf("/debug/trace?n=%d", *n), inBundle[captrace.Snapshot](capscope.FileTrace))
+	if len(got) == 0 {
+		return c.fail("no target answered")
+	}
+	snaps := slices.Concat(got...)
+	if *id == "" {
+		summary(c.stdout, snaps)
+		return 0
+	}
+	evs := captrace.ByTrace(snaps...)[tid]
+	if len(evs) == 0 {
+		return c.fail("no events for trace ID %s in %d snapshot(s)", *id, len(snaps))
+	}
+	fmt.Fprintf(c.stdout, "trace %s: %d events over %s\n", captrace.FormatID(tid), len(evs), time.Duration(evs[len(evs)-1].TS-evs[0].TS))
+	captrace.WriteWaterfall(c.stdout, evs)
+	return 0
+}
+
+// summary prints the fleet-wide view: ring occupancy per source, the
+// kind histogram, and the busiest trace IDs (what to pass to -id).
+func summary(w io.Writer, snaps []captrace.Snapshot) {
+	for _, s := range snaps {
+		fmt.Fprintf(w, "source %-16s %d events resident\n", s.Source, len(s.Events))
+		for i, sh := range s.Shards {
+			fmt.Fprintf(w, "  ring %2d: written=%-8d capacity=%-6d dropped=%-8d contended=%-6d skipped=%d\n",
+				i, sh.Written, sh.Capacity, sh.Dropped, sh.Contended, sh.Skipped)
+		}
+	}
+
+	all := captrace.MergeEvents(snaps...)
+	if len(all) == 0 {
+		fmt.Fprintln(w, "no events")
+		return
+	}
+	kinds := map[captrace.Kind]int{}
+	for _, ev := range all {
+		kinds[ev.Kind]++
+	}
+	byTID := captrace.ByTrace(snaps...)
+	fmt.Fprintf(w, "\n%d events, %d traced requests, spanning %s\n",
+		len(all), len(byTID), time.Duration(all[len(all)-1].TS-all[0].TS))
+	ks := make([]captrace.Kind, 0, len(kinds))
+	for k := range kinds {
+		ks = append(ks, k)
+	}
+	slices.Sort(ks)
+	for _, k := range ks {
+		fmt.Fprintf(w, "  %-14s %d\n", k, kinds[k])
+	}
+
+	if len(byTID) == 0 {
+		return
+	}
+	tids := make([]uint64, 0, len(byTID))
+	for tid := range byTID {
+		tids = append(tids, tid)
+	}
+	sort.Slice(tids, func(i, j int) bool {
+		if a, b := len(byTID[tids[i]]), len(byTID[tids[j]]); a != b {
+			return a > b
+		}
+		return tids[i] < tids[j]
+	})
+	fmt.Fprintln(w, "\nbusiest traces (pass to -id):")
+	for _, tid := range tids[:min(10, len(tids))] {
+		fmt.Fprintf(w, "  %s  %d events\n", captrace.FormatID(tid), len(byTID[tid]))
+	}
+}
+
+// ---------------------------------------------------------------------
+// incident
+
+func (c *cli) incident(args []string) int {
+	fs := flag.NewFlagSet("incident", flag.ContinueOnError)
+	id := fs.String("id", "", "render this bundle instead of listing")
+	targets, ok := c.parse(fs, args)
+	if !ok {
+		return 2
+	}
+	got, from := gather(c, targets, "/debug/incident", dirLists)
+	if len(got) == 0 {
+		return c.fail("no target answered")
+	}
+	if *id == "" {
+		for i, lists := range got {
+			list(c.stdout, from[i], lists)
+		}
+		return 0
+	}
+	for i, lists := range got {
+		for _, l := range lists {
+			if !slices.ContainsFunc(l.Bundles, func(m capscope.Manifest) bool { return m.ID == *id }) {
+				continue
+			}
+			b, err := c.bundle(from[i], l.Dir, *id)
+			if err != nil {
+				return c.fail("%v", err)
+			}
+			report(c.stdout, l.Dir, b)
+			return 0
+		}
+	}
+	return c.fail("no bundle %q in %s", *id, strings.Join(from, " "))
+}
+
+// dirLists indexes a directory target, probed from most to least
+// specific: a bundle, a recorder's directory, a fleet root of recorder
+// directories.
+func dirLists(dir string) ([]capscope.List, error) {
+	if m, err := capscope.LoadManifest(dir); err == nil {
+		return []capscope.List{{Source: m.Source, Dir: filepath.Dir(dir), Bundles: []capscope.Manifest{m}}}, nil
+	}
+	if ms := capscope.LoadManifests(dir); len(ms) > 0 {
+		return []capscope.List{{Source: ms[len(ms)-1].Source, Dir: dir, Bundles: ms}}, nil
+	}
+	ents, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %v", target, err)
+		return nil, err
 	}
 	var lists []capscope.List
 	for _, e := range ents {
-		if !e.IsDir() {
-			continue
-		}
-		sub := filepath.Join(target, e.Name())
-		if ms := capscope.LoadManifests(sub); len(ms) > 0 {
+		sub := filepath.Join(dir, e.Name())
+		if ms := capscope.LoadManifests(sub); e.IsDir() && len(ms) > 0 {
 			lists = append(lists, capscope.List{Source: ms[len(ms)-1].Source, Dir: sub, Bundles: ms})
 		}
 	}
 	if len(lists) == 0 {
-		return nil, fmt.Errorf("%s: no incident bundles (not a bundle, recorder dir, or fleet root)", target)
+		return nil, fmt.Errorf("%s: no incident bundles (not a bundle, recorder dir, or fleet root)", dir)
 	}
-	// The router's recorder leads, mirroring the HTTP merge order.
+	// The router's recorder leads, mirroring the endpoint's member order.
 	sort.SliceStable(lists, func(i, j int) bool {
 		if a, b := lists[i].Source == "caprouter", lists[j].Source == "caprouter"; a != b {
 			return a
@@ -138,326 +461,101 @@ func resolveLists(target string) ([]capscope.List, error) {
 	return lists, nil
 }
 
-// resolveBundle fetches one bundle in full. An empty id means the
-// newest bundle across the target's recorders.
-func resolveBundle(target, id string) (*capscope.Bundle, error) {
-	lists, err := resolveLists(target)
-	if err != nil {
-		return nil, err
-	}
-	var dir string
-	if id == "" {
-		var latest *capscope.Manifest
-		for i := range lists {
-			for j := range lists[i].Bundles {
-				m := &lists[i].Bundles[j]
-				if latest == nil || m.TakenAtUnixMS > latest.TakenAtUnixMS {
-					latest, dir = m, lists[i].Dir
-				}
-			}
-		}
-		if latest == nil {
-			return nil, fmt.Errorf("%s: no incident bundles", target)
-		}
-		id = latest.ID
-	} else {
-		for _, l := range lists {
-			for _, m := range l.Bundles {
-				if m.ID == id {
-					dir = l.Dir
-				}
-			}
-		}
-		if dir == "" {
-			return nil, fmt.Errorf("%s: no bundle %q", target, id)
-		}
-	}
+// bundle reads one bundle in full: over HTTP from a URL target, else
+// from the list's directory.
+func (c *cli) bundle(target, dir, id string) (*capscope.Bundle, error) {
 	if isURL(target) {
-		b, err := capdebug.Get[capscope.Bundle](nil, endpoint(target)+"?id="+id)
+		b, err := capdebug.Get[capscope.Bundle](c.client, strings.TrimRight(target, "/")+"/debug/incident?id="+url.QueryEscape(id))
 		return &b, err
 	}
 	return capscope.LoadBundle(filepath.Join(dir, id))
 }
 
-// ---------------------------------------------------------------------
-// list
-
-func cmdList(targets []string) {
-	failed := false
-	for _, t := range targets {
-		lists, err := resolveLists(t)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "capscope: %v\n", err)
-			failed = true
-			continue
+func list(w io.Writer, target string, lists []capscope.List) {
+	fmt.Fprintf(w, "%s\n", target)
+	for _, l := range lists {
+		fmt.Fprintf(w, "  %s  (%d resident, %d captured this lifetime)\n", l.Source, len(l.Bundles), l.IncidentsTotal)
+		for _, m := range l.Bundles {
+			fmt.Fprintf(w, "    %-44s %-22s burn %6.2f  %s\n", m.ID, m.Trigger, m.SLO.BurnRate,
+				time.UnixMilli(m.TakenAtUnixMS).Format("2006-01-02 15:04:05"))
 		}
-		fmt.Printf("%s\n", t)
-		for _, l := range lists {
-			fmt.Printf("  %s  (%d resident, %d captured this lifetime)\n",
-				l.Source, len(l.Bundles), l.IncidentsTotal)
-			for _, m := range l.Bundles {
-				fmt.Printf("    %-44s %-22s burn %6.2f  %s\n",
-					m.ID, m.Trigger, m.SLO.BurnRate,
-					time.UnixMilli(m.TakenAtUnixMS).Format("2006-01-02 15:04:05"))
-			}
-		}
-	}
-	if failed {
-		os.Exit(1)
 	}
 }
 
-// ---------------------------------------------------------------------
-// report
-
-func cmdReport(target, id string, top int) {
-	b, err := resolveBundle(target, id)
-	if err != nil {
-		fail("%v", err)
-	}
+// report renders one bundle. Profiles are named, not parsed: each line
+// is the command that reads the bundle's file offline.
+func report(w io.Writer, dir string, b *capscope.Bundle) {
 	m := b.Manifest
-	fmt.Printf("incident %s\n", m.ID)
-	fmt.Printf("  source   %s  (%s, go %s, gomaxprocs %d)\n", m.Source, m.Build.Version, m.Build.Go, m.Build.MaxProcs)
-	fmt.Printf("  trigger  %s\n", m.Trigger)
-	fmt.Printf("  reason   %s\n", m.Reason)
-	fmt.Printf("  taken    %s  (cooldown %gs)\n", time.UnixMilli(m.TakenAtUnixMS).Format(time.RFC3339), m.CooldownS)
-	fmt.Printf("  slo      target p99 < %gms, avail >= %.4g  |  burn fast %.2f (%gs) slow %.2f (%gs)  exhausted=%v\n",
+	fmt.Fprintf(w, "incident %s\n", m.ID)
+	fmt.Fprintf(w, "  source   %s  (%s, go %s, gomaxprocs %d)\n", m.Source, m.Build.Version, m.Build.Go, m.Build.MaxProcs)
+	fmt.Fprintf(w, "  trigger  %s\n", m.Trigger)
+	fmt.Fprintf(w, "  reason   %s\n", m.Reason)
+	fmt.Fprintf(w, "  taken    %s  (cooldown %gs)\n", time.UnixMilli(m.TakenAtUnixMS).Format(time.RFC3339), m.CooldownS)
+	fmt.Fprintf(w, "  slo      target p99 < %gms, avail >= %.4g  |  burn fast %.2f (%gs) slow %.2f (%gs)  exhausted=%v\n",
 		m.SLO.TargetP99MS, m.SLO.Availability,
 		m.SLO.Fast.Burn, m.SLO.Fast.WindowS, m.SLO.Slow.Burn, m.SLO.Slow.WindowS, m.SLO.Exhausted)
 	for _, n := range m.Notes {
-		fmt.Printf("  note     %s\n", n)
+		fmt.Fprintf(w, "  note     %s\n", n)
 	}
 
-	if len(b.Watch) > 0 {
-		var rep capwatch.Report
-		if err := json.Unmarshal(b.Watch, &rep); err == nil {
-			fmt.Printf("\nrollup (%gs window, %d samples)\n", rep.WindowActualS, rep.WindowSamples)
-			fmt.Printf("  req %.1f/s  grant %.1f%%  avail %.2f%%  p50/p95/p99 %.2f/%.2f/%.2f ms\n",
-				rep.Rates.RequestsPerSec, 100*rep.Rates.GrantRate, 100*rep.Rates.Availability,
-				rep.Latency.P50MS, rep.Latency.P95MS, rep.Latency.P99MS)
-			fmt.Printf("  queue %d/%d  free contexts %d  goroutines %d  heap %.1fMB  incidents %d\n",
-				rep.QueueOccupancy, rep.QueueDepth, rep.FreeContexts,
-				rep.Go.Goroutines, float64(rep.Go.HeapLiveBytes)/(1<<20), rep.Incidents)
-		}
+	var reps []capwatch.Report
+	if json.Unmarshal(b.Watch, &reps) == nil && len(reps) > 0 {
+		rep := reps[0]
+		fmt.Fprintf(w, "\nrollup (%gs window, %d samples)\n", rep.WindowActualS, rep.WindowSamples)
+		fmt.Fprintf(w, "  req %.1f/s  grant %.1f%%  avail %.2f%%  p50/p95/p99 %.2f/%.2f/%.2f ms\n",
+			rep.Rates.RequestsPerSec, 100*rep.Rates.GrantRate, 100*rep.Rates.Availability,
+			rep.Latency.P50MS, rep.Latency.P95MS, rep.Latency.P99MS)
+		fmt.Fprintf(w, "  queue %d/%d  free contexts %d  goroutines %d  heap %.1fMB  incidents %d\n",
+			rep.QueueOccupancy, rep.QueueDepth, rep.FreeContexts,
+			rep.Go.Goroutines, float64(rep.Go.HeapLiveBytes)/(1<<20), rep.Incidents)
 	}
 
-	if len(b.Fault) > 0 {
-		var fd capscope.FaultDoc
-		if err := json.Unmarshal(b.Fault, &fd); err == nil {
-			fmt.Printf("\nfault injector: armed=%v, %d live rules\n", fd.Armed, len(fd.Rules))
-			for _, r := range fd.Rules {
-				scope := r.Backend
-				if scope == "" {
-					scope = "*"
-				}
-				fmt.Printf("  #%d %s backend=%s decided=%d fired=%d\n", r.ID, r.Kind, scope, r.Decided, r.Fired)
+	var fd capscope.FaultDoc
+	if json.Unmarshal(b.Fault, &fd) == nil {
+		fmt.Fprintf(w, "\nfault injector: armed=%v, %d live rules\n", fd.Armed, len(fd.Rules))
+		for _, r := range fd.Rules {
+			scope := r.Backend
+			if scope == "" {
+				scope = "*"
 			}
+			fmt.Fprintf(w, "  #%d %s backend=%s decided=%d fired=%d\n", r.ID, r.Kind, scope, r.Decided, r.Fired)
 		}
 	}
 
-	if len(b.Backends) > 0 {
-		var bd capscope.BackendsDoc
-		if err := json.Unmarshal(b.Backends, &bd); err == nil && len(bd.Names) > 0 {
-			fmt.Printf("\nbackends (%d)\n", len(bd.Names))
-			for i, name := range bd.Names {
-				if i < len(bd.Backends) {
-					c := bd.Backends[i]
-					broken := ""
-					if c.Broken {
-						broken = "  BREAKER OPEN"
-					}
-					fmt.Printf("  %-22s dispatched=%d served=%d sheds=%d ejections=%d credits=%d(%d)%s\n",
-						name, c.Dispatches, c.Served, c.Sheds, c.Ejections, c.Credits, c.Inflight, broken)
-				}
+	var bd capscope.BackendsDoc
+	if json.Unmarshal(b.Backends, &bd) == nil && len(bd.Names) > 0 {
+		fmt.Fprintf(w, "\nbackends (%d)\n", len(bd.Names))
+		for i, c := range bd.Backends[:min(len(bd.Names), len(bd.Backends))] {
+			broken := ""
+			if c.Broken {
+				broken = "  BREAKER OPEN"
 			}
+			fmt.Fprintf(w, "  %-22s dispatched=%d served=%d sheds=%d ejections=%d credits=%d(%d)%s\n",
+				bd.Names[i], c.Dispatches, c.Served, c.Sheds, c.Ejections, c.Credits, c.Inflight, broken)
 		}
 	}
 
-	if spans := traceSpans(b.Trace, top); len(spans) > 0 {
-		fmt.Printf("\ntop trace spans (by duration)\n")
-		for _, s := range spans {
-			fmt.Printf("  %s  %8.2fms  %3d events  %s -> %s  [%s]\n",
-				captrace.FormatID(s.tid), float64(s.dur)/1e6, s.n, s.first, s.last, s.source)
-		}
-	}
-
-	printProfile("cpu profile", b.CPUProfile, top)
-	printProfile("heap profile", b.HeapProfile, top)
-}
-
-type span struct {
-	tid         uint64
-	dur         int64
-	n           int
-	first, last string
-	source      string
-}
-
-// traceSpans groups the bundle's trace events by trace ID and ranks
-// the resulting spans by wall duration.
-func traceSpans(raw json.RawMessage, top int) []span {
-	if len(raw) == 0 {
-		return nil
-	}
 	var snaps []captrace.Snapshot
-	if err := json.Unmarshal(raw, &snaps); err != nil {
-		return nil
-	}
-	byTID := captrace.ByTrace(snaps...)
-	spans := make([]span, 0, len(byTID))
-	for tid, evs := range byTID {
-		s := span{tid: tid, n: len(evs), first: evs[0].Kind.String(), last: evs[len(evs)-1].Kind.String(),
-			dur: evs[len(evs)-1].TS - evs[0].TS, source: evs[0].Source}
-		spans = append(spans, s)
-	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].dur > spans[j].dur })
-	if len(spans) > top {
-		spans = spans[:top]
-	}
-	return spans
-}
-
-func printProfile(title string, data []byte, top int) {
-	if len(data) == 0 {
-		return
-	}
-	p, err := profparse.Parse(data)
-	if err != nil {
-		fmt.Printf("\n%s: unparseable (%v)\n", title, err)
-		return
-	}
-	unit := ""
-	if n := len(p.SampleTypes); n > 0 {
-		unit = p.SampleTypes[n-1]
-	}
-	total := p.TotalValue(-1)
-	fmt.Printf("\n%s (%s, total %s)\n", title, unit, fmtValue(total, unit))
-	for _, e := range p.Top(top, -1) {
-		pct := 0.0
-		if total > 0 {
-			pct = 100 * float64(e.Flat) / float64(total)
-		}
-		fmt.Printf("  %10s flat (%5.1f%%)  %10s cum  %s\n",
-			fmtValue(e.Flat, unit), pct, fmtValue(e.Cum, unit), e.Name)
-	}
-}
-
-// fmtValue renders a profile value in its unit's natural scale.
-func fmtValue(v int64, unit string) string {
-	switch {
-	case strings.HasSuffix(unit, "/nanoseconds"):
-		return fmt.Sprintf("%.2fms", float64(v)/1e6)
-	case strings.HasSuffix(unit, "/bytes"):
-		return fmt.Sprintf("%.1fKB", float64(v)/1024)
-	default:
-		return fmt.Sprintf("%d", v)
-	}
-}
-
-// ---------------------------------------------------------------------
-// diff
-
-func cmdDiff(ta, tb string, top int) {
-	a, err := resolveBundle(ta, "")
-	if err != nil {
-		fail("%v", err)
-	}
-	b, err := resolveBundle(tb, "")
-	if err != nil {
-		fail("%v", err)
-	}
-	fmt.Printf("a: %s  (%s, %s)\n", a.Manifest.ID, a.Manifest.Trigger,
-		time.UnixMilli(a.Manifest.TakenAtUnixMS).Format(time.RFC3339))
-	fmt.Printf("b: %s  (%s, %s)\n\n", b.Manifest.ID, b.Manifest.Trigger,
-		time.UnixMilli(b.Manifest.TakenAtUnixMS).Format(time.RFC3339))
-
-	row := func(name string, va, vb float64) {
-		fmt.Printf("  %-16s %12.2f %12.2f %+12.2f\n", name, va, vb, vb-va)
-	}
-	fmt.Printf("  %-16s %12s %12s %12s\n", "", "a", "b", "delta")
-	row("burn (fast)", a.Manifest.SLO.Fast.Burn, b.Manifest.SLO.Fast.Burn)
-	row("burn (slow)", a.Manifest.SLO.Slow.Burn, b.Manifest.SLO.Slow.Burn)
-	var ra, rb capwatch.Report
-	okA := len(a.Watch) > 0 && json.Unmarshal(a.Watch, &ra) == nil
-	okB := len(b.Watch) > 0 && json.Unmarshal(b.Watch, &rb) == nil
-	if okA && okB {
-		row("req/s", ra.Rates.RequestsPerSec, rb.Rates.RequestsPerSec)
-		row("grant %", 100*ra.Rates.GrantRate, 100*rb.Rates.GrantRate)
-		row("avail %", 100*ra.Rates.Availability, 100*rb.Rates.Availability)
-		row("p99 ms", ra.Latency.P99MS, rb.Latency.P99MS)
-		row("goroutines", float64(ra.Go.Goroutines), float64(rb.Go.Goroutines))
-		row("heap MB", float64(ra.Go.HeapLiveBytes)/(1<<20), float64(rb.Go.HeapLiveBytes)/(1<<20))
-	}
-
-	movers := profileMovers(a.CPUProfile, b.CPUProfile, top)
-	if len(movers) > 0 {
-		fmt.Printf("\ncpu profile movers (cum, %% of own profile)\n")
-		for _, mv := range movers {
-			fmt.Printf("  %6.1f%% -> %6.1f%%  (%+6.1f%%)  %s\n", mv.a, mv.b, mv.b-mv.a, mv.name)
+	if json.Unmarshal(b.Trace, &snaps) == nil {
+		if byTID := captrace.ByTrace(snaps...); len(byTID) > 0 {
+			spans := make([][]captrace.Event, 0, len(byTID))
+			for _, evs := range byTID {
+				spans = append(spans, evs)
+			}
+			dur := func(evs []captrace.Event) int64 { return evs[len(evs)-1].TS - evs[0].TS }
+			sort.Slice(spans, func(i, j int) bool { return dur(spans[i]) > dur(spans[j]) })
+			fmt.Fprintf(w, "\ntop trace spans (by duration)\n")
+			for _, evs := range spans[:min(topSpans, len(spans))] {
+				fmt.Fprintf(w, "  %s  %8.2fms  %3d events  %s -> %s  [%s]\n",
+					captrace.FormatID(evs[0].TID), float64(dur(evs))/1e6, len(evs),
+					evs[0].Kind, evs[len(evs)-1].Kind, evs[0].Source)
+			}
 		}
 	}
-}
 
-type mover struct {
-	name string
-	a, b float64 // percent of each profile's total
-}
-
-// profileMovers ranks functions by how much their share of cumulative
-// profile weight shifted between the two captures. Shares, not raw
-// values: the two bursts cover different wall spans.
-func profileMovers(da, db []byte, top int) []mover {
-	sa, sb := cumShares(da), cumShares(db)
-	if sa == nil || sb == nil {
-		return nil
-	}
-	names := map[string]bool{}
-	for n := range sa {
-		names[n] = true
-	}
-	for n := range sb {
-		names[n] = true
-	}
-	movers := make([]mover, 0, len(names))
-	for n := range names {
-		movers = append(movers, mover{name: n, a: sa[n], b: sb[n]})
-	}
-	sort.Slice(movers, func(i, j int) bool {
-		di, dj := movers[i].b-movers[i].a, movers[j].b-movers[j].a
-		if di < 0 {
-			di = -di
+	for _, p := range []struct{ kind, file string }{{"cpu", capscope.FileCPU}, {"heap", capscope.FileHeap}} {
+		if slices.Contains(m.Files, p.file) {
+			fmt.Fprintf(w, "\n%s profile: go tool pprof -top %s\n", p.kind, filepath.Join(dir, m.ID, p.file))
 		}
-		if dj < 0 {
-			dj = -dj
-		}
-		return di > dj
-	})
-	if len(movers) > top {
-		movers = movers[:top]
 	}
-	return movers
-}
-
-func cumShares(data []byte) map[string]float64 {
-	if len(data) == 0 {
-		return nil
-	}
-	p, err := profparse.Parse(data)
-	if err != nil {
-		return nil
-	}
-	total := p.TotalValue(-1)
-	if total <= 0 {
-		return nil
-	}
-	shares := map[string]float64{}
-	for _, e := range p.Top(1<<20, -1) {
-		shares[e.Name] = 100 * float64(e.Cum) / float64(total)
-	}
-	return shares
-}
-
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "capscope: "+format+"\n", args...)
-	os.Exit(1)
 }

@@ -12,8 +12,8 @@ import (
 	"sync"
 )
 
-// Info is the identity triple, embedded in capwatch reports and captop
-// headers.
+// Info is the identity triple, embedded in capwatch reports and
+// capscope top headers.
 type Info struct {
 	Version  string `json:"version"`
 	Go       string `json:"go"`

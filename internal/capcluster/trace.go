@@ -15,7 +15,7 @@ import (
 // tier when the whole fleet refused. The same ID is re-propagated on
 // the outbound dispatch header and injected into the local tier's
 // request context, so one ID stitches router span → backend span →
-// pool-shard events into a single waterfall (cmd/captrace draws it).
+// pool-shard events into a single waterfall (capscope trace draws it).
 
 // traceIdentity decides the request's trace ID and whether its route
 // span is recorded. A parseable client header is adopted and always

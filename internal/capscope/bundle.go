@@ -21,7 +21,8 @@ import (
 // ID (inc-<seq>-<trigger>-<unixms>), containing
 //
 //	manifest.json   — identity, trigger, reason, SLO verdict, file list
-//	watch.json      — capwatch Report at capture time
+//	watch.json      — one-element array of the capwatch Report at
+//	                  capture time, the /debug/watch schema
 //	trace.json      — one-element array of captrace Snapshots (newest
 //	                  TraceEvents), the /debug/trace schema
 //	cpu.pprof       — bounded CPU profile burst (ProfileDuration)
@@ -118,7 +119,7 @@ func (r *Recorder) capture(trigger, reason string, slo capwatch.SLOReport, now t
 	}
 
 	if r.sampler != nil {
-		writeJSON(FileWatch, r.sampler.Report(0))
+		writeJSON(FileWatch, []capwatch.Report{r.sampler.Report(0)})
 	}
 	writeJSON(FileTrace, []captrace.Snapshot{r.tracer.Snapshot(r.source, TraceEvents)})
 	if r.cfg.Fault != nil {
@@ -244,8 +245,9 @@ func validBundleID(id string) bool {
 
 // LoadManifests indexes a bundle directory: every inc-* subdir with a
 // readable manifest, oldest (lowest sequence) first. Torn or foreign
-// dirs are skipped. Shared by the recorder, the HTTP handler and the
-// capscope CLI's directory mode.
+// dirs are skipped, so every ID it returns names a direct child of dir.
+// Shared by the recorder, the HTTP handler and the capscope CLI's
+// directory mode.
 func LoadManifests(dir string) []Manifest {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -271,7 +273,9 @@ func LoadManifests(dir string) []Manifest {
 	return out
 }
 
-// LoadManifest reads one bundle dir's manifest.
+// LoadManifest reads one bundle dir's manifest. A bundle's ID is its
+// directory's name: a manifest naming another bundle is foreign, and an
+// error, since callers join the ID back onto the recorder's dir.
 func LoadManifest(bundleDir string) (Manifest, error) {
 	var m Manifest
 	data, err := os.ReadFile(filepath.Join(bundleDir, FileManifest))
@@ -281,9 +285,11 @@ func LoadManifest(bundleDir string) (Manifest, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return m, fmt.Errorf("capscope: %s: %w", bundleDir, err)
 	}
-	if m.ID == "" {
-		m.ID = filepath.Base(bundleDir)
+	name := filepath.Base(bundleDir)
+	if m.ID != "" && m.ID != name {
+		return m, fmt.Errorf("capscope: %s: foreign manifest names bundle %q", bundleDir, m.ID)
 	}
+	m.ID = name
 	return m, nil
 }
 

@@ -2,8 +2,8 @@
 // story — a black-box flight recorder for the fleet. The other three
 // legs are ephemeral by design: /metrics is a point-in-time scrape,
 // captrace rings rotate, capwatch windows slide. By the time an
-// operator opens captop, the interesting 30 seconds are usually gone.
-// capscope arms *triggers* on the signals those layers already compute
+// operator runs capscope top, the interesting 30 seconds are usually
+// gone. capscope arms *triggers* on the signals those layers already compute
 // and, the moment one fires, atomically captures a self-contained
 // incident bundle — the capwatch rollup (burn rates, p99s), a captrace
 // ring snapshot, a short CPU profile burst, heap profile, goroutine
@@ -363,7 +363,7 @@ func (r *Recorder) backendName(i int) string {
 
 // WriteMetrics emits the capscope_* exposition; wire it into a
 // server's /metrics with AddMetrics. capscope_incidents_total is the
-// gauge captop's inc column rides on.
+// gauge capscope top's INC column rides on.
 func (r *Recorder) WriteMetrics(w io.Writer) {
 	fmt.Fprintf(w, "# HELP capscope_incidents_total Incident bundles captured since process start.\n# TYPE capscope_incidents_total counter\ncapscope_incidents_total %d\n", r.incidents.Load())
 	fmt.Fprintf(w, "# HELP capscope_capture_errors_total Incident captures that failed to land on disk.\n# TYPE capscope_capture_errors_total counter\ncapscope_capture_errors_total %d\n", r.errors.Load())

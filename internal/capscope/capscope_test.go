@@ -201,12 +201,12 @@ func TestBundleContents(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadBundle: %v", err)
 	}
-	var rep capwatch.Report
-	if err := json.Unmarshal(b.Watch, &rep); err != nil {
+	var reps []capwatch.Report // the /debug/watch schema: an array of one
+	if err := json.Unmarshal(b.Watch, &reps); err != nil {
 		t.Fatalf("watch.json: %v", err)
 	}
-	if rep.Source != "test" {
-		t.Errorf("rollup source = %q", rep.Source)
+	if len(reps) != 1 || reps[0].Source != "test" {
+		t.Errorf("rollup = %+v, want one report from source test", reps)
 	}
 	var snaps []captrace.Snapshot
 	if err := json.Unmarshal(b.Trace, &snaps); err != nil {
@@ -522,5 +522,92 @@ func FuzzBundleID(f *testing.F) {
 		if want := id == resident || id == ""; (w.Code == 200) != want {
 			t.Fatalf("?id=%q: status %d", id, w.Code)
 		}
+	})
+}
+
+// plantBundle writes dir/name/manifest.json with the given body.
+func plantBundle(t testing.TB, dir, name, manifest string) {
+	t.Helper()
+	if err := os.MkdirAll(filepath.Join(dir, name), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, name, FileManifest), []byte(manifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sentinel makes root/victim/keep, the sibling a manifest naming
+// "../victim" aims at, and returns a check that it survived.
+func sentinel(t testing.TB, root string) func(what string) {
+	t.Helper()
+	keep := filepath.Join(root, "victim", "keep")
+	if err := os.MkdirAll(keep, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	return func(what string) {
+		t.Helper()
+		if _, err := os.Stat(keep); err != nil {
+			t.Fatalf("%s removed a directory outside the recorder's: %v", what, err)
+		}
+	}
+}
+
+// TestForeignManifestStaysInside: a bundle's identity is its directory
+// name. A manifest whose id names another path (here ../victim) is
+// foreign and skipped, so no prune, ClearAll or DELETE removes anything
+// outside the recorder's directory.
+func TestForeignManifestStaysInside(t *testing.T) {
+	rt := newThrottledRuntime(t)
+	for _, tc := range []struct {
+		what  string
+		max   int
+		clear func(*Recorder)
+	}{
+		{"prune past MaxBundles", 1, func(*Recorder) {}},
+		{"ClearAll", 0, func(r *Recorder) { r.ClearAll() }},
+		{"DELETE /debug/incident", 0, func(r *Recorder) {
+			Handler(r).ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("DELETE", "/debug/incident", nil))
+		}},
+	} {
+		t.Run(tc.what, func(t *testing.T) {
+			root := t.TempDir()
+			survived := sentinel(t, root)
+			dir := filepath.Join(root, "rec")
+			plantBundle(t, dir, "inc-000000-x-1", `{"id":"../victim","seq":0}`)
+			plantBundle(t, dir, "inc-000001-x-2", `{"seq":1}`)
+			plantBundle(t, dir, "inc-000002-x-3", `{"id":"inc-000002-x-3","seq":2}`)
+			rec, err := New(Config{Dir: dir, Runtime: rt, MaxBundles: tc.max})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.clear(rec)
+			survived(tc.what)
+			for _, m := range LoadManifests(dir) {
+				if !validBundleID(m.ID) || filepath.Dir(filepath.Join(dir, m.ID)) != dir {
+					t.Fatalf("LoadManifests returned id %q", m.ID)
+				}
+			}
+		})
+	}
+}
+
+// FuzzLoadManifests: whatever bytes a torn or hostile manifest.json
+// holds, the reader does not panic, every manifest it returns is named
+// by its own directory, and ClearAll stays inside the recorder's dir.
+func FuzzLoadManifests(f *testing.F) {
+	const name = "inc-000001-x-1"
+	f.Add([]byte(`{"id":"` + name + `","seq":1}`)) // the hostile seeds are in testdata/fuzz
+	f.Fuzz(func(t *testing.T, manifest []byte) {
+		root := t.TempDir()
+		survived := sentinel(t, root)
+		dir := filepath.Join(root, "rec")
+		plantBundle(t, dir, name, string(manifest))
+		for _, m := range LoadManifests(dir) {
+			if m.ID != name || !validBundleID(m.ID) {
+				t.Fatalf("manifest %q read back as id %q", manifest, m.ID)
+			}
+		}
+		(&Recorder{dir: dir}).ClearAll()
+		survived("ClearAll")
 	})
 }

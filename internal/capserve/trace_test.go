@@ -253,7 +253,7 @@ func TestShedTraced(t *testing.T) {
 }
 
 // TestTraceSnapshotBodyIsJSON pins the endpoint's content type and the
-// decodability of its raw body as a snapshot array (what cmd/captrace
+// decodability of its raw body as a snapshot array (what capscope trace
 // ingests).
 func TestTraceSnapshotBodyIsJSON(t *testing.T) {
 	s, ts, tr := newTracedServer(t, 1)

@@ -141,7 +141,7 @@ type ShardInfo struct {
 }
 
 // Snapshot is one point-in-time read of a tracer, the JSON body served
-// by /debug/trace and ingested by cmd/captrace. Events are ascending by
+// by /debug/trace and ingested by capscope trace. Events are ascending by
 // timestamp.
 type Snapshot struct {
 	Source  string      `json:"source"`

@@ -298,7 +298,7 @@ func (s *Sampler) OnSample(f func()) {
 
 // SetIncidents registers a supplier for the incident count carried in
 // Report.Incidents and the capwatch exposition (capscope wires its
-// recorder's counter here so captop can show an `inc` column without a
+// recorder's counter here so capscope top can show an INC column without a
 // second fetch).
 func (s *Sampler) SetIncidents(f func() uint64) {
 	if f == nil {

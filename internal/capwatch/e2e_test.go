@@ -61,7 +61,7 @@ func TestRouterWatchCoversFleet(t *testing.T) {
 	}
 
 	// One sampler per backend, named by the backend's host:port — the
-	// same label the router's per-backend gauges use, so captop can
+	// same label the router's per-backend gauges use, so capscope top can
 	// join the two views — plus the router's own.
 	for i, b := range backends {
 		u, err := url.Parse(b.URL)

@@ -20,7 +20,8 @@ import (
 // none.
 const DefaultWindow = time.Minute
 
-// Report is the JSON document /debug/watch serves and captop renders.
+// Report is the JSON document /debug/watch serves and capscope top
+// renders.
 type Report struct {
 	Source string         `json:"source"`
 	Tier   string         `json:"tier"` // "server" or "router"
