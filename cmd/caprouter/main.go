@@ -6,25 +6,31 @@
 // sequential, exactly the paper's ladder one tier up.
 //
 // The fleet is either fronted (-backends lists running capserve URLs) or
-// spawned (-spawn boots N in-process backends on loopback ports — one
-// process, real TCP, handy for smoke tests and demos). Both can be
-// combined.
+// spawned (-spawn boots N in-process backends of 2 contexts each on
+// loopback ports — one process, real TCP, handy for tests and demos).
+// Both can be combined.
 //
 // Usage:
 //
 //	caprouter -addr :8090 -backends http://10.0.0.1:8080,http://10.0.0.2:8080
-//	caprouter -addr :8090 -spawn 3 -spawn-contexts 2 -policy rendezvous
-//	caprouter -addr :8090 -spawn 2 -credits 8 -fail-threshold 3 -fail-window 2s
+//	caprouter -addr :8090 -spawn 3 -policy rendezvous
+//	caprouter -addr :8090 -spawn 2 -fail-threshold 3 -fail-window 2s
+//	caprouter -addr 127.0.0.1:0 -spawn 2   # any free port, named on the "listening on" line
 //	caprouter -addr :8090 -spawn 2 -trace          # route spans on /debug/trace
 //	caprouter -addr :8090 -spawn 3 -slo-p99 150ms  # fleet telemetry on /debug/watch
 //	caprouter -addr :8090 -spawn 3 -fault -debug-addr localhost:6061  # fault injection on /debug/fault
 //	caprouter -addr :8090 -spawn 3 -incident-dir /var/tmp/capscope    # burn-triggered bundles on /debug/incident
 //	caprouter -addr :8090 -debug-addr localhost:6061
 //
+// -contexts and -queue size the local fallback tier. They, -drain and the
+// debug flags are internal/capdebug's, shared with capserve.
+//
 // Shutdown is graceful: SIGINT/SIGTERM flips /healthz to 503 first, then
 // stops the listener, finishes in-flight requests (up to -drain), drains
-// the spawned backends the same way, closes the local runtime, and
-// prints the final cluster statistics.
+// the spawned backends the same way, closes their runtimes and the local
+// one, and prints the final cluster statistics. The exit status is 0
+// after a clean drain, 1 on a bad configuration or a drain that ran out
+// of time, 2 on a bad flag.
 package main
 
 import (
@@ -32,6 +38,8 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -43,40 +51,56 @@ import (
 	"repro/internal/capcluster"
 	"repro/internal/capdebug"
 	"repro/internal/capserve"
-	"repro/internal/capsule"
 )
 
-func main() {
-	addr := flag.String("addr", ":8090", "listen address")
-	backends := flag.String("backends", "", "comma-separated capserve base URLs to front")
-	spawn := flag.Int("spawn", 0, "spawn this many in-process capserve backends on loopback ports")
-	spawnContexts := flag.Int("spawn-contexts", 2, "context pool size per spawned backend")
-	spawnQueue := flag.Int("spawn-queue", 0, "accept-queue depth per spawned backend (0 = 4x contexts)")
-	policy := flag.String("policy", "least-loaded", "placement policy: least-loaded, round-robin, rendezvous")
-	contexts := flag.Int("contexts", 0, "local fallback runtime context pool size (0 = GOMAXPROCS)")
-	queue := flag.Int("queue", 0, "local fallback accept-queue depth (0 = 4x contexts)")
-	credits := flag.Int("credits", 0, "initial per-backend credits (0 = default)")
-	maxCredits := flag.Int("max-credits", 0, "ceiling on learned credits (0 = default)")
-	failThreshold := flag.Int("fail-threshold", 0, "backend failures tripping the breaker (0 = default)")
-	failWindow := flag.Duration("fail-window", 0, "breaker window (0 = default)")
-	timeout := flag.Duration("timeout", 0, "total per-request routing budget (0 = default)")
-	attemptTimeout := flag.Duration("attempt-timeout", 0, "per-dispatch-attempt deadline carved from the budget (0 = default)")
-	trialBackoff := flag.Duration("trial-backoff", 0, "base backoff between failed half-open trials, jittered and doubled per failure (0 = default)")
-	slowCheck := flag.Duration("slow-check", capcluster.SlowCheckInterval, "slow-backend ejection cadence (0 disables)")
-	slowFactor := flag.Float64("slow-factor", 0, "eject a backend whose dispatch p99 exceeds this multiple of its peers' median (0 = default)")
-	slowMinP99 := flag.Duration("slow-min-p99", 0, "absolute p99 floor below which no backend is ejected (0 = default)")
-	slowMinSamples := flag.Int("slow-min-samples", 0, "dispatches per interval a backend needs before slow ejection considers it (0 = default)")
-	staleTTL := flag.Duration("stale-ttl", 0, "credit-gauge trust window: a backend with no feed delta and no response header inside it decays toward -credits (0 = default)")
-	feedBackoff := flag.Duration("feed-backoff", 0, "base backoff between feed reconnect attempts, jittered and doubled per failure (0 = default)")
-	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown timeout")
-	dbg := capdebug.Register(flag.CommandLine)
-	flag.Parse()
+// spawnContexts is the context pool of each -spawn backend.
+const spawnContexts = 2
 
-	plane, err := dbg.NewPlane()
-	if err != nil {
-		fail("%v", err)
+func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// run is the whole command: it routes until ctx is cancelled, then
+// drains and returns the exit status (see the package comment).
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("caprouter", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", ":8090", "listen address")
+	backends := fs.String("backends", "", "comma-separated capserve base URLs to front")
+	spawn := fs.Int("spawn", 0, "spawn this many in-process capserve backends on loopback ports")
+	policy := fs.String("policy", "least-loaded", "placement policy: least-loaded, round-robin, rendezvous")
+	failThreshold := fs.Int("fail-threshold", 0, "backend failures tripping the breaker (0 = default)")
+	failWindow := fs.Duration("fail-window", 0, "breaker window (0 = default)")
+	attemptTimeout := fs.Duration("attempt-timeout", 0, "per-dispatch-attempt deadline carved from the routing budget (0 = default)")
+	slowCheck := fs.Duration("slow-check", capcluster.SlowCheckInterval, "slow-backend ejection cadence (0 disables)")
+	slowFactor := fs.Float64("slow-factor", 0, "eject a backend whose dispatch p99 exceeds this multiple of its peers' median (0 = default)")
+	slowMinP99 := fs.Duration("slow-min-p99", 0, "absolute p99 floor below which no backend is ejected (0 = default)")
+	slowMinSamples := fs.Int("slow-min-samples", 0, "dispatches per interval a backend needs before slow ejection considers it (0 = default)")
+	rf := capdebug.RegisterRuntime(fs)
+	dbg := capdebug.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "caprouter: "+format+"\n", args...)
+		return 1
 	}
 
+	place, err := capcluster.NewPlacement(*policy)
+	if err != nil {
+		return fail("%v", err)
+	}
+	plane, err := dbg.NewPlane()
+	if err != nil {
+		return fail("%v", err)
+	}
+	defer plane.Close()
 	// One injector covers both sides of the wire: the router's dispatch
 	// transport (router-side faults: partitions, resets, latency on the
 	// way out) and every spawned backend's handler (backend-side faults:
@@ -105,113 +129,93 @@ func main() {
 	// traffic.
 	var spawned []*capserve.Backend
 	for i := 0; i < *spawn; i++ {
-		btr := dbg.NewTracer()
-		brt, err := capsule.NewValidated(capsule.Config{
-			Contexts: *spawnContexts,
-			Throttle: true,
-			Tracer:   btr,
-		})
+		brt, err := dbg.NewRuntime(spawnContexts)
 		if err != nil {
-			fail("spawn backend %d: %v", i, err)
+			return fail("spawn backend %d: %v", i, err)
 		}
-		b, err := capserve.StartBackendOn(capserve.Config{
-			Runtime:     brt,
-			QueueDepth:  *spawnQueue,
-			TraceSample: dbg.TraceSample,
-		}, "127.0.0.1:0", wrapBackend)
+		b, err := capserve.StartBackendOn(capserve.Config{Runtime: brt, TraceSample: dbg.TraceSample}, "127.0.0.1:0", wrapBackend)
 		if err != nil {
-			fail("spawn backend %d: %v", i, err)
+			return fail("spawn backend %d: %v", i, err)
 		}
 		name := strings.TrimPrefix(b.URL, "http://")
-		m, err := plane.Add(name, btr, capdebug.Tiers{Runtime: brt, Server: b.Server}, filepath.Join(dbg.IncidentDir, name))
+		m, err := plane.Add(name, brt.Tracer(), capdebug.Tiers{Runtime: brt, Server: b.Server}, filepath.Join(dbg.IncidentDir, name))
 		if err != nil {
-			fail("spawn backend %d: %v", i, err)
+			return fail("spawn backend %d: %v", i, err)
 		}
 		capdebug.Mount(b.Server.Mount, m)
 		spawned = append(spawned, b)
 		urls = append(urls, b.URL)
-		fmt.Printf("caprouter: spawned backend %d at %s (contexts=%d)\n", i, b.URL, *spawnContexts)
+		fmt.Fprintf(stdout, "caprouter: spawned backend %d at %s (contexts=%d)\n", i, b.URL, spawnContexts)
 	}
 
-	place, err := capcluster.NewPlacement(*policy)
-	if err != nil {
-		fail("%v", err)
-	}
 	// One tracer serves the router span AND the local fallback tier, so a
 	// degraded request's route events and its local runtime events land
 	// in one ring set.
-	tracer := dbg.NewTracer()
-	localRT, err := capsule.NewValidated(capsule.Config{Contexts: *contexts, Throttle: true, Tracer: tracer})
+	localRT, err := dbg.NewRuntime(rf.Contexts)
 	if err != nil {
-		fail("%v", err)
+		return fail("%v", err)
 	}
 	local, err := capserve.New(capserve.Config{
 		Runtime:     localRT,
-		QueueDepth:  *queue,
+		QueueDepth:  rf.Queue,
 		TraceSample: dbg.TraceSample,
 	})
 	if err != nil {
-		fail("%v", err)
+		return fail("%v", err)
 	}
 	// The feed subscriptions get their own transport wrap so a ScopeFeed
 	// rule can cut the push plane while dispatches stay healthy — the
 	// fallback paths are only testable when the failure is selective.
 	var dispatchRT, feedRT http.RoundTripper
 	if plane.Fault != nil {
-		dispatchRT = plane.Fault.Transport(capcluster.DefaultTransport(*maxCredits))
-		feedRT = plane.Fault.FeedTransport(capcluster.DefaultTransport(*maxCredits))
+		dispatchRT = plane.Fault.Transport(capcluster.DefaultTransport(0))
+		feedRT = plane.Fault.FeedTransport(capcluster.DefaultTransport(0))
 	}
 	router, err := capcluster.New(capcluster.Config{
 		Backends:       urls,
 		Local:          local,
 		Placement:      place,
-		Credits:        *credits,
-		MaxCredits:     *maxCredits,
 		FailThreshold:  *failThreshold,
 		FailWindow:     *failWindow,
-		Timeout:        *timeout,
 		AttemptTimeout: *attemptTimeout,
-		TrialBackoff:   *trialBackoff,
 		SlowFactor:     *slowFactor,
 		SlowMinP99:     *slowMinP99,
 		SlowMinSamples: *slowMinSamples,
-		StaleTTL:       *staleTTL,
-		FeedBackoff:    *feedBackoff,
 		Transport:      dispatchRT,
 		FeedTransport:  feedRT,
-		Tracer:         tracer,
+		Tracer:         localRT.Tracer(),
 		TraceSample:    dbg.TraceSample,
 	})
 	if err != nil {
-		fail("%v", err)
+		return fail("%v", err)
 	}
 
 	// The router leads the plane: its member sees the fleet-level
 	// triggers (SLO burn over merged dispatch latency, breaker trips, slow
 	// ejections), and its mux serves every member's trace, watch report
 	// and incident list — its own first.
-	lead, err := plane.Add("caprouter", tracer, capdebug.Tiers{Runtime: localRT, Server: local, Router: router},
+	lead, err := plane.Add("caprouter", localRT.Tracer(), capdebug.Tiers{Runtime: localRT, Server: local, Router: router},
 		filepath.Join(dbg.IncidentDir, "caprouter"))
 	if err != nil {
-		fail("%v", err)
+		return fail("%v", err)
 	}
 	capdebug.Mount(router.Mount, plane.Members...)
-	plane.ServeDebug("caprouter")
+	if err := plane.ServeDebug("caprouter", stdout); err != nil {
+		return fail("%v", err)
+	}
 	if lead.Recorder != nil {
-		fmt.Printf("caprouter: incident recorders armed (router + %d backends), bundles under %s\n",
+		fmt.Fprintf(stdout, "caprouter: incident recorders armed (router + %d backends), bundles under %s\n",
 			len(spawned), dbg.IncidentDir)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	if len(urls) > 0 {
 		// The push plane: one subscription per backend, reconnecting with
-		// jittered backoff for the process lifetime. Each subscription's
-		// first delta teaches the backend's real capacity; response
-		// headers are the fallback, and the decay pass below recovers a
-		// gauge neither has refreshed within -stale-ttl.
+		// jittered backoff until ctx ends. Each subscription's first delta
+		// teaches the backend's real capacity; response headers are the
+		// fallback, and the decay pass below recovers a gauge neither has
+		// refreshed within the router's stale TTL.
 		router.StartFeeds(ctx)
-		fmt.Printf("caprouter: subscribed to %d backend credit feeds\n", len(urls))
+		fmt.Fprintf(stdout, "caprouter: subscribed to %d backend credit feeds\n", len(urls))
 	}
 	every(ctx, time.Second, router.Refresh)
 	if *slowCheck > 0 {
@@ -219,48 +223,55 @@ func main() {
 		every(ctx, *slowCheck, func() { router.CheckSlow() })
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: router}
-	fmt.Printf("caprouter: listening on %s (backends=%d policy=%s local-contexts=%d)\n",
-		*addr, len(urls), place.Name(), localRT.Contexts())
-
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return fail("%v", err)
+	}
+	hs := &http.Server{Handler: router}
+	fmt.Fprintf(stdout, "caprouter: listening on %s (backends=%d policy=%s local-contexts=%d)\n",
+		ln.Addr(), len(urls), place.Name(), localRT.Contexts())
 	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
+	go func() { errc <- hs.Serve(ln) }()
 	select {
 	case err := <-errc:
-		fail("%v", err)
+		return fail("%v", err)
 	case <-ctx.Done():
 	}
 
-	fmt.Println("caprouter: draining...")
+	fmt.Fprintln(stdout, "caprouter: draining...")
 	router.SetDraining(true)
-	sctx, cancel := context.WithTimeout(context.Background(), *drain)
+	sctx, cancel := context.WithTimeout(context.Background(), rf.Drain)
 	defer cancel()
 	clean := true
-	if err := hs.Shutdown(sctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintf(os.Stderr, "caprouter: shutdown: %v\n", err)
+	if err := hs.Shutdown(sctx); err != nil {
+		fmt.Fprintf(stderr, "caprouter: shutdown: %v\n", err)
 		clean = false
 	}
 	for i, b := range spawned {
 		if err := b.Close(sctx); err != nil {
-			fmt.Fprintf(os.Stderr, "caprouter: backend %d drain: %v\n", i, err)
+			fmt.Fprintf(stderr, "caprouter: backend %d drain: %v\n", i, err)
 			clean = false
+			continue
 		}
+		// Drained, so no division is in flight. StartBackendOn leaves a
+		// runtime it was given open: it is ours to close.
+		b.Runtime().Close()
 	}
 	if clean {
 		// In-flight handlers are done, so closing the local runtime
 		// cannot block on live divisions.
 		localRT.Close()
 	}
-	plane.Close()
-	fmt.Printf("caprouter: final stats: %s\n", router.Stats())
+	fmt.Fprintf(stdout, "caprouter: final stats: %s\n", router.Stats())
 	for _, b := range router.Backends() {
 		bs := b.Stats()
-		fmt.Printf("caprouter:   %s dispatched=%d served=%d sheds=%d deaths=%d\n",
+		fmt.Fprintf(stdout, "caprouter:   %s dispatched=%d served=%d sheds=%d deaths=%d\n",
 			b.Name(), bs.Dispatches, bs.Served, bs.Sheds, bs.Deaths)
 	}
 	if !clean {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // every runs fn on its own goroutine every d until ctx is cancelled.
@@ -277,9 +288,4 @@ func every(ctx context.Context, d time.Duration, fn func()) {
 			}
 		}
 	}()
-}
-
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "caprouter: "+format+"\n", args...)
-	os.Exit(1)
 }

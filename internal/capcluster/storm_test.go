@@ -3,8 +3,9 @@ package capcluster
 // The zero-failed-request storms: a live in-process fleet under
 // closed-loop load while something is taken away mid-run — a router
 // replica (replica_test.go), backends leaving and rejoining, the credit
-// push plane. About a second each, under -race. CI's chaos-, cluster-
-// and router-failover-smoke hold the same against real processes.
+// push plane. About a second each, under -race. internal/smoke's
+// TestChaos, TestCluster and TestRouterFailover hold the same against
+// real processes.
 
 import (
 	"context"

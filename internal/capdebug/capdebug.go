@@ -20,6 +20,9 @@
 // Handler(members…) in its own package; this package only decides which
 // members a mux serves. /debug/fault is served on the -debug-addr side
 // listener only, never on a serving address.
+//
+// The package also owns the runtime flag group (RegisterRuntime) and the
+// one way either binary builds a member's runtime (Flags.NewRuntime).
 package capdebug
 
 import (
@@ -27,9 +30,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	_ "net/http/pprof" // registers on DefaultServeMux, served only on the side listener
-	"os"
 	"strings"
 	"time"
 
@@ -84,6 +87,25 @@ func Register(fs *flag.FlagSet) *Flags {
 	return f
 }
 
+// RuntimeFlags is the runtime flag group, registered once by
+// RegisterRuntime and shared by cmd/capserve and cmd/caprouter: the
+// process's own runtime and accept queue (a router's local fallback
+// tier) and the shutdown drain budget.
+type RuntimeFlags struct {
+	Contexts int
+	Queue    int
+	Drain    time.Duration
+}
+
+// RegisterRuntime defines the runtime group's flags on fs.
+func RegisterRuntime(fs *flag.FlagSet) *RuntimeFlags {
+	f := &RuntimeFlags{}
+	fs.IntVar(&f.Contexts, "contexts", 0, "context pool size of this process's runtime (0 = GOMAXPROCS)")
+	fs.IntVar(&f.Queue, "queue", 0, "accept-queue depth in front of it (0 = 4x contexts)")
+	fs.DurationVar(&f.Drain, "drain", 10*time.Second, "graceful shutdown timeout")
+	return f
+}
+
 // NewTracer returns a fresh tracer for one member, nil (tracing off)
 // without -trace. A member's tracer must exist before its runtime, which
 // records into it.
@@ -92,6 +114,13 @@ func (f *Flags) NewTracer() *captrace.Tracer {
 		return nil
 	}
 	return captrace.New(0, f.TraceBuf)
+}
+
+// NewRuntime builds one member's runtime: contexts contexts, the
+// death-rate throttle on, recording into a fresh tracer (its Tracer).
+// Every runtime either binary serves from is built here.
+func (f *Flags) NewRuntime(contexts int) (*capsule.Runtime, error) {
+	return capsule.NewValidated(capsule.Config{Contexts: contexts, Throttle: true, Tracer: f.NewTracer()})
 }
 
 // NewPlane starts an empty plane, with the process's one fault injector
@@ -140,6 +169,7 @@ type Plane struct {
 	flags   *Flags
 	Fault   *capfault.Injector // nil without -fault
 	Members []*Member
+	debug   *http.Server // the -debug-addr listener, nil without one
 }
 
 // Add builds a member named name over tiers and adds it to the plane:
@@ -237,26 +267,30 @@ func (p *Plane) DebugMux() *http.ServeMux {
 	return mux
 }
 
-// ServeDebug serves DebugMux on -debug-addr in the background; a no-op
-// without one. prog prefixes the log lines.
-func (p *Plane) ServeDebug(prog string) {
-	addr := p.flags.DebugAddr
-	if addr == "" {
-		return
+// ServeDebug serves DebugMux on -debug-addr in the background until
+// Close, and names the bound address on w; a no-op without one. prog
+// prefixes the line.
+func (p *Plane) ServeDebug(prog string, w io.Writer) error {
+	if p.flags.DebugAddr == "" {
+		return nil
 	}
-	mux := p.DebugMux()
-	go func() {
-		fmt.Printf("%s: pprof and debug planes on http://%s/debug/\n", prog, addr)
-		if err := http.ListenAndServe(addr, mux); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: debug listener: %v\n", prog, err)
-		}
-	}()
+	ln, err := net.Listen("tcp", p.flags.DebugAddr)
+	if err != nil {
+		return fmt.Errorf("debug listener: %w", err)
+	}
+	p.debug = &http.Server{Handler: p.DebugMux()}
+	go p.debug.Serve(ln)
+	fmt.Fprintf(w, "%s: pprof and debug planes on http://%s/debug/\n", prog, ln.Addr())
+	return nil
 }
 
 // Close detaches every recorder (letting an in-flight capture land its
-// bundle — a flight recorder must survive the crash-adjacent exit) and
-// stops every sampler.
+// bundle — a flight recorder must survive the crash-adjacent exit),
+// stops every sampler and closes the -debug-addr listener.
 func (p *Plane) Close() {
+	if p.debug != nil {
+		p.debug.Close()
+	}
 	for _, m := range p.Members {
 		if m.Recorder != nil {
 			m.Recorder.Close()

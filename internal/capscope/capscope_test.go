@@ -158,8 +158,8 @@ func TestDebounce(t *testing.T) {
 
 // TestBundleContents checks a captured bundle is self-contained:
 // manifest + rollup + trace + heap profile + goroutine dump (CPU
-// profile disabled here; CI's incident-smoke covers the real burst, on
-// real processes, from a staged SLO burn).
+// profile disabled here; internal/smoke's TestIncident covers the real
+// burst, on real processes, from a staged SLO burn).
 func TestBundleContents(t *testing.T) {
 	tr := captrace.New(4, 1024)
 	rt, err := capsule.NewValidated(capsule.Config{
