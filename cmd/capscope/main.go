@@ -523,15 +523,15 @@ func report(w io.Writer, dir string, b *capscope.Bundle) {
 	}
 
 	var bd capscope.BackendsDoc
-	if json.Unmarshal(b.Backends, &bd) == nil && len(bd.Names) > 0 {
-		fmt.Fprintf(w, "\nbackends (%d)\n", len(bd.Names))
-		for i, c := range bd.Backends[:min(len(bd.Names), len(bd.Backends))] {
+	if json.Unmarshal(b.Backends, &bd) == nil && len(bd.Backends) > 0 {
+		fmt.Fprintf(w, "\nbackends (%d)\n", len(bd.Backends))
+		for _, c := range bd.Backends {
 			broken := ""
 			if c.Broken {
 				broken = "  BREAKER OPEN"
 			}
 			fmt.Fprintf(w, "  %-22s dispatched=%d served=%d sheds=%d ejections=%d credits=%d(%d)%s\n",
-				bd.Names[i], c.Dispatches, c.Served, c.Sheds, c.Ejections, c.Credits, c.Inflight, broken)
+				c.Name, c.Dispatches, c.Served, c.Sheds, c.Ejections, c.Credits, c.Inflight, broken)
 		}
 	}
 

@@ -52,7 +52,7 @@ func newFixture(t *testing.T) fixture {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	rec, err := capscope.New(capscope.Config{Source: "capserve", Dir: dir, Runtime: rt, Server: srv, ProfileDuration: -1})
+	rec, err := capscope.New(capscope.Config{Source: "capserve", Dir: dir, Tracer: tr, ProfileDuration: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 package main
 
 import (
-	"bufio"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // output is run's stdout and stderr, handing over the address its
@@ -107,22 +108,43 @@ func TestServeAndDrain(t *testing.T) {
 	}
 }
 
-// TestDrainTimeoutExits1 holds a request in flight past -drain: the
-// handler waits for a body that never comes. A drain that did not
-// finish must fail the exit status.
+// TestDrainTimeoutExits1 holds a request in flight past -drain: a
+// capfault blackhole stalls it until its client hangs up. A drain that
+// did not finish must fail the exit status.
 func TestDrainTimeoutExits1(t *testing.T) {
-	s := start(t, "-addr", "127.0.0.1:0", "-drain", "50ms")
+	s := start(t, "-addr", "127.0.0.1:0", "-drain", "50ms", "-fault", "-debug-addr", "127.0.0.1:0")
+	m := regexp.MustCompile(`debug planes on (http://\S+)/debug/`).FindStringSubmatch(s.out.String())
+	if m == nil {
+		t.Fatalf("no debug address:\n%s", s.out)
+	}
+	faults := m[1] + "/debug/fault"
+	resp, err := http.Post(faults, "application/json", strings.NewReader(`{"kind":"blackhole"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
 	conn, err := net.Dial("tcp", strings.TrimPrefix(s.url, "http://"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	// The server answers 100 Continue when the handler first reads the
-	// body, so the request is in flight once that line arrives.
-	fmt.Fprint(conn, "POST /run/quicksort HTTP/1.1\r\nHost: x\r\nContent-Length: 64\r\nExpect: 100-continue\r\n\r\n")
-	line, err := bufio.NewReader(conn).ReadString('\n')
-	if err != nil || !strings.Contains(line, "100 Continue") {
-		t.Fatalf("read %q, %v; want 100 Continue", line, err)
+	defer conn.Close() // releases the blackholed handler
+	fmt.Fprint(conn, "GET /run/quicksort HTTP/1.1\r\nHost: x\r\n\r\n")
+	// The request is in flight once the rule has fired on it.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		var doc struct{ Rules []struct{ Fired int } }
+		resp, err := http.Get(faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&doc)
+		resp.Body.Close()
+		if err == nil && len(doc.Rules) == 1 && doc.Rules[0].Fired == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the blackhole never fired: %+v (%v)", doc, err)
+		}
 	}
 	if code := s.stop(); code != 1 {
 		t.Fatalf("exit %d after a drain that timed out, want 1:\n%s", code, s.out)

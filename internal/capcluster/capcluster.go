@@ -38,7 +38,6 @@
 package capcluster
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -108,9 +107,6 @@ const (
 	// DefaultSlowMinSamples is the minimum relayed dispatches a backend
 	// needs inside one CheckSlow interval before its p99 is trusted.
 	DefaultSlowMinSamples = 16
-	// DefaultMaxBody caps buffered POST bodies (they are replayed on
-	// retry and fallback, so they must be held in memory).
-	DefaultMaxBody = 1 << 20
 )
 
 // Config parameterises a Router.
@@ -190,9 +186,6 @@ type Config struct {
 	SlowMinP99     time.Duration
 	SlowMinSamples int
 
-	// MaxBody caps buffered POST bodies. Default: DefaultMaxBody.
-	MaxBody int64
-
 	// Transport overrides the dispatch transport (tests). Default: a
 	// clone of http.DefaultTransport with the per-backend idle-connection
 	// pool widened (see defaultTransport in client.go) so sustained
@@ -239,8 +232,8 @@ func (cfg Config) Validate() error {
 	if cfg.FailThreshold > thresholdCeiling {
 		return fmt.Errorf("capcluster: FailThreshold must be <= %d, got %d", thresholdCeiling, cfg.FailThreshold)
 	}
-	if cfg.FailWindow < 0 || cfg.Timeout < 0 || cfg.MaxBody < 0 {
-		return fmt.Errorf("capcluster: FailWindow, Timeout and MaxBody must be >= 0 (0 means default)")
+	if cfg.FailWindow < 0 || cfg.Timeout < 0 {
+		return fmt.Errorf("capcluster: FailWindow and Timeout must be >= 0 (0 means default)")
 	}
 	if cfg.AttemptTimeout < 0 || cfg.TrialBackoff < 0 {
 		return fmt.Errorf("capcluster: AttemptTimeout and TrialBackoff must be >= 0 (0 means default)")
@@ -283,10 +276,12 @@ type Router struct {
 
 	// Serving-tier outcome counters: which rung of the degradation
 	// ladder finally produced each 2xx response (the
-	// caprouter_fallback_tier_total series).
+	// caprouter_fallback_tier_total series), and the 4xx answers, which
+	// are the client's fault on whichever rung gave them.
 	tierRemote       atomic.Uint64 // dispatched to a backend
 	tierLocalRuntime atomic.Uint64 // local fallback, divisions offered
 	tierSequential   atomic.Uint64 // local fallback, degraded to sequential
+	clientFaults     atomic.Uint64 // 4xx from a backend or the local tier
 
 	// extraMetrics are appended to /metrics after the router's own
 	// series (AddMetrics) — capwatch's hook into the exposition.
@@ -331,9 +326,6 @@ func New(cfg Config) (*Router, error) {
 	if cfg.SlowMinSamples == 0 {
 		cfg.SlowMinSamples = DefaultSlowMinSamples
 	}
-	if cfg.MaxBody == 0 {
-		cfg.MaxBody = DefaultMaxBody
-	}
 	if cfg.StaleTTL == 0 {
 		cfg.StaleTTL = DefaultStaleTTL
 	}
@@ -371,7 +363,6 @@ func New(cfg Config) (*Router, error) {
 	r.mux.HandleFunc("GET /healthz", r.handleHealthz)
 	r.mux.HandleFunc("GET /metrics", r.handleMetrics)
 	r.mux.HandleFunc("GET /run/{workload}", r.handleRun)
-	r.mux.HandleFunc("POST /run/{workload}", r.handleRun)
 	r.mux.HandleFunc("GET /{$}", r.handleIndex)
 	return r, nil
 }
@@ -431,28 +422,14 @@ func (r *Router) handleIndex(w http.ResponseWriter, req *http.Request) {
 func (r *Router) handleRun(w http.ResponseWriter, req *http.Request) {
 	r.requests.Add(1)
 
-	// Trace identity first, so every outcome — even a 400 on a bad body
-	// — carries the ID the client stamped. The route span opens here.
+	// Trace identity first, so every outcome — even a 400 on a bad
+	// parameter — carries the ID the client stamped. The route span
+	// opens here.
 	tid, traced := r.traceIdentity(req)
 	if tid != 0 {
 		w.Header().Set(captrace.HeaderTraceID, captrace.FormatID(tid))
 	}
 	r.trace(traced, captrace.KRouteRecv, tid, 0, uint32(len(r.backends)))
-
-	// Buffer the body up front: it is replayed on retry and fallback.
-	var body []byte
-	if req.Method == http.MethodPost && req.Body != nil && req.ContentLength != 0 {
-		var err error
-		body, err = io.ReadAll(io.LimitReader(req.Body, r.cfg.MaxBody+1))
-		if err != nil {
-			http.Error(w, fmt.Sprintf("reading body: %v", err), http.StatusBadRequest)
-			return
-		}
-		if int64(len(body)) > r.cfg.MaxBody {
-			http.Error(w, fmt.Sprintf("body exceeds the %d-byte cap", r.cfg.MaxBody), http.StatusRequestEntityTooLarge)
-			return
-		}
-	}
 
 	if n := len(r.backends); n > 0 {
 		first := r.place.Pick(placeKey(req.PathValue("workload"), req.URL.RawQuery), r.backends)
@@ -472,12 +449,16 @@ func (r *Router) handleRun(w http.ResponseWriter, req *http.Request) {
 			// reconstructable per request.
 			r.trace(traced, captrace.KRouteDispatch, tid, uint16(b.id), uint32(b.Credits()))
 			start := time.Now()
-			switch r.dispatch(w, req, b, body, deadline, tid, traced) {
-			case dispatched:
+			switch out := r.dispatch(w, req, b, deadline, tid, traced); out {
+			case dispatched, clientFault:
 				elapsed := time.Since(start)
 				b.dispatchLatency.Observe(elapsed)
 				r.trace(traced, captrace.KRouteServed, tid, uint16(b.id), durUS(elapsed))
-				r.tierRemote.Add(1)
+				if out == clientFault {
+					r.clientFaults.Add(1)
+				} else {
+					r.tierRemote.Add(1)
+				}
 				return
 			case clientGone:
 				r.clientGone.Add(1)
@@ -497,10 +478,6 @@ func (r *Router) handleRun(w http.ResponseWriter, req *http.Request) {
 	// local capserve reuses it verbatim (and respects this tier's
 	// sampling decision) instead of re-deciding.
 	r.localFallbacks.Add(1)
-	if body != nil {
-		req.Body = io.NopCloser(bytes.NewReader(body))
-		req.ContentLength = int64(len(body))
-	}
 	if tid != 0 {
 		req = req.WithContext(captrace.WithRequest(req.Context(), tid, traced))
 	}
@@ -511,10 +488,12 @@ func (r *Router) handleRun(w http.ResponseWriter, req *http.Request) {
 
 	// Classify which rung of the ladder actually served the request:
 	// capserve marks sequential-degraded 200s with X-Capserve-Degraded.
-	// Tier 0 in the fallback span means the local tier failed too (shed
-	// or error) — the request died on the bottom rung.
+	// Tier 0 in the fallback span means no rung served it: a 4xx (the
+	// client's fault, as on the remote rung) or the local tier failing
+	// too (shed or error) — the request died on the bottom rung.
 	var tier uint16
-	if sw.status >= 200 && sw.status < 300 {
+	switch {
+	case sw.status >= 200 && sw.status < 300:
 		if w.Header().Get(capserve.HeaderDegraded) == "1" {
 			tier = captrace.TierSequential
 			r.tierSequential.Add(1)
@@ -522,6 +501,8 @@ func (r *Router) handleRun(w http.ResponseWriter, req *http.Request) {
 			tier = captrace.TierLocalRuntime
 			r.tierLocalRuntime.Add(1)
 		}
+	case sw.status >= 400 && sw.status < 500:
+		r.clientFaults.Add(1)
 	}
 	r.trace(traced, captrace.KRouteFallback, tid, tier, durUS(time.Since(lstart)))
 }

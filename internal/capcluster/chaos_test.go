@@ -340,25 +340,29 @@ func TestMidBodyDeathRetries(t *testing.T) {
 	}
 }
 
-// TestOversizedBodyStreams covers the buffered→streaming hand-off: a
-// body past MaxBody (with a lying Content-Length) still relays intact
-// through prefixedBody.
-func TestOversizedBodyStreams(t *testing.T) {
-	big := strings.Repeat("x", 300)
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// No Content-Length: chunked, so the relay starts buffering and
-		// discovers the overflow mid-read.
-		w.(http.Flusher).Flush()
-		io.WriteString(w, big)
-	}))
-	defer backend.Close()
-	r, ts := newRouter(t, Config{Backends: []string{backend.URL}, MaxBody: 100})
-	resp, body := get(t, ts.URL+"/run/quicksort?n=64&seed=1")
-	if resp.StatusCode != 200 || string(body) != big {
-		t.Fatalf("oversized relay: status %d, %d bytes (want 200, %d)", resp.StatusCode, len(body), len(big))
-	}
-	if r.Backends()[0].served.Load() != 1 {
-		t.Fatalf("served = %d, want 1", r.Backends()[0].served.Load())
+// TestOversizedBodyIsDeath: a reply past the relay's cap is a death
+// charged to the backend, with or without an honest Content-Length, and
+// the ladder moves on — the client is still served, by the local tier.
+func TestOversizedBodyIsDeath(t *testing.T) {
+	big := strings.Repeat("x", maxBody+1)
+	for _, chunked := range []bool{false, true} {
+		backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if chunked {
+				// No Content-Length: the relay discovers the overflow mid-read.
+				w.(http.Flusher).Flush()
+			}
+			io.WriteString(w, big)
+		}))
+		r, ts := newRouter(t, Config{Backends: []string{backend.URL}})
+		resp, body := get(t, ts.URL+"/run/quicksort?n=64&seed=1")
+		backend.Close()
+		if resp.StatusCode != 200 || resp.Header.Get(HeaderRoute) != "local" || len(body) >= maxBody {
+			t.Fatalf("chunked=%v: status %d, route %q, %d bytes; want 200 from the local tier",
+				chunked, resp.StatusCode, resp.Header.Get(HeaderRoute), len(body))
+		}
+		if b := r.Backends()[0].Stats(); b.Deaths != 1 || b.Served != 0 {
+			t.Fatalf("chunked=%v: backend deaths %d, served %d; want 1, 0", chunked, b.Deaths, b.Served)
+		}
 	}
 }
 

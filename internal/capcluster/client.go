@@ -48,13 +48,21 @@ func DefaultTransport(maxCredits int) http.RoundTripper {
 	return defaultTransport(maxCredits)
 }
 
+// maxBody caps a relayed response: the relay buffers the whole body
+// before the client sees a byte, and a body past the cap is charged to
+// the backend as a death.
+const maxBody = 1 << 20
+
 // outcome classifies one remote dispatch attempt.
 type outcome int
 
 const (
-	// dispatched: a response (2xx or proxied 4xx) was written to the
-	// client. The request is done.
+	// dispatched: a 2xx response was written to the client. The
+	// request is done.
 	dispatched outcome = iota
+	// clientFault: a 4xx response was proxied to the client — the
+	// request was wrong, not the backend. The request is done.
+	clientFault
 	// shed: the backend 503ed — our credit estimate was stale, the
 	// backend is alive and said so. Not a death; try the next backend.
 	shed
@@ -76,11 +84,11 @@ const (
 // The attempt runs under min(Config.AttemptTimeout, time left until
 // deadline) — the hardening capfault's black-hole forced: a backend
 // that accepts and stalls costs the request one attempt slice, not the
-// whole budget, and the walk moves on. Responses up to MaxBody are
-// buffered before anything is written to the client, so a backend dying
-// mid-body is a retryable death (the next backend gets the request)
-// instead of a truncated 200.
-func (r *Router) dispatch(w http.ResponseWriter, req *http.Request, b *Backend, body []byte, deadline time.Time, tid uint64, traced bool) outcome {
+// whole budget, and the walk moves on. The response is buffered whole
+// (up to maxBody) before anything is written to the client, so a backend
+// dying mid-body — or sending more than maxBody — is a retryable death
+// (the next backend gets the request) instead of a truncated 200.
+func (r *Router) dispatch(w http.ResponseWriter, req *http.Request, b *Backend, deadline time.Time, tid uint64, traced bool) outcome {
 	defer b.release()
 	b.dispatches.Add(1)
 
@@ -100,17 +108,10 @@ func (r *Router) dispatch(w http.ResponseWriter, req *http.Request, b *Backend, 
 	if req.URL.RawQuery != "" {
 		target += "?" + req.URL.RawQuery
 	}
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	out, err := http.NewRequestWithContext(ctx, req.Method, target, rd)
+	out, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)
 	if err != nil {
 		b.fail()
 		return died
-	}
-	if ct := req.Header.Get("Content-Type"); ct != "" {
-		out.Header.Set("Content-Type", ct)
 	}
 	// Propagate only traced identities: a backend adopting a header
 	// always traces it, so forwarding a sampled-out ID would defeat the
@@ -156,55 +157,33 @@ func (r *Router) dispatch(w http.ResponseWriter, req *http.Request, b *Backend, 
 		return died
 	}
 
-	// 2xx and 4xx proxy through. Bodies up to MaxBody are buffered
-	// first — the client has seen nothing yet, so a mid-body death stays
-	// retryable — and the attempt deadline covers the read, so a
-	// trickling body slower than the slice is a death too, not a stall.
-	if resp.ContentLength <= r.cfg.MaxBody {
-		var buf bytes.Buffer
-		if n, err := io.Copy(&buf, io.LimitReader(resp.Body, r.cfg.MaxBody+1)); err == nil && n <= r.cfg.MaxBody {
-			h := w.Header()
-			if ct := resp.Header.Get("Content-Type"); ct != "" {
-				h.Set("Content-Type", ct)
-			}
-			h.Set(HeaderRoute, "remote")
-			h.Set(HeaderBackend, b.name)
-			h.Set("Content-Length", strconv.Itoa(buf.Len()))
-			w.WriteHeader(resp.StatusCode)
-			w.Write(buf.Bytes())
-			b.served.Add(1)
-			return dispatched
-		} else if err != nil {
-			if req.Context().Err() != nil {
-				// Our client hung up while we buffered; the backend is
-				// blameless and nobody is waiting.
-				return clientGone
-			}
-			b.fail()
-			return died
+	// 2xx and 4xx proxy through, buffered first — the client has seen
+	// nothing yet, so a mid-body death stays retryable — and the attempt
+	// deadline covers the read, so a trickling body slower than the slice
+	// is a death too, not a stall.
+	var buf bytes.Buffer
+	if n, err := io.Copy(&buf, io.LimitReader(resp.Body, maxBody+1)); err != nil || n > maxBody {
+		if err != nil && req.Context().Err() != nil {
+			// Our client hung up while we buffered; the backend is
+			// blameless and nobody is waiting.
+			return clientGone
 		}
-		// n > MaxBody with a lying/absent Content-Length: fall through to
-		// streaming what was buffered plus the rest.
-		resp.Body = &prefixedBody{head: buf.Bytes(), tail: resp.Body}
+		b.fail()
+		return died
 	}
-
-	// Oversized body: stream it. The client sees bytes as they arrive,
-	// so a mid-body death here is unrecoverable — headers are gone; all
-	// that's left is the accounting.
 	h := w.Header()
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
 		h.Set("Content-Type", ct)
 	}
 	h.Set(HeaderRoute, "remote")
 	h.Set(HeaderBackend, b.name)
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(resp.StatusCode)
-	if _, err := io.Copy(w, resp.Body); err != nil {
-		if req.Context().Err() == nil {
-			b.fail()
-		}
-		return dispatched
-	}
+	w.Write(buf.Bytes())
 	b.served.Add(1)
+	if resp.StatusCode >= 400 {
+		return clientFault
+	}
 	return dispatched
 }
 
@@ -241,22 +220,3 @@ func (b *Backend) learnHeader(v string) {
 	b.learn(free)
 	b.markFresh()
 }
-
-// prefixedBody replays an already-buffered head before the unread tail
-// of the response body — the hand-off from buffered to streaming relay
-// when a body outgrows MaxBody mid-read.
-type prefixedBody struct {
-	head []byte
-	tail io.ReadCloser
-}
-
-func (p *prefixedBody) Read(b []byte) (int, error) {
-	if len(p.head) > 0 {
-		n := copy(b, p.head)
-		p.head = p.head[n:]
-		return n, nil
-	}
-	return p.tail.Read(b)
-}
-
-func (p *prefixedBody) Close() error { return p.tail.Close() }

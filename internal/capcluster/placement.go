@@ -104,9 +104,7 @@ func mix(x uint64) uint64 {
 }
 
 // placeKey hashes a request's routing identity (workload + raw query,
-// which carries n and seed) with FNV-1a, allocation-free. POST bodies
-// are deliberately not hashed: the query is the common case, and a body
-// duplicate merely picks a different (still valid) preferred backend.
+// which carries n and seed) with FNV-1a, allocation-free.
 func placeKey(workload, rawQuery string) uint64 {
 	h := fnvOffset64
 	for i := 0; i < len(workload); i++ {

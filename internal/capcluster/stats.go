@@ -4,14 +4,19 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"time"
 
 	"repro/internal/buildinfo"
+	"repro/internal/capserve"
+	"repro/internal/promtext"
 )
 
 // Stats is a snapshot of the router's cluster-scope counters: the
 // paper's probe/grant/deny/death accounting, one tier up. Per-backend
-// counters are aggregated in; BackendStats has the split.
+// counters are aggregated in; BackendStats has the split. Every field is
+// cumulative since construction, so two snapshots delta into a window
+// (capwatch's ring holds one per tick).
 type Stats struct {
 	Requests       uint64 `json:"requests"`        // /run requests received
 	RemoteProbes   uint64 `json:"remote_probes"`   // ProbeRemote attempts (incl. denies)
@@ -23,6 +28,14 @@ type Stats struct {
 	Deaths         uint64 `json:"deaths"`          // backend errors/timeouts/5xx
 	LocalFallbacks uint64 `json:"local_fallbacks"` // requests degraded to the local tier
 	ClientGone     uint64 `json:"client_gone"`     // clients that hung up mid-route
+
+	// The degradation ladder's outcome split: which rung produced each
+	// 2xx (caprouter_fallback_tier_total), and the requests answered 4xx
+	// on any rung — the client's fault, which spends no error budget.
+	TierRemote     uint64 `json:"tier_remote"`
+	TierLocal      uint64 `json:"tier_local_runtime"`
+	TierSequential uint64 `json:"tier_sequential"`
+	ClientFaults   uint64 `json:"client_faults"`
 }
 
 // RemoteGrantRate is the fraction of remote probes granted — the
@@ -51,9 +64,12 @@ func (s Stats) String() string {
 		s.Deaths, s.LocalFallbacks, 100*s.FallbackRate())
 }
 
-// BackendStats is one backend's snapshot.
+// BackendStats is one backend's snapshot. Credits, Inflight, Broken and
+// FeedConnected are instantaneous (what the next probe would see); the
+// rest are cumulative since construction.
 type BackendStats struct {
 	URL           string `json:"url"`
+	Name          string `json:"name"` // host:port, the metrics label
 	Credits       int    `json:"credits"`
 	Inflight      int    `json:"inflight"`
 	Broken        bool   `json:"broken"`
@@ -70,12 +86,20 @@ type BackendStats struct {
 	FeedDrops     uint64 `json:"feed_drops"`     // deltas dropped by the seq regression guard
 	FeedConnects  uint64 `json:"feed_connects"`  // feed subscriptions opened (reconnects after the first)
 	StaleDecays   uint64 `json:"stale_decays"`   // TTL decays toward the default credit ceiling
+
+	// DispatchBuckets is the dispatch-latency density histogram
+	// (relayed responses only), +Inf last: the router-side view of the
+	// backend's serving latency, delta-able into windowed quantiles.
+	DispatchBuckets [capserve.NumLatencyBuckets]uint64 `json:"dispatch_buckets"`
+	DispatchSumNS   int64                              `json:"dispatch_sum_ns"`
 }
 
-// Stats snapshots the backend's counters and gauges.
+// Stats snapshots the backend's counters and gauges. Allocation-free:
+// atomic loads only.
 func (b *Backend) Stats() BackendStats {
-	return BackendStats{
+	s := BackendStats{
 		URL:           b.url,
+		Name:          b.name,
 		Credits:       b.Credits(),
 		Inflight:      b.Inflight(),
 		Broken:        b.Broken(),
@@ -93,10 +117,12 @@ func (b *Backend) Stats() BackendStats {
 		FeedConnects:  b.feedConnects.Load(),
 		StaleDecays:   b.staleDecays.Load(),
 	}
+	s.DispatchSumNS = b.dispatchLatency.ReadCounts(&s.DispatchBuckets)
+	return s
 }
 
 // Stats snapshots the router's counters, aggregating the per-backend
-// deny/shed/death counts.
+// deny/shed/death counts. Allocation-free: atomic loads only.
 func (r *Router) Stats() Stats {
 	s := Stats{
 		Requests:       r.requests.Load(),
@@ -104,6 +130,10 @@ func (r *Router) Stats() Stats {
 		RemoteGrants:   r.remoteGrants.Load(),
 		LocalFallbacks: r.localFallbacks.Load(),
 		ClientGone:     r.clientGone.Load(),
+		TierRemote:     r.tierRemote.Load(),
+		TierLocal:      r.tierLocalRuntime.Load(),
+		TierSequential: r.tierSequential.Load(),
+		ClientFaults:   r.clientFaults.Load(),
 	}
 	for _, b := range r.backends {
 		s.CreditDenies += b.creditDenies.Load()
@@ -120,102 +150,82 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	r.writeMetrics(w)
 }
 
-// writeMetrics renders the router's caprouter_* series followed by the
-// local fallback tier's full capserve exposition — one scrape shows the
-// whole degradation ladder: remote credits, local contexts, sequential
-// runs.
+// writeMetrics renders the router's caprouter_* series from one Stats
+// and one BackendStats per backend, followed by the local fallback
+// tier's full capserve exposition — one scrape shows the whole
+// degradation ladder: remote credits, local contexts, sequential runs.
 func (r *Router) writeMetrics(w io.Writer) {
 	s := r.Stats()
-
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
+	bs := make([]BackendStats, len(r.backends))
+	for i, b := range r.backends {
+		bs[i] = b.Stats()
 	}
-	counterHead := func(name, help string) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-	}
-	counter := func(name, help string, v uint64) {
-		counterHead(name, help)
-		fmt.Fprintf(w, "%s %d\n", name, v)
-	}
+	p := promtext.NewWriter(w)
 
-	gauge("caprouter_backends", "Configured backend count.", float64(len(r.backends)))
-	gauge("caprouter_uptime_seconds", "Seconds since the router was built.", time.Since(r.start).Seconds())
-	counter("caprouter_requests_total", "Run requests received.", s.Requests)
-	counter("caprouter_remote_probes_total", "Remote probes (cluster nthr attempts).", s.RemoteProbes)
-	counter("caprouter_remote_granted_total", "Remote probes that reserved a backend credit.", s.RemoteGrants)
-	counterHead("caprouter_remote_denies_total", "Refused remote probes by reason.")
-	fmt.Fprintf(w, "caprouter_remote_denies_total{reason=\"credit\"} %d\n", s.CreditDenies)
-	fmt.Fprintf(w, "caprouter_remote_denies_total{reason=\"breaker\"} %d\n", s.BreakerDenies)
-	counter("caprouter_remote_served_total", "Responses proxied back from backends.", s.RemoteServed)
-	counter("caprouter_remote_sheds_total", "Backend 503s absorbed by retry/fallback.", s.RemoteSheds)
-	counter("caprouter_deaths_total", "Backend failures (cluster kthr).", s.Deaths)
-	counter("caprouter_local_fallbacks_total", "Requests degraded to the local runtime.", s.LocalFallbacks)
-	counter("caprouter_client_gone_total", "Clients that hung up mid-route.", s.ClientGone)
-	gauge("caprouter_remote_grant_rate", "Fraction of remote probes granted (cluster \"% divisions allowed\").", s.RemoteGrantRate())
-	gauge("caprouter_fallback_rate", "Fraction of requests the fleet could not take.", s.FallbackRate())
+	p.Gauge("caprouter_backends", "Configured backend count.", float64(len(bs)))
+	p.Gauge("caprouter_uptime_seconds", "Seconds since the router was built.", time.Since(r.start).Seconds())
+	p.Counter("caprouter_requests_total", "Run requests received.", s.Requests)
+	p.Counter("caprouter_remote_probes_total", "Remote probes (cluster nthr attempts).", s.RemoteProbes)
+	p.Counter("caprouter_remote_granted_total", "Remote probes that reserved a backend credit.", s.RemoteGrants)
+	p.Family("caprouter_remote_denies_total", "counter", "Refused remote probes by reason.")
+	p.Count("caprouter_remote_denies_total", s.CreditDenies, "reason", "credit")
+	p.Count("caprouter_remote_denies_total", s.BreakerDenies, "reason", "breaker")
+	p.Counter("caprouter_remote_served_total", "Responses proxied back from backends.", s.RemoteServed)
+	p.Counter("caprouter_remote_sheds_total", "Backend 503s absorbed by retry/fallback.", s.RemoteSheds)
+	p.Counter("caprouter_deaths_total", "Backend failures (cluster kthr).", s.Deaths)
+	p.Counter("caprouter_local_fallbacks_total", "Requests degraded to the local runtime.", s.LocalFallbacks)
+	p.Counter("caprouter_client_gone_total", "Clients that hung up mid-route.", s.ClientGone)
+	p.Counter("caprouter_client_faults_total", "Requests answered 4xx on any rung (client faults, no SLO budget spent).", s.ClientFaults)
+	p.Gauge("caprouter_remote_grant_rate", "Fraction of remote probes granted (cluster \"% divisions allowed\").", s.RemoteGrantRate())
+	p.Gauge("caprouter_fallback_rate", "Fraction of requests the fleet could not take.", s.FallbackRate())
 
-	perBackend := func(name, help, typ string, get func(*Backend) float64, format string) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-		for _, b := range r.backends {
-			fmt.Fprintf(w, "%s{backend=%q} "+format+"\n", name, b.name, get(b))
+	gauge := func(name, help string, v func(*BackendStats) float64) {
+		p.Family(name, "gauge", help)
+		for i := range bs {
+			p.Value(name, v(&bs[i]), "backend", bs[i].Name)
 		}
 	}
-	perBackend("caprouter_backend_credits", "Current credit ceiling.", "gauge",
-		func(b *Backend) float64 { return float64(b.Credits()) }, "%g")
-	perBackend("caprouter_backend_inflight", "Dispatches currently holding a credit.", "gauge",
-		func(b *Backend) float64 { return float64(b.Inflight()) }, "%g")
-	perBackend("caprouter_backend_broken", "1 while the failure breaker denies probes.", "gauge",
-		func(b *Backend) float64 {
-			if b.Broken() {
-				return 1
-			}
-			return 0
-		}, "%g")
-	perBackend("caprouter_backend_dispatches_total", "Granted probes sent to the wire.", "counter",
-		func(b *Backend) float64 { return float64(b.dispatches.Load()) }, "%.0f")
-	perBackend("caprouter_backend_served_total", "Responses proxied from this backend.", "counter",
-		func(b *Backend) float64 { return float64(b.served.Load()) }, "%.0f")
-	perBackend("caprouter_backend_deaths_total", "Failures charged to this backend.", "counter",
-		func(b *Backend) float64 { return float64(b.deaths.Load()) }, "%.0f")
-	perBackend("caprouter_backend_sheds_total", "503 sheds from this backend.", "counter",
-		func(b *Backend) float64 { return float64(b.sheds.Load()) }, "%.0f")
-	perBackend("caprouter_backend_ejections_total", "Slow-backend ejections (p99 outlier vs fleet median).", "counter",
-		func(b *Backend) float64 { return float64(b.ejections.Load()) }, "%.0f")
-	perBackend("caprouter_backend_bad_headers_total", "Rejected credit advertisements (headers or feed deltas).", "counter",
-		func(b *Backend) float64 { return float64(b.badHeaders.Load()) }, "%.0f")
-	perBackend("caprouter_backend_feed_connected", "1 while a credit-feed subscription is open.", "gauge",
-		func(b *Backend) float64 {
-			if b.feedConnected.Load() {
-				return 1
-			}
-			return 0
-		}, "%g")
-	perBackend("caprouter_backend_feed_deltas_total", "Push credit deltas applied to the gauge.", "counter",
-		func(b *Backend) float64 { return float64(b.feedDeltas.Load()) }, "%.0f")
-	perBackend("caprouter_backend_feed_reconnects_total", "Credit-feed subscriptions opened.", "counter",
-		func(b *Backend) float64 { return float64(b.feedConnects.Load()) }, "%.0f")
-	perBackend("caprouter_backend_stale_decays_total", "Gauge decays toward the default after every credit source went quiet.", "counter",
-		func(b *Backend) float64 { return float64(b.staleDecays.Load()) }, "%.0f")
+	counter := func(name, help string, v func(*BackendStats) uint64) {
+		p.Family(name, "counter", help)
+		for i := range bs {
+			p.Count(name, v(&bs[i]), "backend", bs[i].Name)
+		}
+	}
+	gauge("caprouter_backend_credits", "Current credit ceiling.", func(b *BackendStats) float64 { return float64(b.Credits) })
+	gauge("caprouter_backend_inflight", "Dispatches currently holding a credit.", func(b *BackendStats) float64 { return float64(b.Inflight) })
+	gauge("caprouter_backend_broken", "1 while the failure breaker denies probes.", func(b *BackendStats) float64 { return one(b.Broken) })
+	counter("caprouter_backend_dispatches_total", "Granted probes sent to the wire.", func(b *BackendStats) uint64 { return b.Dispatches })
+	counter("caprouter_backend_served_total", "Responses proxied from this backend.", func(b *BackendStats) uint64 { return b.Served })
+	counter("caprouter_backend_deaths_total", "Failures charged to this backend.", func(b *BackendStats) uint64 { return b.Deaths })
+	counter("caprouter_backend_sheds_total", "503 sheds from this backend.", func(b *BackendStats) uint64 { return b.Sheds })
+	counter("caprouter_backend_ejections_total", "Slow-backend ejections (p99 outlier vs fleet median).", func(b *BackendStats) uint64 { return b.Ejections })
+	counter("caprouter_backend_bad_headers_total", "Rejected credit advertisements (headers or feed deltas).", func(b *BackendStats) uint64 { return b.BadHeaders })
+	gauge("caprouter_backend_feed_connected", "1 while a credit-feed subscription is open.", func(b *BackendStats) float64 { return one(b.FeedConnected) })
+	counter("caprouter_backend_feed_deltas_total", "Push credit deltas applied to the gauge.", func(b *BackendStats) uint64 { return b.FeedDeltas })
+	counter("caprouter_backend_feed_reconnects_total", "Credit-feed subscriptions opened.", func(b *BackendStats) uint64 { return b.FeedConnects })
+	counter("caprouter_backend_stale_decays_total", "Gauge decays toward the default after every credit source went quiet.", func(b *BackendStats) uint64 { return b.StaleDecays })
 
-	if len(r.backends) > 0 {
-		fmt.Fprintf(w, "# HELP capcluster_dispatch_duration_seconds Remote dispatch duration, relayed responses only (deaths/timeouts excluded).\n")
-		fmt.Fprintf(w, "# TYPE capcluster_dispatch_duration_seconds histogram\n")
-		for _, b := range r.backends {
-			b.dispatchLatency.Write(w, "capcluster_dispatch_duration_seconds", fmt.Sprintf("backend=%q", b.name))
+	if len(bs) > 0 {
+		const name = "capcluster_dispatch_duration_seconds"
+		p.Family(name, "histogram", "Remote dispatch duration, relayed responses only (deaths/timeouts excluded).")
+		bounds := capserve.LatencyBucketBounds()
+		for i := range bs {
+			p.Histogram(name, bounds, bs[i].DispatchBuckets[:], float64(bs[i].DispatchSumNS)/1e9, "backend", bs[i].Name)
 		}
 	}
 
 	// The degradation-ladder outcome split: which tier finally produced
-	// each 2xx. remote + local_runtime + sequential can trail
-	// caprouter_requests_total by the requests that failed on every rung.
-	counterHead("caprouter_fallback_tier_total", "Successful requests by the tier that served them.")
-	fmt.Fprintf(w, "caprouter_fallback_tier_total{tier=\"remote\"} %d\n", r.tierRemote.Load())
-	fmt.Fprintf(w, "caprouter_fallback_tier_total{tier=\"local_runtime\"} %d\n", r.tierLocalRuntime.Load())
-	fmt.Fprintf(w, "caprouter_fallback_tier_total{tier=\"sequential\"} %d\n", r.tierSequential.Load())
+	// each 2xx. remote + local_runtime + sequential + client faults can
+	// trail caprouter_requests_total by the requests that failed on every
+	// rung.
+	p.Family("caprouter_fallback_tier_total", "counter", "Successful requests by the tier that served them.")
+	p.Count("caprouter_fallback_tier_total", s.TierRemote, "tier", "remote")
+	p.Count("caprouter_fallback_tier_total", s.TierLocal, "tier", "local_runtime")
+	p.Count("caprouter_fallback_tier_total", s.TierSequential, "tier", "sequential")
 
 	bi := buildinfo.Get()
-	fmt.Fprintf(w, "# HELP caprouter_build_info Build metadata; the value is always 1.\n# TYPE caprouter_build_info gauge\n")
-	fmt.Fprintf(w, "caprouter_build_info{version=%q,go=%q,gomaxprocs=\"%d\"} 1\n", bi.Version, bi.Go, bi.MaxProcs)
+	p.Family("caprouter_build_info", "gauge", "Build metadata; the value is always 1.")
+	p.Count("caprouter_build_info", 1, "version", bi.Version, "go", bi.Go, "gomaxprocs", strconv.Itoa(bi.MaxProcs))
 
 	// The local tier's own exposition (capsule_* and capserve_* series):
 	// the same names a standalone capserve exports, because that is
@@ -225,4 +235,12 @@ func (r *Router) writeMetrics(w io.Writer) {
 	for _, f := range r.extraMetrics {
 		f(w)
 	}
+}
+
+// one is a flag as a 0/1 gauge value.
+func one(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }

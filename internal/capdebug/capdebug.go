@@ -201,9 +201,6 @@ func (p *Plane) Add(name string, tr *captrace.Tracer, t Tiers, dir string) (*Mem
 			Dir:        dir,
 			MaxBundles: f.IncidentMax,
 			Cooldown:   f.IncidentCooldown,
-			Runtime:    t.Runtime,
-			Server:     t.Server,
-			Router:     t.Router,
 			Tracer:     tr,
 			Fault:      p.Fault,
 		})

@@ -29,7 +29,8 @@ import (
 //	heap.pprof      — heap profile
 //	goroutines.txt  — full goroutine dump (pprof debug=2)
 //	fault.json      — live capfault rule set (when an injector is wired)
-//	backends.json   — per-backend credit/breaker/ejection table (router)
+//	backends.json   — the router's Stats and one BackendStats per
+//	                  backend, from the sampler's newest snapshot (router)
 //
 // The capture writes into a dot-prefixed temp dir and renames it into
 // place, so a bundle either exists completely or not at all — a crash
@@ -72,18 +73,21 @@ type FaultDoc struct {
 	Rules []capfault.RuleInfo `json:"rules"`
 }
 
-// BackendsDoc is backends.json: the router's view of its fleet at
-// capture time, raw cumulative counters plus gauges.
+// BackendsDoc is backends.json: the router's view of its fleet in the
+// sampler's newest snapshot, raw cumulative counters plus gauges, each
+// backend named by BackendStats.Name.
 type BackendsDoc struct {
-	Names    []string                     `json:"names"`
-	Router   capcluster.RouterCounters    `json:"router"`
-	Backends []capcluster.BackendCounters `json:"backends"`
+	Router   capcluster.Stats          `json:"router"`
+	Backends []capcluster.BackendStats `json:"backends"`
 }
 
-// capture assembles one bundle. It runs on its own goroutine; the
-// in-flight guard in observe keeps captures from overlapping within a
-// recorder, and cpuProfMu keeps CPU profiling exclusive process-wide.
+// capture assembles one bundle. It runs on its own goroutine, started
+// by observe after a wg.Add and the in-flight guard's CAS, which keeps
+// captures from overlapping within a recorder; cpuProfMu keeps CPU
+// profiling exclusive process-wide.
 func (r *Recorder) capture(trigger, reason string, slo capwatch.SLOReport, now time.Time) {
+	defer r.wg.Done()
+	defer r.inflight.Store(false)
 	r.mu.Lock()
 	seq := r.seq
 	r.seq++
@@ -118,9 +122,8 @@ func (r *Recorder) capture(trigger, reason string, slo capwatch.SLOReport, now t
 		m.Files = append(m.Files, name)
 	}
 
-	if r.sampler != nil {
-		writeJSON(FileWatch, []capwatch.Report{r.sampler.Report(0)})
-	}
+	rep := r.sampler.Report(0)
+	writeJSON(FileWatch, []capwatch.Report{rep})
 	writeJSON(FileTrace, []captrace.Snapshot{r.tracer.Snapshot(r.source, TraceEvents)})
 	if r.cfg.Fault != nil {
 		rules := r.cfg.Fault.Rules()
@@ -129,14 +132,8 @@ func (r *Recorder) capture(trigger, reason string, slo capwatch.SLOReport, now t
 		}
 		writeJSON(FileFault, FaultDoc{Armed: r.cfg.Fault.Armed(), Rules: rules})
 	}
-	if rt := r.cfg.Router; rt != nil {
-		doc := BackendsDoc{
-			Names:    rt.BackendNames(),
-			Router:   rt.ReadCounters(),
-			Backends: make([]capcluster.BackendCounters, len(r.curBackends)),
-		}
-		rt.ReadBackendCounters(doc.Backends)
-		writeJSON(FileBackends, doc)
+	if newest := r.sampler.Snapshot(1); rep.Tier == "router" && len(newest) == 1 {
+		writeJSON(FileBackends, BackendsDoc{Router: newest[0].Router, Backends: newest[0].Backends})
 	}
 
 	// CPU profile burst: bounded, exclusive, skipped (with a note)

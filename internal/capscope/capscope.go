@@ -14,11 +14,11 @@
 // The steady-state cost discipline matches captrace and capfault: a
 // recorder that is not armed costs the process nothing, and an armed
 // recorder costs the *sampling tick* (not any hot path) one atomic
-// pointer load plus a handful of counter reads per second — the
-// capwatch hook it rides on is copy-on-write, and every signal it
-// evaluates is a read of counters the hot paths already maintain
-// (McKenney's split, fourth application in this repo: writers never
-// know the reader exists). TestArmedTickWithoutTriggerIsFree holds the
+// pointer load, one SLO evaluation and a comparison of the sampler's two
+// newest snapshots per tick — the capwatch hook it rides on is
+// copy-on-write, and the sampler is the one reader of the tiers'
+// counters: the recorder reads none itself (McKenney's split: writers
+// never know the reader exists). TestArmedTickWithoutTriggerIsFree holds the
 // armed tick to no counter moved, no capture and no file written, and
 // TestArmedPlanesBesideDivideStorm runs it beside live probes under -race.
 //
@@ -39,12 +39,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/capcluster"
 	"repro/internal/capfault"
-	"repro/internal/capserve"
-	"repro/internal/capsule"
 	"repro/internal/captrace"
 	"repro/internal/capwatch"
+	"repro/internal/promtext"
 )
 
 // Defaults.
@@ -58,7 +56,8 @@ const (
 const TraceEvents = 4096
 
 // ShedStormPerSec is the queue-full 503 rate (per second, measured
-// tick-over-tick) at or above which the shed_storm trigger fires.
+// between the sampler's two newest snapshots) at or above which the
+// shed_storm trigger fires.
 const ShedStormPerSec = 5.0
 
 // Trigger names, recorded in every bundle manifest. One per anomaly
@@ -71,8 +70,9 @@ const (
 	TriggerSlowEjection = "slow_ejection"        // capcluster: latency-based backend ejection
 )
 
-// Config parameterises a Recorder. Dir and Runtime are required;
-// Server, Router and Fault widen both the trigger set and the bundle.
+// Config parameterises a Recorder. Dir is required. The trigger set and
+// the bundle widen with the tiers of the sampler it is armed on: a
+// server's sheds, a router's breakers, ejections and per-backend table.
 type Config struct {
 	// Source names this recorder's bundles (manifest + merged
 	// /debug/incident responses). Default: "capscope".
@@ -95,19 +95,8 @@ type Config struct {
 	// profile (tests, and any process that cannot spare the burst).
 	ProfileDuration time.Duration
 
-	// Runtime is the capsule runtime: throttle-edge trigger plus the
-	// default Tracer. Required.
-	Runtime *capsule.Runtime
-
-	// Server, when set, arms the shed_storm trigger.
-	Server *capserve.Server
-
-	// Router, when set, arms breaker_trip / slow_ejection and adds the
-	// per-backend table to every bundle.
-	Router *capcluster.Router
-
-	// Tracer overrides the ring snapshotted into bundles. Default:
-	// Runtime.Tracer().
+	// Tracer is the ring snapshotted into bundles — the member's
+	// runtime's. Nil: bundles carry an empty trace.
 	Tracer *captrace.Tracer
 
 	// Fault, when set, records the live rule set in every bundle — an
@@ -119,9 +108,6 @@ type Config struct {
 func (cfg Config) Validate() error {
 	if cfg.Dir == "" {
 		return fmt.Errorf("capscope: Config.Dir is required")
-	}
-	if cfg.Runtime == nil {
-		return fmt.Errorf("capscope: Config.Runtime is required")
 	}
 	if cfg.MaxBundles < 0 {
 		return fmt.Errorf("capscope: MaxBundles must be >= 0 (0 means %d), got %d", DefaultMaxBundles, cfg.MaxBundles)
@@ -149,15 +135,9 @@ type Recorder struct {
 	// provable without sleeping.
 	now func() time.Time
 
-	// Trigger state. Only the observe goroutine (the sampler tick)
-	// touches it, so it needs no lock.
-	primed       bool
-	lastObserve  time.Time
-	lastFire     map[string]time.Time
-	prevThrottle uint64
-	prevSheds    uint64
-	prevBackends []capcluster.BackendCounters
-	curBackends  []capcluster.BackendCounters
+	// lastFire is the cooldown state. Only the observe goroutine (the
+	// sampler tick) touches it, so it needs no lock.
+	lastFire map[string]time.Time
 
 	// mu serializes disk mutation: capture-rename + prune vs DELETE.
 	mu  sync.Mutex
@@ -205,14 +185,6 @@ func New(cfg Config) (*Recorder, error) {
 	if r.profDur == 0 {
 		r.profDur = DefaultProfileDuration
 	}
-	if r.tracer == nil {
-		r.tracer = cfg.Runtime.Tracer()
-	}
-	if cfg.Router != nil {
-		n := len(cfg.Router.BackendNames())
-		r.prevBackends = make([]capcluster.BackendCounters, n)
-		r.curBackends = make([]capcluster.BackendCounters, n)
-	}
 	if err := os.MkdirAll(r.dir, 0o755); err != nil {
 		return nil, fmt.Errorf("capscope: creating bundle dir: %w", err)
 	}
@@ -257,117 +229,66 @@ func (r *Recorder) Close() {
 	r.wg.Wait()
 }
 
-// observe is the trigger loop, run once per sampler tick. The first
-// tick only primes the previous-counter state: cumulative counters
-// predate the recorder, and arming must not fire on history.
+// observe is the trigger loop, run once per sampler tick. Triggers read
+// only the sampler: its SLO verdict and what moved between its two
+// newest snapshots, so counters that predate arming never fire.
 func (r *Recorder) observe() {
 	now := r.now()
-	stats := r.cfg.Runtime.Stats()
-	var sheds uint64
-	if r.cfg.Server != nil {
-		sheds = r.cfg.Server.ShedCount()
-	}
-	if r.cfg.Router != nil {
-		r.cfg.Router.ReadBackendCounters(r.curBackends)
-	}
-	if !r.primed {
-		r.primed = true
-		r.lastObserve = now
-		r.prevThrottle = stats.ThrottleDenies
-		r.prevSheds = sheds
-		copy(r.prevBackends, r.curBackends)
-		return
-	}
-	elapsed := now.Sub(r.lastObserve).Seconds()
-
 	trigger, reason := "", ""
-	var slo capwatch.SLOReport
-	if r.sampler != nil {
-		slo = r.sampler.SLO()
-	}
-	switch {
-	case slo.Exhausted:
+	slo := r.sampler.SLO()
+	if slo.Exhausted {
 		trigger = TriggerSLOExhausted
 		reason = fmt.Sprintf("error budget exhausted: fast burn %.2f and slow burn %.2f both >= 1 (availability %.4f, p99 %.1fms vs target %.0fms)",
 			slo.Fast.Burn, slo.Slow.Burn, slo.Fast.Availability, slo.Fast.P99MS, slo.TargetP99MS)
-	case r.brokeBackend() >= 0:
-		i := r.brokeBackend()
-		trigger = TriggerBreakerTrip
-		reason = fmt.Sprintf("backend %s circuit breaker opened", r.backendName(i))
-	case r.ejectedBackend() >= 0:
-		i := r.ejectedBackend()
-		trigger = TriggerSlowEjection
-		d := r.curBackends[i].Ejections - r.prevBackends[i].Ejections
-		reason = fmt.Sprintf("backend %s ejected as slow (%d ejection(s) this tick)", r.backendName(i), d)
-	case elapsed > 0 && float64(sheds-r.prevSheds)/elapsed >= ShedStormPerSec:
-		trigger = TriggerShedStorm
-		reason = fmt.Sprintf("queue-full 503s at %.1f/s >= %.1f/s threshold", float64(sheds-r.prevSheds)/elapsed, ShedStormPerSec)
-	case stats.ThrottleDenies > r.prevThrottle:
-		trigger = TriggerThrottleEdge
-		reason = fmt.Sprintf("death-rate throttle denied %d division(s) this tick (%d deaths total)",
-			stats.ThrottleDenies-r.prevThrottle, stats.Deaths)
+	} else {
+		r.sampler.Latest(func(prev, cur *capwatch.Sample, sec float64) {
+			trigger, reason = judge(prev, cur, sec)
+		})
 	}
-
-	if trigger != "" {
-		if last, ok := r.lastFire[trigger]; !ok || now.Sub(last) >= r.cooldown {
-			if r.inflight.CompareAndSwap(false, true) {
-				r.lastFire[trigger] = now
-				r.wg.Add(1)
-				go func() {
-					defer r.wg.Done()
-					defer r.inflight.Store(false)
-					r.capture(trigger, reason, slo, now)
-				}()
-			}
-		}
+	if trigger == "" {
+		return
 	}
-
-	r.lastObserve = now
-	r.prevThrottle = stats.ThrottleDenies
-	r.prevSheds = sheds
-	copy(r.prevBackends, r.curBackends)
+	if last, ok := r.lastFire[trigger]; ok && now.Sub(last) < r.cooldown {
+		return
+	}
+	if r.inflight.CompareAndSwap(false, true) {
+		r.lastFire[trigger] = now
+		r.wg.Add(1)
+		go r.capture(trigger, reason, slo, now)
+	}
 }
 
-// brokeBackend returns the index of a backend whose breaker opened
-// this tick, or -1.
-func (r *Recorder) brokeBackend() int {
-	for i := range r.curBackends {
-		if r.curBackends[i].Broken && !r.prevBackends[i].Broken {
-			return i
+// judge names the counter trigger that fired between two consecutive
+// snapshots sec seconds apart, and why; "" when none did. Breakers and
+// ejections outrank sheds, which outrank the throttle.
+func judge(prev, cur *capwatch.Sample, sec float64) (trigger, reason string) {
+	for i := range cur.Backends {
+		if b := &cur.Backends[i]; b.Broken && !prev.Backends[i].Broken {
+			return TriggerBreakerTrip, fmt.Sprintf("backend %s circuit breaker opened", b.Name)
 		}
 	}
-	return -1
-}
-
-// ejectedBackend returns the index of a backend ejected as slow this
-// tick, or -1.
-func (r *Recorder) ejectedBackend() int {
-	for i := range r.curBackends {
-		if r.curBackends[i].Ejections > r.prevBackends[i].Ejections {
-			return i
+	for i := range cur.Backends {
+		if d := cur.Backends[i].Ejections - prev.Backends[i].Ejections; d > 0 {
+			return TriggerSlowEjection, fmt.Sprintf("backend %s ejected as slow (%d ejection(s) this tick)", cur.Backends[i].Name, d)
 		}
 	}
-	return -1
-}
-
-func (r *Recorder) backendName(i int) string {
-	if r.cfg.Router == nil {
-		return fmt.Sprintf("#%d", i)
+	if rate := float64(cur.Sheds-prev.Sheds) / sec; rate >= ShedStormPerSec {
+		return TriggerShedStorm, fmt.Sprintf("queue-full 503s at %.1f/s >= %.1f/s threshold", rate, ShedStormPerSec)
 	}
-	names := r.cfg.Router.BackendNames()
-	if i < 0 || i >= len(names) {
-		return fmt.Sprintf("#%d", i)
+	if d := cur.Capsule.ThrottleDenies - prev.Capsule.ThrottleDenies; d > 0 {
+		return TriggerThrottleEdge, fmt.Sprintf("death-rate throttle denied %d division(s) this tick (%d deaths total)", d, cur.Capsule.Deaths)
 	}
-	return names[i]
+	return "", ""
 }
 
 // WriteMetrics emits the capscope_* exposition; wire it into a
 // server's /metrics with AddMetrics. capscope_incidents_total is the
 // gauge capscope top's INC column rides on.
 func (r *Recorder) WriteMetrics(w io.Writer) {
-	fmt.Fprintf(w, "# HELP capscope_incidents_total Incident bundles captured since process start.\n# TYPE capscope_incidents_total counter\ncapscope_incidents_total %d\n", r.incidents.Load())
-	fmt.Fprintf(w, "# HELP capscope_capture_errors_total Incident captures that failed to land on disk.\n# TYPE capscope_capture_errors_total counter\ncapscope_capture_errors_total %d\n", r.errors.Load())
-	fmt.Fprintf(w, "# HELP capscope_bundles Incident bundles resident in the on-disk ring.\n# TYPE capscope_bundles gauge\ncapscope_bundles %d\n", len(LoadManifests(r.dir)))
+	p := promtext.NewWriter(w)
+	p.Counter("capscope_incidents_total", "Incident bundles captured since process start.", r.incidents.Load())
+	p.Counter("capscope_capture_errors_total", "Incident captures that failed to land on disk.", r.errors.Load())
+	p.Gauge("capscope_bundles", "Incident bundles resident in the on-disk ring.", float64(len(LoadManifests(r.dir))))
 }
 
 // pruneLocked removes the oldest bundles past MaxBundles. Callers

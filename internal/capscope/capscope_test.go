@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/capcluster"
 	"repro/internal/capsule"
 	"repro/internal/captrace"
 	"repro/internal/capwatch"
@@ -59,7 +60,7 @@ func testRecorder(t *testing.T, rt *capsule.Runtime, cfg Config) (*Recorder, *ca
 	if cfg.Dir == "" {
 		cfg.Dir = t.TempDir()
 	}
-	cfg.Runtime = rt
+	cfg.Tracer = rt.Tracer()
 	if cfg.ProfileDuration == 0 {
 		cfg.ProfileDuration = -1
 	}
@@ -79,14 +80,10 @@ func testRecorder(t *testing.T, rt *capsule.Runtime, cfg Config) (*Recorder, *ca
 }
 
 func TestNewValidates(t *testing.T) {
-	rt := newThrottledRuntime(t)
-	if _, err := New(Config{Runtime: rt}); err == nil {
+	if _, err := New(Config{}); err == nil {
 		t.Error("New accepted an empty Dir")
 	}
-	if _, err := New(Config{Dir: t.TempDir()}); err == nil {
-		t.Error("New accepted a nil Runtime")
-	}
-	if _, err := New(Config{Dir: t.TempDir(), Runtime: rt, Cooldown: -time.Second}); err == nil {
+	if _, err := New(Config{Dir: t.TempDir(), Cooldown: -time.Second}); err == nil {
 		t.Error("New accepted a negative cooldown")
 	}
 }
@@ -254,7 +251,7 @@ func TestPruneAndRestart(t *testing.T) {
 
 	// A new recorder over the same dir indexes the survivors and
 	// continues the sequence — restarts don't recycle bundle ids.
-	rec2, err := New(Config{Dir: dir, Runtime: rt, MaxBundles: 2})
+	rec2, err := New(Config{Dir: dir, MaxBundles: 2})
 	if err != nil {
 		t.Fatalf("restart: %v", err)
 	}
@@ -266,7 +263,7 @@ func TestPruneAndRestart(t *testing.T) {
 	}
 	// Torn temp dirs from a crash are swept.
 	os.MkdirAll(filepath.Join(dir, ".tmp-inc-000099-x-1"), 0o755)
-	if _, err := New(Config{Dir: dir, Runtime: rt}); err != nil {
+	if _, err := New(Config{Dir: dir}); err != nil {
 		t.Fatalf("New over torn dir: %v", err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, ".tmp-inc-000099-x-1")); !os.IsNotExist(err) {
@@ -290,7 +287,7 @@ func TestHandler(t *testing.T) {
 		t.Fatalf("want 1 incident, got %d", rec.Incidents())
 	}
 
-	other, err := New(Config{Dir: t.TempDir(), Runtime: rt, Source: "beta"})
+	other, err := New(Config{Dir: t.TempDir(), Source: "beta"})
 	if err != nil {
 		t.Fatalf("second recorder: %v", err)
 	}
@@ -395,7 +392,7 @@ func TestArmedPlanesBesideDivideStorm(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sampler: %v", err)
 	}
-	rec, err := New(Config{Dir: t.TempDir(), Runtime: rt, ProfileDuration: -1, Cooldown: time.Hour})
+	rec, err := New(Config{Dir: t.TempDir(), Tracer: tr, ProfileDuration: -1, Cooldown: time.Hour})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -506,9 +503,7 @@ func FuzzBundleID(f *testing.F) {
 	if err := os.WriteFile(filepath.Join(dir, resident, FileManifest), []byte(`{"id":"`+resident+`","seq":1}`), 0o644); err != nil {
 		f.Fatal(err)
 	}
-	rt := capsule.New(capsule.Config{Contexts: 2})
-	f.Cleanup(rt.Close)
-	rec, err := New(Config{Dir: dir, Runtime: rt})
+	rec, err := New(Config{Dir: dir})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -557,7 +552,6 @@ func sentinel(t testing.TB, root string) func(what string) {
 // foreign and skipped, so no prune, ClearAll or DELETE removes anything
 // outside the recorder's directory.
 func TestForeignManifestStaysInside(t *testing.T) {
-	rt := newThrottledRuntime(t)
 	for _, tc := range []struct {
 		what  string
 		max   int
@@ -576,7 +570,7 @@ func TestForeignManifestStaysInside(t *testing.T) {
 			plantBundle(t, dir, "inc-000000-x-1", `{"id":"../victim","seq":0}`)
 			plantBundle(t, dir, "inc-000001-x-2", `{"seq":1}`)
 			plantBundle(t, dir, "inc-000002-x-3", `{"id":"inc-000002-x-3","seq":2}`)
-			rec, err := New(Config{Dir: dir, Runtime: rt, MaxBundles: tc.max})
+			rec, err := New(Config{Dir: dir, MaxBundles: tc.max})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -610,4 +604,48 @@ func FuzzLoadManifests(f *testing.F) {
 		(&Recorder{dir: dir}).ClearAll()
 		survived("ClearAll")
 	})
+}
+
+// TestJudge pins the counter triggers on a pair of hand-built samples:
+// each fires on what moved between them, names a backend by its
+// BackendStats.Name, and the shed rate divides by the clamped span the
+// sampler hands over.
+func TestJudge(t *testing.T) {
+	pair := func() (prev, cur capwatch.Sample) {
+		prev.Backends = []capcluster.BackendStats{{Name: "a:1"}, {Name: "b:2"}}
+		cur.Backends = []capcluster.BackendStats{{Name: "a:1"}, {Name: "b:2"}}
+		return prev, cur
+	}
+	for _, tc := range []struct {
+		name, trigger, reason string
+		sec                   float64
+		move                  func(prev, cur *capwatch.Sample)
+	}{
+		{"quiet", "", "", 1, func(prev, cur *capwatch.Sample) {
+			prev.Capsule.ThrottleDenies, cur.Capsule.ThrottleDenies = 7, 7 // history, not news
+			prev.Backends[0].Broken, cur.Backends[0].Broken = true, true
+		}},
+		{"breaker", TriggerBreakerTrip, "backend b:2 circuit breaker opened", 1, func(prev, cur *capwatch.Sample) {
+			cur.Backends[1].Broken = true
+			cur.Backends[0].Ejections = 1 // outranked
+		}},
+		{"ejection", TriggerSlowEjection, "backend a:1 ejected as slow (2 ejection(s) this tick)", 1, func(prev, cur *capwatch.Sample) {
+			prev.Backends[0].Ejections, cur.Backends[0].Ejections = 1, 3
+		}},
+		{"shed storm", TriggerShedStorm, "queue-full 503s at 5.0/s >= 5.0/s threshold", 2, func(prev, cur *capwatch.Sample) {
+			cur.Sheds = 10
+		}},
+		{"sheds under the storm rate", "", "", 2, func(prev, cur *capwatch.Sample) {
+			cur.Sheds = 9
+		}},
+		{"throttle", TriggerThrottleEdge, "death-rate throttle denied 2 division(s) this tick (4 deaths total)", 1, func(prev, cur *capwatch.Sample) {
+			cur.Capsule.ThrottleDenies, cur.Capsule.Deaths = 2, 4
+		}},
+	} {
+		prev, cur := pair()
+		tc.move(&prev, &cur)
+		if trigger, reason := judge(&prev, &cur, tc.sec); trigger != tc.trigger || reason != tc.reason {
+			t.Errorf("%s: judge = %q, %q; want %q, %q", tc.name, trigger, reason, tc.trigger, tc.reason)
+		}
+	}
 }

@@ -218,7 +218,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /debug/credits", s.handleCredits)
 	s.mux.HandleFunc("GET /run/{workload}", s.handleRun)
-	s.mux.HandleFunc("POST /run/{workload}", s.handleRun)
 	s.mux.HandleFunc("GET /{$}", s.handleIndex)
 	return s, nil
 }
@@ -267,13 +266,6 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		"contexts":    s.rt.Contexts(),
 		"endpoints":   []string{"/run/{workload}?n=&seed=", "/healthz", "/metrics"},
 	})
-}
-
-// runRequest is the body POST /run/{workload} accepts; fields override
-// the query parameters.
-type runRequest struct {
-	N    *int   `json:"n"`
-	Seed *int64 `json:"seed"`
 }
 
 // runResponse is the JSON a successful run returns: the workload result
@@ -419,39 +411,19 @@ func durUS(d time.Duration) uint32 {
 	return uint32(us)
 }
 
-// parseParams reads n and seed from the query string, letting a JSON
-// POST body override either. The body is read first so its fields truly
-// override — a query value the body supersedes is never even parsed.
-// Defaults: n=1000, seed=1.
+// parseParams reads n and seed from the query string. Defaults: n=1000,
+// seed=1.
 func (s *Server) parseParams(r *http.Request) (n int, seed int64, err error) {
 	n, seed = 1000, 1
-	var body runRequest
-	if r.Method == http.MethodPost && r.Body != nil && r.ContentLength != 0 {
-		if derr := json.NewDecoder(r.Body).Decode(&body); derr != nil {
-			return 0, 0, fmt.Errorf("bad JSON body: %v", derr)
-		}
-	}
 	q := r.URL.Query()
-	switch {
-	case body.N != nil:
-		n = *body.N
-	default:
-		if v := q.Get("n"); v != "" {
-			n, err = strconv.Atoi(v)
-			if err != nil {
-				return 0, 0, fmt.Errorf("bad n %q: %v", v, err)
-			}
+	if v := q.Get("n"); v != "" {
+		if n, err = strconv.Atoi(v); err != nil {
+			return 0, 0, fmt.Errorf("bad n %q: %v", v, err)
 		}
 	}
-	switch {
-	case body.Seed != nil:
-		seed = *body.Seed
-	default:
-		if v := q.Get("seed"); v != "" {
-			seed, err = strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				return 0, 0, fmt.Errorf("bad seed %q: %v", v, err)
-			}
+	if v := q.Get("seed"); v != "" {
+		if seed, err = strconv.ParseInt(v, 10, 64); err != nil {
+			return 0, 0, fmt.Errorf("bad seed %q: %v", v, err)
 		}
 	}
 	if n <= 0 {

@@ -1,18 +1,17 @@
 package capserve
 
 import (
-	"fmt"
 	"io"
+	"strconv"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/buildinfo"
+	"repro/internal/promtext"
 )
 
-// Hand-rolled Prometheus text exposition (format version 0.0.4). The
-// container forbids new dependencies, and the surface we need — counters,
-// gauges and one fixed-bucket histogram family — is small enough that a
-// client library would be mostly dead weight anyway.
+// The /metrics exposition, rendered through promtext.Writer, and the
+// fixed-bucket latency histogram behind its duration families.
 
 // latencyBuckets are the histogram upper bounds in seconds, log-spaced
 // from 100µs to 5s; observations beyond the last bound land in +Inf.
@@ -58,22 +57,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.sumNS.Add(ns)
 }
 
-// Write emits the _bucket/_sum/_count series for one labelled histogram.
-// _count is the +Inf cumulative rather than a separate load of h.n, so a
-// scrape racing live observations can never emit a _count that disagrees
-// with the buckets (the Prometheus histogram invariant).
-func (h *Histogram) Write(w io.Writer, name, labels string) {
-	var cum uint64
-	for i, le := range latencyBuckets {
-		cum += h.counts[i].Load()
-		fmt.Fprintf(w, "%s_bucket{%s,le=\"%g\"} %d\n", name, labels, le, cum)
-	}
-	cum += h.counts[len(latencyBuckets)].Load()
-	fmt.Fprintf(w, "%s_bucket{%s,le=\"+Inf\"} %d\n", name, labels, cum)
-	fmt.Fprintf(w, "%s_sum{%s} %g\n", name, labels, float64(h.sumNS.Load())/1e9)
-	fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels, cum)
-}
-
 // statusClientClosed is nginx's convention for "client closed the
 // request before the server dispatched it" — not in net/http's table,
 // but the useful distinction here is between work the server refused
@@ -114,62 +97,53 @@ func (s *Server) WriteMetrics(w io.Writer) { s.writeMetrics(w) }
 // per-endpoint serving counters and latency histograms.
 func (s *Server) writeMetrics(w io.Writer) {
 	st := s.rt.Stats()
+	p := promtext.NewWriter(w)
 
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
-	counterHead := func(name, help string) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-	}
-	counter := func(name, help string, v uint64) {
-		counterHead(name, help)
-		fmt.Fprintf(w, "%s %d\n", name, v)
-	}
-
-	gauge("capsule_contexts", "Context-token pool size (the SOMT hardware context count).", float64(s.rt.Contexts()))
-	counter("capsule_probes_total", "Division probes (nthr attempts).", st.Probes)
-	counter("capsule_granted_total", "Probes that reserved a context token.", st.Granted)
-	counterHead("capsule_denies_total", "Refused probes by reason.")
-	fmt.Fprintf(w, "capsule_denies_total{reason=\"no_ctx\"} %d\n", st.NoCtxDenies)
-	fmt.Fprintf(w, "capsule_denies_total{reason=\"throttle\"} %d\n", st.ThrottleDenies)
-	counter("capsule_deaths_total", "Worker terminations (kthr).", st.Deaths)
-	counter("capsule_workers_total", "Workers ever spawned.", st.TotalWorkers)
-	gauge("capsule_workers_peak", "Maximum simultaneously live workers.", float64(st.PeakWorkers))
-	counter("capsule_lock_acquires_total", "Lock-table acquisitions (mlock).", st.LockAcquires)
-	gauge("capsule_grant_rate", "Fraction of probes granted (the paper's \"% divisions allowed\").", st.GrantRate())
+	p.Gauge("capsule_contexts", "Context-token pool size (the SOMT hardware context count).", float64(s.rt.Contexts()))
+	p.Counter("capsule_probes_total", "Division probes (nthr attempts).", st.Probes)
+	p.Counter("capsule_granted_total", "Probes that reserved a context token.", st.Granted)
+	p.Family("capsule_denies_total", "counter", "Refused probes by reason.")
+	p.Count("capsule_denies_total", st.NoCtxDenies, "reason", "no_ctx")
+	p.Count("capsule_denies_total", st.ThrottleDenies, "reason", "throttle")
+	p.Counter("capsule_deaths_total", "Worker terminations (kthr).", st.Deaths)
+	p.Counter("capsule_workers_total", "Workers ever spawned.", st.TotalWorkers)
+	p.Gauge("capsule_workers_peak", "Maximum simultaneously live workers.", float64(st.PeakWorkers))
+	p.Counter("capsule_lock_acquires_total", "Lock-table acquisitions (mlock).", st.LockAcquires)
+	p.Gauge("capsule_grant_rate", "Fraction of probes granted (the paper's \"% divisions allowed\").", st.GrantRate())
 
 	// Headroom gauges: the instantaneous free capacity a routing tier
 	// (caprouter) treats as this backend's credits. Cumulative counters
 	// tell an operator what happened; these two say what the server could
 	// absorb right now.
-	gauge("capsule_free_contexts", "Currently unreserved context tokens (instantaneous division headroom).", float64(s.rt.FreeContexts()))
+	p.Gauge("capsule_free_contexts", "Currently unreserved context tokens (instantaneous division headroom).", float64(s.rt.FreeContexts()))
 
-	gauge("capserve_uptime_seconds", "Seconds since the server was built.", time.Since(s.start).Seconds())
-	gauge("capserve_queue_depth", "Bounded accept-queue capacity.", float64(cap(s.queue)))
-	gauge("capserve_queue_occupancy", "Requests currently holding an accept-queue slot.", float64(len(s.queue)))
-	counter("capserve_shed_total", "Requests shed with 503 because the accept queue was full.", s.shed.Load())
-	counter("capserve_not_found_total", "Requests for unknown workloads.", s.notFound.Load())
+	p.Gauge("capserve_uptime_seconds", "Seconds since the server was built.", time.Since(s.start).Seconds())
+	p.Gauge("capserve_queue_depth", "Bounded accept-queue capacity.", float64(cap(s.queue)))
+	p.Gauge("capserve_queue_occupancy", "Requests currently holding an accept-queue slot.", float64(len(s.queue)))
+	p.Counter("capserve_shed_total", "Requests shed with 503 because the accept queue was full.", s.shed.Load())
+	p.Counter("capserve_not_found_total", "Requests for unknown workloads.", s.notFound.Load())
 
-	counterHead("capserve_requests_total", "Completed requests by workload and status code.")
+	p.Family("capserve_requests_total", "counter", "Completed requests by workload and status code.")
 	for _, wl := range s.workloads {
 		ep := s.eps[wl]
 		for i, code := range statusCodes {
-			fmt.Fprintf(w, "capserve_requests_total{workload=%q,code=\"%d\"} %d\n", wl, code, ep.byCode[i].Load())
+			p.Count("capserve_requests_total", ep.byCode[i].Load(), "workload", wl, "code", strconv.Itoa(code))
 		}
 	}
-	counterHead("capserve_degraded_total", "Requests admitted without a free context and run sequentially.")
+	p.Family("capserve_degraded_total", "counter", "Requests admitted without a free context and run sequentially.")
 	for _, wl := range s.workloads {
-		fmt.Fprintf(w, "capserve_degraded_total{workload=%q} %d\n", wl, s.eps[wl].degraded.Load())
+		p.Count("capserve_degraded_total", s.eps[wl].degraded.Load(), "workload", wl)
 	}
-	fmt.Fprintf(w, "# HELP capserve_request_duration_seconds Successful request duration.\n")
-	fmt.Fprintf(w, "# TYPE capserve_request_duration_seconds histogram\n")
+	p.Family("capserve_request_duration_seconds", "histogram", "Successful request duration.")
 	for _, wl := range s.workloads {
-		s.eps[wl].latency.Write(w, "capserve_request_duration_seconds", fmt.Sprintf("workload=%q", wl))
+		var counts [NumLatencyBuckets]uint64
+		sumNS := s.eps[wl].latency.ReadCounts(&counts)
+		p.Histogram("capserve_request_duration_seconds", latencyBuckets, counts[:], float64(sumNS)/1e9, "workload", wl)
 	}
 
 	bi := buildinfo.Get()
-	fmt.Fprintf(w, "# HELP capserve_build_info Build metadata; the value is always 1.\n# TYPE capserve_build_info gauge\n")
-	fmt.Fprintf(w, "capserve_build_info{version=%q,go=%q,gomaxprocs=\"%d\"} 1\n", bi.Version, bi.Go, bi.MaxProcs)
+	p.Family("capserve_build_info", "gauge", "Build metadata; the value is always 1.")
+	p.Count("capserve_build_info", 1, "version", bi.Version, "go", bi.Go, "gomaxprocs", strconv.Itoa(bi.MaxProcs))
 
 	for _, f := range s.extraMetrics {
 		f(w)

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/promtext"
 )
 
 // TestHistogramBucketBoundaries pins the le-inclusive bucketing of the
@@ -32,7 +34,9 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	// The rendered exposition keeps the Prometheus invariant: _count
 	// equals the +Inf cumulative.
 	var sb strings.Builder
-	h.Write(&sb, "x", `workload="w"`)
+	var counts [NumLatencyBuckets]uint64
+	sum := h.ReadCounts(&counts)
+	promtext.NewWriter(&sb).Histogram("x", latencyBuckets, counts[:], float64(sum)/1e9, "workload", "w")
 	out := sb.String()
 	if !strings.Contains(out, `x_bucket{workload="w",le="+Inf"} 5`) {
 		t.Fatalf("+Inf bucket wrong:\n%s", out)

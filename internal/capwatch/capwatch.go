@@ -97,8 +97,10 @@ func (cfg Config) Validate() error {
 }
 
 // Sample is one snapshot: every tier's cumulative counters plus the
-// instantaneous gauges, stamped once per tick. Slices are preallocated
-// per ring slot and rewritten in place, so a tick allocates nothing.
+// instantaneous gauges, stamped once per tick — each tier's own snapshot
+// type, read once. Slices are preallocated per ring slot and rewritten
+// in place, so a tick allocates nothing. Every signal the capscope
+// recorder triggers on is here: it compares the two newest samples.
 type Sample struct {
 	// TS is the snapshot time (UnixNano).
 	TS int64 `json:"ts"`
@@ -107,14 +109,17 @@ type Sample struct {
 	Capsule      capsule.Stats `json:"capsule"`
 	FreeContexts int           `json:"free_contexts"`
 
-	// Serving tier (zero unless Config.Server was set).
+	// Serving tier (zero unless Config.Server was set). Sheds is the
+	// server's cumulative queue-full 503 count.
 	QueueDepth     int                         `json:"queue_depth"`
 	QueueOccupancy int                         `json:"queue_occupancy"`
+	Sheds          uint64                      `json:"sheds"`
 	Endpoints      []capserve.EndpointCounters `json:"endpoints,omitempty"`
 
-	// Cluster tier (zero unless Config.Router was set).
-	Router   capcluster.RouterCounters    `json:"router"`
-	Backends []capcluster.BackendCounters `json:"backends,omitempty"`
+	// Cluster tier (zero unless Config.Router was set), one BackendStats
+	// per backend in fleet order.
+	Router   capcluster.Stats          `json:"router"`
+	Backends []capcluster.BackendStats `json:"backends,omitempty"`
 
 	// Go runtime health.
 	Go GoStats `json:"go"`
@@ -128,9 +133,8 @@ type Sampler struct {
 	interval time.Duration
 	slo      SLOConfig
 
-	workloads    []string
-	backendNames []string
-	bounds       []float64 // latency bucket bounds, seconds
+	workloads []string
+	bounds    []float64 // latency bucket bounds, seconds
 
 	// mu serializes ring readers against slot reuse: the tick holds it
 	// exclusively for the microseconds one collect takes, once per
@@ -182,8 +186,9 @@ func New(cfg Config) (*Sampler, error) {
 	if cfg.Server != nil {
 		s.workloads = cfg.Server.Workloads()
 	}
+	var backends int
 	if cfg.Router != nil {
-		s.backendNames = cfg.Router.BackendNames()
+		backends = len(cfg.Router.Backends())
 	}
 
 	size := cfg.Ring
@@ -199,8 +204,8 @@ func New(cfg Config) (*Sampler, error) {
 		if len(s.workloads) > 0 {
 			s.ring[i].Endpoints = make([]capserve.EndpointCounters, len(s.workloads))
 		}
-		if len(s.backendNames) > 0 {
-			s.ring[i].Backends = make([]capcluster.BackendCounters, len(s.backendNames))
+		if backends > 0 {
+			s.ring[i].Backends = make([]capcluster.BackendStats, backends)
 		}
 	}
 	s.rm.init()
@@ -278,7 +283,7 @@ func (s *Sampler) SampleNow() {
 	s.cursor.Store(c + 1)
 	s.mu.Unlock()
 	// The hook runs after the unlock: it reads the ring back through
-	// Report/SLO, which take the read lock.
+	// Latest/Report/SLO, which take the read lock.
 	if f := s.hook.Load(); f != nil {
 		(*f)()
 	}
@@ -287,7 +292,7 @@ func (s *Sampler) SampleNow() {
 // OnSample installs f to run on the sampling goroutine after each
 // published snapshot (nil uninstalls). Copy-on-write: the disarmed
 // check in SampleNow is a single atomic pointer load. f may read the
-// ring (Report, SLO, Snapshot) but must not call SampleNow.
+// ring (Latest, Report, SLO, Snapshot) but must not call SampleNow.
 func (s *Sampler) OnSample(f func()) {
 	if f == nil {
 		s.hook.Store(nil)
@@ -308,6 +313,23 @@ func (s *Sampler) SetIncidents(f func() uint64) {
 	s.incidents.Store(&f)
 }
 
+// Latest runs f on the two newest snapshots under the ring's read lock,
+// without copying them, with the seconds between them clamped as
+// Report's rates are (at least one interval). It does nothing while
+// fewer than two are resident: there is no tick to compare. f must not
+// keep the pointers or call back into the sampler.
+func (s *Sampler) Latest(f func(prev, cur *Sample, sec float64)) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	c := s.cursor.Load()
+	if c < 2 {
+		return
+	}
+	prev, cur := &s.ring[(c-2)&s.mask], &s.ring[(c-1)&s.mask]
+	sec, _ := s.span(prev, cur)
+	f(prev, cur, sec)
+}
+
 // SLO evaluates the burn-rate objectives against the ring right now.
 // This is the same evaluator /debug/watch embeds in every Report,
 // exported so trigger logic (capscope) can poll it per tick.
@@ -323,11 +345,14 @@ func (s *Sampler) collect(slot *Sample) {
 	if srv := s.cfg.Server; srv != nil {
 		slot.QueueDepth = srv.QueueDepth()
 		slot.QueueOccupancy = srv.QueueOccupancy()
+		slot.Sheds = srv.ShedCount()
 		srv.ReadEndpointCounters(slot.Endpoints)
 	}
 	if rt := s.cfg.Router; rt != nil {
-		slot.Router = rt.ReadCounters()
-		rt.ReadBackendCounters(slot.Backends)
+		slot.Router = rt.Stats()
+		for i, b := range rt.Backends() {
+			slot.Backends[i] = b.Stats()
+		}
 	}
 	s.rm.read(&slot.Go)
 }
@@ -390,7 +415,7 @@ func cloneSample(dst *Sample, src *Sample) {
 	dst.Endpoints = eps[:len(src.Endpoints)]
 	copy(dst.Endpoints, src.Endpoints)
 	if cap(bks) < len(src.Backends) {
-		bks = make([]capcluster.BackendCounters, len(src.Backends))
+		bks = make([]capcluster.BackendStats, len(src.Backends))
 	}
 	dst.Backends = bks[:len(src.Backends)]
 	copy(dst.Backends, src.Backends)

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/capcluster"
 	"repro/internal/capserve"
 	"repro/internal/capsule"
 )
@@ -177,13 +178,26 @@ func TestDeltaMonotonicity(t *testing.T) {
 // allocations.
 func TestSampleNowAllocs(t *testing.T) {
 	rt := newRuntime(t, 4)
-	s, err := New(Config{Runtime: rt, Ring: minRing})
+	srv, err := capserve.New(capserve.Config{Runtime: rt})
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("capserve.New: %v", err)
 	}
-	s.SampleNow() // warmup
-	if n := testing.AllocsPerRun(100, s.SampleNow); n != 0 {
-		t.Fatalf("SampleNow allocates %v per tick, want 0", n)
+	router, err := capcluster.New(capcluster.Config{Backends: []string{"http://127.0.0.1:1", "http://127.0.0.1:2"}, Local: srv})
+	if err != nil {
+		t.Fatalf("capcluster.New: %v", err)
+	}
+	for _, cfg := range []Config{
+		{Runtime: rt, Ring: minRing},
+		{Runtime: rt, Server: srv, Router: router, Ring: minRing},
+	} {
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		s.SampleNow() // warmup
+		if n := testing.AllocsPerRun(100, s.SampleNow); n != 0 {
+			t.Fatalf("SampleNow (router %v) allocates %v per tick, want 0", cfg.Router != nil, n)
+		}
 	}
 }
 

@@ -240,3 +240,55 @@ func get(t *testing.T, url string) []byte {
 	}
 	return body
 }
+
+// TestRouterClientFaultsSpendNoBudget: a 4xx is the client's fault on
+// either rung of the router's ladder, as it is on a standalone capserve —
+// it spends no error budget and is no tier's success.
+func TestRouterClientFaultsSpendNoBudget(t *testing.T) {
+	for _, rung := range []string{"local", "remote"} {
+		t.Run(rung, func(t *testing.T) {
+			var urls []string
+			if rung == "remote" {
+				b, err := capserve.StartBackendOn(capserve.Config{Runtime: newRuntime(t, 2)}, "127.0.0.1:0", nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() {
+					ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+					defer cancel()
+					b.Close(ctx)
+				})
+				urls = []string{b.URL}
+			}
+			local, err := capserve.New(capserve.Config{Runtime: newRuntime(t, 2)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			router, err := capcluster.New(capcluster.Config{Backends: urls, Local: local})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := New(Config{Runtime: local.Runtime(), Server: local, Router: router, Ring: minRing})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.SampleNow()
+			for i := 0; i < 5; i++ {
+				w := httptest.NewRecorder()
+				router.ServeHTTP(w, httptest.NewRequest("GET", "/run/quicksort?n=abc", nil))
+				if w.Code != 400 || w.Header().Get(capcluster.HeaderRoute) != rung {
+					t.Fatalf("bad n: status %d on route %q, want 400 on %s", w.Code, w.Header().Get(capcluster.HeaderRoute), rung)
+				}
+			}
+			s.SampleNow()
+			rep := s.Report(time.Minute)
+			if rep.Rates.Availability != 1 || rep.Rates.ErrorsPerSec != 0 || rep.SLO.Fast.Availability != 1 {
+				t.Errorf("five 400s: availability %g, errors %g/s, SLO availability %g; want 1, 0, 1",
+					rep.Rates.Availability, rep.Rates.ErrorsPerSec, rep.SLO.Fast.Availability)
+			}
+			if rr := rep.Router; rr.TierRemotePerSec != 0 || rr.TierLocalPerSec != 0 || rr.TierSequentialPerSec != 0 {
+				t.Errorf("five 400s counted as tier successes: %+v", rr)
+			}
+		})
+	}
+}

@@ -2,10 +2,11 @@ package capwatch
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"time"
+
+	"repro/internal/promtext"
 )
 
 // /debug/watch and the capwatch_* exposition. The handler follows the
@@ -45,36 +46,34 @@ func Handler(samplers ...*Sampler) http.Handler {
 // no locks beyond the sampler's read-lock.
 func (s *Sampler) WriteMetrics(w io.Writer) {
 	slo := s.evalSLO()
+	p := promtext.NewWriter(w)
 
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
-	fmt.Fprintf(w, "# HELP capwatch_samples_total Snapshots taken since the sampler was built.\n# TYPE capwatch_samples_total counter\ncapwatch_samples_total %d\n", s.cursor.Load())
-	gauge("capwatch_ring_slots", "Snapshot ring capacity.", float64(len(s.ring)))
-	gauge("capwatch_interval_seconds", "Sampling tick interval.", s.interval.Seconds())
-	gauge("capwatch_slo_target_p99_seconds", "Latency objective the p99 must stay under.", float64(s.slo.TargetP99)/1e9)
-	gauge("capwatch_slo_availability_objective", "Success-ratio objective.", s.slo.Availability)
+	p.Counter("capwatch_samples_total", "Snapshots taken since the sampler was built.", s.cursor.Load())
+	p.Gauge("capwatch_ring_slots", "Snapshot ring capacity.", float64(len(s.ring)))
+	p.Gauge("capwatch_interval_seconds", "Sampling tick interval.", s.interval.Seconds())
+	p.Gauge("capwatch_slo_target_p99_seconds", "Latency objective the p99 must stay under.", float64(s.slo.TargetP99)/1e9)
+	p.Gauge("capwatch_slo_availability_objective", "Success-ratio objective.", s.slo.Availability)
 
-	fmt.Fprintf(w, "# HELP capwatch_slo_burn_rate Error-budget burn rate by window and objective (1 = on pace to exhaust).\n# TYPE capwatch_slo_burn_rate gauge\n")
+	p.Family("capwatch_slo_burn_rate", "gauge", "Error-budget burn rate by window and objective (1 = on pace to exhaust).")
 	for _, wv := range []struct {
 		name string
 		w    SLOWindow
 	}{{"fast", slo.Fast}, {"slow", slo.Slow}} {
-		fmt.Fprintf(w, "capwatch_slo_burn_rate{window=%q,slo=\"availability\"} %g\n", wv.name, wv.w.AvailabilityBurn)
-		fmt.Fprintf(w, "capwatch_slo_burn_rate{window=%q,slo=\"latency\"} %g\n", wv.name, wv.w.LatencyBurn)
+		p.Value("capwatch_slo_burn_rate", wv.w.AvailabilityBurn, "window", wv.name, "slo", "availability")
+		p.Value("capwatch_slo_burn_rate", wv.w.LatencyBurn, "window", wv.name, "slo", "latency")
 	}
 	exhausted := 0.0
 	if slo.Exhausted {
 		exhausted = 1
 	}
-	gauge("capwatch_slo_budget_exhausted", "1 while both burn windows are at or above 1.", exhausted)
+	p.Gauge("capwatch_slo_budget_exhausted", "1 while both burn windows are at or above 1.", exhausted)
 
-	fmt.Fprintf(w, "# HELP capwatch_window_p99_seconds Histogram-delta p99 over each burn window.\n# TYPE capwatch_window_p99_seconds gauge\n")
-	fmt.Fprintf(w, "capwatch_window_p99_seconds{window=\"fast\"} %g\n", slo.Fast.P99MS/1e3)
-	fmt.Fprintf(w, "capwatch_window_p99_seconds{window=\"slow\"} %g\n", slo.Slow.P99MS/1e3)
-	fmt.Fprintf(w, "# HELP capwatch_window_availability Success ratio over each burn window.\n# TYPE capwatch_window_availability gauge\n")
-	fmt.Fprintf(w, "capwatch_window_availability{window=\"fast\"} %g\n", slo.Fast.Availability)
-	fmt.Fprintf(w, "capwatch_window_availability{window=\"slow\"} %g\n", slo.Slow.Availability)
+	p.Family("capwatch_window_p99_seconds", "gauge", "Histogram-delta p99 over each burn window.")
+	p.Value("capwatch_window_p99_seconds", slo.Fast.P99MS/1e3, "window", "fast")
+	p.Value("capwatch_window_p99_seconds", slo.Slow.P99MS/1e3, "window", "slow")
+	p.Family("capwatch_window_availability", "gauge", "Success ratio over each burn window.")
+	p.Value("capwatch_window_availability", slo.Fast.Availability, "window", "fast")
+	p.Value("capwatch_window_availability", slo.Slow.Availability, "window", "slow")
 
 	// Go runtime health from the newest snapshot (zero before the
 	// first tick).
@@ -82,8 +81,8 @@ func (s *Sampler) WriteMetrics(w io.Writer) {
 	if samples := s.Snapshot(1); len(samples) == 1 {
 		g = samples[0].Go
 	}
-	gauge("capwatch_go_goroutines", "Goroutine count at the last tick.", float64(g.Goroutines))
-	gauge("capwatch_go_heap_live_bytes", "Live heap at the last tick.", float64(g.HeapLiveBytes))
-	gauge("capwatch_go_gc_pause_p99_seconds", "GC pause p99 (since process start) at the last tick.", g.GCPauseP99NS/1e9)
-	gauge("capwatch_go_sched_latency_p99_seconds", "Scheduler latency p99 (since process start) at the last tick.", g.SchedLatP99NS/1e9)
+	p.Gauge("capwatch_go_goroutines", "Goroutine count at the last tick.", float64(g.Goroutines))
+	p.Gauge("capwatch_go_heap_live_bytes", "Live heap at the last tick.", float64(g.HeapLiveBytes))
+	p.Gauge("capwatch_go_gc_pause_p99_seconds", "GC pause p99 (since process start) at the last tick.", g.GCPauseP99NS/1e9)
+	p.Gauge("capwatch_go_sched_latency_p99_seconds", "Scheduler latency p99 (since process start) at the last tick.", g.SchedLatP99NS/1e9)
 }

@@ -162,23 +162,11 @@ func (s *Sampler) Report(window time.Duration) Report {
 	rep.QueueOccupancy = to.QueueOccupancy
 	rep.Go = to.Go
 
-	// Rates divide by at least one tick: back-to-back SampleNow calls
-	// (tests, on-demand pokes) land snapshots microseconds apart, and a
-	// raw delta/elapsed would explode toward Inf.
-	sec := rep.WindowActualS
-	if minSec := s.interval.Seconds(); sec < minSec {
-		sec = minSec
-		clamped = true
-	}
-	if clamped {
+	sec, short := s.span(&from, &to)
+	if clamped || short {
 		rep.WindowClampedS = sec
 	}
-	rate := func(delta uint64) float64 {
-		if sec <= 0 {
-			return 0
-		}
-		return float64(delta) / sec
-	}
+	rate := func(delta uint64) float64 { return float64(delta) / sec }
 
 	// Capsule tier. Probes is derived from the outcome counters, so the
 	// delta's Probes is exactly the sum of the delta's outcomes.
@@ -190,10 +178,8 @@ func (s *Sampler) Report(window time.Duration) Report {
 	rep.Rates.DeathsPerSec = rate(d.Deaths)
 
 	requests, errors := trafficTotals(&from, &to, s.cfg.Router != nil)
-	if sec > 0 {
-		rep.Rates.RequestsPerSec = requests / sec
-		rep.Rates.ErrorsPerSec = errors / sec
-	}
+	rep.Rates.RequestsPerSec = requests / sec
+	rep.Rates.ErrorsPerSec = errors / sec
 	rep.Rates.Availability = 1
 	if requests > 0 {
 		rep.Rates.Availability = 1 - errors/requests
@@ -262,11 +248,12 @@ func (s *Sampler) Report(window time.Duration) Report {
 
 		for i := range to.Backends {
 			tb := &to.Backends[i]
-			var fb capcluster.BackendCounters
+			var fb capcluster.BackendStats
 			if i < len(from.Backends) {
 				fb = from.Backends[i]
 			}
 			br := BackendReport{
+				Name:             tb.Name,
 				Credits:          tb.Credits,
 				Inflight:         tb.Inflight,
 				Broken:           tb.Broken,
@@ -274,9 +261,6 @@ func (s *Sampler) Report(window time.Duration) Report {
 				ServedPerSec:     rate(tb.Served - fb.Served),
 				ShedsPerSec:      rate(tb.Sheds - fb.Sheds),
 				DeathsPerSec:     rate(tb.Deaths - fb.Deaths),
-			}
-			if i < len(s.backendNames) {
-				br.Name = s.backendNames[i]
 			}
 			bBefore := bucketCum(fb.DispatchBuckets[:])
 			bAfter := bucketCum(tb.DispatchBuckets[:])
@@ -287,6 +271,19 @@ func (s *Sampler) Report(window time.Duration) Report {
 		}
 	}
 	return rep
+}
+
+// span is the time between two snapshots in seconds, the divisor of
+// every rate over them, and whether it was clamped: rates divide by at
+// least one tick, because back-to-back SampleNow calls (tests, on-demand
+// pokes) land snapshots microseconds apart and a raw delta/elapsed would
+// explode toward Inf.
+func (s *Sampler) span(from, to *Sample) (sec float64, clamped bool) {
+	sec = float64(to.TS-from.TS) / 1e9
+	if minSec := s.interval.Seconds(); sec < minSec {
+		return minSec, true
+	}
+	return sec, false
 }
 
 // bucketCum cumulates a density bucket array into the []float64 shape

@@ -188,7 +188,8 @@ func burnRates(cfg SLOConfig, requests, errors, fracOver float64) (availBurn, la
 //
 // A router's counters are request-scoped rather than response-coded:
 // errors are the requests that failed every rung of the degradation
-// ladder (received minus tier-served minus client hangups). Requests
+// ladder (received minus tier-served minus client hangups and client
+// faults — a 4xx on either rung, as capserve's ClientErrs). Requests
 // still in flight at snapshot time count as errors for one window —
 // negligible against windows of seconds and bounded by the queue
 // depth, but the reason sub-second smoke windows should drain before
@@ -196,10 +197,10 @@ func burnRates(cfg SLOConfig, requests, errors, fracOver float64) (availBurn, la
 func trafficTotals(from, to *Sample, isRouter bool) (requests, errors float64) {
 	if isRouter {
 		dReq := float64(to.Router.Requests - from.Router.Requests)
-		dGone := float64(to.Router.ClientGone - from.Router.ClientGone)
+		dClient := float64((to.Router.ClientGone + to.Router.ClientFaults) - (from.Router.ClientGone + from.Router.ClientFaults))
 		served := float64((to.Router.TierRemote + to.Router.TierLocal + to.Router.TierSequential) -
 			(from.Router.TierRemote + from.Router.TierLocal + from.Router.TierSequential))
-		requests = dReq - dGone
+		requests = dReq - dClient
 		errors = requests - served
 		if errors < 0 {
 			errors = 0

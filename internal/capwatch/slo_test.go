@@ -84,27 +84,28 @@ func TestSLOWindowServerFixture(t *testing.T) {
 func TestSLOWindowRouterFixture(t *testing.T) {
 	cfg := SLOConfig{Availability: 0.99}.withDefaults()
 
-	// Router accounting: 1000 received, 10 client hangups → 990 valid;
-	// 950 served across the tiers → 40 errors. Availability
-	// 1 − 40/990; burn = (40/990)/0.01.
+	// Router accounting: 1000 received, 10 client hangups and 5 client
+	// faults (4xx) → 985 valid; 950 served across the tiers → 35 errors.
+	// Availability 1 − 35/985; burn = (35/985)/0.01.
 	from := Sample{TS: 0}
 	to := Sample{TS: 5 * int64(time.Second)}
-	to.Router = capcluster.RouterCounters{
+	to.Router = capcluster.Stats{
 		Requests:       1000,
 		ClientGone:     10,
+		ClientFaults:   5,
 		TierRemote:     900,
 		TierLocal:      30,
 		TierSequential: 20,
 	}
 	w := sloWindow(cfg, testBounds(), &from, &to, true, 5*time.Second)
-	if w.Requests != 990 {
-		t.Fatalf("Requests = %g, want 990", w.Requests)
+	if w.Requests != 985 {
+		t.Fatalf("Requests = %g, want 985", w.Requests)
 	}
-	wantAvail := 1 - 40.0/990
+	wantAvail := 1 - 35.0/985
 	if !almost(w.Availability, wantAvail) {
 		t.Fatalf("Availability = %g, want %g", w.Availability, wantAvail)
 	}
-	wantBurn := (40.0 / 990) / 0.01
+	wantBurn := (35.0 / 985) / 0.01
 	if !almost(w.AvailabilityBurn, wantBurn) {
 		t.Fatalf("AvailabilityBurn = %g, want %g", w.AvailabilityBurn, wantBurn)
 	}

@@ -1,13 +1,13 @@
-// Package promtext is a minimal reader for the Prometheus text
-// exposition format (version 0.0.4), plus the histogram-pair quantile
-// math the telemetry readers share (quantile.go). The repo hand-rolls
-// its exposition writers (capserve, capcluster) to stay free of
-// dependencies; this is the matching reader, and it serves as the test
-// oracle for those writers (capserve's and capcluster's trace_test.go
-// read their /metrics bodies back through Parse), so the format's
-// quirks live in exactly one place.
+// Package promtext is the repo's one implementation of the Prometheus
+// text exposition format (version 0.0.4): the Writer every /metrics
+// renders through (write.go), a minimal reader, and the histogram-pair
+// quantile math the telemetry readers share (quantile.go). The repo
+// stays free of dependencies, so the format's quirks live here and only
+// here; the reader is the test oracle for the writer (capserve's and
+// capcluster's trace_test.go read their /metrics bodies back through
+// Parse).
 //
-// Scope matches what our writers emit: sample lines without timestamps.
+// Scope matches what the Writer emits: sample lines without timestamps.
 // A line carrying the optional timestamp field would be keyed wrongly
 // and should be rejected by the caller's semantic checks, not here —
 // parsers of foreign expositions must stay permissive.

@@ -207,7 +207,8 @@ func TestIncident(t *testing.T) {
 		t.Errorf("capscope incident:\n%s", out)
 	}
 	if out := scope(t, nil, "incident", "-id", id, r.URL); !burned.MatchString(out) ||
-		!strings.Contains(out, "exhausted=true") || !strings.Contains(out, "heap profile") {
+		!strings.Contains(out, "exhausted=true") || !strings.Contains(out, "heap profile") ||
+		!regexp.MustCompile(`backends \(3\)\n +127\.0\.0\.1:\d+ +dispatched=`).MatchString(out) {
 		t.Errorf("capscope incident -id:\n%s", out)
 	}
 	metrics(t, r.URL, "capscope_incidents_total")
