@@ -67,7 +67,6 @@ import (
 	"repro/internal/capdebug"
 	"repro/internal/captrace"
 	"repro/internal/httptune"
-	"repro/internal/profiling"
 )
 
 // runResponse is the slice of capserve's response body capload reads.
@@ -78,11 +77,16 @@ type runResponse struct {
 	Checksum uint64 `json:"checksum"`
 }
 
+// requestTimeout bounds one HTTP attempt: a target that has not answered
+// within it fails the attempt as a transport error, and the walk moves
+// to the next replica.
+const requestTimeout = 10 * time.Second
+
 func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
 
 // run is the whole command: it parses args, drives the load, writes the
 // report to stdout and returns the exit status (see the package comment).
-func run(args []string, stdout io.Writer) (code int) {
+func run(args []string, stdout io.Writer) int {
 	fs := flag.NewFlagSet("capload", flag.ContinueOnError)
 	base := fs.String("url", "http://localhost:8080", "capserve or caprouter base URL")
 	targetsFlag := fs.String("targets", "", "comma-separated replicated caprouter base URLs with health-aware failover (overrides -url)")
@@ -94,14 +98,10 @@ func run(args []string, stdout io.Writer) (code int) {
 	c := fs.Int("c", 8, "closed-loop concurrency (workers)")
 	rate := fs.Float64("rate", 0, "open-loop arrival rate in req/s (0 = closed loop)")
 	d := fs.Duration("d", 5*time.Second, "load duration")
-	timeout := fs.Duration("timeout", 10*time.Second, "per-request timeout")
-	verify := fs.Bool("verify", true, "assert same (workload,n,seed) always returns the same checksum")
 	minTput := fs.Float64("min-throughput", 0, "exit 2 if 2xx throughput falls below this (req/s)")
 	maxErrRate := fs.Float64("max-error-rate", -1, "exit 2 if the fraction of failed requests (transport errors, 5xx, 499 — anything but 2xx/4xx) exceeds this; 0 = zero tolerance (negative = no gate)")
 	jsonOut := fs.Bool("json", false, "emit a machine-readable JSON report")
 	traceEvery := fs.Int("trace", 0, "stamp a trace ID on every Nth request and print the p99 exemplar's waterfall from /debug/trace (0 = off)")
-	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the load generator to this file")
-	memprofile := fs.String("memprofile", "", "write a heap profile to this file at exit")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -109,21 +109,9 @@ func run(args []string, stdout io.Writer) (code int) {
 		return 2
 	}
 
-	stopCPU, err := profiling.StartCPU(*cpuprofile)
-	if err != nil {
-		return fail(1, "%v", err)
-	}
-	defer stopCPU()
-	// Every exit, gates included, writes the heap profile: a failing run
-	// is exactly the one worth profiling.
-	defer func() {
-		if err := profiling.WriteHeap(*memprofile); err != nil && code == 0 {
-			code = fail(1, "%v", err)
-		}
-	}()
-
 	var wls []string
 	if *mix != "" {
+		var err error
 		if wls, err = parseMix(*mix); err != nil {
 			return fail(1, "%v", err)
 		}
@@ -166,7 +154,7 @@ func run(args []string, stdout io.Writer) (code int) {
 	if idle < 64 {
 		idle = 64
 	}
-	client := httptune.Client(idle, *timeout)
+	client := httptune.Client(idle, requestTimeout)
 
 	// tracedReq is one request capload chose to trace: its stamped ID
 	// and client-observed outcome, the pool the p99 exemplar is drawn
@@ -240,7 +228,8 @@ func run(args []string, stdout io.Writer) (code int) {
 			traced = append(traced, tracedReq{tid, resp.StatusCode, lat})
 			mu.Unlock()
 		}
-		if *verify && resp.StatusCode == http.StatusOK {
+		// Same (workload, n, seed) must always return the same checksum.
+		if resp.StatusCode == http.StatusOK {
 			var rr runResponse
 			if json.Unmarshal(body, &rr) == nil {
 				key := fmt.Sprintf("%s/%d/%d", rr.Workload, rr.N, rr.Seed)

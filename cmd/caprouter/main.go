@@ -13,7 +13,7 @@
 // Usage:
 //
 //	caprouter -addr :8090 -backends http://10.0.0.1:8080,http://10.0.0.2:8080
-//	caprouter -addr :8090 -spawn 3 -policy rendezvous
+//	caprouter -addr :8090 -spawn 3
 //	caprouter -addr :8090 -spawn 2 -fail-threshold 3 -fail-window 2s
 //	caprouter -addr 127.0.0.1:0 -spawn 2   # any free port, named on the "listening on" line
 //	caprouter -addr :8090 -spawn 2 -trace          # route spans on /debug/trace
@@ -71,7 +71,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	addr := fs.String("addr", ":8090", "listen address")
 	backends := fs.String("backends", "", "comma-separated capserve base URLs to front")
 	spawn := fs.Int("spawn", 0, "spawn this many in-process capserve backends on loopback ports")
-	policy := fs.String("policy", "least-loaded", "placement policy: least-loaded, round-robin, rendezvous")
 	failThreshold := fs.Int("fail-threshold", 0, "backend failures tripping the breaker (0 = default)")
 	failWindow := fs.Duration("fail-window", 0, "breaker window (0 = default)")
 	attemptTimeout := fs.Duration("attempt-timeout", 0, "per-dispatch-attempt deadline carved from the routing budget (0 = default)")
@@ -92,10 +91,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	place, err := capcluster.NewPlacement(*policy)
-	if err != nil {
-		return fail("%v", err)
-	}
 	plane, err := dbg.NewPlane()
 	if err != nil {
 		return fail("%v", err)
@@ -174,7 +169,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	router, err := capcluster.New(capcluster.Config{
 		Backends:       urls,
 		Local:          local,
-		Placement:      place,
 		FailThreshold:  *failThreshold,
 		FailWindow:     *failWindow,
 		AttemptTimeout: *attemptTimeout,
@@ -228,8 +222,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return fail("%v", err)
 	}
 	hs := &http.Server{Handler: router}
-	fmt.Fprintf(stdout, "caprouter: listening on %s (backends=%d policy=%s local-contexts=%d)\n",
-		ln.Addr(), len(urls), place.Name(), localRT.Contexts())
+	fmt.Fprintf(stdout, "caprouter: listening on %s (backends=%d local-contexts=%d)\n",
+		ln.Addr(), len(urls), localRT.Contexts())
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	select {

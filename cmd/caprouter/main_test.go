@@ -75,8 +75,8 @@ func TestUsageErrors(t *testing.T) {
 		want int
 	}{
 		{[]string{"-nope"}, 2},
-		{[]string{"-policy", "nope"}, 1},
 		{[]string{"-contexts", "-1"}, 1},
+		{[]string{"-contexts", "2000000000"}, 1}, // past capsule's ceiling: a flag error, not an OOM
 	} {
 		var out output
 		if got := run(context.Background(), tc.args, &out, &out); got != tc.want {

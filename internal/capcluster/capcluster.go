@@ -27,8 +27,8 @@
 //   - death throttling → the breaker: enough failures inside the window
 //     deny that backend's probes until the window drains, and the first
 //     probe after the drain is the half-open trial;
-//   - LIFO warm reuse  → placement policy: least-loaded credits (default),
-//     rendezvous hashing for affinity, round-robin as the control.
+//   - LIFO warm reuse  → placement: each request probes the backend with
+//     the most free credits first, then walks the fleet in ring order.
 //
 // A dispatch that dies retries the next backend (requests are pure
 // functions of (workload, n, seed), so retries are safe) and falls back
@@ -64,33 +64,41 @@ const (
 // the router could finish.
 const statusClientClosed = 499
 
+// Fixed routing parameters: no deployment has needed another value.
+const (
+	// initialCredits is the per-backend credit ceiling spent before the
+	// first feed delta or header teaches the real capacity, and the
+	// target the Refresh decay pass moves a stale gauge toward.
+	initialCredits = 4
+	// creditCap caps learned credits so a corrupt header cannot open
+	// the floodgates.
+	creditCap = 1024
+	// dispatchTimeout bounds one request's whole remote walk, end to end.
+	dispatchTimeout = 10 * time.Second
+	// trialBackoff is the base delay of the jittered exponential backoff
+	// between failed half-open trials (see scheduleTrial): after the k-th
+	// consecutive trial failure the next trial also waits
+	// ~trialBackoff·2^(k-1), so a fleet of routers re-probing a
+	// struggling backend doesn't line its trials up into a herd.
+	trialBackoff = 100 * time.Millisecond
+)
+
 // Defaults applied by New for zero Config fields.
 const (
-	// DefaultCredits is the initial per-backend credit ceiling, spent
-	// before the first feed delta or header teaches the real capacity.
-	DefaultCredits = 4
-	// DefaultMaxCredits caps learned credits so a corrupt header cannot
-	// open the floodgates.
-	DefaultMaxCredits = 1024
 	// DefaultFailThreshold failures inside DefaultFailWindow trip a
 	// backend's breaker.
 	DefaultFailThreshold = 3
 	// DefaultFailWindow is the breaker's trailing window.
 	DefaultFailWindow = 2 * time.Second
-	// DefaultTimeout bounds one remote dispatch end to end.
-	DefaultTimeout = 10 * time.Second
 	// DefaultAttemptTimeout bounds one dispatch *attempt* — the slice of
 	// the request budget a single backend may consume before the ladder
 	// moves on. A black-holing backend costs one attempt, not the
 	// request.
 	DefaultAttemptTimeout = 2 * time.Second
-	// DefaultTrialBackoff is the base delay of the jittered exponential
-	// backoff between failed half-open trials.
-	DefaultTrialBackoff = 100 * time.Millisecond
 	// DefaultStaleTTL is how long a backend's credit gauge stays trusted
 	// after its last live signal (push delta or response header). Past it
 	// with both sources quiet, each Refresh decays the gauge toward
-	// Config.Credits instead of serving stale capacity forever. Several
+	// initialCredits instead of serving stale capacity forever. Several
 	// push heartbeats (DefaultFeedHeartbeat) fit inside, so one dropped
 	// event never marks a healthy feed stale.
 	DefaultStaleTTL = 3 * time.Second
@@ -120,44 +128,28 @@ type Config struct {
 	// Required.
 	Local *capserve.Server
 
-	// Placement picks each request's preferred backend. Default:
-	// LeastLoaded.
-	Placement Placement
-
-	// Credits is the initial per-backend credit ceiling. Default:
-	// DefaultCredits.
-	Credits int
-
-	// MaxCredits caps credits learned from feed deltas and headers.
-	// Default: DefaultMaxCredits.
-	MaxCredits int
-
 	// FailThreshold failures within FailWindow trip a backend's breaker.
 	// Defaults: DefaultFailThreshold, DefaultFailWindow.
 	FailThreshold int
 	FailWindow    time.Duration
 
-	// Timeout bounds one remote dispatch. Default: DefaultTimeout.
-	Timeout time.Duration
-
 	// AttemptTimeout bounds one dispatch attempt, carved from the
-	// remaining Timeout budget: each attempt runs under
+	// remaining dispatchTimeout budget: each attempt runs under
 	// min(AttemptTimeout, budget left), so a stalled backend costs one
 	// attempt and the walk across the fleet still finishes inside
-	// Timeout. Default: DefaultAttemptTimeout; set >= Timeout to
-	// effectively disable the per-attempt slice.
+	// dispatchTimeout. Default: DefaultAttemptTimeout.
 	AttemptTimeout time.Duration
 
 	// StaleTTL bounds credit-gauge trust: a backend that has sent no
-	// feed delta and no headroom header for longer decays toward Credits
-	// on each Refresh tick. Default: DefaultStaleTTL.
+	// feed delta and no headroom header for longer decays toward
+	// initialCredits on each Refresh tick. Default: DefaultStaleTTL.
 	StaleTTL time.Duration
 
 	// FeedBackoff is the base of the jittered exponential backoff between
-	// credit-feed reconnect attempts — same shape as TrialBackoff, same
-	// deterministic per-backend jitter, so a fleet of routers losing the
-	// same backend doesn't resubscribe in lockstep. Default:
-	// DefaultFeedBackoff.
+	// credit-feed reconnect attempts — same shape as the half-open trial
+	// backoff, same deterministic per-backend jitter, so a fleet of
+	// routers losing the same backend doesn't resubscribe in lockstep.
+	// Default: DefaultFeedBackoff.
 	FeedBackoff time.Duration
 
 	// FeedTransport overrides the transport of the credit-feed
@@ -165,15 +157,6 @@ type Config struct {
 	// the push stream can be blackholed without touching dispatches.
 	// Default (nil): the dispatch transport.
 	FeedTransport http.RoundTripper
-
-	// TrialBackoff is the base of the jittered exponential backoff
-	// applied between *failed* half-open trials: after the k-th
-	// consecutive trial failure the next trial also waits
-	// ~TrialBackoff·2^(k-1), jittered ±50% deterministically per
-	// backend, on top of the quiet-window gate — so a fleet of routers
-	// re-probing a struggling backend doesn't line its trials up into a
-	// thundering herd. Default: DefaultTrialBackoff.
-	TrialBackoff time.Duration
 
 	// SlowFactor, SlowMinP99 and SlowMinSamples parameterise slow-backend
 	// ejection (Router.CheckSlow): a backend whose dispatch p99 over the
@@ -216,15 +199,8 @@ func (cfg Config) Validate() error {
 			return fmt.Errorf("capcluster: backend %q is not an http(s) base URL", b)
 		}
 	}
-	if cfg.Credits < 0 || cfg.MaxCredits < 0 || cfg.FailThreshold < 0 {
-		return fmt.Errorf("capcluster: Credits, MaxCredits and FailThreshold must be >= 0 (0 means default)")
-	}
-	// The gauge packs credits into 32 bits; anything near that is a typo,
-	// and letting it through would silently truncate — a fleet parked at
-	// zero credits with no error.
-	const creditCeiling = 1 << 30
-	if cfg.Credits > creditCeiling || cfg.MaxCredits > creditCeiling {
-		return fmt.Errorf("capcluster: Credits and MaxCredits must be <= %d, got %d/%d", creditCeiling, cfg.Credits, cfg.MaxCredits)
+	if cfg.FailThreshold < 0 {
+		return fmt.Errorf("capcluster: FailThreshold must be >= 0 (0 means default), got %d", cfg.FailThreshold)
 	}
 	// The failure ring allocates next-pow2(threshold) slots per backend;
 	// a huge threshold is a typo that would OOM at startup.
@@ -232,11 +208,8 @@ func (cfg Config) Validate() error {
 	if cfg.FailThreshold > thresholdCeiling {
 		return fmt.Errorf("capcluster: FailThreshold must be <= %d, got %d", thresholdCeiling, cfg.FailThreshold)
 	}
-	if cfg.FailWindow < 0 || cfg.Timeout < 0 {
-		return fmt.Errorf("capcluster: FailWindow and Timeout must be >= 0 (0 means default)")
-	}
-	if cfg.AttemptTimeout < 0 || cfg.TrialBackoff < 0 {
-		return fmt.Errorf("capcluster: AttemptTimeout and TrialBackoff must be >= 0 (0 means default)")
+	if cfg.FailWindow < 0 || cfg.AttemptTimeout < 0 {
+		return fmt.Errorf("capcluster: FailWindow and AttemptTimeout must be >= 0 (0 means default)")
 	}
 	if cfg.StaleTTL < 0 || cfg.FeedBackoff < 0 {
 		return fmt.Errorf("capcluster: StaleTTL and FeedBackoff must be >= 0 (0 means default)")
@@ -258,7 +231,6 @@ type Router struct {
 	cfg      Config
 	backends []*Backend
 	local    *capserve.Server
-	place    Placement
 	client   *http.Client
 	feed     *http.Client // credit-feed subscriptions: no client timeout (streams live forever), watchdogged per event
 	mux      *http.ServeMux
@@ -293,29 +265,14 @@ func New(cfg Config) (*Router, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Placement == nil {
-		cfg.Placement = LeastLoaded{}
-	}
-	if cfg.Credits == 0 {
-		cfg.Credits = DefaultCredits
-	}
-	if cfg.MaxCredits == 0 {
-		cfg.MaxCredits = DefaultMaxCredits
-	}
 	if cfg.FailThreshold == 0 {
 		cfg.FailThreshold = DefaultFailThreshold
 	}
 	if cfg.FailWindow == 0 {
 		cfg.FailWindow = DefaultFailWindow
 	}
-	if cfg.Timeout == 0 {
-		cfg.Timeout = DefaultTimeout
-	}
 	if cfg.AttemptTimeout == 0 {
 		cfg.AttemptTimeout = DefaultAttemptTimeout
-	}
-	if cfg.TrialBackoff == 0 {
-		cfg.TrialBackoff = DefaultTrialBackoff
 	}
 	if cfg.SlowFactor == 0 {
 		cfg.SlowFactor = DefaultSlowFactor
@@ -334,7 +291,7 @@ func New(cfg Config) (*Router, error) {
 	}
 	transport := cfg.Transport
 	if transport == nil {
-		transport = defaultTransport(cfg.MaxCredits)
+		transport = defaultTransport(creditCap)
 	}
 	feedTransport := cfg.FeedTransport
 	if feedTransport == nil {
@@ -347,8 +304,7 @@ func New(cfg Config) (*Router, error) {
 	r := &Router{
 		cfg:     cfg,
 		local:   cfg.Local,
-		place:   cfg.Placement,
-		client:  &http.Client{Transport: transport, Timeout: cfg.Timeout},
+		client:  &http.Client{Transport: transport, Timeout: dispatchTimeout},
 		feed:    &http.Client{Transport: feedTransport},
 		mux:     http.NewServeMux(),
 		start:   time.Now(),
@@ -357,8 +313,7 @@ func New(cfg Config) (*Router, error) {
 	}
 	for i, base := range cfg.Backends {
 		u, _ := url.Parse(base) // validated above
-		r.backends = append(r.backends, newBackend(
-			base, u.Host, i, cfg.Credits, cfg.MaxCredits, cfg.FailThreshold, cfg.FailWindow, cfg.TrialBackoff))
+		r.backends = append(r.backends, newBackend(base, u.Host, i, cfg.FailThreshold, cfg.FailWindow))
 	}
 	r.mux.HandleFunc("GET /healthz", r.handleHealthz)
 	r.mux.HandleFunc("GET /metrics", r.handleMetrics)
@@ -403,8 +358,7 @@ func (r *Router) handleIndex(w http.ResponseWriter, req *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]any{
-		"placement": r.place.Name(),
-		"backends":  infos,
+		"backends": infos,
 		"local": map[string]any{
 			"contexts":    r.local.Runtime().Contexts(),
 			"queue_depth": r.local.QueueDepth(),
@@ -413,12 +367,30 @@ func (r *Router) handleIndex(w http.ResponseWriter, req *http.Request) {
 	})
 }
 
+// leastLoaded picks the backend a request probes first: the one with the
+// widest credits-minus-inflight gap — the cluster analogue of granting
+// the context at the top of the free stack, sending work where headroom
+// is as the gauges see it right now. Ties go to the lowest index; a fleet
+// with no headroom anywhere returns 0 and lets the probes refuse. One
+// load per backend, no allocation: it sits on the request hot path.
+func leastLoaded(backends []*Backend) int {
+	best, bestFree := 0, int(-1)<<31
+	for i, b := range backends {
+		g := b.gauge.Load()
+		if free := int(uint32(g>>32)) - int(uint32(g)); free > bestFree {
+			best, bestFree = i, free
+		}
+	}
+	return best
+}
+
 // handleRun is the cluster-scope division point. Remote probes walk the
-// fleet in placement order; the first grant dispatches. A shed or death
-// moves on to the next backend (each probed at most once), and when the
-// whole fleet has refused or failed the request degrades to the local
-// tier — capserve, which may degrade it once more to sequential. The
-// request itself never fails on a backend's account.
+// fleet in ring order from the least-loaded backend; the first grant
+// dispatches. A shed or death moves on to the next backend (each probed
+// at most once), and when the whole fleet has refused or failed the
+// request degrades to the local tier — capserve, which may degrade it
+// once more to sequential. The request itself never fails on a
+// backend's account.
 func (r *Router) handleRun(w http.ResponseWriter, req *http.Request) {
 	r.requests.Add(1)
 
@@ -432,11 +404,11 @@ func (r *Router) handleRun(w http.ResponseWriter, req *http.Request) {
 	r.trace(traced, captrace.KRouteRecv, tid, 0, uint32(len(r.backends)))
 
 	if n := len(r.backends); n > 0 {
-		first := r.place.Pick(placeKey(req.PathValue("workload"), req.URL.RawQuery), r.backends)
+		first := leastLoaded(r.backends)
 		// The whole remote walk shares one budget: each attempt runs
 		// under min(AttemptTimeout, budget left), so retries after a
 		// stalled backend shrink, never extend, the request's bound.
-		deadline := time.Now().Add(r.cfg.Timeout)
+		deadline := time.Now().Add(dispatchTimeout)
 		for i := 0; i < n; i++ {
 			b := r.backends[(first+i)%n]
 			r.remoteProbes.Add(1)
@@ -509,7 +481,7 @@ func (r *Router) handleRun(w http.ResponseWriter, req *http.Request) {
 
 // Refresh is the credit gauges' decay pass: every backend that has sent
 // no feed delta and no headroom header within Config.StaleTTL moves its
-// gauge halfway toward Config.Credits (decayStale). It is what recovers
+// gauge halfway toward initialCredits (decayStale). It is what recovers
 // a backend parked at zero credits while its feed is down — no dispatch
 // means no header to teach it — and what stops a stale-high gauge from
 // over-committing a backend nobody has heard from. It touches no
@@ -521,7 +493,7 @@ func (r *Router) Refresh() {
 	ttl := r.cfg.StaleTTL.Nanoseconds()
 	for _, b := range r.backends {
 		if b.stale(ttl) {
-			b.decayStale(r.cfg.Credits)
+			b.decayStale()
 			select {
 			case b.feedWake <- struct{}{}:
 			default: // a wake-up is already pending

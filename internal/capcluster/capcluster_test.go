@@ -94,11 +94,8 @@ func TestConfigValidate(t *testing.T) {
 	if err := (Config{Local: local, Backends: []string{"ftp://x"}}).Validate(); err == nil {
 		t.Fatal("non-http backend URL accepted")
 	}
-	if err := (Config{Local: local, Credits: -1}).Validate(); err == nil {
-		t.Fatal("negative Credits accepted")
-	}
-	if err := (Config{Local: local, MaxCredits: 1 << 31}).Validate(); err == nil {
-		t.Fatal("uint32-truncating MaxCredits accepted")
+	if err := (Config{Local: local, FailThreshold: -1}).Validate(); err == nil {
+		t.Fatal("negative FailThreshold accepted")
 	}
 	if err := (Config{Local: local, FailWindow: -time.Second}).Validate(); err == nil {
 		t.Fatal("negative FailWindow accepted")
@@ -111,7 +108,7 @@ func TestConfigValidate(t *testing.T) {
 // TestProbeDenyAllocFree pins the PR 3 discipline at cluster scope: both
 // remote-probe refusal reasons are allocation-free.
 func TestProbeDenyAllocFree(t *testing.T) {
-	b := newBackend("http://127.0.0.1:1", "b0", 0, 4, 1024, 2, time.Second, 0)
+	b := newBackend("http://127.0.0.1:1", "b0", 0, 2, time.Second)
 
 	b.setCredits(0) // every probe refuses on credit
 	if allocs := testing.AllocsPerRun(1000, func() {
@@ -171,7 +168,7 @@ func TestProbeDenyNetworkFree(t *testing.T) {
 // clock: threshold failures deny probes, and the probes flow again once
 // the window slides past them.
 func TestBreakerTripsAndReadmits(t *testing.T) {
-	b := newBackend("http://127.0.0.1:1", "b0", 0, 4, 1024, 3, time.Second, 0)
+	b := newBackend("http://127.0.0.1:1", "b0", 0, 3, time.Second)
 	var clock atomic.Int64
 	b.now = func() int64 { return clock.Load() }
 
@@ -247,7 +244,8 @@ func TestBreakerTripsAndReadmits(t *testing.T) {
 // ceiling, release restores, learn folds advertised headroom in on top
 // of in-flight, setCredits clamps.
 func TestCreditGauge(t *testing.T) {
-	b := newBackend("http://127.0.0.1:1", "b0", 0, 3, 8, 4, time.Second, 0)
+	b := newBackend("http://127.0.0.1:1", "b0", 0, 4, time.Second)
+	b.setCredits(3)
 	for i := 0; i < 3; i++ {
 		if !b.probe() {
 			t.Fatalf("probe %d refused with credits free", i)
@@ -269,12 +267,12 @@ func TestCreditGauge(t *testing.T) {
 	if b.Credits() != 5 || b.Inflight() != 3 {
 		t.Fatalf("after learn(2): %d/%d, want 3/5", b.Inflight(), b.Credits())
 	}
-	b.learn(100) // clamped at maxCredits
-	if b.Credits() != 8 {
-		t.Fatalf("learn over max: credits %d, want 8", b.Credits())
+	b.learn(2 * creditCap) // clamped at creditCap
+	if b.Credits() != creditCap {
+		t.Fatalf("learn over max: credits %d, want %d", b.Credits(), creditCap)
 	}
 	b.learn(-1) // negative headroom readings are ignored
-	if b.Credits() != 8 {
+	if b.Credits() != creditCap {
 		t.Fatalf("learn(-1) changed credits to %d", b.Credits())
 	}
 	b.setCredits(-5)
@@ -293,7 +291,8 @@ func TestCreditGauge(t *testing.T) {
 // is no lost releases (final inflight zero) and no grant beyond the
 // ceiling at snapshot time.
 func TestCreditGaugeStorm(t *testing.T) {
-	b := newBackend("http://127.0.0.1:1", "b0", 0, 8, 64, 4, time.Second, 0)
+	b := newBackend("http://127.0.0.1:1", "b0", 0, 4, time.Second)
+	b.setCredits(8)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -313,77 +312,43 @@ func TestCreditGaugeStorm(t *testing.T) {
 	if b.Inflight() != 0 {
 		t.Fatalf("inflight %d after storm, want 0", b.Inflight())
 	}
-	if c := b.Credits(); c < 8 || c > 64 {
-		t.Fatalf("credits %d after storm, want within [8,64]", c)
+	// learn(8) runs with at most the 8 probers' credits in flight.
+	if c := b.Credits(); c < 8 || c > 16 {
+		t.Fatalf("credits %d after storm, want within [8,16]", c)
 	}
 }
 
+// TestPlacementPolicies pins leastLoaded, the router's one placement:
+// the widest credits-minus-inflight gap wins, ties go to the lowest
+// index, and a fleet with no headroom anywhere answers 0.
 func TestPlacementPolicies(t *testing.T) {
 	mk := func(credits ...int) []*Backend {
 		bs := make([]*Backend, len(credits))
 		for i, c := range credits {
-			bs[i] = newBackend(fmt.Sprintf("http://127.0.0.1:%d", i+1), fmt.Sprintf("b%d", i), i, c, 1024, 4, time.Second, 0)
+			bs[i] = newBackend(fmt.Sprintf("http://127.0.0.1:%d", i+1), fmt.Sprintf("b%d", i), i, 4, time.Second)
+			bs[i].setCredits(c)
 		}
 		return bs
 	}
 
-	rr := &RoundRobin{}
-	bs := mk(4, 4, 4)
-	seen := map[int]int{}
-	for i := 0; i < 9; i++ {
-		seen[rr.Pick(0, bs)]++
+	if got := leastLoaded(mk(4, 4, 4)); got != 0 {
+		t.Fatalf("least-loaded picked %d on a tie, want 0 (lowest index)", got)
 	}
-	if seen[0] != 3 || seen[1] != 3 || seen[2] != 3 {
-		t.Fatalf("round-robin spread %v, want 3/3/3", seen)
-	}
-
-	ll := LeastLoaded{}
-	bs = mk(2, 8, 4)
-	if got := ll.Pick(0, bs); got != 1 {
+	bs := mk(2, 8, 4)
+	if got := leastLoaded(bs); got != 1 {
 		t.Fatalf("least-loaded picked %d, want 1 (most free credits)", got)
 	}
-	bs[1].probe()
-	bs[1].probe()
-	bs[1].probe()
-	bs[1].probe()
-	bs[1].probe() // b1 free: 3; b2 free: 4
-	if got := ll.Pick(0, bs); got != 2 {
+	for i := 0; i < 5; i++ { // b1 free: 3; b2 free: 4
+		bs[1].probe()
+	}
+	if got := leastLoaded(bs); got != 2 {
 		t.Fatalf("least-loaded picked %d after load shift, want 2", got)
 	}
-
-	rv := Rendezvous{}
-	bs = mk(4, 4, 4)
-	spread := map[int]bool{}
-	for key := uint64(0); key < 64; key++ {
-		p := rv.Pick(key, bs)
-		if q := rv.Pick(key, bs); q != p {
-			t.Fatalf("rendezvous unstable for key %d: %d then %d", key, p, q)
-		}
-		spread[p] = true
-	}
-	if len(spread) < 2 {
-		t.Fatalf("rendezvous sent 64 keys to %d backend(s), want spread", len(spread))
-	}
-	// Minimal remap: weights key on backend identity (URL), not fleet
-	// index, so removing one backend moves only the keys it owned.
-	reduced := []*Backend{bs[0], bs[2]}
-	for key := uint64(0); key < 64; key++ {
-		home := bs[rv.Pick(key, bs)]
-		if home == bs[1] {
-			continue // this key's home left; it may land anywhere
-		}
-		if moved := reduced[rv.Pick(key, reduced)]; moved != home {
-			t.Fatalf("key %d moved %s → %s when an unrelated backend left", key, home.name, moved.name)
-		}
-	}
-
-	if _, err := NewPlacement("nosuch"); err == nil {
-		t.Fatal("unknown placement accepted")
-	}
-	for _, name := range []string{"", "least-loaded", "round-robin", "rendezvous"} {
-		if _, err := NewPlacement(name); err != nil {
-			t.Fatalf("NewPlacement(%q): %v", name, err)
-		}
+	bs = mk(0, 1, 1)
+	bs[1].probe()
+	bs[2].probe() // no headroom anywhere
+	if got := leastLoaded(bs); got != 0 {
+		t.Fatalf("least-loaded picked %d on a dry fleet, want 0", got)
 	}
 }
 
@@ -457,8 +422,9 @@ func TestShedRetriesNextBackend(t *testing.T) {
 	real := startBackend(t, 2, 16)
 
 	r, ts := newRouter(t, Config{
-		Backends:  []string{shedder.URL, real.URL},
-		Placement: &RoundRobin{}, // first pick is backends[0], the shedder
+		// Equal gauges: least-loaded's first pick is backends[0], the
+		// shedder.
+		Backends: []string{shedder.URL, real.URL},
 	})
 	resp, _ := get(t, ts.URL+"/run/quicksort?n=200&seed=7")
 	if resp.StatusCode != http.StatusOK {
@@ -489,10 +455,7 @@ func TestServerErrorIsDeath(t *testing.T) {
 	}))
 	defer sick.Close()
 
-	r, ts := newRouter(t, Config{
-		Backends:  []string{sick.URL},
-		Placement: &RoundRobin{},
-	})
+	r, ts := newRouter(t, Config{Backends: []string{sick.URL}})
 	resp, _ := get(t, ts.URL+"/run/quicksort?n=200&seed=7")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, want 200 via local fallback", resp.StatusCode)
@@ -523,7 +486,6 @@ func TestKilledBackendRedistributes(t *testing.T) {
 		Local:         newLocal(t, 2, 64),
 		FailThreshold: 2,
 		FailWindow:    30 * time.Second, // stays broken for the whole test
-		Timeout:       5 * time.Second,
 	})
 
 	if ok, bad, _ := stormClients([]string{ts.URL}, 8, 300, 200*time.Millisecond); bad != 0 || ok == 0 {
@@ -631,8 +593,7 @@ func TestRouterHealthzAndIndex(t *testing.T) {
 	r.SetDraining(false)
 
 	var idx struct {
-		Placement string `json:"placement"`
-		Backends  []struct {
+		Backends []struct {
 			URL     string `json:"url"`
 			Credits int    `json:"credits"`
 		} `json:"backends"`
@@ -647,7 +608,7 @@ func TestRouterHealthzAndIndex(t *testing.T) {
 	if err := json.Unmarshal(body, &idx); err != nil {
 		t.Fatalf("index body %q: %v", body, err)
 	}
-	if idx.Placement != "least-loaded" || len(idx.Backends) != 1 || idx.Local.Contexts != 2 {
+	if len(idx.Backends) != 1 || idx.Local.Contexts != 2 {
 		t.Fatalf("index = %+v", idx)
 	}
 }

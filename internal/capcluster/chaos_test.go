@@ -50,7 +50,6 @@ func TestAttemptDeadlineBoundsBlackhole(t *testing.T) {
 	r, ts := newRouter(t, Config{
 		Backends:       []string{victim.URL, healthy.URL},
 		Transport:      inj.Transport(http.DefaultTransport),
-		Timeout:        5 * time.Second,
 		AttemptTimeout: attempt,
 		FailThreshold:  100, // keep the breaker out of it: every request may eat the black hole
 	})
@@ -158,9 +157,9 @@ func TestSlowBackendEjectsAndReadmits(t *testing.T) {
 // trial out ~2× further, the jitter stays inside [0.5×, 1.5×) of the
 // exponential base, and distinct backends jitter differently.
 func TestTrialBackoffJitter(t *testing.T) {
-	const base = 100 * time.Millisecond
+	const base = trialBackoff
 	mk := func(url string) (*Backend, *atomic.Int64) {
-		b := newBackend(url, "b", 0, 4, 1024, 2, time.Second, base)
+		b := newBackend(url, "b", 0, 2, time.Second)
 		var clock atomic.Int64
 		b.now = func() int64 { return clock.Load() }
 		return b, &clock
@@ -290,7 +289,7 @@ func TestLearnRejectsCorruptHeader(t *testing.T) {
 		io.WriteString(w, "ok")
 	}))
 	defer evil.Close()
-	r, ts := newRouter(t, Config{Backends: []string{evil.URL}, Credits: 4})
+	r, ts := newRouter(t, Config{Backends: []string{evil.URL}})
 	resp, body := get(t, ts.URL+"/run/quicksort?n=64&seed=1")
 	if resp.StatusCode != 200 || string(body) != "ok" {
 		t.Fatalf("resp %d %q", resp.StatusCode, body)
@@ -391,9 +390,9 @@ func TestClientGoneDuringTrial(t *testing.T) {
 		Backends:      []string{backend.URL},
 		FailThreshold: 2,
 		FailWindow:    100 * time.Millisecond,
-		TrialBackoff:  time.Nanosecond, // the jitter gate is not under test here
 	})
 	b := r.Backends()[0]
+	b.trialBackoffNS = 1 // the jitter gate is not under test here
 
 	// Trip the breaker with two 5xxs (requests fall back locally, fine).
 	for i := 0; i < 2; i++ {
@@ -460,7 +459,9 @@ func TestClientGoneDuringTrial(t *testing.T) {
 // value is under -race: the "benign" claim is only benign if the race
 // detector agrees the accesses are synchronized atomics.
 func TestFailRingStormRace(t *testing.T) {
-	b := newBackend("http://127.0.0.1:1", "b0", 0, 64, 1024, 4, 50*time.Millisecond, time.Millisecond)
+	b := newBackend("http://127.0.0.1:1", "b0", 0, 4, 50*time.Millisecond)
+	b.setCredits(64)
+	b.trialBackoffNS = time.Millisecond.Nanoseconds()
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for g := 0; g < 8; g++ {

@@ -21,8 +21,8 @@ const dispatchIdleConnsFloor = 64
 // nil: http.DefaultTransport's dialer and timeouts, with an idle pool
 // sized to the fleet's real concurrency bound. Every concurrently
 // admitted request holds one connection to its backend, and admissions
-// per backend are capped by the credit gauge — whose ceiling is
-// maxCredits — so an idle pool at least that wide means a release never
+// per backend are capped by the credit gauge — whose ceiling is at most
+// creditCap — so an idle pool at least that wide means a release never
 // closes a connection the next dispatch burst will want (net/http's
 // default of 2 idle conns per host re-dials on nearly every dispatch,
 // measured as the server being slow when it is really the router
@@ -43,7 +43,7 @@ func defaultTransport(maxCredits int) http.RoundTripper {
 // behavior.
 func DefaultTransport(maxCredits int) http.RoundTripper {
 	if maxCredits == 0 {
-		maxCredits = DefaultMaxCredits
+		maxCredits = creditCap
 	}
 	return defaultTransport(maxCredits)
 }
@@ -208,7 +208,7 @@ func parseHeadroom(s string) (int, bool) {
 
 // learnHeader folds one X-Capserve-Queue-Free value into the gauge. The
 // header crosses a process boundary, so it is clamped like any other
-// untrusted input: learn caps at MaxCredits, but pinning a backend *at*
+// untrusted input: learn caps at creditCap, but pinning a backend *at*
 // the cap is still inflation, so a value parseHeadroom rejects is only
 // counted in badHeaders and changes nothing else.
 func (b *Backend) learnHeader(v string) {

@@ -29,7 +29,7 @@ type Backend struct {
 	url      string
 	name     string // host:port, the metrics label
 	id       int    // index in this router's fleet (NOT stable across configs)
-	nameHash uint64 // FNV of url: the identity rendezvous hashing keys on
+	nameHash uint64 // FNV of url: the identity the backoff jitter keys on
 
 	// gauge packs {credits:32 | inflight:32}: the credit ceiling in the
 	// high half, current in-flight dispatches in the low half. One word
@@ -40,13 +40,12 @@ type Backend struct {
 	ring          failRing
 	failThreshold int
 	failWindowNS  int64
-	maxCredits    uint32
 	now           func() int64 // injectable monotonic clock, as in capsule
 
 	// probation is the half-open gate: after a breaker trip, re-admission
 	// is one trial dispatch at a time, not a stampede. Without it a
 	// black-holing backend (timeouts, not connection-refused) would stall
-	// every concurrent request for a full dispatch Timeout each drain
+	// every concurrent request for a full dispatchTimeout each drain
 	// cycle; with it the exposure is bounded to one in-flight trial per
 	// quiet window.
 	probation atomic.Uint32
@@ -57,7 +56,7 @@ type Backend struct {
 	// next trial may run. Both reset the moment any response arrives.
 	trialFails     atomic.Uint32
 	nextTrialNS    atomic.Int64
-	trialBackoffNS int64
+	trialBackoffNS int64 // trialBackoff; in-package tests shorten it
 
 	// Push-plane state (feed.go). feedMu serializes delta application so
 	// the seq check and the gauge write cannot interleave across two
@@ -107,7 +106,7 @@ const (
 	probationTrial               // the trial dispatch is in flight
 )
 
-func newBackend(url, name string, id, credits, maxCredits, failThreshold int, failWindow, trialBackoff time.Duration) *Backend {
+func newBackend(url, name string, id, failThreshold int, failWindow time.Duration) *Backend {
 	b := &Backend{
 		url:            url,
 		name:           name,
@@ -115,14 +114,23 @@ func newBackend(url, name string, id, credits, maxCredits, failThreshold int, fa
 		nameHash:       fnv64(url),
 		failThreshold:  failThreshold,
 		failWindowNS:   failWindow.Nanoseconds(),
-		maxCredits:     uint32(maxCredits),
 		trialBackoffNS: trialBackoff.Nanoseconds(),
 		now:            func() int64 { return time.Now().UnixNano() },
 		feedWake:       make(chan struct{}, 1),
 	}
 	b.ring.init(failThreshold)
-	b.setCredits(credits)
+	b.setCredits(initialCredits)
 	return b
+}
+
+// fnv64 is FNV-1a over one string — the stable backend identity hash.
+func fnv64(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
 }
 
 // URL returns the backend's base URL.
@@ -259,8 +267,8 @@ func (b *Backend) setCredits(c int) {
 	if c < 0 {
 		c = 0
 	}
-	if uint32(c) > b.maxCredits {
-		c = int(b.maxCredits)
+	if c > creditCap {
+		c = creditCap
 	}
 	for {
 		g := b.gauge.Load()
@@ -307,20 +315,21 @@ func (b *Backend) stale(ttlNS int64) bool {
 	return b.now()-b.freshNS.Load() > ttlNS
 }
 
-// decayStale moves the credit ceiling halfway toward def (snapping when
-// one step away), the gauge's answer to total signal loss: a stale-high
-// gauge would keep over-committing a backend nobody has heard from, a
-// stale-zero gauge would starve one that recovered silently. Converging
-// on the conservative default bounds both errors, and the breaker plus
-// the half-open trial machinery resolve which one it was.
-func (b *Backend) decayStale(def int) {
+// decayStale moves the credit ceiling halfway toward initialCredits
+// (snapping when one step away), the gauge's answer to total signal
+// loss: a stale-high gauge would keep over-committing a backend nobody
+// has heard from, a stale-zero gauge would starve one that recovered
+// silently. Converging on the conservative default bounds both errors,
+// and the breaker plus the half-open trial machinery resolve which one
+// it was.
+func (b *Backend) decayStale() {
 	cur := b.Credits()
-	if cur == def {
+	if cur == initialCredits {
 		return
 	}
-	next := cur + (def-cur)/2
+	next := cur + (initialCredits-cur)/2
 	if next == cur {
-		next = def
+		next = initialCredits
 	}
 	b.setCredits(next)
 	b.staleDecays.Add(1)
@@ -329,7 +338,7 @@ func (b *Backend) decayStale(def int) {
 // learn folds one advertised headroom reading (a feed delta or a
 // response header) into the gauge: the backend can absorb everything
 // this router already has in flight plus the free slots it just
-// advertised, capped at maxCredits. Stale advertisements self-correct —
+// advertised, capped at creditCap. Stale advertisements self-correct —
 // a backend whose queue other tenants filled advertises less, and the
 // gauge shrinks with it. learn(0) with zero in flight parks the backend
 // at zero credits; the next feed delta re-teaches it, and with the feed
@@ -342,8 +351,8 @@ func (b *Backend) learn(free int) {
 		g := b.gauge.Load()
 		inf := g & gaugeLowMask
 		c := inf + uint64(free)
-		if c > uint64(b.maxCredits) {
-			c = uint64(b.maxCredits)
+		if c > creditCap {
+			c = creditCap
 		}
 		ng := c<<32 | inf
 		if g == ng || b.gauge.CompareAndSwap(g, ng) {

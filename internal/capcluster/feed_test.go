@@ -20,7 +20,7 @@ import (
 // be dropped — a stale subscriber goroutine racing its post-reconnect
 // replacement can never roll the gauge backwards.
 func TestApplyDeltaSeqRegression(t *testing.T) {
-	b := newBackend("http://127.0.0.1:1", "b0", 0, 4, 1024, 2, time.Second, 0)
+	b := newBackend("http://127.0.0.1:1", "b0", 0, 2, time.Second)
 
 	if !b.applyDelta(5, 7, false) {
 		t.Fatal("first delta (seq 5) not applied")
@@ -67,8 +67,6 @@ func TestCreditGaugeConcurrentSources(t *testing.T) {
 	// the decay writer really writes between the other two.
 	r, _ := newRouter(t, Config{
 		Backends:      []string{"http://127.0.0.1:1"},
-		Credits:       4,
-		MaxCredits:    64,
 		FailThreshold: 1000,
 		StaleTTL:      time.Nanosecond,
 	})
@@ -142,7 +140,7 @@ func TestCreditGaugeConcurrentSources(t *testing.T) {
 // TestStaleDecayToDefault drives the decay pass through Router.Refresh
 // on an injected clock: while a source is fresh Refresh leaves the
 // gauge alone; once feed and headers have both been quiet past StaleTTL
-// each Refresh moves it toward Config.Credits — halving the distance
+// each Refresh moves it toward initialCredits — halving the distance
 // per step, snapping when adjacent — and a single live delta makes it
 // fresh again.
 func TestStaleDecayToDefault(t *testing.T) {
@@ -165,7 +163,7 @@ func TestStaleDecayToDefault(t *testing.T) {
 	// per step, monotonically, and stops at the default.
 	clock.Store(ttl.Nanoseconds() + 1)
 	prev, steps := b.Credits(), uint64(0)
-	for ; steps < 20 && b.Credits() != DefaultCredits; steps++ {
+	for ; steps < 20 && b.Credits() != initialCredits; steps++ {
 		r.Refresh()
 		cur := b.Credits()
 		if cur >= prev {
@@ -173,8 +171,8 @@ func TestStaleDecayToDefault(t *testing.T) {
 		}
 		prev = cur
 	}
-	if got := b.Credits(); got != DefaultCredits {
-		t.Fatalf("credits = %d after decay, want DefaultCredits (%d)", got, DefaultCredits)
+	if got := b.Credits(); got != initialCredits {
+		t.Fatalf("credits = %d after decay, want initialCredits (%d)", got, initialCredits)
 	}
 	r.Refresh() // at the floor: a no-op, not a counted decay
 	if got := b.staleDecays.Load(); got != steps {
@@ -183,11 +181,11 @@ func TestStaleDecayToDefault(t *testing.T) {
 
 	// Decay also recovers a gauge parked at zero with its feed down.
 	b.setCredits(0)
-	for i := 0; i < 20 && b.Credits() != DefaultCredits; i++ {
+	for i := 0; i < 20 && b.Credits() != initialCredits; i++ {
 		r.Refresh()
 	}
-	if got := b.Credits(); got != DefaultCredits {
-		t.Fatalf("credits = %d after upward decay, want %d", got, DefaultCredits)
+	if got := b.Credits(); got != initialCredits {
+		t.Fatalf("credits = %d after upward decay, want %d", got, initialCredits)
 	}
 
 	// One live delta ends staleness: the next Refresh leaves it be.
@@ -227,8 +225,8 @@ func TestFeedEndToEnd(t *testing.T) {
 		FeedTransport: park,
 	})
 	b := r.Backends()[0]
-	if got := b.Credits(); got != DefaultCredits {
-		t.Fatalf("credits = %d before any feed, want DefaultCredits (%d)", got, DefaultCredits)
+	if got := b.Credits(); got != initialCredits {
+		t.Fatalf("credits = %d before any feed, want initialCredits (%d)", got, initialCredits)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -278,7 +276,7 @@ func TestFeedEndToEnd(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	r.Refresh()
-	want := depth + (DefaultCredits-depth)/2
+	want := depth + (initialCredits-depth)/2
 	if got, decays := b.Credits(), b.staleDecays.Load(); got != want || decays != 1 {
 		t.Fatalf("after the cut and a stale Refresh: credits %d, %d decays; want %d, 1", got, decays, want)
 	}

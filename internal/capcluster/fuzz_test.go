@@ -27,14 +27,14 @@ func snapGauge(b *Backend) gaugeState {
 // applyDelta) and the headroom header (learnHeader: parseHeadroom, into
 // learn) — one line at a time, split as feedOnce's scanner splits, on a
 // backend with dispatches in flight. After every step: no panic;
-// credits stay in [0, MaxCredits]; inflight is untouched; feedSeq never
+// credits stay in [0, creditCap]; inflight is untouched; feedSeq never
 // decreases; a line without the "data: " prefix changes nothing on the
 // feed path; and a rejected advertisement moves badHeaders by one and
 // nothing else. Seeds live in testdata/fuzz/FuzzCreditAdvert.
 func FuzzCreditAdvert(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in string) {
-		const maxCredits, inflight = 64, 3
-		b := newBackend("http://127.0.0.1:1", "b0", 0, DefaultCredits, maxCredits, 2, time.Second, 0)
+		const inflight = 3
+		b := newBackend("http://127.0.0.1:1", "b0", 0, 2, time.Second)
 		var clock int64 // a clock that always moves, so any freshness write shows
 		b.now = func() int64 { clock++; return clock }
 		for i := 0; i < inflight; i++ {
@@ -47,8 +47,8 @@ func FuzzCreditAdvert(f *testing.F) {
 			before := snapGauge(b)
 			apply()
 			after := snapGauge(b)
-			if c := b.Credits(); c < 0 || c > maxCredits {
-				t.Fatalf("%s %q: credits %d outside [0, %d]", path, line, c, maxCredits)
+			if c := b.Credits(); c < 0 || c > creditCap {
+				t.Fatalf("%s %q: credits %d outside [0, %d]", path, line, c, creditCap)
 			}
 			if got := b.Inflight(); got != inflight {
 				t.Fatalf("%s %q: inflight %d, want %d untouched", path, line, got, inflight)

@@ -92,7 +92,6 @@ func TestChurnLeaveRejoinZeroFailedRequests(t *testing.T) {
 		Local:         newLocal(t, 2, 256),
 		FailThreshold: 2,
 		FailWindow:    400 * time.Millisecond,
-		Timeout:       5 * time.Second,
 	})
 
 	// Backend 0 never churns: someone has to hold the fort. The rest
@@ -173,17 +172,15 @@ func TestFeedBlackholeUnderLoadZeroFailedRequests(t *testing.T) {
 		urls = append(urls, b.URL)
 	}
 	inj := capfault.New(0xFEEDC)
+	// The decay target, initialCredits, is one no header can teach: a
+	// learned ceiling is this router's in-flight dispatches plus the
+	// advertised free slots, which sum to at least the queue depth of 8,
+	// so the post-storm decay is observable on every backend.
 	r, ts := newRouter(t, Config{
-		Backends: urls,
-		Local:    newLocal(t, 2, 256),
-		// A decay target no header can teach: a learned ceiling is this
-		// router's in-flight dispatches plus the advertised free slots,
-		// which sum to about the queue depth of 8, so the post-storm decay
-		// is observable on every backend.
-		Credits:       1,
+		Backends:      urls,
+		Local:         newLocal(t, 2, 256),
 		FailThreshold: 2,
 		FailWindow:    400 * time.Millisecond,
-		Timeout:       5 * time.Second,
 		StaleTTL:      ttl,
 		FeedBackoff:   50 * time.Millisecond,
 		FeedTransport: inj.FeedTransport(httptune.Transport(8)),

@@ -37,10 +37,10 @@ import (
 	"repro/internal/workloads"
 )
 
-// DefaultMaxN caps request input sizes for linear-cost workloads with no
-// explicit entry in Config.MaxN. It bounds per-request memory (a
-// quicksort request allocates ~2 slices of n int64s) and time without
-// getting in honest traffic's way.
+// DefaultMaxN caps request input sizes for the linear-cost workloads
+// (and any workload without a tuned entry in defaultCaps). It bounds
+// per-request memory (a quicksort request allocates ~2 slices of n
+// int64s) and time without getting in honest traffic's way.
 const DefaultMaxN = 1 << 20
 
 // Headroom headers: every /run response advertises the server's
@@ -60,12 +60,13 @@ const (
 	HeaderDegraded = "X-Capserve-Degraded"
 )
 
-// defaultCaps are the per-workload default input caps. They bound
-// worst-case per-request *time*, not just memory, so they track each
-// algorithm's cost curve: dijkstra's flooding exploration is superlinear
-// in n (n=10000 is already seconds of CPU sequentially), so its cap is
-// orders of magnitude below the linear workloads'. Config.MaxN overrides
-// per workload.
+// defaultCaps are the per-workload input caps, the server's only bound
+// on per-request cost — a run, once dispatched, is not cancellable
+// mid-flight. They bound worst-case per-request *time*, not just
+// memory, so they track each algorithm's cost curve: dijkstra's flooding
+// exploration is superlinear in n (n=10000 is already seconds of CPU
+// sequentially), so its cap is orders of magnitude below the linear
+// workloads'.
 var defaultCaps = map[string]int{
 	"quicksort":  DefaultMaxN,
 	"lzw":        DefaultMaxN,
@@ -83,13 +84,6 @@ type Config struct {
 	// arrives with the queue full is shed with 503. Default: 4 × the
 	// runtime's context count.
 	QueueDepth int
-
-	// MaxN caps the n parameter per workload. Keys must be native
-	// workload names, values must be positive; missing workloads take
-	// the per-workload defaults (defaultCaps). The caps are the server's
-	// only bound on per-request cost — a run, once dispatched, is not
-	// cancellable mid-flight — so raise them deliberately.
-	MaxN map[string]int
 
 	// Tracer receives the serving-tier lifecycle events. Default (nil): inherit the Runtime's tracer,
 	// so wiring a tracer into the runtime Config is the only step needed
@@ -123,18 +117,6 @@ func (cfg Config) Validate() error {
 	}
 	if cfg.FeedHeartbeat < 0 {
 		return fmt.Errorf("capserve: FeedHeartbeat must be >= 0 (0 means default), got %v", cfg.FeedHeartbeat)
-	}
-	known := map[string]bool{}
-	for _, wl := range workloads.NativeNames() {
-		known[wl] = true
-	}
-	for wl, n := range cfg.MaxN {
-		if !known[wl] {
-			return fmt.Errorf("capserve: MaxN names unknown workload %q (have %v)", wl, workloads.NativeNames())
-		}
-		if n <= 0 {
-			return fmt.Errorf("capserve: MaxN[%q] must be > 0, got %d", wl, n)
-		}
 	}
 	return nil
 }
@@ -210,9 +192,6 @@ func New(cfg Config) (*Server, error) {
 		} else {
 			s.maxN[wl] = DefaultMaxN // a workload added without a tuned cap
 		}
-	}
-	for wl, n := range cfg.MaxN {
-		s.maxN[wl] = n
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)

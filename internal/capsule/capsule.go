@@ -75,10 +75,6 @@ type Config struct {
 	// throttle. Default: Contexts/2, the paper's threshold.
 	DeathThreshold int
 
-	// LockStripes is the lock-table size (rounded up to a power of two).
-	// Default: 256 entries, mirroring the bounded fast lock table.
-	LockStripes int
-
 	// Tracer, when non-nil, receives lifecycle events (probe outcomes,
 	// handoffs, deaths, throttle transitions) from the hot path. Probe
 	// and the Runtime-level Divide/TryDivide stay untraced either way;
@@ -102,26 +98,33 @@ func Defaults() Config {
 		Contexts:    runtime.GOMAXPROCS(0),
 		Throttle:    true,
 		DeathWindow: 100 * time.Microsecond,
-		LockStripes: 256,
 	}
 }
+
+// maxContexts bounds Config.Contexts. New allocates a persistent worker
+// goroutine, a mailbox channel and a Context per context up front, and
+// the token stack stores id+1 in an int32: a count far beyond any
+// machine's hardware threads is a typo that would exhaust memory at
+// startup, so Validate refuses it as a configuration error instead.
+const maxContexts = 1 << 14
+
+// lockStripes is the lock-table size, a power of two: 256 entries,
+// mirroring the bounded fast lock table.
+const lockStripes = 256
 
 // Validate reports whether every field of c is meaningful. Zero fields
 // are valid — they take the documented defaults — but negative counts,
 // thresholds or windows have no sensible reading and were previously
 // absorbed silently into the defaults; now they are errors.
 func (c Config) Validate() error {
-	if c.Contexts < 0 {
-		return fmt.Errorf("capsule: Contexts must be >= 0 (0 means GOMAXPROCS), got %d", c.Contexts)
+	if c.Contexts < 0 || c.Contexts > maxContexts {
+		return fmt.Errorf("capsule: Contexts must be in [0, %d] (0 means GOMAXPROCS), got %d", maxContexts, c.Contexts)
 	}
 	if c.DeathWindow < 0 {
 		return fmt.Errorf("capsule: DeathWindow must be >= 0 (0 means 100µs default), got %v", c.DeathWindow)
 	}
 	if c.DeathThreshold < 0 {
 		return fmt.Errorf("capsule: DeathThreshold must be >= 0 (0 means Contexts/2), got %d", c.DeathThreshold)
-	}
-	if c.LockStripes < 0 {
-		return fmt.Errorf("capsule: LockStripes must be >= 0 (0 means 256), got %d", c.LockStripes)
 	}
 	return nil
 }
@@ -269,20 +272,13 @@ func New(cfg Config) *Runtime {
 			cfg.DeathThreshold = 1
 		}
 	}
-	if cfg.LockStripes <= 0 {
-		cfg.LockStripes = 256
-	}
-	stripes := 1
-	for stripes < cfg.LockStripes {
-		stripes <<= 1
-	}
 	rt := &Runtime{
 		cfg:      cfg,
 		workers:  make([]chan job, cfg.Contexts),
 		wstate:   make([]workerState, cfg.Contexts),
 		closedCh: make(chan struct{}),
-		stripes:  make([]stripe, stripes),
-		lockMask: uint64(stripes - 1),
+		stripes:  make([]stripe, lockStripes),
+		lockMask: lockStripes - 1,
 	}
 	// Since on a Time that carries a monotonic reading is one monotonic
 	// clock read; Now would read the wall clock as well.

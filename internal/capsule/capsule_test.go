@@ -18,11 +18,11 @@ func TestDefaultsApplied(t *testing.T) {
 	if rt.Contexts() < 1 {
 		t.Fatalf("Contexts = %d, want >= 1", rt.Contexts())
 	}
-	if rt.cfg.DeathWindow <= 0 || rt.cfg.DeathThreshold < 1 || rt.cfg.LockStripes < 1 {
+	if rt.cfg.DeathWindow <= 0 || rt.cfg.DeathThreshold < 1 {
 		t.Fatalf("defaults not applied: %+v", rt.cfg)
 	}
-	if len(rt.stripes)&(len(rt.stripes)-1) != 0 {
-		t.Fatalf("stripes = %d, want power of two", len(rt.stripes))
+	if len(rt.stripes) != lockStripes || len(rt.stripes)&(len(rt.stripes)-1) != 0 {
+		t.Fatalf("stripes = %d, want %d, a power of two", len(rt.stripes), lockStripes)
 	}
 }
 
@@ -34,11 +34,11 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"zero value (defaults)", Config{}, true},
 		{"defaults", Defaults(), true},
-		{"explicit", Config{Contexts: 2, DeathThreshold: 1, LockStripes: 8, DeathWindow: time.Millisecond}, true},
+		{"explicit", Config{Contexts: 2, DeathThreshold: 1, DeathWindow: time.Millisecond}, true},
 		{"negative contexts", Config{Contexts: -1}, false},
+		{"contexts past the ceiling", Config{Contexts: maxContexts + 1}, false},
 		{"negative window", Config{DeathWindow: -time.Microsecond}, false},
 		{"negative threshold", Config{DeathThreshold: -3}, false},
-		{"negative stripes", Config{LockStripes: -256}, false},
 	}
 	for _, tc := range cases {
 		err := tc.cfg.Validate()

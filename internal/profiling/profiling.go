@@ -1,6 +1,5 @@
-// Package profiling is the shared -cpuprofile/-memprofile plumbing for
-// the CLIs (cmd/caprun, cmd/capload), so hot-path regressions can be
-// diagnosed without editing code and the two binaries cannot drift.
+// Package profiling is cmd/caprun's -cpuprofile/-memprofile plumbing,
+// so hot-path regressions can be diagnosed without editing code.
 package profiling
 
 import (

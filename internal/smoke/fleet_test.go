@@ -229,11 +229,10 @@ func TestIncident(t *testing.T) {
 
 // TestRouterFailover: two caprouter replicas over three capserve
 // processes both apply every backend's credit feed, and killing one
-// mid-storm costs clients failovers, never a failed request. Placement
-// agreement between replicas is TestReplicaFailoverZeroFailedRequests'.
+// mid-storm costs clients failovers, never a failed request.
 func TestRouterFailover(t *testing.T) {
 	bs, urls := capserves(t, "-contexts", "2", "-queue", "8")
-	args := []string{"-backends", strings.Join(urls, ","), "-policy", "rendezvous", "-fail-threshold", "2", "-fail-window", "2s"}
+	args := []string{"-backends", strings.Join(urls, ","), "-fail-threshold", "2", "-fail-window", "2s"}
 	r1, r2 := start(t, "caprouter", args...), start(t, "caprouter", args...)
 	time.Sleep(3 * time.Second) // steady state: the push plane carries the fleet
 	for _, r := range []*proc{r1, r2} {
