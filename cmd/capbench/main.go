@@ -11,7 +11,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 
 	"repro/internal/cpu"
@@ -68,7 +67,7 @@ func emitFig6DOT(p exp.Params) {
 	if p.Scale >= 1 {
 		n = 4096
 	}
-	rng := rand.New(rand.NewSource(p.Seed))
+	rng := workloads.NewRand(p.Seed)
 	list := workloads.GenList(rng, workloads.ListUniform, n)
 	res, err := workloads.RunQuickSortTraced(list, workloads.VariantComponent, cpu.SOMTConfig())
 	if err != nil {

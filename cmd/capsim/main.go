@@ -12,7 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"strings"
 
@@ -70,7 +69,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail("unknown arch %q (known: %s)", *arch, strings.Join(knownArchs, ", "))
 	}
 
-	rng := rand.New(rand.NewSource(*seed))
+	rng := workloads.NewRand(*seed)
 	var res *core.RunResult
 	var err error
 	switch *workload {

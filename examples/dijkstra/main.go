@@ -7,7 +7,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"repro/internal/workloads"
 )
@@ -26,7 +25,7 @@ func main() {
 	}
 
 	for g := 0; g < graphs; g++ {
-		rng := rand.New(rand.NewSource(int64(100 + g)))
+		rng := workloads.NewRand(int64(100 + g))
 		in := workloads.GenGraph(rng, nodes, 4, 9)
 		for i, a := range workloads.PaperArchs() {
 			variant := workloads.VariantComponent

@@ -7,7 +7,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 	"os"
 
 	"repro/internal/cpu"
@@ -16,7 +15,7 @@ import (
 )
 
 func main() {
-	rng := rand.New(rand.NewSource(6))
+	rng := workloads.NewRand(6)
 	list := workloads.GenList(rng, workloads.ListUniform, 800)
 	res, err := workloads.RunQuickSortTraced(list, workloads.VariantComponent, cpu.SOMTConfig())
 	if err != nil {

@@ -5,7 +5,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"repro/internal/core"
 	"repro/internal/cpu"
@@ -13,7 +12,7 @@ import (
 )
 
 func main() {
-	rng := rand.New(rand.NewSource(7))
+	rng := workloads.NewRand(7)
 	on := cpu.SOMTConfig()
 	off := cpu.SOMTConfig()
 	off.ThrottleOn = false

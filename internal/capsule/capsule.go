@@ -72,7 +72,8 @@ type Config struct {
 	DeathWindow time.Duration
 
 	// DeathThreshold is the death count within DeathWindow that trips the
-	// throttle. Default: Contexts/2, the paper's threshold.
+	// throttle. Default: Contexts/2, the paper's threshold. At most
+	// maxDeathThreshold (65 536).
 	DeathThreshold int
 
 	// Tracer, when non-nil, receives lifecycle events (probe outcomes,
@@ -108,6 +109,14 @@ func Defaults() Config {
 // startup, so Validate refuses it as a configuration error instead.
 const maxContexts = 1 << 14
 
+// maxDeathThreshold bounds Config.DeathThreshold. The death ring keeps
+// one timestamp per counted death, sized to the next power of two, so
+// the bound caps it at 512 KiB; without it a threshold past 1<<62 made
+// the sizing loop overflow and New never return. 65 536 deaths in one
+// window is a death every 1.5 ns at the default 100µs: past anything
+// the throttle can be asked to notice.
+const maxDeathThreshold = 1 << 16
+
 // lockStripes is the lock-table size, a power of two: 256 entries,
 // mirroring the bounded fast lock table.
 const lockStripes = 256
@@ -123,8 +132,8 @@ func (c Config) Validate() error {
 	if c.DeathWindow < 0 {
 		return fmt.Errorf("capsule: DeathWindow must be >= 0 (0 means 100µs default), got %v", c.DeathWindow)
 	}
-	if c.DeathThreshold < 0 {
-		return fmt.Errorf("capsule: DeathThreshold must be >= 0 (0 means Contexts/2), got %d", c.DeathThreshold)
+	if c.DeathThreshold < 0 || c.DeathThreshold > maxDeathThreshold {
+		return fmt.Errorf("capsule: DeathThreshold must be in [0, %d] (0 means Contexts/2), got %d", maxDeathThreshold, c.DeathThreshold)
 	}
 	return nil
 }

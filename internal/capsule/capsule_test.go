@@ -1,6 +1,7 @@
 package capsule
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -39,6 +40,9 @@ func TestConfigValidate(t *testing.T) {
 		{"contexts past the ceiling", Config{Contexts: maxContexts + 1}, false},
 		{"negative window", Config{DeathWindow: -time.Microsecond}, false},
 		{"negative threshold", Config{DeathThreshold: -3}, false},
+		{"threshold at the ceiling", Config{DeathThreshold: maxDeathThreshold}, true},
+		{"threshold past the ceiling", Config{DeathThreshold: maxDeathThreshold + 1}, false},
+		{"threshold MaxInt", Config{DeathThreshold: math.MaxInt}, false},
 	}
 	for _, tc := range cases {
 		err := tc.cfg.Validate()

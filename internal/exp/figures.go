@@ -16,7 +16,7 @@ func init() {
 		archs := workloads.PaperArchs()
 		cycles := map[string][]uint64{}
 		for g := 0; g < graphs; g++ {
-			rng := rngFor(p.Seed, g)
+			rng := workloads.RandFor(p.Seed, g)
 			in := workloads.GenGraph(rng, nodes, 4, 9)
 			for _, a := range archs {
 				v := workloads.VariantComponent
@@ -59,7 +59,7 @@ func init() {
 		archs := workloads.PaperArchs()
 		cycles := map[string][]uint64{}
 		for l := 0; l < lists; l++ {
-			rng := rngFor(p.Seed+1, l)
+			rng := workloads.RandFor(p.Seed+1, l)
 			kind := workloads.ListKind(l % 6)
 			list := workloads.GenList(rng, kind, n)
 			for _, a := range archs {
@@ -97,7 +97,7 @@ func init() {
 func init() {
 	register("fig6", func(p Params) (*Result, error) {
 		n := p.scaled(4096, 400)
-		rng := rngFor(p.Seed+2, 0)
+		rng := workloads.RandFor(p.Seed+2, 0)
 		list := workloads.GenList(rng, workloads.ListUniform, n)
 		res, err := workloads.RunQuickSortTraced(list, workloads.VariantComponent, cpu.SOMTConfig())
 		if err != nil {
@@ -142,7 +142,7 @@ func init() {
 		off := cpu.SOMTConfig()
 		off.ThrottleOn = false
 
-		rng := rngFor(p.Seed+3, 0)
+		rng := workloads.RandFor(p.Seed+3, 0)
 		lzwIn := workloads.GenLZW(rng, p.scaled(4096, 512))
 		l1, err := workloads.RunLZW(lzwIn, workloads.VariantComponent, on)
 		if err != nil {
@@ -214,7 +214,7 @@ func init() {
 			return out, nil
 		}
 
-		rng := rngFor(p.Seed+4, 0)
+		rng := workloads.RandFor(p.Seed+4, 0)
 		mcfIn := workloads.GenMCF(rng, p.scaled(16384, 500), p.scaled(4096, 256), 3)
 		mcf, err := measure(func(v workloads.Variant, cfg cpu.Config) (uint64, uint64, error) {
 			res, err := workloads.RunMCF(mcfIn, v, cfg)

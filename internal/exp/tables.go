@@ -2,17 +2,11 @@ package exp
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/cpu"
 	"repro/internal/mem"
 	"repro/internal/workloads"
 )
-
-// rngFor derives a deterministic generator for (seed, index).
-func rngFor(seed int64, idx int) *rand.Rand {
-	return rand.New(rand.NewSource(seed*1_000_003 + int64(idx)*7919 + 17))
-}
 
 // Table 1: baseline configuration of SOMT, SMT and superscalar processors.
 func init() {
@@ -71,7 +65,7 @@ func init() {
 			Title:  "division statistics (paper Table 3)",
 			Header: []string{"benchmark", "# requested", "# allowed", "% allowed", "insts/division", "paper %", "paper insts/div"},
 		}
-		rng := rngFor(p.Seed+5, 0)
+		rng := workloads.RandFor(p.Seed+5, 0)
 
 		mcfIn := workloads.GenMCF(rng, p.scaled(16384, 800), p.scaled(4096, 256), 2)
 		mres, err := workloads.RunMCF(mcfIn, workloads.VariantComponent, cpu.SOMTConfig())
@@ -110,7 +104,7 @@ func init() {
 // on a 4-context SOMT than an 8-context one.
 func init() {
 	register("crafty48", func(p Params) (*Result, error) {
-		rng := rngFor(p.Seed+6, 0)
+		rng := workloads.RandFor(p.Seed+6, 0)
 		branch := p.scaled(16, 8)
 		in := workloads.GenCrafty(rng, 4, branch, 0)
 		ss, err := workloads.RunCrafty(in, workloads.VariantImperative, cpu.SuperscalarConfig())
@@ -152,7 +146,7 @@ func init() {
 // (paper: 2.47 -> 3.5 for one iteration; overall to 3.0).
 func init() {
 	register("vprcache", func(p Params) (*Result, error) {
-		rng := rngFor(p.Seed+7, 0)
+		rng := workloads.RandFor(p.Seed+7, 0)
 		in := workloads.GenVPR(rng, p.scaled(48, 12), p.scaled(48, 12), p.scaled(24, 5), 8)
 		r := &Result{
 			ID:     "vprcache",
@@ -187,7 +181,7 @@ func init() {
 // change performance by less than 1% on average.
 func init() {
 	register("divlat", func(p Params) (*Result, error) {
-		rng := rngFor(p.Seed+8, 0)
+		rng := workloads.RandFor(p.Seed+8, 0)
 		gIn := workloads.GenGraph(rng, p.scaled(1000, 120), 4, 9)
 		qIn := workloads.GenList(rng, workloads.ListUniform, p.scaled(4096, 300))
 		r := &Result{
@@ -224,7 +218,7 @@ func init() {
 // ablations: the design-choice sweeps DESIGN.md calls out.
 func init() {
 	register("ablations", func(p Params) (*Result, error) {
-		rng := rngFor(p.Seed+9, 0)
+		rng := workloads.RandFor(p.Seed+9, 0)
 		in := workloads.GenGraph(rng, p.scaled(1000, 120), 4, 9)
 		r := &Result{
 			ID:     "ablations",

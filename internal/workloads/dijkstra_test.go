@@ -8,7 +8,7 @@ import (
 )
 
 func TestGenGraphShape(t *testing.T) {
-	rng := rngFor(1, 0)
+	rng := RandFor(1, 0)
 	in := GenGraph(rng, 100, 4, 10)
 	if in.N != 100 || len(in.EOff) != 101 {
 		t.Fatalf("bad shape: N=%d len(EOff)=%d", in.N, len(in.EOff))
@@ -49,7 +49,7 @@ func TestRefDijkstraSmall(t *testing.T) {
 func TestDijkstraFunctionalMatchesReference(t *testing.T) {
 	// Run the component program on the functional machine across thread
 	// bounds; the relaxation must converge to the reference distances.
-	rng := rngFor(2, 7)
+	rng := RandFor(2, 7)
 	in := GenGraph(rng, 60, 3, 9)
 	base, err := DijkstraProgram(VariantComponent, capRound(in.N), capRound(len(in.EDst)))
 	if err != nil {
@@ -78,7 +78,7 @@ func TestDijkstraFunctionalMatchesReference(t *testing.T) {
 }
 
 func TestDijkstraTimingAllArchs(t *testing.T) {
-	rng := rngFor(3, 1)
+	rng := RandFor(3, 1)
 	in := GenGraph(rng, 50, 3, 9)
 	variants := map[string]Variant{
 		"superscalar": VariantImperative,
@@ -100,7 +100,7 @@ func TestDijkstraTimingAllArchs(t *testing.T) {
 }
 
 func TestDijkstraSOMTUsesDivisions(t *testing.T) {
-	rng := rngFor(4, 2)
+	rng := RandFor(4, 2)
 	in := GenGraph(rng, 80, 4, 9)
 	res, err := RunDijkstra(in, VariantComponent, cpu.SOMTConfig())
 	if err != nil {

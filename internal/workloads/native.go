@@ -2,7 +2,6 @@ package workloads
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -308,10 +307,10 @@ type NativeResult struct {
 // the stats delta across the run — so a shared runtime's cumulative
 // counters are left untouched and the result still covers only this run.
 func RunNative(rt *capsule.Runtime, workload string, n int, seed int64) (*NativeResult, error) {
-	// Seed exactly like cmd/capsim (rand.NewSource(seed), not rngFor) so
-	// the same -workload/-n/-seed triple names the same input in both
-	// tools and their outputs are directly comparable.
-	rng := rand.New(rand.NewSource(seed))
+	// NewRand(seed), not RandFor, like every tool that takes -seed: the
+	// same -workload/-n/-seed triple names the same input in all of them
+	// and their outputs are directly comparable.
+	rng := NewRand(seed)
 	before := rt.Stats()
 	res := &NativeResult{Workload: workload}
 	timed := func(fn func()) {

@@ -1,7 +1,9 @@
 package workloads
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sort"
 	"testing"
@@ -27,7 +29,7 @@ func reportDivisionStats(b *testing.B, rt *capsule.Runtime) {
 
 func BenchmarkNativeQuickSort(b *testing.B) {
 	for _, n := range []int{1 << 10, 1 << 14, 1 << 17} {
-		list := GenList(rngFor(201, n), ListUniform, n)
+		list := GenList(RandFor(201, n), ListUniform, n)
 		want := append([]int64(nil), list...)
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 
@@ -56,7 +58,7 @@ func BenchmarkNativeQuickSort(b *testing.B) {
 
 func BenchmarkNativeDijkstra(b *testing.B) {
 	for _, n := range []int{256, 1024, 4096} {
-		in := GenGraph(rngFor(202, n), n, 4, 9)
+		in := GenGraph(RandFor(202, n), n, 4, 9)
 		want := RefDijkstra(in)
 
 		b.Run(fmt.Sprintf("sequential/n=%d", n), func(b *testing.B) {
@@ -83,7 +85,7 @@ func BenchmarkNativeDijkstra(b *testing.B) {
 
 func BenchmarkNativeLZW(b *testing.B) {
 	for _, n := range []int{1 << 12, 1 << 16} {
-		in := GenLZW(rngFor(203, n), n)
+		in := GenLZW(RandFor(203, n), n)
 		want := RefLZWMatch(in, LZWChunk)
 
 		b.Run(fmt.Sprintf("sequential/n=%d", n), func(b *testing.B) {
@@ -107,7 +109,7 @@ func BenchmarkNativeLZW(b *testing.B) {
 
 func BenchmarkNativePerceptron(b *testing.B) {
 	for _, neurons := range []int{1 << 10, 1 << 13} {
-		in := GenPerceptron(rngFor(204, neurons), neurons, 3, 1)
+		in := GenPerceptron(RandFor(204, neurons), neurons, 3, 1)
 		wantW, wantM := RefPerceptron(in)
 
 		b.Run(fmt.Sprintf("sequential/n=%d", neurons), func(b *testing.B) {
@@ -143,9 +145,9 @@ func BenchmarkNativePerceptron(b *testing.B) {
 func BenchmarkNativeCoarse(b *testing.B) {
 	rt := capsule.New(capsule.Config{Contexts: runtime.GOMAXPROCS(0), Throttle: true})
 	defer rt.Close()
-	list := GenList(rngFor(205, 1<<17), ListUniform, 1<<17)
-	text := GenLZW(rngFor(206, 1<<19), 1<<19)
-	pin := GenPerceptron(rngFor(207, 1<<17), 1<<17, GenPerceptronPats, GenPerceptronEpochs)
+	list := GenList(RandFor(205, 1<<17), ListUniform, 1<<17)
+	text := GenLZW(RandFor(206, 1<<19), 1<<19)
+	pin := GenPerceptron(RandFor(207, 1<<17), 1<<17, GenPerceptronPats, GenPerceptronEpochs)
 	for _, w := range []struct {
 		name string
 		run  func(capsule.Domain) uint64
@@ -173,6 +175,54 @@ func BenchmarkNativeCoarse(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkNativeRequestSmall is one small native_fine request end to
+// end: RunRequest(quicksort, 64) on a Group, input generation included,
+// checked against the sorted math/rand input's checksum. It prices a
+// request's fixed costs: seeding the generator, the Group, the result.
+func BenchmarkNativeRequestSmall(b *testing.B) {
+	const n, seed = 64, 3
+	list := GenList(rand.New(rand.NewSource(seed)), ListUniform, n)
+	sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
+	want := checksum(list)
+	rt := capsule.New(capsule.Config{Contexts: runtime.GOMAXPROCS(0), Throttle: true})
+	defer rt.Close()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := RunRequest(rt.NewGroup(), "quicksort", n, seed)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Checksum != want {
+			b.Fatalf("checksum %d, want %d", res.Checksum, want)
+		}
+	}
+}
+
+// BenchmarkNativeGenLZW generates native_coarse's 2¹⁹-symbol LZW text
+// from NewRand and from math/rand: the per-draw cost of the lazily
+// seeded source once its register is full, which must not exceed
+// math/rand's. Both texts must be equal.
+func BenchmarkNativeGenLZW(b *testing.B) {
+	const n, seed = 1 << 19, 206
+	want := GenLZW(rand.New(rand.NewSource(seed)), n).Text
+	for _, g := range []struct {
+		name string
+		rng  func() *rand.Rand
+	}{
+		{"NewRand", func() *rand.Rand { return NewRand(seed) }},
+		{"math_rand", func() *rand.Rand { return rand.New(rand.NewSource(seed)) }},
+	} {
+		b.Run(g.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if got := GenLZW(g.rng(), n).Text; !bytes.Equal(got, want) {
+					b.Fatal("text differs from math/rand's")
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/symbol")
+		})
 	}
 }
 

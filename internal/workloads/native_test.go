@@ -18,7 +18,7 @@ func nativeRT(contexts int) *capsule.Runtime {
 func TestNativeQuickSortCrossVal(t *testing.T) {
 	for kind := ListKind(0); kind < numListKinds; kind++ {
 		for _, n := range []int{0, 1, 7, 50, 2000} {
-			rng := rngFor(11, int(kind)*100+n)
+			rng := RandFor(11, int(kind)*100+n)
 			list := GenList(rng, kind, n)
 			got := NativeQuickSort(nativeRT(4), list)
 			want := append([]int64(nil), list...)
@@ -35,7 +35,7 @@ func TestNativeQuickSortCrossVal(t *testing.T) {
 func TestNativeDijkstraCrossVal(t *testing.T) {
 	for _, n := range []int{1, 10, 100, 600} {
 		for seed := int64(1); seed <= 3; seed++ {
-			in := GenGraph(rngFor(seed, n), n, 4, 9)
+			in := GenGraph(RandFor(seed, n), n, 4, 9)
 			got := NativeDijkstra(nativeRT(4), in)
 			want := RefDijkstra(in)
 			for v := range want {
@@ -50,7 +50,7 @@ func TestNativeDijkstraCrossVal(t *testing.T) {
 func TestNativeLZWCrossVal(t *testing.T) {
 	for _, n := range []int{0, 8, 9, 64, 4096} {
 		for seed := int64(1); seed <= 3; seed++ {
-			in := GenLZW(rngFor(seed, n), n)
+			in := GenLZW(RandFor(seed, n), n)
 			got := NativeLZW(nativeRT(4), in)
 			if want := RefLZWMatch(in, LZWChunk); got != want {
 				t.Fatalf("n=%d seed=%d: codes = %d, want %d", n, seed, got, want)
@@ -61,7 +61,7 @@ func TestNativeLZWCrossVal(t *testing.T) {
 
 func TestNativePerceptronCrossVal(t *testing.T) {
 	for _, neurons := range []int{4, 16, 257, 1024} {
-		in := GenPerceptron(rngFor(7, neurons), neurons, 3, 2)
+		in := GenPerceptron(RandFor(7, neurons), neurons, 3, 2)
 		gotW, gotM := NativePerceptron(nativeRT(4), in)
 		wantW, wantM := RefPerceptron(in)
 		if gotM != wantM {
@@ -169,19 +169,19 @@ func TestNativeRefusedOffersAllocateNothing(t *testing.T) {
 	small := 16 * divGrain
 	runs := map[string]func(n int) func(capsule.Domain){
 		"quicksort": func(n int) func(capsule.Domain) {
-			list := GenList(rngFor(5, n), ListUniform, n)
+			list := GenList(RandFor(5, n), ListUniform, n)
 			return func(d capsule.Domain) { NativeQuickSort(d, list) }
 		},
 		"dijkstra": func(n int) func(capsule.Domain) {
-			in := GenGraph(rngFor(5, n), n/8, GenDijkstraMaxDeg, GenDijkstraMaxW)
+			in := GenGraph(RandFor(5, n), n/8, GenDijkstraMaxDeg, GenDijkstraMaxW)
 			return func(d capsule.Domain) { NativeDijkstra(d, in) }
 		},
 		"lzw": func(n int) func(capsule.Domain) {
-			in := GenLZW(rngFor(5, n), n)
+			in := GenLZW(RandFor(5, n), n)
 			return func(d capsule.Domain) { NativeLZW(d, in) }
 		},
 		"perceptron": func(n int) func(capsule.Domain) {
-			in := GenPerceptron(rngFor(5, n), n, GenPerceptronPats, GenPerceptronEpochs)
+			in := GenPerceptron(RandFor(5, n), n, GenPerceptronPats, GenPerceptronEpochs)
 			return func(d capsule.Domain) { NativePerceptron(d, in) }
 		},
 	}
@@ -240,16 +240,16 @@ func TestNativeOffersScaleWithGrain(t *testing.T) {
 		}
 	}
 	for _, n := range []int{divGrain - 1, divGrain, 3*divGrain + LZWChunk + 1, 64 * divGrain} {
-		list := GenList(rngFor(9, n), ListUniform, n)
+		list := GenList(RandFor(9, n), ListUniform, n)
 		want := append([]int64(nil), list...)
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 		within("quicksort", n, offers(func(d capsule.Domain) { NativeQuickSort(d, list) }), 1)
 
-		text := GenLZW(rngFor(9, n), n)
+		text := GenLZW(RandFor(9, n), n)
 		wantCodes := RefLZWMatch(text, LZWChunk)
 		within("lzw", n, offers(func(d capsule.Domain) { NativeLZW(d, text) }), 1)
 
-		pin := GenPerceptron(rngFor(9, n), n, 3, 2)
+		pin := GenPerceptron(RandFor(9, n), n, 3, 2)
 		wantW, wantM := RefPerceptron(pin)
 		calls := pin.Patterns*pin.Epochs + int(wantM) // forwards + updates
 		within("perceptron", n, offers(func(d capsule.Domain) { NativePerceptron(d, pin) }), calls)

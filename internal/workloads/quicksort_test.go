@@ -10,7 +10,7 @@ import (
 )
 
 func TestGenListKinds(t *testing.T) {
-	rng := rngFor(10, 0)
+	rng := RandFor(10, 0)
 	for k := ListKind(0); k < numListKinds; k++ {
 		l := GenList(rng, k, 100)
 		if len(l) != 100 {
@@ -79,7 +79,7 @@ func TestQuickSortFunctionalProperty(t *testing.T) {
 }
 
 func TestQuickSortTimingAllKinds(t *testing.T) {
-	rng := rngFor(11, 3)
+	rng := RandFor(11, 3)
 	for k := ListKind(0); k < numListKinds; k++ {
 		list := GenList(rng, k, 120)
 		if _, err := RunQuickSort(list, VariantComponent, cpu.SOMTConfig()); err != nil {
@@ -89,7 +89,7 @@ func TestQuickSortTimingAllKinds(t *testing.T) {
 }
 
 func TestQuickSortImperativeOnSuperscalar(t *testing.T) {
-	rng := rngFor(12, 0)
+	rng := RandFor(12, 0)
 	list := GenList(rng, ListUniform, 200)
 	res, err := RunQuickSort(list, VariantImperative, cpu.SuperscalarConfig())
 	if err != nil {
@@ -101,7 +101,7 @@ func TestQuickSortImperativeOnSuperscalar(t *testing.T) {
 }
 
 func TestQuickSortDivisionTreeIrregular(t *testing.T) {
-	rng := rngFor(13, 1)
+	rng := RandFor(13, 1)
 	list := GenList(rng, ListUniform, 400)
 	res, err := RunQuickSortTraced(list, VariantComponent, cpu.SOMTConfig())
 	if err != nil {
@@ -125,7 +125,7 @@ func TestQuickSortDivisionTreeIrregular(t *testing.T) {
 }
 
 func TestQuickSortSOMTBeatsSuperscalarOnUniform(t *testing.T) {
-	rng := rngFor(14, 2)
+	rng := RandFor(14, 2)
 	list := GenList(rng, ListUniform, 600)
 	ss, err := RunQuickSort(list, VariantImperative, cpu.SuperscalarConfig())
 	if err != nil {

@@ -2,7 +2,6 @@ package workloads
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"repro/internal/capsule"
@@ -49,7 +48,7 @@ func RunRequest(dom capsule.Domain, workload string, n int, seed int64) (*ServeR
 	if n <= 0 {
 		return nil, fmt.Errorf("n must be > 0 (got %d)", n)
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := NewRand(seed)
 	res := &ServeResult{Workload: workload, N: n, Seed: seed}
 	switch workload {
 	case "quicksort":

@@ -7,7 +7,7 @@ import (
 )
 
 func TestMCFRefAndTiming(t *testing.T) {
-	rng := rngFor(30, 0)
+	rng := RandFor(30, 0)
 	in := GenMCF(rng, 127, 64, 2)
 	best, sum := RefMCF(in)
 	if best <= 0 {
@@ -34,7 +34,7 @@ func TestMCFRefAndTiming(t *testing.T) {
 }
 
 func TestMCFDivisionAtEveryNode(t *testing.T) {
-	rng := rngFor(30, 1)
+	rng := RandFor(30, 1)
 	in := GenMCF(rng, 255, 32, 1)
 	res, err := RunMCF(in, VariantComponent, cpu.SOMTConfig())
 	if err != nil {
@@ -48,7 +48,7 @@ func TestMCFDivisionAtEveryNode(t *testing.T) {
 }
 
 func TestBzip2RefDeterministic(t *testing.T) {
-	rng := rngFor(31, 0)
+	rng := RandFor(31, 0)
 	in := GenBzip2(rng, 200, 1)
 	f1, s1 := RefBzip2(in)
 	f2, s2 := RefBzip2(in)
@@ -73,7 +73,7 @@ func TestBzip2SuffixOrderTotal(t *testing.T) {
 }
 
 func TestBzip2Timing(t *testing.T) {
-	rng := rngFor(31, 1)
+	rng := RandFor(31, 1)
 	in := GenBzip2(rng, 192, 2)
 	for _, a := range PaperArchs() {
 		v := VariantComponent
@@ -94,7 +94,7 @@ func TestBzip2Timing(t *testing.T) {
 }
 
 func TestCraftyRefNegamax(t *testing.T) {
-	rng := rngFor(32, 0)
+	rng := RandFor(32, 0)
 	in := GenCrafty(rng, 3, 4, 4)
 	v1 := RefCrafty(in)
 	v2 := RefCrafty(in)
@@ -107,7 +107,7 @@ func TestCraftyRefNegamax(t *testing.T) {
 }
 
 func TestCraftyImperative(t *testing.T) {
-	rng := rngFor(32, 1)
+	rng := RandFor(32, 1)
 	in := GenCrafty(rng, 4, 4, 0)
 	res, err := RunCrafty(in, VariantImperative, cpu.SuperscalarConfig())
 	if err != nil {
@@ -119,7 +119,7 @@ func TestCraftyImperative(t *testing.T) {
 }
 
 func TestCraftyPoolRunsAndInhibitsDivision(t *testing.T) {
-	rng := rngFor(32, 2)
+	rng := RandFor(32, 2)
 	in := GenCrafty(rng, 4, 5, 3)
 	res, err := RunCrafty(in, VariantComponent, cpu.SOMTConfig())
 	if err != nil {
@@ -139,7 +139,7 @@ func TestCraftyPoolRunsAndInhibitsDivision(t *testing.T) {
 func TestCrafty4ContextsBeat8(t *testing.T) {
 	// The paper's observation: the busy-wait pool makes the 8-context
 	// machine SLOWER than the 4-context one (2.3x vs 1.7x speedup).
-	rng := rngFor(32, 3)
+	rng := RandFor(32, 3)
 	cfg4 := cpu.SOMTConfig()
 	cfg4.Contexts = 4
 	cfg8 := cpu.SOMTConfig()
@@ -161,7 +161,7 @@ func TestCrafty4ContextsBeat8(t *testing.T) {
 }
 
 func TestVPRSmallConverges(t *testing.T) {
-	rng := rngFor(33, 0)
+	rng := RandFor(33, 0)
 	in := GenVPR(rng, 12, 12, 4, 12)
 	for _, variant := range []Variant{VariantImperative, VariantComponent} {
 		cfg := cpu.SOMTConfig()
@@ -193,7 +193,7 @@ func TestVPRGridAdjacency(t *testing.T) {
 }
 
 func TestVPRComponentUsesDivisions(t *testing.T) {
-	rng := rngFor(33, 1)
+	rng := RandFor(33, 1)
 	in := GenVPR(rng, 14, 14, 5, 12)
 	r, err := RunVPR(in, VariantComponent, cpu.SOMTConfig())
 	if err != nil {

@@ -8,7 +8,7 @@ import (
 )
 
 func TestGenLZWShape(t *testing.T) {
-	rng := rngFor(20, 9)
+	rng := RandFor(20, 9)
 	in := GenLZW(rng, 300)
 	if len(in.Text) != 300 {
 		t.Fatal("bad text length")
@@ -62,7 +62,7 @@ func TestRefLZWMatchBasics(t *testing.T) {
 }
 
 func TestLZWFunctionalMatchesReference(t *testing.T) {
-	rng := rngFor(20, 0)
+	rng := RandFor(20, 0)
 	in := GenLZW(rng, 256)
 	base, err := LZWProgram(VariantComponent, capRound(len(in.Text)), capRound(len(in.Next)))
 	if err != nil {
@@ -83,7 +83,7 @@ func TestLZWFunctionalMatchesReference(t *testing.T) {
 }
 
 func TestLZWTimingValidated(t *testing.T) {
-	rng := rngFor(21, 1)
+	rng := RandFor(21, 1)
 	in := GenLZW(rng, 512)
 	res, err := RunLZW(in, VariantComponent, cpu.SOMTConfig())
 	if err != nil {
@@ -97,7 +97,7 @@ func TestLZWTimingValidated(t *testing.T) {
 func TestThrottleTripsOnTinyWorkers(t *testing.T) {
 	// The perceptron's multi-pass structure produces death bursts at each
 	// pattern's end-game; the window monitor must trip there.
-	rng := rngFor(22, 2)
+	rng := RandFor(22, 2)
 	in := GenPerceptron(rng, 1024, 6, 1)
 	on := cpu.SOMTConfig()
 	r1, err := RunPerceptron(in, VariantComponent, on)
@@ -112,7 +112,7 @@ func TestThrottleTripsOnTinyWorkers(t *testing.T) {
 }
 
 func TestGenPerceptronShape(t *testing.T) {
-	rng := rngFor(23, 0)
+	rng := RandFor(23, 0)
 	in := GenPerceptron(rng, 100, 3, 2)
 	if len(in.W0) != 100 || len(in.X) != 3 || len(in.X[0]) != 100 || len(in.Y) != 3 {
 		t.Fatal("bad shapes")
@@ -125,7 +125,7 @@ func TestGenPerceptronShape(t *testing.T) {
 }
 
 func TestRefPerceptronBounded(t *testing.T) {
-	rng := rngFor(24, 1)
+	rng := RandFor(24, 1)
 	in := GenPerceptron(rng, 64, 6, 3)
 	_, m1 := RefPerceptron(in)
 	if m1 < 0 || m1 > int64(in.Patterns*in.Epochs) {
@@ -134,7 +134,7 @@ func TestRefPerceptronBounded(t *testing.T) {
 }
 
 func TestPerceptronFunctionalMatchesReference(t *testing.T) {
-	rng := rngFor(25, 2)
+	rng := RandFor(25, 2)
 	in := GenPerceptron(rng, 256, 2, 1)
 	base, err := PerceptronProgram(VariantComponent, capRound(in.Neurons), in.Patterns)
 	if err != nil {
@@ -164,7 +164,7 @@ func TestPerceptronFunctionalMatchesReference(t *testing.T) {
 }
 
 func TestPerceptronTimingValidated(t *testing.T) {
-	rng := rngFor(26, 3)
+	rng := RandFor(26, 3)
 	in := GenPerceptron(rng, 512, 2, 1)
 	res, err := RunPerceptron(in, VariantComponent, cpu.SOMTConfig())
 	if err != nil {
@@ -178,7 +178,7 @@ func TestPerceptronTimingValidated(t *testing.T) {
 func TestFig7ShapeThrottleHelps(t *testing.T) {
 	// The Fig. 7 claim: with tiny workers, throttled SOMT beats (or at
 	// least matches) unthrottled SOMT on both LZW and Perceptron.
-	rng := rngFor(27, 4)
+	rng := RandFor(27, 4)
 	on := cpu.SOMTConfig()
 	off := cpu.SOMTConfig()
 	off.ThrottleOn = false

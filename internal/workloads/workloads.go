@@ -8,7 +8,6 @@ package workloads
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 
 	"repro/internal/core"
@@ -77,9 +76,4 @@ func PaperArchs() []Arch {
 		{Name: "smt-static", Cfg: cpu.SMTStaticConfig()},
 		{Name: "somt", Cfg: cpu.SOMTConfig()},
 	}
-}
-
-// rngFor derives a deterministic generator for (experiment, index).
-func rngFor(seed int64, idx int) *rand.Rand {
-	return rand.New(rand.NewSource(seed*1_000_003 + int64(idx)*7919 + 17))
 }
