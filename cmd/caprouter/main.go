@@ -128,7 +128,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail("spawn backend %d: %v", i, err)
 		}
-		b, err := capserve.StartBackendOn(capserve.Config{Runtime: brt, TraceSample: dbg.TraceSample}, "127.0.0.1:0", wrapBackend)
+		b, err := capserve.StartBackendOn(capserve.Config{Runtime: brt}, "127.0.0.1:0", wrapBackend)
 		if err != nil {
 			return fail("spawn backend %d: %v", i, err)
 		}
@@ -143,18 +143,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "caprouter: spawned backend %d at %s (contexts=%d)\n", i, b.URL, spawnContexts)
 	}
 
-	// One tracer serves the router span AND the local fallback tier, so a
+	// The router traces into its local tier's runtime tracer, so a
 	// degraded request's route events and its local runtime events land
 	// in one ring set.
 	localRT, err := dbg.NewRuntime(rf.Contexts)
 	if err != nil {
 		return fail("%v", err)
 	}
-	local, err := capserve.New(capserve.Config{
-		Runtime:     localRT,
-		QueueDepth:  rf.Queue,
-		TraceSample: dbg.TraceSample,
-	})
+	local, err := capserve.New(capserve.Config{Runtime: localRT, QueueDepth: rf.Queue})
 	if err != nil {
 		return fail("%v", err)
 	}
@@ -177,8 +173,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		SlowMinSamples: *slowMinSamples,
 		Transport:      dispatchRT,
 		FeedTransport:  feedRT,
-		Tracer:         localRT.Tracer(),
-		TraceSample:    dbg.TraceSample,
 	})
 	if err != nil {
 		return fail("%v", err)
@@ -188,16 +182,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	// triggers (SLO burn over merged dispatch latency, breaker trips, slow
 	// ejections), and its mux serves every member's trace, watch report
 	// and incident list — its own first.
-	lead, err := plane.Add("caprouter", localRT.Tracer(), capdebug.Tiers{Runtime: localRT, Server: local, Router: router},
-		filepath.Join(dbg.IncidentDir, "caprouter"))
-	if err != nil {
+	if _, err := plane.Add("caprouter", localRT.Tracer(), capdebug.Tiers{Runtime: localRT, Server: local, Router: router},
+		filepath.Join(dbg.IncidentDir, "caprouter")); err != nil {
 		return fail("%v", err)
 	}
 	capdebug.Mount(router.Mount, plane.Members...)
 	if err := plane.ServeDebug("caprouter", stdout); err != nil {
 		return fail("%v", err)
 	}
-	if lead.Recorder != nil {
+	if dbg.IncidentDir != "" {
 		fmt.Fprintf(stdout, "caprouter: incident recorders armed (router + %d backends), bundles under %s\n",
 			len(spawned), dbg.IncidentDir)
 	}

@@ -56,7 +56,6 @@ import (
 	"time"
 
 	"repro/internal/capdebug"
-	"repro/internal/capscope"
 	"repro/internal/captrace"
 	"repro/internal/capwatch"
 )
@@ -200,7 +199,7 @@ func (c *cli) top(args []string) int {
 	}
 	endpoint := "/debug/watch?window=" + window.String()
 	for ; ; time.Sleep(*interval) {
-		fleets, _ := gather(c, targets, endpoint, inBundle[capwatch.Report](capscope.FileWatch))
+		fleets, _ := gather(c, targets, endpoint, inBundle[capwatch.Report](capwatch.FileWatch))
 		if len(fleets) == 0 {
 			if *once {
 				return c.fail("no target answered")
@@ -322,7 +321,7 @@ func (c *cli) trace(args []string) int {
 			return c.fail("%v", err)
 		}
 	}
-	got, _ := gather(c, targets, fmt.Sprintf("/debug/trace?n=%d", *n), inBundle[captrace.Snapshot](capscope.FileTrace))
+	got, _ := gather(c, targets, fmt.Sprintf("/debug/trace?n=%d", *n), inBundle[captrace.Snapshot](capwatch.FileTrace))
 	if len(got) == 0 {
 		return c.fail("no target answered")
 	}
@@ -413,7 +412,7 @@ func (c *cli) incident(args []string) int {
 	}
 	for i, lists := range got {
 		for _, l := range lists {
-			if !slices.ContainsFunc(l.Bundles, func(m capscope.Manifest) bool { return m.ID == *id }) {
+			if !slices.ContainsFunc(l.Bundles, func(m capwatch.Manifest) bool { return m.ID == *id }) {
 				continue
 			}
 			b, err := c.bundle(from[i], l.Dir, *id)
@@ -430,22 +429,22 @@ func (c *cli) incident(args []string) int {
 // dirLists indexes a directory target, probed from most to least
 // specific: a bundle, a recorder's directory, a fleet root of recorder
 // directories.
-func dirLists(dir string) ([]capscope.List, error) {
-	if m, err := capscope.LoadManifest(dir); err == nil {
-		return []capscope.List{{Source: m.Source, Dir: filepath.Dir(dir), Bundles: []capscope.Manifest{m}}}, nil
+func dirLists(dir string) ([]capwatch.IncidentList, error) {
+	if m, err := capwatch.LoadManifest(dir); err == nil {
+		return []capwatch.IncidentList{{Source: m.Source, Dir: filepath.Dir(dir), Bundles: []capwatch.Manifest{m}}}, nil
 	}
-	if ms := capscope.LoadManifests(dir); len(ms) > 0 {
-		return []capscope.List{{Source: ms[len(ms)-1].Source, Dir: dir, Bundles: ms}}, nil
+	if ms := capwatch.LoadManifests(dir); len(ms) > 0 {
+		return []capwatch.IncidentList{{Source: ms[len(ms)-1].Source, Dir: dir, Bundles: ms}}, nil
 	}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	var lists []capscope.List
+	var lists []capwatch.IncidentList
 	for _, e := range ents {
 		sub := filepath.Join(dir, e.Name())
-		if ms := capscope.LoadManifests(sub); e.IsDir() && len(ms) > 0 {
-			lists = append(lists, capscope.List{Source: ms[len(ms)-1].Source, Dir: sub, Bundles: ms})
+		if ms := capwatch.LoadManifests(sub); e.IsDir() && len(ms) > 0 {
+			lists = append(lists, capwatch.IncidentList{Source: ms[len(ms)-1].Source, Dir: sub, Bundles: ms})
 		}
 	}
 	if len(lists) == 0 {
@@ -463,15 +462,15 @@ func dirLists(dir string) ([]capscope.List, error) {
 
 // bundle reads one bundle in full: over HTTP from a URL target, else
 // from the list's directory.
-func (c *cli) bundle(target, dir, id string) (*capscope.Bundle, error) {
+func (c *cli) bundle(target, dir, id string) (*capwatch.Bundle, error) {
 	if isURL(target) {
-		b, err := capdebug.Get[capscope.Bundle](c.client, strings.TrimRight(target, "/")+"/debug/incident?id="+url.QueryEscape(id))
+		b, err := capdebug.Get[capwatch.Bundle](c.client, strings.TrimRight(target, "/")+"/debug/incident?id="+url.QueryEscape(id))
 		return &b, err
 	}
-	return capscope.LoadBundle(filepath.Join(dir, id))
+	return capwatch.LoadBundle(filepath.Join(dir, id))
 }
 
-func list(w io.Writer, target string, lists []capscope.List) {
+func list(w io.Writer, target string, lists []capwatch.IncidentList) {
 	fmt.Fprintf(w, "%s\n", target)
 	for _, l := range lists {
 		fmt.Fprintf(w, "  %s  (%d resident, %d captured this lifetime)\n", l.Source, len(l.Bundles), l.IncidentsTotal)
@@ -484,7 +483,7 @@ func list(w io.Writer, target string, lists []capscope.List) {
 
 // report renders one bundle. Profiles are named, not parsed: each line
 // is the command that reads the bundle's file offline.
-func report(w io.Writer, dir string, b *capscope.Bundle) {
+func report(w io.Writer, dir string, b *capwatch.Bundle) {
 	m := b.Manifest
 	fmt.Fprintf(w, "incident %s\n", m.ID)
 	fmt.Fprintf(w, "  source   %s  (%s, go %s, gomaxprocs %d)\n", m.Source, m.Build.Version, m.Build.Go, m.Build.MaxProcs)
@@ -510,7 +509,7 @@ func report(w io.Writer, dir string, b *capscope.Bundle) {
 			rep.Go.Goroutines, float64(rep.Go.HeapLiveBytes)/(1<<20), rep.Incidents)
 	}
 
-	var fd capscope.FaultDoc
+	var fd capwatch.FaultDoc
 	if json.Unmarshal(b.Fault, &fd) == nil {
 		fmt.Fprintf(w, "\nfault injector: armed=%v, %d live rules\n", fd.Armed, len(fd.Rules))
 		for _, r := range fd.Rules {
@@ -522,7 +521,7 @@ func report(w io.Writer, dir string, b *capscope.Bundle) {
 		}
 	}
 
-	var bd capscope.BackendsDoc
+	var bd capwatch.BackendsDoc
 	if json.Unmarshal(b.Backends, &bd) == nil && len(bd.Backends) > 0 {
 		fmt.Fprintf(w, "\nbackends (%d)\n", len(bd.Backends))
 		for _, c := range bd.Backends {
@@ -553,7 +552,7 @@ func report(w io.Writer, dir string, b *capscope.Bundle) {
 		}
 	}
 
-	for _, p := range []struct{ kind, file string }{{"cpu", capscope.FileCPU}, {"heap", capscope.FileHeap}} {
+	for _, p := range []struct{ kind, file string }{{"cpu", capwatch.FileCPU}, {"heap", capwatch.FileHeap}} {
 		if slices.Contains(m.Files, p.file) {
 			fmt.Fprintf(w, "\n%s profile: go tool pprof -top %s\n", p.kind, filepath.Join(dir, m.ID, p.file))
 		}

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/capdebug"
-	"repro/internal/capscope"
 	"repro/internal/capserve"
 	"repro/internal/capsule"
 	"repro/internal/captrace"
@@ -47,17 +46,12 @@ func newFixture(t *testing.T) fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := capwatch.New(capwatch.Config{Runtime: rt, Server: srv, Source: "capserve"})
-	if err != nil {
-		t.Fatal(err)
-	}
 	dir := t.TempDir()
-	rec, err := capscope.New(capscope.Config{Source: "capserve", Dir: dir, Tracer: tr, ProfileDuration: -1})
+	s, err := capwatch.New(capwatch.Config{Runtime: rt, Server: srv, Source: "capserve", IncidentDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec.Arm(s)
-	capdebug.Mount(srv.Mount, &capdebug.Member{Name: "capserve", Tracer: tr, Sampler: s, Recorder: rec})
+	capdebug.Mount(srv.Mount, &capdebug.Member{Name: "capserve", Tracer: tr, Sampler: s})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() { ts.Close(); rt.Close() })
 
@@ -76,8 +70,8 @@ func newFixture(t *testing.T) fixture {
 	}
 	grp.Join()
 	s.SampleNow() // fires the capture
-	rec.Close()   // lands it and detaches: no plane moves after this
-	ms := capscope.LoadManifests(dir)
+	s.Stop()      // lands it: no plane moves after this
+	ms := capwatch.LoadManifests(dir)
 	if len(ms) != 1 {
 		t.Fatalf("recorder captured %d bundles, want 1", len(ms))
 	}
@@ -219,7 +213,7 @@ func TestTraceRoundTrip(t *testing.T) {
 
 // TestIncidentRoundTrip: a live target and its recorder directory list
 // the same bundles, and a rendered bundle names a heap profile file that
-// go tool pprof can read after the recorder has closed.
+// go tool pprof can read after the sampler has stopped.
 func TestIncidentRoundTrip(t *testing.T) {
 	f := newFixture(t)
 	bundles := func(out string) []string {
@@ -237,7 +231,7 @@ func TestIncidentRoundTrip(t *testing.T) {
 	}
 
 	out := mustRun(t, "incident", "-id", f.id, f.dir)
-	for _, want := range []string{"trigger  " + capscope.TriggerThrottleEdge, "\nrollup (", "\ntop trace spans"} {
+	for _, want := range []string{"trigger  " + capwatch.TriggerThrottleEdge, "\nrollup (", "\ntop trace spans"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report lacks %q:\n%s", want, out)
 		}

@@ -77,17 +77,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	srv, err := capserve.New(capserve.Config{
-		Runtime:     rt,
-		QueueDepth:  rf.Queue,
-		TraceSample: dbg.TraceSample,
-	})
+	srv, err := capserve.New(capserve.Config{Runtime: rt, QueueDepth: rf.Queue})
 	if err != nil {
 		return fail(err)
 	}
 
-	// One member on the debug plane: the sampler, the incident recorder
-	// (bundles straight into -incident-dir) and the three endpoints on
+	// One member on the debug plane: the sampler, recording incidents
+	// (bundles straight into -incident-dir), and the three endpoints on
 	// the serving mux, plus the side listener when -debug-addr is set.
 	m, err := plane.Add(*name, rt.Tracer(), capdebug.Tiers{Runtime: rt, Server: srv}, dbg.IncidentDir)
 	if err != nil {
@@ -97,8 +93,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if err := plane.ServeDebug("capserve", stdout); err != nil {
 		return fail(err)
 	}
-	if m.Recorder != nil {
-		fmt.Fprintf(stdout, "capserve: incident recorder armed, bundles in %s (max %d)\n", m.Recorder.Dir(), dbg.IncidentMax)
+	if dbg.IncidentDir != "" {
+		fmt.Fprintf(stdout, "capserve: incident recorder armed, bundles in %s (max %d)\n", dbg.IncidentDir, dbg.IncidentMax)
 	}
 
 	// The injector wraps the whole serving handler; disarmed (no rules

@@ -175,17 +175,6 @@ type Config struct {
 	// routing reuses connections instead of re-dialing through the
 	// default idle cap of 2.
 	Transport http.RoundTripper
-
-	// Tracer receives the route-span events (KRoute*). cmd/caprouter
-	// passes the same tracer here and to the local tier's runtime, so
-	// the router's spans and the fallback tier's land in one ring set.
-	// Default (nil): cluster-tier tracing disabled.
-	Tracer *captrace.Tracer
-
-	// TraceSample is the 1-in-N sampling rate for router-minted trace
-	// IDs (adopted client IDs are always traced). Default (0):
-	// capserve.DefaultTraceSample.
-	TraceSample int
 }
 
 // Validate reports whether cfg can build a Router.
@@ -217,9 +206,6 @@ func (cfg Config) Validate() error {
 	if cfg.SlowFactor < 0 || cfg.SlowMinP99 < 0 || cfg.SlowMinSamples < 0 {
 		return fmt.Errorf("capcluster: SlowFactor, SlowMinP99 and SlowMinSamples must be >= 0 (0 means default)")
 	}
-	if cfg.TraceSample < 0 {
-		return fmt.Errorf("capcluster: TraceSample must be >= 0 (0 means %d), got %d", capserve.DefaultTraceSample, cfg.TraceSample)
-	}
 	return nil
 }
 
@@ -237,8 +223,7 @@ type Router struct {
 	start    time.Time
 	draining atomic.Bool
 
-	tracer  *captrace.Tracer
-	sampler *captrace.Sampler
+	tracer *captrace.Tracer // the local tier's: route spans and fallback runs share one ring set
 
 	requests       atomic.Uint64
 	remoteProbes   atomic.Uint64
@@ -297,19 +282,14 @@ func New(cfg Config) (*Router, error) {
 	if feedTransport == nil {
 		feedTransport = transport
 	}
-	sample := cfg.TraceSample
-	if sample == 0 {
-		sample = capserve.DefaultTraceSample
-	}
 	r := &Router{
-		cfg:     cfg,
-		local:   cfg.Local,
-		client:  &http.Client{Transport: transport, Timeout: dispatchTimeout},
-		feed:    &http.Client{Transport: feedTransport},
-		mux:     http.NewServeMux(),
-		start:   time.Now(),
-		tracer:  cfg.Tracer,
-		sampler: captrace.NewSampler(sample),
+		cfg:    cfg,
+		local:  cfg.Local,
+		client: &http.Client{Transport: transport, Timeout: dispatchTimeout},
+		feed:   &http.Client{Transport: feedTransport},
+		mux:    http.NewServeMux(),
+		start:  time.Now(),
+		tracer: cfg.Local.Runtime().Tracer(),
 	}
 	for i, base := range cfg.Backends {
 		u, _ := url.Parse(base) // validated above
@@ -397,7 +377,7 @@ func (r *Router) handleRun(w http.ResponseWriter, req *http.Request) {
 	// Trace identity first, so every outcome — even a 400 on a bad
 	// parameter — carries the ID the client stamped. The route span
 	// opens here.
-	tid, traced := r.traceIdentity(req)
+	tid, traced := r.tracer.Identify(req)
 	if tid != 0 {
 		w.Header().Set(captrace.HeaderTraceID, captrace.FormatID(tid))
 	}
@@ -425,7 +405,7 @@ func (r *Router) handleRun(w http.ResponseWriter, req *http.Request) {
 			case dispatched, clientFault:
 				elapsed := time.Since(start)
 				b.dispatchLatency.Observe(elapsed)
-				r.trace(traced, captrace.KRouteServed, tid, uint16(b.id), durUS(elapsed))
+				r.trace(traced, captrace.KRouteServed, tid, uint16(b.id), captrace.DurUS(elapsed))
 				if out == clientFault {
 					r.clientFaults.Add(1)
 				} else {
@@ -439,7 +419,7 @@ func (r *Router) handleRun(w http.ResponseWriter, req *http.Request) {
 			case shed:
 				r.trace(traced, captrace.KRouteShed, tid, uint16(b.id), 0)
 			case died:
-				r.trace(traced, captrace.KRouteDeath, tid, uint16(b.id), durUS(time.Since(start)))
+				r.trace(traced, captrace.KRouteDeath, tid, uint16(b.id), captrace.DurUS(time.Since(start)))
 			}
 			// shed or died: probe the next backend.
 		}
@@ -476,7 +456,7 @@ func (r *Router) handleRun(w http.ResponseWriter, req *http.Request) {
 	case sw.status >= 400 && sw.status < 500:
 		r.clientFaults.Add(1)
 	}
-	r.trace(traced, captrace.KRouteFallback, tid, tier, durUS(time.Since(lstart)))
+	r.trace(traced, captrace.KRouteFallback, tid, tier, captrace.DurUS(time.Since(lstart)))
 }
 
 // Refresh is the credit gauges' decay pass: every backend that has sent

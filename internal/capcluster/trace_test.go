@@ -23,6 +23,19 @@ import (
 // not leaked downstream, and the new dispatch histogram and tier
 // counter appear on /metrics.
 
+// tracedLocal is newRouter's default local tier with its runtime
+// recording into tr — the router's tracer is its local tier's.
+func tracedLocal(t *testing.T, tr *captrace.Tracer) *capserve.Server {
+	t.Helper()
+	rt := capsule.New(capsule.Config{Contexts: 2, Throttle: true, Tracer: tr})
+	t.Cleanup(rt.Close)
+	s, err := capserve.New(capserve.Config{Runtime: rt, QueueDepth: 32})
+	if err != nil {
+		t.Fatalf("capserve.New: %v", err)
+	}
+	return s
+}
+
 func routeKinds(tr *captrace.Tracer, tid uint64) map[captrace.Kind]int {
 	got := map[captrace.Kind]int{}
 	for _, ev := range tr.Snapshot("test", 0).Events {
@@ -51,7 +64,7 @@ func TestRouteSpanWaterfall(t *testing.T) {
 	routerTracer := captrace.New(1, 256)
 	r, ts := newRouter(t, Config{
 		Backends: []string{b.URL},
-		Tracer:   routerTracer,
+		Local:    tracedLocal(t, routerTracer),
 	})
 
 	const id = "00000000cafe0001"
@@ -122,14 +135,14 @@ func TestFallbackTierClassification(t *testing.T) {
 	// Throttle off: with it on, the first request's token release counts
 	// as a death and throttle-refuses the drain loop's probes for a
 	// DeathWindow, leaving the pool full and the second request granted.
-	rt := capsule.New(capsule.Config{Contexts: 2})
+	tr := captrace.New(1, 256)
+	rt := capsule.New(capsule.Config{Contexts: 2, Tracer: tr})
 	t.Cleanup(rt.Close)
 	local, err := capserve.New(capserve.Config{Runtime: rt, QueueDepth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := captrace.New(1, 256)
-	r, ts := newRouter(t, Config{Local: local, Tracer: tr})
+	r, ts := newRouter(t, Config{Local: local})
 
 	const id1 = "00000000cafe0002"
 	req, _ := http.NewRequest("GET", ts.URL+"/run/quicksort?n=300&seed=1", nil)
@@ -210,9 +223,8 @@ func TestSampledOutNotPropagated(t *testing.T) {
 	defer backend.Close()
 
 	_, ts := newRouter(t, Config{
-		Backends:    []string{backend.URL},
-		Tracer:      captrace.New(1, 64),
-		TraceSample: 1 << 30, // minted IDs ~never sampled
+		Backends: []string{backend.URL},
+		Local:    tracedLocal(t, captrace.New(1, 64).SampleEvery(1<<30)), // minted IDs ~never sampled
 	})
 	resp, _ := get(t, ts.URL+"/run/quicksort?n=100&seed=1")
 	if resp.StatusCode != http.StatusOK {
@@ -244,8 +256,8 @@ func TestSampledOutNotPropagated(t *testing.T) {
 // an array of one snapshot under the router's name; an untraced router
 // mounts nothing and 404s.
 func TestRouterDebugTrace(t *testing.T) {
-	tr := captrace.New(1, 64)
-	r, ts := newRouter(t, Config{Tracer: tr, TraceSample: 1})
+	tr := captrace.New(1, 64).SampleEvery(1)
+	r, ts := newRouter(t, Config{Local: tracedLocal(t, tr)})
 	r.Mount("GET /debug/trace", captrace.Handler(captrace.Source{Name: "edge-1", Tracer: tr}))
 	get(t, ts.URL+"/run/quicksort?n=200&seed=1")
 
@@ -287,7 +299,7 @@ func TestRouterDebugTraceMergesLocals(t *testing.T) {
 	backend := strings.TrimPrefix(b.URL, "http://")
 
 	routerTracer := captrace.New(1, 256)
-	r, ts := newRouter(t, Config{Backends: []string{b.URL}, Tracer: routerTracer})
+	r, ts := newRouter(t, Config{Backends: []string{b.URL}, Local: tracedLocal(t, routerTracer)})
 	r.Mount("GET /debug/trace", captrace.Handler(
 		captrace.Source{Name: "caprouter", Tracer: routerTracer},
 		captrace.Source{Name: backend, Tracer: backendTracer},

@@ -1,9 +1,9 @@
 // Package capdebug is the debug plane: the one place that builds, names,
-// mounts and fetches the four observability planes — trace (captrace),
-// watch (capwatch), incident (capscope) and fault (capfault) — for both
-// serving binaries. The paper gives a component one way in, the same
-// probe at every level; this package gives every process one way onto
-// the debug plane.
+// mounts and fetches the observability planes — trace (captrace), watch
+// and incident (capwatch: a member's sampler is its incident recorder)
+// and fault (capfault) — for both serving binaries. The paper gives a
+// component one way in, the same probe at every level; this package
+// gives every process one way onto the debug plane.
 //
 // The unit is the *member*: one process-resident server (a lone
 // capserve, a router, each backend a router spawned) with one name on
@@ -38,7 +38,6 @@ import (
 
 	"repro/internal/capcluster"
 	"repro/internal/capfault"
-	"repro/internal/capscope"
 	"repro/internal/capserve"
 	"repro/internal/capsule"
 	"repro/internal/captrace"
@@ -48,10 +47,10 @@ import (
 // Flags is the debug flag group, registered once by Register and shared
 // by cmd/capserve and cmd/caprouter.
 type Flags struct {
-	Trace       bool
-	TraceBuf    int
-	TraceSample int
-	DebugAddr   string
+	Trace      bool
+	TraceBuf   int
+	TraceEvery int
+	DebugAddr  string
 
 	Watch         bool
 	WatchInterval time.Duration
@@ -71,7 +70,7 @@ func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.BoolVar(&f.Trace, "trace", false, "record lifecycle events and route spans per member, served on /debug/trace")
 	fs.IntVar(&f.TraceBuf, "trace-buf", 0, "trace ring slots per shard (0 = default)")
-	fs.IntVar(&f.TraceSample, "trace-sample", 0, "trace 1 in N server-minted request IDs (0 = default)")
+	fs.IntVar(&f.TraceEvery, "trace-sample", 0, "trace 1 in N server-minted request IDs (0 = default)")
 	fs.StringVar(&f.DebugAddr, "debug-addr", "", "serve pprof, /debug/{trace,watch,incident} and /debug/fault on this separate address (empty = off)")
 	fs.BoolVar(&f.Watch, "watch", true, "continuous telemetry sampler per member, served on /debug/watch")
 	fs.DurationVar(&f.WatchInterval, "watch-interval", capwatch.DefaultInterval, "telemetry sampling tick")
@@ -106,14 +105,15 @@ func RegisterRuntime(fs *flag.FlagSet) *RuntimeFlags {
 	return f
 }
 
-// NewTracer returns a fresh tracer for one member, nil (tracing off)
-// without -trace. A member's tracer must exist before its runtime, which
-// records into it.
+// NewTracer returns a fresh tracer for one member, tracing 1 in
+// -trace-sample of the request IDs it mints; nil (tracing off) without
+// -trace. A member's tracer must exist before its runtime, which records
+// into it, and its serving tiers take it from that runtime.
 func (f *Flags) NewTracer() *captrace.Tracer {
 	if !f.Trace {
 		return nil
 	}
-	return captrace.New(0, f.TraceBuf)
+	return captrace.New(0, f.TraceBuf).SampleEvery(f.TraceEvery)
 }
 
 // NewRuntime builds one member's runtime: contexts contexts, the
@@ -128,6 +128,9 @@ func (f *Flags) NewRuntime(contexts int) (*capsule.Runtime, error) {
 func (f *Flags) NewPlane() (*Plane, error) {
 	if f.IncidentDir != "" && !f.Watch {
 		return nil, fmt.Errorf("-incident-dir requires -watch (the recorders ride the telemetry tick)")
+	}
+	if f.TraceEvery < 0 {
+		return nil, fmt.Errorf("-trace-sample must be >= 0 (0 means %d), got %d", captrace.DefaultSample, f.TraceEvery)
 	}
 	p := &Plane{flags: f}
 	if f.Fault {
@@ -155,13 +158,12 @@ func (t Tiers) addMetrics(f func(io.Writer)) {
 }
 
 // Member is one process-resident server on the plane. Sampler is nil
-// without -watch, Recorder nil without -incident-dir, Tracer nil
-// without -trace.
+// without -watch and records incidents with -incident-dir; Tracer is
+// nil without -trace.
 type Member struct {
-	Name     string
-	Tracer   *captrace.Tracer
-	Sampler  *capwatch.Sampler
-	Recorder *capscope.Recorder
+	Name    string
+	Tracer  *captrace.Tracer
+	Sampler *capwatch.Sampler
 }
 
 // Plane is one process's members, lead first, plus its fault injector.
@@ -173,46 +175,34 @@ type Plane struct {
 }
 
 // Add builds a member named name over tiers and adds it to the plane:
-// its sampler (started) and armed recorder, both wired into the member's
-// /metrics. dir is the member's bundle directory, used with
-// -incident-dir. Members keep the order they were added in, except that
-// a router member leads.
+// its sampler (started, recording incidents into dir with
+// -incident-dir), wired into the member's /metrics. Members keep the
+// order they were added in, except that a router member leads.
 func (p *Plane) Add(name string, tr *captrace.Tracer, t Tiers, dir string) (*Member, error) {
 	f := p.flags
 	m := &Member{Name: name, Tracer: tr}
 	if f.Watch {
-		s, err := capwatch.New(capwatch.Config{
-			Source:   name,
-			Interval: f.WatchInterval,
-			Runtime:  t.Runtime,
-			Server:   t.Server,
-			Router:   t.Router,
-			SLO:      f.SLO,
-		})
+		cfg := capwatch.Config{
+			Source:     name,
+			Interval:   f.WatchInterval,
+			Runtime:    t.Runtime,
+			Server:     t.Server,
+			Router:     t.Router,
+			SLO:        f.SLO,
+			MaxBundles: f.IncidentMax,
+			Cooldown:   f.IncidentCooldown,
+			Fault:      p.Fault,
+		}
+		if f.IncidentDir != "" {
+			cfg.IncidentDir = dir
+		}
+		s, err := capwatch.New(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("%s sampler: %w", name, err)
 		}
 		t.addMetrics(s.WriteMetrics)
+		s.Start()
 		m.Sampler = s
-	}
-	if f.IncidentDir != "" {
-		r, err := capscope.New(capscope.Config{
-			Source:     name,
-			Dir:        dir,
-			MaxBundles: f.IncidentMax,
-			Cooldown:   f.IncidentCooldown,
-			Tracer:     tr,
-			Fault:      p.Fault,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s recorder: %w", name, err)
-		}
-		r.Arm(m.Sampler)
-		t.addMetrics(r.WriteMetrics)
-		m.Recorder = r
-	}
-	if m.Sampler != nil {
-		m.Sampler.Start()
 	}
 	if t.Router != nil {
 		p.Members = append([]*Member{m}, p.Members...)
@@ -229,16 +219,14 @@ func (p *Plane) Add(name string, tr *captrace.Tracer, t Tiers, dir string) (*Mem
 func Mount(mount func(pattern string, h http.Handler), members ...*Member) {
 	var traces []captrace.Source
 	var samplers []*capwatch.Sampler
-	var recorders []*capscope.Recorder
+	recording := false
 	for _, m := range members {
 		if m.Tracer != nil {
 			traces = append(traces, captrace.Source{Name: m.Name, Tracer: m.Tracer})
 		}
 		if m.Sampler != nil {
 			samplers = append(samplers, m.Sampler)
-		}
-		if m.Recorder != nil {
-			recorders = append(recorders, m.Recorder)
+			recording = recording || m.Sampler.IncidentDir() != ""
 		}
 	}
 	if len(traces) > 0 {
@@ -247,8 +235,8 @@ func Mount(mount func(pattern string, h http.Handler), members ...*Member) {
 	if len(samplers) > 0 {
 		mount("GET /debug/watch", capwatch.Handler(samplers...))
 	}
-	if len(recorders) > 0 {
-		mount("/debug/incident", capscope.Handler(recorders...))
+	if recording {
+		mount("/debug/incident", capwatch.IncidentHandler(samplers...))
 	}
 }
 
@@ -281,17 +269,14 @@ func (p *Plane) ServeDebug(prog string, w io.Writer) error {
 	return nil
 }
 
-// Close detaches every recorder (letting an in-flight capture land its
-// bundle — a flight recorder must survive the crash-adjacent exit),
-// stops every sampler and closes the -debug-addr listener.
+// Close stops every sampler (each lets an in-flight capture land its
+// bundle — a flight recorder must survive the crash-adjacent exit) and
+// closes the -debug-addr listener.
 func (p *Plane) Close() {
 	if p.debug != nil {
 		p.debug.Close()
 	}
 	for _, m := range p.Members {
-		if m.Recorder != nil {
-			m.Recorder.Close()
-		}
 		if m.Sampler != nil {
 			m.Sampler.Stop()
 		}

@@ -87,7 +87,7 @@ func routed(t *testing.T, dbg *Flags) fleet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	router, err := capcluster.New(capcluster.Config{Backends: urls, Local: local, Tracer: rt.Tracer()})
+	router, err := capcluster.New(capcluster.Config{Backends: urls, Local: local})
 	if err != nil {
 		t.Fatal(err)
 	}

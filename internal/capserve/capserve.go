@@ -85,18 +85,6 @@ type Config struct {
 	// runtime's context count.
 	QueueDepth int
 
-	// Tracer receives the serving-tier lifecycle events. Default (nil): inherit the Runtime's tracer,
-	// so wiring a tracer into the runtime Config is the only step needed
-	// to get both tiers recorded into one ring set. Explicitly leaving
-	// both nil disables request tracing entirely.
-	Tracer *captrace.Tracer
-
-	// TraceSample is the 1-in-N sampling rate for server-generated trace
-	// IDs (adopted client/router IDs are always traced). Default (0):
-	// DefaultTraceSample. 1 traces every request — CI smoke territory,
-	// not production.
-	TraceSample int
-
 	// FeedHeartbeat is the idle republish interval of the /debug/credits
 	// push feed: subscribed routers see a delta at least this often even
 	// with no traffic, which is what keeps their staleness TTLs satisfied
@@ -111,9 +99,6 @@ func (cfg Config) Validate() error {
 	}
 	if cfg.QueueDepth < 0 {
 		return fmt.Errorf("capserve: QueueDepth must be >= 0 (0 means 4x contexts), got %d", cfg.QueueDepth)
-	}
-	if cfg.TraceSample < 0 {
-		return fmt.Errorf("capserve: TraceSample must be >= 0 (0 means %d), got %d", DefaultTraceSample, cfg.TraceSample)
 	}
 	if cfg.FeedHeartbeat < 0 {
 		return fmt.Errorf("capserve: FeedHeartbeat must be >= 0 (0 means default), got %v", cfg.FeedHeartbeat)
@@ -135,8 +120,7 @@ type Server struct {
 	start     time.Time
 	draining  atomic.Bool
 
-	tracer  *captrace.Tracer
-	sampler *captrace.Sampler
+	tracer *captrace.Tracer // the runtime's: serving and runtime events share one ring set
 
 	// feed is the /debug/credits push plane (feed.go); feedHeartbeat is
 	// its idle republish interval.
@@ -161,14 +145,6 @@ func New(cfg Config) (*Server, error) {
 	if depth == 0 {
 		depth = 4 * cfg.Runtime.Contexts()
 	}
-	sample := cfg.TraceSample
-	if sample == 0 {
-		sample = DefaultTraceSample
-	}
-	tracer := cfg.Tracer
-	if tracer == nil {
-		tracer = cfg.Runtime.Tracer()
-	}
 	heartbeat := cfg.FeedHeartbeat
 	if heartbeat == 0 {
 		heartbeat = DefaultFeedHeartbeat
@@ -181,8 +157,7 @@ func New(cfg Config) (*Server, error) {
 		eps:           map[string]*endpoint{},
 		mux:           http.NewServeMux(),
 		start:         time.Now(),
-		tracer:        tracer,
-		sampler:       captrace.NewSampler(sample),
+		tracer:        cfg.Runtime.Tracer(),
 		feedHeartbeat: heartbeat,
 	}
 	for _, wl := range s.workloads {
@@ -277,7 +252,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// to the ID the client (or router) stamped. The ID is echoed
 	// whenever one exists — traced or merely sampled-out — so callers
 	// always learn what to ask /debug/trace about.
-	tid, traced := s.traceIdentity(r)
+	tid, traced := s.tracer.Identify(r)
 	if tid != 0 {
 		w.Header().Set(captrace.HeaderTraceID, captrace.FormatID(tid))
 	}
@@ -358,7 +333,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		// Parameters were validated above, so this is a server-side
 		// failure, not a client one.
 		ep.inc(http.StatusInternalServerError)
-		s.trace(traced, captrace.KReqDone, tid, http.StatusInternalServerError, durUS(time.Since(start)))
+		s.trace(traced, captrace.KReqDone, tid, http.StatusInternalServerError, captrace.DurUS(time.Since(start)))
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
@@ -370,24 +345,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	ep.inc(http.StatusOK)
 	elapsed := time.Since(start)
 	ep.latency.Observe(elapsed)
-	s.trace(traced, captrace.KReqDone, tid, http.StatusOK, durUS(elapsed))
+	s.trace(traced, captrace.KReqDone, tid, http.StatusOK, captrace.DurUS(elapsed))
 	s.setHeadroom(w.Header()) // refresh: this is the value routers act on
 	if degraded {
 		w.Header().Set(HeaderDegraded, "1")
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
-}
-
-// durUS packs a duration into the µs-resolution uint32 the trace event
-// payload carries (saturating: ~71 minutes caps the field, far beyond
-// any request this server dispatches).
-func durUS(d time.Duration) uint32 {
-	us := d.Microseconds()
-	if us > int64(^uint32(0)) {
-		return ^uint32(0)
-	}
-	return uint32(us)
 }
 
 // parseParams reads n and seed from the query string. Defaults: n=1000,

@@ -25,10 +25,10 @@ func newTracedServer(t *testing.T, sample int) (*Server, *httptest.Server, *capt
 	t.Helper()
 	// Rings big enough that one divide-heavy request (hundreds of probe
 	// events) can't overwrite its own admit event mid-test.
-	tr := captrace.New(2, 4096)
+	tr := captrace.New(2, 4096).SampleEvery(sample)
 	rt := capsule.New(capsule.Config{Contexts: 4, Throttle: true, Tracer: tr})
 	t.Cleanup(rt.Close)
-	s, ts := newTestServer(t, Config{Runtime: rt, TraceSample: sample})
+	s, ts := newTestServer(t, Config{Runtime: rt})
 	return s, ts, tr
 }
 
@@ -129,10 +129,10 @@ func TestTraceDisabled(t *testing.T) {
 // as the debug plane mounts it — a JSON array of one snapshot under the
 // member's name, ?n= capping it, a bad n rejected.
 func TestDebugTraceEndpoint(t *testing.T) {
-	tr := captrace.New(1, 64)
+	tr := captrace.New(1, 64).SampleEvery(1)
 	rt := capsule.New(capsule.Config{Contexts: 2, Tracer: tr})
 	t.Cleanup(rt.Close)
-	s, ts := newTestServer(t, Config{Runtime: rt, TraceSample: 1})
+	s, ts := newTestServer(t, Config{Runtime: rt})
 	s.Mount("GET /debug/trace", captrace.Handler(captrace.Source{Name: "backend-7", Tracer: tr}))
 
 	for i := 0; i < 3; i++ {
@@ -220,10 +220,10 @@ func TestCapsuleSeriesPromtextRoundTrip(t *testing.T) {
 // TestShedTraced: a shed carries the client's trace ID on its 503 and
 // records a KReqShed event.
 func TestShedTraced(t *testing.T) {
-	tr := captrace.New(1, 64)
+	tr := captrace.New(1, 64).SampleEvery(1 << 30)
 	rt := capsule.New(capsule.Config{Contexts: 2, Tracer: tr})
 	t.Cleanup(rt.Close)
-	s, err := New(Config{Runtime: rt, QueueDepth: 1, TraceSample: 1 << 30})
+	s, err := New(Config{Runtime: rt, QueueDepth: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

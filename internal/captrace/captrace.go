@@ -223,7 +223,19 @@ type Tracer struct {
 	// time so events from different processes on one machine merge into
 	// one timeline.
 	now func() int64
+
+	// sample is the 1-in-N rate at which Identify traces the IDs it
+	// mints; minted counts the mints, shared across goroutines ("every
+	// Nth request", not per-conn, so a steady load always yields
+	// exemplars).
+	sample uint64
+	minted atomic.Uint64
 }
+
+// DefaultSample is the 1-in-N rate at which a tracer traces the request
+// IDs it mints: enough exemplars to always have a recent waterfall,
+// cheap enough to leave on.
+const DefaultSample = 64
 
 // DefaultPerShard is the per-shard ring capacity used when New is given
 // a non-positive size: at ~6 events per traced request, 4096 slots hold
@@ -249,10 +261,22 @@ func New(shards, perShard int) *Tracer {
 		shards: make([]traceShard, shards),
 		mask:   uint64(size - 1),
 		now:    func() int64 { return time.Now().UnixNano() },
+		sample: DefaultSample,
 	}
 	for i := range t.shards {
 		t.shards[i].ring = make([]slot, size)
 	}
+	return t
+}
+
+// SampleEvery sets the 1-in-n rate at which Identify traces the IDs it
+// mints (n <= 0: DefaultSample; 1 traces every request) and returns t.
+// Set it before the tracer is shared.
+func (t *Tracer) SampleEvery(n int) *Tracer {
+	if n <= 0 {
+		n = DefaultSample
+	}
+	t.sample = uint64(n)
 	return t
 }
 

@@ -248,21 +248,23 @@ func TestIDRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSampler pins the tracer's 1-in-N rate on the IDs Identify mints.
 func TestSampler(t *testing.T) {
-	var nilS *Sampler
-	if nilS.Sample() {
-		t.Fatal("nil sampler sampled")
+	req := httptest.NewRequest("GET", "/run/quicksort", nil)
+	var off *Tracer
+	if id, traced := off.Identify(req); id != 0 || traced {
+		t.Fatalf("nil tracer identified %x, traced=%v", id, traced)
 	}
-	always := NewSampler(1)
+	always := New(1, 64).SampleEvery(1)
 	for i := 0; i < 10; i++ {
-		if !always.Sample() {
-			t.Fatal("1-in-1 sampler skipped")
+		if id, traced := always.Identify(req); id == 0 || !traced {
+			t.Fatal("1-in-1 tracer skipped")
 		}
 	}
-	s := NewSampler(8)
+	tr := New(1, 64).SampleEvery(8)
 	hits := 0
 	for i := 0; i < 800; i++ {
-		if s.Sample() {
+		if _, traced := tr.Identify(req); traced {
 			hits++
 		}
 	}

@@ -18,8 +18,8 @@ import (
 // Snapshot walk (validated slot copies, merged and time-ordered), the
 // Event JSON codec, the /debug/trace handler every server mounts,
 // trace-ID generation/formatting, the per-request context carrier the
-// router uses to hand identity to its in-process local tier, and the
-// 1-in-N sampler for server-generated IDs.
+// router uses to hand identity to its in-process local tier, and
+// Identify, the one decision of a request's identity every tier makes.
 
 // Event is one decoded ring entry. A and B are per-Kind payloads (see
 // the Kind constants); Shard is a spare payload byte no tier writes
@@ -339,32 +339,6 @@ func ParseID(s string) (uint64, error) {
 	return id, nil
 }
 
-// Sampler makes the 1-in-N decision for tracing server-generated
-// request IDs (adopted IDs bypass it — whoever stamped the header
-// already decided). A nil Sampler never samples; n <= 1 always samples.
-// The counter is shared across goroutines: "every Nth admission", not
-// per-conn, so a steady load always yields exemplars.
-type Sampler struct {
-	n uint64
-	c atomic.Uint64
-}
-
-// NewSampler returns a 1-in-n sampler (n <= 1: always; see Sampler).
-func NewSampler(n int) *Sampler {
-	if n < 1 {
-		n = 1
-	}
-	return &Sampler{n: uint64(n)}
-}
-
-// Sample reports whether this request should be traced.
-func (s *Sampler) Sample() bool {
-	if s == nil {
-		return false
-	}
-	return s.c.Add(1)%s.n == 0
-}
-
 // Context plumbing: the router serves its local-fallback tier by
 // calling the in-process capserve handler directly, so the trace
 // identity travels in the request context instead of being re-derived
@@ -390,4 +364,46 @@ func WithRequest(ctx context.Context, id uint64, traced bool) context.Context {
 func RequestFrom(ctx context.Context) (id uint64, traced, ok bool) {
 	v, ok := ctx.Value(ctxKey{}).(ctxIdentity)
 	return v.id, v.traced, ok
+}
+
+// Identify decides a request's trace ID and whether its events are
+// recorded, in precedence order:
+//
+//  1. an identity injected via WithRequest (the router's in-process
+//     fallback tier) is authoritative — the router already decided, and
+//     re-deciding could disagree with its route span;
+//  2. a parseable HeaderTraceID is adopted and always traced: whoever
+//     stamped it (capload -trace, a curl repro, the router's dispatch
+//     propagation) wants this request observable;
+//  3. otherwise an ID is minted and traced for one in SampleEvery
+//     requests — steady background exemplars.
+//
+// The nil tracer traces nothing and mints no identity: the header is
+// not echoed and the disabled path costs one nil check.
+func (t *Tracer) Identify(r *http.Request) (id uint64, traced bool) {
+	if id, traced, ok := RequestFrom(r.Context()); ok {
+		return id, traced && t != nil
+	}
+	if t == nil {
+		return 0, false
+	}
+	if h := r.Header.Get(HeaderTraceID); h != "" {
+		if id, err := ParseID(h); err == nil {
+			return id, true
+		}
+		// Malformed header: mint instead of adopting garbage, so the
+		// response still tells the client what ID to look for.
+	}
+	return NewID(), t.minted.Add(1)%t.sample == 0
+}
+
+// DurUS packs a duration into the µs-resolution uint32 a trace event's
+// B field carries (saturating: ~71 minutes caps the field, far beyond
+// any request a tier dispatches).
+func DurUS(d time.Duration) uint32 {
+	us := d.Microseconds()
+	if us > int64(^uint32(0)) {
+		return ^uint32(0)
+	}
+	return uint32(us)
 }

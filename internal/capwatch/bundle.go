@@ -1,4 +1,4 @@
-package capscope
+package capwatch
 
 import (
 	"encoding/json"
@@ -14,18 +14,17 @@ import (
 	"repro/internal/capcluster"
 	"repro/internal/capfault"
 	"repro/internal/captrace"
-	"repro/internal/capwatch"
 )
 
 // Bundle layout: one directory per incident, named after the manifest
 // ID (inc-<seq>-<trigger>-<unixms>), containing
 //
 //	manifest.json   — identity, trigger, reason, SLO verdict, file list
-//	watch.json      — one-element array of the capwatch Report at
+//	watch.json      — one-element array of the sampler's Report at
 //	                  capture time, the /debug/watch schema
 //	trace.json      — one-element array of captrace Snapshots (newest
 //	                  TraceEvents), the /debug/trace schema
-//	cpu.pprof       — bounded CPU profile burst (ProfileDuration)
+//	cpu.pprof       — bounded CPU profile burst (DefaultProfileDuration)
 //	heap.pprof      — heap profile
 //	goroutines.txt  — full goroutine dump (pprof debug=2)
 //	fault.json      — live capfault rule set (when an injector is wired)
@@ -34,7 +33,8 @@ import (
 //
 // The capture writes into a dot-prefixed temp dir and renames it into
 // place, so a bundle either exists completely or not at all — a crash
-// mid-capture leaves only a temp dir the next New sweeps away.
+// mid-capture leaves only a temp dir the next New over the same
+// IncidentDir sweeps away.
 
 // Standard bundle file names.
 const (
@@ -60,10 +60,10 @@ type Manifest struct {
 	TakenAtUnixMS int64   `json:"taken_at_unix_ms"`
 	CooldownS     float64 `json:"cooldown_s"`
 
-	Build buildinfo.Info     `json:"build"`
-	SLO   capwatch.SLOReport `json:"slo"`
-	Files []string           `json:"files"`
-	Notes []string           `json:"notes,omitempty"`
+	Build buildinfo.Info `json:"build"`
+	SLO   SLOReport      `json:"slo"`
+	Files []string       `json:"files"`
+	Notes []string       `json:"notes,omitempty"`
 }
 
 // FaultDoc is fault.json: whether the injector was armed and the live
@@ -85,7 +85,8 @@ type BackendsDoc struct {
 // by observe after a wg.Add and the in-flight guard's CAS, which keeps
 // captures from overlapping within a recorder; cpuProfMu keeps CPU
 // profiling exclusive process-wide.
-func (r *Recorder) capture(trigger, reason string, slo capwatch.SLOReport, now time.Time) {
+func (s *Sampler) capture(trigger, reason string, slo SLOReport, now time.Time) {
+	r := s.rec
 	defer r.wg.Done()
 	defer r.inflight.Store(false)
 	r.mu.Lock()
@@ -122,17 +123,17 @@ func (r *Recorder) capture(trigger, reason string, slo capwatch.SLOReport, now t
 		m.Files = append(m.Files, name)
 	}
 
-	rep := r.sampler.Report(0)
-	writeJSON(FileWatch, []capwatch.Report{rep})
-	writeJSON(FileTrace, []captrace.Snapshot{r.tracer.Snapshot(r.source, TraceEvents)})
-	if r.cfg.Fault != nil {
-		rules := r.cfg.Fault.Rules()
+	rep := s.Report(0)
+	writeJSON(FileWatch, []Report{rep})
+	writeJSON(FileTrace, []captrace.Snapshot{s.cfg.Runtime.Tracer().Snapshot(r.source, TraceEvents)})
+	if r.fault != nil {
+		rules := r.fault.Rules()
 		if rules == nil {
 			rules = []capfault.RuleInfo{}
 		}
-		writeJSON(FileFault, FaultDoc{Armed: r.cfg.Fault.Armed(), Rules: rules})
+		writeJSON(FileFault, FaultDoc{Armed: r.fault.Armed(), Rules: rules})
 	}
-	if newest := r.sampler.Snapshot(1); rep.Tier == "router" && len(newest) == 1 {
+	if newest := s.Snapshot(1); rep.Tier == "router" && len(newest) == 1 {
 		writeJSON(FileBackends, BackendsDoc{Router: newest[0].Router, Backends: newest[0].Backends})
 	}
 
@@ -140,7 +141,7 @@ func (r *Recorder) capture(trigger, reason string, slo capwatch.SLOReport, now t
 	// rather than queued when another profile is running.
 	switch {
 	case r.profDur <= 0:
-		m.Notes = append(m.Notes, "cpu profile disabled (ProfileDuration < 0)")
+		m.Notes = append(m.Notes, "cpu profile disabled")
 	case !cpuProfMu.TryLock():
 		m.Notes = append(m.Notes, "cpu profile skipped: another profile in flight")
 	default:
@@ -204,9 +205,8 @@ func (r *Recorder) capture(trigger, reason string, slo capwatch.SLOReport, now t
 	r.incidents.Add(1)
 }
 
-// Clear removes one bundle by ID; ClearAll removes every bundle. Both
-// return the number removed.
-func (r *Recorder) Clear(id string) int {
+// clear removes one bundle by ID and returns the number removed.
+func (r *recorder) clear(id string) int {
 	if !validBundleID(id) {
 		return 0
 	}
@@ -221,8 +221,9 @@ func (r *Recorder) Clear(id string) int {
 	return 1
 }
 
-// ClearAll removes every complete bundle in the recorder's dir.
-func (r *Recorder) ClearAll() int {
+// clearAll removes every complete bundle in the recorder's dir and
+// returns the number removed.
+func (r *recorder) clearAll() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	n := 0
@@ -243,7 +244,7 @@ func validBundleID(id string) bool {
 // LoadManifests indexes a bundle directory: every inc-* subdir with a
 // readable manifest, oldest (lowest sequence) first. Torn or foreign
 // dirs are skipped, so every ID it returns names a direct child of dir.
-// Shared by the recorder, the HTTP handler and the capscope CLI's
+// Shared by the recorder, /debug/incident and the capscope CLI's
 // directory mode.
 func LoadManifests(dir string) []Manifest {
 	ents, err := os.ReadDir(dir)
@@ -280,11 +281,11 @@ func LoadManifest(bundleDir string) (Manifest, error) {
 		return m, err
 	}
 	if err := json.Unmarshal(data, &m); err != nil {
-		return m, fmt.Errorf("capscope: %s: %w", bundleDir, err)
+		return m, fmt.Errorf("capwatch: %s: %w", bundleDir, err)
 	}
 	name := filepath.Base(bundleDir)
 	if m.ID != "" && m.ID != name {
-		return m, fmt.Errorf("capscope: %s: foreign manifest names bundle %q", bundleDir, m.ID)
+		return m, fmt.Errorf("capwatch: %s: foreign manifest names bundle %q", bundleDir, m.ID)
 	}
 	m.ID = name
 	return m, nil

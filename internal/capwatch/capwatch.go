@@ -23,6 +23,11 @@
 // (the /debug/watch handler, /metrics) take a read-lock that only the
 // once-a-second writer ever holds exclusively — the lock serializes
 // sampler readers against slot reuse, never the serving hot path.
+//
+// A sampler built with an IncidentDir is also the member's incident
+// recorder (incident.go, bundle.go): after each published snapshot the
+// tick evaluates the incident triggers against the ring it just wrote
+// and captures a bundle when one fires.
 package capwatch
 
 import (
@@ -32,6 +37,7 @@ import (
 	"time"
 
 	"repro/internal/capcluster"
+	"repro/internal/capfault"
 	"repro/internal/capserve"
 	"repro/internal/capsule"
 )
@@ -39,8 +45,8 @@ import (
 // DefaultInterval is the sampling tick.
 const DefaultInterval = time.Second
 
-// Ring sizing limits. The default ring is auto-sized so the SLO's slow
-// window fits in retained history with slack; maxRing caps the memory
+// Ring sizing limits. The ring is sized so the SLO's slow window fits
+// in retained history with slack; maxRing caps the memory
 // an extreme interval/window combination could demand (a slot is a
 // couple of KB — 16384 slots is tens of MB, past which an operator
 // should lengthen the interval instead).
@@ -50,20 +56,18 @@ const (
 )
 
 // Config parameterises a Sampler. Runtime is required; Server and
-// Router widen the snapshot to the serving and cluster tiers.
+// Router widen the snapshot to the serving and cluster tiers, and
+// IncidentDir arms the incident recorder.
 type Config struct {
-	// Source names this sampler's reports, so merged /debug/watch
-	// responses (router + spawned backends) stay attributable.
-	// Default: "capwatch".
+	// Source names this sampler's reports and incident bundles, so
+	// merged /debug/watch and /debug/incident responses (router +
+	// spawned backends) stay attributable. Default: "capwatch".
 	Source string
 
-	// Interval is the sampling tick. Default: DefaultInterval.
+	// Interval is the sampling tick. Default: DefaultInterval. The ring
+	// holds the SLO slow window at this tick (clamped to [minRing,
+	// maxRing] slots).
 	Interval time.Duration
-
-	// Ring is the snapshot ring's slot count, rounded up to a power of
-	// two. Default (0): sized so the SLO slow window fits (clamped to
-	// [minRing, maxRing]).
-	Ring int
 
 	// Runtime is the capsule runtime to sample. Required.
 	Runtime *capsule.Runtime
@@ -80,6 +84,24 @@ type Config struct {
 	// SLO configures the burn-rate evaluator (zero fields take
 	// defaults; see SLOConfig).
 	SLO SLOConfig
+
+	// IncidentDir, when set, arms the incident recorder: bundles land
+	// in this directory (created if absent; existing bundles are
+	// indexed, so the ring survives restarts). Empty: no recorder, and
+	// the fields below are unused.
+	IncidentDir string
+
+	// MaxBundles bounds the on-disk ring: when a capture would exceed
+	// it, the oldest bundles are pruned. Default: DefaultMaxBundles.
+	MaxBundles int
+
+	// Cooldown is the per-trigger debounce: after a trigger fires, it
+	// cannot fire again for this long. Default: DefaultCooldown.
+	Cooldown time.Duration
+
+	// Fault, when set, records the live rule set in every bundle — an
+	// incident caused by a staged storm says so in the artifact.
+	Fault *capfault.Injector
 }
 
 // Validate reports whether cfg can build a Sampler.
@@ -90,8 +112,11 @@ func (cfg Config) Validate() error {
 	if cfg.Interval < 0 {
 		return fmt.Errorf("capwatch: Interval must be >= 0 (0 means %v), got %v", DefaultInterval, cfg.Interval)
 	}
-	if cfg.Ring < 0 {
-		return fmt.Errorf("capwatch: Ring must be >= 0 (0 means auto), got %d", cfg.Ring)
+	if cfg.IncidentDir != "" && cfg.MaxBundles < 0 {
+		return fmt.Errorf("capwatch: MaxBundles must be >= 0 (0 means %d), got %d", DefaultMaxBundles, cfg.MaxBundles)
+	}
+	if cfg.IncidentDir != "" && cfg.Cooldown < 0 {
+		return fmt.Errorf("capwatch: Cooldown must be >= 0 (0 means %v), got %v", DefaultCooldown, cfg.Cooldown)
 	}
 	return cfg.SLO.validate()
 }
@@ -99,7 +124,7 @@ func (cfg Config) Validate() error {
 // Sample is one snapshot: every tier's cumulative counters plus the
 // instantaneous gauges, stamped once per tick — each tier's own snapshot
 // type, read once. Slices are preallocated per ring slot and rewritten
-// in place, so a tick allocates nothing. Every signal the capscope
+// in place, so a tick allocates nothing. Every signal the incident
 // recorder triggers on is here: it compares the two newest samples.
 type Sample struct {
 	// TS is the snapshot time (UnixNano).
@@ -147,15 +172,7 @@ type Sampler struct {
 
 	rm rmReader // preallocated runtime/metrics buffers
 
-	// hook is the capscope attachment point: a copy-on-write function
-	// pointer run after every published snapshot, outside the ring lock.
-	// Disarmed cost is one nil atomic load per tick — the hot paths
-	// never see it at all (the tick goroutine pays it).
-	hook atomic.Pointer[func()]
-
-	// incidents supplies the capscope_incidents_total count for
-	// Report/WriteMetrics; nil until a recorder registers itself.
-	incidents atomic.Pointer[func() uint64]
+	rec *recorder // the incident recorder; nil without Config.IncidentDir
 
 	startOnce sync.Once
 	stopOnce  sync.Once
@@ -191,13 +208,9 @@ func New(cfg Config) (*Sampler, error) {
 		backends = len(cfg.Router.Backends())
 	}
 
-	size := cfg.Ring
-	if size == 0 {
-		// Auto-size: the slow SLO window plus slack must stay resident,
-		// or the evaluator would silently judge a shorter period.
-		size = int(s.slo.SlowWindow/s.interval) + 2
-	}
-	size = clampPow2(size)
+	// The slow SLO window plus slack must stay resident, or the
+	// evaluator would silently judge a shorter period.
+	size := clampPow2(int(s.slo.SlowWindow/s.interval) + 2)
 	s.ring = make([]Sample, size)
 	s.mask = uint64(size - 1)
 	for i := range s.ring {
@@ -209,6 +222,13 @@ func New(cfg Config) (*Sampler, error) {
 		}
 	}
 	s.rm.init()
+	if cfg.IncidentDir != "" {
+		rec, err := newRecorder(s.source, cfg)
+		if err != nil {
+			return nil, err
+		}
+		s.rec = rec
+	}
 	return s, nil
 }
 
@@ -249,11 +269,16 @@ func (s *Sampler) Start() {
 	})
 }
 
-// Stop halts the tick goroutine and returns once it has exited, so no
-// sample lands after Stop. The ring stays readable. Idempotent.
+// Stop halts the tick goroutine, then waits for an in-flight incident
+// capture to land its bundle — a flight recorder must survive the
+// crash-adjacent exit — so no sample and no bundle lands after Stop.
+// The ring and the bundle directory stay readable. Idempotent.
 func (s *Sampler) Stop() {
 	s.stopOnce.Do(func() { close(s.stop) })
 	s.loopWG.Wait()
+	if s.rec != nil {
+		s.rec.wg.Wait()
+	}
 }
 
 func (s *Sampler) loop() {
@@ -272,9 +297,11 @@ func (s *Sampler) loop() {
 }
 
 // SampleNow takes one snapshot immediately: collect into the next ring
-// slot under the write lock, publish with one cursor bump. The tick
-// loop calls it; tests and on-demand callers may too (the lock
-// serializes concurrent writers). Allocation-free after the first call
+// slot under the write lock, publish with one cursor bump, then — with
+// an IncidentDir — evaluate the incident triggers against it. The tick
+// loop calls it; tests may too (the lock serializes concurrent
+// writers, and the triggers' cooldown state belongs to one caller at a
+// time). Allocation-free without an IncidentDir after the first call
 // warms the runtime/metrics buffers.
 func (s *Sampler) SampleNow() {
 	s.mu.Lock()
@@ -282,58 +309,12 @@ func (s *Sampler) SampleNow() {
 	s.collect(&s.ring[c&s.mask])
 	s.cursor.Store(c + 1)
 	s.mu.Unlock()
-	// The hook runs after the unlock: it reads the ring back through
-	// Latest/Report/SLO, which take the read lock.
-	if f := s.hook.Load(); f != nil {
-		(*f)()
+	// The triggers run after the unlock: they read the ring back under
+	// the read lock, and a capture rolls it up through Report.
+	if s.rec != nil {
+		s.observe()
 	}
 }
-
-// OnSample installs f to run on the sampling goroutine after each
-// published snapshot (nil uninstalls). Copy-on-write: the disarmed
-// check in SampleNow is a single atomic pointer load. f may read the
-// ring (Latest, Report, SLO, Snapshot) but must not call SampleNow.
-func (s *Sampler) OnSample(f func()) {
-	if f == nil {
-		s.hook.Store(nil)
-		return
-	}
-	s.hook.Store(&f)
-}
-
-// SetIncidents registers a supplier for the incident count carried in
-// Report.Incidents and the capwatch exposition (capscope wires its
-// recorder's counter here so capscope top can show an INC column without a
-// second fetch).
-func (s *Sampler) SetIncidents(f func() uint64) {
-	if f == nil {
-		s.incidents.Store(nil)
-		return
-	}
-	s.incidents.Store(&f)
-}
-
-// Latest runs f on the two newest snapshots under the ring's read lock,
-// without copying them, with the seconds between them clamped as
-// Report's rates are (at least one interval). It does nothing while
-// fewer than two are resident: there is no tick to compare. f must not
-// keep the pointers or call back into the sampler.
-func (s *Sampler) Latest(f func(prev, cur *Sample, sec float64)) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	c := s.cursor.Load()
-	if c < 2 {
-		return
-	}
-	prev, cur := &s.ring[(c-2)&s.mask], &s.ring[(c-1)&s.mask]
-	sec, _ := s.span(prev, cur)
-	f(prev, cur, sec)
-}
-
-// SLO evaluates the burn-rate objectives against the ring right now.
-// This is the same evaluator /debug/watch embeds in every Report,
-// exported so trigger logic (capscope) can poll it per tick.
-func (s *Sampler) SLO() SLOReport { return s.evalSLO() }
 
 // collect fills one slot in place. Every read here is an atomic load
 // against counters the hot paths own — the whole aggregation cost of

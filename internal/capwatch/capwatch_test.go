@@ -29,6 +29,15 @@ func newRuntime(t *testing.T, contexts int) *capsule.Runtime {
 	return rt
 }
 
+// minRingSLO returns burn windows short enough that a sampler ticking
+// at interval (0: DefaultInterval) holds them in a minRing-slot ring.
+func minRingSLO(interval time.Duration) SLOConfig {
+	if interval == 0 {
+		interval = DefaultInterval
+	}
+	return SLOConfig{FastWindow: 30 * interval, SlowWindow: 60 * interval}
+}
+
 func TestNewValidates(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("New accepted a nil Runtime")
@@ -62,6 +71,10 @@ func TestRingAutoSize(t *testing.T) {
 	if s.RingSize() > maxRing {
 		t.Fatalf("auto ring %d exceeds maxRing", s.RingSize())
 	}
+	// Short windows get the smallest ring.
+	if s, err := New(Config{Runtime: rt, SLO: minRingSLO(0)}); err != nil || s.RingSize() != minRing {
+		t.Fatalf("a 1m slow window at a 1s tick: ring %d (%v), want %d", s.RingSize(), err, minRing)
+	}
 }
 
 // TestRingWraparound storms SampleNow past several full ring
@@ -70,7 +83,7 @@ func TestRingAutoSize(t *testing.T) {
 // snapshots must always be time-ordered and bounded by the ring size.
 func TestRingWraparound(t *testing.T) {
 	rt := newRuntime(t, 2)
-	s, err := New(Config{Runtime: rt, Ring: minRing, Interval: time.Millisecond})
+	s, err := New(Config{Runtime: rt, Interval: time.Millisecond, SLO: minRingSLO(time.Millisecond)})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -120,7 +133,7 @@ func TestRingWraparound(t *testing.T) {
 // delta satisfies the same identity exactly.
 func TestDeltaMonotonicity(t *testing.T) {
 	rt := newRuntime(t, 4)
-	s, err := New(Config{Runtime: rt, Ring: minRing})
+	s, err := New(Config{Runtime: rt, SLO: minRingSLO(0)})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -187,8 +200,8 @@ func TestSampleNowAllocs(t *testing.T) {
 		t.Fatalf("capcluster.New: %v", err)
 	}
 	for _, cfg := range []Config{
-		{Runtime: rt, Ring: minRing},
-		{Runtime: rt, Server: srv, Router: router, Ring: minRing},
+		{Runtime: rt, SLO: minRingSLO(0)},
+		{Runtime: rt, Server: srv, Router: router, SLO: minRingSLO(0)},
 	} {
 		s, err := New(cfg)
 		if err != nil {
@@ -215,7 +228,7 @@ func TestSamplerIsPureReader(t *testing.T) {
 		srv.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", url, nil))
 	}
 	rt.Join()
-	s, err := New(Config{Runtime: rt, Server: srv, Ring: minRing})
+	s, err := New(Config{Runtime: rt, Server: srv, SLO: minRingSLO(0)})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -240,7 +253,7 @@ func TestSamplerIsPureReader(t *testing.T) {
 
 func TestStartStop(t *testing.T) {
 	rt := newRuntime(t, 2)
-	s, err := New(Config{Runtime: rt, Ring: minRing, Interval: 2 * time.Millisecond})
+	s, err := New(Config{Runtime: rt, Interval: 2 * time.Millisecond, SLO: minRingSLO(2 * time.Millisecond)})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -264,7 +277,7 @@ func TestStartStop(t *testing.T) {
 
 func TestReportEmptyRing(t *testing.T) {
 	rt := newRuntime(t, 2)
-	s, err := New(Config{Runtime: rt, Ring: minRing})
+	s, err := New(Config{Runtime: rt, SLO: minRingSLO(0)})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -286,8 +299,8 @@ func TestReportEmptyRing(t *testing.T) {
 // window is a 400. (The array-per-topology shape is capdebug's TestPlane.)
 func TestHandlerShapes(t *testing.T) {
 	rt := newRuntime(t, 2)
-	a, _ := New(Config{Runtime: rt, Ring: minRing, Source: "a"})
-	b, _ := New(Config{Runtime: rt, Ring: minRing, Source: "b"})
+	a, _ := New(Config{Runtime: rt, SLO: minRingSLO(0), Source: "a"})
+	b, _ := New(Config{Runtime: rt, SLO: minRingSLO(0), Source: "b"})
 	a.SampleNow()
 	b.SampleNow()
 
@@ -311,7 +324,7 @@ func TestHandlerShapes(t *testing.T) {
 
 func TestWriteMetrics(t *testing.T) {
 	rt := newRuntime(t, 2)
-	s, err := New(Config{Runtime: rt, Ring: minRing})
+	s, err := New(Config{Runtime: rt, SLO: minRingSLO(0)})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -339,7 +352,7 @@ func TestWriteMetrics(t *testing.T) {
 // divisor surfaced as window_clamped_s.
 func TestZeroWidthWindowClamp(t *testing.T) {
 	rt := newRuntime(t, 2)
-	s, err := New(Config{Runtime: rt, Interval: time.Second, Ring: minRing})
+	s, err := New(Config{Runtime: rt, Interval: time.Second, SLO: minRingSLO(time.Second)})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -383,49 +396,28 @@ func TestZeroWidthWindowClamp(t *testing.T) {
 	}
 }
 
-// TestOnSampleHook pins the capscope attachment point: the hook runs
-// once per published snapshot, outside the ring lock (it can read the
-// ring back), and uninstalls cleanly.
-func TestOnSampleHook(t *testing.T) {
-	rt := newRuntime(t, 2)
-	s, err := New(Config{Runtime: rt, Ring: minRing})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	var calls atomic.Int32
-	s.OnSample(func() {
-		calls.Add(1)
-		// Reading the ring from the hook must not deadlock.
-		if slo := s.SLO(); slo.TargetP99MS <= 0 {
-			t.Errorf("SLO from hook: %+v", slo)
-		}
-		_ = s.Report(0)
-	})
-	s.SampleNow()
-	s.SampleNow()
-	if got := calls.Load(); got != 2 {
-		t.Fatalf("hook ran %d times for 2 snapshots", got)
-	}
-	s.OnSample(nil)
-	s.SampleNow()
-	if got := calls.Load(); got != 2 {
-		t.Fatalf("uninstalled hook still ran (%d calls)", got)
-	}
-}
-
-// TestIncidentsPlumbing: a registered supplier shows up in Report and
-// survives round-tripping through the handler shapes.
+// TestIncidentsPlumbing: the recorder's counter shows up in Report,
+// survives the handler, and drives the capscope_* series; a sampler
+// without an IncidentDir reports 0 and exports none.
 func TestIncidentsPlumbing(t *testing.T) {
 	rt := newRuntime(t, 2)
-	s, err := New(Config{Runtime: rt, Ring: minRing})
+	bare, err := New(Config{Runtime: rt, SLO: minRingSLO(0)})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	bare.SampleNow()
+	var buf bytes.Buffer
+	bare.WriteMetrics(&buf)
+	if got := bare.Report(0).Incidents; got != 0 || strings.Contains(buf.String(), "capscope_") {
+		t.Fatalf("no recorder: incidents = %d, exposition:\n%s", got, buf.String())
+	}
+
+	s, err := New(Config{Runtime: rt, SLO: minRingSLO(0), IncidentDir: t.TempDir()})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	s.SampleNow()
-	if got := s.Report(0).Incidents; got != 0 {
-		t.Fatalf("unregistered incidents = %d", got)
-	}
-	s.SetIncidents(func() uint64 { return 7 })
+	s.rec.incidents.Store(7)
 	if got := s.Report(0).Incidents; got != 7 {
 		t.Fatalf("incidents = %d, want 7", got)
 	}
@@ -438,9 +430,10 @@ func TestIncidentsPlumbing(t *testing.T) {
 	if reps[0].Incidents != 7 {
 		t.Fatalf("handler incidents = %d, want 7", reps[0].Incidents)
 	}
-	s.SetIncidents(nil)
-	if got := s.Report(0).Incidents; got != 0 {
-		t.Fatalf("unregistered again, incidents = %d", got)
+	buf.Reset()
+	s.WriteMetrics(&buf)
+	if !strings.Contains(buf.String(), "capscope_incidents_total 7") {
+		t.Fatalf("exposition misses the incident count:\n%s", buf.String())
 	}
 }
 
@@ -455,7 +448,7 @@ func FuzzHandlerWindow(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Cleanup(rt.Close)
-	s, _ := New(Config{Runtime: rt, Ring: minRing, Source: "lead"})
+	s, _ := New(Config{Runtime: rt, SLO: minRingSLO(0), Source: "lead"})
 	s.SampleNow()
 	h := Handler(s)
 	f.Fuzz(func(t *testing.T, window string) {

@@ -72,7 +72,7 @@ func TestRouterWatchCoversFleet(t *testing.T) {
 			Source:  u.Host,
 			Runtime: b.Server.Runtime(),
 			Server:  b.Server,
-			Ring:    minRing,
+			SLO:     minRingSLO(0),
 		})
 		if err != nil {
 			t.Fatalf("backend %d sampler: %v", i, err)
@@ -84,7 +84,7 @@ func TestRouterWatchCoversFleet(t *testing.T) {
 		Runtime: localRT,
 		Server:  local,
 		Router:  router,
-		Ring:    minRing,
+		SLO:     minRingSLO(0),
 	})
 	if err != nil {
 		t.Fatalf("router sampler: %v", err)
@@ -201,7 +201,7 @@ func TestWatchOnServerMux(t *testing.T) {
 	if err != nil {
 		t.Fatalf("server: %v", err)
 	}
-	s, err := New(Config{Runtime: rt, Server: srv, Ring: minRing})
+	s, err := New(Config{Runtime: rt, Server: srv, SLO: minRingSLO(0)})
 	if err != nil {
 		t.Fatalf("sampler: %v", err)
 	}
@@ -268,7 +268,7 @@ func TestRouterClientFaultsSpendNoBudget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := New(Config{Runtime: local.Runtime(), Server: local, Router: router, Ring: minRing})
+			s, err := New(Config{Runtime: local.Runtime(), Server: local, Router: router, SLO: minRingSLO(0)})
 			if err != nil {
 				t.Fatal(err)
 			}

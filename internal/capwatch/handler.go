@@ -2,14 +2,17 @@ package capwatch
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"path/filepath"
 	"time"
 
 	"repro/internal/promtext"
 )
 
-// /debug/watch and the capwatch_* exposition. The handler follows the
+// /debug/watch, /debug/incident and the capwatch_*/capscope_*
+// exposition. /debug/watch follows the
 // debug plane's one merge convention (internal/capdebug): always a JSON
 // array of Reports in sampler order, the lead member first — one element
 // for a lone capserve, the router's own report then one per spawned
@@ -39,7 +42,8 @@ func Handler(samplers ...*Sampler) http.Handler {
 }
 
 // WriteMetrics emits the sampler's capwatch_* series — the burn rates
-// and window aggregates as scrapeable gauges. Wire it into a server's
+// and window aggregates as scrapeable gauges — and, with an IncidentDir,
+// the recorder's capscope_* series. Wire it into a server's
 // exposition with (*capserve.Server).AddMetrics or
 // (*capcluster.Router).AddMetrics. The burn windows are evaluated at
 // scrape time against the ring, so a scrape costs two window walks and
@@ -85,4 +89,93 @@ func (s *Sampler) WriteMetrics(w io.Writer) {
 	p.Gauge("capwatch_go_heap_live_bytes", "Live heap at the last tick.", float64(g.HeapLiveBytes))
 	p.Gauge("capwatch_go_gc_pause_p99_seconds", "GC pause p99 (since process start) at the last tick.", g.GCPauseP99NS/1e9)
 	p.Gauge("capwatch_go_sched_latency_p99_seconds", "Scheduler latency p99 (since process start) at the last tick.", g.SchedLatP99NS/1e9)
+
+	if s.rec != nil {
+		s.rec.writeMetrics(p)
+	}
+}
+
+// /debug/incident follows the debug plane's one merge convention
+// (internal/capdebug): GET answers a JSON array of IncidentLists in
+// sampler order, the lead member first — one element for a lone capserve, the
+// router's list then one per spawned backend for a fleet. ?id= fetches
+// one bundle in full (searched across every sampler's recorder); DELETE
+// clears
+// (?id= for one bundle, bare for everything).
+
+// IncidentList is one recorder's incident index — the GET
+// /debug/incident response shape.
+type IncidentList struct {
+	Source         string     `json:"source"`
+	Dir            string     `json:"dir"`
+	IncidentsTotal uint64     `json:"incidents_total"` // captured this process lifetime
+	Bundles        []Manifest `json:"bundles"`         // resident on disk, oldest first
+}
+
+// listOf builds the recorder's current index.
+func (r *recorder) listOf() IncidentList {
+	ms := LoadManifests(r.dir)
+	if ms == nil {
+		ms = []Manifest{}
+	}
+	return IncidentList{Source: r.source, Dir: r.dir, IncidentsTotal: r.incidents.Load(), Bundles: ms}
+}
+
+// IncidentHandler serves GET/DELETE /debug/incident over the recorders
+// of the given samplers (a router passes itself first, then its spawned
+// backends'); a sampler without an IncidentDir is skipped.
+func IncidentHandler(samplers ...*Sampler) http.Handler {
+	var recs []*recorder
+	for _, s := range samplers {
+		if s.rec != nil {
+			recs = append(recs, s.rec)
+		}
+	}
+	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		id := req.URL.Query().Get("id")
+		if id != "" && !validBundleID(id) {
+			http.Error(w, fmt.Sprintf("no bundle %q", id), http.StatusNotFound)
+			return
+		}
+		switch req.Method {
+		case http.MethodGet:
+			if id != "" {
+				for _, r := range recs {
+					b, err := LoadBundle(filepath.Join(r.dir, id))
+					if err != nil || b.Manifest.ID != id {
+						continue
+					}
+					w.Header().Set("Content-Type", "application/json")
+					json.NewEncoder(w).Encode(b)
+					return
+				}
+				http.Error(w, fmt.Sprintf("no bundle %q", id), http.StatusNotFound)
+				return
+			}
+			lists := make([]IncidentList, len(recs))
+			for i, r := range recs {
+				lists[i] = r.listOf()
+			}
+			w.Header().Set("Content-Type", "application/json")
+			json.NewEncoder(w).Encode(lists)
+		case http.MethodDelete:
+			n := 0
+			for _, r := range recs {
+				if id != "" {
+					n += r.clear(id)
+				} else {
+					n += r.clearAll()
+				}
+			}
+			if id != "" && n == 0 {
+				http.Error(w, fmt.Sprintf("no bundle %q", id), http.StatusNotFound)
+				return
+			}
+			w.Header().Set("Content-Type", "application/json")
+			fmt.Fprintf(w, "{\"cleared\":%d}\n", n)
+		default:
+			w.Header().Set("Allow", "GET, DELETE")
+			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		}
+	})
 }

@@ -1,11 +1,15 @@
-package capscope
+package capwatch
 
 import (
 	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,9 +17,9 @@ import (
 	"time"
 
 	"repro/internal/capcluster"
+	"repro/internal/capserve"
 	"repro/internal/capsule"
 	"repro/internal/captrace"
-	"repro/internal/capwatch"
 )
 
 // newThrottledRuntime builds a runtime whose death-rate throttle trips
@@ -52,39 +56,50 @@ func tripThrottle(t *testing.T, rt *capsule.Runtime) {
 	}
 }
 
-// testRecorder wires a recorder to a manually-ticked sampler with a
-// fake clock and CPU profiling disabled (captures land synchronously
-// via wg.Wait, and cooldowns are driven by the clock, not sleeps).
-func testRecorder(t *testing.T, rt *capsule.Runtime, cfg Config) (*Recorder, *capwatch.Sampler, *time.Time) {
+// testRecorder builds a manually-ticked sampler with an incident
+// recorder on a fake clock and CPU profiling disabled (captures land
+// synchronously via wg.Wait, and cooldowns are driven by the clock, not
+// sleeps).
+func testRecorder(t *testing.T, rt *capsule.Runtime, cfg Config) (*recorder, *Sampler, *time.Time) {
 	t.Helper()
-	if cfg.Dir == "" {
-		cfg.Dir = t.TempDir()
+	if cfg.IncidentDir == "" {
+		cfg.IncidentDir = t.TempDir()
 	}
-	cfg.Tracer = rt.Tracer()
-	if cfg.ProfileDuration == 0 {
-		cfg.ProfileDuration = -1
+	if cfg.Source == "" {
+		cfg.Source = "test"
 	}
-	s, err := capwatch.New(capwatch.Config{Runtime: rt, Interval: 50 * time.Millisecond, Source: "test"})
-	if err != nil {
-		t.Fatalf("sampler: %v", err)
-	}
-	rec, err := New(cfg)
+	cfg.Runtime, cfg.Interval = rt, 50*time.Millisecond
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	rec := s.rec
+	rec.profDur = -1
 	clock := time.Now()
 	rec.now = func() time.Time { return clock }
-	rec.Arm(s)
-	t.Cleanup(rec.Close)
+	t.Cleanup(s.Stop)
 	return rec, s, &clock
 }
 
-func TestNewValidates(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
-		t.Error("New accepted an empty Dir")
-	}
-	if _, err := New(Config{Dir: t.TempDir(), Cooldown: -time.Second}); err == nil {
+// TestNewValidatesIncident: New rejects incident settings it cannot
+// honour, and arms no recorder without an IncidentDir.
+func TestNewValidatesIncident(t *testing.T) {
+	rt := newRuntime(t, 2)
+	if _, err := New(Config{Runtime: rt, IncidentDir: t.TempDir(), Cooldown: -time.Second}); err == nil {
 		t.Error("New accepted a negative cooldown")
+	}
+	if _, err := New(Config{Runtime: rt, IncidentDir: t.TempDir(), MaxBundles: -1}); err == nil {
+		t.Error("New accepted a negative MaxBundles")
+	}
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Config{Runtime: rt, IncidentDir: filepath.Join(file, "bundles")}); err == nil {
+		t.Error("New accepted an IncidentDir it cannot create")
+	}
+	if s, err := New(Config{Runtime: rt}); err != nil || s.IncidentDir() != "" {
+		t.Errorf("no IncidentDir armed a recorder: %v, %q", err, s.IncidentDir())
 	}
 }
 
@@ -98,11 +113,11 @@ func TestArmDoesNotFireOnHistory(t *testing.T) {
 	*clock = clock.Add(time.Second)
 	s.SampleNow() // no new denies since prime
 	rec.wg.Wait()
-	if got := len(LoadManifests(rec.Dir())); got != 0 {
+	if got := len(LoadManifests(rec.dir)); got != 0 {
 		t.Fatalf("armed recorder fired on pre-existing counters: %d bundles", got)
 	}
-	if rec.Incidents() != 0 {
-		t.Fatalf("incidents = %d, want 0", rec.Incidents())
+	if rec.incidents.Load() != 0 {
+		t.Fatalf("incidents = %d, want 0", rec.incidents.Load())
 	}
 }
 
@@ -121,7 +136,7 @@ func TestDebounce(t *testing.T) {
 		s.SampleNow()
 	}
 	rec.wg.Wait()
-	if got := rec.Incidents(); got != 1 {
+	if got := rec.incidents.Load(); got != 1 {
 		t.Fatalf("sustained burn inside one cooldown: %d bundles, want exactly 1", got)
 	}
 
@@ -130,10 +145,10 @@ func TestDebounce(t *testing.T) {
 	rt.TryDivide(func() {})
 	s.SampleNow()
 	rec.wg.Wait()
-	if got := rec.Incidents(); got != 2 {
+	if got := rec.incidents.Load(); got != 2 {
 		t.Fatalf("after cooldown expiry: %d bundles, want 2", got)
 	}
-	ms := LoadManifests(rec.Dir())
+	ms := LoadManifests(rec.dir)
 	if len(ms) != 2 {
 		t.Fatalf("resident bundles = %d, want 2", len(ms))
 	}
@@ -175,7 +190,7 @@ func TestBundleContents(t *testing.T) {
 	s.SampleNow()
 	rec.wg.Wait()
 
-	ms := LoadManifests(rec.Dir())
+	ms := LoadManifests(rec.dir)
 	if len(ms) != 1 {
 		t.Fatalf("bundles = %d, want 1", len(ms))
 	}
@@ -194,16 +209,16 @@ func TestBundleContents(t *testing.T) {
 			t.Errorf("manifest files %v missing %s", m.Files, want)
 		}
 	}
-	b, err := LoadBundle(filepath.Join(rec.Dir(), m.ID))
+	b, err := LoadBundle(filepath.Join(rec.dir, m.ID))
 	if err != nil {
 		t.Fatalf("LoadBundle: %v", err)
 	}
-	var reps []capwatch.Report // the /debug/watch schema: an array of one
+	var reps []Report // the /debug/watch schema: an array of one
 	if err := json.Unmarshal(b.Watch, &reps); err != nil {
 		t.Fatalf("watch.json: %v", err)
 	}
-	if len(reps) != 1 || reps[0].Source != "test" {
-		t.Errorf("rollup = %+v, want one report from source test", reps)
+	if len(reps) != 1 || reps[0].Source != "unit" {
+		t.Errorf("rollup = %+v, want one report from source unit", reps)
 	}
 	var snaps []captrace.Snapshot
 	if err := json.Unmarshal(b.Trace, &snaps); err != nil {
@@ -228,7 +243,7 @@ func TestBundleContents(t *testing.T) {
 func TestPruneAndRestart(t *testing.T) {
 	rt := newThrottledRuntime(t)
 	dir := t.TempDir()
-	rec, s, clock := testRecorder(t, rt, Config{Dir: dir, MaxBundles: 2, Cooldown: time.Second})
+	rec, s, clock := testRecorder(t, rt, Config{IncidentDir: dir, MaxBundles: 2, Cooldown: time.Second})
 	tripThrottle(t, rt)
 	s.SampleNow()
 	for i := 0; i < 4; i++ {
@@ -237,7 +252,7 @@ func TestPruneAndRestart(t *testing.T) {
 		s.SampleNow()
 		rec.wg.Wait()
 	}
-	if got := rec.Incidents(); got != 4 {
+	if got := rec.incidents.Load(); got != 4 {
 		t.Fatalf("incidents = %d, want 4", got)
 	}
 	ms := LoadManifests(dir)
@@ -247,23 +262,23 @@ func TestPruneAndRestart(t *testing.T) {
 	if ms[0].Seq != 2 || ms[1].Seq != 3 {
 		t.Fatalf("pruned wrong end: kept seqs %d,%d want 2,3", ms[0].Seq, ms[1].Seq)
 	}
-	rec.Close()
+	s.Stop()
 
 	// A new recorder over the same dir indexes the survivors and
 	// continues the sequence — restarts don't recycle bundle ids.
-	rec2, err := New(Config{Dir: dir, MaxBundles: 2})
+	s2, err := New(Config{Runtime: rt, IncidentDir: dir, MaxBundles: 2})
 	if err != nil {
 		t.Fatalf("restart: %v", err)
 	}
-	if rec2.seq != 4 {
-		t.Fatalf("restart seq = %d, want 4", rec2.seq)
+	if s2.rec.seq != 4 {
+		t.Fatalf("restart seq = %d, want 4", s2.rec.seq)
 	}
 	if got := len(LoadManifests(dir)); got != 2 {
 		t.Fatalf("restart lost bundles: %d", got)
 	}
 	// Torn temp dirs from a crash are swept.
 	os.MkdirAll(filepath.Join(dir, ".tmp-inc-000099-x-1"), 0o755)
-	if _, err := New(Config{Dir: dir}); err != nil {
+	if _, err := New(Config{Runtime: rt, IncidentDir: dir}); err != nil {
 		t.Fatalf("New over torn dir: %v", err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, ".tmp-inc-000099-x-1")); !os.IsNotExist(err) {
@@ -283,18 +298,18 @@ func TestHandler(t *testing.T) {
 	*clock = clock.Add(2 * time.Second)
 	s.SampleNow()
 	rec.wg.Wait()
-	if rec.Incidents() != 1 {
-		t.Fatalf("want 1 incident, got %d", rec.Incidents())
+	if rec.incidents.Load() != 1 {
+		t.Fatalf("want 1 incident, got %d", rec.incidents.Load())
 	}
 
-	other, err := New(Config{Dir: t.TempDir(), Source: "beta"})
+	other, err := New(Config{Runtime: rt, IncidentDir: t.TempDir(), Source: "beta"})
 	if err != nil {
 		t.Fatalf("second recorder: %v", err)
 	}
 
 	w := httptest.NewRecorder()
-	Handler(rec, other).ServeHTTP(w, httptest.NewRequest("GET", "/debug/incident", nil))
-	var lists []List
+	IncidentHandler(s, other).ServeHTTP(w, httptest.NewRequest("GET", "/debug/incident", nil))
+	var lists []IncidentList
 	if err := json.Unmarshal(w.Body.Bytes(), &lists); err != nil {
 		t.Fatalf("incident body: %v", err)
 	}
@@ -305,7 +320,7 @@ func TestHandler(t *testing.T) {
 
 	// Fetch one bundle by id through the merged handler.
 	w = httptest.NewRecorder()
-	Handler(other, rec).ServeHTTP(w, httptest.NewRequest("GET", "/debug/incident?id="+id, nil))
+	IncidentHandler(other, s).ServeHTTP(w, httptest.NewRequest("GET", "/debug/incident?id="+id, nil))
 	if w.Code != 200 {
 		t.Fatalf("fetch %s: %d %s", id, w.Code, w.Body.String())
 	}
@@ -319,26 +334,26 @@ func TestHandler(t *testing.T) {
 
 	// Unknown id: 404. Path escapes: rejected.
 	w = httptest.NewRecorder()
-	Handler(rec).ServeHTTP(w, httptest.NewRequest("GET", "/debug/incident?id=inc-nope", nil))
+	IncidentHandler(s).ServeHTTP(w, httptest.NewRequest("GET", "/debug/incident?id=inc-nope", nil))
 	if w.Code != 404 {
 		t.Fatalf("unknown id: %d", w.Code)
 	}
 	w = httptest.NewRecorder()
-	Handler(rec).ServeHTTP(w, httptest.NewRequest("GET", "/debug/incident?id=../../etc", nil))
+	IncidentHandler(s).ServeHTTP(w, httptest.NewRequest("GET", "/debug/incident?id=../../etc", nil))
 	if w.Code != 404 {
 		t.Fatalf("traversal id: %d", w.Code)
 	}
 
 	// DELETE clears; list is then empty but incidents_total persists.
 	w = httptest.NewRecorder()
-	Handler(rec, other).ServeHTTP(w, httptest.NewRequest("DELETE", "/debug/incident", nil))
+	IncidentHandler(s, other).ServeHTTP(w, httptest.NewRequest("DELETE", "/debug/incident", nil))
 	if w.Code != 200 || !strings.Contains(w.Body.String(), "\"cleared\":1") {
 		t.Fatalf("delete: %d %s", w.Code, w.Body.String())
 	}
-	if got := len(LoadManifests(rec.Dir())); got != 0 {
+	if got := len(LoadManifests(rec.dir)); got != 0 {
 		t.Fatalf("bundles survive DELETE: %d", got)
 	}
-	if rec.Incidents() != 1 {
+	if rec.incidents.Load() != 1 {
 		t.Fatalf("incident counter reset by DELETE")
 	}
 }
@@ -362,14 +377,20 @@ func TestArmedTickWithoutTriggerIsFree(t *testing.T) {
 	if after := rt.Stats(); after != before {
 		t.Fatalf("armed ticks moved the runtime's counters: %+v -> %+v", before, after)
 	}
-	rec.Close() // detach: the same ticks, bare, plus the evaluation the recorder polled
-	if bare := testing.AllocsPerRun(100, func() { tick(); s.SLO() }); armed > bare+1 {
+	// The same ticks on a sampler without a recorder, plus the
+	// evaluation the recorder polls.
+	bare, err := New(Config{Runtime: rt, Interval: s.Interval()})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	bare.SampleNow()
+	if bare := testing.AllocsPerRun(100, func() { bare.SampleNow(); bare.evalSLO() }); armed > bare+1 {
 		t.Fatalf("armed tick with no trigger firing allocates %v; the bare tick and its SLO evaluation allocate %v", armed, bare)
 	}
-	if rec.Incidents() != 0 || rec.errors.Load() != 0 || rec.inflight.Load() {
-		t.Fatalf("quiet ticks started a capture: incidents=%d errors=%d inflight=%v", rec.Incidents(), rec.errors.Load(), rec.inflight.Load())
+	if rec.incidents.Load() != 0 || rec.errors.Load() != 0 || rec.inflight.Load() {
+		t.Fatalf("quiet ticks started a capture: incidents=%d errors=%d inflight=%v", rec.incidents.Load(), rec.errors.Load(), rec.inflight.Load())
 	}
-	if entries, err := os.ReadDir(rec.Dir()); err != nil || len(entries) != 0 {
+	if entries, err := os.ReadDir(rec.dir); err != nil || len(entries) != 0 {
 		t.Fatalf("quiet ticks wrote to the bundle directory: %v (err %v)", entries, err)
 	}
 }
@@ -388,15 +409,12 @@ func TestArmedPlanesBesideDivideStorm(t *testing.T) {
 		t.Fatalf("runtime: %v", err)
 	}
 	t.Cleanup(rt.Close)
-	s, err := capwatch.New(capwatch.Config{Runtime: rt, Interval: time.Millisecond})
-	if err != nil {
-		t.Fatalf("sampler: %v", err)
-	}
-	rec, err := New(Config{Dir: t.TempDir(), Tracer: tr, ProfileDuration: -1, Cooldown: time.Hour})
+	s, err := New(Config{Runtime: rt, Interval: time.Millisecond, IncidentDir: t.TempDir(), Cooldown: time.Hour})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	rec.Arm(s)
+	rec := s.rec
+	rec.profDur = -1
 	s.Start()
 
 	// until repeats body on its own goroutine until the storm is stopped
@@ -475,7 +493,6 @@ func TestArmedPlanesBesideDivideStorm(t *testing.T) {
 	stopped.Store(true)
 	wg.Wait()
 	s.Stop()
-	rec.Close()
 
 	if st := rt.Stats(); st.Granted == 0 || st.NoCtxDenies == 0 {
 		t.Fatalf("the storm never both divided and was refused: %+v", st)
@@ -483,8 +500,8 @@ func TestArmedPlanesBesideDivideStorm(t *testing.T) {
 	if s.Samples() < ticks {
 		t.Fatalf("sampler took %d samples in 10s beside the storm, want >= %d", s.Samples(), ticks)
 	}
-	if n := len(LoadManifests(rec.Dir())); rec.Incidents() != 0 || n != 0 {
-		t.Fatalf("a trigger fired with nothing to fire on: %d incidents, %d bundles", rec.Incidents(), n)
+	if n := len(LoadManifests(rec.dir)); rec.incidents.Load() != 0 || n != 0 {
+		t.Fatalf("a trigger fired with nothing to fire on: %d incidents, %d bundles", rec.incidents.Load(), n)
 	}
 }
 
@@ -503,11 +520,16 @@ func FuzzBundleID(f *testing.F) {
 	if err := os.WriteFile(filepath.Join(dir, resident, FileManifest), []byte(`{"id":"`+resident+`","seq":1}`), 0o644); err != nil {
 		f.Fatal(err)
 	}
-	rec, err := New(Config{Dir: dir})
+	rt, err := capsule.NewValidated(capsule.Config{Contexts: 2})
 	if err != nil {
 		f.Fatal(err)
 	}
-	h := Handler(rec)
+	f.Cleanup(rt.Close)
+	s, err := New(Config{Runtime: rt, IncidentDir: dir})
+	if err != nil {
+		f.Fatal(err)
+	}
+	h := IncidentHandler(s)
 	f.Fuzz(func(t *testing.T, id string) {
 		if validBundleID(id) && filepath.Dir(filepath.Join(dir, id)) != dir {
 			t.Fatalf("accepted id %q resolves to %s, outside %s", id, filepath.Join(dir, id), dir)
@@ -555,12 +577,12 @@ func TestForeignManifestStaysInside(t *testing.T) {
 	for _, tc := range []struct {
 		what  string
 		max   int
-		clear func(*Recorder)
+		clear func(*Sampler)
 	}{
-		{"prune past MaxBundles", 1, func(*Recorder) {}},
-		{"ClearAll", 0, func(r *Recorder) { r.ClearAll() }},
-		{"DELETE /debug/incident", 0, func(r *Recorder) {
-			Handler(r).ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("DELETE", "/debug/incident", nil))
+		{"prune past MaxBundles", 1, func(*Sampler) {}},
+		{"ClearAll", 0, func(s *Sampler) { s.rec.clearAll() }},
+		{"DELETE /debug/incident", 0, func(s *Sampler) {
+			IncidentHandler(s).ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("DELETE", "/debug/incident", nil))
 		}},
 	} {
 		t.Run(tc.what, func(t *testing.T) {
@@ -570,11 +592,11 @@ func TestForeignManifestStaysInside(t *testing.T) {
 			plantBundle(t, dir, "inc-000000-x-1", `{"id":"../victim","seq":0}`)
 			plantBundle(t, dir, "inc-000001-x-2", `{"seq":1}`)
 			plantBundle(t, dir, "inc-000002-x-3", `{"id":"inc-000002-x-3","seq":2}`)
-			rec, err := New(Config{Dir: dir, MaxBundles: tc.max})
+			s, err := New(Config{Runtime: newRuntime(t, 2), IncidentDir: dir, MaxBundles: tc.max})
 			if err != nil {
 				t.Fatal(err)
 			}
-			tc.clear(rec)
+			tc.clear(s)
 			survived(tc.what)
 			for _, m := range LoadManifests(dir) {
 				if !validBundleID(m.ID) || filepath.Dir(filepath.Join(dir, m.ID)) != dir {
@@ -601,7 +623,7 @@ func FuzzLoadManifests(f *testing.F) {
 				t.Fatalf("manifest %q read back as id %q", manifest, m.ID)
 			}
 		}
-		(&Recorder{dir: dir}).ClearAll()
+		(&recorder{dir: dir}).clearAll()
 		survived("ClearAll")
 	})
 }
@@ -611,7 +633,7 @@ func FuzzLoadManifests(f *testing.F) {
 // BackendStats.Name, and the shed rate divides by the clamped span the
 // sampler hands over.
 func TestJudge(t *testing.T) {
-	pair := func() (prev, cur capwatch.Sample) {
+	pair := func() (prev, cur Sample) {
 		prev.Backends = []capcluster.BackendStats{{Name: "a:1"}, {Name: "b:2"}}
 		cur.Backends = []capcluster.BackendStats{{Name: "a:1"}, {Name: "b:2"}}
 		return prev, cur
@@ -619,33 +641,165 @@ func TestJudge(t *testing.T) {
 	for _, tc := range []struct {
 		name, trigger, reason string
 		sec                   float64
-		move                  func(prev, cur *capwatch.Sample)
+		move                  func(prev, cur *Sample)
 	}{
-		{"quiet", "", "", 1, func(prev, cur *capwatch.Sample) {
+		{"quiet", "", "", 1, func(prev, cur *Sample) {
 			prev.Capsule.ThrottleDenies, cur.Capsule.ThrottleDenies = 7, 7 // history, not news
 			prev.Backends[0].Broken, cur.Backends[0].Broken = true, true
 		}},
-		{"breaker", TriggerBreakerTrip, "backend b:2 circuit breaker opened", 1, func(prev, cur *capwatch.Sample) {
+		{"breaker", TriggerBreakerTrip, "backend b:2 circuit breaker opened", 1, func(prev, cur *Sample) {
 			cur.Backends[1].Broken = true
 			cur.Backends[0].Ejections = 1 // outranked
 		}},
-		{"ejection", TriggerSlowEjection, "backend a:1 ejected as slow (2 ejection(s) this tick)", 1, func(prev, cur *capwatch.Sample) {
+		{"ejection", TriggerSlowEjection, "backend a:1 ejected as slow (2 ejection(s) this tick)", 1, func(prev, cur *Sample) {
 			prev.Backends[0].Ejections, cur.Backends[0].Ejections = 1, 3
 		}},
-		{"shed storm", TriggerShedStorm, "queue-full 503s at 5.0/s >= 5.0/s threshold", 2, func(prev, cur *capwatch.Sample) {
+		{"shed storm", TriggerShedStorm, "queue-full 503s at 5.0/s >= 5.0/s threshold", 2, func(prev, cur *Sample) {
 			cur.Sheds = 10
 		}},
-		{"sheds under the storm rate", "", "", 2, func(prev, cur *capwatch.Sample) {
+		{"sheds under the storm rate", "", "", 2, func(prev, cur *Sample) {
 			cur.Sheds = 9
 		}},
-		{"throttle", TriggerThrottleEdge, "death-rate throttle denied 2 division(s) this tick (4 deaths total)", 1, func(prev, cur *capwatch.Sample) {
+		{"throttle", TriggerThrottleEdge, "death-rate throttle denied 2 division(s) this tick (4 deaths total)", 1, func(prev, cur *Sample) {
 			cur.Capsule.ThrottleDenies, cur.Capsule.Deaths = 2, 4
 		}},
 	} {
 		prev, cur := pair()
 		tc.move(&prev, &cur)
-		if trigger, reason := judge(&prev, &cur, tc.sec); trigger != tc.trigger || reason != tc.reason {
+		if trigger, reason := judge(&prev, &cur, tc.sec, func(string) bool { return false }); trigger != tc.trigger || reason != tc.reason {
 			t.Errorf("%s: judge = %q, %q; want %q, %q", tc.name, trigger, reason, tc.trigger, tc.reason)
 		}
+	}
+
+	// A cooling trigger yields to the next one ranked below it that
+	// fired, and fires nothing itself.
+	prev, cur := pair()
+	cur.Backends[1].Broken = true
+	cur.Sheds = 10
+	cur.Capsule.ThrottleDenies = 1
+	for _, tc := range []struct {
+		cooling []string
+		want    string
+	}{
+		{nil, TriggerBreakerTrip},
+		{[]string{TriggerBreakerTrip}, TriggerShedStorm},
+		{[]string{TriggerBreakerTrip, TriggerShedStorm}, TriggerThrottleEdge},
+		{[]string{TriggerBreakerTrip, TriggerShedStorm, TriggerThrottleEdge}, ""},
+	} {
+		cooling := func(trigger string) bool { return slices.Contains(tc.cooling, trigger) }
+		if trigger, _ := judge(&prev, &cur, 1, cooling); trigger != tc.want {
+			t.Errorf("cooling %v: judge = %q, want %q", tc.cooling, trigger, tc.want)
+		}
+	}
+}
+
+// TestCoolingTriggerMasksNone: a sustained SLO burn whose trigger is
+// cooling down must not hide a breaker trip that happens during it. A
+// router's latency objective burns on every request; the first tick
+// after the burn captures slo_budget_exhausted, then the only backend
+// dies, its breaker opens on the next request, and that tick — burn
+// still on, still cooling — captures breaker_trip.
+func TestCoolingTriggerMasksNone(t *testing.T) {
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, `{"workload":"quicksort"}`)
+	}))
+	defer backend.Close()
+	rt := newRuntime(t, 2)
+	local, err := capserve.New(capserve.Config{Runtime: rt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	router, err := capcluster.New(capcluster.Config{Backends: []string{backend.URL}, Local: local, FailThreshold: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, s, clock := testRecorder(t, rt, Config{
+		Server: local, Router: router, Cooldown: time.Hour,
+		SLO: SLOConfig{TargetP99: time.Nanosecond, FastWindow: time.Hour, SlowWindow: time.Hour},
+	})
+	serve := func(n int) {
+		for i := 0; i < n; i++ {
+			router.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/run/quicksort?n=50&seed=1", nil))
+		}
+	}
+	s.SampleNow() // prime
+	serve(20)     // every request over a 1ns p99 target: both windows burn
+	*clock = clock.Add(time.Second)
+	s.SampleNow()
+	rec.wg.Wait()
+
+	backend.Close()
+	serve(5) // the first dispatch dies and opens the breaker; the local tier serves all five
+	if st := router.Backends()[0].Stats(); !st.Broken {
+		t.Fatalf("breaker did not open: %+v", st)
+	}
+	*clock = clock.Add(time.Second)
+	s.SampleNow()
+	rec.wg.Wait()
+
+	var triggers []string
+	for _, m := range LoadManifests(rec.dir) {
+		triggers = append(triggers, m.Trigger)
+	}
+	if want := []string{TriggerSLOExhausted, TriggerBreakerTrip}; !slices.Equal(triggers, want) {
+		t.Fatalf("bundles %v, want %v", triggers, want)
+	}
+	if slo := s.evalSLO(); !slo.Exhausted {
+		t.Fatalf("the burn ended before the breaker tick: %+v", slo)
+	}
+}
+
+// TestStopWaitsForCapture: Stop ends the tick goroutine before it waits
+// for the recorder, so no capture starts after the wait and none
+// outlives Stop. Run it under -race with -count=20.
+func TestStopWaitsForCapture(t *testing.T) {
+	rt := newThrottledRuntime(t)
+	tripThrottle(t, rt)
+	dir := t.TempDir()
+	s, err := New(Config{Runtime: rt, Interval: time.Millisecond, IncidentDir: dir, MaxBundles: 1 << 20, Cooldown: time.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.rec.profDur = -1
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // the trigger, held: a throttle deny between every two ticks
+		defer wg.Done()
+		for !stop.Load() {
+			rt.TryDivide(func() {})
+			runtime.Gosched()
+		}
+	}()
+	s.Start()
+	for deadline := time.Now().Add(5 * time.Second); s.rec.incidents.Load() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	s.Stop()
+	stop.Store(true)
+	wg.Wait()
+
+	settled := func() (uint64, int) {
+		t.Helper()
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			if strings.HasPrefix(e.Name(), ".tmp-") {
+				t.Fatalf("capture still in flight after Stop: %s", e.Name())
+			}
+		}
+		n, ms := s.rec.incidents.Load(), len(LoadManifests(dir))
+		if n == 0 || n != uint64(ms) {
+			t.Fatalf("after Stop: %d incidents, %d bundles on disk", n, ms)
+		}
+		return n, ms
+	}
+	n, ms := settled()
+	time.Sleep(100 * time.Millisecond)
+	if n2, ms2 := settled(); n2 != n || ms2 != ms {
+		t.Fatalf("a capture landed after Stop: %d incidents, %d bundles, then %d, %d", n, ms, n2, ms2)
 	}
 }

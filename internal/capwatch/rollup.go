@@ -42,8 +42,8 @@ type Report struct {
 	// near-simultaneous snapshots can't inflate deltas into Inf.
 	WindowClampedS float64 `json:"window_clamped_s,omitempty"`
 
-	// Incidents is the capscope bundle count since process start (0
-	// unless an incident recorder registered via SetIncidents).
+	// Incidents is the incident bundle count since process start (0
+	// without an IncidentDir).
 	Incidents uint64 `json:"incidents"`
 
 	// Instantaneous gauges (newest sample).
@@ -147,8 +147,8 @@ func (s *Sampler) Report(window time.Duration) Report {
 		WindowS:   window.Seconds(),
 		SLO:       s.evalSLO(),
 	}
-	if f := s.incidents.Load(); f != nil {
-		rep.Incidents = (*f)()
+	if s.rec != nil {
+		rep.Incidents = s.rec.incidents.Load()
 	}
 	from, to, n, ok := s.window(window)
 	if !ok {

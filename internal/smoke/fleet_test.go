@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/capscope"
 	"repro/internal/captrace"
 	"repro/internal/capwatch"
 )
@@ -187,7 +186,7 @@ func TestIncident(t *testing.T) {
 	call(t, r.all(debugAddr)[0]+"/debug/fault", `{"kind":"latency","delay_ms":200,"for_ms":25000}`)
 	capload(t, "-url", r.URL, "-d", "20s", "-c", "16", "-n", "500")()
 
-	lists := debug[[]capscope.List](t, r.URL+"/debug/incident")
+	lists := debug[[]capwatch.IncidentList](t, r.URL+"/debug/incident")
 	if len(lists) != 4 || lists[0].Source != "caprouter" || len(lists[0].Bundles) == 0 {
 		t.Fatalf("/debug/incident: %+v", lists)
 	}
@@ -198,7 +197,7 @@ func TestIncident(t *testing.T) {
 			}
 		}
 	}
-	if !slices.ContainsFunc(lists[1:], func(l capscope.List) bool { return len(l.Bundles) > 0 }) {
+	if !slices.ContainsFunc(lists[1:], func(l capwatch.IncidentList) bool { return len(l.Bundles) > 0 }) {
 		t.Error("no incident bundle on any backend")
 	}
 	id := lists[0].Bundles[len(lists[0].Bundles)-1].ID
