@@ -14,7 +14,6 @@
 //
 //	caprouter -addr :8090 -backends http://10.0.0.1:8080,http://10.0.0.2:8080
 //	caprouter -addr :8090 -spawn 3
-//	caprouter -addr :8090 -spawn 2 -fail-threshold 3 -fail-window 2s
 //	caprouter -addr 127.0.0.1:0 -spawn 2   # any free port, named on the "listening on" line
 //	caprouter -addr :8090 -spawn 2 -trace          # route spans on /debug/trace
 //	caprouter -addr :8090 -spawn 3 -slo-p99 150ms  # fleet telemetry on /debug/watch
@@ -71,13 +70,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	addr := fs.String("addr", ":8090", "listen address")
 	backends := fs.String("backends", "", "comma-separated capserve base URLs to front")
 	spawn := fs.Int("spawn", 0, "spawn this many in-process capserve backends on loopback ports")
-	failThreshold := fs.Int("fail-threshold", 0, "backend failures tripping the breaker (0 = default)")
-	failWindow := fs.Duration("fail-window", 0, "breaker window (0 = default)")
-	attemptTimeout := fs.Duration("attempt-timeout", 0, "per-dispatch-attempt deadline carved from the routing budget (0 = default)")
-	slowCheck := fs.Duration("slow-check", capcluster.SlowCheckInterval, "slow-backend ejection cadence (0 disables)")
-	slowFactor := fs.Float64("slow-factor", 0, "eject a backend whose dispatch p99 exceeds this multiple of its peers' median (0 = default)")
-	slowMinP99 := fs.Duration("slow-min-p99", 0, "absolute p99 floor below which no backend is ejected (0 = default)")
-	slowMinSamples := fs.Int("slow-min-samples", 0, "dispatches per interval a backend needs before slow ejection considers it (0 = default)")
 	rf := capdebug.RegisterRuntime(fs)
 	dbg := capdebug.Register(fs)
 	if err := fs.Parse(args); err != nil {
@@ -154,26 +146,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail("%v", err)
 	}
-	// The feed subscriptions get their own transport wrap so a ScopeFeed
-	// rule can cut the push plane while dispatches stay healthy — the
-	// fallback paths are only testable when the failure is selective.
-	var dispatchRT, feedRT http.RoundTripper
+	// The wrap scopes each request by its path: feed subscriptions meet
+	// the feed-scoped rules, so one can cut the push plane while
+	// dispatches stay healthy — the fallback paths are only testable when
+	// the failure is selective.
+	var transport http.RoundTripper
 	if plane.Fault != nil {
-		dispatchRT = plane.Fault.Transport(capcluster.DefaultTransport(0))
-		feedRT = plane.Fault.FeedTransport(capcluster.DefaultTransport(0))
+		transport = plane.Fault.Transport(capcluster.DefaultTransport(0))
 	}
-	router, err := capcluster.New(capcluster.Config{
-		Backends:       urls,
-		Local:          local,
-		FailThreshold:  *failThreshold,
-		FailWindow:     *failWindow,
-		AttemptTimeout: *attemptTimeout,
-		SlowFactor:     *slowFactor,
-		SlowMinP99:     *slowMinP99,
-		SlowMinSamples: *slowMinSamples,
-		Transport:      dispatchRT,
-		FeedTransport:  feedRT,
-	})
+	router, err := capcluster.New(capcluster.Config{Backends: urls, Local: local, Transport: transport})
 	if err != nil {
 		return fail("%v", err)
 	}
@@ -205,10 +186,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "caprouter: subscribed to %d backend credit feeds\n", len(urls))
 	}
 	every(ctx, time.Second, router.Refresh)
-	if *slowCheck > 0 {
-		// CheckSlow is single-caller by contract; this ticker is it.
-		every(ctx, *slowCheck, func() { router.CheckSlow() })
-	}
+	// CheckSlow is single-caller by contract; this ticker is it.
+	every(ctx, capcluster.SlowCheckInterval, func() { router.CheckSlow() })
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -37,7 +37,7 @@ func newFixture(t *testing.T) fixture {
 	// A death-rate throttle that trips on the first worker death and
 	// stays tripped: its denies fire the recorder's throttle_edge trigger.
 	rt, err := capsule.NewValidated(capsule.Config{
-		Contexts: 2, Throttle: true, DeathWindow: time.Hour, DeathThreshold: 1, Tracer: tr,
+		Contexts: 2, Throttle: true, DeathWindow: time.Hour, Tracer: tr, // threshold 2/2 = 1
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -64,7 +64,9 @@ const (
 // the router could finish.
 const statusClientClosed = 499
 
-// Fixed routing parameters: no deployment has needed another value.
+// Fixed routing parameters: no deployment has needed another value,
+// and a test that needs them shorter runs the router on a faster or a
+// hand-driven clock (clock.go) instead of changing them.
 const (
 	// initialCredits is the per-backend credit ceiling spent before the
 	// first feed delta or header teaches the real capacity, and the
@@ -75,46 +77,43 @@ const (
 	creditCap = 1024
 	// dispatchTimeout bounds one request's whole remote walk, end to end.
 	dispatchTimeout = 10 * time.Second
+	// attemptTimeout bounds one dispatch *attempt*, carved from the
+	// remaining dispatchTimeout budget: each attempt runs under
+	// min(attemptTimeout, budget left), so a black-holing backend costs
+	// one attempt, not the request, and the walk across the fleet still
+	// finishes inside dispatchTimeout.
+	attemptTimeout = 2 * time.Second
+	// failThreshold deaths inside the trailing failWindow trip a
+	// backend's breaker.
+	failThreshold = 3
+	failWindow    = 2 * time.Second
 	// trialBackoff is the base delay of the jittered exponential backoff
 	// between failed half-open trials (see scheduleTrial): after the k-th
 	// consecutive trial failure the next trial also waits
 	// ~trialBackoff·2^(k-1), so a fleet of routers re-probing a
 	// struggling backend doesn't line its trials up into a herd.
 	trialBackoff = 100 * time.Millisecond
-)
-
-// Defaults applied by New for zero Config fields.
-const (
-	// DefaultFailThreshold failures inside DefaultFailWindow trip a
-	// backend's breaker.
-	DefaultFailThreshold = 3
-	// DefaultFailWindow is the breaker's trailing window.
-	DefaultFailWindow = 2 * time.Second
-	// DefaultAttemptTimeout bounds one dispatch *attempt* — the slice of
-	// the request budget a single backend may consume before the ladder
-	// moves on. A black-holing backend costs one attempt, not the
-	// request.
-	DefaultAttemptTimeout = 2 * time.Second
-	// DefaultStaleTTL is how long a backend's credit gauge stays trusted
-	// after its last live signal (push delta or response header). Past it
-	// with both sources quiet, each Refresh decays the gauge toward
-	// initialCredits instead of serving stale capacity forever. Several
-	// push heartbeats (DefaultFeedHeartbeat) fit inside, so one dropped
-	// event never marks a healthy feed stale.
-	DefaultStaleTTL = 3 * time.Second
-	// DefaultFeedBackoff is the base delay of the jittered exponential
-	// backoff between credit-feed reconnect attempts (StartFeeds).
-	DefaultFeedBackoff = 100 * time.Millisecond
-	// DefaultSlowFactor: a backend is ejected when its dispatch p99
-	// exceeds the fleet median p99 by this factor (and the floors below).
-	DefaultSlowFactor = 4.0
-	// DefaultSlowMinP99 is the absolute p99 floor below which a backend
-	// is never ejected, however its peers perform — sub-floor latency is
-	// healthy by definition.
-	DefaultSlowMinP99 = 25 * time.Millisecond
-	// DefaultSlowMinSamples is the minimum relayed dispatches a backend
-	// needs inside one CheckSlow interval before its p99 is trusted.
-	DefaultSlowMinSamples = 16
+	// staleTTL is how long a backend's credit gauge stays trusted after
+	// its last live signal (push delta or response header). Past it with
+	// both sources quiet, each Refresh decays the gauge toward
+	// initialCredits instead of serving stale capacity forever. Six of
+	// capserve's 500 ms feed heartbeats fit inside, so one dropped event
+	// never marks a healthy feed stale. It is also the feed watchdog's
+	// silence limit.
+	staleTTL = 3 * time.Second
+	// feedBackoff is the base of the jittered exponential backoff between
+	// credit-feed reconnect attempts — same shape and same per-backend
+	// jitter as the half-open trial backoff, so a fleet of routers losing
+	// the same backend doesn't resubscribe in lockstep.
+	feedBackoff = 100 * time.Millisecond
+	// Slow-backend ejection (CheckSlow): a backend is ejected when its
+	// dispatch p99 over the interval exceeds slowFactor × its peers'
+	// median p99 and slowMinP99 — sub-floor latency is healthy by
+	// definition — with at least slowMinSamples relayed dispatches in the
+	// interval backing the estimate.
+	slowFactor     = 4.0
+	slowMinP99     = 25 * time.Millisecond
+	slowMinSamples = 16
 )
 
 // Config parameterises a Router.
@@ -128,52 +127,11 @@ type Config struct {
 	// Required.
 	Local *capserve.Server
 
-	// FailThreshold failures within FailWindow trip a backend's breaker.
-	// Defaults: DefaultFailThreshold, DefaultFailWindow.
-	FailThreshold int
-	FailWindow    time.Duration
-
-	// AttemptTimeout bounds one dispatch attempt, carved from the
-	// remaining dispatchTimeout budget: each attempt runs under
-	// min(AttemptTimeout, budget left), so a stalled backend costs one
-	// attempt and the walk across the fleet still finishes inside
-	// dispatchTimeout. Default: DefaultAttemptTimeout.
-	AttemptTimeout time.Duration
-
-	// StaleTTL bounds credit-gauge trust: a backend that has sent no
-	// feed delta and no headroom header for longer decays toward
-	// initialCredits on each Refresh tick. Default: DefaultStaleTTL.
-	StaleTTL time.Duration
-
-	// FeedBackoff is the base of the jittered exponential backoff between
-	// credit-feed reconnect attempts — same shape as the half-open trial
-	// backoff, same deterministic per-backend jitter, so a fleet of
-	// routers losing the same backend doesn't resubscribe in lockstep.
-	// Default: DefaultFeedBackoff.
-	FeedBackoff time.Duration
-
-	// FeedTransport overrides the transport of the credit-feed
-	// subscriptions only — the hook capfault's feed scope plugs into, so
-	// the push stream can be blackholed without touching dispatches.
-	// Default (nil): the dispatch transport.
-	FeedTransport http.RoundTripper
-
-	// SlowFactor, SlowMinP99 and SlowMinSamples parameterise slow-backend
-	// ejection (Router.CheckSlow): a backend whose dispatch p99 over the
-	// interval exceeds SlowFactor × the fleet-median p99 — while p99 >
-	// SlowMinP99 and at least SlowMinSamples dispatches back the estimate
-	// — is ejected into the same breaker/probation machinery a dead
-	// backend trips. Defaults: DefaultSlowFactor, DefaultSlowMinP99,
-	// DefaultSlowMinSamples.
-	SlowFactor     float64
-	SlowMinP99     time.Duration
-	SlowMinSamples int
-
-	// Transport overrides the dispatch transport (tests). Default: a
-	// clone of http.DefaultTransport with the per-backend idle-connection
-	// pool widened (see defaultTransport in client.go) so sustained
-	// routing reuses connections instead of re-dialing through the
-	// default idle cap of 2.
+	// Transport overrides the transport of dispatches and credit-feed
+	// subscriptions alike. Default: a clone of http.DefaultTransport with
+	// the per-backend idle-connection pool widened (see defaultTransport
+	// in client.go) so sustained routing reuses connections instead of
+	// re-dialing through the default idle cap of 2.
 	Transport http.RoundTripper
 }
 
@@ -188,24 +146,6 @@ func (cfg Config) Validate() error {
 			return fmt.Errorf("capcluster: backend %q is not an http(s) base URL", b)
 		}
 	}
-	if cfg.FailThreshold < 0 {
-		return fmt.Errorf("capcluster: FailThreshold must be >= 0 (0 means default), got %d", cfg.FailThreshold)
-	}
-	// The failure ring allocates next-pow2(threshold) slots per backend;
-	// a huge threshold is a typo that would OOM at startup.
-	const thresholdCeiling = 1 << 20
-	if cfg.FailThreshold > thresholdCeiling {
-		return fmt.Errorf("capcluster: FailThreshold must be <= %d, got %d", thresholdCeiling, cfg.FailThreshold)
-	}
-	if cfg.FailWindow < 0 || cfg.AttemptTimeout < 0 {
-		return fmt.Errorf("capcluster: FailWindow and AttemptTimeout must be >= 0 (0 means default)")
-	}
-	if cfg.StaleTTL < 0 || cfg.FeedBackoff < 0 {
-		return fmt.Errorf("capcluster: StaleTTL and FeedBackoff must be >= 0 (0 means default)")
-	}
-	if cfg.SlowFactor < 0 || cfg.SlowMinP99 < 0 || cfg.SlowMinSamples < 0 {
-		return fmt.Errorf("capcluster: SlowFactor, SlowMinP99 and SlowMinSamples must be >= 0 (0 means default)")
-	}
 	return nil
 }
 
@@ -214,13 +154,11 @@ func (cfg Config) Validate() error {
 // at /. Build with New, mount anywhere; on shutdown call
 // SetDraining(true) before http.Server.Shutdown, exactly like capserve.
 type Router struct {
-	cfg      Config
 	backends []*Backend
 	local    *capserve.Server
-	client   *http.Client
-	feed     *http.Client // credit-feed subscriptions: no client timeout (streams live forever), watchdogged per event
+	client   *http.Client // dispatches and feed subscriptions: no client timeout, each attempt and each feed event is bounded on the clock
+	clock    *clock
 	mux      *http.ServeMux
-	start    time.Time
 	draining atomic.Bool
 
 	tracer *captrace.Tracer // the local tier's: route spans and fallback runs share one ring set
@@ -245,55 +183,25 @@ type Router struct {
 	extraMetrics []func(io.Writer)
 }
 
-// New builds a Router from cfg, applying defaults for zero fields.
+// New builds a Router from cfg.
 func New(cfg Config) (*Router, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.FailThreshold == 0 {
-		cfg.FailThreshold = DefaultFailThreshold
-	}
-	if cfg.FailWindow == 0 {
-		cfg.FailWindow = DefaultFailWindow
-	}
-	if cfg.AttemptTimeout == 0 {
-		cfg.AttemptTimeout = DefaultAttemptTimeout
-	}
-	if cfg.SlowFactor == 0 {
-		cfg.SlowFactor = DefaultSlowFactor
-	}
-	if cfg.SlowMinP99 == 0 {
-		cfg.SlowMinP99 = DefaultSlowMinP99
-	}
-	if cfg.SlowMinSamples == 0 {
-		cfg.SlowMinSamples = DefaultSlowMinSamples
-	}
-	if cfg.StaleTTL == 0 {
-		cfg.StaleTTL = DefaultStaleTTL
-	}
-	if cfg.FeedBackoff == 0 {
-		cfg.FeedBackoff = DefaultFeedBackoff
 	}
 	transport := cfg.Transport
 	if transport == nil {
 		transport = defaultTransport(creditCap)
 	}
-	feedTransport := cfg.FeedTransport
-	if feedTransport == nil {
-		feedTransport = transport
-	}
 	r := &Router{
-		cfg:    cfg,
 		local:  cfg.Local,
-		client: &http.Client{Transport: transport, Timeout: dispatchTimeout},
-		feed:   &http.Client{Transport: feedTransport},
+		client: &http.Client{Transport: transport},
+		clock:  newClock(),
 		mux:    http.NewServeMux(),
-		start:  time.Now(),
 		tracer: cfg.Local.Runtime().Tracer(),
 	}
 	for i, base := range cfg.Backends {
 		u, _ := url.Parse(base) // validated above
-		r.backends = append(r.backends, newBackend(base, u.Host, i, cfg.FailThreshold, cfg.FailWindow))
+		r.backends = append(r.backends, newBackend(base, u.Host, i, r.clock))
 	}
 	r.mux.HandleFunc("GET /healthz", r.handleHealthz)
 	r.mux.HandleFunc("GET /metrics", r.handleMetrics)
@@ -386,9 +294,9 @@ func (r *Router) handleRun(w http.ResponseWriter, req *http.Request) {
 	if n := len(r.backends); n > 0 {
 		first := leastLoaded(r.backends)
 		// The whole remote walk shares one budget: each attempt runs
-		// under min(AttemptTimeout, budget left), so retries after a
+		// under min(attemptTimeout, budget left), so retries after a
 		// stalled backend shrink, never extend, the request's bound.
-		deadline := time.Now().Add(dispatchTimeout)
+		deadline := r.clock.now() + int64(dispatchTimeout)
 		for i := 0; i < n; i++ {
 			b := r.backends[(first+i)%n]
 			r.remoteProbes.Add(1)
@@ -460,7 +368,7 @@ func (r *Router) handleRun(w http.ResponseWriter, req *http.Request) {
 }
 
 // Refresh is the credit gauges' decay pass: every backend that has sent
-// no feed delta and no headroom header within Config.StaleTTL moves its
+// no feed delta and no headroom header within staleTTL moves its
 // gauge halfway toward initialCredits (decayStale). It is what recovers
 // a backend parked at zero credits while its feed is down — no dispatch
 // means no header to teach it — and what stops a stale-high gauge from
@@ -470,9 +378,8 @@ func (r *Router) handleRun(w http.ResponseWriter, req *http.Request) {
 // and its capacity relearned from the stream's snapshot — within one
 // tick. cmd/caprouter runs it on a 1 s ticker; tests call it directly.
 func (r *Router) Refresh() {
-	ttl := r.cfg.StaleTTL.Nanoseconds()
 	for _, b := range r.backends {
-		if b.stale(ttl) {
+		if b.stale() {
 			b.decayStale()
 			select {
 			case b.feedWake <- struct{}{}:

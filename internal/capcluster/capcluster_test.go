@@ -58,7 +58,29 @@ func drain(t *testing.T, b *capserve.Backend) {
 	}
 }
 
+// testClock returns a clock running speed times real time; speed 0 is a
+// stopped clock that moves only when the test sets base.
+func testClock(speed int64) *clock {
+	c := newClock()
+	c.speed = speed
+	return c
+}
+
+// stormSpeed runs the socket storms' clocks so the 2 s breaker window
+// passes in 400 real ms, and the 3 s stale TTL in 600 — still longer
+// than the backends' real 500 ms feed heartbeat, which the router's
+// clock does not speed up.
+const stormSpeed = 5
+
+// newRouter serves a router from cfg on the production clock.
 func newRouter(t *testing.T, cfg Config) (*Router, *httptest.Server) {
+	t.Helper()
+	return newRouterAt(t, cfg, 1)
+}
+
+// newRouterAt serves a router from cfg whose clock runs speed times real
+// time (see testClock).
+func newRouterAt(t *testing.T, cfg Config, speed int64) (*Router, *httptest.Server) {
 	t.Helper()
 	if cfg.Local == nil {
 		cfg.Local = newLocal(t, 2, 32)
@@ -67,6 +89,7 @@ func newRouter(t *testing.T, cfg Config) (*Router, *httptest.Server) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	r.clock.speed = speed
 	ts := httptest.NewServer(r)
 	t.Cleanup(ts.Close)
 	return r, ts
@@ -94,21 +117,31 @@ func TestConfigValidate(t *testing.T) {
 	if err := (Config{Local: local, Backends: []string{"ftp://x"}}).Validate(); err == nil {
 		t.Fatal("non-http backend URL accepted")
 	}
-	if err := (Config{Local: local, FailThreshold: -1}).Validate(); err == nil {
-		t.Fatal("negative FailThreshold accepted")
-	}
-	if err := (Config{Local: local, FailWindow: -time.Second}).Validate(); err == nil {
-		t.Fatal("negative FailWindow accepted")
-	}
 	if err := (Config{Local: local, Backends: []string{"http://127.0.0.1:1"}}).Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
+	}
+}
+
+// TestClockCountsFromNew: the production clock reads monotonic time
+// since New, not Unix time, so a wall-clock step moves no breaker
+// window, trial backoff or stale TTL — and a backend never heard from
+// is stale from the first instant, as it was on Unix time.
+func TestClockCountsFromNew(t *testing.T) {
+	before := time.Now()
+	r, _ := newRouter(t, Config{Backends: []string{"http://127.0.0.1:1"}})
+	now, elapsed := r.clock.now(), time.Since(before)
+	if now < 0 || now > int64(elapsed) {
+		t.Fatalf("clock reads %d ns %v after New began; want a reading in [0, %d]", now, elapsed, int64(elapsed))
+	}
+	if !r.Backends()[0].stale() {
+		t.Fatal("a backend never heard from is not stale")
 	}
 }
 
 // TestProbeDenyAllocFree pins the PR 3 discipline at cluster scope: both
 // remote-probe refusal reasons are allocation-free.
 func TestProbeDenyAllocFree(t *testing.T) {
-	b := newBackend("http://127.0.0.1:1", "b0", 0, 2, time.Second)
+	b := newBackend("http://127.0.0.1:1", "b0", 0, testClock(0))
 
 	b.setCredits(0) // every probe refuses on credit
 	if allocs := testing.AllocsPerRun(1000, func() {
@@ -120,8 +153,9 @@ func TestProbeDenyAllocFree(t *testing.T) {
 	}
 
 	b.setCredits(4)
-	b.fail()
-	b.fail() // threshold 2: breaker open
+	for i := 0; i < failThreshold; i++ {
+		b.fail()
+	}
 	if !b.Broken() {
 		t.Fatal("breaker not open after threshold failures")
 	}
@@ -168,11 +202,10 @@ func TestProbeDenyNetworkFree(t *testing.T) {
 // clock: threshold failures deny probes, and the probes flow again once
 // the window slides past them.
 func TestBreakerTripsAndReadmits(t *testing.T) {
-	b := newBackend("http://127.0.0.1:1", "b0", 0, 3, time.Second)
-	var clock atomic.Int64
-	b.now = func() int64 { return clock.Load() }
+	clock := testClock(0)
+	b := newBackend("http://127.0.0.1:1", "b0", 0, clock)
 
-	for i := 0; i < 3; i++ {
+	for i := 0; i < failThreshold; i++ {
 		if !b.probe() {
 			t.Fatalf("probe %d refused before any failures", i)
 		}
@@ -180,7 +213,7 @@ func TestBreakerTripsAndReadmits(t *testing.T) {
 		b.fail()
 	}
 	if !b.Broken() {
-		t.Fatal("breaker closed after 3 failures inside the window")
+		t.Fatal("breaker closed after threshold failures inside the window")
 	}
 	if b.probe() {
 		t.Fatal("probe granted through an open breaker")
@@ -189,7 +222,7 @@ func TestBreakerTripsAndReadmits(t *testing.T) {
 		t.Fatalf("breakerDenies = %d, want 1", b.breakerDenies.Load())
 	}
 
-	clock.Store(2 * time.Second.Nanoseconds()) // the window has drained
+	clock.base.Store(int64(failWindow) + 1) // the window has drained
 	if b.Broken() {
 		t.Fatal("breaker still open after the window drained")
 	}
@@ -207,14 +240,14 @@ func TestBreakerTripsAndReadmits(t *testing.T) {
 	// trial until it is quiet again.
 	b.release()
 	b.fail()
-	clock.Store(clock.Load() + (500 * time.Millisecond).Nanoseconds())
+	clock.base.Add(int64(failWindow / 4))
 	if b.Broken() {
-		t.Fatal("one failed trial tripped the threshold-3 breaker")
+		t.Fatal("one failed trial tripped the breaker")
 	}
 	if b.probe() {
 		t.Fatal("trial granted with a failure still inside the window")
 	}
-	clock.Store(clock.Load() + time.Second.Nanoseconds())
+	clock.base.Add(int64(failWindow))
 	if !b.probe() {
 		t.Fatal("trial refused after the failed trial aged out")
 	}
@@ -232,7 +265,7 @@ func TestBreakerTripsAndReadmits(t *testing.T) {
 	b.release()
 
 	// A fresh failure burst re-trips it.
-	for i := 0; i < 3; i++ {
+	for i := 0; i < failThreshold; i++ {
 		b.fail()
 	}
 	if !b.Broken() {
@@ -244,7 +277,7 @@ func TestBreakerTripsAndReadmits(t *testing.T) {
 // ceiling, release restores, learn folds advertised headroom in on top
 // of in-flight, setCredits clamps.
 func TestCreditGauge(t *testing.T) {
-	b := newBackend("http://127.0.0.1:1", "b0", 0, 4, time.Second)
+	b := newBackend("http://127.0.0.1:1", "b0", 0, testClock(0))
 	b.setCredits(3)
 	for i := 0; i < 3; i++ {
 		if !b.probe() {
@@ -291,7 +324,7 @@ func TestCreditGauge(t *testing.T) {
 // is no lost releases (final inflight zero) and no grant beyond the
 // ceiling at snapshot time.
 func TestCreditGaugeStorm(t *testing.T) {
-	b := newBackend("http://127.0.0.1:1", "b0", 0, 4, time.Second)
+	b := newBackend("http://127.0.0.1:1", "b0", 0, testClock(0))
 	b.setCredits(8)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -325,7 +358,7 @@ func TestPlacementPolicies(t *testing.T) {
 	mk := func(credits ...int) []*Backend {
 		bs := make([]*Backend, len(credits))
 		for i, c := range credits {
-			bs[i] = newBackend(fmt.Sprintf("http://127.0.0.1:%d", i+1), fmt.Sprintf("b%d", i), i, 4, time.Second)
+			bs[i] = newBackend(fmt.Sprintf("http://127.0.0.1:%d", i+1), fmt.Sprintf("b%d", i), i, testClock(0))
 			bs[i].setCredits(c)
 		}
 		return bs
@@ -481,12 +514,9 @@ func TestKilledBackendRedistributes(t *testing.T) {
 		backends = append(backends, b)
 		urls = append(urls, b.URL)
 	}
-	r, ts := newRouter(t, Config{
-		Backends:      urls,
-		Local:         newLocal(t, 2, 64),
-		FailThreshold: 2,
-		FailWindow:    30 * time.Second, // stays broken for the whole test
-	})
+	// The post-kill storm takes 400 ms, inside one breaker window: once
+	// tripped, the victim stays broken through it.
+	r, ts := newRouter(t, Config{Backends: urls, Local: newLocal(t, 2, 64)})
 
 	if ok, bad, _ := stormClients([]string{ts.URL}, 8, 300, 200*time.Millisecond); bad != 0 || ok == 0 {
 		t.Fatalf("healthy fleet: %d ok, %d failed", ok, bad)
@@ -504,8 +534,8 @@ func TestKilledBackendRedistributes(t *testing.T) {
 	}
 
 	vs := victim.Stats()
-	if vs.Deaths < uint64(r.cfg.FailThreshold) {
-		t.Fatalf("victim deaths = %d, want >= %d (breaker food)", vs.Deaths, r.cfg.FailThreshold)
+	if vs.Deaths < failThreshold {
+		t.Fatalf("victim deaths = %d, want >= %d (breaker food)", vs.Deaths, failThreshold)
 	}
 	if !victim.Broken() {
 		t.Fatal("victim's breaker never tripped")

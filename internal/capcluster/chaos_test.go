@@ -35,8 +35,9 @@ func okBackend(t *testing.T, body string, free int) *httptest.Server {
 // TestAttemptDeadlineBoundsBlackhole is the acceptance criterion for the
 // per-attempt deadline: with one backend black-holed by capfault, every
 // client request still completes successfully, and the black hole costs
-// at most one AttemptTimeout before the ladder moves on — not the full
-// request Timeout. Run with -race.
+// at most one attemptTimeout before the ladder moves on — not the whole
+// dispatchTimeout. The router's clock runs ten times real time, so an
+// attempt is 200 real ms. Run with -race.
 func TestAttemptDeadlineBoundsBlackhole(t *testing.T) {
 	inj := capfault.New(1)
 	victim := okBackend(t, "victim", 4)
@@ -46,13 +47,11 @@ func TestAttemptDeadlineBoundsBlackhole(t *testing.T) {
 		t.Fatalf("Set: %v", err)
 	}
 
-	const attempt = 150 * time.Millisecond
-	r, ts := newRouter(t, Config{
-		Backends:       []string{victim.URL, healthy.URL},
-		Transport:      inj.Transport(http.DefaultTransport),
-		AttemptTimeout: attempt,
-		FailThreshold:  100, // keep the breaker out of it: every request may eat the black hole
-	})
+	r, ts := newRouterAt(t, Config{
+		Backends:  []string{victim.URL, healthy.URL},
+		Transport: inj.Transport(http.DefaultTransport),
+	}, 10)
+	attempt := r.clock.real(attemptTimeout)
 
 	var wg sync.WaitGroup
 	var worst atomic.Int64
@@ -79,9 +78,9 @@ func TestAttemptDeadlineBoundsBlackhole(t *testing.T) {
 	wg.Wait()
 
 	// Even a request that drew the victim first pays one attempt slice
-	// plus the healthy dispatch — far under the 5 s total budget. The
+	// plus the healthy dispatch — far under the 1 s total budget. The
 	// bound is generous (3×attempt) for scheduler noise; what it must
-	// never approach is Timeout.
+	// never approach is the budget.
 	if w := time.Duration(worst.Load()); w > 3*attempt {
 		t.Fatalf("worst request took %v; a black hole must cost ~one %v attempt", w, attempt)
 	}
@@ -95,16 +94,10 @@ func TestAttemptDeadlineBoundsBlackhole(t *testing.T) {
 // breaker/probation machinery, and a recovered backend re-admits through
 // the half-open trial.
 func TestSlowBackendEjectsAndReadmits(t *testing.T) {
-	r, _ := newRouter(t, Config{
-		Backends:       []string{"http://127.0.0.1:1", "http://127.0.0.1:2", "http://127.0.0.1:3"},
-		SlowFactor:     4,
-		SlowMinP99:     10 * time.Millisecond,
-		SlowMinSamples: 16,
-		FailWindow:     time.Second,
-	})
+	r, _ := newRouterAt(t, Config{
+		Backends: []string{"http://127.0.0.1:1", "http://127.0.0.1:2", "http://127.0.0.1:3"},
+	}, 0)
 	victim, h1, h2 := r.Backends()[0], r.Backends()[1], r.Backends()[2]
-	var clock atomic.Int64
-	victim.now = func() int64 { return clock.Load() }
 
 	// Interval 1: victim answers 2xx at 200 ms p99, peers at 1 ms.
 	for i := 0; i < 32; i++ {
@@ -137,7 +130,7 @@ func TestSlowBackendEjectsAndReadmits(t *testing.T) {
 
 	// Re-admission: once the ejection's ring entries age out, the next
 	// probe is the half-open trial, and a response closes probation.
-	clock.Store(2 * time.Second.Nanoseconds())
+	r.clock.base.Store(int64(failWindow) + 1)
 	if victim.Broken() {
 		t.Fatal("still broken after the window drained")
 	}
@@ -159,16 +152,17 @@ func TestSlowBackendEjectsAndReadmits(t *testing.T) {
 func TestTrialBackoffJitter(t *testing.T) {
 	const base = trialBackoff
 	mk := func(url string) (*Backend, *atomic.Int64) {
-		b := newBackend(url, "b", 0, 2, time.Second)
-		var clock atomic.Int64
-		b.now = func() int64 { return clock.Load() }
-		return b, &clock
+		clock := testClock(0)
+		return newBackend(url, "b", 0, clock), &clock.base
+	}
+	trip := func(b *Backend) {
+		for i := 0; i < failThreshold; i++ {
+			b.fail()
+		}
 	}
 	b, clock := mk("http://127.0.0.1:1")
 
-	// Trip the breaker.
-	b.fail()
-	b.fail()
+	trip(b)
 	if !b.Broken() {
 		t.Fatal("not broken after threshold failures")
 	}
@@ -207,8 +201,7 @@ func TestTrialBackoffJitter(t *testing.T) {
 
 	// The backoff gate alone refuses a trial: quiet ring, pending jitter.
 	b2, clock2 := mk("http://127.0.0.1:2")
-	b2.fail()
-	b2.fail()
+	trip(b2)
 	clock2.Store(10 * time.Second.Nanoseconds())
 	if !b2.probe() {
 		t.Fatal("b2 first trial refused")
@@ -226,8 +219,7 @@ func TestTrialBackoffJitter(t *testing.T) {
 	// Different backend identities draw different jitter for the same
 	// failure count (decorrelated trials across routers/backends).
 	b3, clock3 := mk("http://127.0.0.1:3")
-	b3.fail()
-	b3.fail()
+	trip(b3)
 	clock3.Store(10 * time.Second.Nanoseconds())
 	if !b3.probe() {
 		t.Fatal("b3 trial refused")
@@ -252,7 +244,7 @@ func TestTrialBackoffJitter(t *testing.T) {
 	// jitteredBackoff(hash, fails+1, base) — exactly the delay after
 	// fails+1 failed trials of the same backend at the same base.
 	for fails, d := range delays {
-		if got := jitteredBackoff(b.nameHash, uint32(fails)+1, base.Nanoseconds()); got != d {
+		if got := jitteredBackoff(b.nameHash, uint32(fails)+1, base); got != d {
 			t.Fatalf("feed backoff after %d failures = %v, trial backoff after %d = %v; want one formula", fails, got, fails+1, d)
 		}
 	}
@@ -318,10 +310,7 @@ func TestMidBodyDeathRetries(t *testing.T) {
 	defer victim.Close()
 	healthy := okBackend(t, "complete response body", 4)
 
-	r, ts := newRouter(t, Config{
-		Backends:      []string{victim.URL, healthy.URL},
-		FailThreshold: 100, // keep retries flowing to the victim
-	})
+	r, ts := newRouter(t, Config{Backends: []string{victim.URL, healthy.URL}})
 	for i := 0; i < 12; i++ {
 		resp, body := get(t, ts.URL+"/run/quicksort?n=64&seed=1")
 		if resp.StatusCode != 200 {
@@ -386,16 +375,11 @@ func TestClientGoneDuringTrial(t *testing.T) {
 	}))
 	defer backend.Close()
 
-	r, ts := newRouter(t, Config{
-		Backends:      []string{backend.URL},
-		FailThreshold: 2,
-		FailWindow:    100 * time.Millisecond,
-	})
+	r, ts := newRouterAt(t, Config{Backends: []string{backend.URL}}, 0)
 	b := r.Backends()[0]
-	b.trialBackoffNS = 1 // the jitter gate is not under test here
 
-	// Trip the breaker with two 5xxs (requests fall back locally, fine).
-	for i := 0; i < 2; i++ {
+	// Trip the breaker with 5xxs (requests fall back locally, fine).
+	for i := 0; i < failThreshold; i++ {
 		resp, _ := get(t, ts.URL+"/run/quicksort?n=64&seed=1")
 		if resp.StatusCode != 200 {
 			t.Fatalf("fallback status %d", resp.StatusCode)
@@ -408,7 +392,7 @@ func TestClientGoneDuringTrial(t *testing.T) {
 	// Let the window drain, then send the trial request with a client
 	// context we cancel once the backend holds it.
 	mode.Store(1)
-	time.Sleep(150 * time.Millisecond)
+	r.clock.base.Add(int64(failWindow) + 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	req, _ := http.NewRequestWithContext(ctx, "GET", ts.URL+"/run/quicksort?n=64&seed=1", nil)
 	done := make(chan struct{})
@@ -438,14 +422,13 @@ func TestClientGoneDuringTrial(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if b.deaths.Load() != 2 {
+	if b.deaths.Load() != failThreshold {
 		t.Fatalf("deaths = %d; the aborted trial must not be charged to the backend", b.deaths.Load())
 	}
 
 	// And the machinery still works: the aborted trial recorded no
-	// failure, so once the original trip ages out the slot is claimable
-	// by the next probe.
-	time.Sleep(150 * time.Millisecond)
+	// failure and scheduled no backoff, so the slot is claimable by the
+	// next probe.
 	if !b.probe() {
 		t.Fatal("trial slot not claimable after abortTrial")
 	}
@@ -459,9 +442,8 @@ func TestClientGoneDuringTrial(t *testing.T) {
 // value is under -race: the "benign" claim is only benign if the race
 // detector agrees the accesses are synchronized atomics.
 func TestFailRingStormRace(t *testing.T) {
-	b := newBackend("http://127.0.0.1:1", "b0", 0, 4, 50*time.Millisecond)
+	b := newBackend("http://127.0.0.1:1", "b0", 0, testClock(40)) // a 50 ms breaker window
 	b.setCredits(64)
-	b.trialBackoffNS = time.Millisecond.Nanoseconds()
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for g := 0; g < 8; g++ {

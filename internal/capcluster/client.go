@@ -17,7 +17,7 @@ import (
 // pool, for fleets configured with tiny credit ceilings.
 const dispatchIdleConnsFloor = 64
 
-// defaultTransport is the dispatch transport when Config.Transport is
+// defaultTransport is the router's transport when Config.Transport is
 // nil: http.DefaultTransport's dialer and timeouts, with an idle pool
 // sized to the fleet's real concurrency bound. Every concurrently
 // admitted request holds one connection to its backend, and admissions
@@ -35,12 +35,11 @@ func defaultTransport(maxCredits int) http.RoundTripper {
 	return httptune.Transport(perHost)
 }
 
-// DefaultTransport returns the dispatch transport New builds when
+// DefaultTransport returns the transport New builds when
 // Config.Transport is nil, sized for maxCredits concurrent dispatches
 // per backend (0 = the default ceiling). Callers that need to interpose
-// on the wire — cmd/caprouter wrapping dispatches in a capfault
-// injector — start from this so wrapping does not change pooling
-// behavior.
+// on the wire — cmd/caprouter wrapping it in a capfault injector —
+// start from this so wrapping does not change pooling behavior.
 func DefaultTransport(maxCredits int) http.RoundTripper {
 	if maxCredits == 0 {
 		maxCredits = creditCap
@@ -81,19 +80,19 @@ const (
 // outbound header, so the backend adopts the same identity and its
 // serving/runtime events join the router's route span in one waterfall.
 //
-// The attempt runs under min(Config.AttemptTimeout, time left until
-// deadline) — the hardening capfault's black-hole forced: a backend
-// that accepts and stalls costs the request one attempt slice, not the
-// whole budget, and the walk moves on. The response is buffered whole
+// The attempt runs under min(attemptTimeout, time left until deadline),
+// both on the router's clock — the hardening capfault's black-hole
+// forced: a backend that accepts and stalls costs the request one
+// attempt slice, not the whole budget, and the walk moves on. The response is buffered whole
 // (up to maxBody) before anything is written to the client, so a backend
 // dying mid-body — or sending more than maxBody — is a retryable death
 // (the next backend gets the request) instead of a truncated 200.
-func (r *Router) dispatch(w http.ResponseWriter, req *http.Request, b *Backend, deadline time.Time, tid uint64, traced bool) outcome {
+func (r *Router) dispatch(w http.ResponseWriter, req *http.Request, b *Backend, deadline int64, tid uint64, traced bool) outcome {
 	defer b.release()
 	b.dispatches.Add(1)
 
-	attempt := r.cfg.AttemptTimeout
-	if rem := time.Until(deadline); rem < attempt {
+	attempt := attemptTimeout
+	if rem := time.Duration(deadline - r.clock.now()); rem < attempt {
 		attempt = rem
 	}
 	if attempt <= 0 {
@@ -101,7 +100,7 @@ func (r *Router) dispatch(w http.ResponseWriter, req *http.Request, b *Backend, 
 		// not the backend.
 		return died
 	}
-	ctx, cancel := context.WithTimeout(req.Context(), attempt)
+	ctx, cancel := context.WithTimeout(req.Context(), r.clock.real(attempt))
 	defer cancel()
 
 	target := b.url + req.URL.Path

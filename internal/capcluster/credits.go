@@ -1,6 +1,7 @@
 package capcluster
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,26 +38,22 @@ type Backend struct {
 	// learn (replace the high half) can never tear against each other.
 	gauge atomic.Uint64
 
-	ring          failRing
-	failThreshold int
-	failWindowNS  int64
-	now           func() int64 // injectable monotonic clock, as in capsule
+	ring  failRing
+	clock *clock // the router's
 
 	// probation is the half-open gate: after a breaker trip, re-admission
 	// is one trial dispatch at a time, not a stampede. Without it a
 	// black-holing backend (timeouts, not connection-refused) would stall
-	// every concurrent request for a full dispatchTimeout each drain
-	// cycle; with it the exposure is bounded to one in-flight trial per
-	// quiet window.
+	// every concurrent request for a full attempt each drain cycle; with
+	// it the exposure is bounded to one in-flight trial per quiet window.
 	probation atomic.Uint32
 
 	// Failed half-open trials back off exponentially with deterministic
 	// per-backend jitter (see scheduleTrial): trialFails counts
 	// consecutive trial failures, nextTrialNS is the earliest instant the
 	// next trial may run. Both reset the moment any response arrives.
-	trialFails     atomic.Uint32
-	nextTrialNS    atomic.Int64
-	trialBackoffNS int64 // trialBackoff; in-package tests shorten it
+	trialFails  atomic.Uint32
+	nextTrialNS atomic.Int64
 
 	// Push-plane state (feed.go). feedMu serializes delta application so
 	// the seq check and the gauge write cannot interleave across two
@@ -66,7 +63,7 @@ type Backend struct {
 	// the probe path never touches it.
 	feedMu        sync.Mutex
 	feedSeq       atomic.Uint64 // highest applied delta sequence number
-	freshNS       atomic.Int64  // last instant a feed delta or a header updated the gauge
+	freshNS       atomic.Int64  // last instant a feed delta or a header updated the gauge (neverHeard until then)
 	feedConnected atomic.Bool   // a subscription stream is currently open
 	feedDeltas    atomic.Uint64 // deltas applied to the gauge
 	feedDrops     atomic.Uint64 // deltas discarded by the seq regression guard
@@ -106,19 +103,20 @@ const (
 	probationTrial               // the trial dispatch is in flight
 )
 
-func newBackend(url, name string, id, failThreshold int, failWindow time.Duration) *Backend {
+// neverHeard is freshNS before the first live signal: a reading no
+// clock reaches, so a backend never heard from is stale from the start.
+const neverHeard = math.MinInt64 / 2
+
+func newBackend(url, name string, id int, clk *clock) *Backend {
 	b := &Backend{
-		url:            url,
-		name:           name,
-		id:             id,
-		nameHash:       fnv64(url),
-		failThreshold:  failThreshold,
-		failWindowNS:   failWindow.Nanoseconds(),
-		trialBackoffNS: trialBackoff.Nanoseconds(),
-		now:            func() int64 { return time.Now().UnixNano() },
-		feedWake:       make(chan struct{}, 1),
+		url:      url,
+		name:     name,
+		id:       id,
+		nameHash: fnv64(url),
+		clock:    clk,
+		feedWake: make(chan struct{}, 1),
 	}
-	b.ring.init(failThreshold)
+	b.freshNS.Store(neverHeard)
 	b.setCredits(initialCredits)
 	return b
 }
@@ -147,9 +145,7 @@ func (b *Backend) Inflight() int { return int(uint32(b.gauge.Load())) }
 
 // Broken reports whether the failure breaker is currently denying
 // probes: at least failThreshold failures inside the trailing window.
-func (b *Backend) Broken() bool {
-	return b.ring.atLeast(b.failThreshold, b.now, b.failWindowNS)
-}
+func (b *Backend) Broken() bool { return b.ring.atLeast(failThreshold, b.clock) }
 
 // probe is ProbeRemote for this backend: reserve one credit, or refuse.
 // The deny path is allocation-free and network-free — a breaker check
@@ -158,7 +154,7 @@ func (b *Backend) Broken() bool {
 // backend per request, the same economics the paper demands of nthr. On
 // success the caller owes exactly one release.
 func (b *Backend) probe() bool {
-	if b.ring.atLeast(b.failThreshold, b.now, b.failWindowNS) {
+	if b.ring.atLeast(failThreshold, b.clock) {
 		b.breakerDenies.Add(1)
 		return false
 	}
@@ -170,8 +166,8 @@ func (b *Backend) probe() bool {
 		// failed trials must have elapsed (so recovering backends aren't
 		// re-tripped by a synchronized trial herd), and only one prober
 		// wins the trial slot.
-		if b.ring.atLeast(1, b.now, b.failWindowNS) ||
-			b.now() < b.nextTrialNS.Load() ||
+		if b.ring.atLeast(1, b.clock) ||
+			b.clock.now() < b.nextTrialNS.Load() ||
 			!b.probation.CompareAndSwap(probationWait, probationTrial) {
 			b.breakerDenies.Add(1)
 			return false
@@ -208,13 +204,13 @@ func (b *Backend) release() { b.gauge.Add(^uint64(0)) }
 // out by a jittered exponential backoff.
 func (b *Backend) fail() {
 	b.deaths.Add(1)
-	b.ring.record(b.now())
+	b.ring.record(b.clock.now())
 	if b.probation.Load() == probationTrial {
 		b.scheduleTrial(b.trialFails.Add(1))
 		b.probation.Store(probationWait)
 		return
 	}
-	if b.ring.atLeast(b.failThreshold, b.now, b.failWindowNS) {
+	if b.ring.atLeast(failThreshold, b.clock) {
 		b.probation.Store(probationWait)
 	}
 }
@@ -222,27 +218,24 @@ func (b *Backend) fail() {
 // scheduleTrial sets the earliest instant of the next half-open trial
 // after the fails-th consecutive trial failure.
 func (b *Backend) scheduleTrial(fails uint32) {
-	b.nextTrialNS.Store(b.now() + int64(jitteredBackoff(b.nameHash, fails, b.trialBackoffNS)))
+	b.nextTrialNS.Store(b.clock.now() + int64(jitteredBackoff(b.nameHash, fails, trialBackoff)))
 }
 
 // jitteredBackoff is the delay after the n-th consecutive failure
 // (n >= 1) of a backend's half-open trials or of its feed subscription:
-// baseNS·2^(n-1), the doubling capped at 2^6, jittered deterministically
+// base·2^(n-1), the doubling capped at 2^6, jittered deterministically
 // into [0.5×, 1.5×). The jitter is a pure function of (backend identity,
 // n), so it is reproducible in tests yet decorrelated across backends
 // and across routers probing the same fleet — no herd of trials or
 // resubscriptions in lockstep.
-func jitteredBackoff(nameHash uint64, n uint32, baseNS int64) time.Duration {
-	if baseNS <= 0 {
-		return 0
-	}
+func jitteredBackoff(nameHash uint64, n uint32, base time.Duration) time.Duration {
 	shift := n - 1
 	if shift > 6 {
 		shift = 6
 	}
-	base := baseNS << shift
+	d := base << shift
 	h := mix64(nameHash ^ uint64(n)*0x9e3779b97f4a7c15)
-	return time.Duration(base/2 + int64(h%uint64(base)))
+	return d/2 + time.Duration(h%uint64(d))
 }
 
 // recover marks the backend alive: any received response (2xx, 4xx,
@@ -307,12 +300,12 @@ func (b *Backend) applyDelta(seq uint64, free int, draining bool) bool {
 
 // markFresh records that a live source (a feed delta or a response
 // header) just taught the gauge.
-func (b *Backend) markFresh() { b.freshNS.Store(b.now()) }
+func (b *Backend) markFresh() { b.freshNS.Store(b.clock.now()) }
 
 // stale reports whether both live sources (feed and headers) have been
-// quiet past ttlNS — the explicit staleness the gauge used to hide.
-func (b *Backend) stale(ttlNS int64) bool {
-	return b.now()-b.freshNS.Load() > ttlNS
+// quiet past staleTTL — the explicit staleness the gauge used to hide.
+func (b *Backend) stale() bool {
+	return b.clock.now()-b.freshNS.Load() > int64(staleTTL)
 }
 
 // decayStale moves the credit ceiling halfway toward initialCredits

@@ -7,7 +7,7 @@ package capcluster
 // gauge that has heard from neither.
 //
 // Liveness is watchdogged, not assumed: a timer armed *before* the
-// subscription dial fires after Config.StaleTTL of silence and cancels
+// subscription dial fires after staleTTL of silence and cancels
 // the stream, so a black-holed feed — at connect time or mid-stream —
 // costs one TTL, never a hung goroutine. Reconnects back off
 // exponentially with the same deterministic per-backend jitter the
@@ -15,7 +15,8 @@ package capcluster
 // backend does not resubscribe in lockstep. Refresh cuts the wait short
 // for a backend whose gauge has gone stale: a backend restarted after a
 // long outage is redialled on the next tick, not after a backoff that
-// doubled through the whole outage.
+// doubled through the whole outage. The watchdog and the backoff run on
+// the router's clock.
 
 import (
 	"bufio"
@@ -59,7 +60,7 @@ func (r *Router) feedLoop(ctx context.Context, b *Backend) {
 		select {
 		case <-ctx.Done():
 			return
-		case <-time.After(jitteredBackoff(b.nameHash, fails+1, r.cfg.FeedBackoff.Nanoseconds())):
+		case <-time.After(r.clock.real(jitteredBackoff(b.nameHash, fails+1, feedBackoff))):
 		case <-b.feedWake:
 		}
 	}
@@ -73,7 +74,7 @@ func (r *Router) feedLoop(ctx context.Context, b *Backend) {
 func (r *Router) feedOnce(ctx context.Context, b *Backend) error {
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	ttl := r.cfg.StaleTTL
+	ttl := r.clock.real(staleTTL)
 
 	// The watchdog is armed before the dial on purpose: a backend that
 	// black-holes the *connect* (capfault's feed blackhole, a silent
@@ -82,17 +83,17 @@ func (r *Router) feedOnce(ctx context.Context, b *Backend) error {
 	wd := time.AfterFunc(ttl, cancel)
 	defer wd.Stop()
 
-	req, err := http.NewRequestWithContext(sctx, http.MethodGet, b.url+"/debug/credits", nil)
+	req, err := http.NewRequestWithContext(sctx, http.MethodGet, b.url+capserve.CreditsPath, nil)
 	if err != nil {
 		return err
 	}
-	resp, err := r.feed.Do(req)
+	resp, err := r.client.Do(req)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("capcluster: %s/debug/credits: %s", b.name, resp.Status)
+		return fmt.Errorf("capcluster: %s%s: %s", b.name, capserve.CreditsPath, resp.Status)
 	}
 	// Every stream opens with a snapshot numbered by the process serving
 	// it, and a backend restarted on the same URL counts from 1 again:

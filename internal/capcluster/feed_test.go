@@ -20,7 +20,7 @@ import (
 // be dropped — a stale subscriber goroutine racing its post-reconnect
 // replacement can never roll the gauge backwards.
 func TestApplyDeltaSeqRegression(t *testing.T) {
-	b := newBackend("http://127.0.0.1:1", "b0", 0, 2, time.Second)
+	b := newBackend("http://127.0.0.1:1", "b0", 0, testClock(0))
 
 	if !b.applyDelta(5, 7, false) {
 		t.Fatal("first delta (seq 5) not applied")
@@ -63,13 +63,10 @@ func TestApplyDeltaSeqRegression(t *testing.T) {
 // torn state (credits within [0, max], inflight drains to zero) and
 // the seq guard holds (the highest seq wins, drops+deltas add up).
 func TestCreditGaugeConcurrentSources(t *testing.T) {
-	// A 1 ns StaleTTL makes nearly every Refresh find the gauge stale, so
-	// the decay writer really writes between the other two.
-	r, _ := newRouter(t, Config{
-		Backends:      []string{"http://127.0.0.1:1"},
-		FailThreshold: 1000,
-		StaleTTL:      time.Nanosecond,
-	})
+	// The decay writer moves the stopped clock past staleTTL before each
+	// Refresh, so nearly every one finds the gauge stale and the decay
+	// writer really writes between the other two.
+	r, _ := newRouterAt(t, Config{Backends: []string{"http://127.0.0.1:1"}}, 0)
 	b := r.Backends()[0]
 
 	const writers = 4
@@ -106,6 +103,7 @@ func TestCreditGaugeConcurrentSources(t *testing.T) {
 		defer wg.Done()
 		<-start
 		for i := 0; i < rounds; i++ {
+			r.clock.base.Add(int64(staleTTL) + 1)
 			r.Refresh()
 		}
 	}()
@@ -139,20 +137,18 @@ func TestCreditGaugeConcurrentSources(t *testing.T) {
 
 // TestStaleDecayToDefault drives the decay pass through Router.Refresh
 // on an injected clock: while a source is fresh Refresh leaves the
-// gauge alone; once feed and headers have both been quiet past StaleTTL
+// gauge alone; once feed and headers have both been quiet past staleTTL
 // each Refresh moves it toward initialCredits — halving the distance
 // per step, snapping when adjacent — and a single live delta makes it
 // fresh again.
 func TestStaleDecayToDefault(t *testing.T) {
-	const ttl = 3 * time.Second
-	r, _ := newRouter(t, Config{Backends: []string{"http://127.0.0.1:1"}, StaleTTL: ttl})
+	r, _ := newRouterAt(t, Config{Backends: []string{"http://127.0.0.1:1"}}, 0)
 	b := r.Backends()[0]
-	var clock atomic.Int64
-	b.now = func() int64 { return clock.Load() }
+	clock := &r.clock.base
 
 	// Feed teaches the gauge high; within the TTL nothing decays.
 	b.applyDelta(1, 100, false)
-	clock.Store(ttl.Nanoseconds())
+	clock.Store(int64(staleTTL))
 	r.Refresh()
 	if got, decays := b.Credits(), b.staleDecays.Load(); got != 100 || decays != 0 {
 		t.Fatalf("fresh gauge: credits %d, %d decays after Refresh; want 100, 0", got, decays)
@@ -161,7 +157,7 @@ func TestStaleDecayToDefault(t *testing.T) {
 	// Past the TTL with both sources quiet, Refresh converges:
 	// 100 → 52 → 28 → 16 → 10 → 7 → 6 → 5 → 4 (snap), one counted decay
 	// per step, monotonically, and stops at the default.
-	clock.Store(ttl.Nanoseconds() + 1)
+	clock.Store(int64(staleTTL) + 1)
 	prev, steps := b.Credits(), uint64(0)
 	for ; steps < 20 && b.Credits() != initialCredits; steps++ {
 		r.Refresh()
@@ -200,30 +196,23 @@ func TestStaleDecayToDefault(t *testing.T) {
 // the subscription's first delta must teach the backend's real capacity
 // (with no traffic yet), a Refresh with the feed live must leave the
 // gauge alone, and once the feed is severed mid-stream the watchdog must
-// cancel the subscription and, past StaleTTL with no traffic to carry
+// cancel the subscription and, past staleTTL with no traffic to carry
 // headers, Refresh must decay the gauge — the capfault-blackhole
-// contract, here driven by a transport that silently parks instead.
+// contract, here driven by a transport that silently parks instead. The
+// router runs at stormSpeed: the TTL is 600 real ms, the backend's idle
+// heartbeat its real 500.
 func TestFeedEndToEnd(t *testing.T) {
 	const depth = 8
 	rt := capsule.New(capsule.Config{Contexts: 2, Throttle: true})
 	t.Cleanup(rt.Close)
-	backend, err := capserve.StartBackendOn(capserve.Config{
-		Runtime:       rt,
-		QueueDepth:    depth,
-		FeedHeartbeat: 20 * time.Millisecond,
-	}, "127.0.0.1:0", nil)
+	backend, err := capserve.StartBackendOn(capserve.Config{Runtime: rt, QueueDepth: depth}, "127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatalf("StartBackendOn: %v", err)
 	}
 	t.Cleanup(func() { drain(t, backend) })
 
 	park := &parkingTransport{next: http.DefaultTransport}
-	r, _ := newRouter(t, Config{
-		Backends:      []string{backend.URL},
-		StaleTTL:      200 * time.Millisecond,
-		FeedBackoff:   10 * time.Millisecond,
-		FeedTransport: park,
-	})
+	r, _ := newRouterAt(t, Config{Backends: []string{backend.URL}, Transport: park}, stormSpeed)
 	b := r.Backends()[0]
 	if got := b.Credits(); got != initialCredits {
 		t.Fatalf("credits = %d before any feed, want initialCredits (%d)", got, initialCredits)
@@ -260,7 +249,7 @@ func TestFeedEndToEnd(t *testing.T) {
 	}
 
 	// Sever the push plane: new reads (and new dials) park forever.
-	// The per-event watchdog must cancel the stream within StaleTTL, and
+	// The per-event watchdog must cancel the stream within staleTTL, and
 	// once the gauge is stale Refresh must decay it.
 	park.blackhole.Store(true)
 	deadline = time.Now().Add(5 * time.Second)
@@ -270,9 +259,8 @@ func TestFeedEndToEnd(t *testing.T) {
 	if b.feedConnected.Load() {
 		t.Fatal("subscription still connected 5s after the feed was blackholed")
 	}
-	ttl := r.cfg.StaleTTL.Nanoseconds()
 	deadline = time.Now().Add(5 * time.Second)
-	for !b.stale(ttl) && time.Now().Before(deadline) {
+	for !b.stale() && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	r.Refresh()
@@ -285,30 +273,22 @@ func TestFeedEndToEnd(t *testing.T) {
 // TestFeedResubscribesRestartedBackend kills a subscribed backend and
 // restarts it on the same address, as a supervisor brings a crashed
 // process back. The new process numbers its deltas from 1 again, and the
-// router's reconnect backoff (here far longer than the test) has not run
-// out: one Refresh of the stale gauge must redial the feed at once, and
-// the new stream's snapshot must teach the gauge instead of being
-// dropped as a replay of the old process's sequence.
+// router's clock is stopped, so its reconnect backoff never runs out:
+// one Refresh of the stale gauge must redial the feed at once, and the
+// new stream's snapshot must teach the gauge instead of being dropped as
+// a replay of the old process's sequence.
 func TestFeedResubscribesRestartedBackend(t *testing.T) {
 	const depth = 8
 	start := func(addr string) (*capserve.Backend, error) {
 		rt := capsule.New(capsule.Config{Contexts: 2, Throttle: true})
 		t.Cleanup(rt.Close)
-		return capserve.StartBackendOn(capserve.Config{
-			Runtime:       rt,
-			QueueDepth:    depth,
-			FeedHeartbeat: 20 * time.Millisecond,
-		}, addr, nil)
+		return capserve.StartBackendOn(capserve.Config{Runtime: rt, QueueDepth: depth}, addr, nil)
 	}
 	old, err := start("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("StartBackendOn: %v", err)
 	}
-	r, _ := newRouter(t, Config{
-		Backends:    []string{old.URL},
-		StaleTTL:    100 * time.Millisecond,
-		FeedBackoff: time.Minute,
-	})
+	r, _ := newRouterAt(t, Config{Backends: []string{old.URL}}, 0)
 	b := r.Backends()[0]
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
@@ -321,7 +301,8 @@ func TestFeedResubscribesRestartedBackend(t *testing.T) {
 			}
 		}
 	}
-	wait("run of the old process's heartbeats", func() bool { return b.feedSeq.Load() >= 5 })
+	// A snapshot and a heartbeat: past the restarted process's first seq.
+	wait("heartbeat from the old process", func() bool { return b.feedSeq.Load() >= 2 })
 
 	old.Kill()
 	wait("end of the old stream", func() bool { return !b.feedConnected.Load() })
@@ -337,7 +318,10 @@ func TestFeedResubscribesRestartedBackend(t *testing.T) {
 	}
 	t.Cleanup(func() { drain(t, restarted) })
 
-	wait("stale gauge", func() bool { return b.stale(r.cfg.StaleTTL.Nanoseconds()) })
+	r.clock.base.Add(int64(staleTTL) + 1)
+	if !b.stale() {
+		t.Fatal("gauge not stale past staleTTL")
+	}
 	r.Refresh()
 	wait("resubscription teaching the queue depth", func() bool {
 		return b.feedConnects.Load() == 2 && b.Credits() == depth

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"strings"
 	"testing"
-	"time"
 )
 
 // gaugeState is everything a credit advertisement may touch.
@@ -34,9 +33,8 @@ func snapGauge(b *Backend) gaugeState {
 func FuzzCreditAdvert(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in string) {
 		const inflight = 3
-		b := newBackend("http://127.0.0.1:1", "b0", 0, 2, time.Second)
-		var clock int64 // a clock that always moves, so any freshness write shows
-		b.now = func() int64 { clock++; return clock }
+		clock := testClock(0)
+		b := newBackend("http://127.0.0.1:1", "b0", 0, clock)
 		for i := 0; i < inflight; i++ {
 			if !b.probe() {
 				t.Fatalf("setup probe %d refused", i)
@@ -44,6 +42,7 @@ func FuzzCreditAdvert(f *testing.F) {
 		}
 
 		step := func(path, line string, apply func()) {
+			clock.base.Add(1) // a clock that always moves, so any freshness write shows
 			before := snapGauge(b)
 			apply()
 			after := snapGauge(b)

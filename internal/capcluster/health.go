@@ -22,36 +22,30 @@ import "sync/atomic"
 // after the drain is the half-open trial — if the backend is still dead
 // it fails fast, refills the ring, and the breaker re-trips.
 type failRing struct {
-	seq  atomic.Uint64
-	mask uint64
-	ts   []atomic.Int64
+	seq atomic.Uint64
+	ts  [failRingSize]atomic.Int64
 }
 
-// init sizes the ring to the next power of two >= threshold, so the
-// timestamp of the threshold-th most recent failure is always resident.
-func (r *failRing) init(threshold int) {
-	size := 1
-	for size < threshold {
-		size <<= 1
-	}
-	r.ts = make([]atomic.Int64, size)
-	r.mask = uint64(size - 1)
-}
+// failRingSize is the next power of two >= failThreshold, so the
+// timestamp of the failThreshold-th most recent failure is always
+// resident.
+const failRingSize = 4
 
-// record logs one backend failure at timestamp now.
+// record logs one backend failure at clock reading now.
 func (r *failRing) record(now int64) {
 	i := r.seq.Add(1) - 1
-	r.ts[i&r.mask].Store(now)
+	r.ts[i%failRingSize].Store(now)
 }
 
-// atLeast reports whether at least k failures have timestamps at or
-// after now()-windowNS. The clock is read only once k failures exist at
-// all, so a healthy backend's probe never pays for it.
-func (r *failRing) atLeast(k int, now func() int64, windowNS int64) bool {
+// atLeast reports whether at least k (<= failRingSize) failures have
+// timestamps inside the trailing failWindow of c. The clock is read only
+// once k failures exist at all, so a healthy backend's probe never pays
+// for it.
+func (r *failRing) atLeast(k int, c *clock) bool {
 	seq := r.seq.Load()
 	if seq < uint64(k) {
 		return false
 	}
-	ts := r.ts[(seq-uint64(k))&r.mask].Load()
-	return ts >= now()-windowNS
+	ts := r.ts[(seq-uint64(k))%failRingSize].Load()
+	return ts >= c.now()-int64(failWindow)
 }

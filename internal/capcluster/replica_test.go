@@ -12,12 +12,7 @@ import (
 // listener and every live connection, the in-process kill -9.
 func startReplicaServer(t *testing.T, backends []string) (*Router, *http.Server, string) {
 	t.Helper()
-	r, err := New(Config{
-		Backends:      backends,
-		Local:         newLocal(t, 2, 256),
-		FailThreshold: 2,
-		FailWindow:    400 * time.Millisecond,
-	})
+	r, err := New(Config{Backends: backends, Local: newLocal(t, 2, 256)})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

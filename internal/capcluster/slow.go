@@ -24,10 +24,10 @@ func mix64(x uint64) uint64 {
 // since the previous call it estimates each backend's dispatch-latency
 // p99 from the dispatchLatency histogram (relayed responses only, so
 // deaths and timeouts cannot double-trip it), and ejects every backend
-// whose p99 is both an outlier (> SlowFactor × the median of its
+// whose p99 is both an outlier (> slowFactor × the median of its
 // *peers'* p99s — excluding the candidate, so in a small fleet the
 // outlier cannot drag its own threshold up) and absolutely slow
-// (> SlowMinP99). Eligibility needs SlowMinSamples dispatches in the
+// (> slowMinP99). Eligibility needs slowMinSamples dispatches in the
 // interval and at least two eligible backends — a fleet of one has no
 // peers to be an outlier against.
 //
@@ -38,7 +38,7 @@ func mix64(x uint64) uint64 {
 // next interval; one that recovered serves its trial fast and is back.
 //
 // Single-threaded by contract: call it from one goroutine (cmd/caprouter
-// runs it on its -slow-check ticker; tests call it directly). The per-backend
+// runs it every SlowCheckInterval; tests call it directly). The per-backend
 // interval snapshot is plain state.
 func (r *Router) CheckSlow() int {
 	bounds := capserve.LatencyBucketBounds()
@@ -63,7 +63,7 @@ func (r *Router) CheckSlow() int {
 		b.slowPrev = cum
 
 		samples := cum[len(cum)-1] - prev[len(prev)-1]
-		if samples < float64(r.cfg.SlowMinSamples) {
+		if samples < slowMinSamples {
 			continue
 		}
 		p99, ok := promtext.DeltaQuantile(bounds, prev[:], cum[:], 0.99)
@@ -76,7 +76,6 @@ func (r *Router) CheckSlow() int {
 		return 0
 	}
 
-	minP99 := r.cfg.SlowMinP99.Seconds()
 	peers := make([]float64, 0, len(eligible)-1)
 	ejected := 0
 	for i, e := range eligible {
@@ -86,7 +85,7 @@ func (r *Router) CheckSlow() int {
 				peers = append(peers, o.p99)
 			}
 		}
-		if med := median(peers); e.p99 > r.cfg.SlowFactor*med && e.p99 > minP99 {
+		if med := median(peers); e.p99 > slowFactor*med && e.p99 > slowMinP99.Seconds() {
 			e.b.eject()
 			ejected++
 		}
@@ -100,8 +99,8 @@ func (r *Router) CheckSlow() int {
 // single trial, jittered backoff) applies unchanged. Deliberately not a
 // death: deaths count backend failures, ejections count router policy.
 func (b *Backend) eject() {
-	now := b.now()
-	for i := 0; i < b.failThreshold; i++ {
+	now := b.clock.now()
+	for i := 0; i < failThreshold; i++ {
 		b.ring.record(now)
 	}
 	b.probation.Store(probationWait)
@@ -122,7 +121,6 @@ func median(xs []float64) float64 {
 	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
-// SlowCheckInterval is the suggested cadence for CheckSlow callers —
-// cmd/caprouter's -slow-check default, the same 1 s as its Refresh
-// decay ticker.
+// SlowCheckInterval is the cadence of CheckSlow calls — cmd/caprouter's
+// ejection ticker, the same 1 s as its Refresh decay ticker.
 const SlowCheckInterval = time.Second

@@ -163,7 +163,7 @@ func (r *Router) writeMetrics(w io.Writer) {
 	p := promtext.NewWriter(w)
 
 	p.Gauge("caprouter_backends", "Configured backend count.", float64(len(bs)))
-	p.Gauge("caprouter_uptime_seconds", "Seconds since the router was built.", time.Since(r.start).Seconds())
+	p.Gauge("caprouter_uptime_seconds", "Seconds since the router was built.", time.Since(r.clock.epoch).Seconds())
 	p.Counter("caprouter_requests_total", "Run requests received.", s.Requests)
 	p.Counter("caprouter_remote_probes_total", "Remote probes (cluster nthr attempts).", s.RemoteProbes)
 	p.Counter("caprouter_remote_granted_total", "Remote probes that reserved a backend credit.", s.RemoteGrants)

@@ -3,7 +3,8 @@ package capcluster
 // The zero-failed-request storms: a live in-process fleet under
 // closed-loop load while something is taken away mid-run — a router
 // replica (replica_test.go), backends leaving and rejoining, the credit
-// push plane. About a second each, under -race. internal/smoke's
+// push plane. About a second each, under -race, on routers whose clock
+// runs at stormSpeed. internal/smoke's
 // TestChaos, TestCluster and TestRouterFailover hold the same against
 // real processes.
 
@@ -87,12 +88,7 @@ func TestChurnLeaveRejoinZeroFailedRequests(t *testing.T) {
 		backends[i] = b
 		urls = append(urls, b.URL)
 	}
-	r, ts := newRouter(t, Config{
-		Backends:      urls,
-		Local:         newLocal(t, 2, 256),
-		FailThreshold: 2,
-		FailWindow:    400 * time.Millisecond,
-	})
+	r, ts := newRouterAt(t, Config{Backends: urls, Local: newLocal(t, 2, 256)}, stormSpeed)
 
 	// Backend 0 never churns: someone has to hold the fort. The rest
 	// rotate: leave, dwell, rejoin on the same address, dwell. A leave is
@@ -158,13 +154,15 @@ func TestChurnLeaveRejoinZeroFailedRequests(t *testing.T) {
 // the push plane must carry (deltas keep landing on every backend);
 // after it the watchdogs cancel the streams and the response headers
 // keep every gauge fresh — no decay under load, and no client request
-// fails. Once the storm has been quiet for StaleTTL, nothing keeps the
+// fails. Once the storm has been quiet for staleTTL, nothing keeps the
 // gauges fresh any more, and Refresh must decay every one of them.
 func TestFeedBlackholeUnderLoadZeroFailedRequests(t *testing.T) {
-	const clients, d, ttl = 8, 1200 * time.Millisecond, 300 * time.Millisecond
+	// The cut lands a third of the way in, and the watchdogs need one
+	// staleTTL (600 real ms at stormSpeed) after it.
+	const clients, d = 8, 1500 * time.Millisecond
 	var urls []string
 	for i := 0; i < 3; i++ {
-		b, err := capserve.StartBackendOn(capserve.Config{QueueDepth: 8, FeedHeartbeat: 50 * time.Millisecond}, "127.0.0.1:0", nil)
+		b, err := capserve.StartBackendOn(capserve.Config{QueueDepth: 8}, "127.0.0.1:0", nil)
 		if err != nil {
 			t.Fatalf("StartBackendOn: %v", err)
 		}
@@ -176,15 +174,12 @@ func TestFeedBlackholeUnderLoadZeroFailedRequests(t *testing.T) {
 	// learned ceiling is this router's in-flight dispatches plus the
 	// advertised free slots, which sum to at least the queue depth of 8,
 	// so the post-storm decay is observable on every backend.
-	r, ts := newRouter(t, Config{
-		Backends:      urls,
-		Local:         newLocal(t, 2, 256),
-		FailThreshold: 2,
-		FailWindow:    400 * time.Millisecond,
-		StaleTTL:      ttl,
-		FeedBackoff:   50 * time.Millisecond,
-		FeedTransport: inj.FeedTransport(httptune.Transport(8)),
-	})
+	r, ts := newRouterAt(t, Config{
+		Backends:  urls,
+		Local:     newLocal(t, 2, 256),
+		Transport: inj.Transport(httptune.Transport(8)),
+	}, stormSpeed)
+	ttl := r.clock.real(staleTTL)
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	r.StartFeeds(ctx)

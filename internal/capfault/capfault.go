@@ -97,12 +97,12 @@ const (
 	// ScopeRequest rules fire on Transport and Handler traffic — the
 	// dispatch/serving path. The default.
 	ScopeRequest = "request"
-	// ScopeFeed rules fire on FeedTransport traffic — the credit-feed
-	// subscriptions — including, for the terminal kinds, per-read on
-	// streams that were already established when the rule was armed. The
-	// split exists so a chaos script can cut the push plane while every
-	// dispatch stays healthy: the fallback paths under test are only
-	// reachable when the failure is *selective*.
+	// ScopeFeed rules fire on Transport requests to capserve.CreditsPath
+	// — the credit-feed subscriptions — including, for the terminal
+	// kinds, per-read on streams that were already established when the
+	// rule was armed. The split exists so a chaos script can cut the push
+	// plane while every dispatch stays healthy: the fallback paths under
+	// test are only reachable when the failure is *selective*.
 	ScopeFeed = "feed"
 )
 
@@ -117,7 +117,7 @@ type Rule struct {
 	Backend string `json:"backend,omitempty"`
 	// Scope selects the traffic class: ScopeRequest (dispatch/serving,
 	// via Transport and Handler) or ScopeFeed (credit-feed
-	// subscriptions, via FeedTransport). Default: ScopeRequest.
+	// subscriptions, via Transport). Default: ScopeRequest.
 	Scope string `json:"scope,omitempty"`
 	// P is the per-evaluation probability the rule fires, in (0, 1].
 	// Default (0): 1, always.
@@ -186,7 +186,7 @@ type armedRule struct {
 // one /debug/fault.
 type Injector struct {
 	seed uint64
-	now  func() int64 // injectable for expiry tests
+	now  func() int64 // monotonic nanoseconds since New; injectable for expiry tests
 
 	mu     sync.Mutex // serializes Set/Clear; readers never take it
 	nextID uint64
@@ -196,7 +196,10 @@ type Injector struct {
 // New builds an Injector whose probabilistic decisions are a pure
 // function of seed.
 func New(seed uint64) *Injector {
-	return &Injector{seed: seed, now: func() int64 { return time.Now().UnixNano() }}
+	// Since on a Time that carries a monotonic reading is one monotonic
+	// clock read, so a wall-clock step never moves a rule's expiry.
+	epoch := time.Now()
+	return &Injector{seed: seed, now: func() int64 { return int64(time.Since(epoch)) }}
 }
 
 // Set installs one rule and returns its id (for Clear). Rules are

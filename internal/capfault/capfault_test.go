@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/capserve"
 )
 
 func mustSet(t *testing.T, inj *Injector, r Rule) uint64 {
@@ -69,6 +71,17 @@ func TestDeterministicDecisions(t *testing.T) {
 	}
 	if fired < 16 || fired > 48 {
 		t.Fatalf("P=0.5 fired %d/64 — hash badly skewed", fired)
+	}
+}
+
+// TestClockCountsFromNew: rule expiry reads monotonic time since New,
+// not Unix time, so a wall-clock step neither stretches nor cuts a
+// rule's For.
+func TestClockCountsFromNew(t *testing.T) {
+	before := time.Now()
+	inj := New(1)
+	if now, elapsed := inj.now(), time.Since(before); now < 0 || now > int64(elapsed) {
+		t.Fatalf("clock reads %d ns %v after New began; want a reading in [0, %d]", now, elapsed, int64(elapsed))
 	}
 }
 
@@ -149,6 +162,53 @@ func TestBackendScoping(t *testing.T) {
 	resp, err = rt.RoundTrip(httptest.NewRequest("GET", "http://healthy:80/x", nil))
 	if err != nil || resp.StatusCode != 200 {
 		t.Fatalf("scoped rule leaked to healthy backend: resp=%v err=%v", resp, err)
+	}
+}
+
+// TestScopeFromPath: one transport carries both traffic classes, told
+// apart by path. A feed-scoped rule fails credit-feed subscriptions and
+// no dispatch, a request-scoped rule the reverse, and a feed rule armed
+// after a stream opened still cuts that stream at its next read.
+func TestScopeFromPath(t *testing.T) {
+	inj := New(5)
+	rt := inj.Transport(rtFunc(func(req *http.Request) (*http.Response, error) {
+		body := io.NopCloser(strings.NewReader("data: {}\n\n"))
+		return &http.Response{StatusCode: 200, Body: body, Request: req}, nil
+	}))
+	const dispatch, feed = "http://b0:1/run/quicksort", "http://b0:1" + capserve.CreditsPath
+	get := func(url string) error {
+		resp, err := rt.RoundTrip(httptest.NewRequest("GET", url, nil))
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		_, err = io.ReadAll(resp.Body)
+		return err
+	}
+	stream, err := rt.RoundTrip(httptest.NewRequest("GET", feed, nil))
+	if err != nil {
+		t.Fatalf("disarmed subscription: %v", err)
+	}
+	defer stream.Body.Close()
+
+	id := mustSet(t, inj, Rule{Kind: KindReset, Scope: ScopeFeed})
+	if err := get(feed); err == nil {
+		t.Error("feed rule spared a subscription")
+	}
+	if err := get(dispatch); err != nil {
+		t.Errorf("feed rule hit a dispatch: %v", err)
+	}
+	if _, err := stream.Body.Read(make([]byte, 8)); err == nil {
+		t.Error("feed rule armed mid-stream spared the open stream")
+	}
+	inj.Clear(id)
+
+	mustSet(t, inj, Rule{Kind: KindReset})
+	if err := get(dispatch); err == nil {
+		t.Error("request rule spared a dispatch")
+	}
+	if err := get(feed); err != nil {
+		t.Errorf("request rule hit a subscription: %v", err)
 	}
 }
 

@@ -8,44 +8,41 @@ import (
 	"strings"
 	"syscall"
 	"time"
+
+	"repro/internal/capserve"
 )
 
-// Transport wraps next so requests consult the injector's
-// request-scoped rules before (and around) the real round trip. The
-// backend scope a rule matches is the request URL's Host (host:port) —
-// the same identity capcluster names its backends by. Disarmed cost:
-// one atomic pointer load.
+// Transport wraps next so requests consult the injector's rules before
+// (and around) the real round trip. The backend scope a rule matches is
+// the request URL's Host (host:port) — the same identity capcluster
+// names its backends by — and the traffic scope is the request's path: a
+// credit-feed subscription (capserve.CreditsPath) consults only
+// ScopeFeed rules, everything else only ScopeRequest rules, so the push
+// plane can be blackholed, partitioned or reset without a single
+// dispatch noticing. On a feed stream, terminal rules armed *after* it
+// is established still land — the response body re-checks the live rule
+// set on every read (see feedBody) — because a subscription dials once
+// and then lives for minutes: connect-time-only faults would miss
+// exactly the streams a chaos script wants to cut. Disarmed cost of a
+// dispatch: one atomic pointer load.
 func (inj *Injector) Transport(next http.RoundTripper) http.RoundTripper {
 	if next == nil {
 		next = http.DefaultTransport
 	}
-	return &transport{inj: inj, next: next, scope: ScopeRequest}
-}
-
-// FeedTransport wraps next for the credit-feed subscription client:
-// only ScopeFeed rules are consulted, so the push plane can be
-// blackholed, partitioned or reset without a single dispatch noticing.
-// Unlike the request-scoped wrap, terminal rules armed *after* a stream
-// is established still land — the response body re-checks the live rule
-// set on every read (see feedBody) — because a subscription dials once
-// and then lives for minutes: connect-time-only faults would miss
-// exactly the streams a chaos script wants to cut.
-func (inj *Injector) FeedTransport(next http.RoundTripper) http.RoundTripper {
-	if next == nil {
-		next = http.DefaultTransport
-	}
-	return &transport{inj: inj, next: next, scope: ScopeFeed}
+	return &transport{inj: inj, next: next}
 }
 
 type transport struct {
-	inj   *Injector
-	next  http.RoundTripper
-	scope string
+	inj  *Injector
+	next http.RoundTripper
 }
 
 func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
-	resp, err := t.roundTrip(req)
-	if t.scope == ScopeFeed && err == nil {
+	if req.URL.Path != capserve.CreditsPath {
+		return t.roundTrip(req, ScopeRequest)
+	}
+	resp, err := t.roundTrip(req, ScopeFeed)
+	if err == nil {
 		// Interpose on the stream even while disarmed: the wrap decision
 		// happens at dial time, the chaos script arms rules mid-stream.
 		resp.Body = &feedBody{
@@ -58,7 +55,7 @@ func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	return resp, err
 }
 
-func (t *transport) roundTrip(req *http.Request) (*http.Response, error) {
+func (t *transport) roundTrip(req *http.Request, scope string) (*http.Response, error) {
 	if t.inj.rules.Load() == nil {
 		// Disarmed fast path: one pointer load, no closure, no allocs.
 		return t.next.RoundTrip(req)
@@ -66,7 +63,7 @@ func (t *transport) roundTrip(req *http.Request) (*http.Response, error) {
 	var trickle *armedRule
 	var termErr error
 	var synth *http.Response
-	armed := t.inj.matching(t.scope, req.URL.Host, func(ar *armedRule, h uint64) bool {
+	armed := t.inj.matching(scope, req.URL.Host, func(ar *armedRule, h uint64) bool {
 		switch ar.Kind {
 		case KindLatency:
 			if err := sleepCtx(req.Context(), ar.jitterFrom(h)); err != nil {

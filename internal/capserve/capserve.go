@@ -84,12 +84,6 @@ type Config struct {
 	// arrives with the queue full is shed with 503. Default: 4 × the
 	// runtime's context count.
 	QueueDepth int
-
-	// FeedHeartbeat is the idle republish interval of the /debug/credits
-	// push feed: subscribed routers see a delta at least this often even
-	// with no traffic, which is what keeps their staleness TTLs satisfied
-	// on a quiet fleet. Default: DefaultFeedHeartbeat.
-	FeedHeartbeat time.Duration
 }
 
 // Validate reports whether cfg can build a Server.
@@ -99,9 +93,6 @@ func (cfg Config) Validate() error {
 	}
 	if cfg.QueueDepth < 0 {
 		return fmt.Errorf("capserve: QueueDepth must be >= 0 (0 means 4x contexts), got %d", cfg.QueueDepth)
-	}
-	if cfg.FeedHeartbeat < 0 {
-		return fmt.Errorf("capserve: FeedHeartbeat must be >= 0 (0 means default), got %v", cfg.FeedHeartbeat)
 	}
 	return nil
 }
@@ -122,8 +113,8 @@ type Server struct {
 
 	tracer *captrace.Tracer // the runtime's: serving and runtime events share one ring set
 
-	// feed is the /debug/credits push plane (feed.go); feedHeartbeat is
-	// its idle republish interval.
+	// feed is the CreditsPath push plane (feed.go); feedHeartbeat is its
+	// idle republish interval, idleHeartbeat except in its own tests.
 	feed          creditFeed
 	feedHeartbeat time.Duration
 
@@ -145,10 +136,6 @@ func New(cfg Config) (*Server, error) {
 	if depth == 0 {
 		depth = 4 * cfg.Runtime.Contexts()
 	}
-	heartbeat := cfg.FeedHeartbeat
-	if heartbeat == 0 {
-		heartbeat = DefaultFeedHeartbeat
-	}
 	s := &Server{
 		rt:            cfg.Runtime,
 		queue:         make(chan struct{}, depth),
@@ -158,7 +145,7 @@ func New(cfg Config) (*Server, error) {
 		mux:           http.NewServeMux(),
 		start:         time.Now(),
 		tracer:        cfg.Runtime.Tracer(),
-		feedHeartbeat: heartbeat,
+		feedHeartbeat: idleHeartbeat,
 	}
 	for _, wl := range s.workloads {
 		s.eps[wl] = &endpoint{}
@@ -170,7 +157,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /debug/credits", s.handleCredits)
+	s.mux.HandleFunc("GET "+CreditsPath, s.handleCredits)
 	s.mux.HandleFunc("GET /run/{workload}", s.handleRun)
 	s.mux.HandleFunc("GET /{$}", s.handleIndex)
 	return s, nil

@@ -25,11 +25,15 @@ import (
 	"time"
 )
 
-// DefaultFeedHeartbeat is the idle republish interval of the
-// /debug/credits stream: with no admissions to publish, subscribers
-// still see a delta this often, which is what keeps a push-fed router's
-// staleness TTL satisfied on a quiet fleet.
-const DefaultFeedHeartbeat = 500 * time.Millisecond
+// CreditsPath is where every Server serves its credit feed and where a
+// router subscribes to it.
+const CreditsPath = "/debug/credits"
+
+// idleHeartbeat is the idle republish interval of the credit feed: with
+// no admissions to publish, subscribers still see a delta this often,
+// which is what keeps a push-fed router's staleness TTL satisfied on a
+// quiet fleet.
+const idleHeartbeat = 500 * time.Millisecond
 
 // CreditDelta is one event on the /debug/credits push feed: the same
 // headroom the response header advertises, plus the one health fact a

@@ -4,10 +4,29 @@ import (
 	"bufio"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/capsule"
 )
+
+// newFeedServer serves a Server of queue depth 8 whose idle feed
+// heartbeat is every instead of idleHeartbeat.
+func newFeedServer(t *testing.T, every time.Duration) (*Server, *httptest.Server) {
+	t.Helper()
+	rt := capsule.New(capsule.Config{Contexts: 4, Throttle: true})
+	t.Cleanup(rt.Close)
+	s, err := New(Config{Runtime: rt, QueueDepth: 8})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	s.feedHeartbeat = every
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+	return s, ts
+}
 
 // readDelta scans the SSE stream to the next `data:` line and decodes
 // it.
@@ -33,9 +52,9 @@ func readDelta(t *testing.T, sc *bufio.Scanner) CreditDelta {
 // heartbeats keep coming, sequence numbers are strictly increasing,
 // and the advertised headroom matches the header path's view.
 func TestCreditFeedStream(t *testing.T) {
-	_, ts := newTestServer(t, Config{QueueDepth: 8, FeedHeartbeat: 20 * time.Millisecond})
+	_, ts := newFeedServer(t, 20*time.Millisecond)
 
-	resp, err := http.Get(ts.URL + "/debug/credits")
+	resp, err := http.Get(ts.URL + CreditsPath)
 	if err != nil {
 		t.Fatalf("GET /debug/credits: %v", err)
 	}
@@ -75,9 +94,9 @@ func TestCreditFeedStream(t *testing.T) {
 // begins (so graceful Shutdown never waits on subscribers), and a new
 // subscription to a draining server is refused with 503.
 func TestCreditFeedDraining(t *testing.T) {
-	s, ts := newTestServer(t, Config{QueueDepth: 8, FeedHeartbeat: time.Minute})
+	s, ts := newFeedServer(t, time.Minute)
 
-	resp, err := http.Get(ts.URL + "/debug/credits")
+	resp, err := http.Get(ts.URL + CreditsPath)
 	if err != nil {
 		t.Fatalf("GET /debug/credits: %v", err)
 	}
@@ -101,7 +120,7 @@ func TestCreditFeedDraining(t *testing.T) {
 	}
 
 	// A draining server refuses new subscriptions outright.
-	resp2, err := http.Get(ts.URL + "/debug/credits")
+	resp2, err := http.Get(ts.URL + CreditsPath)
 	if err != nil {
 		t.Fatalf("GET /debug/credits while draining: %v", err)
 	}

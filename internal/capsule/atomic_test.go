@@ -246,7 +246,7 @@ func TestStatsAccountingInvariant(t *testing.T) {
 // the wraparound.
 func TestThrottleRingWraparound(t *testing.T) {
 	var clock atomic.Int64
-	rt := New(Config{Contexts: 8, Throttle: true, DeathWindow: time.Microsecond, DeathThreshold: 3})
+	rt := New(Config{Contexts: 6, Throttle: true, DeathWindow: time.Microsecond}) // threshold 6/2 = 3
 	rt.now = clock.Load
 	if len(rt.ring.ts) != 4 {
 		t.Fatalf("ring size = %d for threshold 3, want 4", len(rt.ring.ts))
@@ -297,7 +297,7 @@ func TestThrottleRingWraparound(t *testing.T) {
 func TestProbeClockReads(t *testing.T) {
 	const window = 100
 	var clock, reads atomic.Int64
-	rt := New(Config{Contexts: 4, Throttle: true, DeathWindow: window, DeathThreshold: 3})
+	rt := New(Config{Contexts: 6, Throttle: true, DeathWindow: window}) // threshold 6/2 = 3
 	defer rt.Close()
 	rt.now = func() int64 { reads.Add(1); return clock.Load() }
 	probes := func(n int, wantGranted bool) (clockReads int64) {

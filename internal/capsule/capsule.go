@@ -68,13 +68,9 @@ type Config struct {
 
 	// DeathWindow is the rolling window over which worker deaths are
 	// counted for the throttle (the software port of the paper's 128-cycle
-	// window). Default: 100µs.
+	// window). Default: 100µs. max(1, Contexts/2) deaths inside it — the
+	// paper's threshold — trip the throttle.
 	DeathWindow time.Duration
-
-	// DeathThreshold is the death count within DeathWindow that trips the
-	// throttle. Default: Contexts/2, the paper's threshold. At most
-	// maxDeathThreshold (65 536).
-	DeathThreshold int
 
 	// Tracer, when non-nil, receives lifecycle events (probe outcomes,
 	// handoffs, deaths, throttle transitions) from the hot path. Probe
@@ -109,31 +105,20 @@ func Defaults() Config {
 // startup, so Validate refuses it as a configuration error instead.
 const maxContexts = 1 << 14
 
-// maxDeathThreshold bounds Config.DeathThreshold. The death ring keeps
-// one timestamp per counted death, sized to the next power of two, so
-// the bound caps it at 512 KiB; without it a threshold past 1<<62 made
-// the sizing loop overflow and New never return. 65 536 deaths in one
-// window is a death every 1.5 ns at the default 100µs: past anything
-// the throttle can be asked to notice.
-const maxDeathThreshold = 1 << 16
-
 // lockStripes is the lock-table size, a power of two: 256 entries,
 // mirroring the bounded fast lock table.
 const lockStripes = 256
 
 // Validate reports whether every field of c is meaningful. Zero fields
-// are valid — they take the documented defaults — but negative counts,
-// thresholds or windows have no sensible reading and were previously
-// absorbed silently into the defaults; now they are errors.
+// are valid — they take the documented defaults — but negative counts
+// or windows have no sensible reading and were previously absorbed
+// silently into the defaults; now they are errors.
 func (c Config) Validate() error {
 	if c.Contexts < 0 || c.Contexts > maxContexts {
 		return fmt.Errorf("capsule: Contexts must be in [0, %d] (0 means GOMAXPROCS), got %d", maxContexts, c.Contexts)
 	}
 	if c.DeathWindow < 0 {
 		return fmt.Errorf("capsule: DeathWindow must be >= 0 (0 means 100µs default), got %v", c.DeathWindow)
-	}
-	if c.DeathThreshold < 0 || c.DeathThreshold > maxDeathThreshold {
-		return fmt.Errorf("capsule: DeathThreshold must be in [0, %d] (0 means Contexts/2), got %d", maxDeathThreshold, c.DeathThreshold)
 	}
 	return nil
 }
@@ -275,12 +260,6 @@ func New(cfg Config) *Runtime {
 	if cfg.DeathWindow <= 0 {
 		cfg.DeathWindow = 100 * time.Microsecond
 	}
-	if cfg.DeathThreshold <= 0 {
-		cfg.DeathThreshold = cfg.Contexts / 2
-		if cfg.DeathThreshold < 1 {
-			cfg.DeathThreshold = 1
-		}
-	}
 	rt := &Runtime{
 		cfg:      cfg,
 		workers:  make([]chan job, cfg.Contexts),
@@ -295,7 +274,7 @@ func New(cfg Config) *Runtime {
 	rt.now = func() int64 { return int64(time.Since(epoch)) }
 	rt.tracer = cfg.Tracer
 	rt.pool.init(cfg.Contexts)
-	rt.ring.init(cfg.DeathThreshold)
+	rt.ring.init(max(1, cfg.Contexts/2))
 	rt.ctxs = make([]Context, cfg.Contexts)
 	rt.ctxTrace = make([]uint64, cfg.Contexts)
 	rt.workerWG.Add(cfg.Contexts)
@@ -348,7 +327,7 @@ func (rt *Runtime) CanDivide() bool {
 	return rt.pool.free() > 0
 }
 
-// throttled is Probe's death-rate condition: at least DeathThreshold
+// throttled is Probe's death-rate condition: at least max(1, Contexts/2)
 // deaths inside the trailing DeathWindow. The death path keeps that
 // answer in throttleUntil, so a quiescent runtime answers with one atomic
 // load and no clock read — reading the clock costs more than the pool CAS

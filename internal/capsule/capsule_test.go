@@ -1,7 +1,6 @@
 package capsule
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,7 +18,7 @@ func TestDefaultsApplied(t *testing.T) {
 	if rt.Contexts() < 1 {
 		t.Fatalf("Contexts = %d, want >= 1", rt.Contexts())
 	}
-	if rt.cfg.DeathWindow <= 0 || rt.cfg.DeathThreshold < 1 {
+	if rt.cfg.DeathWindow <= 0 || rt.ring.k != uint64(max(1, rt.Contexts()/2)) {
 		t.Fatalf("defaults not applied: %+v", rt.cfg)
 	}
 	if len(rt.stripes) != lockStripes || len(rt.stripes)&(len(rt.stripes)-1) != 0 {
@@ -35,14 +34,10 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"zero value (defaults)", Config{}, true},
 		{"defaults", Defaults(), true},
-		{"explicit", Config{Contexts: 2, DeathThreshold: 1, DeathWindow: time.Millisecond}, true},
+		{"explicit", Config{Contexts: 2, DeathWindow: time.Millisecond}, true},
 		{"negative contexts", Config{Contexts: -1}, false},
 		{"contexts past the ceiling", Config{Contexts: maxContexts + 1}, false},
 		{"negative window", Config{DeathWindow: -time.Microsecond}, false},
-		{"negative threshold", Config{DeathThreshold: -3}, false},
-		{"threshold at the ceiling", Config{DeathThreshold: maxDeathThreshold}, true},
-		{"threshold past the ceiling", Config{DeathThreshold: maxDeathThreshold + 1}, false},
-		{"threshold MaxInt", Config{DeathThreshold: math.MaxInt}, false},
 	}
 	for _, tc := range cases {
 		err := tc.cfg.Validate()

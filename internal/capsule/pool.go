@@ -115,8 +115,8 @@ type deathRing struct {
 	ts   []atomic.Int64
 }
 
-// init sizes the ring to the next power of two >= threshold (threshold >=
-// 1 is guaranteed by New's defaulting).
+// init sizes the ring to the next power of two >= threshold (New passes
+// max(1, Contexts/2), and Validate bounds Contexts).
 func (r *deathRing) init(threshold int) {
 	size := 1
 	for size < threshold {

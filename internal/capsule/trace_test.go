@@ -141,7 +141,7 @@ func TestThrottleTransitionEvents(t *testing.T) {
 	tr := captrace.New(1, 64)
 	clock := int64(0)
 	rt := New(Config{Contexts: 4, Throttle: true,
-		DeathWindow: time.Millisecond, DeathThreshold: 2, Tracer: tr})
+		DeathWindow: time.Millisecond, Tracer: tr}) // threshold 4/2 = 2
 	t.Cleanup(rt.Close)
 	rt.now = func() int64 { return clock }
 

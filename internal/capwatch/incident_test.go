@@ -29,10 +29,9 @@ import (
 func newThrottledRuntime(t *testing.T) *capsule.Runtime {
 	t.Helper()
 	rt, err := capsule.NewValidated(capsule.Config{
-		Contexts:       2,
-		Throttle:       true,
-		DeathWindow:    time.Hour,
-		DeathThreshold: 1,
+		Contexts:    2, // threshold 2/2 = 1
+		Throttle:    true,
+		DeathWindow: time.Hour,
 	})
 	if err != nil {
 		t.Fatalf("runtime: %v", err)
@@ -175,7 +174,7 @@ func TestDebounce(t *testing.T) {
 func TestBundleContents(t *testing.T) {
 	tr := captrace.New(4, 1024)
 	rt, err := capsule.NewValidated(capsule.Config{
-		Contexts: 2, Throttle: true, DeathWindow: time.Hour, DeathThreshold: 1,
+		Contexts: 2, Throttle: true, DeathWindow: time.Hour, // threshold 2/2 = 1
 		Tracer: tr,
 	})
 	if err != nil {
@@ -710,7 +709,7 @@ func TestCoolingTriggerMasksNone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	router, err := capcluster.New(capcluster.Config{Backends: []string{backend.URL}, Local: local, FailThreshold: 1})
+	router, err := capcluster.New(capcluster.Config{Backends: []string{backend.URL}, Local: local})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -730,7 +729,7 @@ func TestCoolingTriggerMasksNone(t *testing.T) {
 	rec.wg.Wait()
 
 	backend.Close()
-	serve(5) // the first dispatch dies and opens the breaker; the local tier serves all five
+	serve(5) // the first three dispatches die and open the breaker; the local tier serves all five
 	if st := router.Backends()[0].Stats(); !st.Broken {
 		t.Fatalf("breaker did not open: %+v", st)
 	}

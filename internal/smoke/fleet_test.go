@@ -104,9 +104,7 @@ func TestTrace(t *testing.T) {
 // backend, a partitioned one, one leaving and rejoining — with zero
 // failed client requests, then drains clean mid-partition.
 func TestChaos(t *testing.T) {
-	r := start(t, "caprouter", "-spawn", "3", "-fault", "-fault-seed", "7", "-debug-addr", "127.0.0.1:0",
-		"-fail-threshold", "2", "-fail-window", "2s", "-attempt-timeout", "300ms",
-		"-slow-check", "500ms", "-slow-factor", "3", "-slow-min-p99", "20ms", "-slow-min-samples", "8")
+	r := start(t, "caprouter", "-spawn", "3", "-fault", "-fault-seed", "7", "-debug-addr", "127.0.0.1:0")
 	v, faults := r.all(spawned), r.all(debugAddr)[0]+"/debug/fault"
 	if f := debug[struct{ Seed uint64 }](t, faults); f.Seed != 7 {
 		t.Errorf("fault seed %d, want 7", f.Seed)
@@ -152,7 +150,7 @@ func TestChaos(t *testing.T) {
 // clients see no error while the router falls back locally.
 func TestCluster(t *testing.T) {
 	bs, urls := capserves(t, "-contexts", "2", "-queue", "4")
-	r := start(t, "caprouter", "-queue", "64", "-backends", strings.Join(urls, ","), "-fail-threshold", "2", "-fail-window", "5s")
+	r := start(t, "caprouter", "-queue", "64", "-backends", strings.Join(urls, ","))
 	mix := []string{"-url", r.URL, "-d", "5s", "-n", "500", "-mix", "quicksort=4,dijkstra=2,lzw=1"}
 	capload(t, append(mix, "-c", "12")...)()
 	metrics(t, r.URL, append(perBackend("caprouter_backend_dispatches_total", urls), "caprouter_remote_granted_total")...)
@@ -231,8 +229,8 @@ func TestIncident(t *testing.T) {
 // mid-storm costs clients failovers, never a failed request.
 func TestRouterFailover(t *testing.T) {
 	bs, urls := capserves(t, "-contexts", "2", "-queue", "8")
-	args := []string{"-backends", strings.Join(urls, ","), "-fail-threshold", "2", "-fail-window", "2s"}
-	r1, r2 := start(t, "caprouter", args...), start(t, "caprouter", args...)
+	fleet := strings.Join(urls, ",")
+	r1, r2 := start(t, "caprouter", "-backends", fleet), start(t, "caprouter", "-backends", fleet)
 	time.Sleep(3 * time.Second) // steady state: the push plane carries the fleet
 	for _, r := range []*proc{r1, r2} {
 		metrics(t, r.URL, perBackend("caprouter_backend_feed_deltas_total", urls)...)
