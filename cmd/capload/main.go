@@ -1,4 +1,4 @@
-// Command capload drives a running capserve or caprouter with sustained
+// Command capload drives a running capserve, lone or routing, with sustained
 // load and reports what the client saw: status codes, client-observed
 // latency percentiles, throughput, the failed-request rate and, across
 // replicated -targets, the failovers it took. What the fleet itself
@@ -88,8 +88,8 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
 // report to stdout and returns the exit status (see the package comment).
 func run(args []string, stdout io.Writer) int {
 	fs := flag.NewFlagSet("capload", flag.ContinueOnError)
-	base := fs.String("url", "http://localhost:8080", "capserve or caprouter base URL")
-	targetsFlag := fs.String("targets", "", "comma-separated replicated caprouter base URLs with health-aware failover (overrides -url)")
+	base := fs.String("url", "http://localhost:8080", "capserve base URL, lone or routing")
+	targetsFlag := fs.String("targets", "", "comma-separated replicated router base URLs (capserve -backends) with health-aware failover (overrides -url)")
 	wlList := fs.String("workloads", "quicksort,dijkstra,lzw,perceptron", "comma-separated workloads, round-robin")
 	mix := fs.String("mix", "", "weighted workload mix, e.g. quicksort=4,dijkstra=2,lzw=1 (overrides -workloads)")
 	n := fs.Int("n", 2000, "input size per request")

@@ -1,6 +1,6 @@
 // Command capscope is the one reader of the debug plane. Each
-// subcommand reads one of the fleet endpoints every capserve and
-// caprouter serves, and renders it for a human:
+// subcommand reads one of the fleet endpoints every capserve, lone or
+// routing, serves, and renders it for a human:
 //
 //	top       /debug/watch: one row per member — windowed rates, p99, SLO burn
 //	trace     /debug/trace: ring occupancy and event kinds, or one request's waterfall
@@ -13,7 +13,7 @@
 //   - a directory. For top and trace it is an incident bundle, read from
 //     its watch.json or trace.json. For incident it is a bundle, one
 //     recorder's directory, or a fleet root of recorder directories (the
-//     shape caprouter -incident-dir writes, one per member).
+//     shape a routing capserve's -incident-dir holds, one per member).
 //
 // A bundle is a directory of the same JSON the endpoints serve, so a
 // post-mortem reads what the live fleet would have answered. A target

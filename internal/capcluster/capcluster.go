@@ -376,7 +376,7 @@ func (r *Router) handleRun(w http.ResponseWriter, req *http.Request) {
 // network itself, but it wakes a stale backend's feed subscriber out of
 // its reconnect backoff, so a backend that comes back is resubscribed —
 // and its capacity relearned from the stream's snapshot — within one
-// tick. cmd/caprouter runs it on a 1 s ticker; tests call it directly.
+// tick. cmd/capserve runs it on a 1 s ticker; tests call it directly.
 func (r *Router) Refresh() {
 	for _, b := range r.backends {
 		if b.stale() {

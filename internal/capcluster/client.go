@@ -38,7 +38,7 @@ func defaultTransport(maxCredits int) http.RoundTripper {
 // DefaultTransport returns the transport New builds when
 // Config.Transport is nil, sized for maxCredits concurrent dispatches
 // per backend (0 = the default ceiling). Callers that need to interpose
-// on the wire — cmd/caprouter wrapping it in a capfault injector —
+// on the wire — cmd/capserve wrapping it in a capfault injector —
 // start from this so wrapping does not change pooling behavior.
 func DefaultTransport(maxCredits int) http.RoundTripper {
 	if maxCredits == 0 {

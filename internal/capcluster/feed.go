@@ -35,7 +35,7 @@ import (
 // cancelled. The first delta of every subscription is a snapshot, so
 // this is also how a router learns its backends' real capacity at
 // start-up. A router without it learns from response headers alone.
-// cmd/caprouter calls it under the signal context; tests pass their own.
+// cmd/capserve calls it under the signal context; tests pass their own.
 func (r *Router) StartFeeds(ctx context.Context) {
 	for _, b := range r.backends {
 		go r.feedLoop(ctx, b)

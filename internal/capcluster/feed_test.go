@@ -97,7 +97,7 @@ func TestCreditGaugeConcurrentSources(t *testing.T) {
 			}
 		}(w)
 	}
-	// The decay writer (the ticker a live caprouter runs) and probers.
+	// The decay writer (the ticker a live router runs) and probers.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

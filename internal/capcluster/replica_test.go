@@ -27,7 +27,7 @@ func startReplicaServer(t *testing.T, backends []string) (*Router, *http.Server,
 }
 
 // TestReplicaFailoverZeroFailedRequests is the tentpole's -race gate:
-// two full caprouter replicas front the same three backends, clients
+// two full router replicas front the same three backends, clients
 // walk the replica list with failover, and one replica is killed
 // without drain mid-storm. Every client request must still succeed —
 // a dead replica costs one extra attempt, never a failed request — and

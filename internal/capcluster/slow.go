@@ -37,7 +37,7 @@ func mix64(x uint64) uint64 {
 // backend that is still slow on re-admission simply gets ejected again
 // next interval; one that recovered serves its trial fast and is back.
 //
-// Single-threaded by contract: call it from one goroutine (cmd/caprouter
+// Single-threaded by contract: call it from one goroutine (cmd/capserve
 // runs it every SlowCheckInterval; tests call it directly). The per-backend
 // interval snapshot is plain state.
 func (r *Router) CheckSlow() int {
@@ -121,6 +121,6 @@ func median(xs []float64) float64 {
 	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
-// SlowCheckInterval is the cadence of CheckSlow calls — cmd/caprouter's
-// ejection ticker, the same 1 s as its Refresh decay ticker.
+// SlowCheckInterval is the cadence of CheckSlow calls — a routing
+// cmd/capserve's ejection ticker, the same 1 s as its Refresh decay ticker.
 const SlowCheckInterval = time.Second

@@ -122,7 +122,7 @@ func TestChurnLeaveRejoinZeroFailedRequests(t *testing.T) {
 				return
 			}
 			joins++
-			r.Refresh() // the decay ticker a live caprouter runs
+			r.Refresh() // the decay ticker a live router runs
 			time.Sleep(dwell)
 		}
 	}()
@@ -194,7 +194,7 @@ func TestFeedBlackholeUnderLoadZeroFailedRequests(t *testing.T) {
 		start[i] = b.feedDeltas.Load()
 	}
 
-	// The decay ticker a live caprouter runs.
+	// The decay ticker a live router runs.
 	var stopped atomic.Bool
 	ticked := make(chan struct{})
 	go func() {

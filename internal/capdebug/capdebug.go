@@ -1,9 +1,9 @@
 // Package capdebug is the debug plane: the one place that builds, names,
 // mounts and fetches the observability planes — trace (captrace), watch
 // and incident (capwatch: a member's sampler is its incident recorder)
-// and fault (capfault) — for both serving binaries. The paper gives a
-// component one way in, the same probe at every level; this package
-// gives every process one way onto the debug plane.
+// and fault (capfault) — for cmd/capserve, lone or routing. The paper
+// gives a component one way in, the same probe at every level; this
+// package gives every process one way onto the debug plane.
 //
 // The unit is the *member*: one process-resident server (a lone
 // capserve, a router, each backend a router spawned) with one name on
@@ -22,7 +22,7 @@
 // listener only, never on a serving address.
 //
 // The package also owns the runtime flag group (RegisterRuntime) and the
-// one way either binary builds a member's runtime (Flags.NewRuntime).
+// one way capserve builds a member's runtime (Flags.NewRuntime).
 package capdebug
 
 import (
@@ -44,8 +44,8 @@ import (
 	"repro/internal/capwatch"
 )
 
-// Flags is the debug flag group, registered once by Register and shared
-// by cmd/capserve and cmd/caprouter.
+// Flags is the debug flag group, registered once by Register on
+// cmd/capserve's flag set.
 type Flags struct {
 	Trace      bool
 	TraceBuf   int
@@ -87,9 +87,9 @@ func Register(fs *flag.FlagSet) *Flags {
 }
 
 // RuntimeFlags is the runtime flag group, registered once by
-// RegisterRuntime and shared by cmd/capserve and cmd/caprouter: the
-// process's own runtime and accept queue (a router's local fallback
-// tier) and the shutdown drain budget.
+// RegisterRuntime on cmd/capserve's flag set: the process's own runtime
+// and accept queue (a router's local fallback tier) and the shutdown
+// drain budget.
 type RuntimeFlags struct {
 	Contexts int
 	Queue    int
@@ -118,7 +118,7 @@ func (f *Flags) NewTracer() *captrace.Tracer {
 
 // NewRuntime builds one member's runtime: contexts contexts, the
 // death-rate throttle on, recording into a fresh tracer (its Tracer).
-// Every runtime either binary serves from is built here.
+// Every runtime capserve serves from is built here.
 func (f *Flags) NewRuntime(contexts int) (*capsule.Runtime, error) {
 	return capsule.NewValidated(capsule.Config{Contexts: contexts, Throttle: true, Tracer: f.NewTracer()})
 }

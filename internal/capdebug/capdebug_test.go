@@ -58,7 +58,7 @@ func lone(t *testing.T, dbg *Flags) fleet {
 	return fleet{srv, p.DebugMux(), []string{"capserve"}}
 }
 
-// routed is cmd/caprouter -spawn 2: each backend named by its host:port,
+// routed is capserve -spawn 2: each backend named by its host:port,
 // the router leading.
 func routed(t *testing.T, dbg *Flags) fleet {
 	p := newPlane(t, dbg)

@@ -15,7 +15,7 @@
 //     response (latency, trickle), so a router under test exercises
 //     exactly the code path a misbehaving network or peer would force;
 //   - Handler wraps any http.Handler — the backend side, matching the
-//     in-process capserve.Backend that caprouter -spawn boots. Faults
+//     in-process capserve.Backend that capserve -spawn boots. Faults
 //     fire inside the serving process, so admission, draining and
 //     header stamping all run before the fault lands.
 //

@@ -123,7 +123,7 @@ func (t *transport) roundTrip(req *http.Request, scope string) (*http.Response, 
 
 // Handler wraps next so requests consult the injector's rules inside
 // the serving process — the capserve.Backend side of the wire. name is
-// the backend identity rules are scoped by (caprouter uses the
+// the backend identity rules are scoped by (a router uses the
 // listener's host:port so one rule spec addresses a backend from either
 // side). Disarmed cost: one atomic pointer load.
 func (inj *Injector) Handler(name string, next http.Handler) http.Handler {

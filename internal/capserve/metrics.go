@@ -87,7 +87,7 @@ func (e *endpoint) inc(code int) {
 }
 
 // WriteMetrics renders the server's Prometheus exposition to w. It is
-// what /metrics serves, exported for embedders (caprouter mounts a Server
+// what /metrics serves, exported for embedders (a router mounts a Server
 // as its local fallback tier and publishes these series on its own
 // /metrics next to the caprouter_* ones).
 func (s *Server) WriteMetrics(w io.Writer) { s.writeMetrics(w) }
@@ -112,7 +112,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 	p.Gauge("capsule_grant_rate", "Fraction of probes granted (the paper's \"% divisions allowed\").", st.GrantRate())
 
 	// Headroom gauges: the instantaneous free capacity a routing tier
-	// (caprouter) treats as this backend's credits. Cumulative counters
+	// (capcluster) treats as this backend's credits. Cumulative counters
 	// tell an operator what happened; these two say what the server could
 	// absorb right now.
 	p.Gauge("capsule_free_contexts", "Currently unreserved context tokens (instantaneous division headroom).", float64(s.rt.FreeContexts()))

@@ -113,7 +113,7 @@ func TestRouterWatchCoversFleet(t *testing.T) {
 		s.SampleNow()
 	}
 
-	// The merged endpoint, as cmd/caprouter mounts it.
+	// The merged endpoint, as a routing cmd/capserve mounts it.
 	rec := httptest.NewRecorder()
 	Handler(all...).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/watch?window=1m", nil))
 	var reps []Report

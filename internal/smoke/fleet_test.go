@@ -37,7 +37,7 @@ func TestLoad(t *testing.T) {
 // router first and every backend, with finite burns, and the load
 // landed in the windows.
 func TestWatch(t *testing.T) {
-	r := start(t, "caprouter", "-spawn", "3", "-watch-interval", "500ms", "-slo-fast", "10s", "-slo-slow", "30s")
+	r := start(t, "capserve", "-spawn", "3", "-watch-interval", "500ms", "-slo-fast", "10s", "-slo-slow", "30s")
 	capload(t, "-url", r.URL, "-d", "5s", "-c", "8", "-n", "500")()
 	time.Sleep(time.Second) // one more tick, so the closing samples include the load
 	reps := decode[[]capwatch.Report](t, scope(t, nil, "top", "-window", "30s", "-once", "-json", r.URL))
@@ -72,7 +72,7 @@ func TestWatch(t *testing.T) {
 // rebuilds the waterfall and summarises the rings.
 func TestTrace(t *testing.T) {
 	// The default 4096-slot rings hold only milliseconds of spans under this load.
-	r := start(t, "caprouter", "-spawn", "2", "-trace", "-trace-sample", "4", "-trace-buf", "65536")
+	r := start(t, "capserve", "-spawn", "2", "-trace", "-trace-sample", "4", "-trace-buf", "65536")
 	rep := capload(t, "-url", r.URL, "-d", "5s", "-c", "8", "-n", "1000", "-trace", "8")()
 	kinds := map[captrace.Kind]bool{}
 	for _, e := range rep.TraceWaterfall {
@@ -104,7 +104,7 @@ func TestTrace(t *testing.T) {
 // backend, a partitioned one, one leaving and rejoining — with zero
 // failed client requests, then drains clean mid-partition.
 func TestChaos(t *testing.T) {
-	r := start(t, "caprouter", "-spawn", "3", "-fault", "-fault-seed", "7", "-debug-addr", "127.0.0.1:0")
+	r := start(t, "capserve", "-spawn", "3", "-fault", "-fault-seed", "7", "-debug-addr", "127.0.0.1:0")
 	v, faults := r.all(spawned), r.all(debugAddr)[0]+"/debug/fault"
 	if f := debug[struct{ Seed uint64 }](t, faults); f.Seed != 7 {
 		t.Errorf("fault seed %d, want 7", f.Seed)
@@ -150,7 +150,7 @@ func TestChaos(t *testing.T) {
 // clients see no error while the router falls back locally.
 func TestCluster(t *testing.T) {
 	bs, urls := capserves(t, "-contexts", "2", "-queue", "4")
-	r := start(t, "caprouter", "-queue", "64", "-backends", strings.Join(urls, ","))
+	r := start(t, "capserve", "-queue", "64", "-backends", strings.Join(urls, ","))
 	mix := []string{"-url", r.URL, "-d", "5s", "-n", "500", "-mix", "quicksort=4,dijkstra=2,lzw=1"}
 	capload(t, append(mix, "-c", "12")...)()
 	metrics(t, r.URL, append(perBackend("caprouter_backend_dispatches_total", urls), "caprouter_remote_granted_total")...)
@@ -175,7 +175,7 @@ func TestCluster(t *testing.T) {
 // renders them live and, after the drain, from disk.
 func TestIncident(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "bundles")
-	r := start(t, "caprouter", "-spawn", "3", "-fault", "-debug-addr", "127.0.0.1:0",
+	r := start(t, "capserve", "-spawn", "3", "-fault", "-debug-addr", "127.0.0.1:0",
 		"-watch-interval", "250ms", "-slo-p99", "50ms", "-slo-fast", "5s", "-slo-slow", "10s",
 		"-incident-dir", dir, "-incident-cooldown", "5s", "-incident-max", "4")
 	if !strings.Contains(r.log(), "incident recorders armed") {
@@ -230,7 +230,7 @@ func TestIncident(t *testing.T) {
 func TestRouterFailover(t *testing.T) {
 	bs, urls := capserves(t, "-contexts", "2", "-queue", "8")
 	fleet := strings.Join(urls, ",")
-	r1, r2 := start(t, "caprouter", "-backends", fleet), start(t, "caprouter", "-backends", fleet)
+	r1, r2 := start(t, "capserve", "-backends", fleet), start(t, "capserve", "-backends", fleet)
 	time.Sleep(3 * time.Second) // steady state: the push plane carries the fleet
 	for _, r := range []*proc{r1, r2} {
 		metrics(t, r.URL, perBackend("caprouter_backend_feed_deltas_total", urls)...)

@@ -1,10 +1,11 @@
 //go:build smoke
 
-// Package smoke runs capserve and caprouter as real processes, driven by
-// the capload and capscope binaries, for what only a process shows:
-// kill -9, the SIGTERM drain, two router replicas, bundles read after
-// exit, and flag wiring. Every server listens on 127.0.0.1:0 and is found
-// through its "listening on" line. Run with
+// Package smoke runs capserve — lone, and routing with -spawn or
+// -backends — as real processes, driven by the capload and capscope
+// binaries, for what only a process shows: kill -9, the SIGTERM drain,
+// two router replicas, bundles read after exit, and flag wiring. Every
+// server listens on 127.0.0.1:0 and is found through its "listening on"
+// line. Run with
 //
 //	go test -tags smoke ./internal/smoke
 package smoke
@@ -29,7 +30,7 @@ import (
 	"repro/internal/promtext"
 )
 
-// bin is the directory TestMain builds the four binaries into.
+// bin is the directory TestMain builds the three binaries into.
 var bin string
 
 func TestMain(m *testing.M) {
@@ -39,7 +40,7 @@ func TestMain(m *testing.M) {
 	}
 	bin = dir
 	build := exec.Command("go", "build", "-o", dir,
-		"repro/cmd/capserve", "repro/cmd/caprouter", "repro/cmd/capload", "repro/cmd/capscope")
+		"repro/cmd/capserve", "repro/cmd/capload", "repro/cmd/capscope")
 	build.Stdout, build.Stderr = os.Stderr, os.Stderr
 	code := 1
 	if build.Run() == nil {

@@ -155,7 +155,8 @@ func NewServer(cfg ServerConfig) (*Server, error) { return capserve.New(cfg) }
 // as remote contexts — remote probes are local credit checks, backend
 // failures are cluster-scope deaths feeding a circuit breaker, and
 // refusals degrade to the router's own Runtime and from there to
-// sequential (see internal/capcluster and cmd/caprouter).
+// sequential (see internal/capcluster, and cmd/capserve's -backends and
+// -spawn).
 type (
 	Router       = capcluster.Router
 	RouterConfig = capcluster.Config
