@@ -97,8 +97,16 @@ func exits(t *testing.T, want int, lines ...[]string) {
 func TestUsageErrors(t *testing.T) {
 	exits(t, 2, []string{"-nope"})
 	exits(t, 1, []string{"-contexts", "-1"},
-		[]string{"-contexts", "2000000000"}, // past capsule's ceiling: a flag error, not an OOM
-		[]string{"-addr", "127.0.0.1:0", "-spawn", "-1"})
+		[]string{"-contexts", "2000000000"}) // past capsule's ceiling: a flag error, not an OOM
+}
+
+// TestRouterUsageErrors: the usage errors of a routing capserve (the
+// retired caprouter's) fail before any backend is spawned.
+func TestRouterUsageErrors(t *testing.T) {
+	exits(t, 2, []string{"-spawn", "1", "-nope"})
+	exits(t, 1, []string{"-addr", "127.0.0.1:0", "-spawn", "-1"},
+		[]string{"-addr", "127.0.0.1:0", "-spawn", "1", "-contexts", "-1"},
+		[]string{"-addr", "127.0.0.1:0", "-spawn", "1", "-contexts", "2000000000"})
 }
 
 // TestFailedStartClosesRuntimes: a start that fails after building
