@@ -183,23 +183,23 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	// Without peers the member is the server, its bundles straight in
 	// -incident-dir. A router leads the plane, sees the fleet-level
-	// triggers, and serves every member's debug endpoints, its own first.
+	// triggers, and fronts srv's /run; srv serves everything else,
+	// every member's debug endpoints included.
 	var handler http.Handler = srv
-	var front interface{ SetDraining(bool) } = srv
-	mount, tiers, dir := srv.Mount, capdebug.Tiers{Runtime: rt, Server: srv}, o.IncidentDir
+	tiers, dir := capdebug.Tiers{Runtime: rt, Server: srv}, o.IncidentDir
 	var router *capcluster.Router
 	if routing {
 		if router, err = capcluster.New(capcluster.Config{Backends: urls, Local: srv, Transport: transport}); err != nil {
 			return fail(err)
 		}
-		handler, front, mount, tiers.Router, dir = router, router, router.Mount, router, filepath.Join(dir, name)
+		handler, tiers.Router, dir = router, router, filepath.Join(dir, name)
 	} else if wrap != nil {
 		handler = wrap(name, srv)
 	}
 	if _, err := plane.Add(name, rt.Tracer(), tiers, dir); err != nil {
 		return fail(err)
 	}
-	capdebug.Mount(mount, plane.Members...)
+	capdebug.Mount(srv.Mount, plane.Members...)
 	if err := plane.ServeDebug("capserve", stdout); err != nil {
 		return fail(err)
 	}
@@ -243,7 +243,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	fmt.Fprintln(stdout, "capserve: draining...")
-	front.SetDraining(true)
+	srv.SetDraining(true)
 	sctx, cancelDrain := context.WithTimeout(context.Background(), o.Drain)
 	defer cancelDrain()
 	clean := true

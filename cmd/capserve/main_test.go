@@ -97,7 +97,10 @@ func exits(t *testing.T, want int, lines ...[]string) {
 func TestUsageErrors(t *testing.T) {
 	exits(t, 2, []string{"-nope"})
 	exits(t, 1, []string{"-contexts", "-1"},
-		[]string{"-contexts", "2000000000"}) // past capsule's ceiling: a flag error, not an OOM
+		[]string{"-contexts", "2000000000"}, // past capsule's ceiling: a flag error, not an OOM
+		[]string{"-addr", "127.0.0.1:0", "-trace", "-trace-buf", "-1"},
+		[]string{"-trace", "-trace-buf", "2000000000"},          // past the trace ring's ceiling: 64 GiB per shard
+		[]string{"-trace", "-trace-buf", "4611686018427387905"}) // 2^62+1: the ring's rounding never ended
 }
 
 // TestRouterUsageErrors: the usage errors of a routing capserve (the
@@ -106,7 +109,9 @@ func TestRouterUsageErrors(t *testing.T) {
 	exits(t, 2, []string{"-spawn", "1", "-nope"})
 	exits(t, 1, []string{"-addr", "127.0.0.1:0", "-spawn", "-1"},
 		[]string{"-addr", "127.0.0.1:0", "-spawn", "1", "-contexts", "-1"},
-		[]string{"-addr", "127.0.0.1:0", "-spawn", "1", "-contexts", "2000000000"})
+		[]string{"-addr", "127.0.0.1:0", "-spawn", "1", "-contexts", "2000000000"},
+		// one backend listed twice would get two credit gauges
+		[]string{"-addr", "127.0.0.1:0", "-backends", "http://127.0.0.1:1,http://127.0.0.1:1"})
 }
 
 // TestFailedStartClosesRuntimes: a start that fails after building

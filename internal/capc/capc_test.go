@@ -42,24 +42,27 @@ func TestParseErrors(t *testing.T) {
 
 func TestSemaErrors(t *testing.T) {
 	cases := []string{
-		`func main() { return nope; }`,                 // undefined name
-		`func main() { nope(); }`,                      // undefined function
-		`func main() { break; }`,                       // break outside loop
-		`func main() { continue; }`,                    // continue outside loop
-		`func f() {} func main() { coworker f(); }`,    // coworker on non-worker
-		`worker w(a) {} func main() { coworker w(); }`, // arity mismatch
-		`worker w() {} func main() { coworker w(1); }`, // arity mismatch
-		`func main() { var x; var x; }`,                // duplicate local
-		`func f() {} func f() {} func main() {}`,       // duplicate func
-		`const X = 1; var X; func main() {}`,           // duplicate top-level
-		`func print(x) {} func main() {}`,              // builtin shadowing
-		`func main() { var y = print(1); }`,            // valueless in value ctx
-		`func main() { 3 = 4; }`,                       // bad lvalue
-		`const K = 2; func main() { K = 3; }`,          // assign to const
-		`var a[4]; func main() { a = 1; }`,             // assign to array name
-		`func main() { var l; var p = &l; }`,           // & of local
-		`func main(x) { var t = tcnt(1); }`,            // builtin arity
-		`func main() { coworker main(); }`,             // main is not a worker
+		`func main() { return nope; }`,                   // undefined name
+		`func main() { nope(); }`,                        // undefined function
+		`func main() { break; }`,                         // break outside loop
+		`func main() { continue; }`,                      // continue outside loop
+		`func f() {} func main() { coworker f(); }`,      // coworker on non-worker
+		`worker w(a) {} func main() { coworker w(); }`,   // arity mismatch
+		`worker w() {} func main() { coworker w(1); }`,   // arity mismatch
+		`func main() { var x; var x; }`,                  // duplicate local
+		`func f() {} func f() {} func main() {}`,         // duplicate func
+		`const X = 1; var X; func main() {}`,             // duplicate top-level
+		`func print(x) {} func main() {}`,                // builtin shadowing
+		`func main() { var y = print(1); }`,              // valueless in value ctx
+		`func main() { 3 = 4; }`,                         // bad lvalue
+		`const K = 2; func main() { K = 3; }`,            // assign to const
+		`var a[4]; func main() { a = 1; }`,               // assign to array name
+		`func main() { var l; var p = &l; }`,             // & of local
+		`func main(x) { var t = tcnt(1); }`,              // builtin arity
+		`func main() { coworker main(); }`,               // main is not a worker
+		`var a[100000000]; func main() {}`,               // array past the data segment
+		`var a[3000000]; var b[3000000]; func main() {}`, // globals past the data segment
+		`var a[0x2000000000000000]; func main() {}`,      // size*8 wrapped to a 0-byte array
 	}
 	for _, src := range cases {
 		if _, err := Compile("bad.capc", src); err == nil {

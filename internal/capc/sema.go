@@ -1,6 +1,16 @@
 package capc
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/prog"
+)
+
+// maxGlobalBytes is the room a program's globals have: the data segment
+// between prog.DataBase and prog.HeapBase, less a page for the runtime
+// unit's own words, which are linked in first. Past it the generated
+// assembly would be refused by the assembler.
+const maxGlobalBytes = int64(prog.HeapBase-prog.DataBase) - 4096
 
 // builtin describes a CapC builtin function. Builtins compile to inline
 // instruction sequences rather than calls (except alloc, which calls into
@@ -76,11 +86,16 @@ func Check(f *File) error {
 		}
 		c.consts[d.Name] = d.Value
 	}
+	var used int64 // bytes of data segment
 	for _, g := range f.Globals {
 		if err := c.declare(g.Name, g.Line); err != nil {
 			return err
 		}
 		c.globals[g.Name] = g
+		if int64(g.Words) > (maxGlobalBytes-used)/8 { // compared in words: g.Words*8 may overflow
+			return c.errf(g.Line, "global %q does not fit: the globals get %d bytes of data segment", g.Name, maxGlobalBytes)
+		}
+		used += int64(g.Words) * 8
 	}
 	for _, fn := range f.Funcs {
 		if err := c.declare(fn.Name, fn.Line); err != nil {

@@ -35,12 +35,15 @@
 // to the local tier only when every remote probe refused or failed —
 // which is how a killed backend redistributes with zero failed client
 // requests.
+//
+// The Router is only the /run front of its local capserve.Server: a
+// routing process's /healthz, /metrics, index and /debug/* endpoints are
+// that server's, so it has one drain switch, one exposition and one
+// mount point, exactly as a lone capserve does.
 package capcluster
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"sync/atomic"
@@ -140,26 +143,36 @@ func (cfg Config) Validate() error {
 	if cfg.Local == nil {
 		return fmt.Errorf("capcluster: Config.Local (the fallback capserve.Server) is required")
 	}
+	seen := map[string]bool{}
 	for _, b := range cfg.Backends {
 		u, err := url.Parse(b)
 		if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
 			return fmt.Errorf("capcluster: backend %q is not an http(s) base URL", b)
 		}
+		// A backend is named by its host:port: a second entry would keep a
+		// second credit gauge for the same capacity and a second copy of
+		// its labelled series.
+		if seen[u.Host] {
+			return fmt.Errorf("capcluster: backend %s is listed twice", u.Host)
+		}
+		seen[u.Host] = true
 	}
 	return nil
 }
 
-// Router is the cluster front end: an http.Handler serving the same
-// /run/{workload} API as capserve, with /healthz, /metrics and an index
-// at /. Build with New, mount anywhere; on shutdown call
-// SetDraining(true) before http.Server.Shutdown, exactly like capserve.
+// Router is the cluster front end: the /run/{workload} front of its
+// local capserve.Server. Every other path — /healthz, /metrics, the
+// index at /, the debug planes mounted with Local().Mount — goes to
+// that server, drained with Local().SetDraining; New adds the
+// caprouter_* and capcluster_* series to its /metrics. The one path the
+// router refuses (404) is the local server's credit feed: the local
+// tier's queue is not what this process offers the fleet.
 type Router struct {
 	backends []*Backend
 	local    *capserve.Server
 	client   *http.Client // dispatches and feed subscriptions: no client timeout, each attempt and each feed event is bounded on the clock
 	clock    *clock
 	mux      *http.ServeMux
-	draining atomic.Bool
 
 	tracer *captrace.Tracer // the local tier's: route spans and fallback runs share one ring set
 
@@ -177,13 +190,10 @@ type Router struct {
 	tierLocalRuntime atomic.Uint64 // local fallback, divisions offered
 	tierSequential   atomic.Uint64 // local fallback, degraded to sequential
 	clientFaults     atomic.Uint64 // 4xx from a backend or the local tier
-
-	// extraMetrics are appended to /metrics after the router's own
-	// series (AddMetrics) — capwatch's hook into the exposition.
-	extraMetrics []func(io.Writer)
 }
 
-// New builds a Router from cfg.
+// New builds a Router from cfg and adds its series to cfg.Local's
+// /metrics. Build it before Local starts serving.
 func New(cfg Config) (*Router, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -203,10 +213,10 @@ func New(cfg Config) (*Router, error) {
 		u, _ := url.Parse(base) // validated above
 		r.backends = append(r.backends, newBackend(base, u.Host, i, r.clock))
 	}
-	r.mux.HandleFunc("GET /healthz", r.handleHealthz)
-	r.mux.HandleFunc("GET /metrics", r.handleMetrics)
 	r.mux.HandleFunc("GET /run/{workload}", r.handleRun)
-	r.mux.HandleFunc("GET /{$}", r.handleIndex)
+	r.mux.Handle("GET "+capserve.CreditsPath, http.NotFoundHandler())
+	r.mux.Handle("/", cfg.Local)
+	cfg.Local.AddMetrics(r.writeMetrics)
 	return r, nil
 }
 
@@ -216,44 +226,9 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) { r.mux.Ser
 // Backends returns the fleet in configuration order.
 func (r *Router) Backends() []*Backend { return r.backends }
 
-// Local returns the fallback tier.
+// Local returns the fallback tier: the server that answers everything
+// but /run, and so the one to drain (SetDraining) and mount on.
 func (r *Router) Local() *capserve.Server { return r.local }
-
-// SetDraining flips /healthz to 503 so balancers stop routing here
-// before shutdown cuts the listener. Draining never refuses an admitted
-// request — same contract as capserve.
-func (r *Router) SetDraining(v bool) { r.draining.Store(v) }
-
-func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
-	if r.draining.Load() {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
-}
-
-func (r *Router) handleIndex(w http.ResponseWriter, req *http.Request) {
-	type backendInfo struct {
-		URL      string `json:"url"`
-		Credits  int    `json:"credits"`
-		Inflight int    `json:"inflight"`
-		Broken   bool   `json:"broken"`
-	}
-	infos := make([]backendInfo, len(r.backends))
-	for i, b := range r.backends {
-		infos[i] = backendInfo{URL: b.url, Credits: b.Credits(), Inflight: b.Inflight(), Broken: b.Broken()}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
-		"backends": infos,
-		"local": map[string]any{
-			"contexts":    r.local.Runtime().Contexts(),
-			"queue_depth": r.local.QueueDepth(),
-		},
-		"endpoints": []string{"/run/{workload}?n=&seed=", "/healthz", "/metrics"},
-	})
-}
 
 // leastLoaded picks the backend a request probes first: the one with the
 // widest credits-minus-inflight gap — the cluster analogue of granting

@@ -117,7 +117,12 @@ func TestConfigValidate(t *testing.T) {
 	if err := (Config{Local: local, Backends: []string{"ftp://x"}}).Validate(); err == nil {
 		t.Fatal("non-http backend URL accepted")
 	}
-	if err := (Config{Local: local, Backends: []string{"http://127.0.0.1:1"}}).Validate(); err != nil {
+	// A backend is named by its host:port; listing it twice would give
+	// it two credit gauges and two copies of its labelled series.
+	if err := (Config{Local: local, Backends: []string{"http://127.0.0.1:1", "https://127.0.0.1:1/"}}).Validate(); err == nil {
+		t.Fatal("backend listed twice accepted")
+	}
+	if err := (Config{Local: local, Backends: []string{"http://127.0.0.1:1", "http://127.0.0.1:2"}}).Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 }
@@ -609,27 +614,30 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestRouterHealthzAndIndex covers the operational endpoints.
+// TestRouterHealthzAndIndex: everything but /run is the local server's.
+// Its drain switch flips the router's /healthz and its index answers /;
+// its credit feed is the one path the router refuses, since the local
+// tier's queue is not what the router offers the fleet.
 func TestRouterHealthzAndIndex(t *testing.T) {
 	b := startBackend(t, 2, 8)
 	r, ts := newRouter(t, Config{Backends: []string{b.URL}})
 	if resp, _ := get(t, ts.URL+"/healthz"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz = %d", resp.StatusCode)
 	}
-	r.SetDraining(true)
+	r.Local().SetDraining(true)
 	if resp, _ := get(t, ts.URL+"/healthz"); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining healthz = %d, want 503", resp.StatusCode)
 	}
-	r.SetDraining(false)
+	r.Local().SetDraining(false)
+
+	if resp, _ := get(t, ts.URL+capserve.CreditsPath); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("%s = %d, want 404", capserve.CreditsPath, resp.StatusCode)
+	}
 
 	var idx struct {
-		Backends []struct {
-			URL     string `json:"url"`
-			Credits int    `json:"credits"`
-		} `json:"backends"`
-		Local struct {
-			Contexts int `json:"contexts"`
-		} `json:"local"`
+		Workloads []string `json:"workloads"`
+		Contexts  int      `json:"contexts"`
+		Queue     int      `json:"queue_depth"`
 	}
 	resp, body := get(t, ts.URL+"/")
 	if resp.StatusCode != http.StatusOK {
@@ -638,7 +646,7 @@ func TestRouterHealthzAndIndex(t *testing.T) {
 	if err := json.Unmarshal(body, &idx); err != nil {
 		t.Fatalf("index body %q: %v", body, err)
 	}
-	if len(idx.Backends) != 1 || idx.Local.Contexts != 2 {
-		t.Fatalf("index = %+v", idx)
+	if len(idx.Workloads) == 0 || idx.Contexts != 2 || idx.Queue != r.Local().QueueDepth() {
+		t.Fatalf("index = %+v, want the local server's", idx)
 	}
 }

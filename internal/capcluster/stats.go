@@ -3,7 +3,6 @@ package capcluster
 import (
 	"fmt"
 	"io"
-	"net/http"
 	"strconv"
 	"time"
 
@@ -145,15 +144,11 @@ func (r *Router) Stats() Stats {
 	return s
 }
 
-func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	r.writeMetrics(w)
-}
-
-// writeMetrics renders the router's caprouter_* series from one Stats
-// and one BackendStats per backend, followed by the local fallback
-// tier's full capserve exposition — one scrape shows the whole
-// degradation ladder: remote credits, local contexts, sequential runs.
+// writeMetrics renders the router's caprouter_* and capcluster_* series
+// from one Stats and one BackendStats per backend. New adds it to the
+// local tier's /metrics, after that tier's capsule_* and capserve_*
+// series — one scrape shows the whole degradation ladder: remote
+// credits, local contexts, sequential runs.
 func (r *Router) writeMetrics(w io.Writer) {
 	s := r.Stats()
 	bs := make([]BackendStats, len(r.backends))
@@ -226,15 +221,6 @@ func (r *Router) writeMetrics(w io.Writer) {
 	bi := buildinfo.Get()
 	p.Family("caprouter_build_info", "gauge", "Build metadata; the value is always 1.")
 	p.Count("caprouter_build_info", 1, "version", bi.Version, "go", bi.Go, "gomaxprocs", strconv.Itoa(bi.MaxProcs))
-
-	// The local tier's own exposition (capsule_* and capserve_* series):
-	// the same names a standalone capserve exports, because that is
-	// exactly what the fallback tier is.
-	r.local.WriteMetrics(w)
-
-	for _, f := range r.extraMetrics {
-		f(w)
-	}
 }
 
 // one is a flag as a 0/1 gauge value.

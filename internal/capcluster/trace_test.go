@@ -252,13 +252,13 @@ func TestSampledOutNotPropagated(t *testing.T) {
 	}
 }
 
-// TestRouterDebugTrace: the router's tracer, mounted on its mux, serves
-// an array of one snapshot under the router's name; an untraced router
-// mounts nothing and 404s.
+// TestRouterDebugTrace: the router's tracer, mounted on its local
+// server, serves through the router an array of one snapshot under the
+// router's name; an untraced router mounts nothing and 404s.
 func TestRouterDebugTrace(t *testing.T) {
 	tr := captrace.New(1, 64).SampleEvery(1)
 	r, ts := newRouter(t, Config{Local: tracedLocal(t, tr)})
-	r.Mount("GET /debug/trace", captrace.Handler(captrace.Source{Name: "edge-1", Tracer: tr}))
+	r.Local().Mount("GET /debug/trace", captrace.Handler(captrace.Source{Name: "edge-1", Tracer: tr}))
 	get(t, ts.URL+"/run/quicksort?n=200&seed=1")
 
 	var snaps []captrace.Snapshot
@@ -300,7 +300,7 @@ func TestRouterDebugTraceMergesLocals(t *testing.T) {
 
 	routerTracer := captrace.New(1, 256)
 	r, ts := newRouter(t, Config{Backends: []string{b.URL}, Local: tracedLocal(t, routerTracer)})
-	r.Mount("GET /debug/trace", captrace.Handler(
+	r.Local().Mount("GET /debug/trace", captrace.Handler(
 		captrace.Source{Name: "caprouter", Tracer: routerTracer},
 		captrace.Source{Name: backend, Tracer: backendTracer},
 	))

@@ -44,6 +44,10 @@ import (
 	"repro/internal/capwatch"
 )
 
+// maxTraceBuf is captrace's ring ceiling (32 MiB of slots per shard):
+// a larger -trace-buf is a typo that would exhaust memory at startup.
+const maxTraceBuf = 1 << 20
+
 // Flags is the debug flag group, registered once by Register on
 // cmd/capserve's flag set.
 type Flags struct {
@@ -132,6 +136,9 @@ func (f *Flags) NewPlane() (*Plane, error) {
 	if f.TraceEvery < 0 {
 		return nil, fmt.Errorf("-trace-sample must be >= 0 (0 means %d), got %d", captrace.DefaultSample, f.TraceEvery)
 	}
+	if f.TraceBuf < 0 || f.TraceBuf > maxTraceBuf {
+		return nil, fmt.Errorf("-trace-buf must be in [0, %d] (0 means %d), got %d", maxTraceBuf, captrace.DefaultPerShard, f.TraceBuf)
+	}
 	p := &Plane{flags: f}
 	if f.Fault {
 		p.Fault = capfault.New(f.FaultSeed)
@@ -139,22 +146,13 @@ func (f *Flags) NewPlane() (*Plane, error) {
 	return p, nil
 }
 
-// Tiers is what a member observes: a runtime always, a serving tier and
-// a router when it has them. A member with a Router is a router.
+// Tiers is what a member observes: a runtime and a serving tier always,
+// a router (over Server) when it has one. A member with a Router is a
+// router.
 type Tiers struct {
 	Runtime *capsule.Runtime
 	Server  *capserve.Server
 	Router  *capcluster.Router
-}
-
-// addMetrics wires an exposition writer into the member's /metrics:
-// the router's when it is one, else the server's.
-func (t Tiers) addMetrics(f func(io.Writer)) {
-	if t.Router != nil {
-		t.Router.AddMetrics(f)
-		return
-	}
-	t.Server.AddMetrics(f)
 }
 
 // Member is one process-resident server on the plane. Sampler is nil
@@ -176,7 +174,7 @@ type Plane struct {
 
 // Add builds a member named name over tiers and adds it to the plane:
 // its sampler (started, recording incidents into dir with
-// -incident-dir), wired into the member's /metrics. Members keep the
+// -incident-dir), wired into its server's /metrics. Members keep the
 // order they were added in, except that a router member leads.
 func (p *Plane) Add(name string, tr *captrace.Tracer, t Tiers, dir string) (*Member, error) {
 	f := p.flags
@@ -200,7 +198,7 @@ func (p *Plane) Add(name string, tr *captrace.Tracer, t Tiers, dir string) (*Mem
 		if err != nil {
 			return nil, fmt.Errorf("%s sampler: %w", name, err)
 		}
-		t.addMetrics(s.WriteMetrics)
+		t.Server.AddMetrics(s.WriteMetrics)
 		s.Start()
 		m.Sampler = s
 	}
@@ -213,9 +211,10 @@ func (p *Plane) Add(name string, tr *captrace.Tracer, t Tiers, dir string) (*Mem
 }
 
 // Mount registers the three fleet endpoints over members with mount
-// (a server's or router's Mount, a ServeMux's Handle), in member order.
-// An endpoint whose plane is off for every member is not mounted, so it
-// answers 404.
+// (a server's Mount or a ServeMux's Handle), in member order. A routing
+// process mounts on its router's local server, which answers every path
+// but /run through the router too. An endpoint whose plane is off for
+// every member is not mounted, so it answers 404.
 func Mount(mount func(pattern string, h http.Handler), members ...*Member) {
 	var traces []captrace.Source
 	var samplers []*capwatch.Sampler

@@ -92,7 +92,7 @@ func routed(t *testing.T, dbg *Flags) fleet {
 		t.Fatal(err)
 	}
 	add(t, p, "caprouter", Tiers{Runtime: rt, Server: local, Router: router}, filepath.Join(dbg.IncidentDir, "caprouter"))
-	Mount(router.Mount, p.Members...)
+	Mount(local.Mount, p.Members...)
 	return fleet{router, p.DebugMux(), names}
 }
 

@@ -122,8 +122,9 @@ type Server struct {
 	notFound atomic.Uint64
 
 	// extraMetrics are appended to /metrics after the server's own
-	// series (AddMetrics) — how capwatch's capwatch_* series join the
-	// exposition without capserve importing the sampler.
+	// series (AddMetrics) — how a router's caprouter_* series and
+	// capwatch's capwatch_* series join the exposition without capserve
+	// importing either.
 	extraMetrics []func(io.Writer)
 }
 

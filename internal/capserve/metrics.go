@@ -86,15 +86,9 @@ func (e *endpoint) inc(code int) {
 	e.byCode[4].Add(1)
 }
 
-// WriteMetrics renders the server's Prometheus exposition to w. It is
-// what /metrics serves, exported for embedders (a router mounts a Server
-// as its local fallback tier and publishes these series on its own
-// /metrics next to the caprouter_* ones).
-func (s *Server) WriteMetrics(w io.Writer) { s.writeMetrics(w) }
-
 // writeMetrics renders the full exposition: the shared runtime's Stats
-// (the paper's counters, now serving observables) followed by the
-// per-endpoint serving counters and latency histograms.
+// (the paper's counters, now serving observables), the per-endpoint
+// serving counters and latency histograms, then every AddMetrics writer.
 func (s *Server) writeMetrics(w io.Writer) {
 	st := s.rt.Stats()
 	p := promtext.NewWriter(w)

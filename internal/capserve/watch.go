@@ -84,9 +84,11 @@ func (s *Server) QueueOccupancy() int { return len(s.queue) }
 func (s *Server) ShedCount() uint64 { return s.shed.Load() }
 
 // Mount registers an additional handler on the server's mux — the hook
-// the debug plane (internal/capdebug) uses to put /debug/trace, /debug/watch
-// and /debug/incident on the same listener. Call before the server starts serving;
-// the mux is not synchronized against in-flight requests.
+// the debug plane (internal/capdebug) uses to put /debug/trace,
+// /debug/watch and /debug/incident on the same listener, which a router
+// over this server (capcluster) serves too. Call before the server
+// starts serving; the mux is not synchronized against in-flight
+// requests.
 func (s *Server) Mount(pattern string, h http.Handler) { s.mux.Handle(pattern, h) }
 
 // AddMetrics appends an extra exposition writer to /metrics, emitted

@@ -242,21 +242,35 @@ const DefaultSample = 64
 // several hundred requests per shard before overwrite.
 const DefaultPerShard = 4096
 
+// maxPerShard bounds the per-shard ring capacity: 32 MiB of slots, 256
+// times the default. A larger -trace-buf is a typo that would exhaust
+// memory at startup (capdebug refuses it), and past 2^62 the doubling
+// in ringSize would overflow to 0 and never end.
+const maxPerShard = 1 << 20
+
+// ringSize is the ring capacity New gives a perShard request: the next
+// power of two, DefaultPerShard for a non-positive request, at most
+// maxPerShard.
+func ringSize(perShard int) int {
+	if perShard <= 0 {
+		return DefaultPerShard
+	}
+	size := 1
+	for size < perShard && size < maxPerShard {
+		size <<= 1
+	}
+	return size
+}
+
 // New builds a Tracer with shards cache-line-padded rings of perShard
-// slots each (rounded up to a power of two; non-positive means
-// DefaultPerShard). Non-positive shards means one per GOMAXPROCS at
-// call time. Total memory is shards × perShard × 32 bytes.
+// slots each (rounded up to a power of two, at most 1<<20; non-positive
+// means DefaultPerShard). Non-positive shards means one per GOMAXPROCS
+// at call time. Total memory is shards × perShard × 32 bytes.
 func New(shards, perShard int) *Tracer {
 	if shards <= 0 {
 		shards = defaultShards()
 	}
-	if perShard <= 0 {
-		perShard = DefaultPerShard
-	}
-	size := 1
-	for size < perShard {
-		size <<= 1
-	}
+	size := ringSize(perShard)
 	t := &Tracer{
 		shards: make([]traceShard, shards),
 		mask:   uint64(size - 1),

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -144,6 +145,28 @@ func TestSnapshotOrderingAndCap(t *testing.T) {
 	for _, ev := range capped.Events {
 		if ev.Source != "unit" {
 			t.Fatalf("event source = %q, want unit", ev.Source)
+		}
+	}
+}
+
+// TestRingSizeCeiling: a ring request rounds up to a power of two and
+// stops at the ceiling, however large — past 2^62 the doubling used to
+// overflow to 0 and spin forever.
+func TestRingSizeCeiling(t *testing.T) {
+	for _, tc := range []struct{ in, want int }{
+		{-1, DefaultPerShard},
+		{0, DefaultPerShard},
+		{1, 1},
+		{5, 8},
+		{65536, 65536},
+		{maxPerShard, maxPerShard},
+		{maxPerShard + 1, maxPerShard},
+		{2_000_000_000, maxPerShard},
+		{1<<62 + 1, maxPerShard},
+		{math.MaxInt, maxPerShard},
+	} {
+		if got := ringSize(tc.in); got != tc.want {
+			t.Errorf("ringSize(%d) = %d, want %d", tc.in, got, tc.want)
 		}
 	}
 }

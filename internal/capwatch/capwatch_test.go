@@ -154,6 +154,11 @@ func TestDeltaMonotonicity(t *testing.T) {
 			}
 		}()
 	}
+	// Sample only once the storm is probing: on a loaded machine its
+	// goroutines can otherwise miss all 200 samples.
+	for rt.Stats().Probes == 0 {
+		runtime.Gosched()
+	}
 	for i := 0; i < 200; i++ {
 		s.SampleNow()
 		runtime.Gosched() // on one P the storm and the sampler take turns

@@ -44,8 +44,8 @@ func Handler(samplers ...*Sampler) http.Handler {
 // WriteMetrics emits the sampler's capwatch_* series — the burn rates
 // and window aggregates as scrapeable gauges — and, with an IncidentDir,
 // the recorder's capscope_* series. Wire it into a server's
-// exposition with (*capserve.Server).AddMetrics or
-// (*capcluster.Router).AddMetrics. The burn windows are evaluated at
+// exposition with (*capserve.Server).AddMetrics — a router's local
+// server for a router. The burn windows are evaluated at
 // scrape time against the ring, so a scrape costs two window walks and
 // no locks beyond the sampler's read-lock.
 func (s *Sampler) WriteMetrics(w io.Writer) {

@@ -163,5 +163,7 @@ type (
 )
 
 // NewRouter builds the cluster front end. The returned Router implements
-// http.Handler and serves the same /run/{workload} API as a Server.
+// http.Handler: it serves /run/{workload} and hands every other path to
+// cfg.Local, so /healthz, /metrics, / and /debug/* are the local
+// Server's (drain and mount on it, not on the router).
 func NewRouter(cfg RouterConfig) (*Router, error) { return capcluster.New(cfg) }
