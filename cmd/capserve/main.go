@@ -22,11 +22,15 @@
 // endpoints answer a JSON array, lead member first: "capserve", or
 // "caprouter" and then each spawned backend as its host:port.
 //
-// Shutdown is graceful: SIGINT/SIGTERM flips /healthz to 503, stops the
-// listener, lets in-flight requests finish (up to -drain), drains the
-// spawned backends the same way, closes every runtime and prints the
-// final statistics. The exit status is 0 after a clean drain, 1 on a bad
-// configuration or a drain that ran out of time, 2 on a bad flag.
+// Every member — this server and each spawned backend — is a
+// capserve.Backend, served and drained one way. Shutdown is graceful:
+// SIGINT/SIGTERM drains the lead, then each spawned backend: /healthz
+// flips to 503, the listener stops, in-flight requests finish (up to
+// -drain in all) and a connection that never sent a byte is closed at
+// once. Then every runtime closes, except one whose member's drain ran
+// out of time, and the final statistics are printed. The exit status is
+// 0 after a clean drain, 1 on a bad configuration, a failed serving loop
+// or a drain that ran out of time, 2 on a bad flag.
 package main
 
 import (
@@ -36,7 +40,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -103,30 +106,32 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	defer cancel()
 
 	// Every runtime run builds is closed on every return path: shut
-	// drains each spawned backend within ctx and closes its runtime, then
-	// the process's own if clean. A runtime whose drain ran out of time
-	// stays open: closing it would block on its in-flight divisions.
-	var rt *capsule.Runtime
-	var spawned []*capserve.Backend
-	shut := func(ctx context.Context, clean bool) bool {
-		for i, b := range spawned {
-			if err := b.Close(ctx); err != nil {
-				fmt.Fprintf(stderr, "capserve: backend %d drain: %v\n", i, err)
-				clean = false
-				continue
+	// drains each member, the lead first (healthz 503, then Shutdown
+	// within ctx), then closes every runtime. A member whose drain ran
+	// out of time keeps its runtime open: closing it would block on its
+	// in-flight divisions.
+	var runtimes []*capsule.Runtime
+	var members []*capserve.Backend
+	shut := func(ctx context.Context) bool {
+		busy := map[*capsule.Runtime]bool{}
+		for _, m := range members {
+			if err := m.Close(ctx); err != nil {
+				fmt.Fprintf(stderr, "capserve: %s drain: %v (skipping runtime close)\n", strings.TrimPrefix(m.URL, "http://"), err)
+				busy[m.Server.Runtime()] = true
 			}
-			b.Runtime().Close()
 		}
-		if clean && rt != nil {
-			rt.Close()
+		for _, rt := range runtimes {
+			if !busy[rt] {
+				rt.Close()
+			}
 		}
-		return clean
+		return len(busy) == 0
 	}
 	fail := func(err error) int {
 		fmt.Fprintf(stderr, "capserve: %v\n", err)
 		dctx, cancel := context.WithTimeout(context.Background(), o.Drain)
 		defer cancel()
-		shut(dctx, true)
+		shut(dctx)
 		return 1
 	}
 	if o.spawn < 0 {
@@ -156,14 +161,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(fmt.Errorf("spawn backend %d: %w", i, err))
 		}
+		runtimes = append(runtimes, brt)
 		b, err := capserve.StartBackendOn(capserve.Config{Runtime: brt}, "127.0.0.1:0", wrap)
 		if err != nil {
-			brt.Close()
 			return fail(fmt.Errorf("spawn backend %d: %w", i, err))
 		}
-		spawned = append(spawned, b)
+		members = append(members, b)
 		bname := strings.TrimPrefix(b.URL, "http://")
-		m, err := plane.Add(bname, brt.Tracer(), capdebug.Tiers{Runtime: brt, Server: b.Server}, filepath.Join(o.IncidentDir, bname))
+		m, err := plane.Add(bname, capdebug.Tiers{Server: b.Server}, filepath.Join(o.IncidentDir, bname))
 		if err != nil {
 			return fail(fmt.Errorf("spawn backend %d: %w", i, err))
 		}
@@ -174,9 +179,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	// The router traces into its local tier's runtime tracer, so a
 	// degraded request's route and runtime events land in one ring set.
-	if rt, err = o.NewRuntime(o.Contexts); err != nil {
+	rt, err := o.NewRuntime(o.Contexts)
+	if err != nil {
 		return fail(err)
 	}
+	runtimes = append(runtimes, rt)
 	srv, err := capserve.New(capserve.Config{Runtime: rt, QueueDepth: o.Queue})
 	if err != nil {
 		return fail(err)
@@ -185,18 +192,19 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	// -incident-dir. A router leads the plane, sees the fleet-level
 	// triggers, and fronts srv's /run; srv serves everything else,
 	// every member's debug endpoints included.
-	var handler http.Handler = srv
-	tiers, dir := capdebug.Tiers{Runtime: rt, Server: srv}, o.IncidentDir
+	var front func(string, http.Handler) http.Handler
+	tiers, dir := capdebug.Tiers{Server: srv}, o.IncidentDir
 	var router *capcluster.Router
 	if routing {
 		if router, err = capcluster.New(capcluster.Config{Backends: urls, Local: srv, Transport: transport}); err != nil {
 			return fail(err)
 		}
-		handler, tiers.Router, dir = router, router, filepath.Join(dir, name)
+		front = func(string, http.Handler) http.Handler { return router }
+		tiers, dir = capdebug.Tiers{Router: router}, filepath.Join(dir, name)
 	} else if wrap != nil {
-		handler = wrap(name, srv)
+		front = func(_ string, h http.Handler) http.Handler { return wrap(name, h) }
 	}
-	if _, err := plane.Add(name, rt.Tracer(), tiers, dir); err != nil {
+	if _, err := plane.Add(name, tiers, dir); err != nil {
 		return fail(err)
 	}
 	capdebug.Mount(srv.Mount, plane.Members...)
@@ -227,31 +235,19 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	ln, err := net.Listen("tcp", o.addr)
+	lead, err := capserve.Serve(srv, o.addr, front)
 	if err != nil {
 		return fail(err)
 	}
-	hs := &http.Server{Handler: handler}
+	members = append([]*capserve.Backend{lead}, members...)
 	fmt.Fprintf(stdout, "capserve: listening on %s (contexts=%d queue=%d backends=%d trace=%v)\n",
-		ln.Addr(), rt.Contexts(), srv.QueueDepth(), len(urls), o.Trace)
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return fail(err)
-	case <-ctx.Done():
-	}
+		strings.TrimPrefix(lead.URL, "http://"), rt.Contexts(), srv.QueueDepth(), len(urls), o.Trace)
+	<-ctx.Done()
 
 	fmt.Fprintln(stdout, "capserve: draining...")
-	srv.SetDraining(true)
 	sctx, cancelDrain := context.WithTimeout(context.Background(), o.Drain)
 	defer cancelDrain()
-	clean := true
-	if err := hs.Shutdown(sctx); err != nil {
-		fmt.Fprintf(stderr, "capserve: shutdown: %v (skipping runtime close)\n", err)
-		clean = false
-	}
-	clean = shut(sctx, clean)
+	clean := shut(sctx)
 	if !routing {
 		fmt.Fprintf(stdout, "capserve: final stats: %s\n", rt.Stats())
 	} else {

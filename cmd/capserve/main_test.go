@@ -175,6 +175,38 @@ func TestSpawnServesRemotely(t *testing.T) {
 	}
 }
 
+// TestDrainClosesSilentConn: a connection that was dialed but never
+// sent a byte carries no request, so the drain closes it at once instead
+// of waiting out net/http's 5 s new-connection grace past -drain. The
+// lead drains like every spawned backend.
+func TestDrainClosesSilentConn(t *testing.T) {
+	for name, args := range map[string][]string{"lone": nil, "spawn": {"-spawn", "1"}} {
+		t.Run(name, func(t *testing.T) {
+			before := parkedWorkers()
+			s := start(t, append([]string{"-addr", "127.0.0.1:0", "-contexts", "2", "-drain", "1s"}, args...)...)
+			silent, err := net.Dial("tcp", strings.TrimPrefix(s.url, "http://"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer silent.Close()
+			// The listener accepts in order, so once a later connection
+			// has been served the silent one has been accepted too.
+			client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+			resp, err := client.Get(s.url + "/healthz")
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if code := s.stop(); code != 0 {
+				t.Fatalf("exit %d with a silent connection open, want 0:\n%s", code, s.out)
+			}
+			if n := parkedWorkers() - before; n != 0 {
+				t.Errorf("%d capsule workers still parked after run returned, want 0", n)
+			}
+		})
+	}
+}
+
 // TestDrainTimeoutExits1 holds a request in flight past -drain: a
 // capfault blackhole stalls it until its client hangs up. A drain that
 // did not finish must fail the exit status.

@@ -172,3 +172,18 @@ func TestExpressionDepthLimit(t *testing.T) {
 		t.Skip("depth accepted (codegen kept depth shallow); acceptable")
 	}
 }
+
+// TestNumberOverflow: a literal past 64 bits is a positioned error, not a
+// silent wrap — a decimal one past math.MaxInt64, a hex one past 64
+// significant bits.
+func TestNumberOverflow(t *testing.T) {
+	for _, lit := range []string{"99999999999999999999", "9223372036854775808", "0x10000000000000000", "0x0FFFFFFFFFFFFFFFFF0"} {
+		_, err := Compile("big.capc", "func main() {\n\tvar x = "+lit+";\n}\n")
+		if err == nil || !strings.Contains(err.Error(), "big.capc:2: number "+lit+" out of range") {
+			t.Errorf("%s: err = %v, want a range error at big.capc:2", lit, err)
+		}
+	}
+	for _, lit := range []string{"9223372036854775807", "0xFFFFFFFFFFFFFFFF", "0x0000000000000000001"} {
+		mustCompile(t, "func main() { var x = "+lit+"; }")
+	}
+}

@@ -1,6 +1,9 @@
 package capc
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // tokKind enumerates CapC token kinds.
 type tokKind uint8
@@ -182,27 +185,34 @@ lexed:
 		}
 		return token{kind: tokIdent, text: text, line: line}, nil
 	case isDigit(c):
-		base := int64(10)
+		base, lit := uint64(10), start
 		if c == '0' && lx.pos+1 < len(lx.src) && (lx.src[lx.pos+1] == 'x' || lx.src[lx.pos+1] == 'X') {
 			base = 16
 			lx.pos += 2
 			start = lx.pos
 		}
-		var v int64
-		digits := 0
+		// A decimal literal is at most math.MaxInt64; a hex literal may
+		// use all 64 bits and reads as two's complement (0xFF…FF is -1).
+		limit := uint64(math.MaxInt64)
+		if base == 16 {
+			limit = math.MaxUint64
+		}
+		var v uint64
+		digits, overflow := 0, false
 		for lx.pos < len(lx.src) {
 			d := lx.src[lx.pos]
-			var dv int64
+			var dv uint64
 			switch {
 			case isDigit(d):
-				dv = int64(d - '0')
+				dv = uint64(d - '0')
 			case base == 16 && d >= 'a' && d <= 'f':
-				dv = int64(d-'a') + 10
+				dv = uint64(d-'a') + 10
 			case base == 16 && d >= 'A' && d <= 'F':
-				dv = int64(d-'A') + 10
+				dv = uint64(d-'A') + 10
 			default:
 				goto numDone
 			}
+			overflow = overflow || v > (limit-dv)/base
 			v = v*base + dv
 			digits++
 			lx.pos++
@@ -211,7 +221,10 @@ lexed:
 		if digits == 0 {
 			return token{}, lx.errf(line, "malformed number")
 		}
-		return token{kind: tokNumber, text: lx.src[start:lx.pos], val: v, line: line}, nil
+		if overflow {
+			return token{}, lx.errf(line, "number %s out of range", lx.src[lit:lx.pos])
+		}
+		return token{kind: tokNumber, text: lx.src[start:lx.pos], val: int64(v), line: line}, nil
 	case c == '\'':
 		lx.pos++
 		if lx.pos >= len(lx.src) {

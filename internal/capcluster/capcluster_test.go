@@ -22,13 +22,20 @@ import (
 // newLocal builds the fallback tier every router needs.
 func newLocal(t *testing.T, contexts, queue int) *capserve.Server {
 	t.Helper()
-	rt := capsule.New(capsule.Config{Contexts: contexts, Throttle: true})
-	t.Cleanup(rt.Close)
-	s, err := capserve.New(capserve.Config{Runtime: rt, QueueDepth: queue})
+	s, err := capserve.New(capserve.Config{Runtime: newRuntime(t, capsule.Config{Contexts: contexts, Throttle: true}), QueueDepth: queue})
 	if err != nil {
 		t.Fatalf("capserve.New: %v", err)
 	}
 	return s
+}
+
+// newRuntime builds a runtime the test closes at cleanup, after every
+// backend drain registered later: a Backend closes no runtime.
+func newRuntime(t *testing.T, cfg capsule.Config) *capsule.Runtime {
+	t.Helper()
+	rt := capsule.New(cfg)
+	t.Cleanup(rt.Close)
+	return rt
 }
 
 // startBackend boots a real in-process capserve backend and tears it
@@ -36,16 +43,13 @@ func newLocal(t *testing.T, contexts, queue int) *capserve.Server {
 func startBackend(t *testing.T, contexts, queue int) *capserve.Backend {
 	t.Helper()
 	b, err := capserve.StartBackendOn(capserve.Config{
-		Runtime:    capsule.New(capsule.Config{Contexts: contexts, Throttle: true}),
+		Runtime:    newRuntime(t, capsule.Config{Contexts: contexts, Throttle: true}),
 		QueueDepth: queue,
 	}, "127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatalf("StartBackendOn: %v", err)
 	}
-	t.Cleanup(func() {
-		drain(t, b)
-		b.Runtime().Close()
-	})
+	t.Cleanup(func() { drain(t, b) })
 	return b
 }
 
@@ -555,7 +559,7 @@ func TestKilledBackendRedistributes(t *testing.T) {
 	if redistributed == 0 {
 		t.Fatal("survivors served nothing after the kill")
 	}
-	backends[0].Runtime().Close()
+	backends[0].Server.Runtime().Close()
 }
 
 var metricLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? (NaN|[-+]?[0-9]*\.?[0-9]+([eE][-+]?[0-9]+)?)$`)

@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/capfault"
 	"repro/internal/capserve"
+	"repro/internal/capsule"
 	"repro/internal/httptune"
 )
 
@@ -77,11 +78,13 @@ func stormClients(targets []string, clients, n int, d time.Duration) (ok, failed
 // the ordinary half-open trial — and no client request fails.
 func TestChurnLeaveRejoinZeroFailedRequests(t *testing.T) {
 	const nBackends, clients = 4, 8
-	cfg := capserve.Config{QueueDepth: 8}
+	start := func(addr string) (*capserve.Backend, error) {
+		return capserve.StartBackendOn(capserve.Config{Runtime: newRuntime(t, capsule.Defaults()), QueueDepth: 8}, addr, nil)
+	}
 	backends := make([]*capserve.Backend, nBackends)
 	var urls []string
 	for i := range backends {
-		b, err := capserve.StartBackendOn(cfg, "127.0.0.1:0", nil)
+		b, err := start("127.0.0.1:0")
 		if err != nil {
 			t.Fatalf("StartBackendOn: %v", err)
 		}
@@ -92,9 +95,8 @@ func TestChurnLeaveRejoinZeroFailedRequests(t *testing.T) {
 
 	// Backend 0 never churns: someone has to hold the fort. The rest
 	// rotate: leave, dwell, rejoin on the same address, dwell. A leave is
-	// not waited for: net/http gives a connection the router dialed but
-	// has not used yet 5 s before a drain may close it, and a deploy's old
-	// process lingering that long is part of the storm.
+	// not waited for: a deploy's old process still draining its in-flight
+	// requests is part of the storm.
 	const dwell = 100 * time.Millisecond
 	var leaves, joins int
 	var drains sync.WaitGroup
@@ -116,7 +118,7 @@ func TestChurnLeaveRejoinZeroFailedRequests(t *testing.T) {
 			// another dwell; clients must not notice that either.
 			for backends[victim] == nil && !stopped.Load() {
 				time.Sleep(dwell)
-				backends[victim], _ = capserve.StartBackendOn(cfg, addr, nil)
+				backends[victim], _ = start(addr)
 			}
 			if backends[victim] == nil {
 				return
@@ -162,7 +164,7 @@ func TestFeedBlackholeUnderLoadZeroFailedRequests(t *testing.T) {
 	const clients, d = 8, 1500 * time.Millisecond
 	var urls []string
 	for i := 0; i < 3; i++ {
-		b, err := capserve.StartBackendOn(capserve.Config{QueueDepth: 8}, "127.0.0.1:0", nil)
+		b, err := capserve.StartBackendOn(capserve.Config{Runtime: newRuntime(t, capsule.Defaults()), QueueDepth: 8}, "127.0.0.1:0", nil)
 		if err != nil {
 			t.Fatalf("StartBackendOn: %v", err)
 		}

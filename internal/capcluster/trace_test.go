@@ -59,7 +59,7 @@ func TestRouteSpanWaterfall(t *testing.T) {
 	if err != nil {
 		t.Fatalf("StartBackendOn: %v", err)
 	}
-	t.Cleanup(func() { b.Kill(); b.Runtime().Close() })
+	t.Cleanup(func() { b.Kill(); b.Server.Runtime().Close() })
 
 	routerTracer := captrace.New(1, 256)
 	r, ts := newRouter(t, Config{
@@ -295,7 +295,7 @@ func TestRouterDebugTraceMergesLocals(t *testing.T) {
 	if err != nil {
 		t.Fatalf("StartBackendOn: %v", err)
 	}
-	t.Cleanup(func() { b.Kill(); b.Runtime().Close() })
+	t.Cleanup(func() { b.Kill(); b.Server.Runtime().Close() })
 	backend := strings.TrimPrefix(b.URL, "http://")
 
 	routerTracer := captrace.New(1, 256)

@@ -56,7 +56,6 @@ type Flags struct {
 	TraceEvery int
 	DebugAddr  string
 
-	Watch         bool
 	WatchInterval time.Duration
 	SLO           capwatch.SLOConfig
 
@@ -76,15 +75,14 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.IntVar(&f.TraceBuf, "trace-buf", 0, "trace ring slots per shard (0 = default)")
 	fs.IntVar(&f.TraceEvery, "trace-sample", 0, "trace 1 in N server-minted request IDs (0 = default)")
 	fs.StringVar(&f.DebugAddr, "debug-addr", "", "serve pprof, /debug/{trace,watch,incident} and /debug/fault on this separate address (empty = off)")
-	fs.BoolVar(&f.Watch, "watch", true, "continuous telemetry sampler per member, served on /debug/watch")
-	fs.DurationVar(&f.WatchInterval, "watch-interval", capwatch.DefaultInterval, "telemetry sampling tick")
+	fs.DurationVar(&f.WatchInterval, "watch-interval", capwatch.DefaultInterval, "telemetry sampling tick of each member's sampler, served on /debug/watch")
 	fs.DurationVar(&f.SLO.TargetP99, "slo-p99", capwatch.DefaultTargetP99, "SLO latency target: windowed p99 must stay under this")
 	fs.Float64Var(&f.SLO.Availability, "slo-avail", capwatch.DefaultAvailability, "SLO availability objective (fraction of valid requests served)")
 	fs.DurationVar(&f.SLO.FastWindow, "slo-fast", capwatch.DefaultFastWindow, "fast burn-rate window")
 	fs.DurationVar(&f.SLO.SlowWindow, "slo-slow", capwatch.DefaultSlowWindow, "slow burn-rate window")
 	fs.BoolVar(&f.Fault, "fault", false, "arm the capfault injection layer, scripted via /debug/fault on -debug-addr (backend-scoped rules match member names)")
 	fs.Uint64Var(&f.FaultSeed, "fault-seed", 1, "capfault decision-stream seed (same seed + same rules = same faults)")
-	fs.StringVar(&f.IncidentDir, "incident-dir", "", "capture burn-triggered incident bundles into this directory, served on /debug/incident (empty = off; requires -watch)")
+	fs.StringVar(&f.IncidentDir, "incident-dir", "", "capture burn-triggered incident bundles into this directory, served on /debug/incident (empty = off)")
 	fs.IntVar(&f.IncidentMax, "incident-max", 0, "bound on resident incident bundles per member (0 = default)")
 	fs.DurationVar(&f.IncidentCooldown, "incident-cooldown", 0, "per-trigger debounce between captures (0 = default)")
 	return f
@@ -130,9 +128,6 @@ func (f *Flags) NewRuntime(contexts int) (*capsule.Runtime, error) {
 // NewPlane starts an empty plane, with the process's one fault injector
 // when -fault is set.
 func (f *Flags) NewPlane() (*Plane, error) {
-	if f.IncidentDir != "" && !f.Watch {
-		return nil, fmt.Errorf("-incident-dir requires -watch (the recorders ride the telemetry tick)")
-	}
 	if f.TraceEvery < 0 {
 		return nil, fmt.Errorf("-trace-sample must be >= 0 (0 means %d), got %d", captrace.DefaultSample, f.TraceEvery)
 	}
@@ -146,18 +141,16 @@ func (f *Flags) NewPlane() (*Plane, error) {
 	return p, nil
 }
 
-// Tiers is what a member observes: a runtime and a serving tier always,
-// a router (over Server) when it has one. A member with a Router is a
-// router.
+// Tiers is what a member observes: a serving tier, or a router over its
+// local one (Router.Local). Set one; a member with a Router is a router.
+// Its runtime, tracer included, is its server's.
 type Tiers struct {
-	Runtime *capsule.Runtime
-	Server  *capserve.Server
-	Router  *capcluster.Router
+	Server *capserve.Server
+	Router *capcluster.Router
 }
 
-// Member is one process-resident server on the plane. Sampler is nil
-// without -watch and records incidents with -incident-dir; Tracer is
-// nil without -trace.
+// Member is one process-resident server on the plane. Sampler records
+// incidents with -incident-dir; Tracer is nil without -trace.
 type Member struct {
 	Name    string
 	Tracer  *captrace.Tracer
@@ -176,32 +169,32 @@ type Plane struct {
 // its sampler (started, recording incidents into dir with
 // -incident-dir), wired into its server's /metrics. Members keep the
 // order they were added in, except that a router member leads.
-func (p *Plane) Add(name string, tr *captrace.Tracer, t Tiers, dir string) (*Member, error) {
-	f := p.flags
-	m := &Member{Name: name, Tracer: tr}
-	if f.Watch {
-		cfg := capwatch.Config{
-			Source:     name,
-			Interval:   f.WatchInterval,
-			Runtime:    t.Runtime,
-			Server:     t.Server,
-			Router:     t.Router,
-			SLO:        f.SLO,
-			MaxBundles: f.IncidentMax,
-			Cooldown:   f.IncidentCooldown,
-			Fault:      p.Fault,
-		}
-		if f.IncidentDir != "" {
-			cfg.IncidentDir = dir
-		}
-		s, err := capwatch.New(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("%s sampler: %w", name, err)
-		}
-		t.Server.AddMetrics(s.WriteMetrics)
-		s.Start()
-		m.Sampler = s
+func (p *Plane) Add(name string, t Tiers, dir string) (*Member, error) {
+	f, srv := p.flags, t.Server
+	if t.Router != nil {
+		srv = t.Router.Local()
 	}
+	cfg := capwatch.Config{
+		Source:     name,
+		Interval:   f.WatchInterval,
+		Runtime:    srv.Runtime(),
+		Server:     srv,
+		Router:     t.Router,
+		SLO:        f.SLO,
+		MaxBundles: f.IncidentMax,
+		Cooldown:   f.IncidentCooldown,
+		Fault:      p.Fault,
+	}
+	if f.IncidentDir != "" {
+		cfg.IncidentDir = dir
+	}
+	s, err := capwatch.New(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("%s sampler: %w", name, err)
+	}
+	srv.AddMetrics(s.WriteMetrics)
+	s.Start()
+	m := &Member{Name: name, Tracer: srv.Runtime().Tracer(), Sampler: s}
 	if t.Router != nil {
 		p.Members = append([]*Member{m}, p.Members...)
 	} else {
@@ -223,10 +216,8 @@ func Mount(mount func(pattern string, h http.Handler), members ...*Member) {
 		if m.Tracer != nil {
 			traces = append(traces, captrace.Source{Name: m.Name, Tracer: m.Tracer})
 		}
-		if m.Sampler != nil {
-			samplers = append(samplers, m.Sampler)
-			recording = recording || m.Sampler.IncidentDir() != ""
-		}
+		samplers = append(samplers, m.Sampler)
+		recording = recording || m.Sampler.IncidentDir() != ""
 	}
 	if len(traces) > 0 {
 		mount("GET /debug/trace", captrace.Handler(traces...))
@@ -276,9 +267,7 @@ func (p *Plane) Close() {
 		p.debug.Close()
 	}
 	for _, m := range p.Members {
-		if m.Sampler != nil {
-			m.Sampler.Stop()
-		}
+		m.Sampler.Stop()
 	}
 }
 

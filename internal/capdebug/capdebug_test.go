@@ -38,7 +38,7 @@ func newPlane(t *testing.T, dbg *Flags) *Plane {
 
 func add(t *testing.T, p *Plane, name string, tr Tiers, dir string) *Member {
 	t.Helper()
-	m, err := p.Add(name, tr.Runtime.Tracer(), tr, dir)
+	m, err := p.Add(name, tr, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func lone(t *testing.T, dbg *Flags) fleet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	Mount(srv.Mount, add(t, p, "capserve", Tiers{Runtime: rt, Server: srv}, dbg.IncidentDir))
+	Mount(srv.Mount, add(t, p, "capserve", Tiers{Server: srv}, dbg.IncidentDir))
 	return fleet{srv, p.DebugMux(), []string{"capserve"}}
 }
 
@@ -65,9 +65,8 @@ func routed(t *testing.T, dbg *Flags) fleet {
 	var urls []string
 	names := []string{"caprouter"}
 	for i := 0; i < 2; i++ {
-		b, err := capserve.StartBackendOn(capserve.Config{
-			Runtime: capsule.New(capsule.Config{Contexts: 2, Tracer: dbg.NewTracer()}),
-		}, "127.0.0.1:0", nil)
+		brt := capsule.New(capsule.Config{Contexts: 2, Tracer: dbg.NewTracer()})
+		b, err := capserve.StartBackendOn(capserve.Config{Runtime: brt}, "127.0.0.1:0", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,10 +74,10 @@ func routed(t *testing.T, dbg *Flags) fleet {
 			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 			defer cancel()
 			b.Close(ctx)
-			b.Runtime().Close()
+			brt.Close()
 		})
 		name := strings.TrimPrefix(b.URL, "http://")
-		Mount(b.Server.Mount, add(t, p, name, Tiers{Runtime: b.Runtime(), Server: b.Server}, filepath.Join(dbg.IncidentDir, name)))
+		Mount(b.Server.Mount, add(t, p, name, Tiers{Server: b.Server}, filepath.Join(dbg.IncidentDir, name)))
 		urls, names = append(urls, b.URL), append(names, name)
 	}
 	rt := capsule.New(capsule.Config{Contexts: 2, Tracer: dbg.NewTracer()})
@@ -91,7 +90,7 @@ func routed(t *testing.T, dbg *Flags) fleet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	add(t, p, "caprouter", Tiers{Runtime: rt, Server: local, Router: router}, filepath.Join(dbg.IncidentDir, "caprouter"))
+	add(t, p, "caprouter", Tiers{Router: router}, filepath.Join(dbg.IncidentDir, "caprouter"))
 	Mount(local.Mount, p.Members...)
 	return fleet{router, p.DebugMux(), names}
 }

@@ -97,10 +97,9 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
-// Server serves the native workloads over HTTP. Build with New, mount
-// anywhere (it implements http.Handler), and on shutdown call
-// SetDraining(true) before http.Server.Shutdown so health checks fail
-// fast while in-flight requests finish.
+// Server serves the native workloads over HTTP. Build with New and
+// serve with Serve, whose Backend drains it in order on Close: health
+// checks fail fast (SetDraining) while in-flight requests finish.
 type Server struct {
 	rt        *capsule.Runtime
 	queue     chan struct{}

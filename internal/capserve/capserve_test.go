@@ -376,7 +376,9 @@ func TestDrainingNeverShedsAdmitted(t *testing.T) {
 // an in-flight request admitted before Close completes with 200, Close
 // returns clean, and the listener only refuses connections afterwards.
 func TestBackendCloseDrains(t *testing.T) {
-	b, err := StartBackendOn(Config{Runtime: capsule.New(capsule.Config{Contexts: 2, Throttle: true}), QueueDepth: 8}, "127.0.0.1:0", nil)
+	rt := capsule.New(capsule.Config{Contexts: 2, Throttle: true})
+	t.Cleanup(rt.Close)
+	b, err := StartBackendOn(Config{Runtime: rt, QueueDepth: 8}, "127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatalf("StartBackendOn: %v", err)
 	}
@@ -421,7 +423,9 @@ func TestBackendCloseDrains(t *testing.T) {
 // sent a byte (a router's spare dispatch connection) carries no request,
 // so it must not hold Close for net/http's 5 s new-connection grace.
 func TestBackendCloseWithSilentConn(t *testing.T) {
-	b, err := StartBackendOn(Config{}, "127.0.0.1:0", nil)
+	rt := capsule.NewDefault()
+	t.Cleanup(rt.Close)
+	b, err := StartBackendOn(Config{Runtime: rt}, "127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatalf("StartBackendOn: %v", err)
 	}

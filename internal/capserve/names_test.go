@@ -206,7 +206,9 @@ func TestMetricsNameSet(t *testing.T) {
 	})
 
 	t.Run("caprouter", func(t *testing.T) {
-		b, err := capserve.StartBackendOn(capserve.Config{}, "127.0.0.1:0", nil)
+		brt := capsule.NewDefault()
+		t.Cleanup(brt.Close)
+		b, err := capserve.StartBackendOn(capserve.Config{Runtime: brt}, "127.0.0.1:0", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,7 +241,7 @@ func TestMetricsNameSet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := plane.Add("caprouter", rt.Tracer(), capdebug.Tiers{Runtime: rt, Server: local, Router: router}, filepath.Join(dir, "caprouter")); err != nil {
+		if _, err := plane.Add("caprouter", capdebug.Tiers{Router: router}, filepath.Join(dir, "caprouter")); err != nil {
 			t.Fatal(err)
 		}
 		checkFamilies(t, exposition(t, scrape(router)), func(string) bool { return true })

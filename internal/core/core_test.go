@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/emu"
@@ -336,5 +337,15 @@ func main() {
 func TestRuntimeHasNoDuplicateSymbols(t *testing.T) {
 	if _, err := BuildCapC("t", `func main() {}`); err != nil {
 		t.Fatalf("runtime should assemble cleanly: %v", err)
+	}
+}
+
+// TestNumberLiteralBounds: the largest decimal literal is math.MaxInt64,
+// and a 64-bit hex literal reads as two's complement.
+func TestNumberLiteralBounds(t *testing.T) {
+	m := runCapC(t, `func main() { print(9223372036854775807); print(0xFFFFFFFFFFFFFFFF); print(0x8000000000000000); }`, 1)
+	want := []int64{9223372036854775807, -1, -9223372036854775808}
+	if fmt.Sprint(m.Output) != fmt.Sprint(want) {
+		t.Fatalf("output = %v, want %v", m.Output, want)
 	}
 }
