@@ -60,3 +60,38 @@ func BenchmarkLockUnlock2Callers(b *testing.B) {
 		rt.Unlock(key)
 	})
 }
+
+// BenchmarkGroupLockUnlock is one request's lock as its owner takes it:
+// elided while the group has no live worker, on the table while one is
+// live (parked here on a channel).
+func BenchmarkGroupLockUnlock(b *testing.B) {
+	run := func(b *testing.B, g *Group) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			key := uint64(i & 63)
+			g.Lock(key)
+			g.Unlock(key)
+		}
+	}
+	b.Run("elided", func(b *testing.B) {
+		rt := New(Config{Contexts: 1})
+		defer rt.Close()
+		g := rt.NewGroup()
+		run(b, g)
+		g.Join()
+	})
+	b.Run("table", func(b *testing.B) {
+		rt := New(Config{Contexts: 1})
+		defer rt.Close()
+		g := rt.NewGroup()
+		park := make(chan struct{})
+		c, ok := g.Probe()
+		if !ok {
+			b.Fatal("probe refused with a free pool")
+		}
+		g.Spawn(c, func() { <-park })
+		run(b, g)
+		close(park)
+		g.Join()
+	})
+}

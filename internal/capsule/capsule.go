@@ -136,7 +136,7 @@ type Stats struct {
 	Deaths         uint64 `json:"deaths"`          // worker terminations (kthr)
 	TotalWorkers   uint64 `json:"total_workers"`   // workers ever spawned
 	PeakWorkers    int    `json:"peak_workers"`    // maximum simultaneously live workers
-	LockAcquires   uint64 `json:"lock_acquires"`   // lock-table acquisitions
+	LockAcquires   uint64 `json:"lock_acquires"`   // Locks through every domain; a Group's elided ones arrive at its Join
 }
 
 // Delta returns the counters accumulated since prev, an earlier snapshot
@@ -434,24 +434,28 @@ func (rt *Runtime) refuse(tid uint64, reason uint16) (*Context, uint16) {
 // worker is still spinning after its last job, a buffered channel send
 // once it parked; either way no goroutine spawn and no allocation beyond
 // fn's own closure (see worker.go).
-func (rt *Runtime) Spawn(c *Context, fn func()) { rt.spawnOn(c, fn, nil, 0) }
+func (rt *Runtime) Spawn(c *Context, fn func()) { rt.spawnOn(c, fn, nil) }
 
-// spawnOn is Spawn with an optional extra join group and trace identity:
-// when g is non-nil the worker is also counted in g, so Group.Join can
-// wait for exactly its own workers while Runtime.Join still covers
-// everyone. The extra Done fires after the token release, so by the time
-// a group join returns its workers' deaths are visible in the runtime's
-// stats and pool. tid tags the context's handoff and eventual death in
-// the tracer (0 = untraced); the ctxTrace store is unconditional so a
-// context last used by a traced request never mis-attributes its next,
-// untraced occupant. The store is safely ordered: only the token holder
-// writes it, and the worker reads it after the handoff edge.
-func (rt *Runtime) spawnOn(c *Context, fn func(), g *sync.WaitGroup, tid uint64) {
+// spawnOn is Spawn with an optional group: when g is non-nil the worker
+// is also counted in g's join, so Group.Join can wait for exactly its own
+// workers while Runtime.Join still covers everyone, and its handoff and
+// death are traced under g's trace ID. The group's Done fires after the
+// token release, so by the time a group join returns its workers' deaths
+// are visible in the runtime's stats and pool. The ctxTrace store is
+// unconditional so a context last used by a traced request never
+// mis-attributes its next, untraced occupant. The store is safely
+// ordered: only the token holder writes it, and the worker reads it
+// after the handoff edge.
+func (rt *Runtime) spawnOn(c *Context, fn func(), g *Group) {
 	if c == nil || c.rt != rt {
 		panic("capsule: Spawn with foreign or nil context")
 	}
 	if fn == nil {
 		panic("capsule: Spawn with nil fn")
+	}
+	var tid uint64
+	if g != nil {
+		tid = g.tid
 	}
 	rt.ctxTrace[c.id] = tid
 	rt.stats.totalWorkers.Add(1)
@@ -464,7 +468,7 @@ func (rt *Runtime) spawnOn(c *Context, fn func(), g *sync.WaitGroup, tid uint64)
 	}
 	rt.wg.Add(1)
 	if g != nil {
-		g.Add(1)
+		g.wg.Add(1)
 	}
 	rt.sendJob(c.id, job{fn: fn, g: g})
 }
@@ -564,21 +568,33 @@ func (rt *Runtime) Join() { rt.wg.Wait() }
 // mutex: Lock costs that mutex and nothing else, and callers on
 // different entries share no cache line.
 func (rt *Runtime) Lock(key uint64) {
-	s := &rt.stripes[mix(key)&rt.lockMask]
+	s := rt.stripeFor(key)
 	s.mu.Lock()
 	s.acquires++
 }
 
-// Unlock releases the table entry for key (munlock).
+// Unlock releases the table entry for key (munlock), or gives back one
+// extra hold on it that a Group's upgrade took.
 func (rt *Runtime) Unlock(key uint64) {
-	rt.stripes[mix(key)&rt.lockMask].mu.Unlock()
+	s := rt.stripeFor(key)
+	if s.extra != 0 {
+		s.extra--
+		return
+	}
+	s.mu.Unlock()
 }
 
-// stripeHot is one lock-table entry: the mutex and the count of
-// acquisitions it has guarded, which only the holder writes.
+// stripeFor is key's lock-table entry.
+func (rt *Runtime) stripeFor(key uint64) *stripe { return &rt.stripes[mix(key)&rt.lockMask] }
+
+// stripeHot is one lock-table entry: the mutex, the count of
+// acquisitions it has guarded, and the holder's extra holds — further
+// keys on this entry that Group.upgrade took with one mutex Lock. Only
+// the holder writes either count.
 type stripeHot struct {
 	mu       sync.Mutex
 	acquires uint64
+	extra    int
 }
 
 // stripe pads stripeHot to whole cache lines, so two requests locking
@@ -651,12 +667,14 @@ type statHot struct {
 	inlineRuns   atomic.Uint64
 	deaths       atomic.Uint64
 	totalWorkers atomic.Uint64
+	elided       atomic.Uint64 // joined groups' Locks that took no table entry
 }
 
 // Stats snapshots the counters. A Group's offers arrive at its Join, so
 // a snapshot lags every group still running by what it has counted since
 // its last Join; the identity Probes == Granted + NoCtxDenies +
-// ThrottleDenies holds regardless. LockAcquires is read entry by entry
+// ThrottleDenies holds regardless. LockAcquires likewise gets a Group's
+// elided Locks at its Join; the table's own count is read entry by entry
 // under each entry's mutex: Stats waits out a critical section in
 // progress, and must not be called by a goroutine that holds a table
 // lock.
@@ -670,6 +688,7 @@ func (rt *Runtime) Stats() Stats {
 		Deaths:         st.deaths.Load(),
 		TotalWorkers:   st.totalWorkers.Load(),
 		PeakWorkers:    int(rt.peak.Load()),
+		LockAcquires:   st.elided.Load(),
 	}
 	s.Probes = s.Granted + s.NoCtxDenies + s.ThrottleDenies
 	for i := range rt.stripes {
@@ -698,6 +717,7 @@ func (rt *Runtime) ResetStats() {
 	st.inlineRuns.Store(0)
 	st.deaths.Store(0)
 	st.totalWorkers.Store(0)
+	st.elided.Store(0)
 	for i := range rt.stripes {
 		e := &rt.stripes[i]
 		e.mu.Lock()

@@ -1,7 +1,9 @@
 package capsule
 
 import (
+	"slices"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 )
 
@@ -37,7 +39,10 @@ type Domain interface {
 	Spawn(c *Context, fn func())
 	// Join blocks until every worker spawned through this domain has died.
 	Join()
-	// Lock/Unlock are the shared striped lock table (mlock/munlock).
+	// Lock/Unlock are mlock/munlock on key. A Domain's locks exclude
+	// among that scope's own tasks — its owner and the workers spawned
+	// through it — and guard state private to the scope: a Group with
+	// no live worker takes no table entry (see Group).
 	Lock(key uint64)
 	Unlock(key uint64)
 }
@@ -71,29 +76,52 @@ func (s GroupStats) GrantRate() float64 {
 // runtime's context pool and are throttled and counted exactly like the
 // runtime's own, but Join waits only for workers spawned through this
 // group — so any number of component programs can run concurrently on one
-// runtime without their joins entangling. The zero restriction carried
-// over from Runtime.Join applies per group: only the task that owns the
-// group may Join it, and not concurrently with its own new top-level
-// divisions.
+// runtime without their joins entangling.
 //
-// A group counts its offers on its own cache lines — a refused offer
-// writes nothing any other request reads — and Join folds what it has
-// counted since the last Join into the runtime's Stats.
+// The owner rule is load-bearing: a group is used only by the task that
+// owns it and by the workers spawned through it. Only the owner may Join
+// it, and not concurrently with its own new top-level divisions. Only
+// the owner and those workers may Lock through it, and only to guard
+// state private to the group. The group keeps a count of its live
+// workers, and while that count is 0 the owner is the one goroutine that
+// can be inside: its Lock records the key in a small owner-only set and
+// takes no table entry. The first Spawn that finds such keys held takes
+// each on the table for real before the hand-off, so the child still
+// excludes; from then until the workers have died every Lock is the
+// table's.
+//
+// A group counts its offers and elided locks on its own cache lines — a
+// refused offer writes nothing any other request reads — and Join folds
+// what it has counted since the last Join into the runtime's Stats.
 type Group struct {
-	groupHot
 	_ [(cacheLine - unsafe.Sizeof(groupHot{})%cacheLine) % cacheLine]byte
+	groupHot
 }
 
 // groupHot is the live part of a Group, padded by Group to whole cache
-// lines: the allocator then places no other request's group on them.
+// lines: the allocator then places no other request's group on them. The
+// pad goes first because a zero-length last field would add a word.
 type groupHot struct {
-	rt  *Runtime
-	tid uint64 // trace ID tagging this group's runtime events (0 = untraced)
-	wg  sync.WaitGroup
+	rt   *Runtime
+	tid  uint64 // trace ID tagging this group's runtime events (0 = untraced)
+	wg   sync.WaitGroup
+	live atomic.Int64 // spawned workers whose fn has not returned
 
 	own    outcomes // every offer made through the group
 	folded outcomes // how much of own Join has added to rt.stats
+
+	// held is the owner's lock set: the keys it locked while no worker
+	// was live, none of which took a table entry. Only the owner touches
+	// it, and Spawn's upgrade empties it before the first worker exists.
+	held  [maxHeld]uint64
+	nheld int
+
+	elided       uint64 // Locks that took no table entry, owner-only
+	elidedFolded uint64 // how much of elided Join has added to rt.stats
 }
+
+// maxHeld bounds the owner's lock set; a Lock past it takes the table.
+const maxHeld = 4
 
 // NewGroup returns a fresh join scope on rt.
 func (rt *Runtime) NewGroup() *Group { return rt.NewGroupTraced(0) }
@@ -119,22 +147,75 @@ func (g *Group) Probe() (*Context, bool) {
 }
 
 // Spawn hands fn to the worker of a context g.Probe granted; the worker
-// is counted in this group, so Join waits for it.
-func (g *Group) Spawn(c *Context, fn func()) { g.rt.spawnOn(c, fn, &g.wg, g.tid) }
+// is counted in this group, so Join waits for it. The spawn that makes
+// the first worker live first takes every elided key on the table.
+func (g *Group) Spawn(c *Context, fn func()) {
+	if g.live.Add(1) == 1 && g.nheld != 0 {
+		g.upgrade()
+	}
+	g.rt.spawnOn(c, fn, g)
+}
+
+// upgrade takes the owner's held keys on the table, so the worker about
+// to be handed off excludes against them, and empties the set: from here
+// on each of them is unlocked through the table. Held keys that share an
+// entry take it once; each further one is an extra hold on the entry,
+// which its Unlock gives back. The acquires were counted when elided and
+// are not again. Only the owner runs it, before the first worker exists.
+func (g *Group) upgrade() {
+	for i, key := range g.held[:g.nheld] {
+		s := g.rt.stripeFor(key)
+		if slices.ContainsFunc(g.held[:i], func(k uint64) bool { return g.rt.stripeFor(k) == s }) {
+			s.extra++ // held already, through an earlier key
+		} else {
+			s.mu.Lock()
+		}
+	}
+	g.nheld = 0
+}
 
 // Join blocks until every worker spawned through this group has died,
-// then publishes the group's offers to the runtime's Stats. Workers of
-// other groups (or of the runtime directly) are not waited on.
+// then publishes the group's offers and elided locks to the runtime's
+// Stats. Workers of other groups (or of the runtime directly) are not
+// waited on.
 func (g *Group) Join() {
 	g.wg.Wait()
 	g.own.foldInto(&g.rt.stats.outcomes, &g.folded)
+	if n := g.elided - g.elidedFolded; n != 0 {
+		g.rt.stats.elided.Add(n)
+		g.elidedFolded = g.elided
+	}
 }
 
-// Lock acquires the shared lock-table entry for key.
-func (g *Group) Lock(key uint64) { g.rt.Lock(key) }
+// Lock is mlock on key in the group's scope. With no live worker only the
+// owner can be inside, so the key goes in the owner's set and no table
+// entry is taken; otherwise, or past maxHeld keys, Lock takes the
+// runtime's table entry.
+func (g *Group) Lock(key uint64) {
+	if g.live.Load() == 0 && g.nheld < len(g.held) {
+		g.held[g.nheld] = key
+		g.nheld++
+		g.elided++
+		return
+	}
+	g.rt.Lock(key)
+}
 
-// Unlock releases the shared lock-table entry for key.
-func (g *Group) Unlock(key uint64) { g.rt.Unlock(key) }
+// Unlock is munlock on key: it drops key from the owner's set if it is
+// there, and releases key's table entry otherwise. While a worker is live
+// the set is empty, so only the owner ever reads it.
+func (g *Group) Unlock(key uint64) {
+	if g.live.Load() == 0 {
+		for i := g.nheld - 1; i >= 0; i-- {
+			if g.held[i] == key {
+				g.nheld--
+				g.held[i] = g.held[g.nheld]
+				return
+			}
+		}
+	}
+	g.rt.Unlock(key)
+}
 
 // Stats snapshots the group's own division counters.
 func (g *Group) Stats() GroupStats {
@@ -151,8 +232,8 @@ func (g *Group) Stats() GroupStats {
 // refused, so the caller always takes its own path, and Join is a no-op
 // (there are never any workers). It touches no division counters — a
 // sequential task makes no offers, so it must not dilute the grant rate —
-// but still uses the shared lock table, so sequential and parallel tasks
-// stay mutually correct. This is the request-admission analogue of the
+// and its locks are the runtime's table, counted like Runtime.Lock's.
+// This is the request-admission analogue of the
 // CapC compiler's sequential fallback path, and what
 // speedup_vs_sequential divides by: the algorithm and nothing else.
 func (rt *Runtime) Sequential() Domain { return seqDomain{rt} }

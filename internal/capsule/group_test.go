@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestGroupJoinWaitsOnlyOwnWorkers(t *testing.T) {
@@ -145,4 +146,142 @@ func TestConcurrentGroupsShareThePool(t *testing.T) {
 	if s := rt.Stats(); s.PeakWorkers > contexts {
 		t.Fatalf("PeakWorkers = %d, want <= %d (pool bound)", s.PeakWorkers, contexts)
 	}
+}
+
+// TestGroupElidedLockExcludesChild: a Lock taken while the group has no
+// live worker takes no table entry, yet a worker spawned while the key is
+// held is still excluded, because Spawn first takes every held key on the
+// table — once per entry, when two held keys share one. The owner and the
+// child write the same plain int inside their critical sections, so a
+// broken exclusion is a race the race detector reports as well.
+func TestGroupElidedLockExcludesChild(t *testing.T) {
+	rt := quiet(2) // not closed on a failure: a wedged Spawn holds a token
+	const k1 = 7
+	k2 := uint64(k1 + 1) // a second key on k1's table entry
+	for rt.stripeFor(k2) != rt.stripeFor(k1) {
+		k2++
+	}
+	// onTable reports whether some goroutine holds key's table entry.
+	onTable := func(key uint64) bool {
+		s := rt.stripeFor(key)
+		if s.mu.TryLock() {
+			s.mu.Unlock()
+			return false
+		}
+		return true
+	}
+	for _, tc := range []struct {
+		name string
+		held []uint64
+	}{
+		{"one key", []uint64{k1}},
+		{"two keys on one entry", []uint64{k1, k2}},
+	} {
+		if !t.Run(tc.name, func(t *testing.T) {
+			before := rt.Stats()
+			g := rt.NewGroup()
+			for _, k := range tc.held {
+				g.Lock(k)
+			}
+			if onTable(k1) {
+				t.Error("a Lock with no live worker took its table entry")
+			}
+			c, ok := g.Probe()
+			if !ok {
+				t.Fatal("Probe refused with a free pool")
+			}
+			start, entered, spawned := make(chan struct{}), make(chan struct{}), make(chan struct{})
+			shared := 0
+			go func() {
+				g.Spawn(c, func() {
+					<-start
+					g.Lock(k1)
+					shared++
+					close(entered)
+					g.Unlock(k1)
+				})
+				close(spawned)
+			}()
+			select {
+			case <-spawned:
+			case <-time.After(10 * time.Second):
+				t.Fatal("Spawn deadlocked taking the held keys on the table")
+			}
+			if !onTable(k1) {
+				t.Error("Spawn handed off with the owner's keys off the table")
+			}
+			shared++ // the owner's critical section, beside a live child
+			close(start)
+			for i, k := range tc.held {
+				select {
+				case <-entered:
+					t.Errorf("the child entered while the owner held %v", tc.held[i:])
+				case <-time.After(20 * time.Millisecond):
+				}
+				g.Unlock(k)
+			}
+			<-entered
+			g.Join()
+			if shared != 2 {
+				t.Errorf("shared = %d, want 2", shared)
+			}
+			if onTable(k1) {
+				t.Error("the table entry is still held after every Unlock")
+			}
+			if d := rt.Stats().Delta(before); d.LockAcquires != uint64(len(tc.held)+1) {
+				t.Errorf("LockAcquires grew by %d, want %d: each Lock once", d.LockAcquires, len(tc.held)+1)
+			}
+		}) {
+			return // the table may be left held
+		}
+	}
+	t.Run("live worker", func(t *testing.T) {
+		g := rt.NewGroup()
+		park := make(chan struct{})
+		if !spawnOnce(g, func() { <-park }) {
+			t.Fatal("Probe refused with a free pool")
+		}
+		before := rt.Stats()
+		g.Lock(k1)
+		if !onTable(k1) {
+			t.Error("a Lock beside a live worker took no table entry")
+		}
+		g.Unlock(k1)
+		if d := rt.Stats().Delta(before); d.LockAcquires != 1 {
+			t.Errorf("a table Lock counted %d before Join, want 1", d.LockAcquires)
+		}
+		close(park)
+		g.Join()
+		// No live worker again: elided, and counted at the next Join.
+		before = rt.Stats()
+		g.Lock(k1)
+		if onTable(k1) {
+			t.Error("a Lock after Join took its table entry")
+		}
+		g.Unlock(k1)
+		if d := rt.Stats().Delta(before); d.LockAcquires != 0 {
+			t.Errorf("an elided Lock counted %d before Join, want 0", d.LockAcquires)
+		}
+		g.Join()
+		if d := rt.Stats().Delta(before); d.LockAcquires != 1 {
+			t.Errorf("an elided Lock counted %d after Join, want 1", d.LockAcquires)
+		}
+	})
+	t.Run("set full", func(t *testing.T) {
+		g := rt.NewGroup()
+		for k := uint64(0); k <= maxHeld; k++ {
+			g.Lock(k)
+		}
+		if !onTable(maxHeld) {
+			t.Errorf("Lock number %d took no table entry past a set of %d", maxHeld+1, maxHeld)
+		}
+		for k := uint64(0); k <= maxHeld; k++ {
+			g.Unlock(k)
+		}
+		if onTable(maxHeld) {
+			t.Error("the table entry is still held after every Unlock")
+		}
+		g.Join()
+	})
+	rt.Close()
 }

@@ -2,7 +2,6 @@ package capsule
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -70,11 +69,12 @@ type workerState struct {
 	_ [(2*cacheLine - unsafe.Sizeof(workerHot{})%(2*cacheLine)) % (2 * cacheLine)]byte
 }
 
-// job is one unit handed to a parked worker. A nil fn is the quit
+// job is one unit handed to a parked worker, with the group that
+// spawned it (nil for the runtime's own Spawn). A nil fn is the quit
 // sentinel Close uses to retire the worker.
 type job struct {
 	fn func()
-	g  *sync.WaitGroup
+	g  *Group
 }
 
 // sendJob hands j to context id's worker: slot handoff if the worker is
@@ -169,13 +169,16 @@ func (rt *Runtime) workerLoop(id int) {
 // panic tears the process down (the same observable order the
 // goroutine-per-spawn runtime had). The handoff state is reset to
 // spinning BEFORE the token release: once the token is visible in the
-// pool a new spawner may pop it, and it must find the slot open.
+// pool a new spawner may pop it, and it must find the slot open. The
+// group's live count drops before its join does, so an owner whose Join
+// has returned finds no live worker and elides its locks again.
 func (rt *Runtime) runJob(id int, j job) {
 	defer func() {
 		rt.wstate[id].state.Store(wsSpin)
 		rt.release(id)
 		if j.g != nil {
-			j.g.Done()
+			j.g.live.Add(-1)
+			j.g.wg.Done()
 		}
 	}()
 	j.fn()

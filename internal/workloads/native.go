@@ -28,8 +28,10 @@ import (
 // refused LZW or Perceptron worker does up to divGrain symbols or
 // neurons of its own work before it offers again. LZW and the forward
 // dot product also sum per worker and add to the shared total once, when
-// the worker returns. Dijkstra has no range to size, so it still offers
-// at every edge.
+// the worker returns. Dijkstra offers once per node where the CapC source
+// offers at every edge: a visit that improves a node with at least two
+// out-edges offers the upper half of its edge range, and a refused one
+// walks every edge itself.
 //
 // All four return results validated against the Go references
 // (sort order, RefDijkstra, RefLZWMatch, RefPerceptron) by native_test.go
@@ -102,15 +104,26 @@ func nativeQSort(dom capsule.Domain, arr []int64, lo, hi int) {
 
 // NativeDijkstra runs the Fig. 1 worker algorithm on dom: each worker
 // carries its path length, improves the locked per-node distance or dies,
-// and probes the runtime at every child edge. The monotone relaxation
-// makes the returned distances equal to RefDijkstra under any
-// interleaving.
+// and offers the node's child edges once. Where the CapC program probes
+// at every child path (Fig. 2), a visit that improves a node with at
+// least two out-edges probes once: granted, a co-worker walks the upper
+// half of the edge range while this worker keeps the lower half;
+// refused, this worker walks them all. The monotone relaxation makes the
+// returned distances equal to RefDijkstra under any interleaving, and so
+// under any split.
 func NativeDijkstra(dom capsule.Domain, in *DijkstraInput) []int64 {
 	dist := make([]int64, in.N)
 	for i := range dist {
 		dist[i] = DijkstraInf
 	}
 	var explore func(node int32, d int64)
+	// walk explores the targets of edges [lo, hi) at path length d plus
+	// each edge's weight.
+	walk := func(lo, hi int32, d int64) {
+		for e := lo; e < hi; e++ {
+			explore(in.EDst[e], d+int64(in.EWgt[e]))
+		}
+	}
 	explore = func(node int32, d int64) {
 		dom.Lock(uint64(node))
 		if d >= dist[node] {
@@ -120,15 +133,15 @@ func NativeDijkstra(dom capsule.Domain, in *DijkstraInput) []int64 {
 		}
 		dist[node] = d
 		dom.Unlock(uint64(node))
-		for e := in.EOff[node]; e < in.EOff[node+1]; e++ {
-			// Probe the architecture at every child path (Fig. 2).
-			v, nd := in.EDst[e], d+int64(in.EWgt[e])
+		lo, hi := in.EOff[node], in.EOff[node+1]
+		if hi-lo >= 2 {
 			if c, ok := dom.Probe(); ok {
-				dom.Spawn(c, func() { explore(v, nd) })
-			} else {
-				explore(v, nd)
+				mid, end := lo+(hi-lo)/2, hi
+				dom.Spawn(c, func() { walk(mid, end, d) })
+				hi = mid
 			}
 		}
+		walk(lo, hi, d)
 	}
 	explore(int32(in.Source), 0)
 	dom.Join()

@@ -277,6 +277,72 @@ func TestNativeOffersScaleWithGrain(t *testing.T) {
 	}
 }
 
+// TestNativeDijkstraOffersPerNode pins Dijkstra's division site: with
+// every offer refused, a run offers once per visit that improves a node
+// with at least two out-edges — not once per edge visit, as the CapC
+// source does — and every kind of Domain, granted or not, still gives
+// the Go reference's distances.
+func TestNativeDijkstraOffersPerNode(t *testing.T) {
+	live := nativeRT(4)
+	defer live.Close()
+	domains := map[string]capsule.Domain{
+		"Runtime":    live,
+		"Group":      live.NewGroup(),
+		"Sequential": live.Sequential(),
+	}
+	refused := exhausted(t)
+	for _, n := range []int{1, 2, 64, 512, 1024} {
+		in := GenGraph(RandFor(13, n), n, GenDijkstraMaxDeg, GenDijkstraMaxW)
+		g := refused.NewGroup()
+		NativeDijkstra(g, in)
+		gs := g.Stats()
+		forked, edges := refusedDijkstraVisits(in)
+		if gs.Granted != 0 || gs.Probes > uint64(forked) {
+			t.Errorf("n=%d: group stats %+v, want at most %d offers (improving visits to nodes with >= 2 out-edges), none granted",
+				n, gs, forked)
+		}
+		if n >= 64 && 2*gs.Probes > uint64(edges) {
+			t.Errorf("n=%d: %d offers for %d edge visits, want well under one per edge", n, gs.Probes, edges)
+		}
+		want := RefDijkstra(in)
+		for dname, dom := range domains {
+			got := NativeDijkstra(dom, in)
+			for v := range want {
+				if got[v] != want[v] {
+					t.Fatalf("%s n=%d: dist[%d] = %d, want %d", dname, n, v, got[v], want[v])
+				}
+			}
+		}
+	}
+}
+
+// refusedDijkstraVisits replays NativeDijkstra with every offer refused
+// — one depth-first walk in edge order — and counts the visits that
+// improve a node with at least two out-edges, and the edges walked.
+func refusedDijkstraVisits(in *DijkstraInput) (forked, edges int) {
+	dist := make([]int64, in.N)
+	for i := range dist {
+		dist[i] = DijkstraInf
+	}
+	var visit func(node int32, d int64)
+	visit = func(node int32, d int64) {
+		if d >= dist[node] {
+			return
+		}
+		dist[node] = d
+		lo, hi := in.EOff[node], in.EOff[node+1]
+		if hi-lo >= 2 {
+			forked++
+		}
+		for e := lo; e < hi; e++ {
+			edges++
+			visit(in.EDst[e], d+int64(in.EWgt[e]))
+		}
+	}
+	visit(int32(in.Source), 0)
+	return forked, edges
+}
+
 // TestNativeContention runs all four workloads concurrently on one shared
 // pool of runtimes under load — primarily a race-detector target.
 func TestNativeContention(t *testing.T) {
