@@ -19,6 +19,7 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/capc"
 	"repro/internal/core"
 	"repro/internal/cpu"
 )
@@ -58,7 +59,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *pre {
 		fmt.Fprintln(stdout, "// pre-processed (Fig. 2(b) stage)")
-		fmt.Fprint(stdout, b.Compiled.PreProcessed)
+		fmt.Fprint(stdout, capc.PreProcess(b.Compiled.File))
 	}
 	if *asmOut {
 		fmt.Fprintln(stdout, "# post-processed assembly (Fig. 2(c) stage)")

@@ -20,8 +20,8 @@ func main() {
 }
 `
 
-// capc runs the command and returns its exit status, stdout and stderr.
-func capc(args ...string) (int, string, string) {
+// runCapc runs the command and returns its exit status, stdout and stderr.
+func runCapc(args ...string) (int, string, string) {
 	var stdout, stderr strings.Builder
 	code := run(args, &stdout, &stderr)
 	return code, stdout.String(), stderr.String()
@@ -40,7 +40,7 @@ var statsLine = regexp.MustCompile(`^cycles=\d+ insts=\d+ ipc=\d+\.\d\d division
 
 func TestRun(t *testing.T) {
 	path := source(t)
-	code, out, errOut := capc("-run", "-arch", "somt", path)
+	code, out, errOut := runCapc("-run", "-arch", "somt", path)
 	if code != 0 {
 		t.Fatalf("-run exit %d, stderr %q", code, errOut)
 	}
@@ -60,12 +60,12 @@ func TestStages(t *testing.T) {
 		"-pre": "// pre-processed (Fig. 2(b) stage)\n",
 		"-S":   "# post-processed assembly (Fig. 2(c) stage)\n",
 	} {
-		code, out, errOut := capc(flag, path)
+		code, out, errOut := runCapc(flag, path)
 		if code != 0 || !strings.HasPrefix(out, header) || len(out) == len(header) {
 			t.Errorf("%s: exit %d, stdout %.80q, stderr %q", flag, code, out, errOut)
 		}
 	}
-	if code, out, errOut := capc(path); code != 0 || out != "" || !strings.Contains(errOut, "compiled OK") {
+	if code, out, errOut := runCapc(path); code != 0 || out != "" || !strings.Contains(errOut, "compiled OK") {
 		t.Errorf("no stage flag: exit %d, stdout %q, stderr %q", code, out, errOut)
 	}
 }
@@ -82,7 +82,7 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"-run", "-arch", "vliw", path}, 1},
 		{[]string{filepath.Join(t.TempDir(), "missing.capc")}, 1},
 	} {
-		if code, _, errOut := capc(tc.args...); code != tc.want {
+		if code, _, errOut := runCapc(tc.args...); code != tc.want {
 			t.Errorf("capc %v = %d, want %d (stderr %q)", tc.args, code, tc.want, errOut)
 		}
 	}

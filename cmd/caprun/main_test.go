@@ -3,8 +3,11 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"strings"
 	"testing"
+
+	"repro/internal/doccmd"
 )
 
 // TestRunEveryWorkload runs each native workload through the command at a
@@ -59,4 +62,11 @@ func TestRunRejectsBadInput(t *testing.T) {
 			t.Errorf("run(%q) succeeded:\n%s", args, out.String())
 		}
 	}
+}
+
+// TestDocCommands parses, with the command's own flag set, every
+// documented caprun line: a documented command must name only flags that
+// exist. It runs none of them.
+func TestDocCommands(t *testing.T) {
+	doccmd.Check(t, "caprun", 9, func() *flag.FlagSet { fs, _ := newFlagSet(); return fs })
 }

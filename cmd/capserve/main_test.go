@@ -3,12 +3,11 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"os"
-	"path/filepath"
 	"regexp"
 	"runtime/pprof"
 	"strings"
@@ -17,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/capcluster"
+	"repro/internal/doccmd"
 )
 
 // output is run's stdout and stderr, handing over the address its
@@ -250,38 +250,8 @@ func TestDrainTimeoutExits1(t *testing.T) {
 	}
 }
 
-// TestDocCommands parses every capserve command line in a fenced block
-// of README.md and docs/*.md with the command's own flag set; it starts
-// nothing. A trailing backslash continues a line, # starts a comment, and
-// &, | and ; separate commands.
+// TestDocCommands parses every documented capserve command line with
+// the command's own flag set; it starts nothing.
 func TestDocCommands(t *testing.T) {
-	docs, _ := filepath.Glob("../../docs/*.md")
-	cmd := regexp.MustCompile(`^(go run \./cmd/)?capserve( |$)`)
-	found := 0
-	for _, path := range append(docs, "../../README.md") {
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fenced := false
-		text := strings.ReplaceAll(string(b), "\\\n", " ")
-		for _, line := range strings.Split(text, "\n") {
-			if strings.HasPrefix(strings.TrimSpace(line), "```") {
-				fenced = !fenced
-			}
-			line, _, _ = strings.Cut(line, "#")
-			for _, c := range strings.FieldsFunc(line, func(r rune) bool { return strings.ContainsRune("&|;", r) }) {
-				if c = strings.TrimSpace(c); fenced && cmd.MatchString(c) {
-					found++
-					fs, _ := newFlagSet(io.Discard)
-					if err := fs.Parse(strings.Fields(cmd.ReplaceAllString(c, ""))); err != nil || fs.NArg() > 0 {
-						t.Errorf("%s: %q: %v %q", path, c, err, fs.Args())
-					}
-				}
-			}
-		}
-	}
-	if found < 10 {
-		t.Errorf("found %d documented capserve commands, want at least 10", found)
-	}
+	doccmd.Check(t, "capserve", 10, func() *flag.FlagSet { fs, _ := newFlagSet(io.Discard); return fs })
 }

@@ -14,10 +14,8 @@ type Compiled struct {
 	// Asm is the generated assembly, ready for asm.Assemble together with
 	// the capsule runtime unit.
 	Asm string
-	// PreProcessed is the Fig. 2(b)-style listing showing the coworker
-	// switch expansion performed by the pre-processor.
-	PreProcessed string
-	// File is the resolved AST.
+	// File is the resolved AST; PreProcess(File) renders the Fig. 2(b)
+	// listing of it, for the callers that read one.
 	File *File
 	// Workers lists the worker functions in declaration order.
 	Workers []string
@@ -36,11 +34,7 @@ func Compile(name, src string) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Compiled{
-		Asm:          asmText,
-		PreProcessed: PreProcess(f),
-		File:         f,
-	}
+	c := &Compiled{Asm: asmText, File: f}
 	for _, fn := range f.Funcs {
 		if fn.Worker {
 			c.Workers = append(c.Workers, fn.Name)

@@ -138,7 +138,7 @@ worker explore(node, dist) {
 }
 func main() { }
 `)
-	pp := c.PreProcessed
+	pp := PreProcess(c.File)
 	for _, want := range []string{"switch (nthr())", "case -1:", "case 0:", "case 1:", "__capsule_new_stack()", "kthr()"} {
 		if !strings.Contains(pp, want) {
 			t.Errorf("pre-processed listing missing %q:\n%s", want, pp)

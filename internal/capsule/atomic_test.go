@@ -171,8 +171,8 @@ func TestStatsAccountingInvariant(t *testing.T) {
 						} else {
 							direct.inline.Add(1)
 						}
-						rt.Lock(uint64(i))
-						rt.Unlock(uint64(i))
+						rt.lock(uint64(i))
+						rt.unlock(uint64(i))
 						seq.Lock(uint64(i))
 						seq.Unlock(uint64(i))
 					}
@@ -255,11 +255,9 @@ func TestThrottleRingWraparound(t *testing.T) {
 	// three times and the throttle must never trip.
 	for i := 0; i < 11; i++ {
 		clock.Add(10 * time.Microsecond.Nanoseconds())
-		c, ok := rt.Probe()
-		if !ok {
+		if !rt.TryDivide(func() {}) {
 			t.Fatalf("probe %d refused with slow deaths only (stats %+v)", i, rt.Stats())
 		}
-		rt.Spawn(c, func() {})
 		rt.Join()
 	}
 	if got := rt.ring.seq.Load(); got != 11 {
@@ -270,11 +268,9 @@ func TestThrottleRingWraparound(t *testing.T) {
 	// the burst itself counts.
 	clock.Add(10 * time.Microsecond.Nanoseconds())
 	for i := 0; i < 3; i++ {
-		c, ok := rt.Probe()
-		if !ok {
+		if !rt.TryDivide(func() {}) {
 			t.Fatalf("burst probe %d refused", i)
 		}
-		rt.Spawn(c, func() {})
 		rt.Join()
 	}
 	if _, ok := rt.Probe(); ok {
@@ -317,11 +313,9 @@ func TestProbeClockReads(t *testing.T) {
 	die := func(at int64) {
 		t.Helper()
 		clock.Store(at)
-		c, ok := rt.Probe()
-		if !ok {
+		if !rt.TryDivide(func() {}) {
 			t.Fatalf("probe refused at t=%d before the burst was complete", at)
 		}
-		rt.Spawn(c, func() {})
 		rt.Join()
 	}
 
@@ -417,7 +411,8 @@ func TestCloseDuringDivideStorm(t *testing.T) {
 // to Spawn, and Close must wait for that worker's death.
 func TestCloseWaitsForHeldToken(t *testing.T) {
 	rt := quiet(2)
-	c, ok := rt.Probe()
+	g := rt.NewGroup()
+	c, ok := g.Probe()
 	if !ok {
 		t.Fatal("probe refused on a fresh runtime")
 	}
@@ -433,7 +428,7 @@ func TestCloseWaitsForHeldToken(t *testing.T) {
 		t.Fatal("Close returned while a token was still held")
 	case <-time.After(10 * time.Millisecond):
 	}
-	rt.Spawn(c, func() { close(ran) })
+	g.Spawn(c, func() { close(ran) })
 	<-ran
 	<-closed
 	if s := rt.Stats(); s.TotalWorkers != 1 || s.Deaths != 1 {
@@ -530,7 +525,7 @@ func TestHotPathZeroAllocs(t *testing.T) {
 	// captures the caller's range is built only on the granted branch, so
 	// a refusal allocates nothing (a pre-built nopFn could not show this).
 	sum := 0
-	for name, dom := range map[string]Domain{"Runtime": rt, "Group": g1, "Sequential": rt.Sequential()} {
+	for name, dom := range map[string]Domain{"Group": g1, "Sequential": rt.Sequential()} {
 		ceiling("refused "+name+" Probe at a workload-shaped site", 0, func() {
 			sum = 0
 			if !offerRange(dom, &sum, 3, 5) {
@@ -544,8 +539,8 @@ func TestHotPathZeroAllocs(t *testing.T) {
 	key := uint64(0)
 	ceiling("Lock+Unlock", 0, func() {
 		key++
-		rt.Lock(key & 63)
-		rt.Unlock(key & 63)
+		rt.lock(key & 63)
+		rt.unlock(key & 63)
 	})
 	rt.Release(a)
 	rt.Release(b)
@@ -641,9 +636,7 @@ func TestProbeReleaseInterleavingStorm(t *testing.T) {
 				case 1:
 					rt.Divide(func() {})
 				default:
-					if c, ok := rt.Probe(); ok {
-						rt.Spawn(c, func() {})
-					}
+					rt.TryDivide(func() {})
 				}
 			}
 		}(g)

@@ -56,8 +56,8 @@ func BenchmarkLockUnlock2Callers(b *testing.B) {
 	defer rt.Close()
 	twoCallers(b, func(_, i int) {
 		key := uint64(i & 63)
-		rt.Lock(key)
-		rt.Unlock(key)
+		rt.lock(key)
+		rt.unlock(key)
 	})
 }
 

@@ -12,7 +12,8 @@
 //     to it through a spin-then-park slot (one store + one CAS while the
 //     worker spins, a mailbox send once it parked), not a fresh
 //     goroutine spawn;
-//   - nthr (probe+divide)   → Probe/Spawn, or the fused Divide/TryDivide.
+//   - nthr (probe+divide)   → a Domain's Probe/Spawn (a Group's, or
+//     Sequential's), or the Runtime's fused Divide/TryDivide.
 //     The paper's point that the SOMT answers nthr "in a few cycles" is
 //     preserved in software: the whole probe path is a handful of atomic
 //     loads and one CAS on a Treiber stack of context ids — no mutex,
@@ -181,7 +182,7 @@ func (s Stats) String() string {
 }
 
 // A Context is a reserved context token returned by a successful Probe.
-// It must be consumed by exactly one Spawn or Release.
+// It must be consumed by exactly one Group.Spawn or Release.
 type Context struct {
 	rt *Runtime
 	id int
@@ -191,10 +192,10 @@ type Context struct {
 // runtime's lifetime; LIFO reuse means recently-died ids recur first).
 func (c *Context) ID() int { return c.id }
 
-// Runtime is one capsule execution domain: a context pool, a death window,
-// a lock table and a join group. A Runtime is safe for concurrent use by
-// any number of workers. Probe, TryDivide refusal and Release are
-// lock-free and allocation-free; a granted Spawn is a spin-then-park
+// Runtime is the machine the Domains run on: a context pool, a death
+// window, a lock table and a join group. A Runtime is safe for concurrent
+// use by any number of workers. Probe, TryDivide refusal and Release are
+// lock-free and allocation-free; a granted spawn is a spin-then-park
 // handoff to the token's persistent worker (slot store + CAS on the fast
 // path, mailbox send to a parked worker). A Runtime that should release
 // its worker goroutines is shut down with Close; one that lives as long
@@ -374,12 +375,13 @@ func (rt *Runtime) traceThrottleEdge(open bool) {
 
 // Probe attempts to reserve a context token: the paper's nthr condition.
 // It succeeds only when the pool has a free token and the death-rate
-// throttle is quiescent. On success the returned Context MUST be consumed
-// by Spawn or Release; on failure the caller takes its sequential path.
+// throttle is quiescent. On success the returned Context MUST be handed
+// back with Release (a division probes through a Group, whose Spawn
+// consumes the token); on failure the caller takes its sequential path.
 // Probe never takes a mutex and never allocates (the returned Context is
 // the token's preallocated struct).
-// It counts on the runtime's own line: the path of the one-program tools
-// and the price list. Groups count on theirs.
+// It counts on the runtime's own line: the path of TryDivide and the
+// price list. Groups count on theirs.
 func (rt *Runtime) Probe() (*Context, bool) {
 	c, deny := rt.offer(0)
 	rt.stats.count(c, deny)
@@ -427,16 +429,13 @@ func (rt *Runtime) refuse(tid uint64, reason uint16) (*Context, uint16) {
 	return nil, reason
 }
 
-// Spawn consumes a reserved token and hands fn to the token's persistent
-// worker. The worker's return is the kthr: the token goes back on top
-// of the LIFO stack and the death is recorded for the throttle. The
-// hand-off is non-blocking by construction — a slot store + CAS when the
-// worker is still spinning after its last job, a buffered channel send
-// once it parked; either way no goroutine spawn and no allocation beyond
-// fn's own closure (see worker.go).
-func (rt *Runtime) Spawn(c *Context, fn func()) { rt.spawnOn(c, fn, nil) }
-
-// spawnOn is Spawn with an optional group: when g is non-nil the worker
+// spawnOn consumes a reserved token and hands fn to the token's
+// persistent worker. The worker's return is the kthr: the token goes back
+// on top of the LIFO stack and the death is recorded for the throttle.
+// The hand-off is non-blocking by construction — a slot store + CAS when
+// the worker is still spinning after its last job, a buffered channel
+// send once it parked; either way no goroutine spawn and no allocation
+// beyond fn's own closure (see worker.go). When g is non-nil the worker
 // is also counted in g's join, so Group.Join can wait for exactly its own
 // workers while Runtime.Join still covers everyone, and its handoff and
 // death are traced under g's trace ID. The group's Done fires after the
@@ -538,7 +537,7 @@ func (rt *Runtime) TryDivide(fn func()) bool {
 	if !ok {
 		return false
 	}
-	rt.Spawn(c, fn)
+	rt.spawnOn(c, fn, nil)
 	return true
 }
 
@@ -561,21 +560,21 @@ func (rt *Runtime) Divide(fn func()) bool {
 // are fine — the group cannot hit zero while the divider is alive).
 func (rt *Runtime) Join() { rt.wg.Wait() }
 
-// Lock acquires the table entry for key (mlock). Keys are arbitrary
-// 64-bit addresses; the table is striped, so distinct keys may share an
-// entry — coarser, never incorrect, exactly like the bounded hardware
-// table. The acquisition is counted on the entry itself, under its own
-// mutex: Lock costs that mutex and nothing else, and callers on
-// different entries share no cache line.
-func (rt *Runtime) Lock(key uint64) {
+// lock acquires the table entry for key (mlock) under a Domain's Lock.
+// Keys are arbitrary 64-bit addresses; the table is striped, so distinct
+// keys may share an entry — coarser, never incorrect, exactly like the
+// bounded hardware table. The acquisition is counted on the entry itself,
+// under its own mutex: lock costs that mutex and nothing else, and
+// callers on different entries share no cache line.
+func (rt *Runtime) lock(key uint64) {
 	s := rt.stripeFor(key)
 	s.mu.Lock()
 	s.acquires++
 }
 
-// Unlock releases the table entry for key (munlock), or gives back one
+// unlock releases the table entry for key (munlock), or gives back one
 // extra hold on it that a Group's upgrade took.
-func (rt *Runtime) Unlock(key uint64) {
+func (rt *Runtime) unlock(key uint64) {
 	s := rt.stripeFor(key)
 	if s.extra != 0 {
 		s.extra--

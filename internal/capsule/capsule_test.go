@@ -167,10 +167,11 @@ func TestLIFOContextReuse(t *testing.T) {
 
 func TestWorkerDeathRefillsLIFO(t *testing.T) {
 	rt := quiet(2)
-	c, _ := rt.Probe()
+	g := rt.NewGroup()
+	c, _ := g.Probe()
 	id := c.ID()
-	rt.Spawn(c, func() {})
-	rt.Join()
+	g.Spawn(c, func() {})
+	g.Join()
 	// The dead worker's context must be the next one granted.
 	c2, ok := rt.Probe()
 	if !ok || c2.ID() != id {
@@ -193,11 +194,9 @@ func TestDeathRateThrottle(t *testing.T) {
 
 	// Two immediate worker deaths at t=0 trip the threshold.
 	for i := 0; i < 2; i++ {
-		c, ok := rt.Probe()
-		if !ok {
+		if !rt.TryDivide(func() {}) {
 			t.Fatalf("probe %d refused before any deaths", i)
 		}
-		rt.Spawn(c, func() {})
 		rt.Join()
 	}
 	if _, ok := rt.Probe(); ok {
@@ -227,8 +226,7 @@ func TestCanDivideMatchesProbeCondition(t *testing.T) {
 	}
 	// Trip the throttle (threshold is 2) with tokens still free.
 	for i := 0; i < 2; i++ {
-		c, _ := rt.Probe()
-		rt.Spawn(c, func() {})
+		rt.TryDivide(func() {})
 		rt.Join()
 	}
 	if rt.FreeContexts() != 4 {
@@ -320,15 +318,13 @@ func TestPeakWorkers(t *testing.T) {
 	release := make(chan struct{})
 	var up sync.WaitGroup
 	for i := 0; i < 4; i++ {
-		c, ok := rt.Probe()
-		if !ok {
-			t.Fatalf("probe %d refused", i)
-		}
 		up.Add(1)
-		rt.Spawn(c, func() {
+		if !rt.TryDivide(func() {
 			up.Done()
 			<-release
-		})
+		}) {
+			t.Fatalf("probe %d refused", i)
+		}
 	}
 	up.Wait()
 	if s := rt.Stats(); s.PeakWorkers != 4 {
@@ -348,9 +344,9 @@ func TestLockTableMutualExclusion(t *testing.T) {
 		key := uint64(w % keys)
 		rt.Divide(func() {
 			for r := 0; r < rounds; r++ {
-				rt.Lock(key)
+				rt.lock(key)
 				counters[key]++
-				rt.Unlock(key)
+				rt.unlock(key)
 			}
 		})
 	}
@@ -374,7 +370,7 @@ func TestSpawnForeignContextPanics(t *testing.T) {
 		}
 		rt1.Release(c)
 	}()
-	rt2.Spawn(c, func() {})
+	rt2.NewGroup().Spawn(c, func() {})
 }
 
 func TestResetStats(t *testing.T) {
@@ -407,7 +403,8 @@ func TestStatsString(t *testing.T) {
 
 // TestProbeDivideContention is the race-detector workout: many goroutines
 // hammer Probe/Spawn/Release, Divide, TryDivide and the lock table at
-// once, with the throttle on so every deny path is exercised too.
+// once, with the throttle on so every deny path is exercised too. Each
+// goroutine's Probe/Spawn/Release goes through its own Group.
 func TestProbeDivideContention(t *testing.T) {
 	rt := New(Config{Contexts: 8, Throttle: true, DeathWindow: 50 * time.Microsecond})
 	var total atomic.Int64
@@ -416,6 +413,8 @@ func TestProbeDivideContention(t *testing.T) {
 		outer.Add(1)
 		go func(g int) {
 			defer outer.Done()
+			grp := rt.NewGroup()
+			defer grp.Join()
 			for i := 0; i < 50; i++ {
 				switch i % 3 {
 				case 0:
@@ -425,9 +424,9 @@ func TestProbeDivideContention(t *testing.T) {
 						total.Add(1) // else-branch: do the unit ourselves
 					}
 				default:
-					if c, ok := rt.Probe(); ok {
+					if c, ok := grp.Probe(); ok {
 						if i%2 == 0 {
-							rt.Spawn(c, func() { total.Add(1) })
+							grp.Spawn(c, func() { total.Add(1) })
 						} else {
 							rt.Release(c)
 							total.Add(1)
@@ -437,8 +436,8 @@ func TestProbeDivideContention(t *testing.T) {
 					}
 				}
 				key := uint64(g*31 + i)
-				rt.Lock(key)
-				rt.Unlock(key)
+				rt.lock(key)
+				rt.unlock(key)
 			}
 		}(g)
 	}
@@ -476,13 +475,15 @@ func TestStormNeverExceedsContexts(t *testing.T) {
 		outer.Add(1)
 		go func(g int) {
 			defer outer.Done()
+			grp := rt.NewGroup()
+			defer grp.Join()
 			for i := 0; i < rounds; i++ {
 				switch (g + i) % 3 {
 				case 0:
 					rt.TryDivide(work)
 				case 1:
-					if c, ok := rt.Probe(); ok {
-						rt.Spawn(c, work)
+					if c, ok := grp.Probe(); ok {
+						grp.Spawn(c, work)
 					}
 				default:
 					if c, ok := rt.Probe(); ok {
@@ -555,8 +556,8 @@ func TestResetStatsDuringStorm(t *testing.T) {
 			defer outer.Done()
 			for i := 0; i < 200; i++ {
 				rt.Divide(func() {})
-				rt.Lock(uint64(i))
-				rt.Unlock(uint64(i))
+				rt.lock(uint64(i))
+				rt.unlock(uint64(i))
 			}
 		}()
 	}

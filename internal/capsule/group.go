@@ -19,14 +19,14 @@ import (
 //		work(lo, mid) // the caller's own path; nothing was allocated
 //	}
 //
-// Three implementations exist, all backed by the same Runtime (one context
-// pool, one throttle, one lock table):
+// Two implementations exist, both backed by a Runtime (one context pool,
+// one throttle, one lock table), which is no Domain itself: like the
+// paper's join(), a Join belongs to a component, not to the machine.
 //
-//   - *Runtime itself — the whole-process scope whose Join waits for every
-//     worker, the right domain for one-program-at-a-time tools (caprun);
-//   - *Group — a per-task join scope for servers running many component
-//     programs concurrently on one runtime: divisions compete for the
-//     shared pool, but Join waits only for the group's own workers;
+//   - *Group — a per-task join scope: divisions compete for the shared
+//     pool, but Join waits only for the group's own workers, so one
+//     program (caprun) or many concurrent ones (a server) each run on
+//     their own group;
 //   - Sequential — the fully-degraded scope whose probes are always
 //     refused, for callers that decided (e.g. at request admission) not to
 //     offer parallelism at all.
@@ -48,7 +48,6 @@ type Domain interface {
 }
 
 var (
-	_ Domain = (*Runtime)(nil)
 	_ Domain = (*Group)(nil)
 	_ Domain = seqDomain{}
 )
@@ -198,7 +197,7 @@ func (g *Group) Lock(key uint64) {
 		g.elided++
 		return
 	}
-	g.rt.Lock(key)
+	g.rt.lock(key)
 }
 
 // Unlock is munlock on key: it drops key from the owner's set if it is
@@ -214,7 +213,7 @@ func (g *Group) Unlock(key uint64) {
 			}
 		}
 	}
-	g.rt.Unlock(key)
+	g.rt.unlock(key)
 }
 
 // Stats snapshots the group's own division counters.
@@ -232,7 +231,7 @@ func (g *Group) Stats() GroupStats {
 // refused, so the caller always takes its own path, and Join is a no-op
 // (there are never any workers). It touches no division counters — a
 // sequential task makes no offers, so it must not dilute the grant rate —
-// and its locks are the runtime's table, counted like Runtime.Lock's.
+// and its locks are the runtime's table, counted like a Group's.
 // This is the request-admission analogue of the
 // CapC compiler's sequential fallback path, and what
 // speedup_vs_sequential divides by: the algorithm and nothing else.
@@ -243,5 +242,5 @@ type seqDomain struct{ rt *Runtime }
 func (d seqDomain) Probe() (*Context, bool) { return nil, false }
 func (d seqDomain) Spawn(*Context, func())  { panic("capsule: Spawn on the Sequential domain") }
 func (d seqDomain) Join()                   {}
-func (d seqDomain) Lock(key uint64)         { d.rt.Lock(key) }
-func (d seqDomain) Unlock(key uint64)       { d.rt.Unlock(key) }
+func (d seqDomain) Lock(key uint64)         { d.rt.lock(key) }
+func (d seqDomain) Unlock(key uint64)       { d.rt.unlock(key) }

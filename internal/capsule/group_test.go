@@ -74,6 +74,21 @@ func TestGroupStatsCountOwnDivisions(t *testing.T) {
 	}
 }
 
+// TestRuntimeIsNoDomain: a division scope is a component's, not the
+// machine's, so the Runtime does not satisfy Domain — only a Group and
+// Sequential do.
+func TestRuntimeIsNoDomain(t *testing.T) {
+	rt := quiet(1)
+	if _, ok := any(rt).(Domain); ok {
+		t.Fatal("*Runtime implements Domain")
+	}
+	for _, dom := range []any{rt.NewGroup(), rt.Sequential()} {
+		if _, ok := dom.(Domain); !ok {
+			t.Fatalf("%T does not implement Domain", dom)
+		}
+	}
+}
+
 func TestSequentialDomainNeverDivides(t *testing.T) {
 	rt := quiet(4)
 	seq := rt.Sequential()

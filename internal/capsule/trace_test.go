@@ -85,7 +85,7 @@ func TestTracedGroupLifecycle(t *testing.T) {
 	}
 }
 
-// TestUntracedStaysSilent: Probe/Spawn and a tid-0 group must write no
+// TestUntracedStaysSilent: TryDivide and a tid-0 group must write no
 // events even with a tracer armed — the sampling-off hot path.
 func TestUntracedStaysSilent(t *testing.T) {
 	tr := captrace.New(1, 64)
@@ -93,13 +93,11 @@ func TestUntracedStaysSilent(t *testing.T) {
 	g := rt.NewGroup()
 	spawnOnce(g, nopFn)
 	g.Join()
-	c, ok := rt.Probe()
-	if !ok {
-		t.Fatal("probe refused")
-	}
 	var wg sync.WaitGroup
 	wg.Add(1)
-	rt.Spawn(c, func() { wg.Done() })
+	if !rt.TryDivide(func() { wg.Done() }) {
+		t.Fatal("probe refused")
+	}
 	wg.Wait()
 	rt.Join()
 	if evs := tr.Snapshot("test", 0).Events; len(evs) != 0 {

@@ -70,7 +70,7 @@ type workerState struct {
 }
 
 // job is one unit handed to a parked worker, with the group that
-// spawned it (nil for the runtime's own Spawn). A nil fn is the quit
+// spawned it (nil for TryDivide's). A nil fn is the quit
 // sentinel Close uses to retire the worker.
 type job struct {
 	fn func()

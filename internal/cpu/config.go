@@ -78,12 +78,11 @@ type Config struct {
 	Predictor bpred.Config
 
 	// CAPSULE division support.
-	EnableDivision bool // SOMT when true
-	DivisionPolicy Policy
-	ThrottleOn     bool // death-rate division throttling
-	DeathWindow    int  // cycles (paper: 128)
-	RegCopyCycles  int  // child activation delay after nthr commit
-	DivExtraCycles int  // CMP-extrapolation experiment knob
+	DivisionPolicy Policy // PolicyDeny: no division hardware (SMT, superscalar)
+	ThrottleOn     bool   // death-rate division throttling
+	DeathWindow    int    // cycles (paper: 128)
+	RegCopyCycles  int    // child activation delay after nthr commit
+	DivExtraCycles int    // CMP-extrapolation experiment knob
 
 	// Thread activation/deactivation (context stack).
 	SwapOn        bool
@@ -122,7 +121,6 @@ func SOMTConfig() Config {
 		FPMults:             4,
 		Hierarchy:           mem.DefaultHierarchy(),
 		Predictor:           bpred.Default(),
-		EnableDivision:      true,
 		DivisionPolicy:      PolicyGreedy,
 		ThrottleOn:          true,
 		DeathWindow:         128,
@@ -143,7 +141,6 @@ func SOMTConfig() Config {
 func SMTConfig() Config {
 	c := SOMTConfig()
 	c.Name = "smt"
-	c.EnableDivision = false
 	c.DivisionPolicy = PolicyDeny
 	return c
 }
@@ -154,7 +151,6 @@ func SMTConfig() Config {
 func SMTStaticConfig() Config {
 	c := SOMTConfig()
 	c.Name = "smt-static"
-	c.EnableDivision = true
 	c.DivisionPolicy = PolicyStatic
 	c.ThrottleOn = false
 	return c
@@ -169,7 +165,6 @@ func SuperscalarConfig() Config {
 	c.FetchThreads = 1
 	c.FetchPerThread = 8
 	c.MaxFetchPerThread = 8
-	c.EnableDivision = false
 	c.DivisionPolicy = PolicyDeny
 	c.SwapOn = false
 	return c

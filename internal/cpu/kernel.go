@@ -16,7 +16,7 @@ var _ emu.Kernel = (*Machine)(nil)
 // context count; otherwise it is treated as a nop and the probe fails.
 func (m *Machine) RequestDivision(parent *emu.Thread) (*emu.Thread, bool) {
 	m.stats.DivRequested++
-	if !m.cfg.EnableDivision || m.cfg.DivisionPolicy == PolicyDeny {
+	if m.cfg.DivisionPolicy == PolicyDeny {
 		return nil, false
 	}
 	if m.cfg.DivisionPolicy == PolicyStatic && m.staticFrozen {

@@ -250,9 +250,6 @@ func init() {
 		for _, pol := range []cpu.Policy{cpu.PolicyGreedy, cpu.PolicyStatic, cpu.PolicyDeny} {
 			cfg := cpu.SOMTConfig()
 			cfg.DivisionPolicy = pol
-			if pol == cpu.PolicyDeny {
-				cfg.EnableDivision = false
-			}
 			if err := addRun("policy", pol.String(), cfg); err != nil {
 				return nil, err
 			}

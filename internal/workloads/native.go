@@ -1,10 +1,7 @@
 package workloads
 
 import (
-	"fmt"
-	"sort"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/capsule"
 )
@@ -34,8 +31,9 @@ import (
 // walks every edge itself.
 //
 // All four return results validated against the Go references
-// (sort order, RefDijkstra, RefLZWMatch, RefPerceptron) by native_test.go
-// and by the Run* wrappers used from cmd/caprun.
+// (sort order, RefDijkstra, RefLZWMatch, RefPerceptron) by native_test.go,
+// and, through RunRequest's checksum and its twin RefRequest, by
+// cmd/caprun and FuzzRunRequest.
 
 // qsNativeCutoff matches the CapC program's insertion-sort cutoff.
 const qsNativeCutoff = 8
@@ -301,88 +299,6 @@ func updQ8(w, x []int64, t int64, lo, hi int) {
 // order cmd/caprun documents them.
 func NativeNames() []string {
 	return []string{"quicksort", "dijkstra", "lzw", "perceptron"}
-}
-
-// NativeResult is one native run: the headline output value, the wall
-// time of the native execution alone (input generation and reference
-// validation excluded), and the runtime statistics accumulated during
-// the run.
-type NativeResult struct {
-	Workload string
-	Output   string // human-readable headline (checksum, code count, ...)
-	Elapsed  time.Duration
-	Stats    capsule.Stats
-}
-
-// RunNative executes one native workload on rt with inputs generated the
-// same way cmd/capsim generates them (same generator, same meaning of n
-// and seed), validates the result against the Go reference, and reports
-// the stats delta across the run — so a shared runtime's cumulative
-// counters are left untouched and the result still covers only this run.
-func RunNative(rt *capsule.Runtime, workload string, n int, seed int64) (*NativeResult, error) {
-	// NewRand(seed), not RandFor, like every tool that takes -seed: the
-	// same -workload/-n/-seed triple names the same input in all of them
-	// and their outputs are directly comparable.
-	rng := NewRand(seed)
-	before := rt.Stats()
-	res := &NativeResult{Workload: workload}
-	timed := func(fn func()) {
-		start := time.Now()
-		fn()
-		res.Elapsed = time.Since(start)
-	}
-	switch workload {
-	case "quicksort":
-		list := GenList(rng, ListUniform, n)
-		var got []int64
-		timed(func() { got = NativeQuickSort(rt, list) })
-		want := append([]int64(nil), list...)
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		for i := range want {
-			if got[i] != want[i] {
-				return nil, fmt.Errorf("native quicksort: arr[%d] = %d, want %d", i, got[i], want[i])
-			}
-		}
-		res.Output = fmt.Sprintf("sorted %d elements (checksum %d)", len(got), checksum(got))
-	case "dijkstra":
-		in := GenGraph(rng, n, GenDijkstraMaxDeg, GenDijkstraMaxW)
-		var got []int64
-		timed(func() { got = NativeDijkstra(rt, in) })
-		want := RefDijkstra(in)
-		for v := range want {
-			if got[v] != want[v] {
-				return nil, fmt.Errorf("native dijkstra: dist[%d] = %d, want %d", v, got[v], want[v])
-			}
-		}
-		res.Output = fmt.Sprintf("distances over %d nodes (checksum %d)", in.N, checksum(got))
-	case "lzw":
-		in := GenLZW(rng, n)
-		var got int64
-		timed(func() { got = NativeLZW(rt, in) })
-		if want := RefLZWMatch(in, LZWChunk); got != want {
-			return nil, fmt.Errorf("native lzw: total codes = %d, want %d", got, want)
-		}
-		res.Output = fmt.Sprintf("emitted %d codes for %d symbols", got, len(in.Text))
-	case "perceptron":
-		in := GenPerceptron(rng, n, GenPerceptronPats, GenPerceptronEpochs)
-		var gotW []int64
-		var gotM int64
-		timed(func() { gotW, gotM = NativePerceptron(rt, in) })
-		wantW, wantM := RefPerceptron(in)
-		if gotM != wantM {
-			return nil, fmt.Errorf("native perceptron: mistakes = %d, want %d", gotM, wantM)
-		}
-		for i := range wantW {
-			if gotW[i] != wantW[i] {
-				return nil, fmt.Errorf("native perceptron: w[%d] = %d, want %d", i, gotW[i], wantW[i])
-			}
-		}
-		res.Output = fmt.Sprintf("trained %d neurons, %d mistakes (weight checksum %d)", in.Neurons, gotM, checksum(gotW))
-	default:
-		return nil, fmt.Errorf("unknown native workload %q (have %v)", workload, NativeNames())
-	}
-	res.Stats = rt.Stats().Delta(before)
-	return res, nil
 }
 
 // checksum is an order-sensitive 64-bit digest for compact output

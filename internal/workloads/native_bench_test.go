@@ -43,7 +43,7 @@ func BenchmarkNativeQuickSort(b *testing.B) {
 			rt := capsule.NewDefault()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				got := NativeQuickSort(rt, list)
+				got := NativeQuickSort(rt.NewGroup(), list)
 				for j := range want {
 					if got[j] != want[j] {
 						b.Fatalf("arr[%d] = %d, want %d", j, got[j], want[j])
@@ -70,7 +70,7 @@ func BenchmarkNativeDijkstra(b *testing.B) {
 			rt := capsule.NewDefault()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				got := NativeDijkstra(rt, in)
+				got := NativeDijkstra(rt.NewGroup(), in)
 				for v := range want {
 					if got[v] != want[v] {
 						b.Fatalf("dist[%d] = %d, want %d", v, got[v], want[v])
@@ -97,7 +97,7 @@ func BenchmarkNativeLZW(b *testing.B) {
 			rt := capsule.NewDefault()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if got := NativeLZW(rt, in); got != want {
+				if got := NativeLZW(rt.NewGroup(), in); got != want {
 					b.Fatalf("codes = %d, want %d", got, want)
 				}
 			}
@@ -121,7 +121,7 @@ func BenchmarkNativePerceptron(b *testing.B) {
 			rt := capsule.NewDefault()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				gotW, gotM := NativePerceptron(rt, in)
+				gotW, gotM := NativePerceptron(rt.NewGroup(), in)
 				if gotM != wantM {
 					b.Fatalf("mistakes = %d, want %d", gotM, wantM)
 				}

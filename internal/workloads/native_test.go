@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -15,12 +16,15 @@ func nativeRT(contexts int) *capsule.Runtime {
 	return capsule.New(capsule.Config{Contexts: contexts, Throttle: true})
 }
 
+// nativeGroup is a Group on a fresh nativeRT(contexts).
+func nativeGroup(contexts int) *capsule.Group { return nativeRT(contexts).NewGroup() }
+
 func TestNativeQuickSortCrossVal(t *testing.T) {
 	for kind := ListKind(0); kind < numListKinds; kind++ {
 		for _, n := range []int{0, 1, 7, 50, 2000} {
 			rng := RandFor(11, int(kind)*100+n)
 			list := GenList(rng, kind, n)
-			got := NativeQuickSort(nativeRT(4), list)
+			got := NativeQuickSort(nativeGroup(4), list)
 			want := append([]int64(nil), list...)
 			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 			for i := range want {
@@ -36,7 +40,7 @@ func TestNativeDijkstraCrossVal(t *testing.T) {
 	for _, n := range []int{1, 10, 100, 600} {
 		for seed := int64(1); seed <= 3; seed++ {
 			in := GenGraph(RandFor(seed, n), n, 4, 9)
-			got := NativeDijkstra(nativeRT(4), in)
+			got := NativeDijkstra(nativeGroup(4), in)
 			want := RefDijkstra(in)
 			for v := range want {
 				if got[v] != want[v] {
@@ -51,7 +55,7 @@ func TestNativeLZWCrossVal(t *testing.T) {
 	for _, n := range []int{0, 8, 9, 64, 4096} {
 		for seed := int64(1); seed <= 3; seed++ {
 			in := GenLZW(RandFor(seed, n), n)
-			got := NativeLZW(nativeRT(4), in)
+			got := NativeLZW(nativeGroup(4), in)
 			if want := RefLZWMatch(in, LZWChunk); got != want {
 				t.Fatalf("n=%d seed=%d: codes = %d, want %d", n, seed, got, want)
 			}
@@ -62,7 +66,7 @@ func TestNativeLZWCrossVal(t *testing.T) {
 func TestNativePerceptronCrossVal(t *testing.T) {
 	for _, neurons := range []int{4, 16, 257, 1024} {
 		in := GenPerceptron(RandFor(7, neurons), neurons, 3, 2)
-		gotW, gotM := NativePerceptron(nativeRT(4), in)
+		gotW, gotM := NativePerceptron(nativeGroup(4), in)
 		wantW, wantM := RefPerceptron(in)
 		if gotM != wantM {
 			t.Fatalf("neurons=%d: mistakes = %d, want %d", neurons, gotM, wantM)
@@ -93,10 +97,10 @@ func exhausted(t testing.TB) *capsule.Runtime {
 }
 
 // TestNativeDeterminism checks the contract the native implementations
-// promise: the result is a pure function of the input — identical across
-// repeated runs, context-pool sizes, throttle settings and every kind of
-// Domain (the runtime itself, a Group, a Group whose every probe is
-// refused, Sequential), no matter how the workers interleave.
+// promise: the result is a pure function of the input, equal to the Go
+// reference's across repeated runs, context-pool sizes, throttle settings
+// and every kind of Domain (a Group, a Group whose every probe is refused,
+// Sequential), no matter how the workers interleave.
 func TestNativeDeterminism(t *testing.T) {
 	configs := []capsule.Config{
 		{Contexts: 1},
@@ -107,39 +111,34 @@ func TestNativeDeterminism(t *testing.T) {
 	rt := nativeRT(4)
 	defer rt.Close()
 	domains := map[string]capsule.Domain{
-		"Runtime":         rt,
 		"Group":           rt.NewGroup(),
 		"exhausted Group": exhausted(t).NewGroup(),
 		"Sequential":      rt.Sequential(),
 	}
 	for _, name := range NativeNames() {
 		t.Run(name, func(t *testing.T) {
-			var want string
+			want, err := RefRequest(name, 300, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for i, cfg := range configs {
 				for rep := 0; rep < 3; rep++ {
-					res, err := RunNative(capsule.New(cfg), name, 300, 42)
+					res, err := RunRequest(capsule.New(cfg).NewGroup(), name, 300, 42)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if i == 0 && rep == 0 {
-						want = res.Output
-						continue
-					}
-					if res.Output != want {
-						t.Fatalf("config %d rep %d: output %q, want %q", i, rep, res.Output, want)
+					if res.Checksum != want {
+						t.Fatalf("config %d rep %d: checksum %d, Go reference %d", i, rep, res.Checksum, want)
 					}
 				}
 			}
-			var sum uint64
 			for dname, dom := range domains {
 				res, err := RunRequest(dom, name, 300, 42)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if sum == 0 {
-					sum = res.Checksum
-				} else if res.Checksum != sum {
-					t.Fatalf("%s: checksum %d, another domain gave %d", dname, res.Checksum, sum)
+				if res.Checksum != want {
+					t.Fatalf("%s: checksum %d, Go reference %d", dname, res.Checksum, want)
 				}
 			}
 		})
@@ -215,7 +214,6 @@ func TestNativeOffersScaleWithGrain(t *testing.T) {
 	live := nativeRT(4)
 	defer live.Close()
 	domains := map[string]capsule.Domain{
-		"Runtime":    live,
 		"Group":      live.NewGroup(),
 		"Sequential": live.Sequential(),
 	}
@@ -286,7 +284,6 @@ func TestNativeDijkstraOffersPerNode(t *testing.T) {
 	live := nativeRT(4)
 	defer live.Close()
 	domains := map[string]capsule.Domain{
-		"Runtime":    live,
 		"Group":      live.NewGroup(),
 		"Sequential": live.Sequential(),
 	}
@@ -343,13 +340,20 @@ func refusedDijkstraVisits(in *DijkstraInput) (forked, edges int) {
 	return forked, edges
 }
 
-// TestNativeContention runs all four workloads concurrently on one shared
-// pool of runtimes under load — primarily a race-detector target.
+// TestNativeContention runs all four workloads concurrently, each on a
+// Group of its own 8-context runtime, and checks each checksum against
+// the Go reference — primarily a race-detector target.
 func TestNativeContention(t *testing.T) {
 	done := make(chan error, len(NativeNames()))
 	for _, name := range NativeNames() {
 		go func(name string) {
-			_, err := RunNative(nativeRT(8), name, 500, 3)
+			res, err := RunRequest(nativeGroup(8), name, 500, 3)
+			if err == nil {
+				var want uint64
+				if want, err = RefRequest(name, 500, 3); err == nil && res.Checksum != want {
+					err = fmt.Errorf("%s: checksum %d, Go reference %d", name, res.Checksum, want)
+				}
+			}
 			done <- err
 		}(name)
 	}
@@ -360,13 +364,20 @@ func TestNativeContention(t *testing.T) {
 	}
 }
 
+// TestRunNativeStatsAndErrors: a run on a Group of a fresh runtime leaves
+// consistent runtime Stats once RunRequest has joined the group, as
+// caprun reports them, and an unknown workload is an error from both
+// RunRequest and RefRequest that lists the known ones.
 func TestRunNativeStatsAndErrors(t *testing.T) {
 	rt := nativeRT(4)
-	res, err := RunNative(rt, "dijkstra", 400, 9)
+	res, err := RunRequest(rt.NewGroup(), "dijkstra", 400, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := res.Stats
+	if want, err := RefRequest("dijkstra", 400, 9); err != nil || res.Checksum != want {
+		t.Fatalf("checksum %d, Go reference %d (err %v)", res.Checksum, want, err)
+	}
+	s := rt.Stats()
 	if s.Probes == 0 {
 		t.Fatal("no probes recorded: division sites not exercised")
 	}
@@ -377,9 +388,12 @@ func TestRunNativeStatsAndErrors(t *testing.T) {
 		t.Fatalf("deaths (%d) != workers (%d) after a completed run", s.Deaths, s.TotalWorkers)
 	}
 
-	if _, err := RunNative(rt, "nosuch", 10, 1); err == nil {
-		t.Fatal("unknown workload accepted")
-	} else {
+	_, runErr := RunRequest(rt.NewGroup(), "nosuch", 10, 1)
+	_, refErr := RefRequest("nosuch", 10, 1)
+	for _, err := range []error{runErr, refErr} {
+		if err == nil {
+			t.Fatal("unknown workload accepted")
+		}
 		for _, name := range NativeNames() {
 			if !strings.Contains(err.Error(), name) {
 				t.Fatalf("error %q does not list known workload %q", err, name)

@@ -8,8 +8,8 @@ import (
 )
 
 // TestRunRequestDeterministicAcrossDomains checks the serving contract:
-// the same (workload, n, seed) yields the same checksum on the parallel
-// runtime, on a per-request Group and on the degraded Sequential domain.
+// the same (workload, n, seed) yields the same checksum on per-request
+// Groups and on the degraded Sequential domain.
 func TestRunRequestDeterministicAcrossDomains(t *testing.T) {
 	rt := capsule.New(capsule.Config{Contexts: 4, Throttle: true})
 	for _, wl := range NativeNames() {
@@ -29,28 +29,41 @@ func TestRunRequestDeterministicAcrossDomains(t *testing.T) {
 				t.Fatalf("%s: group checksum %d != sequential %d", wl, got.Checksum, want.Checksum)
 			}
 		}
-		got, err := RunRequest(rt, wl, 300, 42)
-		if err != nil {
-			t.Fatalf("%s runtime: %v", wl, err)
-		}
-		if got.Checksum != want.Checksum {
-			t.Fatalf("%s: runtime checksum %d != sequential %d", wl, got.Checksum, want.Checksum)
-		}
 	}
 }
 
-// TestRunRequestMatchesRunNative ties the serving checksums to the
-// validated path: RunNative (which cross-checks against the Go
-// references) must agree with RunRequest for the same triple.
+// TestRunRequestMatchesRunNative ties the serving checksums to the Go
+// references: for every workload, at a size under one grain and one of
+// several grains, RunRequest's checksum equals RefRequest's on
+// Sequential, on a Group whose probes are granted and on a Group whose
+// every probe is refused.
 func TestRunRequestMatchesRunNative(t *testing.T) {
+	rt := capsule.New(capsule.Config{Contexts: 4, Throttle: true})
+	defer rt.Close()
+	refused := exhausted(t)
 	for _, wl := range NativeNames() {
-		rt := capsule.New(capsule.Config{Contexts: 4, Throttle: true})
-		if _, err := RunNative(rt, wl, 200, 7); err != nil {
-			t.Fatalf("%s: RunNative failed validation: %v", wl, err)
-		}
-		rt.Join()
-		if _, err := RunRequest(rt.NewGroup(), wl, 200, 7); err != nil {
-			t.Fatalf("%s: RunRequest: %v", wl, err)
+		for _, n := range []int{200, 4*divGrain + 7} {
+			want, err := RefRequest(wl, n, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live := rt.NewGroup()
+			for dname, dom := range map[string]capsule.Domain{
+				"Sequential":      rt.Sequential(),
+				"Group":           live,
+				"exhausted Group": refused.NewGroup(),
+			} {
+				res, err := RunRequest(dom, wl, n, 7)
+				if err != nil {
+					t.Fatalf("%s n=%d %s: %v", wl, n, dname, err)
+				}
+				if res.Checksum != want {
+					t.Errorf("%s n=%d %s: checksum %d, Go reference %d", wl, n, dname, res.Checksum, want)
+				}
+			}
+			if gs := live.Stats(); n > divGrain && gs.Probes == 0 {
+				t.Errorf("%s n=%d: the live group made no offers", wl, n)
+			}
 		}
 	}
 }
@@ -101,4 +114,33 @@ func TestRunRequestConcurrentGroups(t *testing.T) {
 		}
 	}
 	rt.Join()
+}
+
+// FuzzRunRequest holds RunRequest on a 2-context Group to its reference
+// twin RefRequest over the request inputs a server takes from the wire:
+// the workload, n and the seed. n is capped so that one exec stays
+// around a millisecond: 1024 elements, symbols or neurons, 256 dijkstra
+// nodes.
+func FuzzRunRequest(f *testing.F) {
+	rt := nativeRT(2)
+	f.Cleanup(rt.Close)
+	f.Fuzz(func(t *testing.T, pick uint8, n uint16, seed int64) {
+		names := NativeNames()
+		wl := names[int(pick)%len(names)]
+		size := int(n)%1024 + 1
+		if wl == "dijkstra" {
+			size = int(n)%256 + 1
+		}
+		res, err := RunRequest(rt.NewGroup(), wl, size, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := RefRequest(wl, size, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Checksum != want {
+			t.Fatalf("%s n=%d seed=%d: checksum %d, Go reference %d", wl, size, seed, res.Checksum, want)
+		}
+	})
 }

@@ -34,6 +34,7 @@ package repro
 
 import (
 	"repro/internal/asm"
+	"repro/internal/capc"
 	"repro/internal/capcluster"
 	"repro/internal/capserve"
 	"repro/internal/capsule"
@@ -78,7 +79,7 @@ func CompileCapCListing(name, src string) (p *Program, asmText, preprocessed str
 	if err != nil {
 		return nil, "", "", err
 	}
-	return b.Program, b.Compiled.Asm, b.Compiled.PreProcessed, nil
+	return b.Program, b.Compiled.Asm, capc.PreProcess(b.Compiled.File), nil
 }
 
 // Assemble links raw assembly units (plus the capsule runtime).
@@ -112,14 +113,15 @@ func Experiments() []string { return exp.IDs() }
 
 // Native execution: the probe/divide protocol on real goroutines.
 //
-// A Runtime is one capsule execution domain; Probe/Divide follow the
-// paper's protocol (divide only when a context token is free and the
-// death-rate throttle is quiescent, run inline otherwise), on a
-// lock-free, allocation-free hot path. A Domain is the division-capable
-// scope component code is written against (Probe, then Spawn only on a
-// grant): the Runtime itself, a per-task Group (shared pool, private
-// join), or the Sequential fallback. A Runtime that should release its
-// parked worker goroutines before process exit is shut down with Close.
+// A Runtime is the machine: one context pool, death-rate throttle and
+// lock table, whose Probe/Divide follow the paper's protocol (divide
+// only when a context token is free and the throttle is quiescent, run
+// inline otherwise) on a lock-free, allocation-free hot path. A Domain is
+// the division-capable scope component code is written against (Probe,
+// then Spawn only on a grant); it has two implementations, a per-task
+// Group (shared pool, private join) and the Sequential fallback. The
+// Runtime itself is no Domain. A Runtime that should release its parked
+// worker goroutines before process exit is shut down with Close.
 type (
 	Runtime       = capsule.Runtime
 	RuntimeConfig = capsule.Config

@@ -54,8 +54,8 @@ func TestFacadeAssemble(t *testing.T) {
 }
 
 func TestFacadeConfigs(t *testing.T) {
-	if SOMT().EnableDivision != true || SMT().EnableDivision != false {
-		t.Fatal("division flags wrong")
+	if SOMT().DivisionPolicy.String() != "greedy" || SMT().DivisionPolicy.String() != "deny" {
+		t.Fatal("division policies wrong")
 	}
 	if Superscalar().Contexts != 1 || SOMT().Contexts != 8 {
 		t.Fatal("context counts wrong")
