@@ -31,16 +31,32 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// options are the command's flags.
+type options struct {
+	workload, arch string
+	n              int
+	seed           int64
+	stats          bool
+}
+
+// newFlagSet defines every flag of the command, once: run parses its
+// arguments with it, and TestDocCommands each documented command line.
+func newFlagSet() (*flag.FlagSet, *options) {
+	fs := flag.NewFlagSet("capsim", flag.ContinueOnError)
+	o := &options{}
+	fs.StringVar(&o.workload, "workload", "dijkstra", strings.Join(knownWorkloads, "|"))
+	fs.StringVar(&o.arch, "arch", "somt", strings.Join(knownArchs, "|"))
+	fs.IntVar(&o.n, "n", 200, "input size (nodes/elements/chars/neurons), must be > 0")
+	fs.Int64Var(&o.seed, "seed", 1, "input seed")
+	fs.BoolVar(&o.stats, "stats", false, "print full statistics")
+	return fs, o
+}
+
 // run is the whole command: it parses args, simulates the workload, writes
 // the report to stdout and any error to stderr, and returns the exit code.
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("capsim", flag.ContinueOnError)
+	fs, o := newFlagSet()
 	fs.SetOutput(stderr)
-	workload := fs.String("workload", "dijkstra", strings.Join(knownWorkloads, "|"))
-	arch := fs.String("arch", "somt", strings.Join(knownArchs, "|"))
-	n := fs.Int("n", 200, "input size (nodes/elements/chars/neurons), must be > 0")
-	seed := fs.Int64("seed", 1, "input seed")
-	stats := fs.Bool("stats", false, "print full statistics")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -49,13 +65,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	if *n <= 0 {
-		return fail("-n must be > 0 (got %d)", *n)
+	if o.n <= 0 {
+		return fail("-n must be > 0 (got %d)", o.n)
 	}
 
 	var cfg cpu.Config
 	variant := workloads.VariantComponent
-	switch *arch {
+	switch o.arch {
 	case "somt":
 		cfg = cpu.SOMTConfig()
 	case "smt":
@@ -66,25 +82,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg = cpu.SuperscalarConfig()
 		variant = workloads.VariantImperative
 	default:
-		return fail("unknown arch %q (known: %s)", *arch, strings.Join(knownArchs, ", "))
+		return fail("unknown arch %q (known: %s)", o.arch, strings.Join(knownArchs, ", "))
 	}
 
-	rng := workloads.NewRand(*seed)
+	rng := workloads.NewRand(o.seed)
 	var res *core.RunResult
 	var err error
-	switch *workload {
+	switch o.workload {
 	case "dijkstra":
-		res, err = workloads.RunDijkstra(workloads.GenGraph(rng, *n, workloads.GenDijkstraMaxDeg, workloads.GenDijkstraMaxW), variant, cfg)
+		res, err = workloads.RunDijkstra(workloads.GenGraph(rng, o.n, workloads.GenDijkstraMaxDeg, workloads.GenDijkstraMaxW), variant, cfg)
 	case "quicksort":
-		res, err = workloads.RunQuickSort(workloads.GenList(rng, workloads.ListUniform, *n), variant, cfg)
+		res, err = workloads.RunQuickSort(workloads.GenList(rng, workloads.ListUniform, o.n), variant, cfg)
 	case "lzw":
-		res, err = workloads.RunLZW(workloads.GenLZW(rng, *n), variant, cfg)
+		res, err = workloads.RunLZW(workloads.GenLZW(rng, o.n), variant, cfg)
 	case "perceptron":
-		res, err = workloads.RunPerceptron(workloads.GenPerceptron(rng, *n, workloads.GenPerceptronPats, workloads.GenPerceptronEpochs), variant, cfg)
+		res, err = workloads.RunPerceptron(workloads.GenPerceptron(rng, o.n, workloads.GenPerceptronPats, workloads.GenPerceptronEpochs), variant, cfg)
 	case "mcf":
-		res, err = workloads.RunMCF(workloads.GenMCF(rng, *n, *n/4+16, 2), variant, cfg)
+		res, err = workloads.RunMCF(workloads.GenMCF(rng, o.n, o.n/4+16, 2), variant, cfg)
 	case "bzip2":
-		res, err = workloads.RunBzip2(workloads.GenBzip2(rng, *n, 3), variant, cfg)
+		res, err = workloads.RunBzip2(workloads.GenBzip2(rng, o.n, 3), variant, cfg)
 	case "crafty":
 		res, err = workloads.RunCrafty(workloads.GenCrafty(rng, 4, 8, 7), variant, cfg)
 	case "vpr":
@@ -96,18 +112,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "iterations: %d (converged=%v)\n", vres.Iterations, vres.Converged)
 		}
 	default:
-		return fail("unknown workload %q (known: %s)", *workload, strings.Join(knownWorkloads, ", "))
+		return fail("unknown workload %q (known: %s)", o.workload, strings.Join(knownWorkloads, ", "))
 	}
 	if err != nil {
 		return fail("%v", err)
 	}
 
 	s := res.Stats
-	fmt.Fprintf(stdout, "workload=%s arch=%s n=%d seed=%d\n", *workload, *arch, *n, *seed)
+	fmt.Fprintf(stdout, "workload=%s arch=%s n=%d seed=%d\n", o.workload, o.arch, o.n, o.seed)
 	fmt.Fprintf(stdout, "cycles=%d insts=%d ipc=%.2f\n", s.Cycles, s.Insts, s.IPC())
 	fmt.Fprintf(stdout, "divisions: requested=%d allowed=%d (%.0f%%) deaths=%d\n",
 		s.DivRequested, s.DivGranted, 100*s.DivGrantRate(), s.Deaths)
-	if *stats {
+	if o.stats {
 		fmt.Fprintf(stdout, "throttle denies=%d no-ctx denies=%d\n", s.ThrottleDenies, s.NoCtxDenies)
 		fmt.Fprintf(stdout, "swaps out=%d in=%d rescues=%d max stack=%d\n", s.SwapsOut, s.SwapsIn, s.Rescues, s.MaxStackDepth)
 		fmt.Fprintf(stdout, "locks: acquires=%d stall-cycles=%d\n", s.LockAcquires, s.LockStallCycles)

@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"strings"
 	"testing"
+
+	"repro/internal/doccmd"
 )
 
 // statsGolden is capsim's full -stats report at -n 200 -seed 3 for the four
@@ -124,4 +127,11 @@ func TestUnknownArch(t *testing.T) {
 	if stdout.Len() != 0 {
 		t.Errorf("stdout not empty: %q", stdout.String())
 	}
+}
+
+// TestDocCommands parses, with the command's own flag set, every
+// documented capsim line: a documented command must name only flags that
+// exist. It runs none of them.
+func TestDocCommands(t *testing.T) {
+	doccmd.Check(t, "capsim", 4, func() *flag.FlagSet { fs, _ := newFlagSet(); return fs })
 }

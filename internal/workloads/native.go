@@ -25,10 +25,11 @@ import (
 // refused LZW or Perceptron worker does up to divGrain symbols or
 // neurons of its own work before it offers again. LZW and the forward
 // dot product also sum per worker and add to the shared total once, when
-// the worker returns. Dijkstra offers once per node where the CapC source
-// offers at every edge: a visit that improves a node with at least two
-// out-edges offers the upper half of its edge range, and a refused one
-// walks every edge itself.
+// the worker returns. Dijkstra offers once per settled node where the
+// CapC source offers at every edge: each worker takes the shortest entry
+// of its own frontier first, so a worker on its own settles each node
+// once; a settled node with at least two out-edges offers the upper half
+// of its edge range, and a refused worker relaxes every edge itself.
 //
 // All four return results validated against the Go references
 // (sort order, RefDijkstra, RefLZWMatch, RefPerceptron) by native_test.go,
@@ -100,50 +101,129 @@ func nativeQSort(dom capsule.Domain, arr []int64, lo, hi int) {
 	}
 }
 
-// NativeDijkstra runs the Fig. 1 worker algorithm on dom: each worker
-// carries its path length, improves the locked per-node distance or dies,
-// and offers the node's child edges once. Where the CapC program probes
-// at every child path (Fig. 2), a visit that improves a node with at
-// least two out-edges probes once: granted, a co-worker walks the upper
-// half of the edge range while this worker keeps the lower half;
-// refused, this worker walks them all. The monotone relaxation makes the
-// returned distances equal to RefDijkstra under any interleaving, and so
-// under any split.
+// NativeDijkstra runs the Fig. 1 worker algorithm on dom: a worker
+// improves a node's locked distance or dies. Each worker keeps its own
+// frontier and takes its shortest entry first, so on one worker every
+// node is settled once, as in RefDijkstra. A popped entry whose length
+// is no longer the node's distance is stale and dies. A live one offers
+// the node's edges once where the CapC program probes at every child
+// path (Fig. 2): if the node has at least two out-edges and the probe is
+// granted, a co-worker relaxes the upper half of the edge range into a
+// frontier of its own and walks that; this worker relaxes the rest. A
+// relaxation that improves a node's distance pushes the node. The
+// monotone relaxation makes the returned distances equal to RefDijkstra
+// under any interleaving, and so under any split.
 func NativeDijkstra(dom capsule.Domain, in *DijkstraInput) []int64 {
 	dist := make([]int64, in.N)
 	for i := range dist {
 		dist[i] = DijkstraInf
 	}
-	var explore func(node int32, d int64)
-	// walk explores the targets of edges [lo, hi) at path length d plus
-	// each edge's weight.
-	walk := func(lo, hi int32, d int64) {
+	// relax relaxes the targets of edges [lo, hi) at path length d plus
+	// each edge's weight, pushing each target it improves onto f.
+	relax := func(f *frontier, lo, hi int32, d int64) {
 		for e := lo; e < hi; e++ {
-			explore(in.EDst[e], d+int64(in.EWgt[e]))
-		}
-	}
-	explore = func(node int32, d int64) {
-		dom.Lock(uint64(node))
-		if d >= dist[node] {
-			// Sub-optimal path: this worker dies (Fig. 1, path A.C.E).
-			dom.Unlock(uint64(node))
-			return
-		}
-		dist[node] = d
-		dom.Unlock(uint64(node))
-		lo, hi := in.EOff[node], in.EOff[node+1]
-		if hi-lo >= 2 {
-			if c, ok := dom.Probe(); ok {
-				mid, end := lo+(hi-lo)/2, hi
-				dom.Spawn(c, func() { walk(mid, end, d) })
-				hi = mid
+			v, nd := in.EDst[e], d+int64(in.EWgt[e])
+			dom.Lock(uint64(v))
+			better := nd < dist[v]
+			if better {
+				dist[v] = nd
+			}
+			dom.Unlock(uint64(v))
+			if better {
+				f.push(nd, v)
 			}
 		}
-		walk(lo, hi, d)
 	}
-	explore(int32(in.Source), 0)
+	var settle func(f *frontier)
+	settle = func(f *frontier) {
+		for len(*f) > 0 {
+			d, u := f.pop()
+			dom.Lock(uint64(u))
+			stale := d != dist[u]
+			dom.Unlock(uint64(u))
+			if stale {
+				// A shorter path reached u first: this worker's path
+				// dies (Fig. 1, path A.C.E).
+				continue
+			}
+			lo, hi := in.EOff[u], in.EOff[u+1]
+			if hi-lo >= 2 {
+				if c, ok := dom.Probe(); ok {
+					mid, end := lo+(hi-lo)/2, hi
+					dom.Spawn(c, func() {
+						var g frontier
+						relax(&g, mid, end, d)
+						settle(&g)
+					})
+					hi = mid
+				}
+			}
+			relax(f, lo, hi, d)
+		}
+	}
+	// On its own, the owner pushes the source and at most once per edge,
+	// so its frontier never grows past this.
+	f := make(frontier, 0, len(in.EDst)+1)
+	dist[in.Source] = 0
+	f.push(0, int32(in.Source))
+	settle(&f)
 	dom.Join()
 	return dist
+}
+
+// frontier is one Dijkstra worker's shortest-first queue: a binary
+// min-heap of entries ordered by path length. It is hand-rolled because
+// container/heap boxes every entry it is handed.
+type frontier []frontierEntry
+
+// A frontierEntry is a node and the path length it was pushed with.
+type frontierEntry struct {
+	d    int64
+	node int32
+}
+
+// push adds node at path length d.
+func (f *frontier) push(d int64, node int32) {
+	h := append(*f, frontierEntry{})
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if h[p].d <= d {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = frontierEntry{d, node}
+	*f = h
+}
+
+// pop removes and returns the entry with the shortest path length; f
+// must not be empty.
+func (f *frontier) pop() (int64, int32) {
+	h := *f
+	top, last := h[0], h[len(h)-1]
+	h = h[:len(h)-1]
+	if n := len(h); n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if c+1 < n && h[c+1].d < h[c].d {
+				c++
+			}
+			if last.d <= h[c].d {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = last
+	}
+	*f = h
+	return top.d, top.node
 }
 
 // NativeLZW matches in.Text against the frozen trie in chunk-aligned

@@ -12,6 +12,7 @@ import (
 // Groups and on the degraded Sequential domain.
 func TestRunRequestDeterministicAcrossDomains(t *testing.T) {
 	rt := capsule.New(capsule.Config{Contexts: 4, Throttle: true})
+	defer rt.Close()
 	for _, wl := range NativeNames() {
 		want, err := RunRequest(rt.Sequential(), wl, 300, 42)
 		if err != nil {
@@ -70,6 +71,7 @@ func TestRunRequestMatchesRunNative(t *testing.T) {
 
 func TestRunRequestErrors(t *testing.T) {
 	rt := capsule.New(capsule.Config{Contexts: 2})
+	defer rt.Close()
 	if _, err := RunRequest(rt.NewGroup(), "nosuch", 100, 1); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
@@ -85,6 +87,7 @@ func TestRunRequestErrors(t *testing.T) {
 // many concurrent requests, each with its own Group, one shared runtime.
 func TestRunRequestConcurrentGroups(t *testing.T) {
 	rt := capsule.New(capsule.Config{Contexts: 4, Throttle: true})
+	defer rt.Close()
 	names := NativeNames()
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
@@ -118,9 +121,8 @@ func TestRunRequestConcurrentGroups(t *testing.T) {
 
 // FuzzRunRequest holds RunRequest on a 2-context Group to its reference
 // twin RefRequest over the request inputs a server takes from the wire:
-// the workload, n and the seed. n is capped so that one exec stays
-// around a millisecond: 1024 elements, symbols or neurons, 256 dijkstra
-// nodes.
+// the workload, n and the seed. n is capped at 1024 elements, symbols,
+// neurons or nodes, so that one exec stays around a millisecond.
 func FuzzRunRequest(f *testing.F) {
 	rt := nativeRT(2)
 	f.Cleanup(rt.Close)
@@ -128,9 +130,6 @@ func FuzzRunRequest(f *testing.F) {
 		names := NativeNames()
 		wl := names[int(pick)%len(names)]
 		size := int(n)%1024 + 1
-		if wl == "dijkstra" {
-			size = int(n)%256 + 1
-		}
 		res, err := RunRequest(rt.NewGroup(), wl, size, seed)
 		if err != nil {
 			t.Fatal(err)
