@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"strconv"
 	"testing"
+	"time"
 
 	"repro/internal/cpu"
 	"repro/internal/exp"
@@ -272,20 +273,50 @@ func BenchmarkVPRCacheDoubling(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatorThroughput measures raw simulated instructions/second
-// (a simulator-quality metric, not a paper artefact).
+// BenchmarkSimulatorThroughput measures the simulator's host cost per
+// committed instruction (a simulator-quality metric, not a paper artefact)
+// on one sim_paper-sized program, Dijkstra at n = 300, paired as sim_paper
+// pairs it: components on SOMT, the imperative baseline on the
+// superscalar. It reports ns/inst for each machine and their ratio, the
+// figure ROADMAP item 13 targets. Each run checks its output against the
+// Go reference.
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	rng := benchRng(109)
-	in := workloads.GenGraph(rng, 200, 4, 9)
-	var insts uint64
-	for i := 0; i < b.N; i++ {
-		res, err := workloads.RunDijkstra(in, workloads.VariantComponent, cpu.SOMTConfig())
+	in := workloads.GenGraph(benchRng(109), 300, workloads.GenDijkstraMaxDeg, workloads.GenDijkstraMaxW)
+	machines := [2]struct {
+		name    string
+		cfg     cpu.Config
+		variant workloads.Variant
+	}{
+		{"somt", cpu.SOMTConfig(), workloads.VariantComponent},
+		{"superscalar", cpu.SuperscalarConfig(), workloads.VariantImperative},
+	}
+	run := func(i int) uint64 {
+		res, err := workloads.RunDijkstra(in, machines[i].variant, machines[i].cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		insts += res.Stats.Insts
+		return res.Stats.Insts
 	}
-	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "sim_insts/s")
+	// Build both programs outside the timed runs.
+	for i := range machines {
+		run(i)
+	}
+	b.ResetTimer()
+	var took [2]time.Duration
+	var insts [2]uint64
+	for range b.N {
+		for i := range machines {
+			start := time.Now()
+			insts[i] += run(i)
+			took[i] += time.Since(start)
+		}
+	}
+	var nsPerInst [2]float64
+	for i, m := range machines {
+		nsPerInst[i] = float64(took[i].Nanoseconds()) / float64(insts[i])
+		b.ReportMetric(nsPerInst[i], m.name+"_ns/inst")
+	}
+	b.ReportMetric(nsPerInst[0]/nsPerInst[1], "somt/superscalar")
 }
 
 func benchSpeedupPair(b *testing.B, ss func(cpu.Config) (uint64, error), so func(cpu.Config) (uint64, error)) {

@@ -26,14 +26,27 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// options holds capc's flags.
+type options struct {
+	pre, asm, run bool
+	arch          string
+}
+
+// newFlagSet defines every capc flag on a fresh flag set.
+func newFlagSet() (*flag.FlagSet, *options) {
+	fs := flag.NewFlagSet("capc", flag.ContinueOnError)
+	o := &options{}
+	fs.BoolVar(&o.pre, "pre", false, "print the pre-processed (coworker->switch) listing")
+	fs.BoolVar(&o.asm, "S", false, "print the generated assembly")
+	fs.BoolVar(&o.run, "run", false, "run the program")
+	fs.StringVar(&o.arch, "arch", "somt", "somt|smt|superscalar (with -run)")
+	return fs, o
+}
+
 // run is the whole command: it returns the exit status.
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("capc", flag.ContinueOnError)
+	fs, o := newFlagSet()
 	fs.SetOutput(stderr)
-	pre := fs.Bool("pre", false, "print the pre-processed (coworker->switch) listing")
-	asmOut := fs.Bool("S", false, "print the generated assembly")
-	execute := fs.Bool("run", false, "run the program")
-	arch := fs.String("arch", "somt", "somt|smt|superscalar (with -run)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -57,17 +70,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail("%v", err)
 	}
-	if *pre {
+	if o.pre {
 		fmt.Fprintln(stdout, "// pre-processed (Fig. 2(b) stage)")
 		fmt.Fprint(stdout, capc.PreProcess(b.Compiled.File))
 	}
-	if *asmOut {
+	if o.asm {
 		fmt.Fprintln(stdout, "# post-processed assembly (Fig. 2(c) stage)")
 		fmt.Fprint(stdout, b.Compiled.Asm)
 	}
-	if *execute {
+	if o.run {
 		var cfg cpu.Config
-		switch *arch {
+		switch o.arch {
 		case "somt":
 			cfg = cpu.SOMTConfig()
 		case "smt":
@@ -75,7 +88,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		case "superscalar":
 			cfg = cpu.SuperscalarConfig()
 		default:
-			return fail("unknown arch %q", *arch)
+			return fail("unknown arch %q", o.arch)
 		}
 		res, err := core.RunTiming(b.Program, cfg)
 		if err != nil {
@@ -88,7 +101,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "cycles=%d insts=%d ipc=%.2f divisions=%d/%d\n",
 			s.Cycles, s.Insts, s.IPC(), s.DivGranted, s.DivRequested)
 	}
-	if !*pre && !*asmOut && !*execute {
+	if !o.pre && !o.asm && !o.run {
 		fmt.Fprintln(stderr, "compiled OK (use -pre, -S or -run)")
 	}
 	return 0

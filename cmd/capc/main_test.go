@@ -1,11 +1,14 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/doccmd"
 )
 
 // prog is a tiny component program: two coworker offers, a join, and a
@@ -86,4 +89,11 @@ func TestExitCodes(t *testing.T) {
 			t.Errorf("capc %v = %d, want %d (stderr %q)", tc.args, code, tc.want, errOut)
 		}
 	}
+}
+
+// TestDocCommands parses, with the command's own flag set, every
+// documented capc line: a documented command must name only flags that
+// exist, and one source file. It runs none of them.
+func TestDocCommands(t *testing.T) {
+	doccmd.Check(t, "capc", 3, 1, func() *flag.FlagSet { fs, _ := newFlagSet(); return fs })
 }

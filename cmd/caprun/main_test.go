@@ -68,5 +68,5 @@ func TestRunRejectsBadInput(t *testing.T) {
 // documented caprun line: a documented command must name only flags that
 // exist. It runs none of them.
 func TestDocCommands(t *testing.T) {
-	doccmd.Check(t, "caprun", 9, func() *flag.FlagSet { fs, _ := newFlagSet(); return fs })
+	doccmd.Check(t, "caprun", 9, 0, func() *flag.FlagSet { fs, _ := newFlagSet(); return fs })
 }

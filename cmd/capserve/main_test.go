@@ -253,5 +253,5 @@ func TestDrainTimeoutExits1(t *testing.T) {
 // TestDocCommands parses every documented capserve command line with
 // the command's own flag set; it starts nothing.
 func TestDocCommands(t *testing.T) {
-	doccmd.Check(t, "capserve", 10, func() *flag.FlagSet { fs, _ := newFlagSet(io.Discard); return fs })
+	doccmd.Check(t, "capserve", 10, 0, func() *flag.FlagSet { fs, _ := newFlagSet(io.Discard); return fs })
 }

@@ -133,5 +133,5 @@ func TestUnknownArch(t *testing.T) {
 // documented capsim line: a documented command must name only flags that
 // exist. It runs none of them.
 func TestDocCommands(t *testing.T) {
-	doccmd.Check(t, "capsim", 4, func() *flag.FlagSet { fs, _ := newFlagSet(); return fs })
+	doccmd.Check(t, "capsim", 4, 0, func() *flag.FlagSet { fs, _ := newFlagSet(); return fs })
 }

@@ -67,6 +67,7 @@ type ruuEntry struct {
 	seq     uint64
 	ctx     *context
 	inst    *isa.Inst // into the program's text, which a run never changes
+	ops     *operands // inst's register operands, decoded once by New
 	memAddr uint64    // loads and stores
 
 	// Register dependences. Each entry heads the list of entries waiting
@@ -80,7 +81,8 @@ type ruuEntry struct {
 	issued    bool
 	completed bool
 	latCycles int
-	readyAt   uint64 // completion (writeback) cycle once issued
+	readyAt   uint64    // completion (writeback) cycle once issued
+	nextDue   *ruuEntry // next issued entry in the same wheel slot
 
 	isLoad, isStore bool
 	mispredicted    bool
@@ -91,6 +93,16 @@ type ruuEntry struct {
 
 // maxSources bounds isa.Inst.Sources: two registers at most.
 const maxSources = 2
+
+// operands are one instruction's register operands. New decodes them once
+// per instruction of the program, so fetch and retire read them instead of
+// decoding every dynamic instance again.
+type operands struct {
+	src     [maxSources]isa.RegRef
+	nsrc    uint8
+	hasDest bool
+	dest    isa.RegRef
+}
 
 // depLink is one source slot of entry e in a waiter list; a nil e ends
 // the list.
@@ -150,6 +162,7 @@ type lockEntry struct {
 type Machine struct {
 	cfg  Config
 	p    *prog.Program
+	ops  []operands // by instruction index
 	mem  *mem.Memory
 	hier *mem.Hierarchy
 	pred *bpred.Predictor
@@ -163,11 +176,12 @@ type Machine struct {
 	fetchQ entryRing // fetched, awaiting dispatch (in fetch order)
 
 	// ready holds the dispatched entries with no outstanding producer that
-	// have not issued, in seq order; pending the issued entries that have
-	// not completed. Each stage works from these instead of scanning the
-	// RUU.
-	ready   []*ruuEntry
-	pending []*ruuEntry
+	// have not issued, in seq order. The issued entries that have not
+	// completed wait in wheel: slot readyAt mod wheelSlots heads a list
+	// linked through nextDue, so complete visits only the slot that is due.
+	// Each stage works from these instead of scanning the RUU.
+	ready []*ruuEntry
+	wheel [wheelSlots]*ruuEntry
 
 	ruuCount int
 	lsqCount int
@@ -204,6 +218,7 @@ type Machine struct {
 	Divisions      []DivisionEvent
 
 	// Scratch reused every cycle, and retired entries kept for reuse.
+	info     emu.StepInfo // filled by every emu.Step fetch makes
 	heads    []*ruuEntry
 	loads    []*ruuEntry
 	eligible []*context
@@ -226,9 +241,15 @@ func New(p *prog.Program, cfg Config) (*Machine, error) {
 		groups:      make(map[int]int64),
 	}
 	m.mem.StoreBytes(prog.DataBase, p.Data)
+	m.ops = make([]operands, len(p.Insts))
+	for i := range p.Insts {
+		o := &m.ops[i]
+		o.nsrc = uint8(len(p.Insts[i].Sources(o.src[:0])))
+		o.dest, o.hasDest = p.Insts[i].Dest()
+	}
 	// Every in-flight instruction sits in the fetch queue or the RUU, so
 	// this many entries serve the whole run (retire recycles them), and the
-	// RUU bounds the ready, pending and loads lists.
+	// RUU bounds the ready and loads lists.
 	inFlight := cfg.FetchQueue + cfg.RUUSize
 	entries := make([]ruuEntry, inFlight)
 	m.free = make([]*ruuEntry, inFlight)
@@ -237,7 +258,6 @@ func New(p *prog.Program, cfg Config) (*Machine, error) {
 	}
 	m.fetchQ = newEntryRing(cfg.FetchQueue)
 	m.ready = make([]*ruuEntry, 0, cfg.RUUSize)
-	m.pending = make([]*ruuEntry, 0, cfg.RUUSize)
 	m.loads = make([]*ruuEntry, 0, cfg.RUUSize)
 	m.heads = make([]*ruuEntry, 0, cfg.Contexts)
 	m.eligible = make([]*context, 0, cfg.Contexts)
@@ -455,8 +475,8 @@ func (m *Machine) retire(e *ruuEntry) {
 	}
 	// Commit is in order, so if e is still its register's youngest writer
 	// no other writer of that register is left in flight.
-	if d, ok := e.inst.Dest(); ok {
-		if w := c.writer(d); *w == e {
+	if e.ops.hasDest {
+		if w := c.writer(e.ops.dest); *w == e {
 			*w = nil
 		}
 	}
@@ -494,7 +514,7 @@ func (m *Machine) retire(e *ruuEntry) {
 // point at it: its producers' waiter lists were dropped when they
 // completed (before it could issue), its own list and any blockedOnBranch
 // reference when it completed; it left the fetch queue at dispatch, the
-// ready list at issue, the pending list at completion, and its context's
+// ready list at issue, the wheel at completion, and its context's
 // entries, stores and rename table in retire.
 func (m *Machine) recycle(e *ruuEntry) {
 	*e = ruuEntry{}
@@ -569,18 +589,26 @@ func (m *Machine) deathsInWindow() int {
 
 // -------------------------------------------------------------- complete --
 
-// complete moves issued entries whose latency elapsed to the completed
-// state, wakes dependents, and resolves mispredicted control flow. Only
-// the swap policy's rolling load average, and so eviction, depends on the
-// order entries complete in: the loads due in one cycle are fed to it in
-// (context id, seq) order.
+// complete moves the issued entries due this cycle, those in its wheel
+// slot, to the completed state, wakes dependents, and resolves
+// mispredicted control flow. Its cost follows the entries that complete,
+// not the entries in flight. Only the swap policy's rolling load average,
+// and so eviction, depends on the order entries complete in: the loads
+// due in one cycle are fed to it in (context id, seq) order.
 func (m *Machine) complete() {
-	loads, waiting := m.loads[:0], m.pending[:0]
-	for _, e := range m.pending {
+	loads := m.loads[:0]
+	slot := &m.wheel[m.cycle%wheelSlots]
+	next := *slot
+	*slot = nil
+	for e := next; e != nil; e = next {
+		next = e.nextDue
 		if e.readyAt > m.cycle {
-			waiting = append(waiting, e)
+			// Issued with a latency past the wheel's span: due a lap on.
+			e.nextDue = *slot
+			*slot = e
 			continue
 		}
+		e.nextDue = nil
 		c := e.ctx
 		e.completed = true
 		for l := e.firstDep; l.e != nil; l = l.e.nextDep[l.slot] {
@@ -601,7 +629,6 @@ func (m *Machine) complete() {
 			loads = append(loads, e)
 		}
 	}
-	m.pending = waiting
 	for i := 1; i < len(loads); i++ {
 		for j := i; j > 0 && completesBefore(loads[j], loads[j-1]); j-- {
 			loads[j], loads[j-1] = loads[j-1], loads[j]
@@ -611,6 +638,20 @@ func (m *Machine) complete() {
 		m.noteLoadLatency(e.ctx, e.latCycles)
 	}
 	m.loads = loads
+}
+
+// wheelSlots is the timing wheel's span in cycles: it covers a miss to
+// Table 1's 200-cycle memory, so only a longer latency is visited twice.
+const wheelSlots = 256
+
+// schedule files an issued entry in the wheel slot of the cycle it
+// completes in. This cycle's slot was visited before issue, so an entry
+// due now (a zero-cycle hit latency) goes in the next one and completes
+// next cycle.
+func (m *Machine) schedule(e *ruuEntry) {
+	slot := &m.wheel[max(e.readyAt, m.cycle+1)%wheelSlots]
+	e.nextDue = *slot
+	*slot = e
 }
 
 func completesBefore(a, b *ruuEntry) bool {
@@ -684,7 +725,7 @@ func (m *Machine) issue() {
 		e.issued = true
 		e.latCycles = lat
 		e.readyAt = m.cycle + uint64(lat)
-		m.pending = append(m.pending, e)
+		m.schedule(e)
 		width--
 	}
 	if width < m.cfg.IssueWidth {
@@ -844,7 +885,11 @@ func (m *Machine) fetch() error {
 	preds := m.cfg.BranchPredsPerCycle
 
 	for i := 0; i < nsel && budget > 0; i++ {
-		c := eligible[(rot+i)%len(eligible)]
+		j := rot + i // rot < len(eligible) and i < nsel <= len(eligible)
+		if j >= len(eligible) {
+			j -= len(eligible)
+		}
+		c := eligible[j]
 		n, err := m.fetchThread(c, min(perThread, budget), &preds)
 		if err != nil {
 			return err
@@ -878,7 +923,8 @@ func (m *Machine) fetchThread(c *context, maxN int, preds *int) (int, error) {
 			break // out of branch-prediction bandwidth this cycle
 		}
 
-		info, st, err := emu.Step(m.p, m.mem, m, t)
+		info := &m.info
+		st, err := emu.Step(m.p, m.mem, m, t, info)
 		if err != nil {
 			return fetched, err
 		}
@@ -896,7 +942,7 @@ func (m *Machine) fetchThread(c *context, maxN int, preds *int) (int, error) {
 		}
 
 		e := m.newEntry()
-		e.seq, e.ctx, e.inst, e.memAddr = m.seq, c, &m.p.Insts[info.PC], info.MemAddr
+		e.seq, e.ctx, e.inst, e.ops, e.memAddr = m.seq, c, info.Inst, &m.ops[info.PC], info.MemAddr
 		m.seq++
 		e.isLoad = info.Inst.Op.IsLoad()
 		e.isStore = info.Inst.Op.IsStore()
@@ -964,16 +1010,16 @@ func (m *Machine) fetchThread(c *context, maxN int, preds *int) (int, error) {
 // of each source, read from the rename table before e's own destination
 // is entered there, feeds e.
 func (m *Machine) resolveDeps(c *context, e *ruuEntry) {
-	var buf [maxSources]isa.RegRef
-	for i, s := range e.inst.Sources(buf[:0]) {
+	o := e.ops
+	for i, s := range o.src[:o.nsrc] {
 		if p := *c.writer(s); p != nil && !p.completed {
 			e.nextDep[i] = p.firstDep
 			p.firstDep = depLink{e, uint8(i)}
 			e.deps++
 		}
 	}
-	if d, ok := e.inst.Dest(); ok {
-		*c.writer(d) = e
+	if o.hasDest {
+		*c.writer(o.dest) = e
 	}
 }
 

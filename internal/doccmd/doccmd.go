@@ -15,11 +15,12 @@ import (
 // Check parses every name command line — "name …" or "go run ./cmd/name
 // …" — in a fenced block of README.md and docs/*.md and on a usage line
 // ("//" and a tab) of the command's main.go, each with a fresh flag set
-// from newFlagSet, and fails t on one that names an unknown flag or a
-// stray argument; it runs none of them. A trailing backslash continues a
-// line, # starts a comment, and &, | and ; separate commands. Fewer than
-// least commands found fails t too. Call it from a test in cmd/name.
-func Check(t testing.TB, name string, least int, newFlagSet func() *flag.FlagSet) {
+// from newFlagSet, and fails t on one that names an unknown flag or has
+// other than args positional arguments after its flags; it runs none of
+// them. A trailing backslash continues a line, # starts a comment, and
+// &, | and ; separate commands. Fewer than least commands found fails t
+// too. Call it from a test in cmd/name.
+func Check(t testing.TB, name string, least, args int, newFlagSet func() *flag.FlagSet) {
 	t.Helper()
 	cmd := regexp.MustCompile(`^(go run \./cmd/)?` + regexp.QuoteMeta(name) + `( |$)`)
 	found := 0
@@ -30,7 +31,7 @@ func Check(t testing.TB, name string, least int, newFlagSet func() *flag.FlagSet
 				found++
 				fs := newFlagSet()
 				fs.SetOutput(io.Discard)
-				if err := fs.Parse(strings.Fields(cmd.ReplaceAllString(c, ""))); err != nil || fs.NArg() > 0 {
+				if err := fs.Parse(strings.Fields(cmd.ReplaceAllString(c, ""))); err != nil || fs.NArg() != args {
 					t.Errorf("%s: %q: %v %q", path, c, err, fs.Args())
 				}
 			}

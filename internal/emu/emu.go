@@ -3,7 +3,7 @@
 // Both simulators are built on it:
 //
 //   - the timing model (internal/cpu) is execute-ahead: it calls Step when
-//     it fetches an instruction and uses the returned oracle (branch
+//     it fetches an instruction and uses the oracle Step fills in (branch
 //     outcome, memory address, division result) to charge cycles;
 //   - the pure-functional Machine in this package runs whole programs
 //     without timing and serves as the golden model in tests.
@@ -93,9 +93,11 @@ const (
 	StatusHalt
 )
 
-// StepInfo is the oracle record of one executed instruction.
+// StepInfo is the oracle record of one executed instruction. Step fills
+// in one that the caller owns, so a caller that steps in a loop keeps one
+// StepInfo and reuses it: nothing is copied or allocated per instruction.
 type StepInfo struct {
-	Inst   isa.Inst
+	Inst   *isa.Inst // into the program text, which Step never changes
 	PC     int32
 	NextPC int32
 	Taken  bool // conditional branches only
@@ -117,13 +119,16 @@ func (e ErrPC) Error() string {
 	return fmt.Sprintf("emu: thread %d: PC %d outside program text", e.Thread, e.PC)
 }
 
-// Step architecturally executes the next instruction of t.
-func Step(p *prog.Program, m *mem.Memory, k Kernel, t *Thread) (StepInfo, Status, error) {
+// Step architecturally executes the next instruction of t and records it
+// in *info, overwriting every field. On an error *info is left zeroed
+// (ErrPC) or names the offending instruction.
+func Step(p *prog.Program, m *mem.Memory, k Kernel, t *Thread, info *StepInfo) (Status, error) {
 	if t.PC < 0 || int(t.PC) >= len(p.Insts) {
-		return StepInfo{}, StatusOK, ErrPC{Thread: t.ID, PC: t.PC}
+		*info = StepInfo{}
+		return StatusOK, ErrPC{Thread: t.ID, PC: t.PC}
 	}
-	in := p.Insts[t.PC]
-	info := StepInfo{Inst: in, PC: t.PC, NextPC: t.PC + 1}
+	in := &p.Insts[t.PC]
+	*info = StepInfo{Inst: in, PC: t.PC, NextPC: t.PC + 1}
 	r := &t.Regs
 	f := &t.FRegs
 
@@ -271,11 +276,11 @@ func Step(p *prog.Program, m *mem.Memory, k Kernel, t *Thread) (StepInfo, Status
 		t.PC++
 		t.InstCount++
 		k.ThreadExit(t)
-		return info, StatusDead, nil
+		return StatusDead, nil
 	case isa.OpMlock:
 		info.MemAddr = uint64(r[in.Rs1])
 		if !k.TryLock(t, info.MemAddr) {
-			return info, StatusBlocked, nil
+			return StatusBlocked, nil
 		}
 	case isa.OpMunlock:
 		info.MemAddr = uint64(r[in.Rs1])
@@ -284,20 +289,20 @@ func Step(p *prog.Program, m *mem.Memory, k Kernel, t *Thread) (StepInfo, Status
 		t.setReg(in.Rd, k.GroupLive(t))
 	case isa.OpJoin:
 		if k.GroupLive(t) > 1 {
-			return info, StatusBlocked, nil
+			return StatusBlocked, nil
 		}
 
 	case isa.OpHalt:
 		t.PC++
 		t.InstCount++
 		k.Halt(t)
-		return info, StatusHalt, nil
+		return StatusHalt, nil
 	case isa.OpPrint:
 		k.Print(t, r[in.Rs1])
 	case isa.OpNop:
 		// nothing
 	default:
-		return info, StatusOK, fmt.Errorf("emu: thread %d: unimplemented op %v at PC %d", t.ID, in.Op, t.PC)
+		return StatusOK, fmt.Errorf("emu: thread %d: unimplemented op %v at PC %d", t.ID, in.Op, t.PC)
 	}
 
 	if in.Op.IsBranch() && info.Taken {
@@ -305,7 +310,7 @@ func Step(p *prog.Program, m *mem.Memory, k Kernel, t *Thread) (StepInfo, Status
 	}
 	t.PC = info.NextPC
 	t.InstCount++
-	return info, StatusOK, nil
+	return StatusOK, nil
 }
 
 func b2i(b bool) int64 {

@@ -154,6 +154,7 @@ func (ma *Machine) LiveThreads() int {
 // round, until halt. It fails if maxSteps is exceeded or if every live
 // worker is blocked (deadlock).
 func (ma *Machine) Run(maxSteps uint64) error {
+	var info StepInfo
 	for !ma.halted {
 		progress := false
 		// Iterate over a snapshot: divisions append new threads which
@@ -163,7 +164,7 @@ func (ma *Machine) Run(maxSteps uint64) error {
 			if t.Dead || ma.halted {
 				continue
 			}
-			_, st, err := Step(ma.Prog, ma.Mem, ma, t)
+			st, err := Step(ma.Prog, ma.Mem, ma, t, &info)
 			if err != nil {
 				return err
 			}

@@ -12,27 +12,77 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"repro/internal/prog"
 )
 
-const pageShift = 12
-const pageSize = 1 << pageShift
+const (
+	pageShift = 12
+	pageSize  = 1 << pageShift
+
+	// The directory covers internal/prog's fixed layout, from address 0 to
+	// the main stack's top, in leaves of 1<<leafShift pages (4 MiB each).
+	leafShift     = 10
+	leafPages     = 1 << leafShift
+	leafAddrShift = pageShift + leafShift
+	dirLimit      = prog.MainStackTop
+	dirLeaves     = (dirLimit + 1<<leafAddrShift - 1) >> leafAddrShift
+)
+
+type page = [pageSize]byte
 
 // Memory is a sparse, byte-addressable, little-endian memory.
 // It is not safe for concurrent use; the simulator is single-goroutine.
+//
+// Every address a linked program loads or stores (data, heap and stacks,
+// all below prog.MainStackTop) finds its page through a two-level directory
+// by shifting and indexing, without hashing; only an address at or above
+// the main stack's top goes through a map. Leaves and pages are made on
+// first store, so an untouched region costs nothing but its nil slot.
 type Memory struct {
-	pages map[uint64]*[pageSize]byte
+	dir      [dirLeaves]*[leafPages]*page
+	resident int              // pages made in dir
+	pages    map[uint64]*page // pages at or above dirLimit, by page number
 }
 
 // NewMemory returns an empty memory. All addresses read as zero.
 func NewMemory() *Memory {
-	return &Memory{pages: make(map[uint64]*[pageSize]byte)}
+	return &Memory{}
 }
 
-func (m *Memory) page(addr uint64, create bool) *[pageSize]byte {
+// page returns addr's page, or nil when nothing was ever stored in it.
+func (m *Memory) page(addr uint64) *page {
+	if addr < dirLimit {
+		if leaf := m.dir[addr>>leafAddrShift]; leaf != nil {
+			return leaf[addr>>pageShift&(leafPages-1)]
+		}
+		return nil
+	}
+	return m.pages[addr>>pageShift]
+}
+
+// pageFor returns addr's page, making it (and its leaf) on first use.
+func (m *Memory) pageFor(addr uint64) *page {
+	if addr < dirLimit {
+		leaf := m.dir[addr>>leafAddrShift]
+		if leaf == nil {
+			leaf = new([leafPages]*page)
+			m.dir[addr>>leafAddrShift] = leaf
+		}
+		p := &leaf[addr>>pageShift&(leafPages-1)]
+		if *p == nil {
+			*p = new(page)
+			m.resident++
+		}
+		return *p
+	}
 	pn := addr >> pageShift
 	p := m.pages[pn]
-	if p == nil && create {
-		p = new([pageSize]byte)
+	if p == nil {
+		if m.pages == nil {
+			m.pages = make(map[uint64]*page)
+		}
+		p = new(page)
 		m.pages[pn] = p
 	}
 	return p
@@ -40,7 +90,7 @@ func (m *Memory) page(addr uint64, create bool) *[pageSize]byte {
 
 // LoadByte returns the byte at addr.
 func (m *Memory) LoadByte(addr uint64) byte {
-	p := m.page(addr, false)
+	p := m.page(addr)
 	if p == nil {
 		return 0
 	}
@@ -49,7 +99,7 @@ func (m *Memory) LoadByte(addr uint64) byte {
 
 // StoreByte stores b at addr.
 func (m *Memory) StoreByte(addr uint64, b byte) {
-	m.page(addr, true)[addr&(pageSize-1)] = b
+	m.pageFor(addr)[addr&(pageSize-1)] = b
 }
 
 // ReadWord returns the 64-bit little-endian word at addr. Unaligned access
@@ -58,7 +108,7 @@ func (m *Memory) StoreByte(addr uint64, b byte) {
 func (m *Memory) ReadWord(addr uint64) int64 {
 	off := addr & (pageSize - 1)
 	if off <= pageSize-8 {
-		p := m.page(addr, false)
+		p := m.page(addr)
 		if p == nil {
 			return 0
 		}
@@ -75,7 +125,7 @@ func (m *Memory) ReadWord(addr uint64) int64 {
 func (m *Memory) WriteWord(addr uint64, v int64) {
 	off := addr & (pageSize - 1)
 	if off <= pageSize-8 {
-		p := m.page(addr, true)
+		p := m.pageFor(addr)
 		binary.LittleEndian.PutUint64(p[off:off+8], uint64(v))
 		return
 	}
@@ -113,7 +163,7 @@ func (m *Memory) LoadBytes(addr uint64, n int) []byte {
 }
 
 // Footprint returns the number of resident pages (for tests and stats).
-func (m *Memory) Footprint() int { return len(m.pages) }
+func (m *Memory) Footprint() int { return m.resident + len(m.pages) }
 
 // CacheConfig describes one cache level.
 type CacheConfig struct {

@@ -1,8 +1,12 @@
 package mem
 
 import (
+	"encoding/binary"
+	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/prog"
 )
 
 func TestMemoryZeroDefault(t *testing.T) {
@@ -71,6 +75,101 @@ func TestQuickMemoryWordRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// fuzzBases are the addresses FuzzMemory's accesses are drawn around: page
+// and leaf edges inside the directory, the regions of prog's layout, the
+// directory's own edge at the main stack's top, the map above it, and the
+// top of the address space, where a word wraps to address 0.
+var fuzzBases = [...]uint64{
+	0,
+	pageSize,
+	1 << leafAddrShift,
+	prog.DataBase,
+	prog.HeapBase,
+	prog.StackPoolLow,
+	dirLimit,
+	dirLimit + pageSize,
+	1 << 32,
+	1 << 63,
+	math.MaxUint64 - pageSize + 1,
+}
+
+// fuzzOpBytes is one access in FuzzMemory's script: kind, base, a signed
+// 16-bit offset from the base, and an 8-byte value for stores.
+const fuzzOpBytes = 12
+
+// FuzzMemory replays a script of byte, word and float stores and loads
+// against a map of bytes, and holds every load and Footprint to it.
+func FuzzMemory(f *testing.F) {
+	op := func(kind, base byte, off int16, v uint64) []byte {
+		b := binary.LittleEndian.AppendUint16([]byte{kind, base}, uint16(off))
+		return binary.LittleEndian.AppendUint64(b, v)
+	}
+	script := func(ops ...[]byte) []byte {
+		var b []byte
+		for _, o := range ops {
+			b = append(b, o...)
+		}
+		return b
+	}
+	f.Add(script(op(1, 0, 8, 0x0102030405060708), op(4, 0, 8, 0), op(3, 0, 15, 0)))
+	f.Add(script(op(1, 1, -3, 0x1122334455667788), op(4, 1, -3, 0), op(3, 1, 0, 0)))
+	f.Add(script(op(1, 6, -4, math.MaxUint64), op(4, 6, -4, 0), op(4, 6, -8, 0), op(2, 7, 100, 42)))
+	f.Add(script(op(1, 10, 4092, 0xDEADBEEF), op(4, 10, 4092, 0), op(4, 0, -4, 0), op(3, 0, 0, 0)))
+	f.Add(script(op(2, 4, 0, math.Float64bits(3.25)), op(5, 4, 0, 0), op(0, 8, -1, 7), op(3, 8, -1, 0)))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		m := NewMemory()
+		model := map[uint64]byte{}
+		pages := map[uint64]bool{}
+		store := func(addr uint64, v uint64, n int) {
+			for i := range n {
+				a := addr + uint64(i)
+				model[a] = byte(v >> (8 * i))
+				pages[a>>pageShift] = true
+			}
+		}
+		load := func(addr uint64, n int) uint64 {
+			var v uint64
+			for i := range n {
+				v |= uint64(model[addr+uint64(i)]) << (8 * i)
+			}
+			return v
+		}
+		for i := 0; i+fuzzOpBytes <= len(b); i += fuzzOpBytes {
+			kind := b[i] % 6
+			off := int16(binary.LittleEndian.Uint16(b[i+2:]))
+			addr := fuzzBases[int(b[i+1])%len(fuzzBases)] + uint64(int64(off))
+			v := binary.LittleEndian.Uint64(b[i+4:])
+			var got, want uint64
+			switch kind {
+			case 0:
+				m.StoreByte(addr, byte(v))
+				store(addr, v, 1)
+				continue
+			case 1:
+				m.WriteWord(addr, int64(v))
+				store(addr, v, 8)
+				continue
+			case 2:
+				m.WriteFloat(addr, math.Float64frombits(v))
+				store(addr, v, 8)
+				continue
+			case 3:
+				got, want = uint64(m.LoadByte(addr)), load(addr, 1)
+			case 4:
+				got, want = uint64(m.ReadWord(addr)), load(addr, 8)
+			case 5:
+				got, want = math.Float64bits(m.ReadFloat(addr)), load(addr, 8)
+			}
+			if got != want {
+				t.Fatalf("op %d (kind %d) at %#x: read %#x, want %#x", i/fuzzOpBytes, kind, addr, got, want)
+			}
+		}
+		if got := m.Footprint(); got != len(pages) {
+			t.Fatalf("Footprint %d, want %d pages stored to", got, len(pages))
+		}
+	})
 }
 
 func TestCacheConfigValidate(t *testing.T) {
