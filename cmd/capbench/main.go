@@ -16,25 +16,36 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/cpu"
 	"repro/internal/exp"
-	"repro/internal/workloads"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+type options struct {
+	exp                  string
+	all, full, list, dot bool
+	seed                 int64
+}
+
+// newFlagSet declares capbench's flags; run and the doc-command test share it.
+func newFlagSet() (*flag.FlagSet, *options) {
+	fs := flag.NewFlagSet("capbench", flag.ContinueOnError)
+	o := &options{}
+	fs.StringVar(&o.exp, "exp", "", "experiment id (see -list)")
+	fs.BoolVar(&o.all, "all", false, "run every experiment")
+	fs.BoolVar(&o.full, "full", false, "paper-scale inputs (slow)")
+	fs.BoolVar(&o.list, "list", false, "list experiment ids")
+	fs.BoolVar(&o.dot, "dot", false, "with -exp fig6: emit GraphViz DOT of the division tree")
+	fs.Int64Var(&o.seed, "seed", 1, "input generation seed")
+	return fs, o
+}
 
 // run is the whole command; it returns the exit status: 1 when an
 // experiment fails, 2 on a bad flag or none of -exp, -all and -list.
 // -list wins over every other flag.
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("capbench", flag.ContinueOnError)
+	fs, o := newFlagSet()
 	fs.SetOutput(stderr)
-	expID := fs.String("exp", "", "experiment id (see -list)")
-	all := fs.Bool("all", false, "run every experiment")
-	full := fs.Bool("full", false, "paper-scale inputs (slow)")
-	list := fs.Bool("list", false, "list experiment ids")
-	dot := fs.Bool("dot", false, "with -exp fig6: emit GraphViz DOT of the division tree")
-	seed := fs.Int64("seed", 1, "input generation seed")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -42,21 +53,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	params := exp.Quick()
-	if *full {
+	if o.full {
 		params = exp.Full()
 	}
-	params.Seed = *seed
+	params.Seed = o.seed
 
 	ids := exp.IDs()
 	switch {
-	case *list:
+	case o.list:
 		fmt.Fprintln(stdout, strings.Join(ids, "\n"))
 		return 0
-	case *dot && *expID == "fig6":
-		return emitFig6DOT(params, stdout, stderr)
-	case *expID != "":
-		ids = []string{*expID}
-	case !*all:
+	case o.dot && o.exp == "fig6":
+		_, divs, err := exp.Fig6(params)
+		if err != nil {
+			fmt.Fprintf(stderr, "capbench: fig6: %v\n", err)
+			return 1
+		}
+		fmt.Fprint(stdout, exp.DivisionDOT(divs))
+		return 0
+	case o.exp != "":
+		ids = []string{o.exp}
+	case !o.all:
 		fs.Usage()
 		return 2
 	}
@@ -67,25 +84,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		fmt.Fprint(stdout, r.Render())
-		if *expID == "" { // -all separates the experiments
+		if o.exp == "" { // -all separates the experiments
 			fmt.Fprintln(stdout)
 		}
 	}
-	return 0
-}
-
-func emitFig6DOT(p exp.Params, stdout, stderr io.Writer) int {
-	n := 400
-	if p.Scale >= 1 {
-		n = 4096
-	}
-	rng := workloads.NewRand(p.Seed)
-	list := workloads.GenList(rng, workloads.ListUniform, n)
-	res, err := workloads.RunQuickSortTraced(list, workloads.VariantComponent, cpu.SOMTConfig())
-	if err != nil {
-		fmt.Fprintf(stderr, "capbench: fig6: %v\n", err)
-		return 1
-	}
-	fmt.Fprint(stdout, exp.DivisionDOT(res.Divisions))
 	return 0
 }

@@ -1,18 +1,22 @@
 package main
 
 import (
+	"flag"
 	"io"
 	"os"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/doccmd"
 	"repro/internal/exp"
 )
 
 // TestRun: a flag capbench lacks exits 2, -list prints the experiment
-// IDs, and every capbench command README.md documents parses (running
-// -all would take 15 s).
+// IDs, every capbench command README.md documents parses (running -all
+// would take 15 s), and -exp fig6 -dot draws the tree -exp fig6 lists,
+// one edge per division its title counts, at quick and full scale.
 func TestRun(t *testing.T) {
 	var out strings.Builder
 	if code := run([]string{"-quick"}, &out, &out); code != 2 {
@@ -35,4 +39,28 @@ func TestRun(t *testing.T) {
 			t.Errorf("README.md: %q: exit %d, want 0", c[0], code)
 		}
 	}
+	for _, scale := range [][]string{nil, {"-full"}} {
+		out.Reset()
+		if code := run(append([]string{"-exp", "fig6"}, scale...), &out, io.Discard); code != 0 {
+			t.Fatalf("-exp fig6 %v: exit %d", scale, code)
+		}
+		m := regexp.MustCompile(`: (\d+) divisions ==`).FindStringSubmatch(out.String())
+		if m == nil {
+			t.Fatalf("-exp fig6 %v: no division count in\n%s", scale, out.String())
+		}
+		divs, _ := strconv.Atoi(m[1])
+		out.Reset()
+		if code := run(append([]string{"-exp", "fig6", "-dot"}, scale...), &out, io.Discard); code != 0 {
+			t.Fatalf("-exp fig6 -dot %v: exit %d", scale, code)
+		}
+		if edges := strings.Count(out.String(), "->"); edges != divs || divs == 0 {
+			t.Errorf("%v: -exp fig6 -dot draws %d edges, -exp fig6 lists %d divisions", scale, edges, divs)
+		}
+	}
+}
+
+// TestDocCommands parses, with capbench's own flag set, the capbench lines
+// of README.md and the package comment's usage lines; it runs none of them.
+func TestDocCommands(t *testing.T) {
+	doccmd.Check(t, "capbench", 6, 0, func() *flag.FlagSet { fs, _ := newFlagSet(); return fs })
 }

@@ -187,6 +187,12 @@ func (c Config) Validate() error {
 	if err := c.Hierarchy.L2.Validate(); err != nil {
 		return err
 	}
+	if c.Hierarchy.MemoryCycles < 0 {
+		return errConfig("negative memory latency")
+	}
+	if c.Hierarchy.DataPorts < 1 { // no load could ever issue
+		return errConfig("no data cache port")
+	}
 	return nil
 }
 

@@ -61,10 +61,23 @@ func TestSuperscalarRunsSequentialCode(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	p := assemble(t, "main:\n\thalt\n")
-	bad := SOMTConfig()
-	bad.Contexts = 0
-	if _, err := New(p, bad); err == nil {
-		t.Fatal("bad config accepted")
+	for name, spoil := range map[string]func(*Config){
+		"no contexts":         func(c *Config) { c.Contexts = 0 },
+		"negative L1D hit":    func(c *Config) { c.Hierarchy.L1D.HitCycles = -1 },
+		"negative memory":     func(c *Config) { c.Hierarchy.MemoryCycles = -1 },
+		"no data cache ports": func(c *Config) { c.Hierarchy.DataPorts = 0 },
+	} {
+		bad := SOMTConfig()
+		spoil(&bad)
+		if _, err := New(p, bad); err == nil {
+			t.Errorf("%s: bad config accepted", name)
+		}
+	}
+	free := SOMTConfig()
+	free.Hierarchy.L1D.HitCycles = 0
+	free.Hierarchy.MemoryCycles = 0
+	if _, err := New(p, free); err != nil {
+		t.Errorf("zero-latency memory rejected: %v", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 // Package exp regenerates every table and figure of the paper's evaluation
-// (Section 5) from the reproduction's simulator, plus the ablations called
-// out in DESIGN.md. Each experiment is registered by the paper artefact id
+// (Section 5) from the reproduction's simulator, plus sweeps of the SOMT
+// design choices the paper fixes (ablations). It is the one producer of
+// each artefact. Each experiment is registered by the paper artefact id
 // (fig3, fig5, fig6, fig7, fig8, table1, table2, table3, crafty48,
 // vprcache, divlat, ablations) and renders a text table in the shape of
 // the paper's artefact.

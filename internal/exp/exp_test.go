@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -8,6 +9,43 @@ import (
 )
 
 func tiny() Params { return Params{Scale: 0.01, Seed: 2} }
+
+// cell parses column col of the first row that begins with key ("%" may
+// follow the number).
+func cell(t *testing.T, r *Result, col int, key ...string) float64 {
+	t.Helper()
+rows:
+	for _, row := range r.Rows {
+		for i, k := range key {
+			if row[i] != k {
+				continue rows
+			}
+		}
+		v, err := strconv.ParseFloat(strings.TrimSuffix(row[col], "%"), 64)
+		if err != nil {
+			t.Fatalf("%s %v: %v", r.ID, key, err)
+		}
+		return v
+	}
+	t.Fatalf("%s: no row %v", r.ID, key)
+	return 0
+}
+
+// checkDistribution holds the shape Figs. 3 and 5 share: SOMT is the
+// fastest machine and steadier than static SMT, the superscalar the
+// slowest.
+func checkDistribution(t *testing.T, r *Result) {
+	t.Helper()
+	mean := func(m string) float64 { return cell(t, r, 1, m) }
+	spread := func(m string) float64 { return cell(t, r, 4, m) / mean(m) }
+	if !(mean("somt") < mean("smt-static") && mean("smt-static") < mean("superscalar")) {
+		t.Errorf("%s: mean cycles somt %v, smt-static %v, superscalar %v: want increasing",
+			r.ID, mean("somt"), mean("smt-static"), mean("superscalar"))
+	}
+	if spread("somt") >= spread("smt-static") {
+		t.Errorf("%s: stddev/mean somt %.3f, smt-static %.3f: want SOMT steadier", r.ID, spread("somt"), spread("smt-static"))
+	}
+}
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"ablations", "crafty48", "divlat", "fig3", "fig5", "fig6", "fig7", "fig8", "table1", "table2", "table3", "vprcache"}
@@ -60,6 +98,7 @@ func TestFig3Tiny(t *testing.T) {
 		t.Fatalf("fig3 rows = %v", r.Rows)
 	}
 	t.Logf("\n%s", r.Render())
+	checkDistribution(t, r)
 }
 
 func TestFig5Tiny(t *testing.T) {
@@ -71,6 +110,7 @@ func TestFig5Tiny(t *testing.T) {
 		t.Fatalf("fig5 rows = %v", r.Rows)
 	}
 	t.Logf("\n%s", r.Render())
+	checkDistribution(t, r)
 }
 
 func TestFig6Tiny(t *testing.T) {
@@ -92,6 +132,10 @@ func TestFig7Tiny(t *testing.T) {
 		t.Fatalf("fig7 rows = %v", r.Rows)
 	}
 	t.Logf("\n%s", r.Render())
+	// The throttle fires on Perceptron's tiny workers, and only when on.
+	if on, off := cell(t, r, 4, "Perceptron", "on"), cell(t, r, 4, "Perceptron", "off"); on == 0 || off != 0 {
+		t.Errorf("Perceptron throttle denies: on %v, off %v; want > 0 and 0", on, off)
+	}
 }
 
 func TestFig8Tiny(t *testing.T) {
@@ -103,6 +147,13 @@ func TestFig8Tiny(t *testing.T) {
 		t.Fatalf("fig8 rows = %v", r.Rows)
 	}
 	t.Logf("\n%s", r.Render())
+	// Every proxy gains on SOMT overall, and vpr gains the most.
+	vpr := cell(t, r, 1, "175.vpr")
+	for _, row := range r.Rows {
+		if v := cell(t, r, 1, row[0]); v <= 1 || v > vpr {
+			t.Errorf("%s overall speedup %v: want > 1 and at most vpr's %v", row[0], v, vpr)
+		}
+	}
 }
 
 func TestTable3Tiny(t *testing.T) {

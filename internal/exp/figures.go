@@ -93,34 +93,51 @@ func init() {
 	})
 }
 
-// Fig. 6: the irregular division tree of one QuickSort run, as DOT.
+// Fig. 6: the irregular division tree of one QuickSort run.
 func init() {
 	register("fig6", func(p Params) (*Result, error) {
-		n := p.scaled(4096, 400)
-		rng := workloads.RandFor(p.Seed+2, 0)
-		list := workloads.GenList(rng, workloads.ListUniform, n)
-		res, err := workloads.RunQuickSortTraced(list, workloads.VariantComponent, cpu.SOMTConfig())
+		n, divs, err := Fig6(p)
 		if err != nil {
 			return nil, err
 		}
 		r := &Result{
 			ID:     "fig6",
-			Title:  fmt.Sprintf("QuickSort division tree (n=%d): %d divisions", n, len(res.Divisions)),
+			Title:  fmt.Sprintf("QuickSort division tree (n=%d): %d divisions", n, len(divs)),
 			Header: []string{"cycle", "parent", "child", "pc"},
 		}
-		maxRows := 24
-		for i, d := range res.Divisions {
-			if i >= maxRows {
-				r.Notes = append(r.Notes, fmt.Sprintf("(%d more divisions omitted)", len(res.Divisions)-maxRows))
-				break
+		maxRows, busiest := 24, 0
+		children := map[int]int{} // divisions per dividing worker
+		for i, d := range divs {
+			children[d.Parent]++
+			busiest = max(busiest, children[d.Parent])
+			if i < maxRows {
+				r.Rows = append(r.Rows, []string{
+					u(d.Cycle), fmt.Sprintf("w%d", d.Parent), fmt.Sprintf("w%d", d.Child), fmt.Sprintf("%d", d.PC),
+				})
 			}
-			r.Rows = append(r.Rows, []string{
-				u(d.Cycle), fmt.Sprintf("w%d", d.Parent), fmt.Sprintf("w%d", d.Child), fmt.Sprintf("%d", d.PC),
-			})
 		}
-		r.Notes = append(r.Notes, "full DOT rendering: examples/quicksort or capbench -exp fig6 -dot")
+		if len(divs) > maxRows {
+			r.Notes = append(r.Notes, fmt.Sprintf("(%d more divisions omitted)", len(divs)-maxRows))
+		}
+		r.Notes = append(r.Notes,
+			fmt.Sprintf("%d dividing workers, the busiest divided %d times (irregular: per-worker counts vary)", len(children), busiest),
+			"full DOT rendering: capbench -exp fig6 -dot")
 		return r, nil
 	})
+}
+
+// Fig6 runs Fig. 6's one QuickSort: n elements (4096 at full scale) of a
+// uniform list drawn from RandFor(Seed+2, 0), components on the SOMT
+// machine. It returns n and the run's divisions in grant order; the fig6
+// experiment lists them and `capbench -exp fig6 -dot` draws them.
+func Fig6(p Params) (int, []cpu.DivisionEvent, error) {
+	n := p.scaled(4096, 400)
+	list := workloads.GenList(workloads.RandFor(p.Seed+2, 0), workloads.ListUniform, n)
+	res, err := workloads.RunQuickSortTraced(list, workloads.VariantComponent, cpu.SOMTConfig())
+	if err != nil {
+		return 0, nil, err
+	}
+	return n, res.Divisions, nil
 }
 
 // DivisionDOT renders division events as a GraphViz tree (Fig. 6 style).
@@ -175,7 +192,7 @@ func init() {
 			Notes: []string{
 				"paper: both benchmarks benefit from throttling",
 				"reproduction: the throttle curbs grant churn; its cycle benefit is within noise here",
-				"because division overhead in this model lands mostly on otherwise-idle contexts (see EXPERIMENTS.md)",
+				"because division overhead in this model lands mostly on otherwise-idle contexts",
 			},
 		}
 		return r, nil
@@ -269,7 +286,7 @@ func init() {
 		cs := float64(ssC.Cycles) / float64(soC.Cycles)
 		r.Rows = append(r.Rows, []string{"186.crafty", f2(cs), f2(cs), "100%", "1.7 (8-ctx)", "100%"})
 		r.Notes = append(r.Notes,
-			"paper Fig. 8 bar heights are read off the plot; shapes to preserve: vpr highest, bzip2/mcf modest, all > 1",
+			"paper Fig. 8 bar heights are read off the plot; its shapes: vpr highest, bzip2/mcf modest, all > 1",
 			"crafty uses a software thread pool (pthread-style), so overall == section")
 		return r, nil
 	})

@@ -52,7 +52,7 @@ func init() {
 				{"256.bzip2", "4649", "3", "317", "20%", "BWT bounded-depth suffix sort"},
 				{"186.crafty", "45000", "8", "201", "100%", "negamax with pthread-style pool"},
 			},
-			Notes: []string{"paper columns are Table 2 verbatim; proxies are documented substitutions (DESIGN.md)"},
+			Notes: []string{"paper columns are Table 2 verbatim; each proxy's substitution is described in its file in internal/workloads"},
 		}, nil
 	})
 }
@@ -94,7 +94,7 @@ func init() {
 		}
 		add("bzip2", bres.Stats, "6%", "30M")
 		r.Notes = append(r.Notes,
-			"shape to preserve: mcf has by far the highest grant rate and lowest insts/division",
+			"paper: mcf has by far the highest grant rate and lowest insts/division; the proxies do not reproduce that ordering",
 			"absolute insts/div scale with input size; paper inputs are SPEC reference sets")
 		return r, nil
 	})
@@ -215,7 +215,9 @@ func init() {
 	})
 }
 
-// ablations: the design-choice sweeps DESIGN.md calls out.
+// ablations: sweeps of the SOMT design choices the paper fixes (death
+// window, context-stack depth, division policy, register-copy cost, fetch
+// policy) over one Dijkstra component run each.
 func init() {
 	register("ablations", func(p Params) (*Result, error) {
 		rng := workloads.RandFor(p.Seed+9, 0)

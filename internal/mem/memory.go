@@ -174,10 +174,14 @@ type CacheConfig struct {
 	HitCycles int
 }
 
-// Validate checks structural sanity.
+// Validate checks structural sanity. A zero HitCycles is valid: the hit
+// completes in the cycle it issues.
 func (c CacheConfig) Validate() error {
 	if c.SizeBytes <= 0 || c.LineBytes <= 0 || c.Assoc <= 0 {
 		return fmt.Errorf("cache %s: non-positive geometry", c.Name)
+	}
+	if c.HitCycles < 0 {
+		return fmt.Errorf("cache %s: negative hit latency %d", c.Name, c.HitCycles)
 	}
 	if c.SizeBytes%(c.LineBytes*c.Assoc) != 0 {
 		return fmt.Errorf("cache %s: size %d not divisible by line*assoc", c.Name, c.SizeBytes)
@@ -292,12 +296,11 @@ func len64(mask uint64) int {
 // HierarchyConfig is the full memory-system configuration (Table 1 defaults
 // via DefaultHierarchy).
 type HierarchyConfig struct {
-	L1I           CacheConfig
-	L1D           CacheConfig
-	L2            CacheConfig
-	MemoryCycles  int
-	DataPorts     int  // D-cache ports usable per cycle
-	DoubledCaches bool // the vpr experiment: double size and ports
+	L1I          CacheConfig
+	L1D          CacheConfig
+	L2           CacheConfig
+	MemoryCycles int
+	DataPorts    int // D-cache ports usable per cycle
 }
 
 // DefaultHierarchy returns the paper's Table 1 memory system: 16 kB L1I,
@@ -306,7 +309,7 @@ type HierarchyConfig struct {
 // DataPorts is 4 rather than SimpleScalar's usual 2: CapC keeps locals in
 // the frame (-O0 style) and so emits roughly twice the memory operations of
 // the paper's `cc -O3` Alpha binaries; four ports restore the Table 1
-// machine's port-to-memory-op ratio (substitution documented in DESIGN.md).
+// machine's port-to-memory-op ratio.
 func DefaultHierarchy() HierarchyConfig {
 	return HierarchyConfig{
 		L1I:          CacheConfig{Name: "L1I", SizeBytes: 16 << 10, LineBytes: 32, Assoc: 2, HitCycles: 1},
@@ -324,7 +327,6 @@ func (h HierarchyConfig) Doubled() HierarchyConfig {
 	h.L1I.SizeBytes *= 2
 	h.L2.SizeBytes *= 2
 	h.DataPorts *= 2
-	h.DoubledCaches = true
 	return h
 }
 

@@ -187,6 +187,16 @@ func TestCacheConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("zero size accepted")
 	}
+	bad = good
+	bad.HitCycles = -1
+	if err := bad.Validate(); err == nil {
+		t.Fatal("negative hit latency accepted")
+	}
+	free := good
+	free.HitCycles = 0
+	if err := free.Validate(); err != nil {
+		t.Fatalf("zero hit latency rejected: %v", err)
+	}
 }
 
 func TestCacheHitMiss(t *testing.T) {
@@ -269,9 +279,6 @@ func TestHierarchyDoubled(t *testing.T) {
 	}
 	if d.DataPorts != 2*base.DataPorts {
 		t.Fatal("doubling ports failed")
-	}
-	if !d.DoubledCaches {
-		t.Fatal("flag not set")
 	}
 	// Geometry must remain valid.
 	if err := d.L1D.Validate(); err != nil {

@@ -16,7 +16,7 @@ import (
 // against the dictionary, with frequent division opportunities — the
 // workload that motivates division throttling.
 //
-// Substitution detail (documented in DESIGN.md): the dictionary here is a
+// Substitution detail: the dictionary here is a
 // static trie built by the input generator (an LZ78-style dictionary frozen
 // after a warm-up pass). Matching a chunk against a read-only trie is
 // deterministic under any worker interleaving, which lets every run be
