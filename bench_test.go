@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cpu"
 	"repro/internal/workloads"
 )
 
@@ -17,16 +16,10 @@ import (
 // Go reference.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	in := workloads.GenGraph(workloads.NewRand(109), 300, workloads.GenDijkstraMaxDeg, workloads.GenDijkstraMaxW)
-	machines := [2]struct {
-		name    string
-		cfg     cpu.Config
-		variant workloads.Variant
-	}{
-		{"somt", cpu.SOMTConfig(), workloads.VariantComponent},
-		{"superscalar", cpu.SuperscalarConfig(), workloads.VariantImperative},
-	}
+	archs := workloads.PaperArchs()
+	machines := [2]workloads.Arch{archs[2], archs[0]} // somt, superscalar
 	run := func(i int) uint64 {
-		res, err := workloads.RunDijkstra(in, machines[i].variant, machines[i].cfg)
+		res, err := workloads.RunDijkstra(in, machines[i].Variant, machines[i].Cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -49,7 +42,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	var nsPerInst [2]float64
 	for i, m := range machines {
 		nsPerInst[i] = float64(took[i].Nanoseconds()) / float64(insts[i])
-		b.ReportMetric(nsPerInst[i], m.name+"_ns/inst")
+		b.ReportMetric(nsPerInst[i], m.Name+"_ns/inst")
 	}
 	b.ReportMetric(nsPerInst[0]/nsPerInst[1], "somt/superscalar")
 }

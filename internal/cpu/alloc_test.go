@@ -13,11 +13,7 @@ import (
 func quickSortMachine(t *testing.T, variant workloads.Variant, cfg cpu.Config, n int) *cpu.Machine {
 	t.Helper()
 	list := workloads.GenList(rand.New(rand.NewSource(1)), workloads.ListUniform, n)
-	base, err := workloads.QuickSortProgram(variant, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := workloads.PatchQuickSort(base, list)
+	p, err := workloads.QuickSortImage(list, variant)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -242,7 +242,6 @@ func TestDivisionTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.TraceDivisions = true
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}

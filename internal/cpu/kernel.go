@@ -62,14 +62,7 @@ func (m *Machine) RequestDivision(parent *emu.Thread) (*emu.Thread, bool) {
 		// schedule never rebalances).
 		m.staticFrozen = true
 	}
-	if m.TraceDivisions {
-		m.Divisions = append(m.Divisions, DivisionEvent{
-			Cycle:  m.cycle,
-			Parent: parent.ID,
-			Child:  child.ID,
-			PC:     parent.PC,
-		})
-	}
+	m.Divisions = append(m.Divisions, DivisionEvent{Cycle: m.cycle, Parent: parent.ID, Child: child.ID, PC: parent.PC})
 	return child, true
 }
 

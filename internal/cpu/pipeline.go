@@ -212,10 +212,8 @@ type Machine struct {
 	OutputCycles []uint64
 	stats        Stats
 
-	// TraceDivisions, when set before Run, records every granted division
-	// in Divisions (Fig. 6 trees).
-	TraceDivisions bool
-	Divisions      []DivisionEvent
+	// Divisions records every granted division (Fig. 6 trees).
+	Divisions []DivisionEvent
 
 	// Scratch reused every cycle, and retired entries kept for reuse.
 	info     emu.StepInfo // filled by every emu.Step fetch makes

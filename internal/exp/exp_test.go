@@ -167,6 +167,23 @@ func TestTable3Tiny(t *testing.T) {
 	t.Logf("\n%s", r.Render())
 }
 
+// TestUngatedRunnersTiny runs the experiments whose paper shapes do not
+// hold at tiny() (ROADMAP item 7) for errors and row counts only: a runner
+// that fails or drops a row shows here, not first in capbench -all.
+func TestUngatedRunnersTiny(t *testing.T) {
+	for id, rows := range map[string]int{"divlat": 4, "vprcache": 3, "crafty48": 2, "ablations": 14} {
+		t.Run(id, func(t *testing.T) {
+			r, err := Run(id, tiny())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(r.Rows) != rows {
+				t.Errorf("%d rows, want %d:\n%s", len(r.Rows), rows, r.Render())
+			}
+		})
+	}
+}
+
 func TestDivisionDOT(t *testing.T) {
 	dot := DivisionDOT([]cpu.DivisionEvent{{Cycle: 5, Parent: 0, Child: 1}})
 	if !strings.Contains(dot, "w0 -> w1") || !strings.Contains(dot, "digraph") {

@@ -19,11 +19,7 @@ func init() {
 			rng := workloads.RandFor(p.Seed, g)
 			in := workloads.GenGraph(rng, nodes, 4, 9)
 			for _, a := range archs {
-				v := workloads.VariantComponent
-				if a.Name == "superscalar" {
-					v = workloads.VariantImperative
-				}
-				res, err := workloads.RunDijkstra(in, v, a.Cfg)
+				res, err := workloads.RunDijkstra(in, a.Variant, a.Cfg)
 				if err != nil {
 					return nil, fmt.Errorf("fig3 %s graph %d: %w", a.Name, g, err)
 				}
@@ -63,11 +59,7 @@ func init() {
 			kind := workloads.ListKind(l % 6)
 			list := workloads.GenList(rng, kind, n)
 			for _, a := range archs {
-				v := workloads.VariantComponent
-				if a.Name == "superscalar" {
-					v = workloads.VariantImperative
-				}
-				res, err := workloads.RunQuickSort(list, v, a.Cfg)
+				res, err := workloads.RunQuickSort(list, a.Variant, a.Cfg)
 				if err != nil {
 					return nil, fmt.Errorf("fig5 %s list %d: %w", a.Name, l, err)
 				}
@@ -133,7 +125,7 @@ func init() {
 func Fig6(p Params) (int, []cpu.DivisionEvent, error) {
 	n := p.scaled(4096, 400)
 	list := workloads.GenList(workloads.RandFor(p.Seed+2, 0), workloads.ListUniform, n)
-	res, err := workloads.RunQuickSortTraced(list, workloads.VariantComponent, cpu.SOMTConfig())
+	res, err := workloads.RunQuickSort(list, workloads.VariantComponent, cpu.SOMTConfig())
 	if err != nil {
 		return 0, nil, err
 	}

@@ -208,47 +208,22 @@ func main() {
 // CraftyProgram compiles (cached) the requested variant.
 func CraftyProgram(variant Variant) (*prog.Program, error) {
 	key := fmt.Sprintf("crafty-%s", variant)
-	return cachedBuild(variant, key, func() string { return craftySrc(variant) })
+	return cachedBuild(key, func() string { return craftySrc(variant) })
 }
 
-// PatchCrafty writes the instance into a fresh image.
-func PatchCrafty(p *prog.Program, in *CraftyInput, variant Variant) (*prog.Program, error) {
-	im := core.NewImage(p)
-	if err := im.SetWord("g_branch", 0, int64(in.Branch)); err != nil {
-		return nil, err
-	}
-	if err := im.SetWord("g_depth", 0, int64(in.Depth)); err != nil {
-		return nil, err
-	}
-	if err := im.SetWord("g_seed", 0, in.Seed); err != nil {
-		return nil, err
-	}
-	if variant == VariantComponent {
-		if err := im.SetWord("g_poolsize", 0, int64(in.PoolSize)); err != nil {
-			return nil, err
-		}
-	}
-	return im.Program(), nil
-}
-
-// RunCrafty simulates and validates one search.
+// RunCrafty simulates one search and checks the printed negamax value.
 func RunCrafty(in *CraftyInput, variant Variant, cfg cpu.Config) (*core.RunResult, error) {
 	base, err := CraftyProgram(variant)
 	if err != nil {
 		return nil, err
 	}
-	p, err := PatchCrafty(base, in, variant)
+	globals := []global{scalar("g_branch", in.Branch), scalar("g_depth", in.Depth), {"g_seed", []int64{in.Seed}}}
+	if variant == VariantComponent { // only the pool has a size
+		globals = append(globals, scalar("g_poolsize", in.PoolSize))
+	}
+	p, err := image(base, globals...)
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.RunTiming(p, cfg)
-	if err != nil {
-		return nil, err
-	}
-	want := RefCrafty(in)
-	out := res.UserOutput()
-	if len(out) != 1 || out[0] != want {
-		return nil, fmt.Errorf("crafty: best = %v, want %d", out, want)
-	}
-	return res, nil
+	return simulate(p, cfg, printed("crafty", RefCrafty(in)))
 }

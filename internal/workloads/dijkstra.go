@@ -162,69 +162,27 @@ func main() {
 // in.
 func DijkstraProgram(variant Variant, maxN, maxE int) (*prog.Program, error) {
 	key := fmt.Sprintf("dijkstra-%s-%d-%d", variant, maxN, maxE)
-	return cachedBuild(variant, key, func() string { return dijkstraSrc(variant, maxN, maxE) })
+	return cachedBuild(key, func() string { return dijkstraSrc(variant, maxN, maxE) })
 }
 
-// PatchDijkstra writes in into a fresh image of p.
-func PatchDijkstra(p *prog.Program, in *DijkstraInput) (*prog.Program, error) {
-	im := core.NewImage(p)
-	if err := im.SetWord("g_n", 0, int64(in.N)); err != nil {
+// dijkstraImage loads in into a fresh image of the variant's program.
+func dijkstraImage(in *DijkstraInput, variant Variant) (*prog.Program, error) {
+	base, err := DijkstraProgram(variant, capRound(in.N), capRound(len(in.EDst)))
+	if err != nil {
 		return nil, err
 	}
-	if err := im.SetWord("g_src", 0, int64(in.Source)); err != nil {
-		return nil, err
-	}
-	for i := 0; i <= in.N; i++ {
-		if err := im.SetWord("g_eoff", i, int64(in.EOff[i])); err != nil {
-			return nil, err
-		}
-	}
-	for i := range in.EDst {
-		if err := im.SetWord("g_edst", i, int64(in.EDst[i])); err != nil {
-			return nil, err
-		}
-		if err := im.SetWord("g_ewgt", i, int64(in.EWgt[i])); err != nil {
-			return nil, err
-		}
-	}
-	return im.Program(), nil
+	return image(base, scalar("g_n", in.N), scalar("g_src", in.Source),
+		global{"g_eoff", words(in.EOff)}, global{"g_edst", words(in.EDst)}, global{"g_ewgt", words(in.EWgt)})
 }
 
 // RunDijkstra simulates one data set on one machine and validates the
 // distances against the Go reference.
 func RunDijkstra(in *DijkstraInput, variant Variant, cfg cpu.Config) (*core.RunResult, error) {
-	maxN, maxE := capRound(in.N), capRound(len(in.EDst))
-	base, err := DijkstraProgram(variant, maxN, maxE)
+	p, err := dijkstraImage(in, variant)
 	if err != nil {
 		return nil, err
 	}
-	p, err := PatchDijkstra(base, in)
-	if err != nil {
-		return nil, err
-	}
-	res, err := core.RunTiming(p, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := CheckDijkstra(res, p, in); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// CheckDijkstra validates simulated distances against the reference.
-func CheckDijkstra(res *core.RunResult, p *prog.Program, in *DijkstraInput) error {
-	want := RefDijkstra(in)
-	for v := 0; v < in.N; v++ {
-		got, err := core.ReadWord(res.Mem, p, "g_dist", v)
-		if err != nil {
-			return err
-		}
-		if got != want[v] {
-			return fmt.Errorf("dijkstra: dist[%d] = %d, want %d", v, got, want[v])
-		}
-	}
-	return nil
+	return simulate(p, cfg, stored("dijkstra", "g_dist", RefDijkstra(in)))
 }
 
 // capRound rounds a capacity up to a small set of sizes so the build cache

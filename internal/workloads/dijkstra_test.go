@@ -51,11 +51,7 @@ func TestDijkstraFunctionalMatchesReference(t *testing.T) {
 	// bounds; the relaxation must converge to the reference distances.
 	rng := RandFor(2, 7)
 	in := GenGraph(rng, 60, 3, 9)
-	base, err := DijkstraProgram(VariantComponent, capRound(in.N), capRound(len(in.EDst)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := PatchDijkstra(base, in)
+	p, err := dijkstraImage(in, VariantComponent)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,14 +76,9 @@ func TestDijkstraFunctionalMatchesReference(t *testing.T) {
 func TestDijkstraTimingAllArchs(t *testing.T) {
 	rng := RandFor(3, 1)
 	in := GenGraph(rng, 50, 3, 9)
-	variants := map[string]Variant{
-		"superscalar": VariantImperative,
-		"smt-static":  VariantComponent,
-		"somt":        VariantComponent,
-	}
 	cycles := map[string]uint64{}
 	for _, a := range PaperArchs() {
-		res, err := RunDijkstra(in, variants[a.Name], a.Cfg)
+		res, err := RunDijkstra(in, a.Variant, a.Cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", a.Name, err)
 		}

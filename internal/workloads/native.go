@@ -6,7 +6,7 @@ import (
 	"repro/internal/capsule"
 )
 
-// This file implements VariantNative: the paper's four core component
+// This file holds the native twins of the paper's four core component
 // algorithms — QuickSort, Dijkstra, LZW and Perceptron — running on real
 // goroutines via the internal/capsule probe/divide runtime instead of the
 // cycle-level simulator. Each function mirrors the CapC component source

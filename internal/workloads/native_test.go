@@ -420,28 +420,10 @@ func TestRunNativeStatsAndErrors(t *testing.T) {
 	}
 }
 
-// TestVariantNativeRejectedBySimulator pins that the native variant can
-// never be handed to the CapC build path: it has no simulator program.
-func TestVariantNativeRejectedBySimulator(t *testing.T) {
-	if _, err := QuickSortProgram(VariantNative, 64); err == nil {
-		t.Fatal("QuickSortProgram accepted VariantNative")
-	}
-	if _, err := DijkstraProgram(VariantNative, 64, 64); err == nil {
-		t.Fatal("DijkstraProgram accepted VariantNative")
-	}
-	if _, err := LZWProgram(VariantNative, 64, 64); err == nil {
-		t.Fatal("LZWProgram accepted VariantNative")
-	}
-	if _, err := PerceptronProgram(VariantNative, 64, 4); err == nil {
-		t.Fatal("PerceptronProgram accepted VariantNative")
-	}
-}
-
 func TestVariantString(t *testing.T) {
 	for v, want := range map[Variant]string{
 		VariantComponent:  "component",
 		VariantImperative: "imperative",
-		VariantNative:     "native",
 	} {
 		if got := v.String(); got != want {
 			t.Fatalf("Variant(%d).String() = %q, want %q", v, got, want)

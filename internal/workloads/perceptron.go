@@ -3,6 +3,7 @@ package workloads
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/cpu"
@@ -211,71 +212,45 @@ func main() {
 // PerceptronProgram compiles (cached) the requested variant.
 func PerceptronProgram(variant Variant, maxNeurons, maxPatterns int) (*prog.Program, error) {
 	key := fmt.Sprintf("perceptron-%s-%d-%d", variant, maxNeurons, maxPatterns)
-	return cachedBuild(variant, key, func() string { return perceptronSrc(variant, maxNeurons, maxPatterns) })
+	return cachedBuild(key, func() string { return perceptronSrc(variant, maxNeurons, maxPatterns) })
 }
 
-// PatchPerceptron writes the problem into a fresh image.
-func PatchPerceptron(p *prog.Program, in *PerceptronInput, maxNeurons int) (*prog.Program, error) {
-	im := core.NewImage(p)
-	if err := im.SetWord("g_neurons", 0, int64(in.Neurons)); err != nil {
-		return nil, err
-	}
-	if err := im.SetWord("g_patterns", 0, int64(in.Patterns)); err != nil {
-		return nil, err
-	}
-	if err := im.SetWord("g_epochs", 0, int64(in.Epochs)); err != nil {
-		return nil, err
-	}
-	for i, v := range in.W0 {
-		if err := im.SetWord("g_w", i, v); err != nil {
-			return nil, err
-		}
-	}
-	for pat := range in.X {
-		for i, v := range in.X[pat] {
-			if err := im.SetWord("g_x", pat*in.Neurons+i, v); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for pat, v := range in.Y {
-		if err := im.SetWord("g_y", pat, v); err != nil {
-			return nil, err
-		}
-	}
-	return im.Program(), nil
-}
-
-// RunPerceptron simulates and validates one training problem.
-//
-// Note the componentised update phase writes disjoint weight ranges and the
-// forward phase accumulates under a lock, so the result is exact.
-func RunPerceptron(in *PerceptronInput, variant Variant, cfg cpu.Config) (*core.RunResult, error) {
+// perceptronImage loads in into a fresh image of the variant's program,
+// built for exactly in.Patterns patterns: x holds them row by row.
+func perceptronImage(in *PerceptronInput, variant Variant) (*prog.Program, error) {
 	base, err := PerceptronProgram(variant, capRound(in.Neurons), in.Patterns)
 	if err != nil {
 		return nil, err
 	}
-	p, err := PatchPerceptron(base, in, capRound(in.Neurons))
-	if err != nil {
-		return nil, err
-	}
-	res, err := core.RunTiming(p, cfg)
+	return image(base, scalar("g_neurons", in.Neurons), scalar("g_patterns", in.Patterns), scalar("g_epochs", in.Epochs),
+		global{"g_w", in.W0}, global{"g_x", slices.Concat(in.X...)}, global{"g_y", in.Y})
+}
+
+// RunPerceptron simulates one training problem and checks the printed
+// mistake count and every 97th final weight.
+//
+// Note the componentised update phase writes disjoint weight ranges and the
+// forward phase accumulates under a lock, so the result is exact.
+func RunPerceptron(in *PerceptronInput, variant Variant, cfg cpu.Config) (*core.RunResult, error) {
+	p, err := perceptronImage(in, variant)
 	if err != nil {
 		return nil, err
 	}
 	wantW, wantM := RefPerceptron(in)
-	out := res.UserOutput()
-	if len(out) != 1 || out[0] != wantM {
-		return nil, fmt.Errorf("perceptron: mistakes = %v, want %d", out, wantM)
-	}
-	for i := 0; i < in.Neurons; i += 97 { // spot-check weights
-		got, err := core.ReadWord(res.Mem, p, "g_w", i)
-		if err != nil {
-			return nil, err
+	mistakes := printed("perceptron", wantM)
+	return simulate(p, cfg, func(res *core.RunResult, p *prog.Program) error {
+		if err := mistakes(res, p); err != nil {
+			return err
 		}
-		if got != wantW[i] {
-			return nil, fmt.Errorf("perceptron: w[%d] = %d, want %d", i, got, wantW[i])
+		for i := 0; i < in.Neurons; i += 97 {
+			got, err := core.ReadWord(res.Mem, p, "g_w", i)
+			if err != nil {
+				return err
+			}
+			if got != wantW[i] {
+				return fmt.Errorf("perceptron: w[%d] = %d, want %d", i, got, wantW[i])
+			}
 		}
-	}
-	return res, nil
+		return nil
+	})
 }

@@ -3,7 +3,7 @@ package workloads
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/cpu"
@@ -151,70 +151,25 @@ func main() {
 // QuickSortProgram compiles (cached) the requested variant.
 func QuickSortProgram(variant Variant, maxN int) (*prog.Program, error) {
 	key := fmt.Sprintf("quicksort-%s-%d", variant, maxN)
-	return cachedBuild(variant, key, func() string { return quickSortSrc(variant, maxN) })
+	return cachedBuild(key, func() string { return quickSortSrc(variant, maxN) })
 }
 
-// PatchQuickSort writes the list into a fresh image.
-func PatchQuickSort(p *prog.Program, list []int64) (*prog.Program, error) {
-	im := core.NewImage(p)
-	if err := im.SetWord("g_n", 0, int64(len(list))); err != nil {
-		return nil, err
-	}
-	for i, v := range list {
-		if err := im.SetWord("g_arr", i, v); err != nil {
-			return nil, err
-		}
-	}
-	return im.Program(), nil
-}
-
-// RunQuickSort simulates one list on one machine and validates the result.
-func RunQuickSort(list []int64, variant Variant, cfg cpu.Config) (*core.RunResult, error) {
-	return runQuickSort(list, variant, cfg, false)
-}
-
-// RunQuickSortTraced also records division events (Fig. 6).
-func RunQuickSortTraced(list []int64, variant Variant, cfg cpu.Config) (*core.RunResult, error) {
-	return runQuickSort(list, variant, cfg, true)
-}
-
-func runQuickSort(list []int64, variant Variant, cfg cpu.Config, trace bool) (*core.RunResult, error) {
+// QuickSortImage loads list into a fresh image of the variant's program:
+// the image RunQuickSort simulates.
+func QuickSortImage(list []int64, variant Variant) (*prog.Program, error) {
 	base, err := QuickSortProgram(variant, capRound(len(list)))
 	if err != nil {
 		return nil, err
 	}
-	p, err := PatchQuickSort(base, list)
-	if err != nil {
-		return nil, err
-	}
-	var res *core.RunResult
-	if trace {
-		res, err = core.RunTimingTraced(p, cfg)
-	} else {
-		res, err = core.RunTiming(p, cfg)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if err := CheckSorted(res, p, list); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return image(base, scalar("g_n", len(list)), global{"g_arr", list})
 }
 
-// CheckSorted verifies the simulated array is the sorted permutation of the
-// input.
-func CheckSorted(res *core.RunResult, p *prog.Program, input []int64) error {
-	want := append([]int64(nil), input...)
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	for i := range want {
-		got, err := core.ReadWord(res.Mem, p, "g_arr", i)
-		if err != nil {
-			return err
-		}
-		if got != want[i] {
-			return fmt.Errorf("quicksort: arr[%d] = %d, want %d", i, got, want[i])
-		}
+// RunQuickSort simulates one list on one machine and checks that the
+// array ends as the sorted permutation of the list.
+func RunQuickSort(list []int64, variant Variant, cfg cpu.Config) (*core.RunResult, error) {
+	p, err := QuickSortImage(list, variant)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	return simulate(p, cfg, stored("quicksort", "g_arr", slices.Sorted(slices.Values(list))))
 }

@@ -40,10 +40,6 @@ func TestGenListKinds(t *testing.T) {
 func TestQuickSortFunctionalProperty(t *testing.T) {
 	// Property test: the component program sorts arbitrary small arrays on
 	// the functional machine.
-	base, err := QuickSortProgram(VariantComponent, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
 	f := func(raw []int16) bool {
 		if len(raw) > 60 {
 			raw = raw[:60]
@@ -55,7 +51,7 @@ func TestQuickSortFunctionalProperty(t *testing.T) {
 		if len(list) == 0 {
 			return true
 		}
-		p, err := PatchQuickSort(base, list)
+		p, err := QuickSortImage(list, VariantComponent)
 		if err != nil {
 			return false
 		}
@@ -103,7 +99,7 @@ func TestQuickSortImperativeOnSuperscalar(t *testing.T) {
 func TestQuickSortDivisionTreeIrregular(t *testing.T) {
 	rng := RandFor(13, 1)
 	list := GenList(rng, ListUniform, 400)
-	res, err := RunQuickSortTraced(list, VariantComponent, cpu.SOMTConfig())
+	res, err := RunQuickSort(list, VariantComponent, cpu.SOMTConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,11 +15,7 @@ func TestMCFRefAndTiming(t *testing.T) {
 	}
 	_ = sum
 	for _, a := range PaperArchs() {
-		v := VariantComponent
-		if a.Name == "superscalar" {
-			v = VariantImperative
-		}
-		res, err := RunMCF(in, v, a.Cfg)
+		res, err := RunMCF(in, a.Variant, a.Cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", a.Name, err)
 		}
@@ -29,6 +25,21 @@ func TestMCFRefAndTiming(t *testing.T) {
 		}
 		if sec == 0 || sec >= res.Cycles {
 			t.Fatalf("%s: section cycles %d of %d", a.Name, sec, res.Cycles)
+		}
+	}
+}
+
+// TestGenMCFRootBranches: the root always keeps both children, so an
+// instance always has a parallel section. The inputs are table3's (exp's
+// RandFor(seed+5, 0), at Scale 0.01 and 0.08) for seeds 1-3; seed 3 drew a
+// root with no child before the root was pinned.
+func TestGenMCFRootBranches(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		for _, size := range [][2]int{{800, 256}, {1310, 327}} {
+			in := GenMCF(RandFor(seed+5, 0), size[0], size[1], 2)
+			if in.Left[0] != 1 || in.Right[0] != 2 {
+				t.Errorf("seed %d, %d nodes: root children %d, %d; want 1, 2", seed, size[0], in.Left[0], in.Right[0])
+			}
 		}
 	}
 }
@@ -76,11 +87,7 @@ func TestBzip2Timing(t *testing.T) {
 	rng := RandFor(31, 1)
 	in := GenBzip2(rng, 192, 2)
 	for _, a := range PaperArchs() {
-		v := VariantComponent
-		if a.Name == "superscalar" {
-			v = VariantImperative
-		}
-		res, err := RunBzip2(in, v, a.Cfg)
+		res, err := RunBzip2(in, a.Variant, a.Cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", a.Name, err)
 		}

@@ -64,11 +64,7 @@ func TestRefLZWMatchBasics(t *testing.T) {
 func TestLZWFunctionalMatchesReference(t *testing.T) {
 	rng := RandFor(20, 0)
 	in := GenLZW(rng, 256)
-	base, err := LZWProgram(VariantComponent, capRound(len(in.Text)), capRound(len(in.Next)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := PatchLZW(base, in)
+	p, err := lzwImage(in, VariantComponent)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +132,7 @@ func TestRefPerceptronBounded(t *testing.T) {
 func TestPerceptronFunctionalMatchesReference(t *testing.T) {
 	rng := RandFor(25, 2)
 	in := GenPerceptron(rng, 256, 2, 1)
-	base, err := PerceptronProgram(VariantComponent, capRound(in.Neurons), in.Patterns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := PatchPerceptron(base, in, capRound(in.Neurons))
+	p, err := perceptronImage(in, VariantComponent)
 	if err != nil {
 		t.Fatal(err)
 	}

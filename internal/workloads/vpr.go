@@ -198,38 +198,11 @@ func main() {
 // VPRProgram compiles (cached) the requested variant.
 func VPRProgram(variant Variant, maxCells, maxNets, maxPath int) (*prog.Program, error) {
 	key := fmt.Sprintf("vpr-%s-%d-%d-%d", variant, maxCells, maxNets, maxPath)
-	return cachedBuild(variant, key, func() string { return vprSrc(variant, maxCells, maxNets, maxPath) })
+	return cachedBuild(key, func() string { return vprSrc(variant, maxCells, maxNets, maxPath) })
 }
 
 // vprMaxPath bounds stored path length.
 func vprMaxPath(in *VPRInput) int { return capRound(4 * (in.W + in.H)) }
-
-// PatchVPR writes the instance into a fresh image.
-func PatchVPR(p *prog.Program, in *VPRInput) (*prog.Program, error) {
-	im := core.NewImage(p)
-	fields := map[string]int64{
-		"g_width":    int64(in.W),
-		"g_height":   int64(in.H),
-		"g_ncells":   int64(in.W * in.H),
-		"g_nnets":    int64(len(in.Nets)),
-		"g_capacity": int64(in.Capacity),
-		"g_maxiter":  int64(in.MaxIters),
-	}
-	for sym, v := range fields {
-		if err := im.SetWord(sym, 0, v); err != nil {
-			return nil, err
-		}
-	}
-	for i, net := range in.Nets {
-		if err := im.SetWord("g_nsrc", i, int64(net[0])); err != nil {
-			return nil, err
-		}
-		if err := im.SetWord("g_ndst", i, int64(net[1])); err != nil {
-			return nil, err
-		}
-	}
-	return im.Program(), nil
-}
 
 // VPRResult summarises a validated routing run.
 type VPRResult struct {
@@ -247,56 +220,67 @@ func RunVPR(in *VPRInput, variant Variant, cfg cpu.Config) (*VPRResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := PatchVPR(base, in)
+	src, dst := make([]int64, len(in.Nets)), make([]int64, len(in.Nets))
+	for i, net := range in.Nets {
+		src[i], dst[i] = int64(net[0]), int64(net[1])
+	}
+	p, err := image(base, scalar("g_width", in.W), scalar("g_height", in.H), scalar("g_ncells", in.W*in.H),
+		scalar("g_nnets", len(in.Nets)), scalar("g_capacity", in.Capacity), scalar("g_maxiter", in.MaxIters),
+		global{"g_nsrc", src}, global{"g_ndst", dst})
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.RunTiming(p, cfg)
+	res, err := simulate(p, cfg, func(res *core.RunResult, p *prog.Program) error { return checkVPR(res, p, in, maxPath) })
 	if err != nil {
 		return nil, err
 	}
 	out := res.UserOutput()
-	if len(out) != 2 {
-		return nil, fmt.Errorf("vpr: output = %v", out)
-	}
-	iters, converged := out[0], out[1] == 1
+	return &VPRResult{Run: res, Iterations: out[0], Converged: out[1] == 1}, nil
+}
 
+// checkVPR walks every net's stored path and, if the router claims
+// convergence, checks that no cell is over capacity.
+func checkVPR(res *core.RunResult, p *prog.Program, in *VPRInput, maxPath int) error {
+	out := res.UserOutput()
+	if len(out) != 2 {
+		return fmt.Errorf("vpr: output = %v", out)
+	}
 	usage := make([]int, in.W*in.H)
 	for net := range in.Nets {
 		plen, err := core.ReadWord(res.Mem, p, "g_pathlen", net)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if plen <= 0 || plen > int64(maxPath) {
-			return nil, fmt.Errorf("vpr: net %d path length %d", net, plen)
+			return fmt.Errorf("vpr: net %d path length %d", net, plen)
 		}
 		prev := int64(-1)
 		for k := int64(0); k < plen; k++ {
 			cell, err := core.ReadWord(res.Mem, p, "g_pathbuf", net*maxPath+int(k))
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if k == 0 && cell != int64(in.Nets[net][1]) {
-				return nil, fmt.Errorf("vpr: net %d path does not start at sink", net)
+				return fmt.Errorf("vpr: net %d path does not start at sink", net)
 			}
 			if prev >= 0 && !gridAdjacent(in.W, prev, cell) {
-				return nil, fmt.Errorf("vpr: net %d: %d -> %d not adjacent", net, prev, cell)
+				return fmt.Errorf("vpr: net %d: %d -> %d not adjacent", net, prev, cell)
 			}
 			usage[cell]++
 			prev = cell
 		}
 		if prev != int64(in.Nets[net][0]) {
-			return nil, fmt.Errorf("vpr: net %d path does not reach source", net)
+			return fmt.Errorf("vpr: net %d path does not reach source", net)
 		}
 	}
-	if converged {
+	if out[1] == 1 {
 		for c, u := range usage {
 			if u > in.Capacity {
-				return nil, fmt.Errorf("vpr: claims convergence but cell %d used %d > %d", c, u, in.Capacity)
+				return fmt.Errorf("vpr: claims convergence but cell %d used %d > %d", c, u, in.Capacity)
 			}
 		}
 	}
-	return &VPRResult{Run: res, Iterations: iters, Converged: converged}, nil
+	return nil
 }
 
 func gridAdjacent(w int, a, b int64) bool {

@@ -8,6 +8,7 @@ package workloads
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -15,7 +16,8 @@ import (
 	"repro/internal/prog"
 )
 
-// Variant selects which program text a workload compiles.
+// Variant selects which program text a workload compiles. Native code is
+// not a variant: it is the Native* functions (native.go).
 type Variant uint8
 
 const (
@@ -24,33 +26,20 @@ const (
 	// VariantImperative is the baseline sequential implementation the
 	// paper runs on the superscalar.
 	VariantImperative
-	// VariantNative is the same component algorithm running natively on
-	// goroutines via internal/capsule instead of the cycle-level
-	// simulator (see native.go).
-	VariantNative
 )
 
 func (v Variant) String() string {
-	switch v {
-	case VariantComponent:
+	if v == VariantComponent {
 		return "component"
-	case VariantNative:
-		return "native"
-	default:
-		return "imperative"
 	}
+	return "imperative"
 }
 
 // buildCache memoises compiled programs by (workload, variant, size key):
 // experiments run hundreds of data sets against the same binary.
 var buildCache sync.Map
 
-func cachedBuild(variant Variant, key string, src func() string) (*prog.Program, error) {
-	if variant == VariantNative {
-		// The native variant has no CapC program: it runs on goroutines
-		// via the Native* functions (native.go), never the simulator.
-		return nil, fmt.Errorf("workloads: %s: VariantNative cannot be simulated; use the Native* functions on a capsule.Runtime", key)
-	}
+func cachedBuild(key string, src func() string) (*prog.Program, error) {
 	if p, ok := buildCache.Load(key); ok {
 		return p.(*prog.Program), nil
 	}
@@ -62,18 +51,96 @@ func cachedBuild(variant Variant, key string, src func() string) (*prog.Program,
 	return b.Program, nil
 }
 
-// Arch bundles a named machine configuration for experiments.
+// Every simulated workload takes one path: image writes a data set's
+// globals into a fresh image of the program built for it, and simulate
+// runs that image on a machine and checks the run. A workload keeps only
+// its CapC text, its list of globals and its check.
+
+// global is one of a data set's globals: a CapC symbol (g_ and the source
+// name) and the words it starts with.
+type global struct {
+	sym   string
+	words []int64
+}
+
+// scalar is a one-word global.
+func scalar(sym string, v int) global { return global{sym, []int64{int64(v)}} }
+
+// words widens an array of narrower integers to the words a global holds.
+func words[T int32 | byte](vs []T) []int64 {
+	out := make([]int64, len(vs))
+	for i, v := range vs {
+		out[i] = int64(v)
+	}
+	return out
+}
+
+// image writes globals into a fresh image of base, leaving base as it is.
+func image(base *prog.Program, globals ...global) (*prog.Program, error) {
+	im := core.NewImage(base)
+	for _, g := range globals {
+		if err := im.SetWords(g.sym, g.words...); err != nil {
+			return nil, err
+		}
+	}
+	return im.Program(), nil
+}
+
+// check validates one run of the image p against the Go reference.
+type check func(res *core.RunResult, p *prog.Program) error
+
+// simulate runs the image p on cfg and checks the run.
+func simulate(p *prog.Program, cfg cpu.Config, valid check) (*core.RunResult, error) {
+	res, err := core.RunTiming(p, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := valid(res, p); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// printed checks that the run printed exactly want, section markers aside.
+func printed(name string, want ...int64) check {
+	return func(res *core.RunResult, _ *prog.Program) error {
+		if out := res.UserOutput(); !slices.Equal(out, want) {
+			return fmt.Errorf("%s: output = %v, want %v", name, out, want)
+		}
+		return nil
+	}
+}
+
+// stored checks that the global sym ends the run holding want.
+func stored(name, sym string, want []int64) check {
+	return func(res *core.RunResult, p *prog.Program) error {
+		for i, w := range want {
+			got, err := core.ReadWord(res.Mem, p, sym, i)
+			if err != nil {
+				return err
+			}
+			if got != w {
+				return fmt.Errorf("%s: %s[%d] = %d, want %d", name, sym, i, got, w)
+			}
+		}
+		return nil
+	}
+}
+
+// Arch bundles a named machine configuration with the program variant the
+// paper runs on it.
 type Arch struct {
-	Name string
-	Cfg  cpu.Config
+	Name    string
+	Cfg     cpu.Config
+	Variant Variant
 }
 
 // PaperArchs returns the paper's three machines: superscalar (imperative
 // baseline), statically parallelised SMT, and SOMT with dynamic division.
 func PaperArchs() []Arch {
 	return []Arch{
-		{Name: "superscalar", Cfg: cpu.SuperscalarConfig()},
-		{Name: "smt-static", Cfg: cpu.SMTStaticConfig()},
-		{Name: "somt", Cfg: cpu.SOMTConfig()},
+		{Name: "superscalar", Cfg: cpu.SuperscalarConfig(), Variant: VariantImperative},
+		{Name: "smt-static", Cfg: cpu.SMTStaticConfig(), Variant: VariantComponent},
+		{Name: "somt", Cfg: cpu.SOMTConfig(), Variant: VariantComponent},
 	}
 }

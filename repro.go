@@ -87,11 +87,8 @@ func Assemble(name, src string) (*Program, error) {
 	return core.BuildAsm(asm.Unit{Name: name, Text: src})
 }
 
-// Run simulates p to completion on cfg.
+// Run simulates p to completion on cfg, recording every granted division.
 func Run(p *Program, cfg Config) (*RunResult, error) { return core.RunTiming(p, cfg) }
-
-// RunTraced additionally records division events (for Fig. 6-style trees).
-func RunTraced(p *Program, cfg Config) (*RunResult, error) { return core.RunTimingTraced(p, cfg) }
 
 // Experiment regenerates one of the paper's tables/figures by id (fig3,
 // fig5, fig6, fig7, fig8, table1, table2, table3, crafty48, vprcache,

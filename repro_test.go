@@ -73,7 +73,7 @@ func main() { coworker w(1); coworker w(2); join(); print(acc); }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunTraced(p, SOMT())
+	res, err := Run(p, SOMT())
 	if err != nil {
 		t.Fatal(err)
 	}
